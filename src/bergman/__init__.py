@@ -54,7 +54,7 @@ from .potential import (
     preset_flat,
     preset_quartic,
 )
-from .series import SeriesMatrix, TruncatedSeries, mul_trunc
+from .series import TruncatedSeries, mul_trunc
 from .transport import (
     TransportChain,
     first_amplitude,
@@ -75,7 +75,6 @@ __all__ = [
     "KernelReport",
     "NormTable",
     "PotentialSpec",
-    "SeriesMatrix",
     "SpecValidationError",
     "TransportChain",
     "TruncatedSeries",

@@ -106,7 +106,8 @@ def cpn_kernel(n: int, k: int, x: Sequence[complex], y: Sequence[complex]) -> co
     if k < 1:
         raise ValueError("k must be >= 1")
     w = sum(complex(a) * complex(b).conjugate() for a, b in zip(x, y))
-    coef = math.factorial(k + n) / (math.factorial(k) * math.pi**n)
+    # (k+n)!/k! as an exact integer: the factorials themselves overflow a float
+    coef = math.prod(range(k + 1, k + n + 1)) / math.pi**n
     return coef * (1 + w) ** k
 
 

@@ -47,17 +47,25 @@ from .potential import (
     build_geometry,
     check_good_contour,
     make_preset,
-    polarize,
 )
 from .transport import reconstruct_coefficients, transport_chain
 
 SCHEMA_VERSION = 1
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_report(path: Path, command: str, **fields) -> None:
+    """Write one JSON report stamped with the schema version and command.
+
+    ``fields`` holds the rest of the report, including ``config`` and
+    ``spec_sha256`` for the reports that carry them.  Keys are sorted and
+    nothing run-dependent is added, so re-runs write identical bytes.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(
+            {"schema_version": SCHEMA_VERSION, "command": command, **fields},
+            fh, sort_keys=True, indent=2,
+        )
         fh.write("\n")
 
 
@@ -133,34 +141,29 @@ def cmd_polarize(args) -> int:
         spec, geom.psi, samples=args.samples, delta=args.delta
     )
     out = Path(args.out)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "polarize",
-        "config": {**_spec_config(args), "samples": args.samples, "delta": args.delta},
-        "spec_sha256": spec.sha256(),
-        "spec": spec.to_record(),
-        "psi": geom.psi.to_record(),
-        "psi_x": [s.to_record() for s in geom.psi_x],
-        "theta": [s.to_record() for s in geom.theta],
-        "z_of_theta": [s.to_record() for s in geom.z_of_theta],
-        "delta0_xyz": geom.delta0_xyz.to_record(),
-        "delta0_xytheta": geom.delta0_xytheta.to_record(),
-    }
-    _write_json(out / "geometry.json", payload)
-    _write_json(
-        out / "contour.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "polarize",
-            "spec_sha256": spec.sha256(),
-            "report": contour.to_dict(),
-        },
+    _write_report(
+        out / "geometry.json",
+        "polarize",
+        config={**_spec_config(args), "samples": args.samples, "delta": args.delta},
+        spec_sha256=spec.sha256(),
+        spec=spec.to_record(),
+        psi=geom.psi.to_record(),
+        psi_x=[s.to_record() for s in geom.psi_x],
+        theta=[s.to_record() for s in geom.theta],
+        z_of_theta=[s.to_record() for s in geom.z_of_theta],
+        delta0_xyz=geom.delta0_xyz.to_record(),
+        delta0_xytheta=geom.delta0_xytheta.to_record(),
+    )
+    _write_report(
+        out / "contour.json", "polarize", spec_sha256=spec.sha256(), report=contour.to_dict()
     )
     print(f"good contour (delta={contour.delta:g}): {'PASS' if contour.passed else 'FAIL'}")
     return 0 if contour.passed else 1
 
 
 def cmd_coeffs(args) -> int:
+    if args.order < 0 or args.transport_order < 0:
+        raise SpecValidationError("--order and --transport-order must be non-negative")
     spec = _load_spec(args)
     geom = build_geometry(spec)
     table = amplitude_from_b(bergman_coefficients(geom, args.order), geom)
@@ -170,36 +173,28 @@ def cmd_coeffs(args) -> int:
     mismatches = [m for m in range(t_order + 1) if recon[m] != table.b[m]]
     ok = not mismatches
     out = Path(args.out)
-    _write_json(
+    sha = spec.sha256()
+    _write_report(
         out / "coefficients.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "coeffs",
-            "config": {**_spec_config(args), "order": args.order},
-            "spec_sha256": spec.sha256(),
-            "table": table.to_record(),
-        },
+        "coeffs",
+        config={**_spec_config(args), "order": args.order},
+        spec_sha256=sha,
+        table=table.to_record(),
     )
-    _write_json(
+    _write_report(
         out / "transport.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "coeffs",
-            "spec_sha256": spec.sha256(),
-            "chain": chain.to_record(),
-            "reconstructed_b": [s.to_record() for s in recon],
-        },
+        "coeffs",
+        spec_sha256=sha,
+        chain=chain.to_record(),
+        reconstructed_b=[s.to_record() for s in recon],
     )
-    _write_json(
+    _write_report(
         out / "crosscheck.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "coeffs",
-            "spec_sha256": spec.sha256(),
-            "orders_compared": t_order,
-            "mismatched_orders": mismatches,
-            "cross_check": "pass" if ok else "fail",
-        },
+        "coeffs",
+        spec_sha256=sha,
+        orders_compared=t_order,
+        mismatched_orders=mismatches,
+        cross_check="pass" if ok else "fail",
     )
     print(f"transport cross-check to order {t_order}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -222,23 +217,20 @@ def cmd_eval(args) -> int:
         if clamped:
             print(f"note: truncation order clamped to available M={order}", file=sys.stderr)
     report = eval_KN(geom, table, args.k, order, x, y)
-    _write_json(
+    _write_report(
         Path(args.out) / "kernel_report.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "eval",
-            "config": {
-                **_spec_config(args),
-                "k": args.k,
-                "order": args.order,
-                "C": args.C,
-                "x": args.x,
-                "y": args.y,
-            },
-            "spec_sha256": spec.sha256(),
-            "truncation_order_clamped": clamped,
-            "report": report.to_dict(),
+        "eval",
+        config={
+            **_spec_config(args),
+            "k": args.k,
+            "order": args.order,
+            "C": args.C,
+            "x": args.x,
+            "y": args.y,
         },
+        spec_sha256=spec.sha256(),
+        truncation_order_clamped=clamped,
+        report=report.to_dict(),
     )
     print(f"K_weighted = {report.K_weighted:.12g} at k={args.k}, N={order}")
     return 0
@@ -273,24 +265,21 @@ def cmd_asymptotics(args) -> int:
     else:
         passed = fit.slope is not None and fit.slope <= args.max_slope
     out = Path(args.out)
-    _write_json(
+    _write_report(
         out / "asymptotics.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "asymptotics",
-            "config": {
-                **_spec_config(args),
-                "mode": args.mode,
-                "k_grid": k_grid,
-                "x": args.x,
-                "y": args.y,
-                "closed_form": args.closed_form,
-                "max_slope": args.max_slope,
-            },
-            "spec_sha256": spec_hash,
-            "fit": fit.to_dict(),
-            "verdict": "pass" if passed else "fail",
+        "asymptotics",
+        config={
+            **_spec_config(args),
+            "mode": args.mode,
+            "k_grid": k_grid,
+            "x": args.x,
+            "y": args.y,
+            "closed_form": args.closed_form,
+            "max_slope": args.max_slope,
         },
+        spec_sha256=spec_hash,
+        fit=fit.to_dict(),
+        verdict="pass" if passed else "fail",
     )
     _write_csv(
         out / "asymptotics.csv",
@@ -312,22 +301,19 @@ def cmd_growth(args) -> int:
             table, geom, args.norm_radius, args.grid, xi_max=args.xi_max
         )
         fit = fit_growth(norms, model=args.model)
-        _write_json(
+        _write_report(
             out / "growth_fit.json",
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "growth",
-                "config": {
-                    **_spec_config(args),
-                    "task": "fit",
-                    "norm_radius": args.norm_radius,
-                    "grid": args.grid,
-                    "xi_max": args.xi_max,
-                    "model": args.model,
-                },
-                "spec_sha256": spec.sha256(),
-                "fit": fit.to_dict(),
+            "growth",
+            config={
+                **_spec_config(args),
+                "task": "fit",
+                "norm_radius": args.norm_radius,
+                "grid": args.grid,
+                "xi_max": args.xi_max,
+                "model": args.model,
             },
+            spec_sha256=spec.sha256(),
+            fit=fit.to_dict(),
         )
         _write_csv(
             out / "norms.csv",
@@ -362,15 +348,12 @@ def cmd_growth(args) -> int:
             for m in range(1, args.order + 1)
         )
         ok = ok and zero_ok
-        _write_json(
+        _write_report(
             out / "worst_case.json",
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "growth",
-                "config": {"task": "worst-case", "n": args.n, "order": args.order, "kmax": args.kmax},
-                "directional_bound": "pass" if ok else "fail",
-                "verdict": "pass" if ok else "fail",
-            },
+            "growth",
+            config={"task": "worst-case", "n": args.n, "order": args.order, "kmax": args.kmax},
+            directional_bound="pass" if ok else "fail",
+            verdict="pass" if ok else "fail",
         )
         _write_csv(out / "worst_case.csv", rows, ["m", "k", "value", "lower_bound", "ratio"])
         print(f"worst-case lower bounds: {'PASS' if ok else 'FAIL'}")
@@ -378,15 +361,12 @@ def cmd_growth(args) -> int:
     if args.task == "truncation":
         scan = truncation_minimizer(args.C, args.k)
         ok = scan.unimodal and scan.within_one_of_target and scan.stirling_bound_ok
-        _write_json(
+        _write_report(
             out / "truncation.json",
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "growth",
-                "config": {"task": "truncation", "C": args.C, "k": args.k},
-                "scan": scan.to_dict(),
-                "verdict": "pass" if ok else "fail",
-            },
+            "growth",
+            config={"task": "truncation", "C": args.C, "k": args.k},
+            scan=scan.to_dict(),
+            verdict="pass" if ok else "fail",
         )
         print(f"truncation scan: argmin={scan.argmin}: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
@@ -396,20 +376,17 @@ def cmd_growth(args) -> int:
         n_max=args.n_max,
         k_max=args.k_max,
     )
-    _write_json(
+    _write_report(
         out / "lemma_sweep.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "growth",
-            "config": {
-                "task": "lemma",
-                "deltas": args.deltas,
-                "n_max": args.n_max,
-                "k_max": args.k_max,
-            },
-            "sweep": sweep.to_dict(),
-            "verdict": "pass" if sweep.passed else "fail",
+        "growth",
+        config={
+            "task": "lemma",
+            "deltas": args.deltas,
+            "n_max": args.n_max,
+            "k_max": args.k_max,
         },
+        sweep=sweep.to_dict(),
+        verdict="pass" if sweep.passed else "fail",
     )
     print(f"exponential-factorial sweep: {'PASS' if sweep.passed else 'FAIL'}")
     return 0 if sweep.passed else 1
@@ -429,15 +406,12 @@ def cmd_chsc_check(args) -> int:
             cross_ok = False
     record["cross_check_vs_bbs"] = "pass" if cross_ok else "fail"
     ok = cross_ok and record["polynomial_check"] == "pass"
-    _write_json(
+    _write_report(
         Path(args.out) / "chsc_check.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "chsc-check",
-            "config": {"n": args.n, "c": str(c), "order": args.order, "degree": degree},
-            "result": record,
-            "verdict": "pass" if ok else "fail",
-        },
+        "chsc-check",
+        config={"n": args.n, "c": str(c), "order": args.order, "degree": degree},
+        result=record,
+        verdict="pass" if ok else "fail",
     )
     print(
         f"chsc n={args.n} c={c}: polynomial {record['polynomial_check']}, "

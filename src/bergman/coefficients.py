@@ -4,8 +4,10 @@ Order m is obtained from the lower orders by applying powers of the mixed
 operator ``D_y . D_theta`` to the composed amplitude
 ``b_{m-l}(x, z(x,y,theta)) * Delta0(x,y,theta)``, restricting to ``y = x``
 and converting the result back to ``(x, z)`` coordinates through the
-on-diagonal phase ``theta(x,x,z) = psi_x(x,z)``.  All steps are exact
-rational series operations.
+on-diagonal phase ``theta(x,x,z) = psi_x(x,z)``.  Both compositions go
+through the geometry's shared phase chain ``geom.phase``
+(:class:`bergman.potential.PhaseChain`), the same one the transport route
+uses.  All steps are exact rational series operations.
 
 Degree bookkeeping: with geometry built at truncation degree D, the order m
 coefficient is exact through total degree ``D - 2m - 2`` for m >= 1 (the
@@ -19,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
 
-from .potential import DegreeBudgetError, GeometryPack
+from .potential import DegreeBudgetError, GeometryPack, merge_y_into_x
 from .sampling import polydisc_points
 from .series import TruncatedSeries, exponents_of_degree, multi_factorial
 
@@ -66,34 +67,6 @@ class CoefficientTable:
         )
 
 
-class _Composer:
-    """Shared composition caches tied to one geometry."""
-
-    def __init__(self, geom: GeometryPack):
-        self.geom = geom
-        n, D = geom.n, geom.degree
-        ids3 = TruncatedSeries.variables(3 * n, D - 1)
-        self.into_xytheta = [ids3[i] for i in range(n)] + list(geom.z_of_theta)
-        self.into_xytheta_cache: dict = {}
-        ids2 = TruncatedSeries.variables(2 * n, D - 1)
-        self.into_xz = [ids2[i] for i in range(n)] + list(geom.psi_x)
-        self.into_xz_cache: dict = {}
-
-    def substitute_z(self, f_xz: TruncatedSeries) -> TruncatedSeries:
-        """f(x, z) -> f(x, z(x,y,theta)) in (x, y, theta) blocks."""
-        return f_xz.compose(self.into_xytheta, cache=self.into_xytheta_cache)
-
-    def to_xz(self, f_xtheta: TruncatedSeries) -> TruncatedSeries:
-        """f(x, theta) -> f(x, psi_x(x, z)) in (x, z) blocks."""
-        return f_xtheta.compose(self.into_xz, cache=self.into_xz_cache)
-
-
-def _merge_y_into_x(f: TruncatedSeries, n: int) -> TruncatedSeries:
-    """Formal substitution y = x: (x, y, w) -> (x, w)."""
-    var_map = tuple(range(n)) + tuple(range(n)) + tuple(range(n, 2 * n))
-    return f.remap_variables(2 * n, var_map)
-
-
 def _mixed_derivative_sum(g: TruncatedSeries, n: int, level: int) -> TruncatedSeries:
     """(D_y . D_theta)^level / level! of a series in (x, y, theta) blocks."""
     acc = None
@@ -120,7 +93,7 @@ def bergman_coefficients(
             f">= {need}, got {D}",
             need,
         )
-    composer = _Composer(geom)
+    phase = geom.phase
     b = [TruncatedSeries.one(2 * n, D)]
     amplitudes = {0: geom.delta0_xytheta}
     for m in range(1, M + 1):
@@ -129,13 +102,13 @@ def bergman_coefficients(
             j = m - level
             g = amplitudes.get(j)
             if g is None:
-                comp = composer.substitute_z(b[j])
+                comp = phase.substitute_z(b[j])
                 g = comp * geom.delta0_xytheta.truncate(comp.trunc_degree)
                 amplitudes[j] = g
             term = _mixed_derivative_sum(g, n, level)
-            merged = _merge_y_into_x(term, n)
+            merged = merge_y_into_x(term, n)
             total = merged if total is None else total + merged
-        b_m = composer.to_xz(-total)
+        b_m = phase.to_xz(-total)
         b.append(b_m)
     return CoefficientTable(
         n=n,
@@ -148,10 +121,9 @@ def bergman_coefficients(
 
 def amplitude_from_b(table: CoefficientTable, geom: GeometryPack) -> CoefficientTable:
     """Fill the amplitude family: a_0 = Delta0 - 1, a_m = (b_m o z) * Delta0."""
-    composer = _Composer(geom)
     a = [geom.delta0_xytheta - 1]
     for m in range(1, table.M + 1):
-        comp = composer.substitute_z(table.b[m])
+        comp = geom.phase.substitute_z(table.b[m])
         a.append(comp * geom.delta0_xytheta.truncate(comp.trunc_degree))
     return replace(table, a=tuple(a))
 

@@ -23,12 +23,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lgamma
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .coefficients import NormTable
-from .series import exponents_of_degree, multi_factorial
+from .series import exponents_of_degree, multi_factorial, sub_indices
 
 
 @dataclass(frozen=True)
@@ -123,16 +123,6 @@ def fit_growth(norms: NormTable, model: str = "m_factorial_sq", slack: float = 0
 # -- worst case equality recursion -------------------------------------------
 
 
-def _sub_indices(delta):
-    """All componentwise alpha <= delta, deterministic order."""
-    if not delta:
-        yield ()
-        return
-    for head in range(delta[0] + 1):
-        for tail in _sub_indices(delta[1:]):
-            yield (head,) + tail
-
-
 def worst_case_norm_table(n: int, M: int, Kmax: int) -> dict:
     """Equality case of the norm recursion with unit constant, exactly.
 
@@ -164,15 +154,15 @@ def worst_case_norm_table(n: int, M: int, Kmax: int) -> dict:
             for delta in exponents_of_degree(n, l):
                 delta_fact = multi_factorial(delta)
                 inner = Fraction(0)
-                for alpha in _sub_indices(delta):
-                    for beta in _sub_indices(delta):
+                for alpha in sub_indices(delta):
+                    for beta in sub_indices(delta):
                         gmax = sum(alpha) + sum(beta)
                         for gdeg in range(gmax + 1):
                             for gamma in exponents_of_degree(n, gdeg):
                                 bin_a = _ones_binomial(alpha, gdeg)
                                 bin_b = _ones_binomial(beta, gdeg)
                                 gfact = multi_factorial(gamma)
-                                for xi0 in _sub_indices(xi):
+                                for xi0 in sub_indices(xi):
                                     prev = value(
                                         m - l,
                                         tuple(g + x for g, x in zip(gamma, xi0)),

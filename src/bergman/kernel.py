@@ -23,7 +23,7 @@ import numpy as np
 from .chsc import chsc_coefficients, chsc_psi_value
 from .coefficients import CoefficientTable
 from .potential import GeometryPack
-from .series import TruncatedSeries
+from .series import TruncatedSeries, multi_binomial, sub_indices, unit
 
 
 def choose_truncation_order(k: int, C: float, max_order: int | None = None) -> int:
@@ -185,8 +185,6 @@ def eval_KN_derivative(
     Ungated variant: no sharp numeric target, finite differences are the
     test oracle.
     """
-    from .series import multi_binomial
-
     n = geom.n
     alpha = tuple(alpha)
     if len(alpha) != 2 * n or any(e < 0 for e in alpha):
@@ -195,10 +193,7 @@ def eval_KN_derivative(
         raise ValueError(f"order {N} exceeds the computed table order {table.M}")
     psi_f = geom.psi.to_float()
     D = psi_f.trunc_degree
-    psi_grad = [
-        psi_f.diff(tuple(1 if j == i else 0 for j in range(2 * n)))
-        for i in range(2 * n)
-    ]
+    psi_grad = [psi_f.diff(unit(2 * n, i)) for i in range(2 * n)]
     amp_degree = min([table.b[j].trunc_degree for j in range(1, N + 1)], default=D)
     amp = TruncatedSeries.constant(2 * n, amp_degree, 1.0)
     for j in range(1, N + 1):
@@ -214,7 +209,7 @@ def eval_KN_derivative(
         lower = beta[:i] + (beta[i] - 1,) + beta[i + 1 :]
         t = exp_factor(lower)
         out_D = t.trunc_degree - 1
-        step = t.diff(tuple(1 if j == i else 0 for j in range(2 * n)))
+        step = t.diff(unit(2 * n, i))
         mixed = (psi_grad[i].truncate(out_D) * t.truncate(out_D)) * float(k)
         result = step + mixed
         exp_factors[beta] = result
@@ -222,7 +217,7 @@ def eval_KN_derivative(
 
     point = list(complex(v) for v in x) + [complex(v).conjugate() for v in y]
     total = 0j
-    for beta in _sub_multi(alpha):
+    for beta in sub_indices(alpha):
         rest = tuple(a - b for a, b in zip(alpha, beta))
         t = exp_factor(beta)
         db = amp.diff(rest)
@@ -231,15 +226,6 @@ def eval_KN_derivative(
         total += multi_binomial(alpha, beta) * piece.eval(point)
     psi_xy = psi_f.eval(point)
     return (k / math.pi) ** n * cmath.exp(k * psi_xy) * total
-
-
-def _sub_multi(alpha):
-    if not alpha:
-        yield ()
-        return
-    for head in range(alpha[0] + 1):
-        for tail in _sub_multi(alpha[1:]):
-            yield (head,) + tail
 
 
 def make_series_evaluator(

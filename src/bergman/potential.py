@@ -15,23 +15,34 @@ Variable block conventions used across the package, for dimension n:
 * ``(x, theta)`` series (y already merged into x): x is 0..n-1, theta is
   n..2n-1.
 
-Everything is exact rational arithmetic unless a float-mode build is asked
-for; the segment integral in the phase is done termwise with Beta-function
-weights, never by quadrature.
+Everything is exact rational arithmetic; the segment integral in the phase is
+done termwise with Beta-function weights, never by quadrature.
+
+:class:`GeometryPack` also carries the one phase chain both coefficient
+routes use (:class:`PhaseChain`, built on first use as ``geom.phase``): it
+holds every composition through ``z(x, y, theta)`` and ``psi_x(x, z)``, so
+:mod:`bergman.coefficients` and :mod:`bergman.transport` share its caches.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial
 from typing import Mapping, Sequence
 
 from .sampling import polydisc_points
-from .series import SeriesMatrix, TruncatedSeries
+from .series import (
+    TruncatedSeries,
+    det,
+    exponents_of_degree,
+    multi_factorial,
+    sub_indices,
+    unit,
+)
 
 
 class SpecValidationError(ValueError):
@@ -79,15 +90,14 @@ class PotentialSpec:
                     f"hermitian symmetry violated: c[{a},{b}] != c[{b},{a}]"
                 )
         for i in range(n):
-            e = tuple(1 if j == i else 0 for j in range(n))
-            if self.coeffs.get((e, zero), 0) != 0:
+            if self.coeffs.get((unit(n, i), zero), 0) != 0:
                 raise SpecValidationError(
                     "pure linear term present: the phase map must fix the origin"
                 )
         minors = self.hessian()
         for size in range(1, n + 1):
             sub = [row[:size] for row in minors[:size]]
-            if _fraction_det(sub) <= 0:
+            if det(sub) <= 0:
                 raise SpecValidationError(
                     "hessian not positive definite "
                     f"(leading principal minor of size {size} is not positive)"
@@ -96,15 +106,10 @@ class PotentialSpec:
     def hessian(self) -> list:
         """The mixed Hessian [c_{e_i e_j}] at the origin, as Fractions."""
         n = self.n
-        out = []
-        for i in range(n):
-            ei = tuple(1 if k == i else 0 for k in range(n))
-            row = []
-            for j in range(n):
-                ej = tuple(1 if k == j else 0 for k in range(n))
-                row.append(Fraction(self.coeffs.get((ei, ej), 0)))
-            out.append(row)
-        return out
+        return [
+            [Fraction(self.coeffs.get((unit(n, i), unit(n, j)), 0)) for j in range(n)]
+            for i in range(n)
+        ]
 
     def hessian_min_eigenvalue(self) -> float:
         import numpy as np
@@ -163,10 +168,7 @@ class PotentialSpec:
 
 def preset_flat(n: int, degree: int, radius: float = 0.5) -> PotentialSpec:
     """phi = |x|^2, the Bargmann-Fock model."""
-    coeffs = {}
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        coeffs[(e, e)] = Fraction(1)
+    coeffs = {(unit(n, i), unit(n, i)): Fraction(1) for i in range(n)}
     return PotentialSpec(n, degree, radius, coeffs)
 
 
@@ -182,22 +184,19 @@ def preset_chsc(n: int, c, degree: int, radius: float = 0.3) -> PotentialSpec:
     coeffs = {}
     for j in range(1, degree // 2 + 1):
         scale = Fraction((-1) ** (j + 1)) * c ** (j - 1) * factorial(j - 1)
-        for delta in _exponents(n, j):
-            coeffs[(delta, delta)] = scale / _multi_fact(delta)
+        for delta in exponents_of_degree(n, j):
+            coeffs[(delta, delta)] = scale / multi_factorial(delta)
     return PotentialSpec(n, degree, radius, coeffs)
 
 
 def preset_quartic(n: int, t, degree: int, radius: float = 0.3) -> PotentialSpec:
     """phi = |x|^2 + t |x|^4, the minimal non-model perturbation."""
     t = Fraction(t)
-    coeffs = {}
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        coeffs[(e, e)] = Fraction(1)
+    coeffs = {(unit(n, i), unit(n, i)): Fraction(1) for i in range(n)}
     if t != 0 and degree >= 4:
-        for delta in _exponents(n, 2):
+        for delta in exponents_of_degree(n, 2):
             key = (delta, delta)
-            coeffs[key] = coeffs.get(key, Fraction(0)) + 2 * t / _multi_fact(delta)
+            coeffs[key] = coeffs.get(key, Fraction(0)) + 2 * t / multi_factorial(delta)
     return PotentialSpec(n, degree, radius, coeffs)
 
 
@@ -210,31 +209,6 @@ def make_preset(name: str, n: int, degree: int, param=None, radius=None) -> Pote
     if name == "quartic":
         return preset_quartic(n, Fraction(param if param is not None else "1/10"), degree, **kwargs)
     raise SpecValidationError(f"unknown preset {name!r} (expected flat, chsc or quartic)")
-
-
-def _exponents(n: int, degree: int):
-    from .series import exponents_of_degree
-
-    return exponents_of_degree(n, degree)
-
-
-def _multi_fact(index) -> int:
-    out = 1
-    for e in index:
-        out *= factorial(e)
-    return out
-
-
-def _fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    size = len(rows)
-    if size == 1:
-        return Fraction(rows[0][0])
-    acc = Fraction(0)
-    for j in range(size):
-        minor = [[row[c] for c in range(size) if c != j] for row in rows[1:]]
-        term = Fraction(rows[0][j]) * _fraction_det(minor)
-        acc += -term if j % 2 else term
-    return acc
 
 
 def _fraction_matrix_inverse(rows: Sequence[Sequence[Fraction]]) -> list:
@@ -258,7 +232,7 @@ def _fraction_matrix_inverse(rows: Sequence[Sequence[Fraction]]) -> list:
 # -- polarization and phase ---------------------------------------------------
 
 
-def polarize(spec: PotentialSpec, mode: str = "rational") -> TruncatedSeries:
+def polarize(spec: PotentialSpec) -> TruncatedSeries:
     """The holomorphic extension psi(x, z) with psi(x, conj(x)) = phi(x)."""
     spec.validate()
     n, D = spec.n, spec.trunc_degree
@@ -266,8 +240,7 @@ def polarize(spec: PotentialSpec, mode: str = "rational") -> TruncatedSeries:
     for (a, b), v in spec.coeffs.items():
         if sum(a) + sum(b) > D or v == 0:
             continue
-        value = Fraction(v) if mode == "rational" else float(v)
-        coeffs[a + b] = value
+        coeffs[a + b] = Fraction(v)
     return TruncatedSeries(2 * n, D, coeffs)
 
 
@@ -296,7 +269,7 @@ def segment_average(
             base[dst] += key[src]
         total = sum(gamma)
         denom = factorial(total + 1)
-        for j in _splits(gamma):
+        for j in sub_indices(gamma):
             w = 1
             for g, jj in zip(gamma, j):
                 w *= comb(g, jj)
@@ -311,24 +284,13 @@ def segment_average(
     return TruncatedSeries(out_nvars, f.trunc_degree, out)
 
 
-def _splits(gamma):
-    """All componentwise j <= gamma, deterministic order."""
-    if not gamma:
-        yield ()
-        return
-    for head in range(gamma[0] + 1):
-        for tail in _splits(gamma[1:]):
-            yield (head,) + tail
-
-
 def build_theta(psi: TruncatedSeries) -> list:
     """The phase theta_i(x,y,z): the x-gradient of psi averaged from y to x."""
     n = psi.nvars // 2
     out = []
     passthrough = {n + i: 2 * n + i for i in range(n)}  # z block through
     for i in range(n):
-        xi = tuple(1 if j == i else 0 for j in range(2 * n))
-        g = psi.diff(xi)
+        g = psi.diff(unit(2 * n, i))
         out.append(
             segment_average(
                 g, n, block_start=0, x_start=0, y_start=n,
@@ -348,14 +310,11 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     n3 = theta[0].nvars
     n = n3 // 3
     D = theta[0].trunc_degree
-    hess = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            key = tuple(1 if k == 2 * n + j else 0 for k in range(n3))
-            row.append(Fraction(theta[i].coeffs.get(key, 0)))
-        hess.append(row)
-    if _fraction_det(hess) == 0:
+    hess = [
+        [Fraction(theta[i].coeffs.get(unit(n3, 2 * n + j), 0)) for j in range(n)]
+        for i in range(n)
+    ]
+    if det(hess) == 0:
         raise ValueError("singular linear part: phase map not invertible at 0")
     hinv = _fraction_matrix_inverse(hess)
 
@@ -398,24 +357,61 @@ def build_delta0(
     D = psi.trunc_degree
     # psi as a function of (y, z) inside the (x,y,z) space
     psi_y = psi.remap_variables(n3, tuple(range(n, 2 * n)) + tuple(range(2 * n, 3 * n)))
-    num_entries = []
-    den_entries = []
+    num_rows = []
+    den_rows = []
     for i in range(n):
-        for j in range(n):
-            dyz = [0] * n3
-            dyz[n + i] += 1
-            dyz[2 * n + j] += 1
-            num_entries.append(psi_y.diff(tuple(dyz)))
-            dz = [0] * n3
-            dz[2 * n + j] += 1
-            den_entries.append(theta[i].diff(tuple(dz)).truncate(D - 2))
-    det_num = SeriesMatrix(n, n, num_entries).det()
-    det_den = SeriesMatrix(n, n, den_entries).det()
+        psi_yi = psi_y.diff(unit(n3, n + i))
+        num_rows.append([psi_yi.diff(unit(n3, 2 * n + j)) for j in range(n)])
+        den_rows.append([theta[i].diff(unit(n3, 2 * n + j)).truncate(D - 2) for j in range(n)])
+    det_num = det(num_rows)
+    det_den = det(den_rows)
     delta0_xyz = det_num * det_den.invert()
     ids = TruncatedSeries.variables(n3, z_of_theta[0].trunc_degree)[: 2 * n]
     args = list(ids) + [z.truncate(z_of_theta[0].trunc_degree) for z in z_of_theta]
     delta0_xytheta = delta0_xyz.compose(args)
     return delta0_xyz, delta0_xytheta
+
+
+def merge_y_into_x(f: TruncatedSeries, n: int) -> TruncatedSeries:
+    """Formal substitution y = x: (x, y, w) blocks -> (x, w) blocks."""
+    var_map = tuple(range(n)) + tuple(range(n)) + tuple(range(n, 2 * n))
+    return f.remap_variables(2 * n, var_map)
+
+
+class PhaseChain:
+    """Series carried through the phase chain theta -> z(x,y,theta) -> theta(x,x,z).
+
+    Both coefficient routes go through these three compositions.  Each keeps
+    its own cache of power products of its argument list, so every call after
+    the first with one geometry reuses the powers built so far.  The caches
+    only grow; the results do not depend on them.
+    """
+
+    def __init__(self, geom: "GeometryPack"):
+        n, D = geom.n, geom.degree
+        self._psi_x = geom.psi_x
+        self._x3 = TruncatedSeries.variables(3 * n, D - 1)[:n]
+        self._into_xytheta = self._x3 + list(geom.z_of_theta)
+        self._into_xytheta_cache: dict = {}
+        x2 = TruncatedSeries.variables(2 * n, D - 1)[:n]
+        self._into_xz = x2 + list(geom.psi_x)
+        self._into_xz_cache: dict = {}
+        self._w_args = None
+        self._w_cache: dict = {}
+
+    def substitute_z(self, f_xz: TruncatedSeries) -> TruncatedSeries:
+        """f(x, z) -> f(x, z(x,y,theta)) in (x, y, theta) blocks."""
+        return f_xz.compose(self._into_xytheta, cache=self._into_xytheta_cache)
+
+    def to_xz(self, f_xtheta: TruncatedSeries) -> TruncatedSeries:
+        """f(x, theta) -> f(x, psi_x(x, z)) in (x, z) blocks."""
+        return f_xtheta.compose(self._into_xz, cache=self._into_xz_cache)
+
+    def diagonal_pullback(self, f_xtheta: TruncatedSeries) -> TruncatedSeries:
+        """f(x, theta) -> f(x, w) with w = theta(x,x,z(x,y,theta)) = psi_x(x, z(x,y,theta))."""
+        if self._w_args is None:
+            self._w_args = self._x3 + [self.substitute_z(p) for p in self._psi_x]
+        return f_xtheta.compose(self._w_args, cache=self._w_cache)
 
 
 @dataclass(frozen=True)
@@ -432,25 +428,27 @@ class GeometryPack:
     delta0_xyz: TruncatedSeries     # (x, y, z), degree D - 2
     delta0_xytheta: TruncatedSeries  # (x, y, theta), degree D - 2
 
+    @cached_property
+    def phase(self) -> PhaseChain:
+        """The geometry's one phase chain, built on first use."""
+        return PhaseChain(self)
 
-def build_geometry(spec: PotentialSpec, mode: str = "rational") -> GeometryPack:
-    psi = polarize(spec, mode=mode)
+
+def build_geometry(spec: PotentialSpec) -> GeometryPack:
+    psi = polarize(spec)
     n, D = spec.n, spec.trunc_degree
     if D < 3:
         raise DegreeBudgetError("geometry needs trunc_degree >= 3", 3)
-    psi_x = tuple(
-        psi.diff(tuple(1 if j == i else 0 for j in range(2 * n))) for i in range(n)
-    )
+    psi_x = tuple(psi.diff(unit(2 * n, i)) for i in range(n))
     theta = build_theta(psi)
     z_of_theta = invert_theta(theta)
-    if mode == "rational":
-        ids = TruncatedSeries.variables(3 * n, D - 1)
-        roundtrip = [t.compose(list(ids[: 2 * n]) + list(z_of_theta)) for t in theta]
-        for i in range(n):
-            if roundtrip[i] != ids[2 * n + i]:
-                raise ArithmeticError("phase inversion failed the round-trip identity")
+    ids = TruncatedSeries.variables(3 * n, D - 1)
+    roundtrip = [t.compose(list(ids[: 2 * n]) + list(z_of_theta)) for t in theta]
+    for i in range(n):
+        if roundtrip[i] != ids[2 * n + i]:
+            raise ArithmeticError("phase inversion failed the round-trip identity")
     delta0_xyz, delta0_xytheta = build_delta0(psi, theta, z_of_theta)
-    if delta0_xytheta.constant_term != 1 and mode == "rational":
+    if delta0_xytheta.constant_term != 1:
         raise ArithmeticError("Delta0 must have constant term 1")
     return GeometryPack(
         spec=spec,
@@ -470,7 +468,6 @@ def build_geometry(spec: PotentialSpec, mode: str = "rational") -> GeometryPack:
 
 def phi_value(psi: TruncatedSeries, x: Sequence[complex]) -> float:
     """phi(x) = psi(x, conj x); the imaginary part vanishes up to roundoff."""
-    n = psi.nvars // 2
     pt = list(x) + [complex(v).conjugate() for v in x]
     return psi.eval(pt).real
 

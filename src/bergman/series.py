@@ -35,7 +35,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from math import comb, factorial
+from typing import Iterator, Sequence
 
 MultiIndex = tuple  # exponent tuples of non-negative ints
 
@@ -60,17 +61,27 @@ def exponents_of_degree(nvars: int, degree: int) -> Iterator[MultiIndex]:
 def multi_factorial(index: MultiIndex) -> int:
     out = 1
     for e in index:
-        f = 1
-        for j in range(2, e + 1):
-            f *= j
-        out *= f
+        out *= factorial(e)
     return out
+
+
+def unit(nvars: int, i: int) -> MultiIndex:
+    """The exponent tuple of the i-th variable: 1 in slot i, 0 elsewhere."""
+    return (0,) * i + (1,) + (0,) * (nvars - i - 1)
+
+
+def sub_indices(bound: MultiIndex) -> Iterator[MultiIndex]:
+    """All componentwise ``alpha <= bound``, in lexicographic order."""
+    if not bound:
+        yield ()
+        return
+    for head in range(bound[0] + 1):
+        for tail in sub_indices(bound[1:]):
+            yield (head,) + tail
 
 
 def multi_binomial(upper: MultiIndex, lower: MultiIndex) -> int:
     """Componentwise product of binomial coefficients."""
-    from math import comb
-
     out = 1
     for u, l in zip(upper, lower):
         out *= comb(u, l)
@@ -123,8 +134,7 @@ class TruncatedSeries:
 
     @classmethod
     def variable(cls, nvars: int, trunc_degree: int, i: int) -> "TruncatedSeries":
-        key = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, trunc_degree, {key: 1})
+        return cls(nvars, trunc_degree, {unit(nvars, i): 1})
 
     @classmethod
     def variables(cls, nvars: int, trunc_degree: int) -> list:
@@ -527,73 +537,14 @@ def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> Trunca
     return TruncatedSeries(a.nvars, out_degree, acc)
 
 
-class SeriesMatrix:
-    """A dense matrix of series sharing nvars and truncation degree."""
+def det(rows: Sequence[Sequence]):
+    """Determinant of a square matrix by cofactor expansion along the first row.
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[TruncatedSeries]):
-        if rows < 1 or cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        entries = tuple(entries)
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        first = entries[0]
-        for e in entries:
-            if e.nvars != first.nvars or e.trunc_degree != first.trunc_degree:
-                raise ValueError("matrix entries disagree on nvars or degree")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("SeriesMatrix is immutable")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[TruncatedSeries]]) -> "SeriesMatrix":
-        r = len(rows)
-        c = len(rows[0])
-        flat = [e for row in rows for e in row]
-        return cls(r, c, flat)
-
-    @classmethod
-    def identity(cls, size: int, nvars: int, trunc_degree: int) -> "SeriesMatrix":
-        entries = []
-        for i in range(size):
-            for j in range(size):
-                entries.append(
-                    TruncatedSeries.one(nvars, trunc_degree)
-                    if i == j
-                    else TruncatedSeries.zero(nvars, trunc_degree)
-                )
-        return cls(size, size, entries)
-
-    def entry(self, i: int, j: int) -> TruncatedSeries:
-        return self.entries[i * self.cols + j]
-
-    def __matmul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        if self.cols != other.rows:
-            raise ValueError("matmul: inner dimensions disagree")
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = self.entry(i, 0) * other.entry(0, j)
-                for k in range(1, self.cols):
-                    acc = acc + self.entry(i, k) * other.entry(k, j)
-                out.append(acc)
-        return SeriesMatrix(self.rows, other.cols, out)
-
-    def det(self) -> TruncatedSeries:
-        """Determinant by cofactor expansion, truncating after each product."""
-        if self.rows != self.cols:
-            raise ValueError("det: matrix is not square")
-        return _det(
-            [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
-        )
-
-
-def _det(rows: list) -> TruncatedSeries:
+    Entries may be exact scalars or series; series products truncate as usual.
+    """
     size = len(rows)
+    if size == 0 or any(len(row) != size for row in rows):
+        raise ValueError("det: matrix is not square")
     if size == 1:
         return rows[0][0]
     if size == 2:
@@ -601,7 +552,7 @@ def _det(rows: list) -> TruncatedSeries:
     acc = None
     for j in range(size):
         minor = [[row[c] for c in range(size) if c != j] for row in rows[1:]]
-        term = rows[0][j] * _det(minor)
+        term = rows[0][j] * det(minor)
         if j % 2:
             term = -term
         acc = term if acc is None else acc + term

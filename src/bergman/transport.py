@@ -4,7 +4,9 @@ An independent route to the Bergman coefficients: vector amplitudes A_m are
 produced order by order from fundamental-theorem-of-calculus solutions of the
 division problem ``(x - y) . A_m = RHS_m``, where each right hand side is
 built from derivatives of the previous order composed through the phase
-chain ``theta -> z(x,y,theta) -> theta(x,x,z)``.  The scalar amplitude is
+chain ``theta -> z(x,y,theta) -> theta(x,x,z)``: the geometry's shared
+``geom.phase`` (:class:`bergman.potential.PhaseChain`), the same compositions
+and caches the divergence recursion uses.  The scalar amplitude is
 then reassembled as ``(1 + k (x-y).A + D_theta.A) / Delta0`` and collapsed
 at ``y = x``, giving coefficients that must agree exactly with the
 divergence-form recursion of :mod:`bergman.coefficients`.
@@ -23,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .potential import DegreeBudgetError, GeometryPack, segment_average
-from .series import TruncatedSeries, mul_trunc
+from .potential import DegreeBudgetError, GeometryPack, merge_y_into_x, segment_average
+from .series import TruncatedSeries, mul_trunc, unit
 
 
 @dataclass(frozen=True)
@@ -42,16 +44,6 @@ class TransportChain:
             "A": [[s.to_record() for s in vec] for vec in self.A],
         }
 
-    @classmethod
-    def from_record(cls, rec: dict) -> "TransportChain":
-        return cls(
-            n=rec["n"],
-            M=rec["M"],
-            A=tuple(
-                tuple(TruncatedSeries.from_record(r) for r in vec) for vec in rec["A"]
-            ),
-        )
-
 
 def _segment_average_y(f: TruncatedSeries, n: int) -> TruncatedSeries:
     """Integrate f(x, t x + (1-t) y, theta) dt over [0, 1], termwise."""
@@ -65,60 +57,28 @@ def _segment_average_y(f: TruncatedSeries, n: int) -> TruncatedSeries:
 
 def _y_gradient_average(f: TruncatedSeries, n: int) -> list:
     """Components -int_0^1 (D_{y_i} f)(x, tx+(1-t)y, theta) dt."""
-    out = []
-    for i in range(n):
-        xi = tuple(1 if j == n + i else 0 for j in range(3 * n))
-        out.append(-_segment_average_y(f.diff(xi), n))
-    return out
+    return [-_segment_average_y(f.diff(unit(3 * n, n + i)), n) for i in range(n)]
 
 
 def _divergence_theta(vec, n: int) -> TruncatedSeries:
     acc = None
     for i in range(n):
-        xi = tuple(1 if j == 2 * n + i else 0 for j in range(3 * n))
-        term = vec[i].diff(xi)
+        term = vec[i].diff(unit(3 * n, 2 * n + i))
         acc = term if acc is None else acc + term
     return acc
 
 
-class _PhaseChain:
-    """Composition helpers shared across transport steps of one geometry."""
-
-    def __init__(self, geom: GeometryPack):
-        self.geom = geom
-        n, D = geom.n, geom.degree
-        ids3 = TruncatedSeries.variables(3 * n, D - 1)
-        into_xytheta = [ids3[i] for i in range(n)] + list(geom.z_of_theta)
-        cache: dict = {}
-        # w_i = theta_i(x, x, z(x,y,theta)) = psi_x_i(x, z(x,y,theta))
-        self.w = [p.compose(into_xytheta, cache=cache) for p in geom.psi_x]
-        self.w_args = [ids3[i] for i in range(n)] + self.w
-        self.w_cache: dict = {}
-        ids2 = TruncatedSeries.variables(2 * n, D - 1)
-        self.into_xz = [ids2[i] for i in range(n)] + list(geom.psi_x)
-        self.into_xz_cache: dict = {}
-
-    def diagonal_pullback(self, f_xtheta: TruncatedSeries) -> TruncatedSeries:
-        """f(x, theta) -> f(x, theta(x,x,z(x,y,theta))) in (x,y,theta) blocks."""
-        return f_xtheta.compose(self.w_args, cache=self.w_cache)
-
-    def to_xz(self, f_xtheta: TruncatedSeries) -> TruncatedSeries:
-        return f_xtheta.compose(self.into_xz, cache=self.into_xz_cache)
+def _x_minus_y(n: int, i: int) -> TruncatedSeries:
+    """The exact degree-one factor x_i - y_i in (x, y, theta) blocks."""
+    return TruncatedSeries(3 * n, 1, {unit(3 * n, i): 1, unit(3 * n, n + i): -1})
 
 
-def _merge_y_into_x(f: TruncatedSeries, n: int) -> TruncatedSeries:
-    var_map = tuple(range(n)) + tuple(range(n)) + tuple(range(n, 2 * n))
-    return f.remap_variables(2 * n, var_map)
-
-
-def _step_rhs(geom: GeometryPack, chain_m_minus_1, phase: _PhaseChain):
-    """The pair (P, bracket) with bracket = Delta0 * Q - P for one step."""
-    n = geom.n
-    p = _divergence_theta(chain_m_minus_1, n)
-    q = phase.diagonal_pullback(_merge_y_into_x(p, n))
+def _step_rhs(geom: GeometryPack, prev_vec) -> TruncatedSeries:
+    """Delta0 * Q - P for one step, with P = D_theta . A_{m-1} and Q its diagonal pullback."""
+    p = _divergence_theta(prev_vec, geom.n)
+    q = geom.phase.diagonal_pullback(merge_y_into_x(p, geom.n))
     delta0 = geom.delta0_xytheta.truncate(q.trunc_degree)
-    bracket = delta0 * q - p.truncate(q.trunc_degree)
-    return p, bracket
+    return delta0 * q - p.truncate(q.trunc_degree)
 
 
 def first_amplitude(geom: GeometryPack) -> tuple:
@@ -126,14 +86,11 @@ def first_amplitude(geom: GeometryPack) -> tuple:
     return tuple(_y_gradient_average(geom.delta0_xytheta, geom.n))
 
 
-def next_amplitude(geom: GeometryPack, prev_vec, m: int, phase: _PhaseChain | None = None) -> tuple:
+def next_amplitude(geom: GeometryPack, prev_vec, m: int) -> tuple:
     """A_m from A_{m-1}, for m >= 2, by the same averaged-gradient solution."""
     if m < 2:
         raise ValueError("next_amplitude starts at order 2")
-    if phase is None:
-        phase = _PhaseChain(geom)
-    _, bracket = _step_rhs(geom, prev_vec, phase)
-    return tuple(_y_gradient_average(bracket, geom.n))
+    return tuple(_y_gradient_average(_step_rhs(geom, prev_vec), geom.n))
 
 
 def transport_chain(geom: GeometryPack, M: int) -> TransportChain:
@@ -150,9 +107,8 @@ def transport_chain(geom: GeometryPack, M: int) -> TransportChain:
     vectors = [zero_vec]
     if M >= 1:
         vectors.append(first_amplitude(geom))
-    phase = _PhaseChain(geom)
     for m in range(2, M + 1):
-        vectors.append(next_amplitude(geom, vectors[m - 1], m, phase))
+        vectors.append(next_amplitude(geom, vectors[m - 1], m))
     return TransportChain(n=n, M=M, A=tuple(vectors))
 
 
@@ -166,20 +122,11 @@ def division_identity_gap(geom: GeometryPack, chain: TransportChain, m: int) -> 
     if m == 1:
         rhs = geom.delta0_xytheta - 1
     else:
-        phase = _PhaseChain(geom)
-        _, rhs = _step_rhs(geom, chain.A[m - 1], phase)
+        rhs = _step_rhs(geom, chain.A[m - 1])
     out_degree = min(chain.A[m][0].trunc_degree + 1, rhs.trunc_degree)
     lhs = TruncatedSeries.zero(3 * n, out_degree)
     for i in range(n):
-        xy = TruncatedSeries(
-            3 * n,
-            1,
-            {
-                tuple(1 if j == i else 0 for j in range(3 * n)): 1,
-                tuple(1 if j == n + i else 0 for j in range(3 * n)): -1,
-            },
-        )
-        lhs = lhs + mul_trunc(xy, chain.A[m][i], out_degree)
+        lhs = lhs + mul_trunc(_x_minus_y(n, i), chain.A[m][i], out_degree)
     return lhs - rhs.truncate(out_degree)
 
 
@@ -195,11 +142,10 @@ def reconstruct_coefficients(geom: GeometryPack, chain: TransportChain) -> list:
             f"reconstruction to order {chain.M} needs geometry degree >= {2 * chain.M + 2}",
             2 * chain.M + 2,
         )
-    phase = _PhaseChain(geom)
     out = [TruncatedSeries.one(2 * n, D)]
     for m in range(1, chain.M + 1):
         p = _divergence_theta(chain.A[m], n)
-        out.append(phase.to_xz(_merge_y_into_x(p, n)))
+        out.append(geom.phase.to_xz(merge_y_into_x(p, n)))
     return out
 
 
@@ -220,15 +166,7 @@ def amplitude_order_xyz(geom: GeometryPack, chain: TransportChain, m: int) -> Tr
     out_degree = p.trunc_degree
     num = p
     for i in range(n):
-        xy = TruncatedSeries(
-            3 * n,
-            1,
-            {
-                tuple(1 if j == i else 0 for j in range(3 * n)): 1,
-                tuple(1 if j == n + i else 0 for j in range(3 * n)): -1,
-            },
-        )
-        num = num + mul_trunc(xy, chain.A[m + 1][i], out_degree)
+        num = num + mul_trunc(_x_minus_y(n, i), chain.A[m + 1][i], out_degree)
     inv_delta0 = geom.delta0_xytheta.invert().truncate(out_degree)
     b_xytheta = num * inv_delta0
     ids3 = TruncatedSeries.variables(3 * n, geom.degree - 1)

@@ -84,6 +84,13 @@ class TestExactKernels:
     def test_cpn_at_origin(self):
         assert cpn_kernel(1, 5, [0], [0]) == pytest.approx(6 / math.pi)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("k", [170, 1000, 4096])
+    def test_cpn_at_origin_large_k(self, n, k):
+        # (k+n)! overflows a float from k + n = 171 on
+        want = math.comb(k + n, n) * math.factorial(n) / math.pi**n
+        assert cpn_kernel(n, k, [0] * n, [0] * n) == want
+
     def test_cpn_point_value(self):
         got = cpn_kernel(1, 3, [0.2], [0.1])
         assert got == pytest.approx((4 / math.pi) * 1.02**3)

@@ -78,6 +78,19 @@ class TestCoeffs:
         assert "required degree 8" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "orders", [["--order", "-1"], ["--order", "2", "--transport-order", "-1"]]
+    )
+    def test_negative_order_is_exit_two(self, tmp_path, capsys, orders):
+        rc = main(
+            ["coeffs", "--preset", "flat", "--n", "1", "--degree", "6", *orders,
+             "--out", str(tmp_path)]
+        )
+        assert rc == 2
+        assert "must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "crosscheck.json").exists()
+
+
 class TestEvalCommand:
     def test_eval_against_closed_kernel(self, tmp_path):
         rc = main(

@@ -241,21 +241,6 @@ class TestGoodContour:
         assert set(d) >= {"delta", "samples", "max_excess", "worst_pair", "passed"}
 
 
-class TestFloatMode:
-    def test_float_geometry_tracks_rational(self):
-        spec = preset_quartic(1, F(1, 10), 10)
-        exact = build_geometry(spec)
-        approx = build_geometry(spec, mode="float")
-        pairs = [(exact.psi, approx.psi), (exact.theta[0], approx.theta[0]),
-                 (exact.delta0_xytheta, approx.delta0_xytheta),
-                 (exact.z_of_theta[0], approx.z_of_theta[0])]
-        for e, a in pairs:
-            for key, val in e.coeffs.items():
-                v = float(val)
-                if abs(v) >= 1e-6:
-                    assert abs(a.coeffs.get(key, 0.0) - v) <= 1e-12 * abs(v)
-
-
 class TestPresetDispatch:
     def test_make_preset(self):
         assert make_preset("flat", 2, 6).coeffs == preset_flat(2, 6).coeffs

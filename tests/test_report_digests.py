@@ -1,0 +1,117 @@
+"""Byte stability of the exact reports across code changes.
+
+The SHA-256 digests below were recorded from a fixed command matrix; a
+refactor of the exact pipeline must reproduce every report byte for byte.
+Only reports made of exact rationals, strings and verdicts are pinned, so the
+digests do not depend on float formatting or the numeric libraries.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from bergman.cli import main
+
+# A non-radial Hermitian potential: |x|^2 + (x^2 conj(x) + x conj(x)^2)/4
+# - |x|^4/8 + (x^3 conj(x) + x conj(x)^3)/6.
+NON_RADIAL_SPEC = {
+    "n": 1,
+    "trunc_degree": 10,
+    "eval_radius": 0.3,
+    "terms": [
+        {"alpha": [1], "beta": [1], "num": 1, "den": 1},
+        {"alpha": [2], "beta": [1], "num": 1, "den": 4},
+        {"alpha": [1], "beta": [2], "num": 1, "den": 4},
+        {"alpha": [2], "beta": [2], "num": -1, "den": 8},
+        {"alpha": [3], "beta": [1], "num": 1, "den": 6},
+        {"alpha": [1], "beta": [3], "num": 1, "den": 6},
+    ],
+}
+
+# (argv, expected exit code, {report file: sha256})
+MATRIX = [
+    (
+        ["polarize", "--spec", "spec.json"],
+        0,
+        {
+            "geometry.json":
+                "f78d04086b9a256c29a8ccff1149283c63e1126ab9f15e1be08a243ac3d835db",
+        },
+    ),
+    (
+        ["polarize", "--preset", "chsc", "--n", "2", "--param", "-1", "--degree", "6"],
+        0,
+        {
+            "geometry.json":
+                "4b5a3bda35692c2266e778790263c1bdb8004a084747495a5065ce25fd21ed1e",
+        },
+    ),
+    (
+        ["coeffs", "--spec", "spec.json", "--order", "4", "--transport-order", "4"],
+        0,
+        {
+            "coefficients.json":
+                "babf63866b9bb029e48ed64670aeac14740b49b0d121a69963ebf45ca39d0fe1",
+            "transport.json":
+                "245b4ede6613915a33a026d852ff7fe512a654932e5d530c0b78ae02b72c8fb5",
+            "crosscheck.json":
+                "52c499de22baa62b0aa29b56f595936d77d78de667714d71c800ec2c2015447d",
+        },
+    ),
+    (
+        ["coeffs", "--preset", "chsc", "--n", "2", "--param", "1/2", "--degree", "8",
+         "--order", "3"],
+        0,
+        {
+            "coefficients.json":
+                "c248699aa664e12a88b93c1cefc87ea0887f1d84d126b00ba6522d9c6dd728ee",
+            "transport.json":
+                "b676434ffddb80af188b2831528b260b8363c2231ff882a7012353d08cc3151e",
+            "crosscheck.json":
+                "d6bdfcfdc0ff4cddb846438eb77d78c8c529f532ab8bf899543ce18066df20e1",
+        },
+    ),
+    (
+        ["coeffs", "--preset", "quartic", "--n", "1", "--param", "1/10", "--degree", "10",
+         "--order", "4", "--transport-order", "2"],
+        0,
+        {
+            "coefficients.json":
+                "2903f4a0691d767828187788710f9398c629f610b207299280c663108ac66318",
+            "transport.json":
+                "36fde3e921c630ad56afc2d99ef72de29b59aa2dbf4295c23a9fa6e96d45146c",
+            "crosscheck.json":
+                "4cfe08dc21cc139d1d9f13b9721b87f4ecdc079d9d9ff4415efb3ae4c8057e01",
+        },
+    ),
+    (
+        ["chsc-check", "--n", "2", "--param", "1", "--order", "3"],
+        0,
+        {
+            "chsc_check.json":
+                "d55ad9c80c776d907cac3f956dcd8c82ea71fe924d2c15f2d01ee6ac0073a153",
+        },
+    ),
+    (
+        ["growth", "--task", "worst-case", "--n", "1", "--order", "4", "--kmax", "4"],
+        0,
+        {
+            "worst_case.json":
+                "b1eb2c523ae20273d359892e52f00dbc91d08573fc44a5999c5d19ede443ab48",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("case", range(len(MATRIX)))
+def test_reports_match_pinned_digests(tmp_path, monkeypatch, case):
+    argv, want_rc, want = MATRIX[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(NON_RADIAL_SPEC))
+    assert main(argv + ["--out", "out"]) == want_rc
+    got = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in want
+    }
+    assert got == want

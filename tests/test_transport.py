@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bergman.coefficients import bergman_coefficients
+from bergman.coefficients import amplitude_from_b, bergman_coefficients
 from bergman.potential import (
     DegreeBudgetError,
     build_geometry,
@@ -108,6 +108,16 @@ class TestReconstruction:
         )
         for m in range(4):
             assert via_transport[m] == direct.b[m]
+
+    def test_both_routes_share_one_phase_chain(self):
+        geom = build_geometry(preset_quartic(1, F(1, 10), 10))
+        table = amplitude_from_b(bergman_coefficients(geom, 3), geom)
+        phase = geom.phase
+        chain = transport_chain(geom, 3)
+        recon = reconstruct_coefficients(geom, chain)
+        assert division_identity_gap(geom, chain, 3).is_zero()
+        assert geom.phase is phase
+        assert recon == list(table.b)
 
     def test_order_zero_amplitude_is_one(self, quartic_geom, quartic_chain):
         b0 = amplitude_order_xyz(quartic_geom, quartic_chain, 0)
