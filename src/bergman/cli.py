@@ -7,7 +7,8 @@ produced it, and contains no timestamps, so re-running a command with the
 same configuration writes byte-identical files.
 
 Exit codes: 0 when every verdict in the run passed, 1 when a verdict failed,
-2 for invalid input (spec validation, missing files, insufficient degree).
+2 for invalid input (malformed arguments or spec files, spec validation,
+missing files, insufficient degree, requests over a resource guard).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .coefficients import (
     derivative_norm_table,
 )
 from .growth import (
+    ResourceGuardError,
     exp_factorial_bound_check,
     fit_growth,
     truncation_minimizer,
@@ -78,12 +80,42 @@ def _write_csv(path: Path, rows: list, fieldnames: list) -> None:
             writer.writerow(row)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return value
+
+
+def _rational(text: str) -> str:
+    """argparse type: an exact rational such as 1, -1 or 1/10, kept as written."""
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
+    return text
+
+
+def _int_list(text: str) -> list:
+    """argparse type: comma separated integers such as 64,128,256."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma separated list of integers: {text!r}"
+        ) from None
+
+
 def _spec_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--spec", type=Path, help="potential spec file (JSON)")
     parser.add_argument("--preset", choices=["flat", "chsc", "quartic"])
-    parser.add_argument("--n", type=int, default=1, help="dimension for presets")
+    parser.add_argument("--n", type=_positive_int, default=1, help="dimension for presets")
     parser.add_argument(
-        "--param", default=None,
+        "--param", type=_rational, default=None,
         help="preset parameter: curvature c for chsc, weight t for quartic (exact, e.g. 1, -1, 1/10)",
     )
     parser.add_argument("--degree", type=int, default=None, help="truncation degree")
@@ -123,7 +155,12 @@ def _parse_point(text: str, n: int) -> list:
     return [complex(p.strip()) for p in parts]
 
 
-def _load_table(path: Path) -> CoefficientTable:
+def _load_table(coeffs: str | None) -> CoefficientTable:
+    if coeffs is None:
+        raise SpecValidationError(
+            "--coeffs is required: a coefficients.json from the coeffs command"
+        )
+    path = Path(coeffs)
     if not path.exists():
         raise FileNotFoundError(f"coefficient file not found: {path}")
     with open(path) as fh:
@@ -203,7 +240,7 @@ def cmd_coeffs(args) -> int:
 def cmd_eval(args) -> int:
     spec = _load_spec(args)
     geom = build_geometry(spec)
-    table = _load_table(Path(args.coeffs))
+    table = _load_table(args.coeffs)
     if table.spec_sha256 != spec.sha256():
         print("warning: coefficient file was built from a different spec", file=sys.stderr)
     x = _parse_point(args.x, spec.n)
@@ -237,7 +274,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    k_grid = [int(v) for v in args.k_grid.split(",")]
     if args.closed_form:
         if args.preset != "chsc":
             raise SpecValidationError("--closed-form is only available for the chsc preset")
@@ -248,18 +284,18 @@ def cmd_asymptotics(args) -> int:
     else:
         spec = _load_spec(args)
         n = spec.n
-        table = _load_table(Path(args.coeffs))
+        table = _load_table(args.coeffs)
         geom = build_geometry(spec)
         evaluator = make_series_evaluator(geom, table)
         spec_hash = spec.sha256()
     if args.mode == "log":
         x = _parse_point(args.x, n)
         y = _parse_point(args.y, n)
-        fit = log_asymptotic_fit(evaluator, k_grid, (x, y))
+        fit = log_asymptotic_fit(evaluator, args.k_grid, (x, y))
     else:
         u = _parse_point(args.x, n)
         v = _parse_point(args.y, n)
-        fit = scaling_fit(evaluator, n, k_grid, u, v)
+        fit = scaling_fit(evaluator, n, args.k_grid, u, v)
     if fit.all_zero:
         passed = True
     else:
@@ -271,7 +307,7 @@ def cmd_asymptotics(args) -> int:
         config={
             **_spec_config(args),
             "mode": args.mode,
-            "k_grid": k_grid,
+            "k_grid": args.k_grid,
             "x": args.x,
             "y": args.y,
             "closed_form": args.closed_form,
@@ -296,7 +332,7 @@ def cmd_growth(args) -> int:
     if args.task == "fit":
         spec = _load_spec(args)
         geom = build_geometry(spec)
-        table = _load_table(Path(args.coeffs))
+        table = _load_table(args.coeffs)
         norms = derivative_norm_table(
             table, geom, args.norm_radius, args.grid, xi_max=args.xi_max
         )
@@ -460,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["log", "scaling"], default="log")
     p.add_argument("--coeffs", default=None)
     p.add_argument("--closed-form", action="store_true")
-    p.add_argument("--k-grid", default="64,128,256,512,1024,2048,4096")
+    p.add_argument("--k-grid", type=_int_list, default="64,128,256,512,1024,2048,4096")
     p.add_argument("--x", required=True, help="pair point (u for scaling mode)")
     p.add_argument("--y", required=True, help="pair point (v for scaling mode)")
     p.add_argument("--max-slope", type=float, default=-1.8)
@@ -486,8 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_growth)
 
     p = sub.add_parser("chsc-check", help="closed-form curvature family verdicts")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--param", default="1", help="curvature c (exact rational)")
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--param", type=_rational, default="1", help="curvature c (exact rational)")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_chsc_check)
@@ -502,11 +538,11 @@ def main(argv=None) -> int:
         args.order = args.n + 2
     try:
         return args.fn(args)
-    except (SpecValidationError, FileNotFoundError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except DegreeBudgetError as err:
         print(f"error: {err} (required degree {err.required_degree})", file=sys.stderr)
+        return 2
+    except (SpecValidationError, FileNotFoundError, ResourceGuardError) as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
 
 

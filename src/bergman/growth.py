@@ -123,6 +123,10 @@ def fit_growth(norms: NormTable, model: str = "m_factorial_sq", slack: float = 0
 # -- worst case equality recursion -------------------------------------------
 
 
+class ResourceGuardError(ValueError):
+    """A request is well formed but larger than the computation is sized for."""
+
+
 def worst_case_norm_table(n: int, M: int, Kmax: int) -> dict:
     """Equality case of the norm recursion with unit constant, exactly.
 
@@ -134,7 +138,7 @@ def worst_case_norm_table(n: int, M: int, Kmax: int) -> dict:
     if n < 1 or M < 0 or Kmax < 0:
         raise ValueError("need n >= 1, M >= 0, Kmax >= 0")
     if n > 2 or M > 6 or Kmax > 8:
-        raise ValueError(
+        raise ResourceGuardError(
             "resource guard: the worst case table is combinatorial, "
             "keep n <= 2, M <= 6, Kmax <= 8"
         )

@@ -72,6 +72,8 @@ class PotentialSpec:
 
     def validate(self) -> None:
         n = self.n
+        if not isinstance(n, int) or not isinstance(self.trunc_degree, int):
+            raise SpecValidationError("n and trunc_degree must be integers")
         if n < 1:
             raise SpecValidationError("dimension n must be positive")
         if self.trunc_degree < 2:
@@ -137,16 +139,21 @@ class PotentialSpec:
 
     @classmethod
     def from_record(cls, record: dict) -> "PotentialSpec":
-        coeffs = {}
-        for t in record["terms"]:
-            key = (tuple(t["alpha"]), tuple(t["beta"]))
-            coeffs[key] = coeffs.get(key, 0) + Fraction(t["num"], t["den"])
-        return cls(
-            n=record["n"],
-            trunc_degree=record["trunc_degree"],
-            eval_radius=float(record["eval_radius"]),
-            coeffs=coeffs,
-        )
+        try:
+            coeffs = {}
+            for t in record["terms"]:
+                key = (tuple(t["alpha"]), tuple(t["beta"]))
+                coeffs[key] = coeffs.get(key, 0) + Fraction(t["num"], t["den"])
+            return cls(
+                n=record["n"],
+                trunc_degree=record["trunc_degree"],
+                eval_radius=float(record["eval_radius"]),
+                coeffs=coeffs,
+            )
+        except KeyError as err:
+            raise SpecValidationError(f"spec record is missing the key {err}") from err
+        except (TypeError, ValueError, ZeroDivisionError) as err:
+            raise SpecValidationError(f"malformed spec record: {err}") from err
 
     def to_file(self, path) -> None:
         with open(path, "w") as fh:
@@ -156,7 +163,11 @@ class PotentialSpec:
     @classmethod
     def from_file(cls, path) -> "PotentialSpec":
         with open(path) as fh:
-            return cls.from_record(json.load(fh))
+            try:
+                record = json.load(fh)
+            except ValueError as err:
+                raise SpecValidationError(f"spec file {path} is not valid JSON: {err}") from err
+        return cls.from_record(record)
 
     def sha256(self) -> str:
         blob = json.dumps(self.to_record(), sort_keys=True).encode()
@@ -303,9 +314,13 @@ def build_theta(psi: TruncatedSeries) -> list:
 def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     """Solve theta(x,y,z) = t for z as a series in (x, y, t).
 
-    Degree-by-degree Newton iteration on formal series: each sweep applies
-    z <- H^{-1} (t - R(x, y, z)) where H is the constant z-linear part and R
-    the rest; one sweep gains at least one exact degree.
+    Degree-graded fixed-point sweeps on formal series: with H the constant
+    z-linear part of theta and R the rest, sweep d = 1, ..., D sets
+    z <- H^{-1} (t - R(x, y, z)) with every series truncated at degree d.
+    R has no z-linear term of degree 1, so the degree-d part of R(x, y, z)
+    only reads z through degree d - 1: if z is exact through degree d - 1
+    before sweep d, it is exact through degree d after it.  Sweep d costs a
+    composition at degree d, not at the full degree D.
     """
     n3 = theta[0].nvars
     n = n3 // 3
@@ -318,31 +333,28 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
         raise ValueError("singular linear part: phase map not invertible at 0")
     hinv = _fraction_matrix_inverse(hess)
 
-    zvars = TruncatedSeries.variables(n3, D)
+    zvars = TruncatedSeries.variables(n3, D)[2 * n :]
     remainder = []
     for i in range(n):
         r = theta[i]
         for j in range(n):
             if hess[i][j] != 0:
-                r = r - hess[i][j] * zvars[2 * n + j]
+                r = r - hess[i][j] * zvars[j]
         remainder.append(r)
 
-    ident = zvars[: 2 * n]
-    tvars = zvars[2 * n :]
-    z = [sum((hinv[i][j] * tvars[j] for j in range(n)), TruncatedSeries.zero(n3, D))
-         for i in range(n)]
-    for _ in range(D + 1):
-        w = [remainder[i].compose(list(ident) + z) for i in range(n)]
-        new_z = []
+    z = [TruncatedSeries.zero(n3, 0)] * n
+    for d in range(1, D + 1):
+        variables = TruncatedSeries.variables(n3, d)
+        args = variables[: 2 * n] + [TruncatedSeries(n3, d, zi.coeffs) for zi in z]
+        w = [r.truncate(d).compose(args) for r in remainder]
+        tvars = variables[2 * n :]
+        z = []
         for i in range(n):
-            acc = TruncatedSeries.zero(n3, D)
+            acc = TruncatedSeries.zero(n3, d)
             for j in range(n):
                 if hinv[i][j] != 0:
                     acc = acc + hinv[i][j] * (tvars[j] - w[j])
-            new_z.append(acc)
-        if new_z == z:
-            break
-        z = new_z
+            z.append(acc)
     return z
 
 

@@ -28,6 +28,19 @@ graded lexicographic order, so every iteration (and hence every floating
 point reduction) happens in one fixed, reproducible order.  Values are never
 mutated after construction; all operations return new objects and are safe to
 call from concurrent threads.
+
+Trusted construction
+--------------------
+The public constructor validates every key (length, sign, degree) and sums
+duplicate keys, because specs, records and callers may hand it anything.
+The hot operations ``+``, unary ``-``, scalar ``*``, :func:`mul_trunc` and
+``compose`` build their results through ``TruncatedSeries._canonical``
+instead, which only drops zeros and sorts.  That is safe because each of
+them builds a dict with one entry per key, and every key is a componentwise
+sum of exponent tuples of valid operands of the same ``nvars``, so it has
+the right length and no negative entry.  ``+``, ``-`` and scalar ``*`` keep
+the keys of operands truncated at the same degree; :func:`mul_trunc` and
+``compose`` only keep keys of degree at most the output degree.
 """
 
 from __future__ import annotations
@@ -50,6 +63,8 @@ def grlex_key(index: MultiIndex):
 
 def exponents_of_degree(nvars: int, degree: int) -> Iterator[MultiIndex]:
     """All exponent tuples with ``|alpha| == degree``, in lexicographic order."""
+    if nvars < 1:
+        raise ValueError("nvars must be positive")
     if nvars == 1:
         yield (degree,)
         return
@@ -109,9 +124,13 @@ class TruncatedSeries:
                 if sum(key) > trunc_degree or value == 0:
                     continue
                 clean[key] = clean.get(key, value * 0) + value
+        self._store(nvars, trunc_degree, clean)
+
+    def _store(self, nvars: int, trunc_degree: int, acc: dict) -> None:
+        """Set the fields from one entry per valid key, dropping zeros, in grlex order."""
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "trunc_degree", trunc_degree)
-        ordered = {k: clean[k] for k in sorted(clean, key=grlex_key) if clean[k] != 0}
+        ordered = {k: acc[k] for k in sorted(acc, key=grlex_key) if acc[k] != 0}
         object.__setattr__(self, "coeffs", ordered)
         object.__setattr__(self, "_terms", None)
 
@@ -119,6 +138,18 @@ class TruncatedSeries:
         raise AttributeError("TruncatedSeries is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, nvars: int, trunc_degree: int, acc: dict) -> "TruncatedSeries":
+        """Trusted constructor for results of this module's own arithmetic.
+
+        ``acc`` must hold one entry per key, every key a tuple of ``nvars``
+        non-negative exponents of total degree at most ``trunc_degree``.
+        Only zeros are dropped and the keys sorted; nothing is checked.
+        """
+        out = object.__new__(cls)
+        out._store(nvars, trunc_degree, acc)
+        return out
 
     @classmethod
     def zero(cls, nvars: int, trunc_degree: int) -> "TruncatedSeries":
@@ -213,12 +244,12 @@ class TruncatedSeries:
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out.get(k, 0) + v
-        return TruncatedSeries(self.nvars, self.trunc_degree, out)
+        return TruncatedSeries._canonical(self.nvars, self.trunc_degree, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(
+        return TruncatedSeries._canonical(
             self.nvars, self.trunc_degree, {k: -v for k, v in self.coeffs.items()}
         )
 
@@ -236,7 +267,7 @@ class TruncatedSeries:
         if isinstance(other, _SCALARS):
             if other == 0:
                 return TruncatedSeries.zero(self.nvars, self.trunc_degree)
-            return TruncatedSeries(
+            return TruncatedSeries._canonical(
                 self.nvars,
                 self.trunc_degree,
                 {k: v * other for k, v in self.coeffs.items()},
@@ -427,7 +458,7 @@ class TruncatedSeries:
                 if sum(k) > out_D:
                     continue
                 acc[k] = acc.get(k, 0) + value * v
-        return TruncatedSeries(tgt_n, out_D, acc)
+        return TruncatedSeries._canonical(tgt_n, out_D, acc)
 
     # -- numerics ------------------------------------------------------------
 
@@ -519,6 +550,8 @@ def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> Trunca
     """
     if a.nvars != b.nvars:
         raise ValueError("mul: nvars mismatch")
+    if out_degree < 0:
+        raise ValueError("mul: out_degree must be non-negative")
     a_terms = a.sorted_terms()
     b_terms = b.sorted_terms()
     if len(b_terms) < len(a_terms):
@@ -534,7 +567,7 @@ def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> Trunca
             _, kb, vb = b_terms[j]
             key = tuple(x + y for x, y in zip(ka, kb))
             acc[key] = acc.get(key, 0) + va * vb
-    return TruncatedSeries(a.nvars, out_degree, acc)
+    return TruncatedSeries._canonical(a.nvars, out_degree, acc)
 
 
 def det(rows: Sequence[Sequence]):

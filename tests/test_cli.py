@@ -203,3 +203,40 @@ class TestDeterminism:
         assert main(argv(str(tmp_path / "b"))) == 0
         for name in ("coefficients.json", "transport.json", "crosscheck.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# argv of inputs that must be refused as invalid (exit 2) with a usage or
+# error message, not a traceback.  "missing.json" is a spec without "terms",
+# "text_n.json" gives n as a string and "broken.json" is not JSON at all.
+INVALID_INPUTS = {
+    "asymptotics_without_table": [
+        "asymptotics", "--preset", "chsc", "--degree", "6", "--x", "0.01", "--y", "0.02",
+    ],
+    "k_grid_not_integers": [
+        "asymptotics", "--closed-form", "--preset", "chsc", "--k-grid", "64,abc",
+        "--x", "0.01", "--y", "0.02",
+    ],
+    "param_division_by_zero": ["polarize", "--preset", "chsc", "--param", "1/0", "--degree", "6"],
+    "dimension_zero": ["polarize", "--preset", "chsc", "--n", "0", "--degree", "6"],
+    "spec_not_json": ["polarize", "--spec", "broken.json"],
+    "spec_missing_terms": ["polarize", "--spec", "missing.json"],
+    "spec_n_not_integer": ["polarize", "--spec", "text_n.json"],
+    "worst_case_over_guard": ["growth", "--task", "worst-case", "--n", "3"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
+def test_invalid_input_exits_two_without_traceback(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "broken.json").write_text('{"n": 1,')
+    header = {"n": 1, "trunc_degree": 6, "eval_radius": 0.3}
+    (tmp_path / "missing.json").write_text(json.dumps(header))
+    (tmp_path / "text_n.json").write_text(json.dumps({**header, "n": "1", "terms": []}))
+    try:
+        rc = main(INVALID_INPUTS[case] + ["--out", "out"])
+    except SystemExit as exc:  # argparse refuses the argument itself
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "error" in err

@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from bergman import potential
 from bergman.potential import (
     ContourReport,
     PotentialSpec,
     SpecValidationError,
     build_geometry,
+    build_theta,
     check_good_contour,
     diastasis,
+    invert_theta,
     phi_value,
     make_preset,
     polarize,
@@ -122,7 +125,66 @@ class TestTheta:
             assert geom.theta[i].remap_variables(4, var_map) == geom.psi_x[i]
 
 
+def holomorphic_spec(D):
+    """|x|^2 + (x^2 + conj(x)^2)/3 + (x^2 conj(x) + x conj(x)^2)/5 - |x|^4/6.
+
+    The pure holomorphic terms give the phase x- and y-linear parts.
+    """
+    return PotentialSpec(1, D, 0.3, {
+        ((1,), (1,)): F(1),
+        ((2,), (0,)): F(1, 3), ((0,), (2,)): F(1, 3),
+        ((2,), (1,)): F(1, 5), ((1,), (2,)): F(1, 5),
+        ((2,), (2,)): F(-1, 6),
+    })
+
+
+def non_radial_n2_spec(D):
+    """|x|^2 + (x_1 conj(x_2) + x_2 conj(x_1))/4 + cubic and holomorphic terms.
+
+    The Hessian [[1, 1/4], [1/4, 1]] is not diagonal.
+    """
+    return PotentialSpec(2, D, 0.2, {
+        ((1, 0), (1, 0)): F(1), ((0, 1), (0, 1)): F(1),
+        ((1, 0), (0, 1)): F(1, 4), ((0, 1), (1, 0)): F(1, 4),
+        ((2, 0), (0, 1)): F(1, 5), ((0, 1), (2, 0)): F(1, 5),
+        ((1, 1), (0, 0)): F(1, 7), ((0, 0), (1, 1)): F(1, 7),
+        ((1, 1), (1, 1)): F(-1, 6),
+    })
+
+
 class TestInvertTheta:
+    @pytest.mark.parametrize(
+        "spec", [holomorphic_spec(10), non_radial_n2_spec(6)], ids=["holomorphic", "n2"]
+    )
+    def test_round_trip_at_full_degree(self, spec):
+        theta = build_theta(polarize(spec))
+        z = invert_theta(theta)
+        n3, D = 3 * spec.n, spec.trunc_degree - 1
+        ids = TruncatedSeries.variables(n3, D)
+        assert all(zi.trunc_degree == D for zi in z)
+        for i, t in enumerate(theta):
+            assert t.compose(ids[: 2 * spec.n] + z) == ids[2 * spec.n + i]
+
+    def test_holomorphic_terms_reach_z(self):
+        # theta = z + (x + y)/3 + ..., so z = t - (x + y)/3 + ...
+        z = invert_theta(build_theta(polarize(holomorphic_spec(6))))[0]
+        assert (z[(1, 0, 0)], z[(0, 1, 0)], z[(0, 0, 1)]) == (F(-1, 3), F(-1, 3), 1)
+
+    def test_round_trip_check_can_fail(self, monkeypatch):
+        solve = potential.invert_theta
+
+        def off_by_one_at_top_degree(theta):
+            z = solve(theta)
+            n3, D = z[0].nvars, z[0].trunc_degree
+            coeffs = dict(z[0].coeffs)
+            top = (0,) * (n3 - 1) + (D,)
+            coeffs[top] = coeffs.get(top, 0) + 1
+            return [TruncatedSeries(n3, D, coeffs)] + z[1:]
+
+        monkeypatch.setattr(potential, "invert_theta", off_by_one_at_top_degree)
+        with pytest.raises(ArithmeticError, match="round-trip"):
+            build_geometry(preset_chsc(2, 1, 6))
+
     def test_flat_identity(self):
         geom = build_geometry(preset_flat(2, 6))
         for i in range(2):

@@ -29,6 +29,51 @@ NON_RADIAL_SPEC = {
     ],
 }
 
+# An n=1 potential with pure holomorphic terms, so the phase has x- and
+# y-linear parts besides z: |x|^2 + (x^2 + conj(x)^2)/3 + (x^3 + conj(x)^3)/7
+# + (x^2 conj(x) + x conj(x)^2)/5 - |x|^4/6.
+HOLOMORPHIC_SPEC = {
+    "n": 1,
+    "trunc_degree": 10,
+    "eval_radius": 0.3,
+    "terms": [
+        {"alpha": [1], "beta": [1], "num": 1, "den": 1},
+        {"alpha": [2], "beta": [0], "num": 1, "den": 3},
+        {"alpha": [0], "beta": [2], "num": 1, "den": 3},
+        {"alpha": [3], "beta": [0], "num": 1, "den": 7},
+        {"alpha": [0], "beta": [3], "num": 1, "den": 7},
+        {"alpha": [2], "beta": [1], "num": 1, "den": 5},
+        {"alpha": [1], "beta": [2], "num": 1, "den": 5},
+        {"alpha": [2], "beta": [2], "num": -1, "den": 6},
+    ],
+}
+
+# A non-radial n=2 potential with an off-diagonal Hessian: |x|^2
+# + (x_1 conj(x_2) + x_2 conj(x_1))/4 + (x_1^2 conj(x_2) + x_2 conj(x_1)^2)/5
+# + (x_1 x_2 + conj(x_1 x_2))/7 - |x_1 x_2|^2/6.
+NON_RADIAL_N2_SPEC = {
+    "n": 2,
+    "trunc_degree": 6,
+    "eval_radius": 0.2,
+    "terms": [
+        {"alpha": [1, 0], "beta": [1, 0], "num": 1, "den": 1},
+        {"alpha": [0, 1], "beta": [0, 1], "num": 1, "den": 1},
+        {"alpha": [1, 0], "beta": [0, 1], "num": 1, "den": 4},
+        {"alpha": [0, 1], "beta": [1, 0], "num": 1, "den": 4},
+        {"alpha": [2, 0], "beta": [0, 1], "num": 1, "den": 5},
+        {"alpha": [0, 1], "beta": [2, 0], "num": 1, "den": 5},
+        {"alpha": [1, 1], "beta": [0, 0], "num": 1, "den": 7},
+        {"alpha": [0, 0], "beta": [1, 1], "num": 1, "den": 7},
+        {"alpha": [1, 1], "beta": [1, 1], "num": -1, "den": 6},
+    ],
+}
+
+SPEC_FILES = {
+    "spec.json": NON_RADIAL_SPEC,
+    "holomorphic.json": HOLOMORPHIC_SPEC,
+    "n2.json": NON_RADIAL_N2_SPEC,
+}
+
 # (argv, expected exit code, {report file: sha256})
 MATRIX = [
     (
@@ -101,6 +146,26 @@ MATRIX = [
                 "b1eb2c523ae20273d359892e52f00dbc91d08573fc44a5999c5d19ede443ab48",
         },
     ),
+    (
+        ["coeffs", "--spec", "holomorphic.json", "--order", "4", "--transport-order", "4"],
+        0,
+        {
+            "coefficients.json":
+                "aef86a46075d7e2d766adecd4eb5c513355773f255a28fabf3004dd9b5ad9a65",
+            "transport.json":
+                "7a75c42f75e179fb54bd799a5506ac87e598201e2c39d101850745d71d41ce51",
+            "crosscheck.json":
+                "fe1263cca340c969367d6700e103627cf6b5ce7cfea2600542d73b0e196ae0bf",
+        },
+    ),
+    (
+        ["polarize", "--spec", "n2.json"],
+        0,
+        {
+            "geometry.json":
+                "07d2af79dd1da7ed8179e3a6fc7f78f531936db06c383e58c0952e210eda3e83",
+        },
+    ),
 ]
 
 
@@ -108,7 +173,8 @@ MATRIX = [
 def test_reports_match_pinned_digests(tmp_path, monkeypatch, case):
     argv, want_rc, want = MATRIX[case]
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "spec.json").write_text(json.dumps(NON_RADIAL_SPEC))
+    for name, record in SPEC_FILES.items():
+        (tmp_path / name).write_text(json.dumps(record))
     assert main(argv + ["--out", "out"]) == want_rc
     got = {
         name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()

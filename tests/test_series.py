@@ -290,6 +290,65 @@ class TestRingAxioms:
         assert a * b == b * a
 
 
+def _plain_mul(a: dict, b: dict, D: int) -> dict:
+    """Product of two coefficient maps truncated at degree D, by plain loops."""
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            if sum(key) <= D:
+                out[key] = out.get(key, 0) + va * vb
+    return out
+
+
+def _plain_compose(f, args, D: int) -> dict:
+    """Coefficient map of f(args) truncated at degree D, one power at a time."""
+    out = {}
+    for key, value in f.coeffs.items():
+        term = {(0,) * args[0].nvars: value}
+        for arg, e in zip(args, key):
+            for _ in range(e):
+                term = _plain_mul(term, arg.coeffs, D)
+        for k, v in term.items():
+            out[k] = out.get(k, 0) + v
+    return out
+
+
+def _items(s):
+    return s.nvars, s.trunc_degree, list(s.coeffs.items())
+
+
+no_constant = series_strategy(3, 3).filter(lambda s: s.constant_term == 0)
+
+
+class TestTrustedConstructor:
+    """Operations that skip validation build what the validating constructor builds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(series_strategy(2, 4), series_strategy(2, 4), small_fraction)
+    def test_ring_operations(self, a, b, c):
+        keys = set(a.coeffs) | set(b.coeffs)
+        cases = [
+            (a + b, {k: a[k] + b[k] for k in keys}),
+            (a - b, {k: a[k] - b[k] for k in keys}),
+            (-a, {k: -v for k, v in a.coeffs.items()}),
+            (a * c, {k: v * c for k, v in a.coeffs.items()}),
+            (a * b, _plain_mul(a.coeffs, b.coeffs, 4)),
+        ]
+        for got, plain in cases:
+            assert _items(got) == _items(TruncatedSeries(2, 4, plain))
+        for out_degree in (2, 6):
+            got = mul_trunc(a, b, out_degree)
+            want = TruncatedSeries(2, out_degree, _plain_mul(a.coeffs, b.coeffs, out_degree))
+            assert _items(got) == _items(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(series_strategy(2, 4), no_constant, no_constant)
+    def test_compose(self, f, u, v):
+        got = f.compose([u, v])
+        assert _items(got) == _items(TruncatedSeries(3, 3, _plain_compose(f, [u, v], 3)))
+
+
 class TestFloatBackend:
     def test_agreement_with_rational(self):
         rng = random.Random(29)
@@ -320,6 +379,8 @@ class TestStructure:
 
     def test_exponent_enumeration(self):
         assert list(exponents_of_degree(2, 2)) == [(2, 0), (1, 1), (0, 2)]
+        with pytest.raises(ValueError, match="nvars"):
+            list(exponents_of_degree(0, 2))
 
     def test_sub_indices(self):
         assert list(sub_indices((1, 2))) == [
