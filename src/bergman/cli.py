@@ -8,7 +8,9 @@ same configuration writes byte-identical files.
 
 Exit codes: 0 when every verdict in the run passed, 1 when a verdict failed,
 2 for invalid input (malformed arguments or spec files, spec validation,
-missing files, insufficient degree, requests over a resource guard).
+missing files, evaluation points outside the radius, insufficient degree,
+requests over a resource guard).  A failed transport cross-check names the
+first differing term in ``crosscheck.json``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -37,6 +40,7 @@ from .growth import (
 from .kernel import (
     choose_truncation_order,
     eval_KN,
+    in_eval_radius,
     log_asymptotic_fit,
     make_chsc_closed_evaluator,
     make_series_evaluator,
@@ -50,6 +54,7 @@ from .potential import (
     check_good_contour,
     make_preset,
 )
+from .series import TruncatedSeries, grlex_key
 from .transport import reconstruct_coefficients, transport_chain
 
 SCHEMA_VERSION = 1
@@ -80,15 +85,41 @@ def _write_csv(path: Path, rows: list, fieldnames: list) -> None:
             writer.writerow(row)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}: {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0: {text!r}")
     return value
+
+
+def _positive_float_list(text: str) -> str:
+    """argparse type: comma separated finite numbers > 0, kept as written."""
+    for part in text.split(","):
+        _positive_float(part)
+    return text
 
 
 def _rational(text: str) -> str:
@@ -100,14 +131,17 @@ def _rational(text: str) -> str:
     return text
 
 
-def _int_list(text: str) -> list:
-    """argparse type: comma separated integers such as 64,128,256."""
+def _k_grid(text: str) -> list:
+    """argparse type: two or more comma separated integers >= 1, such as 64,128,256."""
     try:
-        return [int(v) for v in text.split(",")]
+        values = [int(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not a comma separated list of integers: {text!r}"
         ) from None
+    if len(values) < 2 or min(values) < 1:
+        raise argparse.ArgumentTypeError(f"need at least two values k >= 1: {text!r}")
+    return values
 
 
 def _spec_options(parser: argparse.ArgumentParser) -> None:
@@ -152,7 +186,10 @@ def _parse_point(text: str, n: int) -> list:
     parts = text.split(",")
     if len(parts) != n:
         raise SpecValidationError(f"point {text!r} has {len(parts)} components, expected {n}")
-    return [complex(p.strip()) for p in parts]
+    try:
+        return [complex(p.strip()) for p in parts]
+    except ValueError:
+        raise SpecValidationError(f"point {text!r} is not a list of complex numbers") from None
 
 
 def _load_table(coeffs: str | None) -> CoefficientTable:
@@ -166,6 +203,25 @@ def _load_table(coeffs: str | None) -> CoefficientTable:
     with open(path) as fh:
         rec = json.load(fh)
     return CoefficientTable.from_record(rec["table"])
+
+
+def _first_mismatch(m: int, reconstructed: TruncatedSeries, table_b: TruncatedSeries) -> dict:
+    """The first (graded lexicographic) monomial where two order-m coefficients differ."""
+    keys = sorted(set(reconstructed.coeffs) | set(table_b.coeffs), key=grlex_key)
+    index = next((k for k in keys if reconstructed[k] != table_b[k]), None)
+    if index is None:  # equal coefficients, different truncation degrees
+        return {
+            "order": m,
+            "trunc_degree": {
+                "reconstructed": reconstructed.trunc_degree, "table": table_b.trunc_degree,
+            },
+        }
+    return {
+        "order": m,
+        "index": list(index),
+        "reconstructed": str(reconstructed[index]),
+        "table": str(table_b[index]),
+    }
 
 
 # -- subcommands --------------------------------------------------------------
@@ -209,6 +265,10 @@ def cmd_coeffs(args) -> int:
     recon = reconstruct_coefficients(geom, chain)
     mismatches = [m for m in range(t_order + 1) if recon[m] != table.b[m]]
     ok = not mismatches
+    failure = {}
+    if mismatches:
+        m = mismatches[0]
+        failure["first_mismatch"] = _first_mismatch(m, recon[m], table.b[m])
     out = Path(args.out)
     sha = spec.sha256()
     _write_report(
@@ -232,6 +292,7 @@ def cmd_coeffs(args) -> int:
         orders_compared=t_order,
         mismatched_orders=mismatches,
         cross_check="pass" if ok else "fail",
+        **failure,
     )
     print(f"transport cross-check to order {t_order}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -239,14 +300,23 @@ def cmd_coeffs(args) -> int:
 
 def cmd_eval(args) -> int:
     spec = _load_spec(args)
+    x = _parse_point(args.x, spec.n)
+    y = _parse_point(args.y, spec.n)
+    for option, text, pt in (("--x", args.x, x), ("--y", args.y, y)):
+        if not in_eval_radius(spec, pt):
+            raise SpecValidationError(
+                f"{option} {text!r} lies outside the evaluation radius {spec.eval_radius}"
+            )
     geom = build_geometry(spec)
     table = _load_table(args.coeffs)
     if table.spec_sha256 != spec.sha256():
         print("warning: coefficient file was built from a different spec", file=sys.stderr)
-    x = _parse_point(args.x, spec.n)
-    y = _parse_point(args.y, spec.n)
     clamped = False
     if args.order is not None:
+        if not 0 <= args.order <= table.M:
+            raise SpecValidationError(
+                f"--order {args.order} is outside the coefficient table's orders 0..{table.M}"
+            )
         order = args.order
     else:
         order = choose_truncation_order(args.k, args.C, table.M)
@@ -468,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polarize", help="build and store the series geometry")
     _spec_options(p)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_polarize)
@@ -483,9 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate the order-N kernel at one pair")
     _spec_options(p)
     p.add_argument("--coeffs", required=True, help="coefficients.json from the coeffs command")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--order", type=int, default=None, help="fixed order N (default: from C)")
-    p.add_argument("--C", type=float, default=1.0, help="constant in N0(k) = sqrt(k/C)")
+    p.add_argument("--C", type=_positive_float, default=1.0, help="constant in N0(k) = sqrt(k/C)")
     p.add_argument("--x", required=True, help="comma separated complex components")
     p.add_argument("--y", required=True)
     p.add_argument("--out", required=True)
@@ -496,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["log", "scaling"], default="log")
     p.add_argument("--coeffs", default=None)
     p.add_argument("--closed-form", action="store_true")
-    p.add_argument("--k-grid", type=_int_list, default="64,128,256,512,1024,2048,4096")
+    p.add_argument("--k-grid", type=_k_grid, default="64,128,256,512,1024,2048,4096")
     p.add_argument("--x", required=True, help="pair point (u for scaling mode)")
     p.add_argument("--y", required=True, help="pair point (v for scaling mode)")
     p.add_argument("--max-slope", type=float, default=-1.8)
@@ -508,23 +578,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=["fit", "worst-case", "truncation", "lemma"], required=True)
     p.add_argument("--coeffs", default=None)
     p.add_argument("--norm-radius", type=float, default=0.1)
-    p.add_argument("--grid", type=int, default=5)
-    p.add_argument("--xi-max", type=int, default=0)
+    p.add_argument("--grid", type=_int_at_least(2), default=5)
+    p.add_argument("--xi-max", type=_non_negative_int, default=0)
     p.add_argument("--model", choices=["m_factorial_sq", "m_factorial"], default="m_factorial_sq")
-    p.add_argument("--order", type=int, default=4, help="M for fit/worst-case tasks")
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--k", type=int, default=100)
-    p.add_argument("--deltas", default="0.1,0.5,1,2")
-    p.add_argument("--n-max", type=int, default=20)
-    p.add_argument("--k-max", type=int, default=10000)
+    p.add_argument("--order", type=_non_negative_int, default=4, help="M for fit/worst-case tasks")
+    p.add_argument("--kmax", type=_non_negative_int, default=4)
+    p.add_argument("--C", type=_positive_float, default=1.0)
+    p.add_argument("--k", type=_positive_int, default=100)
+    p.add_argument("--deltas", type=_positive_float_list, default="0.1,0.5,1,2")
+    p.add_argument("--n-max", type=_non_negative_int, default=20)
+    p.add_argument("--k-max", type=_positive_int, default=10000)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_growth)
 
     p = sub.add_parser("chsc-check", help="closed-form curvature family verdicts")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--param", type=_rational, default="1", help="curvature c (exact rational)")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_non_negative_int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_chsc_check)
 

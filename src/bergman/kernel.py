@@ -128,6 +128,11 @@ def evaluate_kernel(
     )
 
 
+def in_eval_radius(spec, point: Sequence[complex]) -> bool:
+    """Whether every component of ``point`` lies within the spec's evaluation radius."""
+    return max(abs(complex(v)) for v in point) <= spec.eval_radius + 1e-12
+
+
 def eval_KN(
     geom: GeometryPack,
     table: CoefficientTable,
@@ -139,10 +144,8 @@ def eval_KN(
     """Series-backed kernel report; points must sit inside the evaluation radius."""
     if N > table.M:
         raise ValueError(f"order {N} exceeds the computed table order {table.M}")
-    radius = geom.spec.eval_radius + 1e-12
-    for pt in (x, y):
-        if max(abs(complex(v)) for v in pt) > radius:
-            raise ValueError("evaluation point outside the configured radius")
+    if not (in_eval_radius(geom.spec, x) and in_eval_radius(geom.spec, y)):
+        raise ValueError("evaluation point outside the configured radius")
 
     def psi_fn(px, zbar):
         return geom.psi.eval(list(px) + list(zbar))

@@ -319,8 +319,9 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     z <- H^{-1} (t - R(x, y, z)) with every series truncated at degree d.
     R has no z-linear term of degree 1, so the degree-d part of R(x, y, z)
     only reads z through degree d - 1: if z is exact through degree d - 1
-    before sweep d, it is exact through degree d after it.  Sweep d costs a
-    composition at degree d, not at the full degree D.
+    before sweep d, it is exact through degree d after it.  Sweep d costs n
+    compositions at degree d, not at the full degree D, and they share one
+    cache of z-powers (x and y are bare variables and are never multiplied).
     """
     n3 = theta[0].nvars
     n = n3 // 3
@@ -346,7 +347,8 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     for d in range(1, D + 1):
         variables = TruncatedSeries.variables(n3, d)
         args = variables[: 2 * n] + [TruncatedSeries(n3, d, zi.coeffs) for zi in z]
-        w = [r.truncate(d).compose(args) for r in remainder]
+        powers: dict = {}  # z-powers shared by the n compositions of this sweep
+        w = [r.compose(args, cache=powers) for r in remainder]
         tvars = variables[2 * n :]
         z = []
         for i in range(n):
@@ -393,10 +395,13 @@ def merge_y_into_x(f: TruncatedSeries, n: int) -> TruncatedSeries:
 class PhaseChain:
     """Series carried through the phase chain theta -> z(x,y,theta) -> theta(x,x,z).
 
-    Both coefficient routes go through these three compositions.  Each keeps
-    its own cache of power products of its argument list, so every call after
-    the first with one geometry reuses the powers built so far.  The caches
-    only grow; the results do not depend on them.
+    Both coefficient routes go through these three compositions.  In each,
+    the x arguments are bare variables, which only move exponents, and the
+    other n arguments (``z(x,y,theta)``, ``psi_x(x,z)`` or ``w``) are
+    substituted.  Each composition keeps its own cache of the powers of its
+    n substituted arguments, keyed by their exponent, so every call after the
+    first with one geometry reuses the powers built so far.  The caches only
+    grow; the results do not depend on them.
     """
 
     def __init__(self, geom: "GeometryPack"):
@@ -455,7 +460,9 @@ def build_geometry(spec: PotentialSpec) -> GeometryPack:
     theta = build_theta(psi)
     z_of_theta = invert_theta(theta)
     ids = TruncatedSeries.variables(3 * n, D - 1)
-    roundtrip = [t.compose(list(ids[: 2 * n]) + list(z_of_theta)) for t in theta]
+    args = list(ids[: 2 * n]) + list(z_of_theta)
+    powers: dict = {}  # z-powers shared by the n compositions of the check
+    roundtrip = [t.compose(args, cache=powers) for t in theta]
     for i in range(n):
         if roundtrip[i] != ids[2 * n + i]:
             raise ArithmeticError("phase inversion failed the round-trip identity")

@@ -29,6 +29,17 @@ point reduction) happens in one fixed, reproducible order.  Values are never
 mutated after construction; all operations return new objects and are safe to
 call from concurrent threads.
 
+Composition
+-----------
+``f.compose(args)`` never raises a bare target variable to a power: an
+argument that is exactly ``x_j`` (one term, coefficient 1, degree 1) only
+moves the exponent of its slot to slot ``j``.  The terms of ``f`` are grouped
+by the exponent ``gamma`` of the other, substituted, arguments, and each
+group costs one product with the power product ``P_gamma`` of those
+arguments.  The optional ``cache`` holds these ``P_gamma``, keyed by
+``gamma`` (one entry per substituted argument), so calls that share an
+argument list share their powers.
+
 Trusted construction
 --------------------
 The public constructor validates every key (length, sign, degree) and sums
@@ -405,6 +416,15 @@ class TruncatedSeries:
             out[new_key] = out.get(new_key, 0) + value
         return TruncatedSeries(new_nvars, self.trunc_degree, out)
 
+    def _bare_variable(self) -> int | None:
+        """Slot i when this series is exactly the variable x_i (one term, exact 1), else None."""
+        if len(self.coeffs) != 1:
+            return None
+        ((key, value),) = self.coeffs.items()
+        if sum(key) != 1 or value != 1 or not isinstance(value, (int, Fraction)):
+            return None
+        return key.index(1)
+
     def compose(
         self,
         args: Sequence["TruncatedSeries"],
@@ -415,9 +435,13 @@ class TruncatedSeries:
         Arguments must share nvars and trunc_degree and have zero constant
         term (re-center the outer series first otherwise).  The result is
         truncated to min(self.trunc_degree, argument degree), which is the
-        degree it is exact to.  ``cache`` maps exponent tuples to power
-        products of ``args`` and may be shared across calls with the same
-        argument list.
+        degree it is exact to.
+
+        Bare-variable arguments only move exponents (see Composition in the
+        module docstring).  ``cache`` maps the exponent ``gamma`` of the
+        substituted arguments to their power product ``P_gamma`` at the
+        argument degree, so it may be shared across calls with the same
+        argument list, whatever the outer series and its degree.
         """
         if len(args) != self.nvars:
             raise ValueError(
@@ -435,29 +459,44 @@ class TruncatedSeries:
         out_D = min(self.trunc_degree, tgt_D)
         if cache is None:
             cache = {}
-        one_key = (0,) * self.nvars
-
-        def power(alpha: MultiIndex) -> "TruncatedSeries":
-            hit = cache.get(alpha)
-            if hit is not None:
-                return hit
-            if alpha == one_key:
-                p = TruncatedSeries.one(tgt_n, tgt_D)
+        moves = []  # (outer slot, target slot) of each bare-variable argument
+        substituted = []  # outer slots of the other arguments
+        for i, a in enumerate(args):
+            target = a._bare_variable()
+            if target is None:
+                substituted.append(i)
             else:
-                i = max(j for j, e in enumerate(alpha) if e > 0)
-                lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
-                p = power(lower) * args[i]
-            cache[alpha] = p
-            return p
+                moves.append((i, target))
 
-        acc: dict[MultiIndex, object] = {}
+        groups: dict[MultiIndex, dict] = {}
         for deg, key, value in self.sorted_terms():
             if deg > out_D:
                 continue  # argument valuation >= 1 makes these vanish below out_D
-            for k, v in power(key).coeffs.items():
-                if sum(k) > out_D:
-                    continue
-                acc[k] = acc.get(k, 0) + value * v
+            moved = [0] * tgt_n
+            for i, target in moves:
+                moved[target] += key[i]
+            moved = tuple(moved)
+            group = groups.setdefault(tuple(key[i] for i in substituted), {})
+            group[moved] = group.get(moved, 0) + value
+
+        def power(gamma: MultiIndex) -> "TruncatedSeries":
+            hit = cache.get(gamma)
+            if hit is not None:
+                return hit
+            j = max(j for j, e in enumerate(gamma) if e > 0)
+            lower = gamma[:j] + (gamma[j] - 1,) + gamma[j + 1 :]
+            arg = args[substituted[j]]
+            p = mul_trunc(power(lower), arg, tgt_D) if any(lower) else arg
+            cache[gamma] = p
+            return p
+
+        acc: dict[MultiIndex, object] = {}
+        for gamma, group in groups.items():
+            part = TruncatedSeries._canonical(tgt_n, out_D, group)
+            if any(gamma):
+                part = mul_trunc(part, power(gamma), out_D)
+            for k, v in part.coeffs.items():
+                acc[k] = acc.get(k, 0) + v
         return TruncatedSeries._canonical(tgt_n, out_D, acc)
 
     # -- numerics ------------------------------------------------------------

@@ -1,11 +1,14 @@
 """CLI subcommands: files, verdicts, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from bergman import cli
 from bergman.cli import main
+from bergman.series import TruncatedSeries
 
 
 def read_json(path):
@@ -68,6 +71,34 @@ class TestCoeffs:
             values.append(rec["terms"][0]["num"] if rec["terms"] else 0)
         assert values == [1, 3, 2, 0]
         assert read_json(tmp_path / "crosscheck.json")["cross_check"] == "pass"
+
+    def test_crosscheck_names_the_first_failing_term(self, tmp_path, monkeypatch):
+        original = cli.reconstruct_coefficients
+
+        def off_by_one_term(geom, chain):
+            recon = list(original(geom, chain))
+            b1 = recon[1]
+            recon[1] = b1 + TruncatedSeries(b1.nvars, b1.trunc_degree, {(1, 1): Fraction(1, 7)})
+            return recon
+
+        argv = ["coeffs", "--preset", "quartic", "--n", "1",
+                "--degree", "8", "--order", "2", "--transport-order", "2"]
+        assert main(argv + ["--out", str(tmp_path / "pass")]) == 0
+        assert "first_mismatch" not in read_json(tmp_path / "pass" / "crosscheck.json")
+        monkeypatch.setattr(cli, "reconstruct_coefficients", off_by_one_term)
+        assert main(argv + ["--out", str(tmp_path / "fail")]) == 1
+        payload = read_json(tmp_path / "fail" / "crosscheck.json")
+        assert payload["cross_check"] == "fail"
+        assert payload["mismatched_orders"] == [1]
+        table_b1 = read_json(tmp_path / "fail" / "coefficients.json")["table"]["b"][1]
+        term = next(t for t in table_b1["terms"] if t["index"] == [1, 1])
+        want = Fraction(term["num"], term["den"])
+        assert payload["first_mismatch"] == {
+            "order": 1,
+            "index": [1, 1],
+            "reconstructed": str(want + Fraction(1, 7)),
+            "table": str(want),
+        }
 
     def test_degree_budget_error_is_exit_two(self, tmp_path, capsys):
         rc = main(
@@ -208,7 +239,29 @@ class TestDeterminism:
 # argv of inputs that must be refused as invalid (exit 2) with a usage or
 # error message, not a traceback.  "missing.json" is a spec without "terms",
 # "text_n.json" gives n as a string and "broken.json" is not JSON at all.
+# "table/coefficients.json" is a real coefficient table, written for the cases
+# that read it, so they fail on the argument under test, not on a missing table.
+EVAL = [
+    "eval", "--preset", "chsc", "--degree", "6", "--coeffs", "table/coefficients.json",
+]
 INVALID_INPUTS = {
+    "eval_k_zero": EVAL + ["--k", "0", "--x", "0.1", "--y", "0.05"],
+    "eval_C_zero": EVAL + ["--k", "10", "--C", "0", "--x", "0.1", "--y", "0.05"],
+    "eval_point_outside_radius": EVAL + ["--k", "10", "--x", "0.9", "--y", "0.05"],
+    "eval_point_not_complex": EVAL + ["--k", "10", "--x", "0.1", "--y", "abc"],
+    "eval_order_above_table": EVAL + ["--k", "10", "--order", "5", "--x", "0.1", "--y", "0.05"],
+    "truncation_C_zero": ["growth", "--task", "truncation", "--C", "0"],
+    "truncation_k_zero": ["growth", "--task", "truncation", "--k", "0"],
+    "lemma_delta_zero": ["growth", "--task", "lemma", "--deltas", "0,1"],
+    "lemma_delta_not_number": ["growth", "--task", "lemma", "--deltas", "a"],
+    "lemma_k_max_zero": ["growth", "--task", "lemma", "--k-max", "0"],
+    "lemma_n_max_negative": ["growth", "--task", "lemma", "--n-max", "-1"],
+    "worst_case_order_negative": ["growth", "--task", "worst-case", "--order", "-1"],
+    "fit_grid_one": [
+        "growth", "--task", "fit", "--preset", "chsc", "--degree", "6",
+        "--coeffs", "table/coefficients.json", "--grid", "1",
+    ],
+    "polarize_samples_zero": ["polarize", "--preset", "chsc", "--degree", "6", "--samples", "0"],
     "asymptotics_without_table": [
         "asymptotics", "--preset", "chsc", "--degree", "6", "--x", "0.01", "--y", "0.02",
     ],
@@ -216,6 +269,15 @@ INVALID_INPUTS = {
         "asymptotics", "--closed-form", "--preset", "chsc", "--k-grid", "64,abc",
         "--x", "0.01", "--y", "0.02",
     ],
+    "k_grid_zero": [
+        "asymptotics", "--closed-form", "--preset", "chsc", "--k-grid", "0,64",
+        "--x", "0.01", "--y", "0.02",
+    ],
+    "k_grid_single_value": [
+        "asymptotics", "--closed-form", "--preset", "chsc", "--k-grid", "64",
+        "--x", "0.01", "--y", "0.02",
+    ],
+    "chsc_check_order_negative": ["chsc-check", "--n", "1", "--order", "-1"],
     "param_division_by_zero": ["polarize", "--preset", "chsc", "--param", "1/0", "--degree", "6"],
     "dimension_zero": ["polarize", "--preset", "chsc", "--n", "0", "--degree", "6"],
     "spec_not_json": ["polarize", "--spec", "broken.json"],
@@ -232,6 +294,9 @@ def test_invalid_input_exits_two_without_traceback(tmp_path, monkeypatch, capsys
     header = {"n": 1, "trunc_degree": 6, "eval_radius": 0.3}
     (tmp_path / "missing.json").write_text(json.dumps(header))
     (tmp_path / "text_n.json").write_text(json.dumps({**header, "n": "1", "terms": []}))
+    if "table/coefficients.json" in INVALID_INPUTS[case]:
+        assert main(["coeffs", "--preset", "chsc", "--degree", "6", "--order", "1",
+                     "--transport-order", "1", "--out", "table"]) == 0
     try:
         rc = main(INVALID_INPUTS[case] + ["--out", "out"])
     except SystemExit as exc:  # argparse refuses the argument itself

@@ -185,6 +185,34 @@ class TestInvertTheta:
         with pytest.raises(ArithmeticError, match="round-trip"):
             build_geometry(preset_chsc(2, 1, 6))
 
+    def test_geometry_caches_substituted_powers_only(self, monkeypatch):
+        # x and y enter every composition of the geometry as bare variables,
+        # so only the z-like arguments are raised to powers (none of them in
+        # the early inversion sweeps of this model, where z = t is bare too).
+        compose = TruncatedSeries.compose
+        seen = []
+
+        def spy(f, args, cache=None):
+            cache = {} if cache is None else cache
+            out = compose(f, args, cache)
+            bare = TruncatedSeries.variables(args[0].nvars, args[0].trunc_degree)
+            substituted = sum(1 for a in args if a not in bare)
+            seen.append((substituted, {len(key) for key in cache}))
+            return out
+
+        monkeypatch.setattr(TruncatedSeries, "compose", spy)
+        geom = build_geometry(preset_chsc(2, 1, 8))
+        monkeypatch.undo()
+        assert {2} in [lengths for _, lengths in seen]
+        assert all(lengths <= {s} for s, lengths in seen)
+        # The round trip again, with x and y scaled by 2 so that no argument
+        # of the outer composition is bare: theta(2x, 2y, z(2x, 2y, t)) = t.
+        ids = TruncatedSeries.variables(6, 7)
+        scaled = [2 * v for v in ids[:4]]
+        z = [zi.compose(scaled + ids[4:]) for zi in geom.z_of_theta]
+        for i, t in enumerate(geom.theta):
+            assert t.compose(scaled + z) == ids[4 + i]
+
     def test_flat_identity(self):
         geom = build_geometry(preset_flat(2, 6))
         for i in range(2):

@@ -321,6 +321,36 @@ def _items(s):
 no_constant = series_strategy(3, 3).filter(lambda s: s.constant_term == 0)
 
 
+# Argument lists for compose into 3 target variables of degree 3: ("x", i)
+# is the bare variable x_i, ("2x", i) the scaled variable 2 x_i, ("x+", i)
+# the variable plus the degree-2 term x_1 x_2, and DENSE a drawn series with
+# no constant term.  The last three kinds must be substituted, not moved.
+DENSE = ("dense", None)
+COMPOSE_SHAPES = {
+    "bare_first": [("x", 0), DENSE, DENSE],
+    "bare_last": [DENSE, DENSE, ("x", 2)],
+    "bare_interleaved": [("x", 0), DENSE, ("x", 1), DENSE],
+    "bare_to_other_slot": [("x", 2), DENSE, ("x", 0)],
+    "two_slots_one_target": [("x", 1), ("x", 1), DENSE],
+    "all_bare": [("x", 2), ("x", 0), ("x", 1)],
+    "none_bare": [DENSE, DENSE, DENSE],
+    "scaled_variable": [("2x", 0), DENSE, ("x", 1)],
+    "variable_plus_higher_term": [("x+", 0), ("x", 1), DENSE],
+}
+
+
+def _shape_argument(slot, dense) -> TruncatedSeries:
+    kind, i = slot
+    if kind == "dense":
+        return next(dense)
+    x = TruncatedSeries.variable(3, 3, i)
+    if kind == "2x":
+        return 2 * x
+    if kind == "x+":
+        return x + TruncatedSeries(3, 3, {(0, 1, 1): 1})
+    return x
+
+
 class TestTrustedConstructor:
     """Operations that skip validation build what the validating constructor builds."""
 
@@ -347,6 +377,32 @@ class TestTrustedConstructor:
     def test_compose(self, f, u, v):
         got = f.compose([u, v])
         assert _items(got) == _items(TruncatedSeries(3, 3, _plain_compose(f, [u, v], 3)))
+
+    @pytest.mark.parametrize("shape", sorted(COMPOSE_SHAPES))
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_compose_argument_shapes(self, shape, data):
+        slots = COMPOSE_SHAPES[shape]
+        dense = iter([data.draw(no_constant) for _ in range(3)])
+        args = [_shape_argument(slot, dense) for slot in slots]
+        # one cache for two outer series, the lower truncation degree first
+        cache = {}
+        for degree in (2, 4):
+            f = data.draw(series_strategy(len(slots), degree))
+            got = f.compose(args, cache=cache)
+            out_D = min(degree, 3)
+            want = TruncatedSeries(3, out_D, _plain_compose(f, args, out_D))
+            assert _items(got) == _items(want)
+
+    def test_compose_cache_holds_substituted_powers_only(self):
+        x = TruncatedSeries.variables(3, 3)
+        u = TruncatedSeries(3, 3, {(1, 0, 0): 1, (0, 1, 1): F(1, 2)})
+        v = TruncatedSeries(3, 3, {(0, 0, 1): -1, (2, 0, 0): 3})
+        f = TruncatedSeries(4, 3, {k: 1 for d in range(4) for k in exponents_of_degree(4, d)})
+        cache = {}
+        f.compose([x[2], u, x[0], v], cache=cache)
+        assert cache
+        assert all(len(key) == 2 for key in cache)
 
 
 class TestFloatBackend:
