@@ -17,6 +17,7 @@ Bargmann-Fock kernel.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,10 +38,19 @@ def delta0_taylor_coeffs(n: int, L: int) -> list:
 
 
 def chsc_coefficients(n: int, c, M: int) -> list:
-    """Exact constants b_0..b_M for curvature c in dimension n."""
+    """Exact constants b_0..b_M for curvature c in dimension n.
+
+    The constants of recently used (n, c, M) are cached, keyed by the exact
+    value of c; every call returns a fresh list, so a caller that changes it
+    cannot change later results.
+    """
     if M < 0:
         raise ValueError("M must be non-negative")
-    c = Fraction(c)
+    return list(_chsc_constants(n, Fraction(c), M))
+
+
+@functools.lru_cache(maxsize=256)
+def _chsc_constants(n: int, c: Fraction, M: int) -> tuple:
     a = delta0_taylor_coeffs(n, M)
     b = [Fraction(1)]
     for m in range(1, M + 1):
@@ -48,7 +58,7 @@ def chsc_coefficients(n: int, c, M: int) -> list:
         for l in range(1, m + 1):
             acc += (-c) ** l * Fraction(factorial(l + n - 1), factorial(n - 1)) * a[l] * b[m - l]
         b.append(-acc)
-    return b
+    return tuple(b)
 
 
 @dataclass(frozen=True)

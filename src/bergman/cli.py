@@ -9,8 +9,10 @@ same configuration writes byte-identical files.
 Exit codes: 0 when every verdict in the run passed, 1 when a verdict failed,
 2 for invalid input (malformed arguments or spec files, spec validation,
 missing files, evaluation points outside the radius, insufficient degree,
-requests over a resource guard).  A failed transport cross-check names the
-first differing term in ``crosscheck.json``.
+requests over a resource guard), and 3 for an unexpected internal error,
+reported as one ``internal error:`` line on stderr instead of a traceback.
+A failed transport cross-check names the first differing term in
+``crosscheck.json``.
 """
 
 from __future__ import annotations
@@ -614,6 +616,10 @@ def main(argv=None) -> int:
     except (SpecValidationError, FileNotFoundError, ResourceGuardError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:
+        message = " ".join(str(err).split())
+        print(f"internal error: {type(err).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

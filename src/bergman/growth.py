@@ -7,7 +7,9 @@ Three independent probes of how fast the coefficients can grow:
   grid norms and reports whether the fitted bound covers them,
 * :func:`worst_case_norm_table` runs the equality case of the recursive
   norm inequality with unit constant in exact big-integer arithmetic, which
-  is where the factorial-squared floor comes from,
+  is where the factorial-squared floor comes from; its five-fold sum is
+  evaluated in factored form, as an integer kernel per order (built from
+  the weights W) applied to cached partial sums T of earlier orders,
 * :func:`truncation_minimizer` and :func:`exp_factorial_bound_check` verify
   the two elementary facts behind the optimal truncation order: the scan of
   ``C^m (m!)^2 / k^m`` is unimodal with minimum near sqrt(k/C), and
@@ -131,9 +133,38 @@ def worst_case_norm_table(n: int, M: int, Kmax: int) -> dict:
     """Equality case of the norm recursion with unit constant, exactly.
 
     Returns the entries {(m, k): value} for 0 <= m <= M and xi = k e_1,
-    k <= Kmax, computed from the initial data b_{0,xi} = [xi == 0] by the
-    five-fold recursive sum.  Values are exact Fractions (integers except
-    for the factorial normalizations that always cancel back out).
+    k <= Kmax, computed from the initial data b_{0,xi} = [xi == 0].  Values
+    are exact Fractions with denominator 1: by induction on m, value(m, xi)
+    is xi! times an integer, because (gamma + eta)! / (gamma! eta!) is an
+    integer, so each value(p, gamma + eta) / gamma! below is eta! times one.
+
+    The recursion is the five-fold sum
+
+        value(m, xi) = sum_{l=1..m} sum_{|delta|=l} delta!
+                       sum_{alpha, beta <= delta} sum_{|gamma| <= |alpha|+|beta|}
+                       sum_{xi0 <= xi} xi! / (xi0! gamma!)
+                       binom(alpha + |gamma| 1, |gamma| 1) binom(beta + |gamma| 1, |gamma| 1)
+                       value(m - l, gamma + xi0).
+
+    Its summand is a product of a factor that sees only (delta, alpha, beta,
+    |gamma|) and one that sees only (xi, gamma, xi0), so it is evaluated in
+    factored form: with the integers
+
+        W(delta, g) = sum_{alpha, beta <= delta, |alpha|+|beta| >= g}
+                      binom(alpha + g 1, g 1) binom(beta + g 1, g 1),
+
+    the order-l kernel K_l(gamma) = sum_{|delta|=l} delta! W(delta, |gamma|)
+    / gamma! is built once per call, and
+
+        value(m, xi) = sum_{xi0 <= xi} xi! / xi0! T(m, xi0),
+        T(m, eta)    = sum_{l=1..m} sum_{|gamma| <= 2l} K_l(gamma)
+                       value(m - l, gamma + eta),
+
+    with T cached per (m, eta).  Taking the xi0 sum outermost, instead of
+    caching V_xi(p, g) = sum_{|gamma|=g} sum_{xi0 <= xi} xi! / (xi0! gamma!)
+    value(p, gamma + xi0) for each xi, lets one T serve every xi >= eta.
+    Kernels are held multiplied by (2M)!, which every gamma! divides, so the
+    sums run in integers and each value is one exact integer division.
     """
     if n < 1 or M < 0 or Kmax < 0:
         raise ValueError("need n >= 1, M >= 0, Kmax >= 0")
@@ -142,53 +173,67 @@ def worst_case_norm_table(n: int, M: int, Kmax: int) -> dict:
             "resource guard: the worst case table is combinatorial, "
             "keep n <= 2, M <= 6, Kmax <= 8"
         )
-    memo: dict = {}
+    scale = math.factorial(2 * M)
+    kernels = {l: _order_kernel(n, l, scale) for l in range(1, M + 1)}
+    values: dict = {}
+    totals: dict = {}
     zero = (0,) * n
 
-    def value(m: int, xi) -> Fraction:
+    def total(m: int, eta) -> int:
+        """scale * T(m, eta)."""
+        key = (m, eta)
+        hit = totals.get(key)
+        if hit is None:
+            hit = sum(
+                c * value(m - l, tuple(g + e for g, e in zip(gamma, eta)))
+                for l in range(1, m + 1)
+                for gamma, c in kernels[l]
+            )
+            totals[key] = hit
+        return hit
+
+    def value(m: int, xi) -> int:
         if m == 0:
-            return Fraction(1) if xi == zero else Fraction(0)
+            return 1 if xi == zero else 0
         key = (m, xi)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        xi_fact = multi_factorial(xi)
-        total = Fraction(0)
-        for l in range(1, m + 1):
-            for delta in exponents_of_degree(n, l):
-                delta_fact = multi_factorial(delta)
-                inner = Fraction(0)
-                for alpha in sub_indices(delta):
-                    for beta in sub_indices(delta):
-                        gmax = sum(alpha) + sum(beta)
-                        for gdeg in range(gmax + 1):
-                            for gamma in exponents_of_degree(n, gdeg):
-                                bin_a = _ones_binomial(alpha, gdeg)
-                                bin_b = _ones_binomial(beta, gdeg)
-                                gfact = multi_factorial(gamma)
-                                for xi0 in sub_indices(xi):
-                                    prev = value(
-                                        m - l,
-                                        tuple(g + x for g, x in zip(gamma, xi0)),
-                                    )
-                                    if prev == 0:
-                                        continue
-                                    inner += (
-                                        prev
-                                        * Fraction(xi_fact, multi_factorial(xi0) * gfact)
-                                        * bin_a
-                                        * bin_b
-                                    )
-                total += delta_fact * inner
-        memo[key] = total
-        return total
+        hit = values.get(key)
+        if hit is None:
+            xi_fact = multi_factorial(xi)
+            acc = sum(
+                xi_fact // multi_factorial(xi0) * total(m, xi0) for xi0 in sub_indices(xi)
+            )
+            hit = values[key] = acc // scale
+        return hit
 
     out = {}
     for m in range(M + 1):
         for k in range(Kmax + 1):
             xi = (k,) + (0,) * (n - 1)
-            out[(m, k)] = value(m, xi)
+            out[(m, k)] = Fraction(value(m, xi))
     return out
+
+
+def _order_kernel(n: int, l: int, scale: int) -> list:
+    """Pairs (gamma, scale * K_l(gamma)) for |gamma| <= 2l.
+
+    ``scale`` must be a multiple of (2l)!, so every entry is an integer.
+    """
+    weights = [0] * (2 * l + 1)  # sum_{|delta|=l} delta! W(delta, g)
+    for delta in exponents_of_degree(n, l):
+        subs = [(sum(a), a) for a in sub_indices(delta)]
+        delta_fact = multi_factorial(delta)
+        for g in range(2 * l + 1):
+            weights[g] += delta_fact * sum(
+                _ones_binomial(alpha, g) * _ones_binomial(beta, g)
+                for deg_a, alpha in subs
+                for deg_b, beta in subs
+                if deg_a + deg_b >= g
+            )
+    return [
+        (gamma, weights[g] * scale // multi_factorial(gamma))
+        for g in range(2 * l + 1)
+        for gamma in exponents_of_degree(n, g)
+    ]
 
 
 def _ones_binomial(alpha, g: int) -> int:

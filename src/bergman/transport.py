@@ -148,27 +148,3 @@ def reconstruct_coefficients(geom: GeometryPack, chain: TransportChain) -> list:
         out.append(geom.phase.to_xz(merge_y_into_x(p, n)))
     return out
 
-
-def amplitude_order_xyz(geom: GeometryPack, chain: TransportChain, m: int) -> TruncatedSeries:
-    """Order-m part of (1 + k (x-y).A + D_theta.A) / Delta0 in (x, y, z) blocks.
-
-    The k-weighted term shifts A_{m+1} down to order m, so this needs the
-    chain built through m + 1.  The result must not depend on the y block;
-    that is the content of the amplitude being a function of (x, z) alone.
-    """
-    n = geom.n
-    if m + 1 > chain.M:
-        raise ValueError(f"order {m} needs the chain through {m + 1}")
-    if m == 0:
-        p = TruncatedSeries.constant(3 * n, geom.degree - 2, 1)
-    else:
-        p = _divergence_theta(chain.A[m], n)
-    out_degree = p.trunc_degree
-    num = p
-    for i in range(n):
-        num = num + mul_trunc(_x_minus_y(n, i), chain.A[m + 1][i], out_degree)
-    inv_delta0 = geom.delta0_xytheta.invert().truncate(out_degree)
-    b_xytheta = num * inv_delta0
-    ids3 = TruncatedSeries.variables(3 * n, geom.degree - 1)
-    args = list(ids3[: 2 * n]) + [t for t in geom.theta]
-    return b_xytheta.compose(args)

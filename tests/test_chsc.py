@@ -55,6 +55,17 @@ class TestCoefficients:
                 scaled = chsc_coefficients(n, c, 5)
                 assert scaled == [c**m * unit[m] for m in range(6)]
 
+    def test_mutating_a_result_leaves_the_next_call_unchanged(self):
+        first = chsc_coefficients(2, 1, 4)
+        first[1] = F(99)
+        first.append(F(7))
+        assert chsc_coefficients(2, 1, 4) == [1, 3, 2, 0, 0]
+
+    def test_equal_curvatures_give_equal_constants(self):
+        results = [chsc_coefficients(2, c, 4) for c in (1, F(1), F(2, 2))]
+        assert results[0] == results[1] == results[2] == [1, 3, 2, 0, 0]
+        assert all(isinstance(v, F) for v in results[0])
+
 
 class TestPolynomialIdentity:
     def test_line(self):

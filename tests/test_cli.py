@@ -305,3 +305,14 @@ def test_invalid_input_exits_two_without_traceback(tmp_path, monkeypatch, capsys
     assert rc == 2
     assert "Traceback" not in err
     assert "error" in err
+
+
+def test_internal_error_exits_three_with_one_line(tmp_path, monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("unexpected\nstate")
+
+    monkeypatch.setattr(cli, "cmd_chsc_check", broken)
+    rc = main(["chsc-check", "--n", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == "internal error: RuntimeError: unexpected state\n"

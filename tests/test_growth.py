@@ -1,5 +1,7 @@
 """Growth fits, the worst case table, and the truncation rule checks."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 from math import factorial
@@ -8,6 +10,7 @@ import pytest
 
 from bergman.coefficients import bergman_coefficients, derivative_norm_table
 from bergman.growth import (
+    ResourceGuardError,
     exp_factorial_bound_check,
     fit_growth,
     truncation_minimizer,
@@ -95,6 +98,28 @@ class TestWorstCase:
     def test_resource_guard(self):
         with pytest.raises(ValueError, match="resource"):
             worst_case_norm_table(1, 40, 4)
+
+    def test_resource_guard_boundary(self):
+        table = worst_case_norm_table(1, 6, 8)
+        assert len(table) == 7 * 9
+        for args in [(1, 7, 0), (1, 0, 9), (3, 1, 0)]:
+            with pytest.raises(ResourceGuardError):
+                worst_case_norm_table(*args)
+
+    # SHA-256 of the JSON of {"m,k": str(value)} (sorted keys), recorded
+    # from the direct five-fold sum before it was factored.
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ((2, 4, 4), "630ef1b38f76839b2b760e22372ffb2dc83ceb6a01940b2b7f16b007fd7bdb0c"),
+            ((2, 5, 6), "b3223db4cf24c0e4727df66fa3c21e45e0005361d76da5ef03ccebc8982f3362"),
+        ],
+    )
+    def test_golden_values(self, args, digest):
+        table = worst_case_norm_table(*args)
+        record = {f"{m},{k}": str(v) for (m, k), v in table.items()}
+        got = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+        assert got == digest
 
 
 class TestTruncationMinimizer:

@@ -3,7 +3,9 @@
 The SHA-256 digests below were recorded from a fixed command matrix; a
 refactor of the exact pipeline must reproduce every report byte for byte.
 Only reports made of exact rationals, strings and verdicts are pinned, so the
-digests do not depend on float formatting or the numeric libraries.
+digests do not depend on float formatting or the numeric libraries.  The one
+exception is ``worst_case.csv``, whose ``ratio`` column is a quotient of two
+exact integers written in Python's shortest round-trip float form.
 """
 
 import hashlib
@@ -144,6 +146,8 @@ MATRIX = [
         {
             "worst_case.json":
                 "b1eb2c523ae20273d359892e52f00dbc91d08573fc44a5999c5d19ede443ab48",
+            "worst_case.csv":
+                "0bff858c97da77e7e118db5e9348291a31264dacaf7ef7b1fadb9afaa0fd50e3",
         },
     ),
     (

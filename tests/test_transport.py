@@ -12,9 +12,10 @@ from bergman.potential import (
     preset_flat,
     preset_quartic,
 )
-from bergman.series import TruncatedSeries
+from bergman.series import TruncatedSeries, mul_trunc
 from bergman.transport import (
-    amplitude_order_xyz,
+    _divergence_theta,
+    _x_minus_y,
     division_identity_gap,
     first_amplitude,
     next_amplitude,
@@ -23,6 +24,31 @@ from bergman.transport import (
 )
 
 F = Fraction
+
+
+def amplitude_order_xyz(geom, chain, m):
+    """Order-m part of (1 + k (x-y).A + D_theta.A) / Delta0 in (x, y, z) blocks.
+
+    The k-weighted term shifts A_{m+1} down to order m, so this needs the
+    chain built through m + 1.  The result must not depend on the y block;
+    that is the content of the amplitude being a function of (x, z) alone.
+    """
+    n = geom.n
+    if m + 1 > chain.M:
+        raise ValueError(f"order {m} needs the chain through {m + 1}")
+    if m == 0:
+        p = TruncatedSeries.constant(3 * n, geom.degree - 2, 1)
+    else:
+        p = _divergence_theta(chain.A[m], n)
+    out_degree = p.trunc_degree
+    num = p
+    for i in range(n):
+        num = num + mul_trunc(_x_minus_y(n, i), chain.A[m + 1][i], out_degree)
+    inv_delta0 = geom.delta0_xytheta.invert().truncate(out_degree)
+    b_xytheta = num * inv_delta0
+    ids3 = TruncatedSeries.variables(3 * n, geom.degree - 1)
+    args = list(ids3[: 2 * n]) + [t for t in geom.theta]
+    return b_xytheta.compose(args)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +83,6 @@ class TestFirstOrder:
         expm1_u = TruncatedSeries(
             1, D, {(j,): F(1, math.factorial(j)) for j in range(1, D + 1)}
         ).compose([u])
-        from bergman.series import mul_trunc
 
         xy = TruncatedSeries(3, 1, {(1, 0, 0): 1, (0, 1, 0): -1})
         assert mul_trunc(xy, chain.A[1][0], D) == expm1_u
