@@ -36,7 +36,6 @@ from .kernel import (
     choose_truncation_order,
     eval_KN,
     eval_KN_chsc_closed,
-    eval_KN_derivative,
     log_asymptotic_fit,
     scaling_fit,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "diastasis",
     "eval_KN",
     "eval_KN_chsc_closed",
-    "eval_KN_derivative",
     "exp_factorial_bound_check",
     "fit_growth",
     "flat_kernel",

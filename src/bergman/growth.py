@@ -129,6 +129,12 @@ class ResourceGuardError(ValueError):
     """A request is well formed but larger than the computation is sized for."""
 
 
+# Largest (M, Kmax) per n for worst_case_norm_table.  The table at each
+# corner took 0.33-0.82 s on a 2-CPU x86_64 VM under Python 3.11; one step
+# past a corner, (1,28,32), (2,12,12), (3,7,8) and (4,5,6) took 0.94-1.8 s.
+WORST_CASE_LIMITS = {1: (24, 28), 2: (10, 12), 3: (6, 10), 4: (4, 8), 5: (4, 4)}
+
+
 def worst_case_norm_table(n: int, M: int, Kmax: int) -> dict:
     """Equality case of the norm recursion with unit constant, exactly.
 
@@ -168,10 +174,11 @@ def worst_case_norm_table(n: int, M: int, Kmax: int) -> dict:
     """
     if n < 1 or M < 0 or Kmax < 0:
         raise ValueError("need n >= 1, M >= 0, Kmax >= 0")
-    if n > 2 or M > 6 or Kmax > 8:
+    M_max, K_max = WORST_CASE_LIMITS.get(n, (-1, -1))
+    if M > M_max or Kmax > K_max:
         raise ResourceGuardError(
-            "resource guard: the worst case table is combinatorial, "
-            "keep n <= 2, M <= 6, Kmax <= 8"
+            "resource guard: the worst case table is combinatorial; keep "
+            + ", ".join(f"n={k}: M <= {m}, Kmax <= {K}" for k, (m, K) in WORST_CASE_LIMITS.items())
         )
     scale = math.factorial(2 * M)
     kernels = {l: _order_kernel(n, l, scale) for l in range(1, M + 1)}

@@ -23,11 +23,27 @@ results are truncated to the degree they are guaranteed exact to:
 chosen output degree, for the few places where one factor is an exact
 polynomial and the plain rule would throw away valid coefficients.
 
-Storage is canonical: zero coefficients are dropped and keys are held in
-graded lexicographic order, so every iteration (and hence every floating
-point reduction) happens in one fixed, reproducible order.  Values are never
-mutated after construction; all operations return new objects and are safe to
-call from concurrent threads.
+Storage
+-------
+A series holds sorted packed keys and, in parallel, numerators over one
+common denominator.  A key packs an exponent tuple into one ``int`` with
+digits of ``shift`` bits, total degree first: ``p = sum(key)``, then
+``p = (p << shift) | e`` for each exponent.  The base ``2**shift`` exceeds
+every degree a result can hold, so no digit carries: adding keys multiplies
+monomials, and int order is graded lexicographic order.  A fresh series
+takes the smallest such base above its degree, a result the largest of its
+operands'; an operand with a smaller base is repacked.
+
+Exact numerators are ints over the least common multiple of the reduced
+term denominators, so a product sums ``num_a * num_b`` in ints over
+``den_a * den_b`` and reduces once per result, not once per term pair.  A
+series with a ``float`` or ``complex`` value is inexact: its values are its
+numerators, over 1, and an exact operand meeting it is divided out first,
+so each operation runs one loop for both kinds.  ``coeffs``, the view by
+exponent tuple, is built on first use in graded lexicographic order, so
+every iteration (and every floating point reduction) runs in one fixed
+order.  Nothing is mutated after construction, so values are safe to share
+between threads.
 
 Composition
 -----------
@@ -42,29 +58,28 @@ argument list share their powers.
 
 Trusted construction
 --------------------
-The public constructor validates every key (length, sign, degree) and sums
-duplicate keys, because specs, records and callers may hand it anything.
-The hot operations ``+``, unary ``-``, scalar ``*``, :func:`mul_trunc` and
-``compose`` build their results through ``TruncatedSeries._canonical``
-instead, which only drops zeros and sorts.  That is safe because each of
-them builds a dict with one entry per key, and every key is a componentwise
-sum of exponent tuples of valid operands of the same ``nvars``, so it has
-the right length and no negative entry.  ``+``, ``-`` and scalar ``*`` keep
-the keys of operands truncated at the same degree; :func:`mul_trunc` and
-``compose`` only keep keys of degree at most the output degree.
+The public constructor validates every exponent tuple (length, sign, degree)
+and sums duplicates, because specs, records and callers may hand it anything.
+Operations build their results through ``TruncatedSeries._canonical``, which
+only drops zeros, sorts and reduces the denominator.  That is safe because
+each makes one entry per key from keys of valid operands by digit arithmetic
+that cannot carry: sums of keys of total degree at most the output degree
+(products, ``invert``, ``compose``), a multi-index taken from digits at least
+as large (``diff``), a degree cut (``truncate``), or digits moved between
+slots (``remap_variables`` and bare ``compose`` arguments).
 """
 
 from __future__ import annotations
 
-import json
-from bisect import bisect_right
+from bisect import bisect_left
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial, gcd, lcm, perm
 from typing import Iterator, Sequence
 
 MultiIndex = tuple  # exponent tuples of non-negative ints
 
 _SCALARS = (int, float, complex, Fraction)
+_EXACT = (int, Fraction)
 
 
 def grlex_key(index: MultiIndex):
@@ -106,18 +121,31 @@ def sub_indices(bound: MultiIndex) -> Iterator[MultiIndex]:
             yield (head,) + tail
 
 
-def multi_binomial(upper: MultiIndex, lower: MultiIndex) -> int:
-    """Componentwise product of binomial coefficients."""
-    out = 1
-    for u, l in zip(upper, lower):
-        out *= comb(u, l)
-    return out
+def _shift_for(degree: int) -> int:
+    """Digit width of keys: bits of the smallest power of two above ``degree``."""
+    return max(degree, 1).bit_length()
+
+
+def _pack(key: MultiIndex, shift: int) -> int:
+    p = sum(key)
+    for e in key:
+        p = (p << shift) | e
+    return p
+
+
+def _unpack(p: int, nvars: int, shift: int) -> MultiIndex:
+    mask = (1 << shift) - 1
+    out = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        out[i] = p & mask
+        p >>= shift
+    return tuple(out)
 
 
 class TruncatedSeries:
     """A formal power series in ``nvars`` variables, truncated by total degree."""
 
-    __slots__ = ("nvars", "trunc_degree", "coeffs", "_terms")
+    __slots__ = ("nvars", "trunc_degree", "_shift", "_keys", "_nums", "_den", "_exact", "_coeffs")
 
     def __init__(self, nvars: int, trunc_degree: int, coeffs: dict | None = None):
         if nvars < 1:
@@ -135,15 +163,33 @@ class TruncatedSeries:
                 if sum(key) > trunc_degree or value == 0:
                     continue
                 clean[key] = clean.get(key, value * 0) + value
-        self._store(nvars, trunc_degree, clean)
+        shift = _shift_for(trunc_degree)
+        exact = all(isinstance(v, _EXACT) for v in clean.values())
+        den = lcm(*[v.denominator for v in clean.values()]) if exact else 1
+        packed = {
+            _pack(k, shift): v.numerator * (den // v.denominator) if exact else v
+            for k, v in clean.items()
+        }
+        self._store(nvars, trunc_degree, shift, packed, den, exact)
 
-    def _store(self, nvars: int, trunc_degree: int, acc: dict) -> None:
-        """Set the fields from one entry per valid key, dropping zeros, in grlex order."""
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "trunc_degree", trunc_degree)
-        ordered = {k: acc[k] for k in sorted(acc, key=grlex_key) if acc[k] != 0}
-        object.__setattr__(self, "coeffs", ordered)
-        object.__setattr__(self, "_terms", None)
+    def _store(self, nvars: int, trunc_degree: int, shift: int, acc: dict, den, exact: bool):
+        """Set the fields from packed key -> numerator over ``den``, in canonical form."""
+        keys = sorted(k for k, v in acc.items() if v)
+        nums = [acc[k] for k in keys]
+        if not exact:
+            if den != 1:
+                nums = [v / den for v in nums]
+            den = 1
+        elif den != 1:
+            g = gcd(den, *nums)
+            if den < 0:
+                g = -g
+            if g != 1:
+                nums = [v // g for v in nums]
+                den //= g
+        fields = (nvars, trunc_degree, shift, keys, nums, den, exact, None)
+        for name, value in zip(TruncatedSeries.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("TruncatedSeries is immutable")
@@ -151,15 +197,13 @@ class TruncatedSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _canonical(cls, nvars: int, trunc_degree: int, acc: dict) -> "TruncatedSeries":
-        """Trusted constructor for results of this module's own arithmetic.
-
-        ``acc`` must hold one entry per key, every key a tuple of ``nvars``
-        non-negative exponents of total degree at most ``trunc_degree``.
-        Only zeros are dropped and the keys sorted; nothing is checked.
-        """
+    def _canonical(
+        cls, nvars: int, trunc_degree: int, shift: int, acc: dict, den, exact: bool
+    ) -> "TruncatedSeries":
+        """Trusted constructor from packed key -> numerator over ``den``, one
+        entry per valid key of degree at most ``trunc_degree``; nothing is checked."""
         out = object.__new__(cls)
-        out._store(nvars, trunc_degree, acc)
+        out._store(nvars, trunc_degree, shift, acc, den, exact)
         return out
 
     @classmethod
@@ -185,22 +229,27 @@ class TruncatedSeries:
     # -- inspection --------------------------------------------------------
 
     @property
+    def coeffs(self) -> dict:
+        """Exponent tuple -> coefficient, graded lexicographic; built on first use, read only."""
+        if self._coeffs is None:
+            den = self._den
+            values = self._nums if den == 1 else [Fraction(v, den) for v in self._nums]
+            n, shift = self.nvars, self._shift
+            view = {_unpack(k, n, shift): v for k, v in zip(self._keys, values)}
+            object.__setattr__(self, "_coeffs", view)
+        return self._coeffs
+
+    @property
     def constant_term(self):
-        return self.coeffs.get((0,) * self.nvars, 0)
+        if not self._keys or self._keys[0] != 0:
+            return 0
+        return self._nums[0] if self._den == 1 else Fraction(self._nums[0], self._den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._keys
 
     def __getitem__(self, index) -> object:
         return self.coeffs.get(tuple(index), 0)
-
-    def sorted_terms(self) -> list:
-        """Terms as (degree, key, value), graded lexicographic, cached."""
-        if self._terms is None:
-            object.__setattr__(
-                self, "_terms", [(sum(k), k, v) for k, v in self.coeffs.items()]
-            )
-        return self._terms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -223,15 +272,16 @@ class TruncatedSeries:
             f"{len(self.coeffs)} terms [{head}{more}])"
         )
 
-    def same_through_degree(self, other: "TruncatedSeries", degree: int) -> bool:
-        """Coefficientwise equality of all terms with total degree <= degree."""
-        if self.nvars != other.nvars:
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        for k in keys:
-            if sum(k) <= degree and self.coeffs.get(k, 0) != other.coeffs.get(k, 0):
-                return False
-        return True
+    def _form(self, shift: int, exact: bool) -> tuple:
+        """(keys, numerators, denominator) with keys at ``shift`` (at least this
+        series' own) and, when ``exact`` is false, values over denominator 1."""
+        keys, nums, den = self._keys, self._nums, self._den
+        if shift != self._shift:
+            n, old = self.nvars, self._shift
+            keys = [_pack(_unpack(k, n, old), shift) for k in keys]
+        if den != 1 and not exact:
+            nums, den = [v / den for v in nums], 1
+        return keys, nums, den
 
     # -- ring operations ---------------------------------------------------
 
@@ -252,16 +302,15 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other, "add")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return TruncatedSeries._canonical(self.nvars, self.trunc_degree, out)
+        shift = max(self._shift, other._shift)
+        return _sum(self.nvars, self.trunc_degree, shift, [self, other])
 
     __radd__ = __add__
 
     def __neg__(self):
         return TruncatedSeries._canonical(
-            self.nvars, self.trunc_degree, {k: -v for k, v in self.coeffs.items()}
+            self.nvars, self.trunc_degree, self._shift,
+            dict(zip(self._keys, [-v for v in self._nums])), self._den, self._exact,
         )
 
     def __sub__(self, other):
@@ -278,10 +327,13 @@ class TruncatedSeries:
         if isinstance(other, _SCALARS):
             if other == 0:
                 return TruncatedSeries.zero(self.nvars, self.trunc_degree)
+            exact = self._exact and isinstance(other, _EXACT)
+            keys, nums, den = self._form(self._shift, exact)
+            if exact:
+                other, den = other.numerator, den * other.denominator
             return TruncatedSeries._canonical(
-                self.nvars,
-                self.trunc_degree,
-                {k: v * other for k, v in self.coeffs.items()},
+                self.nvars, self.trunc_degree, self._shift,
+                dict(zip(keys, [v * other for v in nums])), den, exact,
             )
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -310,40 +362,40 @@ class TruncatedSeries:
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be nonzero.
 
-        Solved degree by degree, so in exact arithmetic a * a.invert() == 1
-        through the truncation degree.
+        Solved degree by degree without division: with numerators A over
+        ``den`` and c = A_0, the levels U_0 = 1, U_d = -sum_e c^(e-1) A_e U_(d-e)
+        satisfy 1/A = sum_d U_d / c^(d+1), so the inverse is
+        ``den * sum_d U_d c^(D-d)`` over ``c^(D+1)``, reduced once.  In exact
+        arithmetic a * a.invert() == 1 through the truncation degree.
         """
-        c0 = self.constant_term
-        if c0 == 0:
+        if self.constant_term == 0:
             raise ValueError("invert: constant term is zero")
-        inv0 = Fraction(1, 1) / c0 if isinstance(c0, (int, Fraction)) else 1.0 / c0
-        n, D = self.nvars, self.trunc_degree
-        zero_key = (0,) * n
-        # a-terms of positive degree, grouped by degree
-        a_by_deg: dict[int, list] = {}
-        for d, k, v in self.sorted_terms():
-            if d > 0:
-                a_by_deg.setdefault(d, []).append((k, v))
-        out_by_deg: dict[int, dict] = {0: {zero_key: inv0}}
+        n, D, shift = self.nvars, self.trunc_degree, self._shift
+        width = shift * n
+        c = self._nums[0]
+        by_degree: dict[int, list] = {}  # positive-degree terms of A, times c^(e-1)
+        for k, v in zip(self._keys[1:], self._nums[1:]):
+            e = k >> width
+            by_degree.setdefault(e, []).append((k, v * c ** (e - 1)))
+        levels = [{0: 1}]
         for d in range(1, D + 1):
-            acc: dict[MultiIndex, object] = {}
-            for e in range(1, d + 1):
-                lower = out_by_deg.get(d - e)
-                if not lower:
-                    continue
-                for ka, va in a_by_deg.get(e, ()):
+            acc: dict = {}
+            get = acc.get
+            for e, terms in by_degree.items():
+                if e > d:
+                    break
+                lower = levels[d - e]
+                for ka, va in terms:
                     for kb, vb in lower.items():
-                        key = tuple(x + y for x, y in zip(ka, kb))
-                        acc[key] = acc.get(key, 0) + va * vb
-            level = {}
-            for key, val in acc.items():
-                if val != 0:
-                    level[key] = -inv0 * val
-            out_by_deg[d] = level
-        merged = {}
-        for level in out_by_deg.values():
-            merged.update(level)
-        return TruncatedSeries(n, D, merged)
+                        k = ka + kb
+                        acc[k] = get(k, 0) - va * vb
+            levels.append({k: v for k, v in acc.items() if v})
+        out = {}
+        for d, level in enumerate(levels):
+            scale = self._den * c ** (D - d)
+            for k, v in level.items():
+                out[k] = v * scale
+        return TruncatedSeries._canonical(n, D, shift, out, c ** (D + 1), self._exact)
 
     # -- calculus ----------------------------------------------------------
 
@@ -356,33 +408,21 @@ class TruncatedSeries:
         new_D = max(0, self.trunc_degree - order)
         if order == 0:
             return self.truncate(new_D)
+        n, shift = self.nvars, self._shift
+        mask = (1 << shift) - 1
+        slots = [(shift * (n - 1 - i), d) for i, d in enumerate(xi) if d]
+        step = _pack(xi, shift)
         out = {}
-        for key, value in self.coeffs.items():
+        for key, value in zip(self._keys, self._nums):
             factor = 1
-            new_key = []
-            ok = True
-            for e, d in zip(key, xi):
+            for offset, d in slots:
+                e = (key >> offset) & mask
                 if e < d:
-                    ok = False
                     break
-                for j in range(e, e - d, -1):
-                    factor *= j
-                new_key.append(e - d)
-            if ok:
-                out[tuple(new_key)] = value * factor
-        return TruncatedSeries(self.nvars, new_D, out)
-
-    def integrate(self, i: int) -> "TruncatedSeries":
-        """Formal antiderivative in variable i with zero constant of integration."""
-        out = {}
-        for key, value in self.coeffs.items():
-            new_key = key[:i] + (key[i] + 1,) + key[i + 1 :]
-            e = key[i] + 1
-            if isinstance(value, (int, Fraction)):
-                out[new_key] = value * Fraction(1, e)
+                factor *= perm(e, d)
             else:
-                out[new_key] = value / e
-        return TruncatedSeries(self.nvars, self.trunc_degree + 1, out)
+                out[key - step] = value * factor
+        return TruncatedSeries._canonical(n, new_D, shift, out, self._den, self._exact)
 
     # -- structural operations ----------------------------------------------
 
@@ -393,7 +433,11 @@ class TruncatedSeries:
             )
         if new_degree == self.trunc_degree:
             return self
-        return TruncatedSeries(self.nvars, new_degree, self.coeffs)
+        cut = bisect_left(self._keys, (new_degree + 1) << (self._shift * self.nvars))
+        return TruncatedSeries._canonical(
+            self.nvars, new_degree, self._shift,
+            dict(zip(self._keys[:cut], self._nums[:cut])), self._den, self._exact,
+        )
 
     def remap_variables(self, new_nvars: int, var_map: Sequence[int]) -> "TruncatedSeries":
         """Relocate variables; sources mapping to one target add exponents.
@@ -407,23 +451,25 @@ class TruncatedSeries:
             raise ValueError("var_map length must equal nvars")
         if any(t < 0 or t >= new_nvars for t in var_map):
             raise ValueError("var_map target out of range")
+        n, shift = self.nvars, self._shift
+        offsets = [shift * (new_nvars - 1 - t) for t in var_map]
+        width, new_width = shift * n, shift * new_nvars
         out = {}
-        for key, value in self.coeffs.items():
-            new_key = [0] * new_nvars
-            for e, target in zip(key, var_map):
-                new_key[target] += e
-            new_key = tuple(new_key)
+        for key, value in zip(self._keys, self._nums):
+            new_key = (key >> width) << new_width
+            for e, offset in zip(_unpack(key, n, shift), offsets):
+                new_key += e << offset
             out[new_key] = out.get(new_key, 0) + value
-        return TruncatedSeries(new_nvars, self.trunc_degree, out)
+        return TruncatedSeries._canonical(
+            new_nvars, self.trunc_degree, shift, out, self._den, self._exact
+        )
 
     def _bare_variable(self) -> int | None:
         """Slot i when this series is exactly the variable x_i (one term, exact 1), else None."""
-        if len(self.coeffs) != 1:
+        if len(self._keys) != 1 or not self._exact or self._nums[0] != self._den:
             return None
-        ((key, value),) = self.coeffs.items()
-        if sum(key) != 1 or value != 1 or not isinstance(value, (int, Fraction)):
-            return None
-        return key.index(1)
+        key = _unpack(self._keys[0], self.nvars, self._shift)
+        return key.index(1) if sum(key) == 1 else None
 
     def compose(
         self,
@@ -459,24 +505,27 @@ class TruncatedSeries:
         out_D = min(self.trunc_degree, tgt_D)
         if cache is None:
             cache = {}
-        moves = []  # (outer slot, target slot) of each bare-variable argument
+        shift = max(_shift_for(tgt_D), *(a._shift for a in args))
+        moves = []  # (outer slot, target digit offset) of each bare-variable argument
         substituted = []  # outer slots of the other arguments
         for i, a in enumerate(args):
             target = a._bare_variable()
             if target is None:
                 substituted.append(i)
             else:
-                moves.append((i, target))
+                moves.append((i, shift * (tgt_n - 1 - target)))
 
+        # argument valuation >= 1 makes outer terms above out_D vanish below it
+        n, own_shift = self.nvars, self._shift
+        cut = bisect_left(self._keys, (out_D + 1) << (own_shift * n))
+        tgt_width = shift * tgt_n
         groups: dict[MultiIndex, dict] = {}
-        for deg, key, value in self.sorted_terms():
-            if deg > out_D:
-                continue  # argument valuation >= 1 makes these vanish below out_D
-            moved = [0] * tgt_n
-            for i, target in moves:
-                moved[target] += key[i]
-            moved = tuple(moved)
-            group = groups.setdefault(tuple(key[i] for i in substituted), {})
+        for key, value in zip(self._keys[:cut], self._nums[:cut]):
+            e = _unpack(key, n, own_shift)
+            moved = sum(e[i] for i, _ in moves) << tgt_width
+            for i, offset in moves:
+                moved += e[i] << offset
+            group = groups.setdefault(tuple(e[i] for i in substituted), {})
             group[moved] = group.get(moved, 0) + value
 
         def power(gamma: MultiIndex) -> "TruncatedSeries":
@@ -490,14 +539,13 @@ class TruncatedSeries:
             cache[gamma] = p
             return p
 
-        acc: dict[MultiIndex, object] = {}
+        parts = []
         for gamma, group in groups.items():
-            part = TruncatedSeries._canonical(tgt_n, out_D, group)
+            part = TruncatedSeries._canonical(tgt_n, out_D, shift, group, self._den, self._exact)
             if any(gamma):
                 part = mul_trunc(part, power(gamma), out_D)
-            for k, v in part.coeffs.items():
-                acc[k] = acc.get(k, 0) + v
-        return TruncatedSeries._canonical(tgt_n, out_D, acc)
+            parts.append(part)
+        return _sum(tgt_n, out_D, shift, parts)
 
     # -- numerics ------------------------------------------------------------
 
@@ -509,10 +557,11 @@ class TruncatedSeries:
         """
         if len(point) != self.nvars:
             raise ValueError(f"expected point of length {self.nvars}")
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return 0j
         max_exp = [0] * self.nvars
-        for key in self.coeffs:
+        for key in coeffs:
             for i, e in enumerate(key):
                 if e > max_exp[i]:
                     max_exp[i] = e
@@ -524,7 +573,7 @@ class TruncatedSeries:
                 row.append(row[-1] * z)
             pows.append(row)
         total = 0j
-        for _, key, value in self.sorted_terms():
+        for key, value in coeffs.items():
             term = complex(value)
             for i, e in enumerate(key):
                 if e:
@@ -534,18 +583,15 @@ class TruncatedSeries:
 
     def to_float(self) -> "TruncatedSeries":
         """Copy with coefficients converted to float (complex left alone)."""
-        out = {}
-        for k, v in self.coeffs.items():
-            out[k] = complex(v) if isinstance(v, complex) else float(v)
-        return TruncatedSeries(self.nvars, self.trunc_degree, out)
+        return self * 1.0
 
     # -- serialization -------------------------------------------------------
 
     def to_record(self) -> dict:
         """Structured record; rational terms carry num/den, floats carry re/im."""
-        rational = all(isinstance(v, (int, Fraction)) for v in self.coeffs.values())
+        rational = all(isinstance(v, _EXACT) for v in self.coeffs.values())
         terms = []
-        for _, key, value in self.sorted_terms():
+        for key, value in self.coeffs.items():
             if rational:
                 f = Fraction(value)
                 terms.append({"index": list(key), "num": f.numerator, "den": f.denominator})
@@ -572,12 +618,24 @@ class TruncatedSeries:
                 coeffs[key] = v.real if v.imag == 0 else v
         return cls(record["nvars"], record["trunc_degree"], coeffs)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_record(), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "TruncatedSeries":
-        return cls.from_record(json.loads(text))
+def _sum(nvars: int, degree: int, shift: int, terms: Sequence[TruncatedSeries]) -> TruncatedSeries:
+    """Sum of series in ``nvars`` variables with no key above ``degree``, keys at ``shift``."""
+    exact = all(t._exact for t in terms)
+    forms = [t._form(shift, exact) for t in terms]
+    den = lcm(*[form[2] for form in forms])
+    acc: dict = {}
+    get = acc.get
+    for keys, nums, d in forms:
+        if d != den:
+            scale = den // d
+            nums = [v * scale for v in nums]
+        if acc:
+            for k, v in zip(keys, nums):
+                acc[k] = get(k, 0) + v
+        else:
+            acc.update(zip(keys, nums))
+    return TruncatedSeries._canonical(nvars, degree, shift, acc, den, exact)
 
 
 def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> TruncatedSeries:
@@ -591,22 +649,25 @@ def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> Trunca
         raise ValueError("mul: nvars mismatch")
     if out_degree < 0:
         raise ValueError("mul: out_degree must be non-negative")
-    a_terms = a.sorted_terms()
-    b_terms = b.sorted_terms()
-    if len(b_terms) < len(a_terms):
-        a_terms, b_terms = b_terms, a_terms
-    b_degs = [t[0] for t in b_terms]
-    acc: dict[MultiIndex, object] = {}
-    for dega, ka, va in a_terms:
-        limit = out_degree - dega
-        if limit < 0:
-            continue
-        hi = bisect_right(b_degs, limit)
-        for j in range(hi):
-            _, kb, vb = b_terms[j]
-            key = tuple(x + y for x, y in zip(ka, kb))
-            acc[key] = acc.get(key, 0) + va * vb
-    return TruncatedSeries._canonical(a.nvars, out_degree, acc)
+    shift = max(a._shift, b._shift, _shift_for(out_degree))
+    exact = a._exact and b._exact
+    a_keys, a_nums, a_den = a._form(shift, exact)
+    b_keys, b_nums, b_den = b._form(shift, exact)
+    if len(b_keys) < len(a_keys):
+        a_keys, a_nums, b_keys, b_nums = b_keys, b_nums, a_keys, a_nums
+    width = shift * a.nvars
+    b_terms = list(zip(b_keys, b_nums))
+    acc: dict = {}
+    get = acc.get
+    for ka, va in zip(a_keys, a_nums):
+        # b keys below this bound have degree at most out_degree - deg(ka)
+        bound = (out_degree + 1 - (ka >> width)) << width
+        if bound <= 0:
+            break
+        for kb, vb in b_terms[: bisect_left(b_keys, bound)]:
+            k = ka + kb
+            acc[k] = get(k, 0) + va * vb
+    return TruncatedSeries._canonical(a.nvars, out_degree, shift, acc, a_den * b_den, exact)
 
 
 def det(rows: Sequence[Sequence]):

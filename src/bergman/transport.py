@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .potential import DegreeBudgetError, GeometryPack, merge_y_into_x, segment_average
-from .series import TruncatedSeries, mul_trunc, unit
+from .series import TruncatedSeries, unit
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,6 @@ def _divergence_theta(vec, n: int) -> TruncatedSeries:
     return acc
 
 
-def _x_minus_y(n: int, i: int) -> TruncatedSeries:
-    """The exact degree-one factor x_i - y_i in (x, y, theta) blocks."""
-    return TruncatedSeries(3 * n, 1, {unit(3 * n, i): 1, unit(3 * n, n + i): -1})
-
-
 def _step_rhs(geom: GeometryPack, prev_vec) -> TruncatedSeries:
     """Delta0 * Q - P for one step, with P = D_theta . A_{m-1} and Q its diagonal pullback."""
     p = _divergence_theta(prev_vec, geom.n)
@@ -110,24 +105,6 @@ def transport_chain(geom: GeometryPack, M: int) -> TransportChain:
     for m in range(2, M + 1):
         vectors.append(next_amplitude(geom, vectors[m - 1], m))
     return TransportChain(n=n, M=M, A=tuple(vectors))
-
-
-def division_identity_gap(geom: GeometryPack, chain: TransportChain, m: int) -> TruncatedSeries:
-    """(x - y) . A_m minus its defining right hand side; zero when exact.
-
-    For m = 1 the right hand side is Delta0 - 1; for m >= 2 it is
-    Delta0 * (D_theta . A_{m-1})(x,x,theta(x,x,z(x,y,theta))) - D_theta . A_{m-1}.
-    """
-    n = geom.n
-    if m == 1:
-        rhs = geom.delta0_xytheta - 1
-    else:
-        rhs = _step_rhs(geom, chain.A[m - 1])
-    out_degree = min(chain.A[m][0].trunc_degree + 1, rhs.trunc_degree)
-    lhs = TruncatedSeries.zero(3 * n, out_degree)
-    for i in range(n):
-        lhs = lhs + mul_trunc(_x_minus_y(n, i), chain.A[m][i], out_degree)
-    return lhs - rhs.truncate(out_degree)
 
 
 def reconstruct_coefficients(geom: GeometryPack, chain: TransportChain) -> list:

@@ -283,7 +283,7 @@ INVALID_INPUTS = {
     "spec_not_json": ["polarize", "--spec", "broken.json"],
     "spec_missing_terms": ["polarize", "--spec", "missing.json"],
     "spec_n_not_integer": ["polarize", "--spec", "text_n.json"],
-    "worst_case_over_guard": ["growth", "--task", "worst-case", "--n", "3"],
+    "worst_case_over_guard": ["growth", "--task", "worst-case", "--n", "3", "--order", "7"],
 }
 
 

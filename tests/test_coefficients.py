@@ -78,9 +78,8 @@ class TestContracts:
     def test_truncation_stability(self, quartic_table):
         low = bergman_coefficients(build_geometry(preset_quartic(1, F(1, 10), 8)), 2)
         for m in range(3):
-            assert low.b[m].same_through_degree(
-                quartic_table.b[m], low.degrees[m] if m < len(low.degrees) else 0
-            )
+            # equal through the lower table's degree, term by term
+            assert low.b[m] == quartic_table.b[m].truncate(low.degrees[m])
 
     def test_on_diagonal_reality(self, quartic_table):
         from bergman.sampling import polydisc_points

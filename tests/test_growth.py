@@ -10,6 +10,7 @@ import pytest
 
 from bergman.coefficients import bergman_coefficients, derivative_norm_table
 from bergman.growth import (
+    WORST_CASE_LIMITS,
     ResourceGuardError,
     exp_factorial_bound_check,
     fit_growth,
@@ -97,14 +98,18 @@ class TestWorstCase:
 
     def test_resource_guard(self):
         with pytest.raises(ValueError, match="resource"):
-            worst_case_norm_table(1, 40, 4)
+            worst_case_norm_table(3, 7, 8)
 
     def test_resource_guard_boundary(self):
-        table = worst_case_norm_table(1, 6, 8)
-        assert len(table) == 7 * 9
-        for args in [(1, 7, 0), (1, 0, 9), (3, 1, 0)]:
-            with pytest.raises(ResourceGuardError):
-                worst_case_norm_table(*args)
+        # the two cheapest corners run; one step past any corner is refused
+        for n, M, Kmax in [(1, 24, 28), (4, 4, 8)]:
+            assert len(worst_case_norm_table(n, M, Kmax)) == (M + 1) * (Kmax + 1)
+        for n, (M, Kmax) in WORST_CASE_LIMITS.items():
+            for args in [(n, M + 1, 0), (n, 0, Kmax + 1)]:
+                with pytest.raises(ResourceGuardError):
+                    worst_case_norm_table(*args)
+        with pytest.raises(ResourceGuardError):
+            worst_case_norm_table(max(WORST_CASE_LIMITS) + 1, 0, 0)
 
     # SHA-256 of the JSON of {"m,k": str(value)} (sorted keys), recorded
     # from the direct five-fold sum before it was factored.

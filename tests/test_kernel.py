@@ -1,7 +1,9 @@
 """Kernel evaluation against the exact model kernels, and the decay fits."""
 
+import cmath
 import math
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -11,15 +13,77 @@ from bergman.kernel import (
     choose_truncation_order,
     eval_KN,
     eval_KN_chsc_closed,
-    eval_KN_derivative,
     log_asymptotic_fit,
     make_chsc_closed_evaluator,
     make_series_evaluator,
     scaling_fit,
 )
 from bergman.potential import build_geometry, preset_chsc, preset_flat, preset_quartic
+from bergman.series import TruncatedSeries, sub_indices, unit
 
 F = Fraction
+
+
+def multi_binomial(upper, lower):
+    """Componentwise product of binomial coefficients."""
+    out = 1
+    for u, l in zip(upper, lower):
+        out *= comb(u, l)
+    return out
+
+
+def eval_KN_derivative(geom, table, k, N, x, y, alpha):
+    """Derivative D^alpha of the order-N kernel approximation at (x, y).
+
+    ``alpha`` is a multi-index over the 2n holomorphic slots (x-block, then
+    the conjugate-y block; the kernel is antiholomorphic in y, so y
+    derivatives act through conj(y)).  Exponential derivatives follow the
+    recursion ``T_{b+e_i} = D_i T_b + k (D_i psi) T_b`` with
+    ``T_b = e^{-k psi} D^b e^{k psi}``, everything by series differentiation.
+    Ungated variant: no sharp numeric target, finite differences are the
+    test oracle.
+    """
+    n = geom.n
+    alpha = tuple(alpha)
+    if len(alpha) != 2 * n or any(e < 0 for e in alpha):
+        raise ValueError(f"bad derivative multi-index {alpha}")
+    if N > table.M:
+        raise ValueError(f"order {N} exceeds the computed table order {table.M}")
+    psi_f = geom.psi.to_float()
+    D = psi_f.trunc_degree
+    psi_grad = [psi_f.diff(unit(2 * n, i)) for i in range(2 * n)]
+    amp_degree = min([table.b[j].trunc_degree for j in range(1, N + 1)], default=D)
+    amp = TruncatedSeries.constant(2 * n, amp_degree, 1.0)
+    for j in range(1, N + 1):
+        amp = amp + table.b[j].to_float().truncate(amp_degree) * (1.0 / k**j)
+
+    exp_factors: dict = {(0,) * (2 * n): TruncatedSeries.one(2 * n, D)}
+
+    def exp_factor(beta):
+        hit = exp_factors.get(beta)
+        if hit is not None:
+            return hit
+        i = max(j for j, e in enumerate(beta) if e > 0)
+        lower = beta[:i] + (beta[i] - 1,) + beta[i + 1 :]
+        t = exp_factor(lower)
+        out_D = t.trunc_degree - 1
+        step = t.diff(unit(2 * n, i))
+        mixed = (psi_grad[i].truncate(out_D) * t.truncate(out_D)) * float(k)
+        result = step + mixed
+        exp_factors[beta] = result
+        return result
+
+    point = list(complex(v) for v in x) + [complex(v).conjugate() for v in y]
+    total = 0j
+    for beta in sub_indices(alpha):
+        rest = tuple(a - b for a, b in zip(alpha, beta))
+        t = exp_factor(beta)
+        db = amp.diff(rest)
+        out_D = min(t.trunc_degree, db.trunc_degree)
+        piece = t.truncate(out_D) * db.truncate(out_D)
+        total += multi_binomial(alpha, beta) * piece.eval(point)
+    psi_xy = psi_f.eval(point)
+    return (k / math.pi) ** n * cmath.exp(k * psi_xy) * total
 
 
 @pytest.fixture(scope="module")

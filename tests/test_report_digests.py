@@ -170,6 +170,20 @@ MATRIX = [
                 "07d2af79dd1da7ed8179e3a6fc7f78f531936db06c383e58c0952e210eda3e83",
         },
     ),
+    # n=3 composes in 3n = 9 variables, the widest exponent key of the matrix
+    (
+        ["coeffs", "--preset", "chsc", "--n", "3", "--param", "1/3", "--degree", "8",
+         "--order", "2"],
+        0,
+        {
+            "coefficients.json":
+                "5f28f673eb06d2edd540fd2e54c58dfbb034086023e17aaac5e069b694dfaffe",
+            "transport.json":
+                "431eaed7e2b9fd7032fd3121022290e073ee94980309cec31d3e14d5a7bdf89f",
+            "crosscheck.json":
+                "dcf847d71519aaf04b1e5be514f97a57d499691e02502b7d1b2c1ba357e23bd4",
+        },
+    ),
 ]
 
 

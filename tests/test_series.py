@@ -1,5 +1,6 @@
 """Series core: arithmetic, composition, determinants, serialization."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -32,6 +33,38 @@ def exp_series(D):
 def log1p_series(D):
     # log(1 + u) = u - u^2/2 + u^3/3 - ...
     return univar(D, [0] + [F((-1) ** (i + 1), i) for i in range(1, D + 1)])
+
+
+def integrate(f, i):
+    """Formal antiderivative of f in variable i with zero constant of integration."""
+    out = {}
+    for key, value in f.coeffs.items():
+        new_key = key[:i] + (key[i] + 1,) + key[i + 1 :]
+        e = key[i] + 1
+        if isinstance(value, (int, Fraction)):
+            out[new_key] = value * Fraction(1, e)
+        else:
+            out[new_key] = value / e
+    return TruncatedSeries(f.nvars, f.trunc_degree + 1, out)
+
+
+def same_through_degree(f, g, degree):
+    """Coefficientwise equality of all terms with total degree <= degree."""
+    if f.nvars != g.nvars:
+        return False
+    keys = set(f.coeffs) | set(g.coeffs)
+    for k in keys:
+        if sum(k) <= degree and f.coeffs.get(k, 0) != g.coeffs.get(k, 0):
+            return False
+    return True
+
+
+def to_json(f):
+    return json.dumps(f.to_record(), sort_keys=True)
+
+
+def from_json(text):
+    return TruncatedSeries.from_record(json.loads(text))
 
 
 def random_series(rng, nvars, D, max_terms=6):
@@ -183,7 +216,7 @@ class TestDiff:
 
     def test_integrate_inverts_diff(self):
         f = univar(4, [0, 1, F(1, 2), F(1, 3)])
-        assert f.diff((1,)).integrate(0).truncate(4).same_through_degree(f, 3)
+        assert same_through_degree(integrate(f.diff((1,)), 0).truncate(4), f, 3)
 
 
 def matmul(a, b):
@@ -405,6 +438,156 @@ class TestTrustedConstructor:
         assert all(len(key) == 2 for key in cache)
 
 
+# -- the packed integer core against plain loops on exponent tuples ----------
+
+LARGE_PRIMES = (998_244_353, 1_000_000_007, 2**61 - 1)
+SMALL_INTS = st.integers(-6, 6)
+
+# Exact kinds may mix freely.  Float and complex coefficients are dyadic
+# (k/4), so every sum and product below is exact in binary floating point
+# and the two loops must agree bit for bit, whatever their summation order.
+COEFFICIENTS = {
+    "int": SMALL_INTS,
+    "fraction": st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    "large_prime": st.builds(Fraction, SMALL_INTS, st.sampled_from(LARGE_PRIMES)),
+    "mixed": st.one_of(
+        SMALL_INTS,
+        st.fractions(min_value=-3, max_value=3, max_denominator=12),
+        st.builds(Fraction, SMALL_INTS, st.sampled_from(LARGE_PRIMES)),
+    ),
+    "float": SMALL_INTS.map(lambda k: k / 4),
+    "complex": st.builds(lambda a, b: complex(a / 4, b / 4), SMALL_INTS, SMALL_INTS),
+}
+KINDS = sorted(COEFFICIENTS)
+# nonzero constant terms whose powers and inverses stay exact for every kind
+CONSTANTS = {
+    "int": st.sampled_from([1, -2, 3]),
+    "fraction": st.sampled_from([F(1), F(-2, 3), F(5, 4)]),
+    "large_prime": st.builds(Fraction, st.sampled_from([-3, 1, 5]), st.sampled_from(LARGE_PRIMES)),
+    "mixed": st.sampled_from([1, F(-7, 2), F(3, 2**61 - 1)]),
+    "float": st.sampled_from([1.0, -2.0, 0.5]),
+    "complex": st.sampled_from([complex(2, 0), complex(0, -0.5), complex(1, 0)]),
+}
+
+
+def exponent(nvars, degree, min_degree=0):
+    """An exponent tuple of total degree in [min_degree, degree], as a multiset of slots."""
+    slots = st.lists(st.integers(0, nvars - 1), min_size=min(min_degree, degree), max_size=degree)
+    return slots.map(lambda picks: tuple(picks.count(i) for i in range(nvars)))
+
+
+def coefficient_map(nvars, degree, kind, min_degree=0, max_terms=6):
+    return st.dictionaries(
+        exponent(nvars, degree, min_degree), COEFFICIENTS[kind], max_size=max_terms
+    )
+
+
+def _expected(nvars, degree, plain):
+    """What _items gives for a coefficient map, built without the series type."""
+    terms = [(k, v) for k, v in plain.items() if sum(k) <= degree and v != 0]
+    return nvars, degree, sorted(terms, key=lambda kv: (sum(kv[0]), kv[0]))
+
+
+def _plain_invert(f: dict, nvars, degree) -> dict:
+    """Inverse coefficient map by the degree-by-degree solve, one term pair at a time."""
+    zero = (0,) * nvars
+    c0 = f[zero]
+    inv0 = Fraction(1) / c0 if isinstance(c0, (int, Fraction)) else 1 / c0
+    out = {zero: inv0}
+    for d in range(1, degree + 1):
+        level = {}
+        for ka, va in f.items():
+            for kb, vb in out.items():
+                if 0 < sum(ka) and sum(ka) + sum(kb) == d:
+                    key = tuple(x + y for x, y in zip(ka, kb))
+                    level[key] = level.get(key, 0) + va * vb
+        out.update({k: -inv0 * v for k, v in level.items()})
+    return out
+
+
+class TestPackedCore:
+    """Products, inverses and compositions of the packed core, against plain loops."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_mul_trunc(self, kind, data):
+        nvars = data.draw(st.integers(1, 9))
+        da, db = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+        a = data.draw(coefficient_map(nvars, da, kind))
+        b = data.draw(coefficient_map(nvars, db, data.draw(st.sampled_from([kind, "int"]))))
+        # up to two degrees above either operand, as for (x - y) . A
+        out_degree = data.draw(st.integers(0, max(da, db) + 2))
+        got = mul_trunc(TruncatedSeries(nvars, da, a), TruncatedSeries(nvars, db, b), out_degree)
+        assert _items(got) == _expected(nvars, out_degree, _plain_mul(a, b, out_degree))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_ring_operations(self, kind, data):
+        nvars, degree = data.draw(st.integers(1, 9)), data.draw(st.integers(0, 8))
+        a = data.draw(coefficient_map(nvars, degree, kind))
+        b = data.draw(coefficient_map(nvars, degree, data.draw(st.sampled_from([kind, "int"]))))
+        c = data.draw(CONSTANTS[kind])
+        sa, sb = TruncatedSeries(nvars, degree, a), TruncatedSeries(nvars, degree, b)
+        keys = set(a) | set(b)
+        cases = [
+            (sa + sb, {k: a.get(k, 0) + b.get(k, 0) for k in keys}),
+            (sa - sb, {k: a.get(k, 0) - b.get(k, 0) for k in keys}),
+            (sa * c, {k: v * c for k, v in a.items()}),
+        ]
+        for got, plain in cases:
+            assert _items(got) == _expected(nvars, degree, plain)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_invert(self, kind, data):
+        nvars, degree = data.draw(st.integers(1, 9)), data.draw(st.integers(0, 6))
+        f = data.draw(coefficient_map(nvars, degree, kind, min_degree=1, max_terms=4))
+        f[(0,) * nvars] = data.draw(CONSTANTS[kind])
+        got = TruncatedSeries(nvars, degree, f).invert()
+        assert _items(got) == _expected(nvars, degree, _plain_invert(f, nvars, degree))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_compose(self, kind, data):
+        outer_n, nvars = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 9))
+        outer_D, degree = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 5))
+        f = data.draw(coefficient_map(outer_n, outer_D, kind, max_terms=4))
+        args = []
+        for _ in range(outer_n):
+            if data.draw(st.booleans()):
+                args.append({unit(nvars, data.draw(st.integers(0, nvars - 1))): 1})
+            else:
+                dense = coefficient_map(nvars, degree, "int", min_degree=1, max_terms=3)
+                args.append(data.draw(dense))
+        outer = TruncatedSeries(outer_n, outer_D, f)
+        inner = [TruncatedSeries(nvars, degree, arg) for arg in args]
+        out_D = min(outer_D, degree)
+        want = _expected(nvars, out_D, _plain_compose(outer, inner, out_D))
+        assert _items(outer.compose(inner)) == want
+
+    @pytest.mark.parametrize("nvars", [1, 3, 9])
+    @pytest.mark.parametrize("out_degree", [1, 2, 3, 4, 7, 8, 15, 16])
+    def test_exponents_reach_the_top_digit(self, nvars, out_degree):
+        # One slot takes the whole output degree.  Keys use base 2^bitlen(D),
+        # so at D = 2^k - 1 that digit is the largest the base holds, and at
+        # D = 2^k a base of D would carry it into the next slot.
+        def power(p):
+            return tuple(p if i == nvars - 1 else 0 for i in range(nvars))
+
+        for p in range(out_degree + 1):
+            a = {power(p): F(1, 3), (0,) * nvars: 2}
+            b = {power(out_degree - p): F(-5, 7), unit(nvars, 0): 1}
+            da, db = max(p, 1), max(out_degree - p, 1)
+            sa, sb = TruncatedSeries(nvars, da, a), TruncatedSeries(nvars, db, b)
+            got = mul_trunc(sa, sb, out_degree)
+            assert _items(got) == _expected(nvars, out_degree, _plain_mul(a, b, out_degree))
+            assert got[power(out_degree)] != 0
+
+
 class TestFloatBackend:
     def test_agreement_with_rational(self):
         rng = random.Random(29)
@@ -459,7 +642,7 @@ class TestSerialization:
     def test_rational_roundtrip_lossless(self):
         rng = random.Random(31)
         f = random_series(rng, 3, 5)
-        assert TruncatedSeries.from_json(f.to_json()) == f
+        assert from_json(to_json(f)) == f
 
     def test_record_shape(self):
         f = TruncatedSeries(1, 2, {(1,): F(-3, 7)})
@@ -469,4 +652,4 @@ class TestSerialization:
 
     def test_float_roundtrip(self):
         f = univar(3, [1.5, -0.25]).to_float()
-        assert TruncatedSeries.from_json(f.to_json()) == f
+        assert from_json(to_json(f)) == f

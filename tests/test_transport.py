@@ -12,11 +12,10 @@ from bergman.potential import (
     preset_flat,
     preset_quartic,
 )
-from bergman.series import TruncatedSeries, mul_trunc
+from bergman.series import TruncatedSeries, mul_trunc, unit
 from bergman.transport import (
     _divergence_theta,
-    _x_minus_y,
-    division_identity_gap,
+    _step_rhs,
     first_amplitude,
     next_amplitude,
     reconstruct_coefficients,
@@ -24,6 +23,29 @@ from bergman.transport import (
 )
 
 F = Fraction
+
+
+def _x_minus_y(n, i):
+    """The exact degree-one factor x_i - y_i in (x, y, theta) blocks."""
+    return TruncatedSeries(3 * n, 1, {unit(3 * n, i): 1, unit(3 * n, n + i): -1})
+
+
+def division_identity_gap(geom, chain, m):
+    """(x - y) . A_m minus its defining right hand side; zero when exact.
+
+    For m = 1 the right hand side is Delta0 - 1; for m >= 2 it is
+    Delta0 * (D_theta . A_{m-1})(x,x,theta(x,x,z(x,y,theta))) - D_theta . A_{m-1}.
+    """
+    n = geom.n
+    if m == 1:
+        rhs = geom.delta0_xytheta - 1
+    else:
+        rhs = _step_rhs(geom, chain.A[m - 1])
+    out_degree = min(chain.A[m][0].trunc_degree + 1, rhs.trunc_degree)
+    lhs = TruncatedSeries.zero(3 * n, out_degree)
+    for i in range(n):
+        lhs = lhs + mul_trunc(_x_minus_y(n, i), chain.A[m][i], out_degree)
+    return lhs - rhs.truncate(out_degree)
 
 
 def amplitude_order_xyz(geom, chain, m):
