@@ -11,9 +11,7 @@ from .chsc import (
     ChscModel,
     chsc_coefficients,
     cpn_kernel,
-    cpn_kernel_monomial_sum,
     delta0_taylor_coeffs,
-    flat_kernel,
     polynomial_identity_check,
 )
 from .coefficients import (
@@ -84,7 +82,6 @@ __all__ = [
     "choose_truncation_order",
     "chsc_coefficients",
     "cpn_kernel",
-    "cpn_kernel_monomial_sum",
     "delta0_taylor_coeffs",
     "derivative_norm_table",
     "diastasis",
@@ -92,7 +89,6 @@ __all__ = [
     "eval_KN_chsc_closed",
     "exp_factorial_bound_check",
     "fit_growth",
-    "flat_kernel",
     "log_asymptotic_fit",
     "make_preset",
     "mul_trunc",

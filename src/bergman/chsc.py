@@ -9,9 +9,8 @@ ratio Delta0 written as a function of the scalar ``c theta . (x - y)``.
 Curvature normalization: the projective model has holomorphic sectional
 curvature 1 (not 2); all constants follow that convention.
 
-The module also carries the two exact model kernels used as end-to-end
-oracles: the projective space kernel in an affine chart and the flat
-Bargmann-Fock kernel.
+The module also carries the exact projective space kernel in an affine
+chart, the end-to-end oracle for the chsc coefficients.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .series import TruncatedSeries, exponents_of_degree, multi_factorial
+from .series import TruncatedSeries
 
 
 def delta0_taylor_coeffs(n: int, L: int) -> list:
@@ -119,37 +118,6 @@ def cpn_kernel(n: int, k: int, x: Sequence[complex], y: Sequence[complex]) -> co
     # (k+n)!/k! as an exact integer: the factorials themselves overflow a float
     coef = math.prod(range(k + 1, k + n + 1)) / math.pi**n
     return coef * (1 + w) ** k
-
-
-def cpn_kernel_monomial_sum(n: int, k: int, x: Sequence[complex], y: Sequence[complex]) -> complex:
-    """Brute-force oracle: sum over the monomial section basis.
-
-    Monomials z^alpha with |alpha| <= k have squared norms
-    pi^n alpha! (k - |alpha|)! / (k + n)!; the kernel is the normalized sum
-    of x^alpha conj(y)^alpha.
-    """
-    total = 0j
-    for deg in range(k + 1):
-        for alpha in exponents_of_degree(n, deg):
-            term = 1 + 0j
-            for a, xi, yi in zip(alpha, x, y):
-                term *= complex(xi) ** a * complex(yi).conjugate() ** a
-            norm_sq = (
-                math.pi**n
-                * multi_factorial(alpha)
-                * math.factorial(k - deg)
-                / math.factorial(k + n)
-            )
-            total += term / norm_sq
-    return total
-
-
-def flat_kernel(n: int, k: int, x: Sequence[complex], y: Sequence[complex]) -> complex:
-    """The Bargmann-Fock kernel (k/pi)^n exp(k x . conj(y))."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    w = sum(complex(a) * complex(b).conjugate() for a, b in zip(x, y))
-    return (k / math.pi) ** n * cmath.exp(k * w)
 
 
 def chsc_psi_value(n: int, c, x: Sequence[complex], zbar: Sequence[complex]) -> complex:

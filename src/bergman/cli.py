@@ -7,9 +7,10 @@ produced it, and contains no timestamps, so re-running a command with the
 same configuration writes byte-identical files.
 
 Exit codes: 0 when every verdict in the run passed, 1 when a verdict failed,
-2 for invalid input (malformed arguments or spec files, spec validation,
-missing files, evaluation points outside the radius, insufficient degree,
-requests over a resource guard), and 3 for an unexpected internal error,
+2 for invalid input (malformed arguments, spec files or coefficient tables,
+a table of another dimension than the spec, spec validation, missing files,
+evaluation points outside the radius, insufficient degree, requests over a
+resource guard), and 3 for an unexpected internal error,
 reported as one ``internal error:`` line on stderr instead of a traceback.
 A failed transport cross-check names the first differing term in
 ``crosscheck.json``.
@@ -194,7 +195,8 @@ def _parse_point(text: str, n: int) -> list:
         raise SpecValidationError(f"point {text!r} is not a list of complex numbers") from None
 
 
-def _load_table(coeffs: str | None) -> CoefficientTable:
+def _load_table(coeffs: str | None, n: int) -> CoefficientTable:
+    """The coefficient table in ``coeffs``, checked against the spec dimension ``n``."""
     if coeffs is None:
         raise SpecValidationError(
             "--coeffs is required: a coefficients.json from the coeffs command"
@@ -202,9 +204,24 @@ def _load_table(coeffs: str | None) -> CoefficientTable:
     path = Path(coeffs)
     if not path.exists():
         raise FileNotFoundError(f"coefficient file not found: {path}")
-    with open(path) as fh:
-        rec = json.load(fh)
-    return CoefficientTable.from_record(rec["table"])
+    try:
+        with open(path) as fh:
+            table = CoefficientTable.from_record(json.load(fh)["table"])
+        consistent = len(table.b) == table.M + 1 and all(b.nvars == 2 * table.n for b in table.b)
+    except KeyError as err:
+        raise SpecValidationError(f"coefficient file {path} is missing the key {err}") from err
+    except (TypeError, ValueError, ZeroDivisionError) as err:
+        raise SpecValidationError(f"malformed coefficient file {path}: {err}") from err
+    if not consistent:
+        raise SpecValidationError(
+            f"malformed coefficient file {path}: expected M + 1 = {table.M + 1} series "
+            f"in {2 * table.n} variables"
+        )
+    if table.n != n:
+        raise SpecValidationError(
+            f"coefficient file {path} is for dimension n={table.n}, but the spec has n={n}"
+        )
+    return table
 
 
 def _first_mismatch(m: int, reconstructed: TruncatedSeries, table_b: TruncatedSeries) -> dict:
@@ -309,8 +326,8 @@ def cmd_eval(args) -> int:
             raise SpecValidationError(
                 f"{option} {text!r} lies outside the evaluation radius {spec.eval_radius}"
             )
+    table = _load_table(args.coeffs, spec.n)
     geom = build_geometry(spec)
-    table = _load_table(args.coeffs)
     if table.spec_sha256 != spec.sha256():
         print("warning: coefficient file was built from a different spec", file=sys.stderr)
     clamped = False
@@ -356,7 +373,7 @@ def cmd_asymptotics(args) -> int:
     else:
         spec = _load_spec(args)
         n = spec.n
-        table = _load_table(args.coeffs)
+        table = _load_table(args.coeffs, n)
         geom = build_geometry(spec)
         evaluator = make_series_evaluator(geom, table)
         spec_hash = spec.sha256()
@@ -403,8 +420,8 @@ def cmd_growth(args) -> int:
     out = Path(args.out)
     if args.task == "fit":
         spec = _load_spec(args)
+        table = _load_table(args.coeffs, spec.n)
         geom = build_geometry(spec)
-        table = _load_table(args.coeffs)
         norms = derivative_norm_table(
             table, geom, args.norm_radius, args.grid, xi_max=args.xi_max
         )

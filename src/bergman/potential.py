@@ -155,11 +155,6 @@ class PotentialSpec:
         except (TypeError, ValueError, ZeroDivisionError) as err:
             raise SpecValidationError(f"malformed spec record: {err}") from err
 
-    def to_file(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_record(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
     @classmethod
     def from_file(cls, path) -> "PotentialSpec":
         with open(path) as fh:

@@ -2,10 +2,10 @@
 
 Every symbolic object in this package (potentials, phases, Jacobian factors,
 kernel coefficients) is carried by one type: a finite sparse map from exponent
-tuples to coefficients, truncated by total degree.  Coefficients may be exact
-(``int`` / ``fractions.Fraction``) or inexact (``float`` / ``complex``); the
-algebraic identities asserted by the test suite run in exact mode, numeric
-kernel evaluation converts to floats first via :meth:`TruncatedSeries.to_float`.
+tuples to exact rational coefficients (``int`` / ``fractions.Fraction``),
+truncated by total degree.  The constructor rejects any other coefficient
+type.  Numeric kernel evaluation reads the exact coefficients through
+:meth:`TruncatedSeries.eval`, which converts each one to ``complex``.
 
 Truncation discipline
 ---------------------
@@ -34,16 +34,13 @@ monomials, and int order is graded lexicographic order.  A fresh series
 takes the smallest such base above its degree, a result the largest of its
 operands'; an operand with a smaller base is repacked.
 
-Exact numerators are ints over the least common multiple of the reduced
-term denominators, so a product sums ``num_a * num_b`` in ints over
-``den_a * den_b`` and reduces once per result, not once per term pair.  A
-series with a ``float`` or ``complex`` value is inexact: its values are its
-numerators, over 1, and an exact operand meeting it is divided out first,
-so each operation runs one loop for both kinds.  ``coeffs``, the view by
-exponent tuple, is built on first use in graded lexicographic order, so
-every iteration (and every floating point reduction) runs in one fixed
-order.  Nothing is mutated after construction, so values are safe to share
-between threads.
+Numerators are ints over the least common multiple of the reduced term
+denominators, so a product sums ``num_a * num_b`` in ints over
+``den_a * den_b`` and reduces once per result, not once per term pair.
+``coeffs``, the view by exponent tuple, is built on first use in graded
+lexicographic order, so every iteration (and every floating point reduction
+in ``eval``) runs in one fixed order.  Nothing is mutated after
+construction, so values are safe to share between threads.
 
 Composition
 -----------
@@ -78,8 +75,7 @@ from typing import Iterator, Sequence
 
 MultiIndex = tuple  # exponent tuples of non-negative ints
 
-_SCALARS = (int, float, complex, Fraction)
-_EXACT = (int, Fraction)
+_SCALARS = (int, Fraction)
 
 
 def grlex_key(index: MultiIndex):
@@ -145,7 +141,7 @@ def _unpack(p: int, nvars: int, shift: int) -> MultiIndex:
 class TruncatedSeries:
     """A formal power series in ``nvars`` variables, truncated by total degree."""
 
-    __slots__ = ("nvars", "trunc_degree", "_shift", "_keys", "_nums", "_den", "_exact", "_coeffs")
+    __slots__ = ("nvars", "trunc_degree", "_shift", "_keys", "_nums", "_den", "_coeffs")
 
     def __init__(self, nvars: int, trunc_degree: int, coeffs: dict | None = None):
         if nvars < 1:
@@ -155,6 +151,10 @@ class TruncatedSeries:
         clean = {}
         if coeffs:
             for key, value in coeffs.items():
+                if not isinstance(value, _SCALARS):
+                    raise TypeError(
+                        f"coefficient {value!r} is not an int or Fraction; series are exact"
+                    )
                 key = tuple(key)
                 if len(key) != nvars:
                     raise ValueError(f"exponent {key} has length {len(key)}, expected {nvars}")
@@ -162,32 +162,24 @@ class TruncatedSeries:
                     raise ValueError(f"negative exponent in {key}")
                 if sum(key) > trunc_degree or value == 0:
                     continue
-                clean[key] = clean.get(key, value * 0) + value
+                clean[key] = clean.get(key, 0) + value
         shift = _shift_for(trunc_degree)
-        exact = all(isinstance(v, _EXACT) for v in clean.values())
-        den = lcm(*[v.denominator for v in clean.values()]) if exact else 1
-        packed = {
-            _pack(k, shift): v.numerator * (den // v.denominator) if exact else v
-            for k, v in clean.items()
-        }
-        self._store(nvars, trunc_degree, shift, packed, den, exact)
+        den = lcm(*[v.denominator for v in clean.values()])
+        packed = {_pack(k, shift): v.numerator * (den // v.denominator) for k, v in clean.items()}
+        self._store(nvars, trunc_degree, shift, packed, den)
 
-    def _store(self, nvars: int, trunc_degree: int, shift: int, acc: dict, den, exact: bool):
+    def _store(self, nvars: int, trunc_degree: int, shift: int, acc: dict, den: int):
         """Set the fields from packed key -> numerator over ``den``, in canonical form."""
         keys = sorted(k for k, v in acc.items() if v)
         nums = [acc[k] for k in keys]
-        if not exact:
-            if den != 1:
-                nums = [v / den for v in nums]
-            den = 1
-        elif den != 1:
+        if den != 1:
             g = gcd(den, *nums)
             if den < 0:
                 g = -g
             if g != 1:
                 nums = [v // g for v in nums]
                 den //= g
-        fields = (nvars, trunc_degree, shift, keys, nums, den, exact, None)
+        fields = (nvars, trunc_degree, shift, keys, nums, den, None)
         for name, value in zip(TruncatedSeries.__slots__, fields):
             object.__setattr__(self, name, value)
 
@@ -198,12 +190,12 @@ class TruncatedSeries:
 
     @classmethod
     def _canonical(
-        cls, nvars: int, trunc_degree: int, shift: int, acc: dict, den, exact: bool
+        cls, nvars: int, trunc_degree: int, shift: int, acc: dict, den: int
     ) -> "TruncatedSeries":
         """Trusted constructor from packed key -> numerator over ``den``, one
         entry per valid key of degree at most ``trunc_degree``; nothing is checked."""
         out = object.__new__(cls)
-        out._store(nvars, trunc_degree, shift, acc, den, exact)
+        out._store(nvars, trunc_degree, shift, acc, den)
         return out
 
     @classmethod
@@ -272,16 +264,12 @@ class TruncatedSeries:
             f"{len(self.coeffs)} terms [{head}{more}])"
         )
 
-    def _form(self, shift: int, exact: bool) -> tuple:
-        """(keys, numerators, denominator) with keys at ``shift`` (at least this
-        series' own) and, when ``exact`` is false, values over denominator 1."""
-        keys, nums, den = self._keys, self._nums, self._den
-        if shift != self._shift:
-            n, old = self.nvars, self._shift
-            keys = [_pack(_unpack(k, n, old), shift) for k in keys]
-        if den != 1 and not exact:
-            nums, den = [v / den for v in nums], 1
-        return keys, nums, den
+    def _keys_at(self, shift: int) -> list:
+        """The packed keys repacked at digit width ``shift`` (at least this series' own)."""
+        if shift == self._shift:
+            return self._keys
+        n, old = self.nvars, self._shift
+        return [_pack(_unpack(k, n, old), shift) for k in self._keys]
 
     # -- ring operations ---------------------------------------------------
 
@@ -310,7 +298,7 @@ class TruncatedSeries:
     def __neg__(self):
         return TruncatedSeries._canonical(
             self.nvars, self.trunc_degree, self._shift,
-            dict(zip(self._keys, [-v for v in self._nums])), self._den, self._exact,
+            dict(zip(self._keys, [-v for v in self._nums])), self._den,
         )
 
     def __sub__(self, other):
@@ -327,13 +315,11 @@ class TruncatedSeries:
         if isinstance(other, _SCALARS):
             if other == 0:
                 return TruncatedSeries.zero(self.nvars, self.trunc_degree)
-            exact = self._exact and isinstance(other, _EXACT)
-            keys, nums, den = self._form(self._shift, exact)
-            if exact:
-                other, den = other.numerator, den * other.denominator
+            num = other.numerator
             return TruncatedSeries._canonical(
                 self.nvars, self.trunc_degree, self._shift,
-                dict(zip(keys, [v * other for v in nums])), den, exact,
+                dict(zip(self._keys, [v * num for v in self._nums])),
+                self._den * other.denominator,
             )
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -395,7 +381,7 @@ class TruncatedSeries:
             scale = self._den * c ** (D - d)
             for k, v in level.items():
                 out[k] = v * scale
-        return TruncatedSeries._canonical(n, D, shift, out, c ** (D + 1), self._exact)
+        return TruncatedSeries._canonical(n, D, shift, out, c ** (D + 1))
 
     # -- calculus ----------------------------------------------------------
 
@@ -422,7 +408,7 @@ class TruncatedSeries:
                 factor *= perm(e, d)
             else:
                 out[key - step] = value * factor
-        return TruncatedSeries._canonical(n, new_D, shift, out, self._den, self._exact)
+        return TruncatedSeries._canonical(n, new_D, shift, out, self._den)
 
     # -- structural operations ----------------------------------------------
 
@@ -436,7 +422,7 @@ class TruncatedSeries:
         cut = bisect_left(self._keys, (new_degree + 1) << (self._shift * self.nvars))
         return TruncatedSeries._canonical(
             self.nvars, new_degree, self._shift,
-            dict(zip(self._keys[:cut], self._nums[:cut])), self._den, self._exact,
+            dict(zip(self._keys[:cut], self._nums[:cut])), self._den,
         )
 
     def remap_variables(self, new_nvars: int, var_map: Sequence[int]) -> "TruncatedSeries":
@@ -460,13 +446,11 @@ class TruncatedSeries:
             for e, offset in zip(_unpack(key, n, shift), offsets):
                 new_key += e << offset
             out[new_key] = out.get(new_key, 0) + value
-        return TruncatedSeries._canonical(
-            new_nvars, self.trunc_degree, shift, out, self._den, self._exact
-        )
+        return TruncatedSeries._canonical(new_nvars, self.trunc_degree, shift, out, self._den)
 
     def _bare_variable(self) -> int | None:
-        """Slot i when this series is exactly the variable x_i (one term, exact 1), else None."""
-        if len(self._keys) != 1 or not self._exact or self._nums[0] != self._den:
+        """Slot i when this series is exactly x_i (one term, coefficient 1), else None."""
+        if len(self._keys) != 1 or self._nums[0] != self._den:
             return None
         key = _unpack(self._keys[0], self.nvars, self._shift)
         return key.index(1) if sum(key) == 1 else None
@@ -541,7 +525,7 @@ class TruncatedSeries:
 
         parts = []
         for gamma, group in groups.items():
-            part = TruncatedSeries._canonical(tgt_n, out_D, shift, group, self._den, self._exact)
+            part = TruncatedSeries._canonical(tgt_n, out_D, shift, group, self._den)
             if any(gamma):
                 part = mul_trunc(part, power(gamma), out_D)
             parts.append(part)
@@ -581,52 +565,40 @@ class TruncatedSeries:
             total += term
         return total
 
-    def to_float(self) -> "TruncatedSeries":
-        """Copy with coefficients converted to float (complex left alone)."""
-        return self * 1.0
-
     # -- serialization -------------------------------------------------------
 
     def to_record(self) -> dict:
-        """Structured record; rational terms carry num/den, floats carry re/im."""
-        rational = all(isinstance(v, _EXACT) for v in self.coeffs.values())
+        """Structured record; each term carries its index and reduced num/den."""
+        n, shift, den = self.nvars, self._shift, self._den
         terms = []
-        for key, value in self.coeffs.items():
-            if rational:
-                f = Fraction(value)
-                terms.append({"index": list(key), "num": f.numerator, "den": f.denominator})
-            else:
-                c = complex(value)
-                terms.append({"index": list(key), "re": c.real, "im": c.imag})
+        for key, num in zip(self._keys, self._nums):
+            g = gcd(num, den)
+            terms.append({"index": list(_unpack(key, n, shift)), "num": num // g, "den": den // g})
         return {
             "nvars": self.nvars,
             "trunc_degree": self.trunc_degree,
-            "mode": "rational" if rational else "float",
+            "mode": "rational",
             "terms": terms,
         }
 
     @classmethod
     def from_record(cls, record: dict) -> "TruncatedSeries":
+        mode = record.get("mode", "rational")
+        if mode != "rational":
+            raise ValueError(f"series record mode {mode!r} is not 'rational'; series are exact")
         coeffs = {}
-        rational = record.get("mode", "rational") == "rational"
         for term in record["terms"]:
-            key = tuple(term["index"])
-            if rational:
-                coeffs[key] = Fraction(term["num"], term["den"])
-            else:
-                v = complex(term["re"], term["im"])
-                coeffs[key] = v.real if v.imag == 0 else v
+            coeffs[tuple(term["index"])] = Fraction(term["num"], term["den"])
         return cls(record["nvars"], record["trunc_degree"], coeffs)
 
 
 def _sum(nvars: int, degree: int, shift: int, terms: Sequence[TruncatedSeries]) -> TruncatedSeries:
     """Sum of series in ``nvars`` variables with no key above ``degree``, keys at ``shift``."""
-    exact = all(t._exact for t in terms)
-    forms = [t._form(shift, exact) for t in terms]
-    den = lcm(*[form[2] for form in forms])
+    den = lcm(*[t._den for t in terms])
     acc: dict = {}
     get = acc.get
-    for keys, nums, d in forms:
+    for t in terms:
+        keys, nums, d = t._keys_at(shift), t._nums, t._den
         if d != den:
             scale = den // d
             nums = [v * scale for v in nums]
@@ -635,7 +607,7 @@ def _sum(nvars: int, degree: int, shift: int, terms: Sequence[TruncatedSeries]) 
                 acc[k] = get(k, 0) + v
         else:
             acc.update(zip(keys, nums))
-    return TruncatedSeries._canonical(nvars, degree, shift, acc, den, exact)
+    return TruncatedSeries._canonical(nvars, degree, shift, acc, den)
 
 
 def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> TruncatedSeries:
@@ -650,9 +622,8 @@ def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> Trunca
     if out_degree < 0:
         raise ValueError("mul: out_degree must be non-negative")
     shift = max(a._shift, b._shift, _shift_for(out_degree))
-    exact = a._exact and b._exact
-    a_keys, a_nums, a_den = a._form(shift, exact)
-    b_keys, b_nums, b_den = b._form(shift, exact)
+    a_keys, a_nums = a._keys_at(shift), a._nums
+    b_keys, b_nums = b._keys_at(shift), b._nums
     if len(b_keys) < len(a_keys):
         a_keys, a_nums, b_keys, b_nums = b_keys, b_nums, a_keys, a_nums
     width = shift * a.nvars
@@ -667,7 +638,7 @@ def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> Trunca
         for kb, vb in b_terms[: bisect_left(b_keys, bound)]:
             k = ka + kb
             acc[k] = get(k, 0) + va * vb
-    return TruncatedSeries._canonical(a.nvars, out_degree, shift, acc, a_den * b_den, exact)
+    return TruncatedSeries._canonical(a.nvars, out_degree, shift, acc, a._den * b._den)
 
 
 def det(rows: Sequence[Sequence]):

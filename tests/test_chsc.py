@@ -9,14 +9,13 @@ from bergman.chsc import (
     ChscModel,
     chsc_coefficients,
     cpn_kernel,
-    cpn_kernel_monomial_sum,
     delta0_taylor_coeffs,
-    flat_kernel,
     polynomial_identity_check,
     verdict_record,
 )
 from bergman.coefficients import bergman_coefficients
 from bergman.potential import build_geometry, preset_chsc
+from oracles import cpn_kernel_monomial_sum, flat_kernel
 
 F = Fraction
 

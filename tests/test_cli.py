@@ -241,6 +241,9 @@ class TestDeterminism:
 # "text_n.json" gives n as a string and "broken.json" is not JSON at all.
 # "table/coefficients.json" is a real coefficient table, written for the cases
 # that read it, so they fail on the argument under test, not on a missing table.
+# The "table_*.json" files are small hand-written tables (see _table_record):
+# one without keys, one in a float mode, one for n=2, one with a short index,
+# one claiming more orders than it holds and one whose n disagrees with its series.
 EVAL = [
     "eval", "--preset", "chsc", "--degree", "6", "--coeffs", "table/coefficients.json",
 ]
@@ -284,7 +287,43 @@ INVALID_INPUTS = {
     "spec_missing_terms": ["polarize", "--spec", "missing.json"],
     "spec_n_not_integer": ["polarize", "--spec", "text_n.json"],
     "worst_case_over_guard": ["growth", "--task", "worst-case", "--n", "3", "--order", "7"],
+    "coeffs_not_json": [
+        "eval", "--preset", "chsc", "--degree", "6", "--coeffs", "broken.json",
+        "--k", "10", "--x", "0.1", "--y", "0.05",
+    ],
+    "coeffs_missing_keys": [
+        "growth", "--task", "fit", "--preset", "chsc", "--degree", "6",
+        "--coeffs", "table_missing_keys.json",
+    ],
+    "coeffs_float_mode": [
+        "asymptotics", "--preset", "chsc", "--degree", "6", "--coeffs", "table_float.json",
+        "--x", "0.01", "--y", "0.02",
+    ],
+    "coeffs_index_wrong_length": [
+        "eval", "--preset", "chsc", "--degree", "6", "--coeffs", "table_short_index.json",
+        "--k", "10", "--x", "0.1", "--y", "0.05",
+    ],
+    "coeffs_wrong_dimension": [
+        "eval", "--preset", "chsc", "--n", "1", "--degree", "6", "--coeffs", "table_n2.json",
+        "--k", "10", "--x", "0.1", "--y", "0.05",
+    ],
+    "coeffs_fewer_series_than_orders": [
+        "eval", "--preset", "chsc", "--degree", "6", "--coeffs", "table_M2.json",
+        "--k", "10", "--x", "0.1", "--y", "0.05",
+    ],
+    "coeffs_series_of_other_dimension": [
+        "eval", "--preset", "chsc", "--degree", "6", "--coeffs", "table_n1_series_n2.json",
+        "--k", "10", "--x", "0.1", "--y", "0.05",
+    ],
 }
+
+
+def _table_record(n, mode="rational", index_length=None):
+    """A coefficients.json payload for dimension n holding only b_0 = 1."""
+    term = {"index": [0] * (2 * n if index_length is None else index_length)}
+    term.update({"num": 1, "den": 1} if mode == "rational" else {"re": 1.0, "im": 0.0})
+    b0 = {"nvars": 2 * n, "trunc_degree": 6, "mode": mode, "terms": [term]}
+    return {"table": {"n": n, "M": 0, "effective_degrees": [6], "spec_sha256": "", "b": [b0]}}
 
 
 @pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
@@ -294,6 +333,16 @@ def test_invalid_input_exits_two_without_traceback(tmp_path, monkeypatch, capsys
     header = {"n": 1, "trunc_degree": 6, "eval_radius": 0.3}
     (tmp_path / "missing.json").write_text(json.dumps(header))
     (tmp_path / "text_n.json").write_text(json.dumps({**header, "n": "1", "terms": []}))
+    (tmp_path / "table_missing_keys.json").write_text(json.dumps({"table": {}}))
+    tables = {
+        "table_float.json": _table_record(1, mode="float"),
+        "table_short_index.json": _table_record(1, index_length=1),
+        "table_n2.json": _table_record(2),
+        "table_M2.json": {"table": {**_table_record(1)["table"], "M": 2}},
+        "table_n1_series_n2.json": {"table": {**_table_record(2)["table"], "n": 1}},
+    }
+    for name, record in tables.items():
+        (tmp_path / name).write_text(json.dumps(record))
     if "table/coefficients.json" in INVALID_INPUTS[case]:
         assert main(["coeffs", "--preset", "chsc", "--degree", "6", "--order", "1",
                      "--transport-order", "1", "--out", "table"]) == 0

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from bergman.chsc import cpn_kernel, flat_kernel
+from bergman.chsc import cpn_kernel
 from bergman.coefficients import bergman_coefficients
 from bergman.kernel import (
     choose_truncation_order,
@@ -20,6 +20,7 @@ from bergman.kernel import (
 )
 from bergman.potential import build_geometry, preset_chsc, preset_flat, preset_quartic
 from bergman.series import TruncatedSeries, sub_indices, unit
+from oracles import flat_kernel
 
 F = Fraction
 
@@ -49,13 +50,13 @@ def eval_KN_derivative(geom, table, k, N, x, y, alpha):
         raise ValueError(f"bad derivative multi-index {alpha}")
     if N > table.M:
         raise ValueError(f"order {N} exceeds the computed table order {table.M}")
-    psi_f = geom.psi.to_float()
-    D = psi_f.trunc_degree
-    psi_grad = [psi_f.diff(unit(2 * n, i)) for i in range(2 * n)]
+    psi = geom.psi
+    D = psi.trunc_degree
+    psi_grad = [psi.diff(unit(2 * n, i)) for i in range(2 * n)]
     amp_degree = min([table.b[j].trunc_degree for j in range(1, N + 1)], default=D)
-    amp = TruncatedSeries.constant(2 * n, amp_degree, 1.0)
+    amp = TruncatedSeries.one(2 * n, amp_degree)
     for j in range(1, N + 1):
-        amp = amp + table.b[j].to_float().truncate(amp_degree) * (1.0 / k**j)
+        amp = amp + table.b[j].truncate(amp_degree) * Fraction(1, k**j)
 
     exp_factors: dict = {(0,) * (2 * n): TruncatedSeries.one(2 * n, D)}
 
@@ -68,7 +69,7 @@ def eval_KN_derivative(geom, table, k, N, x, y, alpha):
         t = exp_factor(lower)
         out_D = t.trunc_degree - 1
         step = t.diff(unit(2 * n, i))
-        mixed = (psi_grad[i].truncate(out_D) * t.truncate(out_D)) * float(k)
+        mixed = (psi_grad[i].truncate(out_D) * t.truncate(out_D)) * k
         result = step + mixed
         exp_factors[beta] = result
         return result
@@ -82,7 +83,7 @@ def eval_KN_derivative(geom, table, k, N, x, y, alpha):
         out_D = min(t.trunc_degree, db.trunc_degree)
         piece = t.truncate(out_D) * db.truncate(out_D)
         total += multi_binomial(alpha, beta) * piece.eval(point)
-    psi_xy = psi_f.eval(point)
+    psi_xy = psi.eval(point)
     return (k / math.pi) ** n * cmath.exp(k * psi_xy) * total
 
 

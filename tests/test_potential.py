@@ -23,6 +23,7 @@ from bergman.potential import (
     preset_quartic,
 )
 from bergman.series import TruncatedSeries
+from oracles import write_spec
 
 F = Fraction
 
@@ -70,7 +71,7 @@ class TestValidation:
     def test_file_roundtrip(self, tmp_path):
         spec = preset_chsc(2, 1, 8)
         path = tmp_path / "spec.json"
-        spec.to_file(path)
+        write_spec(spec, path)
         back = PotentialSpec.from_file(path)
         assert back.coeffs == dict(spec.coeffs)
         assert back.sha256() == spec.sha256()

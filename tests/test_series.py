@@ -40,11 +40,7 @@ def integrate(f, i):
     out = {}
     for key, value in f.coeffs.items():
         new_key = key[:i] + (key[i] + 1,) + key[i + 1 :]
-        e = key[i] + 1
-        if isinstance(value, (int, Fraction)):
-            out[new_key] = value * Fraction(1, e)
-        else:
-            out[new_key] = value / e
+        out[new_key] = value * Fraction(1, key[i] + 1)
     return TruncatedSeries(f.nvars, f.trunc_degree + 1, out)
 
 
@@ -443,9 +439,9 @@ class TestTrustedConstructor:
 LARGE_PRIMES = (998_244_353, 1_000_000_007, 2**61 - 1)
 SMALL_INTS = st.integers(-6, 6)
 
-# Exact kinds may mix freely.  Float and complex coefficients are dyadic
-# (k/4), so every sum and product below is exact in binary floating point
-# and the two loops must agree bit for bit, whatever their summation order.
+# Coefficient kinds, all exact (series hold only ints and Fractions):
+# "large_prime" denominators make the common denominator large, and "mixed"
+# draws the other three kinds into one series.
 COEFFICIENTS = {
     "int": SMALL_INTS,
     "fraction": st.fractions(min_value=-3, max_value=3, max_denominator=12),
@@ -455,18 +451,14 @@ COEFFICIENTS = {
         st.fractions(min_value=-3, max_value=3, max_denominator=12),
         st.builds(Fraction, SMALL_INTS, st.sampled_from(LARGE_PRIMES)),
     ),
-    "float": SMALL_INTS.map(lambda k: k / 4),
-    "complex": st.builds(lambda a, b: complex(a / 4, b / 4), SMALL_INTS, SMALL_INTS),
 }
 KINDS = sorted(COEFFICIENTS)
-# nonzero constant terms whose powers and inverses stay exact for every kind
+# nonzero constant terms of each kind
 CONSTANTS = {
     "int": st.sampled_from([1, -2, 3]),
     "fraction": st.sampled_from([F(1), F(-2, 3), F(5, 4)]),
     "large_prime": st.builds(Fraction, st.sampled_from([-3, 1, 5]), st.sampled_from(LARGE_PRIMES)),
     "mixed": st.sampled_from([1, F(-7, 2), F(3, 2**61 - 1)]),
-    "float": st.sampled_from([1.0, -2.0, 0.5]),
-    "complex": st.sampled_from([complex(2, 0), complex(0, -0.5), complex(1, 0)]),
 }
 
 
@@ -491,8 +483,7 @@ def _expected(nvars, degree, plain):
 def _plain_invert(f: dict, nvars, degree) -> dict:
     """Inverse coefficient map by the degree-by-degree solve, one term pair at a time."""
     zero = (0,) * nvars
-    c0 = f[zero]
-    inv0 = Fraction(1) / c0 if isinstance(c0, (int, Fraction)) else 1 / c0
+    inv0 = Fraction(1) / f[zero]
     out = {zero: inv0}
     for d in range(1, degree + 1):
         level = {}
@@ -588,23 +579,6 @@ class TestPackedCore:
             assert got[power(out_degree)] != 0
 
 
-class TestFloatBackend:
-    def test_agreement_with_rational(self):
-        rng = random.Random(29)
-        for _ in range(6):
-            f = random_series(rng, 2, 12) + TruncatedSeries.constant(2, 12, F(2))
-            g = random_series(rng, 2, 12)
-            exact = (f * g + g).invert() if (f * g + g).constant_term != 0 else f
-            approx_src = (f.to_float() * g.to_float() + g.to_float())
-            if approx_src.constant_term == 0:
-                continue
-            approx = approx_src.invert()
-            for key, val in exact.coeffs.items():
-                v = float(val)
-                if abs(v) >= 1e-6:
-                    assert abs(approx.coeffs.get(key, 0.0) - v) <= 1e-12 * abs(v)
-
-
 class TestStructure:
     def test_remap_merges_blocks(self):
         # f(x, y) with y set equal to x: x*y + y^2 -> 2 x^2
@@ -637,6 +611,10 @@ class TestStructure:
         with pytest.raises(AttributeError):
             f.nvars = 3
 
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError, match="exact"):
+            TruncatedSeries(1, 2, {(1,): 0.5})
+
 
 class TestSerialization:
     def test_rational_roundtrip_lossless(self):
@@ -650,6 +628,8 @@ class TestSerialization:
         assert rec["mode"] == "rational"
         assert rec["terms"] == [{"index": [1], "num": -3, "den": 7}]
 
-    def test_float_roundtrip(self):
-        f = univar(3, [1.5, -0.25]).to_float()
-        assert from_json(to_json(f)) == f
+    def test_non_rational_mode_rejected(self):
+        rec = TruncatedSeries(1, 2, {(1,): F(-3, 7)}).to_record()
+        rec["mode"] = "float"
+        with pytest.raises(ValueError, match="mode"):
+            TruncatedSeries.from_record(rec)
