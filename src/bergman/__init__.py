@@ -10,7 +10,6 @@ forms, growth bounds and decay rates against exact model-space oracles.
 from .chsc import (
     ChscModel,
     chsc_coefficients,
-    cpn_kernel,
     delta0_taylor_coeffs,
     polynomial_identity_check,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "check_good_contour",
     "choose_truncation_order",
     "chsc_coefficients",
-    "cpn_kernel",
     "delta0_taylor_coeffs",
     "derivative_norm_table",
     "diastasis",

@@ -1,4 +1,4 @@
-"""Closed forms for constant holomorphic sectional curvature, plus exact model kernels.
+"""Closed forms for constant holomorphic sectional curvature.
 
 For the potential (1/c) log(1 + c |x|^2) every Bergman coefficient is a
 constant, vanishing above the dimension, and the family satisfies an exact
@@ -8,16 +8,12 @@ ratio Delta0 written as a function of the scalar ``c theta . (x - y)``.
 
 Curvature normalization: the projective model has holomorphic sectional
 curvature 1 (not 2); all constants follow that convention.
-
-The module also carries the exact projective space kernel in an affine
-chart, the end-to-end oracle for the chsc coefficients.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -104,20 +100,6 @@ def polynomial_identity_check(model: ChscModel) -> bool:
         poly = out
     lhs = [model.b[n - d] for d in range(n + 1)]  # coefficient of k^d is b_{n-d}
     return poly == lhs
-
-
-def cpn_kernel(n: int, k: int, x: Sequence[complex], y: Sequence[complex]) -> complex:
-    """Exact Bergman kernel of the projective model in an affine chart.
-
-    ((k+n)! / (k! pi^n)) (1 + x . conj(y))^k, for the curvature 1 potential
-    log(1 + |x|^2) at tensor power k.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    w = sum(complex(a) * complex(b).conjugate() for a, b in zip(x, y))
-    # (k+n)!/k! as an exact integer: the factorials themselves overflow a float
-    coef = math.prod(range(k + 1, k + n + 1)) / math.pi**n
-    return coef * (1 + w) ** k
 
 
 def chsc_psi_value(n: int, c, x: Sequence[complex], zbar: Sequence[complex]) -> complex:

@@ -15,8 +15,9 @@ Variable block conventions used across the package, for dimension n:
 * ``(x, theta)`` series (y already merged into x): x is 0..n-1, theta is
   n..2n-1.
 
-Everything is exact rational arithmetic; the segment integral in the phase is
-done termwise with Beta-function weights, never by quadrature.
+Everything is exact rational arithmetic; the segment integral in the phase
+(:func:`bergman.series.segment_average`) is done termwise with integer
+Beta-function weights, never by quadrature.
 
 :class:`GeometryPack` also carries the one phase chain both coefficient
 routes use (:class:`PhaseChain`, built on first use as ``geom.phase``): it
@@ -31,7 +32,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial
+from math import factorial
 from typing import Mapping, Sequence
 
 from .sampling import polydisc_points
@@ -40,7 +41,7 @@ from .series import (
     det,
     exponents_of_degree,
     multi_factorial,
-    sub_indices,
+    segment_average,
     unit,
 )
 
@@ -250,46 +251,6 @@ def polarize(spec: PotentialSpec) -> TruncatedSeries:
     return TruncatedSeries(2 * n, D, coeffs)
 
 
-def segment_average(
-    f: TruncatedSeries,
-    n: int,
-    block_start: int,
-    x_start: int,
-    y_start: int,
-    out_nvars: int,
-    passthrough: Mapping[int, int],
-) -> TruncatedSeries:
-    """Integrate f with its block at ``block_start`` moved along a segment.
-
-    Replaces the n variables starting at ``block_start`` by
-    ``t*x + (1-t)*y`` and integrates t over [0, 1] exactly: the monomial
-    ``w^gamma`` contributes ``binom(gamma, j) * |j|! |gamma - j|! / (|gamma|+1)!``
-    at ``x^j y^(gamma-j)``.  Other variables move via ``passthrough``.
-    """
-    out = {}
-    block = range(block_start, block_start + n)
-    for key, value in f.coeffs.items():
-        gamma = tuple(key[i] for i in block)
-        base = [0] * out_nvars
-        for src, dst in passthrough.items():
-            base[dst] += key[src]
-        total = sum(gamma)
-        denom = factorial(total + 1)
-        for j in sub_indices(gamma):
-            w = 1
-            for g, jj in zip(gamma, j):
-                w *= comb(g, jj)
-            js = sum(j)
-            weight = Fraction(w * factorial(js) * factorial(total - js), denom)
-            new_key = list(base)
-            for i in range(n):
-                new_key[x_start + i] += j[i]
-                new_key[y_start + i] += gamma[i] - j[i]
-            new_key = tuple(new_key)
-            out[new_key] = out.get(new_key, 0) + value * weight
-    return TruncatedSeries(out_nvars, f.trunc_degree, out)
-
-
 def build_theta(psi: TruncatedSeries) -> list:
     """The phase theta_i(x,y,z): the x-gradient of psi averaged from y to x."""
     n = psi.nvars // 2
@@ -321,10 +282,7 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     n3 = theta[0].nvars
     n = n3 // 3
     D = theta[0].trunc_degree
-    hess = [
-        [Fraction(theta[i].coeffs.get(unit(n3, 2 * n + j), 0)) for j in range(n)]
-        for i in range(n)
-    ]
+    hess = [[Fraction(theta[i][unit(n3, 2 * n + j)]) for j in range(n)] for i in range(n)]
     if det(hess) == 0:
         raise ValueError("singular linear part: phase map not invertible at 0")
     hinv = _fraction_matrix_inverse(hess)
@@ -341,7 +299,7 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     z = [TruncatedSeries.zero(n3, 0)] * n
     for d in range(1, D + 1):
         variables = TruncatedSeries.variables(n3, d)
-        args = variables[: 2 * n] + [TruncatedSeries(n3, d, zi.coeffs) for zi in z]
+        args = variables[: 2 * n] + [zi.lift(d) for zi in z]
         powers: dict = {}  # z-powers shared by the n compositions of this sweep
         w = [r.compose(args, cache=powers) for r in remainder]
         tvars = variables[2 * n :]

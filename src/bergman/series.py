@@ -4,8 +4,8 @@ Every symbolic object in this package (potentials, phases, Jacobian factors,
 kernel coefficients) is carried by one type: a finite sparse map from exponent
 tuples to exact rational coefficients (``int`` / ``fractions.Fraction``),
 truncated by total degree.  The constructor rejects any other coefficient
-type.  Numeric kernel evaluation reads the exact coefficients through
-:meth:`TruncatedSeries.eval`, which converts each one to ``complex``.
+type.  Every operation, ``==``, ``[]`` and :meth:`TruncatedSeries.eval` (from a
+cached float plan) read the packed form described under Storage.
 
 Truncation discipline
 ---------------------
@@ -37,10 +37,13 @@ operands'; an operand with a smaller base is repacked.
 Numerators are ints over the least common multiple of the reduced term
 denominators, so a product sums ``num_a * num_b`` in ints over
 ``den_a * den_b`` and reduces once per result, not once per term pair.
-``coeffs``, the view by exponent tuple, is built on first use in graded
-lexicographic order, so every iteration (and every floating point reduction
-in ``eval``) runs in one fixed order.  Nothing is mutated after
-construction, so values are safe to share between threads.
+The form is canonical up to the base, so ``==`` compares numerators and
+keys repacked to the larger base, and ``[]`` bisects on the packed key.
+``eval`` builds a float plan on first use: per term, in graded lexicographic
+order, ``complex(num / den)`` (correctly rounded, as ``complex(Fraction)``)
+and the power table entries it multiplies.  ``coeffs``, the view by exponent
+tuple, is also built on first use, for callers outside the pipeline.  Nothing
+else is mutated after construction, so values are safe to share between threads.
 
 Composition
 -----------
@@ -61,16 +64,17 @@ Operations build their results through ``TruncatedSeries._canonical``, which
 only drops zeros, sorts and reduces the denominator.  That is safe because
 each makes one entry per key from keys of valid operands by digit arithmetic
 that cannot carry: sums of keys of total degree at most the output degree
-(products, ``invert``, ``compose``), a multi-index taken from digits at least
-as large (``diff``), a degree cut (``truncate``), or digits moved between
-slots (``remap_variables`` and bare ``compose`` arguments).
+(products, ``invert``, ``compose``, ``segment_average``), a multi-index taken
+from digits at least as large (``diff``), a degree cut (``truncate``) or rise
+(``lift``), or digits moved between slots (``remap_variables`` and bare
+``compose`` arguments).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import factorial, gcd, lcm, perm
+from math import comb, factorial, gcd, lcm, perm
 from typing import Iterator, Sequence
 
 MultiIndex = tuple  # exponent tuples of non-negative ints
@@ -141,7 +145,7 @@ def _unpack(p: int, nvars: int, shift: int) -> MultiIndex:
 class TruncatedSeries:
     """A formal power series in ``nvars`` variables, truncated by total degree."""
 
-    __slots__ = ("nvars", "trunc_degree", "_shift", "_keys", "_nums", "_den", "_coeffs")
+    __slots__ = ("nvars", "trunc_degree", "_shift", "_keys", "_nums", "_den", "_coeffs", "_plan")
 
     def __init__(self, nvars: int, trunc_degree: int, coeffs: dict | None = None):
         if nvars < 1:
@@ -179,7 +183,7 @@ class TruncatedSeries:
             if g != 1:
                 nums = [v // g for v in nums]
                 den //= g
-        fields = (nvars, trunc_degree, shift, keys, nums, den, None)
+        fields = (nvars, trunc_degree, shift, keys, nums, den, None, None)
         for name, value in zip(TruncatedSeries.__slots__, fields):
             object.__setattr__(self, name, value)
 
@@ -233,23 +237,29 @@ class TruncatedSeries:
 
     @property
     def constant_term(self):
-        if not self._keys or self._keys[0] != 0:
-            return 0
-        return self._nums[0] if self._den == 1 else Fraction(self._nums[0], self._den)
+        return self[(0,) * self.nvars]
 
     def is_zero(self) -> bool:
         return not self._keys
 
     def __getitem__(self, index) -> object:
-        return self.coeffs.get(tuple(index), 0)
+        index = tuple(index)
+        if len(index) != self.nvars:
+            return 0
+        # a packed index keeps its exponent sum (or more) in the degree digit, and
+        # goes negative on a negative exponent, so no bad index meets a stored key
+        p = _pack(index, self._shift)
+        i = bisect_left(self._keys, p)
+        if i == len(self._keys) or self._keys[i] != p:
+            return 0
+        return self._nums[i] if self._den == 1 else Fraction(self._nums[i], self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            self.nvars == other.nvars
-            and self.trunc_degree == other.trunc_degree
-            and self.coeffs == other.coeffs
+        shift = max(self._shift, other._shift)
+        return (self.nvars, self.trunc_degree, self._den, self._nums, self._keys_at(shift)) == (
+            other.nvars, other.trunc_degree, other._den, other._nums, other._keys_at(shift)
         )
 
     __hash__ = None
@@ -412,6 +422,12 @@ class TruncatedSeries:
 
     # -- structural operations ----------------------------------------------
 
+    def lift(self, new_degree: int) -> "TruncatedSeries":
+        """The same terms read as a series truncated at ``new_degree`` >= this one."""
+        if new_degree < self.trunc_degree:
+            raise ValueError(f"cannot lower truncation degree {self.trunc_degree} by lift")
+        return _sum(self.nvars, new_degree, max(self._shift, _shift_for(new_degree)), [self])
+
     def truncate(self, new_degree: int) -> "TruncatedSeries":
         if new_degree > self.trunc_degree:
             raise ValueError(
@@ -541,27 +557,29 @@ class TruncatedSeries:
         """
         if len(point) != self.nvars:
             raise ValueError(f"expected point of length {self.nvars}")
-        coeffs = self.coeffs
-        if not coeffs:
+        if not self._keys:
             return 0j
-        max_exp = [0] * self.nvars
-        for key in coeffs:
-            for i, e in enumerate(key):
-                if e > max_exp[i]:
-                    max_exp[i] = e
-        pows = []
-        for i, m in enumerate(max_exp):
+        if self._plan is None:
+            exps = [_unpack(k, self.nvars, self._shift) for k in self._keys]
+            max_exp = [max(column) for column in zip(*exps)]
+            starts = [sum(max_exp[:i]) + i for i in range(self.nvars)]
+            terms = [
+                (complex(num / self._den), tuple(starts[i] + e for i, e in enumerate(key) if e))
+                for key, num in zip(exps, self._nums)
+            ]
+            object.__setattr__(self, "_plan", (max_exp, terms))
+        max_exp, terms = self._plan
+        pows = []  # the per-variable power tables, concatenated
+        for z, m in zip(point, max_exp):
             row = [1 + 0j]
-            z = complex(point[i])
+            z = complex(z)
             for _ in range(m):
                 row.append(row[-1] * z)
-            pows.append(row)
+            pows += row
         total = 0j
-        for key, value in coeffs.items():
-            term = complex(value)
-            for i, e in enumerate(key):
-                if e:
-                    term *= pows[i][e]
+        for term, factors in terms:
+            for j in factors:
+                term *= pows[j]
             total += term
         return total
 
@@ -639,6 +657,49 @@ def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> Trunca
             k = ka + kb
             acc[k] = get(k, 0) + va * vb
     return TruncatedSeries._canonical(a.nvars, out_degree, shift, acc, a._den * b._den)
+
+
+def segment_average(
+    f: TruncatedSeries, n: int, block_start: int, x_start: int, y_start: int,
+    out_nvars: int, passthrough: dict,
+) -> TruncatedSeries:
+    """Integrate f with its block at ``block_start`` moved along a segment.
+
+    Replaces the n variables starting at ``block_start`` by ``t*x + (1-t)*y``
+    and integrates t over [0, 1] exactly: with D the degree of f, the monomial
+    ``w^gamma`` contributes the integer weight ``binom(gamma, j) |j|! |gamma-j|!
+    (D+1)!/(|gamma|+1)!`` at ``x^j y^(gamma-j)``, built once per ``gamma``; all
+    terms share the denominator of f times ``(D+1)!``, reduced once at the end.
+    Other variables move via ``passthrough``.
+    """
+    D = f.trunc_degree
+    shift = _shift_for(D)
+    top = factorial(D + 1)
+    splits: dict = {}  # gamma -> [(packed key of x^j y^(gamma-j), integer weight)]
+    acc: dict = {}
+    get = acc.get
+    for key, value in zip(f._keys, f._nums):
+        e = _unpack(key, f.nvars, f._shift)
+        gamma = e[block_start : block_start + n]
+        split = splits.get(gamma)
+        if split is None:
+            total = sum(gamma)
+            split = splits[gamma] = []
+            for j in sub_indices(gamma):
+                out = [0] * out_nvars
+                w = top // factorial(total + 1) * factorial(sum(j)) * factorial(total - sum(j))
+                for i, (g, jj) in enumerate(zip(gamma, j)):
+                    w *= comb(g, jj)
+                    out[x_start + i] += jj
+                    out[y_start + i] += g - jj
+                split.append((_pack(out, shift), w))
+        base = [0] * out_nvars
+        for src, dst in passthrough.items():
+            base[dst] += e[src]
+        base = _pack(base, shift)
+        for p, w in split:
+            acc[base + p] = get(base + p, 0) + value * w
+    return TruncatedSeries._canonical(out_nvars, D, shift, acc, f._den * top)
 
 
 def det(rows: Sequence[Sequence]):

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .potential import DegreeBudgetError, GeometryPack, merge_y_into_x, segment_average
-from .series import TruncatedSeries, unit
+from .potential import DegreeBudgetError, GeometryPack, merge_y_into_x
+from .series import TruncatedSeries, segment_average, unit
 
 
 @dataclass(frozen=True)

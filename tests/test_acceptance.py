@@ -4,15 +4,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance is pinned here, nothing is deferred to calibration.
 """
 
-import json
-import math
 import time
 from fractions import Fraction
 from math import factorial
 
-import pytest
-
-from bergman.chsc import ChscModel, cpn_kernel, delta0_taylor_coeffs, polynomial_identity_check
+from bergman.chsc import ChscModel, delta0_taylor_coeffs, polynomial_identity_check
 from bergman.cli import main as cli_main
 from bergman.coefficients import bergman_coefficients, derivative_norm_table
 from bergman.growth import (
@@ -28,8 +24,9 @@ from bergman.kernel import (
     make_chsc_closed_evaluator,
     make_series_evaluator,
 )
-from bergman.potential import build_geometry, make_preset, preset_chsc, preset_flat, preset_quartic
+from bergman.potential import build_geometry, preset_chsc, preset_flat, preset_quartic
 from bergman.transport import reconstruct_coefficients, transport_chain
+from oracles import cpn_kernel
 
 F = Fraction
 

@@ -8,14 +8,13 @@ import pytest
 from bergman.chsc import (
     ChscModel,
     chsc_coefficients,
-    cpn_kernel,
     delta0_taylor_coeffs,
     polynomial_identity_check,
     verdict_record,
 )
 from bergman.coefficients import bergman_coefficients
 from bergman.potential import build_geometry, preset_chsc
-from oracles import cpn_kernel_monomial_sum, flat_kernel
+from oracles import cpn_kernel, cpn_kernel_monomial_sum, flat_kernel
 
 F = Fraction
 

@@ -2,7 +2,6 @@
 
 import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -138,7 +137,7 @@ class TestEvalCommand:
         )
         assert rc == 0
         report = read_json(tmp_path / "kernel_report.json")["report"]
-        from bergman.chsc import cpn_kernel
+        from oracles import cpn_kernel
 
         oracle = cpn_kernel(1, 20, [0.1], [0.05])
         got = complex(*report["K"])

@@ -7,7 +7,6 @@ from math import comb
 
 import pytest
 
-from bergman.chsc import cpn_kernel
 from bergman.coefficients import bergman_coefficients
 from bergman.kernel import (
     choose_truncation_order,
@@ -20,7 +19,7 @@ from bergman.kernel import (
 )
 from bergman.potential import build_geometry, preset_chsc, preset_flat, preset_quartic
 from bergman.series import TruncatedSeries, sub_indices, unit
-from oracles import flat_kernel
+from oracles import cpn_kernel, flat_kernel
 
 F = Fraction
 

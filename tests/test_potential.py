@@ -4,10 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergman import potential
 from bergman.potential import (
-    ContourReport,
     PotentialSpec,
     SpecValidationError,
     build_geometry,
@@ -15,7 +16,6 @@ from bergman.potential import (
     check_good_contour,
     diastasis,
     invert_theta,
-    phi_value,
     make_preset,
     polarize,
     preset_chsc,
@@ -23,7 +23,7 @@ from bergman.potential import (
     preset_quartic,
 )
 from bergman.series import TruncatedSeries
-from oracles import write_spec
+from oracles import segment_average_oracle, write_spec
 
 F = Fraction
 
@@ -124,6 +124,44 @@ class TestTheta:
         var_map = (0, 1, 0, 1, 2, 3)
         for i in range(2):
             assert geom.theta[i].remap_variables(4, var_map) == geom.psi_x[i]
+
+
+# Numerators over denominators that include the large primes, so the common
+# denominator of an average is wide.
+RATIONALS = st.builds(
+    F, st.integers(-50, 50), st.sampled_from([1, 2, 3, 7, 12, 998_244_353, 2**61 - 1])
+)
+
+
+def _layout(kind, n):
+    """(input nvars, block_start, passthrough) of the two pipeline callers."""
+    if kind == "build_theta":  # psi_x(x, z): average the x block, z passes through
+        return 2 * n, 0, {n + i: 2 * n + i for i in range(n)}
+    # transport: average the y block of (x, y, theta); x and theta pass through
+    return 3 * n, n, {**{i: i for i in range(n)}, **{2 * n + i: 2 * n + i for i in range(n)}}
+
+
+class TestSegmentAverage:
+    @pytest.mark.parametrize("kind", ["build_theta", "transport"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_packed_loop_equals_fraction_loop(self, kind, n, data):
+        nvars, block_start, passthrough = _layout(kind, n)
+        degree = data.draw(st.integers(0, 7))
+        slots = st.lists(st.integers(0, nvars - 1), max_size=degree)
+        keys = slots.map(lambda picks: tuple(picks.count(i) for i in range(nvars)))
+        f = TruncatedSeries(nvars, degree, data.draw(st.dictionaries(keys, RATIONALS, max_size=8)))
+        args = (n, block_start, 0, n, 3 * n, passthrough)
+        got = potential.segment_average(f, *args)
+        want = segment_average_oracle(f, *args)
+        assert got == want
+        assert got.to_record() == want.to_record()
+
+    def test_build_theta_matches_fraction_loop(self, quartic_geom):
+        psi = quartic_geom.psi
+        want = segment_average_oracle(psi.diff((1, 0)), 1, 0, 0, 1, 3, {1: 2})
+        assert build_theta(psi) == [want]
 
 
 def holomorphic_spec(D):

@@ -2,10 +2,12 @@
 
 The SHA-256 digests below were recorded from a fixed command matrix; a
 refactor of the exact pipeline must reproduce every report byte for byte.
-Only reports made of exact rationals, strings and verdicts are pinned, so the
-digests do not depend on float formatting or the numeric libraries.  The one
-exception is ``worst_case.csv``, whose ``ratio`` column is a quotient of two
-exact integers written in Python's shortest round-trip float form.
+Most pinned reports are made of exact rationals, strings and verdicts.
+``worst_case.csv`` has a ``ratio`` column, a quotient of two exact integers
+written in Python's shortest round-trip float form.  The last three cases pin
+float reports (``eval``, ``asymptotics`` and ``growth --task fit``) on the
+dense non-radial spec, so they also pin the order in which series evaluation
+sums its terms; they assume IEEE doubles and numpy's least-squares fit.
 """
 
 import hashlib
@@ -184,7 +186,43 @@ MATRIX = [
                 "dcf847d71519aaf04b1e5be514f97a57d499691e02502b7d1b2c1ba357e23bd4",
         },
     ),
+    # float reports, read from the table that TABLE_ARGV writes to table/
+    (
+        ["eval", "--spec", "spec.json", "--coeffs", "table/coefficients.json", "--k", "40",
+         "--order", "4", "--x", "0.1+0.05j", "--y", "0.12-0.03j"],
+        0,
+        {
+            "kernel_report.json":
+                "74850cbeb9b766a203f1c40cf17d818665c8785c95380424d263a6dde854ef32",
+        },
+    ),
+    (
+        ["asymptotics", "--spec", "spec.json", "--mode", "log",
+         "--coeffs", "table/coefficients.json", "--x", "0.1+0.05j", "--y", "0.12-0.03j"],
+        0,
+        {
+            "asymptotics.json":
+                "d254b535c554bcf25d79baec41852a6a25db3c966b7b389632168216959a13bf",
+            "asymptotics.csv":
+                "84cee4367ab8e5ecb1007a86c8ad644f0b0e7a0ef12b614c730ad1ddcddcf8fb",
+        },
+    ),
+    (
+        ["growth", "--spec", "spec.json", "--task", "fit", "--coeffs", "table/coefficients.json",
+         "--xi-max", "1"],
+        0,
+        {
+            "growth_fit.json":
+                "6b839649e9b3c9538534f64672ab7b9f46a0d1ab7027a50d7c33e63840f85df6",
+            "norms.csv":
+                "457eca38e18feec061463d975688de7568878ac032c44dccd7b51fe719c22f05",
+        },
+    ),
 ]
+
+# The coefficient table the float cases read: b_0..b_4 of spec.json.
+TABLE_ARGV = ["coeffs", "--spec", "spec.json", "--order", "4", "--transport-order", "0",
+              "--out", "table"]
 
 
 @pytest.mark.parametrize("case", range(len(MATRIX)))
@@ -193,6 +231,8 @@ def test_reports_match_pinned_digests(tmp_path, monkeypatch, case):
     monkeypatch.chdir(tmp_path)
     for name, record in SPEC_FILES.items():
         (tmp_path / name).write_text(json.dumps(record))
+    if "--coeffs" in argv:
+        assert main(TABLE_ARGV) == 0
     assert main(argv + ["--out", "out"]) == want_rc
     got = {
         name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()

@@ -18,6 +18,7 @@ from bergman.series import (
     sub_indices,
     unit,
 )
+from oracles import eval_oracle
 
 F = Fraction
 
@@ -577,6 +578,96 @@ class TestPackedCore:
             got = mul_trunc(sa, sb, out_degree)
             assert _items(got) == _expected(nvars, out_degree, _plain_mul(a, b, out_degree))
             assert got[power(out_degree)] != 0
+
+
+# wide numerators over the large primes: conversions to float must round
+WIDE = st.builds(Fraction, st.integers(-(2**80), 2**80), st.sampled_from(LARGE_PRIMES))
+POINT_VALUES = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False)
+
+
+def _bits(z):
+    return repr(z.real), repr(z.imag)
+
+
+class TestPackedReads:
+    """eval, == and [] read the packed form; each must agree with the coeffs view."""
+
+    @pytest.mark.parametrize("kind", KINDS + ["wide"])
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_eval_matches_view_loop_bit_for_bit(self, kind, data):
+        nvars, degree = data.draw(st.integers(1, 9)), data.draw(st.integers(0, 8))
+        values = WIDE if kind == "wide" else COEFFICIENTS[kind]
+        plain = data.draw(st.dictionaries(exponent(nvars, degree), values, max_size=8))
+        points = data.draw(st.lists(st.lists(POINT_VALUES, min_size=nvars, max_size=nvars),
+                                    min_size=1, max_size=3))
+        s = TruncatedSeries(nvars, degree, plain)
+        before = [s.eval(pt) for pt in points]  # the float plan, no coeffs view yet
+        assert s._coeffs is None
+        want = [eval_oracle(s, pt) for pt in points]  # builds the view
+        after = [s.eval(pt) for pt in points]
+        viewed_first = TruncatedSeries(nvars, degree, plain)
+        assert viewed_first.coeffs == s.coeffs  # its view exists before its first eval
+        fresh = [viewed_first.eval(pt) for pt in points]
+        for got in (before, after, fresh):
+            assert [_bits(z) for z in got] == [_bits(z) for z in want]
+
+    @pytest.mark.parametrize("nvars", [1, 4, 9])
+    def test_eval_of_the_empty_series(self, nvars):
+        s = TruncatedSeries.zero(nvars, 5)
+        pt = [0.3 - 0.1j] * nvars
+        assert _bits(s.eval(pt)) == _bits(eval_oracle(s, pt)) == _bits(0j)
+        with pytest.raises(ValueError, match="length"):
+            s.eval(pt + [0])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_equality_across_bases(self, kind, data):
+        nvars, degree = data.draw(st.integers(1, 9)), data.draw(st.integers(0, 6))
+        plain = data.draw(coefficient_map(nvars, degree, kind))
+        a = TruncatedSeries(nvars, degree, plain)
+        b = a.lift(40).truncate(degree)  # the same terms at a wider base
+        assert b._shift > a._shift
+        assert a == b and b == a
+        other = b + TruncatedSeries.variable(nvars, degree, nvars - 1) if degree else b + 1
+        assert other != a and a != other
+        assert a != TruncatedSeries(nvars, degree + 1, plain)
+
+    def test_compose_result_equals_constructor_terms(self):
+        # arguments cut from degree 16 keep base 2^5, so the composite does too
+        x, y = TruncatedSeries.variables(2, 16)
+        args = [(x + y * y).truncate(3), (x * y - y).truncate(3)]
+        f = TruncatedSeries(2, 3, {(1, 0): F(1, 3), (1, 1): -2, (0, 3): F(5, 7)})
+        got = f.compose(args)
+        built = TruncatedSeries(2, 3, got.coeffs)
+        assert got._shift > built._shift
+        assert got == built and built == got
+        assert got == TruncatedSeries(2, 3, _plain_compose(f, args, 3))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_item_lookup_matches_view(self, kind, data):
+        nvars, degree = data.draw(st.integers(1, 9)), data.draw(st.integers(0, 8))
+        plain = data.draw(coefficient_map(nvars, degree, kind))
+        s = TruncatedSeries(nvars, degree, plain)
+        probes = data.draw(st.lists(exponent(nvars, degree + 3), max_size=6)) + list(plain)
+        probes += [(-1,) + (0,) * (nvars - 1), (0,) * (nvars + 1), (2**s._shift,) + (0,) * (nvars - 1)]
+        got = [(s[k], type(s[k])) for k in probes]
+        view = s.coeffs
+        assert got == [(view.get(k, 0), type(view.get(k, 0))) for k in probes]
+        const = view.get((0,) * nvars, 0)
+        assert (s.constant_term, type(s.constant_term)) == (const, type(const))
+
+    def test_lift_keeps_terms_and_refuses_to_lower(self):
+        f = TruncatedSeries(2, 3, {(1, 2): F(2, 3), (0, 0): 4})
+        g = f.lift(9)
+        assert g.trunc_degree == 9
+        assert g == TruncatedSeries(2, 9, {(1, 2): F(2, 3), (0, 0): 4})
+        assert f.lift(3) == f
+        with pytest.raises(ValueError, match="lower"):
+            f.lift(2)
 
 
 class TestStructure:

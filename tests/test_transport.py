@@ -1,12 +1,15 @@
 """Transport chain: defining identities, y-independence, cross-method equality."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from bergman.coefficients import amplitude_from_b, bergman_coefficients
+from bergman.kernel import eval_KN
 from bergman.potential import (
     DegreeBudgetError,
+    PotentialSpec,
     build_geometry,
     preset_chsc,
     preset_flat,
@@ -216,3 +219,34 @@ class TestNormGrowthProbe:
             assert best > 0
             implied.append((best / math.factorial(m) ** 2) ** (1.0 / m))
         assert max(implied) <= 1.10 * max(implied[:3])
+
+
+def _series_in(obj):
+    """Every series held by a dataclass, tuple or list, recursively."""
+    if isinstance(obj, TruncatedSeries):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _series_in(item)
+    elif hasattr(obj, "__dataclass_fields__"):
+        for field in fields(obj):
+            yield from _series_in(getattr(obj, field.name))
+
+
+def test_pipeline_reads_only_the_packed_form():
+    # Dense non-radial n=1 potential: every step of both routes, the exact
+    # cross-check, the records and float evaluation run without the coeffs view.
+    third = F(1, 3)
+    coeffs = {((1,), (1,)): F(1), ((2,), (1,)): third, ((1,), (2,)): third,
+              ((2,), (2,)): F(-1, 8), ((3,), (1,)): F(1, 6), ((1,), (3,)): F(1, 6),
+              ((3,), (2,)): F(2, 7), ((2,), (3,)): F(2, 7)}
+    geom = build_geometry(PotentialSpec(n=1, trunc_degree=10, eval_radius=0.3, coeffs=coeffs))
+    table = amplitude_from_b(bergman_coefficients(geom, 4), geom)
+    chain = transport_chain(geom, 4)
+    recon = reconstruct_coefficients(geom, chain)
+    assert all(recon[m] == table.b[m] for m in range(5))
+    assert all((table.to_record(), chain.to_record(), [s.to_record() for s in recon]))
+    eval_KN(geom, table, 40, 4, [0.1 + 0.05j], [0.12 - 0.03j])
+    held = list(_series_in((geom, table, chain, recon)))
+    assert len(held) == 6 + 10 + 5 + 5  # geometry, b and a, A_0..A_4, reconstructed b
+    assert [s for s in held if s._coeffs is not None] == []
