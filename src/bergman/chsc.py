@@ -17,7 +17,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .series import TruncatedSeries
 
@@ -102,14 +102,20 @@ def polynomial_identity_check(model: ChscModel) -> bool:
     return poly == lhs
 
 
-def chsc_psi_value(n: int, c, x: Sequence[complex], zbar: Sequence[complex]) -> complex:
-    """Closed-form polarized potential (1/c) log(1 + c x . zbar), limit x . zbar at c = 0."""
+def chsc_psi(c) -> Callable:
+    """The closed-form polarized potential (1/c) log(1 + c x . zbar) as a function
+    of ``(x, zbar)``, with limit x . zbar at c = 0; c is converted to float once."""
     c = Fraction(c)
-    w = sum(complex(a) * complex(b) for a, b in zip(x, zbar))
-    if c == 0:
-        return w
+    flat = c == 0
     cf = float(c)
-    return cmath.log(1 + cf * w) / cf
+
+    def psi(x: Sequence[complex], zbar: Sequence[complex]) -> complex:
+        w = sum(complex(a) * complex(b) for a, b in zip(x, zbar))
+        if flat:
+            return w
+        return cmath.log(1 + cf * w) / cf
+
+    return psi
 
 
 def verdict_record(n: int, c, M: int) -> dict:

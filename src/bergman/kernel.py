@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chsc import chsc_coefficients, chsc_psi_value
+from .chsc import chsc_coefficients, chsc_psi
 from .coefficients import CoefficientTable
 from .potential import GeometryPack
 
@@ -157,15 +157,7 @@ def eval_KN(
 
 def eval_KN_chsc_closed(n: int, c, k: int, N: int, x, y) -> KernelReport:
     """Closed-form evaluation for the constant curvature models."""
-    consts = chsc_coefficients(n, c, max(N, 0))
-
-    def psi_fn(px, zbar):
-        return chsc_psi_value(n, c, px, zbar)
-
-    def b_fn(j, px, zbar):
-        return complex(float(consts[j]))
-
-    return evaluate_kernel(n, k, N, x, y, psi_fn, b_fn)
+    return make_chsc_closed_evaluator(n, c, N=N)(k, x, y)
 
 
 def make_series_evaluator(
@@ -181,11 +173,21 @@ def make_series_evaluator(
 
 
 def make_chsc_closed_evaluator(n: int, c, N: int | None = None, C: float | None = None) -> Callable:
+    """Closed-form evaluator (k, x, y) -> report.
+
+    c and the constants through the cap order go to float once, as
+    ``complex(float(b_j))``; b_0..b_N do not depend on the cap.
+    """
     cap = N if N is not None else n
+    consts = [complex(float(b)) for b in chsc_coefficients(n, c, max(cap, 0))]
+    psi_fn = chsc_psi(c)
+
+    def b_fn(j, px, zbar):
+        return consts[j]
 
     def run(k, x, y):
         order = cap if C is None else choose_truncation_order(k, C, cap)
-        return eval_KN_chsc_closed(n, c, k, order, x, y)
+        return evaluate_kernel(n, k, order, x, y, psi_fn, b_fn)
 
     return run
 

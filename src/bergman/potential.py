@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -317,8 +317,13 @@ def build_delta0(
     psi: TruncatedSeries,
     theta: Sequence[TruncatedSeries],
     z_of_theta: Sequence[TruncatedSeries],
+    z_powers: dict | None = None,
 ) -> tuple:
-    """The Jacobian ratio det psi_yz / det theta_z, in both coordinate systems."""
+    """The Jacobian ratio det psi_yz / det theta_z, in both coordinate systems.
+
+    ``z_powers`` is the compose cache of powers of ``z_of_theta`` (see
+    :attr:`GeometryPack.z_powers`); it is read and grown, never required.
+    """
     n = psi.nvars // 2
     n3 = 3 * n
     D = psi.trunc_degree
@@ -334,8 +339,7 @@ def build_delta0(
     det_den = det(den_rows)
     delta0_xyz = det_num * det_den.invert()
     ids = TruncatedSeries.variables(n3, z_of_theta[0].trunc_degree)[: 2 * n]
-    args = list(ids) + [z.truncate(z_of_theta[0].trunc_degree) for z in z_of_theta]
-    delta0_xytheta = delta0_xyz.compose(args)
+    delta0_xytheta = delta0_xyz.compose(list(ids) + list(z_of_theta), cache=z_powers)
     return delta0_xyz, delta0_xytheta
 
 
@@ -351,10 +355,13 @@ class PhaseChain:
     Both coefficient routes go through these three compositions.  In each,
     the x arguments are bare variables, which only move exponents, and the
     other n arguments (``z(x,y,theta)``, ``psi_x(x,z)`` or ``w``) are
-    substituted.  Each composition keeps its own cache of the powers of its
-    n substituted arguments, keyed by their exponent, so every call after the
-    first with one geometry reuses the powers built so far.  The caches only
-    grow; the results do not depend on them.
+    substituted.  Each composition has a cache of the powers of its n
+    substituted arguments, keyed by their exponent, so every call after the
+    first with one geometry reuses the powers built so far.  The powers of
+    ``z(x,y,theta)`` are the geometry's own table, :attr:`GeometryPack.z_powers`,
+    which the round-trip check in :func:`build_geometry` starts and
+    ``build_delta0`` grows; the other two caches start empty.  The caches
+    only grow; the results do not depend on them.
     """
 
     def __init__(self, geom: "GeometryPack"):
@@ -362,7 +369,7 @@ class PhaseChain:
         self._psi_x = geom.psi_x
         self._x3 = TruncatedSeries.variables(3 * n, D - 1)[:n]
         self._into_xytheta = self._x3 + list(geom.z_of_theta)
-        self._into_xytheta_cache: dict = {}
+        self._into_xytheta_cache = geom.z_powers
         x2 = TruncatedSeries.variables(2 * n, D - 1)[:n]
         self._into_xz = x2 + list(geom.psi_x)
         self._into_xz_cache: dict = {}
@@ -397,6 +404,9 @@ class GeometryPack:
     z_of_theta: tuple               # n series, (x, y, theta), degree D - 1
     delta0_xyz: TruncatedSeries     # (x, y, z), degree D - 2
     delta0_xytheta: TruncatedSeries  # (x, y, theta), degree D - 2
+    # gamma -> prod z_j^gamma_j at degree D - 1, over the z_of_theta that are not
+    # bare variables: the compose cache of every composition through z_of_theta
+    z_powers: dict = field(compare=False, repr=False)
 
     @cached_property
     def phase(self) -> PhaseChain:
@@ -414,12 +424,14 @@ def build_geometry(spec: PotentialSpec) -> GeometryPack:
     z_of_theta = invert_theta(theta)
     ids = TruncatedSeries.variables(3 * n, D - 1)
     args = list(ids[: 2 * n]) + list(z_of_theta)
-    powers: dict = {}  # z-powers shared by the n compositions of the check
-    roundtrip = [t.compose(args, cache=powers) for t in theta]
+    # the check builds the z-powers from z_of_theta alone; they become the
+    # geometry's table, shared by build_delta0 and the phase chain
+    z_powers: dict = {}
+    roundtrip = [t.compose(args, cache=z_powers) for t in theta]
     for i in range(n):
         if roundtrip[i] != ids[2 * n + i]:
             raise ArithmeticError("phase inversion failed the round-trip identity")
-    delta0_xyz, delta0_xytheta = build_delta0(psi, theta, z_of_theta)
+    delta0_xyz, delta0_xytheta = build_delta0(psi, theta, z_of_theta, z_powers)
     if delta0_xytheta.constant_term != 1:
         raise ArithmeticError("Delta0 must have constant term 1")
     return GeometryPack(
@@ -432,6 +444,7 @@ def build_geometry(spec: PotentialSpec) -> GeometryPack:
         z_of_theta=tuple(z_of_theta),
         delta0_xyz=delta0_xyz,
         delta0_xytheta=delta0_xytheta,
+        z_powers=z_powers,
     )
 
 

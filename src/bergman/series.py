@@ -51,10 +51,15 @@ Composition
 argument that is exactly ``x_j`` (one term, coefficient 1, degree 1) only
 moves the exponent of its slot to slot ``j``.  The terms of ``f`` are grouped
 by the exponent ``gamma`` of the other, substituted, arguments, and each
-group costs one product with the power product ``P_gamma`` of those
-arguments.  The optional ``cache`` holds these ``P_gamma``, keyed by
-``gamma`` (one entry per substituted argument), so calls that share an
-argument list share their powers.
+group is multiplied by the power product ``P_gamma`` of those arguments.
+Every group product goes into one accumulator over one denominator, the
+denominator of ``f`` times the lcm of the ``P_gamma`` denominators, and the
+result is reduced once; the pair loop is the one ``mul_trunc`` runs.  The
+optional ``cache`` holds the ``P_gamma``, keyed by ``gamma`` (one entry per
+substituted argument), so calls that share an argument list share their
+powers.  :class:`bergman.potential.GeometryPack` keeps one such table for
+the inverted phase ``z(x, y, theta)``: the round-trip check builds it, and
+``build_delta0`` and every later composition through ``z`` reuse it.
 
 Trusted construction
 --------------------
@@ -174,8 +179,11 @@ class TruncatedSeries:
 
     def _store(self, nvars: int, trunc_degree: int, shift: int, acc: dict, den: int):
         """Set the fields from packed key -> numerator over ``den``, in canonical form."""
-        keys = sorted(k for k, v in acc.items() if v)
+        keys = sorted(acc)
         nums = [acc[k] for k in keys]
+        if 0 in nums:
+            keys = [k for k, v in zip(keys, nums) if v]
+            nums = [v for v in nums if v]
         if den != 1:
             g = gcd(den, *nums)
             if den < 0:
@@ -238,9 +246,6 @@ class TruncatedSeries:
     @property
     def constant_term(self):
         return self[(0,) * self.nvars]
-
-    def is_zero(self) -> bool:
-        return not self._keys
 
     def __getitem__(self, index) -> object:
         index = tuple(index)
@@ -539,13 +544,21 @@ class TruncatedSeries:
             cache[gamma] = p
             return p
 
-        parts = []
+        # one accumulator over self._den * scale, scale the lcm of the power denominators
+        powers = {gamma: power(gamma) for gamma in groups if any(gamma)}
+        scale = lcm(*[p._den for p in powers.values()])
+        acc: dict = {}
+        get = acc.get
         for gamma, group in groups.items():
-            part = TruncatedSeries._canonical(tgt_n, out_D, shift, group, self._den)
-            if any(gamma):
-                part = mul_trunc(part, power(gamma), out_D)
-            parts.append(part)
-        return _sum(tgt_n, out_D, shift, parts)
+            p = powers.get(gamma)
+            if p is None:
+                for k, v in group.items():
+                    acc[k] = get(k, 0) + v * scale
+            else:
+                ratio = scale // p._den
+                p_nums = p._nums if ratio == 1 else [v * ratio for v in p._nums]
+                _add_products(acc, group.items(), p._keys_at(shift), p_nums, tgt_width, out_D)
+        return TruncatedSeries._canonical(tgt_n, out_D, shift, acc, self._den * scale)
 
     # -- numerics ------------------------------------------------------------
 
@@ -644,19 +657,24 @@ def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> Trunca
     b_keys, b_nums = b._keys_at(shift), b._nums
     if len(b_keys) < len(a_keys):
         a_keys, a_nums, b_keys, b_nums = b_keys, b_nums, a_keys, a_nums
-    width = shift * a.nvars
-    b_terms = list(zip(b_keys, b_nums))
     acc: dict = {}
+    _add_products(acc, zip(a_keys, a_nums), b_keys, b_nums, shift * a.nvars, out_degree)
+    return TruncatedSeries._canonical(a.nvars, out_degree, shift, acc, a._den * b._den)
+
+
+def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int, out_degree: int):
+    """Add ``va * vb`` at ``ka + kb`` into ``acc`` for every pair of degree at most
+    ``out_degree``; ``b_keys`` are sorted, the keys of ``a_terms`` may come in any order."""
+    b_terms = list(zip(b_keys, b_nums))
     get = acc.get
-    for ka, va in zip(a_keys, a_nums):
+    for ka, va in a_terms:
         # b keys below this bound have degree at most out_degree - deg(ka)
         bound = (out_degree + 1 - (ka >> width)) << width
         if bound <= 0:
-            break
+            continue
         for kb, vb in b_terms[: bisect_left(b_keys, bound)]:
             k = ka + kb
             acc[k] = get(k, 0) + va * vb
-    return TruncatedSeries._canonical(a.nvars, out_degree, shift, acc, a._den * b._den)
 
 
 def segment_average(

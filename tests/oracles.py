@@ -94,6 +94,11 @@ def segment_average_oracle(f, n, block_start, x_start, y_start, out_nvars, passt
     return TruncatedSeries(out_nvars, f.trunc_degree, out)
 
 
+def is_zero(series):
+    """Whether a series has no terms, read through ``==`` on the packed form."""
+    return series == TruncatedSeries.zero(series.nvars, series.trunc_degree)
+
+
 def eval_oracle(series, point):
     """``TruncatedSeries.eval`` as a loop over the ``coeffs`` view, one complex() per term."""
     if len(point) != series.nvars:

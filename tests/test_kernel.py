@@ -7,11 +7,13 @@ from math import comb
 
 import pytest
 
+from bergman.chsc import chsc_coefficients
 from bergman.coefficients import bergman_coefficients
 from bergman.kernel import (
     choose_truncation_order,
     eval_KN,
     eval_KN_chsc_closed,
+    evaluate_kernel,
     log_asymptotic_fit,
     make_chsc_closed_evaluator,
     make_series_evaluator,
@@ -129,6 +131,26 @@ class TestEvalAgainstModels:
                 rep = eval_KN_chsc_closed(1, 1, k, 1, x, y)
                 oracle = cpn_kernel(1, k, x, y)
                 assert abs(rep.K_val - oracle) <= 1e-12 * abs(oracle)
+
+    @pytest.mark.parametrize("n,c", [(1, 1), (2, F(-1, 3)), (2, 0)])
+    def test_chsc_closed_float_conversions_once_are_bit_identical(self, n, c):
+        # the constants and c go to float once per evaluator; every report
+        # equals the one built from per-call conversions of the exact values
+        def psi_fn(px, zbar):
+            w = sum(complex(a) * complex(b) for a, b in zip(px, zbar))
+            return w if c == 0 else cmath.log(1 + float(F(c)) * w) / float(F(c))
+
+        def b_fn(j, px, zbar):
+            return complex(float(chsc_coefficients(n, c, 3)[j]))
+
+        x, y = [0.02 + 0.01j] * n, [0.015 - 0.005j] * n
+        for C in (None, 400.0):  # 400 gives orders 0, 1 and 3 on this grid
+            run = make_chsc_closed_evaluator(n, c, N=3, C=C)
+            for k in (64, 1024, 4096):
+                order = 3 if C is None else choose_truncation_order(k, C, 3)
+                want = evaluate_kernel(n, k, order, x, y, psi_fn, b_fn).to_dict()
+                assert run(k, x, y).to_dict() == want
+                assert eval_KN_chsc_closed(n, c, k, order, x, y).to_dict() == want
 
     def test_chsc_series_matches_cpn(self, chsc_series):
         geom, table = chsc_series

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergman import potential
+from bergman.coefficients import bergman_coefficients
 from bergman.potential import (
     PotentialSpec,
     SpecValidationError,
+    build_delta0,
     build_geometry,
     build_theta,
     check_good_contour,
@@ -22,7 +24,8 @@ from bergman.potential import (
     preset_flat,
     preset_quartic,
 )
-from bergman.series import TruncatedSeries
+from bergman.series import TruncatedSeries, mul_trunc
+from bergman.transport import transport_chain
 from oracles import segment_average_oracle, write_spec
 
 F = Fraction
@@ -270,6 +273,59 @@ class TestInvertTheta:
             acc = acc * (x * th)
             geometric = geometric + acc
         assert z == th * geometric
+
+
+class TestZPowerTable:
+    """The geometry's one table of z-powers, started by the round-trip check."""
+
+    SPECS = {
+        "quartic": lambda: preset_quartic(1, F(1, 10), 10),
+        "chsc2": lambda: preset_chsc(2, F(-1, 2), 8),
+        "non_radial_n2": lambda: non_radial_n2_spec(6),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_entries_are_products_of_z(self, name):
+        geom = build_geometry(self.SPECS[name]())
+        n, D = geom.n, geom.degree - 1
+        assert geom.z_powers
+        for gamma, power in geom.z_powers.items():
+            assert len(gamma) == n and any(gamma)
+            want = TruncatedSeries.one(3 * n, D)
+            for z, e in zip(geom.z_of_theta, gamma):
+                for _ in range(e):
+                    want = mul_trunc(want, z, D)
+            assert power == want
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_build_delta0_with_and_without_the_table(self, name):
+        geom = build_geometry(self.SPECS[name]())
+        parts = (geom.psi, geom.theta, geom.z_of_theta)
+        with_table = build_delta0(*parts, dict(geom.z_powers))
+        without = build_delta0(*parts)
+        assert with_table == without == (geom.delta0_xyz, geom.delta0_xytheta)
+
+    def test_table_is_not_compared(self):
+        spec = preset_quartic(1, F(1, 10), 8)
+        geom, fresh = build_geometry(spec), build_geometry(spec)
+        geom.z_powers[(99,)] = TruncatedSeries.one(3, 7)
+        assert geom == fresh
+
+    def test_grown_table_leaves_the_coefficients_unchanged(self):
+        spec = preset_quartic(1, F(1, 10), 10)
+        geom = build_geometry(spec)
+        chain = transport_chain(geom, 4)
+        assert geom.phase._into_xytheta_cache is geom.z_powers
+        before = set(geom.z_powers)
+        # a dense polynomial in z asks for every power up to the degree
+        D = geom.degree - 1
+        zpoly = sum((TruncatedSeries.variable(2, D, 1) ** e for e in range(1, D + 1)),
+                    TruncatedSeries.zero(2, D))
+        geom.phase.substitute_z(zpoly)
+        assert set(geom.z_powers) > before
+        fresh = build_geometry(spec)
+        assert bergman_coefficients(geom, 4) == bergman_coefficients(fresh, 4)
+        assert chain == transport_chain(fresh, 4)
 
 
 class TestDelta0:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bergman.series import (
     TruncatedSeries,
+    _add_products,
     det,
     exponents_of_degree,
     multi_factorial,
@@ -18,7 +19,7 @@ from bergman.series import (
     sub_indices,
     unit,
 )
-from oracles import eval_oracle
+from oracles import eval_oracle, is_zero
 
 F = Fraction
 
@@ -85,8 +86,8 @@ class TestAdd:
 
     def test_truncation_respects_degree(self):
         x_sq = TruncatedSeries(1, 1, {(2,): 1})
-        assert x_sq.is_zero()
-        assert (x_sq + x_sq).is_zero()
+        assert is_zero(x_sq)
+        assert is_zero(x_sq + x_sq)
 
     def test_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -200,7 +201,7 @@ class TestDiff:
 
     def test_constant_killed(self):
         f = TruncatedSeries.constant(2, 3, 5)
-        assert f.diff((1, 0)).is_zero()
+        assert is_zero(f.diff((1, 0)))
 
     def test_diff_commutes(self):
         rng = random.Random(5)
@@ -433,6 +434,54 @@ class TestTrustedConstructor:
         f.compose([x[2], u, x[0], v], cache=cache)
         assert cache
         assert all(len(key) == 2 for key in cache)
+
+
+class TestOneAccumulator:
+    """compose adds every group product into one accumulator over one denominator;
+    _store keeps no key whose numerator cancelled."""
+
+    def test_compose_over_coprime_large_prime_denominators(self):
+        p, q = 998_244_353, 1_000_000_007
+        x = TruncatedSeries.variables(3, 3)
+        u = TruncatedSeries(3, 3, {(1, 0, 0): F(1, p), (0, 1, 1): F(2, p), (0, 0, 2): F(-5, p)})
+        v = TruncatedSeries(3, 3, {(0, 0, 1): F(-1, q), (2, 0, 0): F(3, q), (0, 1, 0): 1})
+        # slot 1 is the bare x_1, so the terms free of slots 0 and 2 form the
+        # gamma = 0 group; the outer series has its own denominator 7 * 11 * 13
+        f = TruncatedSeries(3, 4, {
+            (0, 0, 0): F(5, 11), (0, 2, 0): F(1, 7), (0, 3, 0): F(-2, 13),
+            (1, 0, 0): F(2, 7), (1, 1, 0): F(-3, 11), (0, 0, 2): F(4, 13),
+            (1, 1, 1): F(6, 7), (2, 0, 1): F(-1, 11), (0, 1, 3): F(3, 13),
+        })
+        args = [u, x[1], v]
+        cache = {}
+        got = f.compose(args, cache=cache)
+        want = TruncatedSeries(3, 3, _plain_compose(f, args, 3))
+        assert _items(got) == _items(want)
+        assert got._den == math.lcm(*(F(c).denominator for c in got.coeffs.values()))
+        assert got._den % (p * q) == 0
+        assert sorted(cache) == [(0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1)]
+        # the cached powers serve a second call unchanged
+        assert f.compose(args, cache=cache) == got
+
+    def test_pair_loop_skips_out_of_range_terms_in_any_order(self):
+        x, y = TruncatedSeries.variables(2, 4)
+        a = x * x * x + F(1, 2) * y  # x^3 lies above the output degree 2
+        b = (1 + x + F(1, 3) * y) * (1 + y)
+        acc = {}
+        high_first = list(zip(a._keys, a._nums))[::-1]
+        _add_products(acc, high_first, b._keys, b._nums, 2 * a._shift, 2)
+        got = TruncatedSeries._canonical(2, 2, a._shift, acc, a._den * b._den)
+        assert got == mul_trunc(a, b, 2) == (F(1, 2) * y * b).truncate(2)
+
+    def test_exact_cancellation_stores_no_key(self):
+        x, y = TruncatedSeries.variables(2, 2)
+        for scale in (1, F(1, 3)):
+            s = ((x + y) * (x - y)) * scale + (y * y - x * x) * scale
+            assert s._keys == [] and s._nums == [] and s._den == 1
+            assert s == TruncatedSeries.zero(2, 2)
+        partial = (x + y) * (x - y) + y * y
+        assert partial._nums == [1] and 0 not in partial._nums
+        assert partial == x * x
 
 
 # -- the packed integer core against plain loops on exponent tuples ----------
