@@ -28,7 +28,9 @@ def delta0_taylor_coeffs(n: int, L: int) -> list:
         raise ValueError("need n >= 1 and L >= 0")
     exp_u = TruncatedSeries(1, L, {(j,): Fraction(1, factorial(j)) for j in range(L + 1)})
     ratio = TruncatedSeries(1, L, {(j,): Fraction(1, factorial(j + 1)) for j in range(L + 1)})
-    g = exp_u * ratio ** (n - 1)
+    g = exp_u
+    for _ in range(n - 1):
+        g = g * ratio
     return [Fraction(g[(j,)]) for j in range(L + 1)]
 
 
@@ -62,19 +64,13 @@ class ChscModel:
 
     n: int
     c: Fraction
-    a: tuple
     b: tuple
 
     @classmethod
     def build(cls, n: int, c, M: int | None = None) -> "ChscModel":
         c = Fraction(c)
         order = max(n + 1, M if M is not None else 0)
-        return cls(
-            n=n,
-            c=c,
-            a=tuple(delta0_taylor_coeffs(n, order)),
-            b=tuple(chsc_coefficients(n, c, order)),
-        )
+        return cls(n=n, c=c, b=tuple(chsc_coefficients(n, c, order)))
 
 
 def polynomial_identity_check(model: ChscModel) -> bool:

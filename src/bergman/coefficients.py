@@ -4,10 +4,11 @@ Order m is obtained from the lower orders by applying powers of the mixed
 operator ``D_y . D_theta`` to the composed amplitude
 ``b_{m-l}(x, z(x,y,theta)) * Delta0(x,y,theta)``, restricting to ``y = x``
 and converting the result back to ``(x, z)`` coordinates through the
-on-diagonal phase ``theta(x,x,z) = psi_x(x,z)``.  Both compositions go
-through the geometry's shared phase chain ``geom.phase``
-(:class:`bergman.potential.PhaseChain`), the same one the transport route
-uses.  All steps are exact rational series operations.
+on-diagonal phase ``theta(x,x,z) = psi_x(x,z)``.  The amplitude is
+``geom.amplitude`` and the collapse is ``geom.phase.to_xz``, both from the
+geometry's one phase chain (:class:`bergman.potential.PhaseChain`), which the
+transport route uses too.  The derivatives of every level are added in one
+:func:`bergman.series.linear_combination`.  All steps are exact.
 
 Degree bookkeeping: with geometry built at truncation degree D, the order m
 coefficient is exact through total degree ``D - 2m - 2`` for m >= 1 (the
@@ -22,14 +23,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 
-from .potential import DegreeBudgetError, GeometryPack, merge_y_into_x
+from .potential import DegreeBudgetError, GeometryPack
 from .sampling import polydisc_points
-from .series import TruncatedSeries, exponents_of_degree, multi_factorial
+from .series import TruncatedSeries, exponents_of_degree, linear_combination, multi_factorial
 
 
-def required_geometry_degree(order: int, min_degree: int = 0) -> int:
-    """Smallest geometry truncation degree exact through ``min_degree`` at ``order``."""
-    return 2 * order + 2 + min_degree
+def required_geometry_degree(order: int) -> int:
+    """Smallest geometry truncation degree that supports ``order``."""
+    return 2 * order + 2
 
 
 @dataclass(frozen=True)
@@ -67,49 +68,29 @@ class CoefficientTable:
         )
 
 
-def _mixed_derivative_sum(g: TruncatedSeries, n: int, level: int) -> TruncatedSeries:
-    """(D_y . D_theta)^level / level! of a series in (x, y, theta) blocks."""
-    acc = None
-    for delta in exponents_of_degree(n, level):
-        xi = (0,) * n + delta + delta
-        term = g.diff(xi) * Fraction(1, multi_factorial(delta))
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def bergman_coefficients(
-    geom: GeometryPack, M: int, min_degree: int = 0
-) -> CoefficientTable:
+def bergman_coefficients(geom: GeometryPack, M: int) -> CoefficientTable:
     """Compute b_0..b_M for the given geometry.
 
     Raises :class:`DegreeBudgetError` when the geometry degree cannot support
-    order M with every coefficient exact through ``min_degree``.
+    order M.
     """
     n, D = geom.n, geom.degree
-    need = required_geometry_degree(M, min_degree)
+    need = required_geometry_degree(M)
     if M >= 1 and D < need:
-        raise DegreeBudgetError(
-            f"order {M} with output degree {min_degree} needs geometry degree "
-            f">= {need}, got {D}",
-            need,
-        )
-    phase = geom.phase
+        raise DegreeBudgetError(f"order {M} needs geometry degree >= {need}, got {D}", need)
     b = [TruncatedSeries.one(2 * n, D)]
-    amplitudes = {0: geom.delta0_xytheta}
+    amplitudes = [geom.delta0_xytheta]  # a_j = (b_j o z) * Delta0, with a_0 = Delta0
     for m in range(1, M + 1):
-        total = None
-        for level in range(1, m + 1):
-            j = m - level
-            g = amplitudes.get(j)
-            if g is None:
-                comp = phase.substitute_z(b[j])
-                g = comp * geom.delta0_xytheta.truncate(comp.trunc_degree)
-                amplitudes[j] = g
-            term = _mixed_derivative_sum(g, n, level)
-            merged = merge_y_into_x(term, n)
-            total = merged if total is None else total + merged
-        b_m = phase.to_xz(-total)
-        b.append(b_m)
+        # -sum_j (D_y . D_theta)^(m-j) / (m-j)! of a_j, where (D_y . D_theta)^l / l!
+        # is the sum over |delta| = l of D_y^delta D_theta^delta / delta!
+        total = linear_combination([
+            (Fraction(-1, multi_factorial(delta)), a_j.diff((0,) * n + delta + delta))
+            for j, a_j in enumerate(amplitudes)
+            for delta in exponents_of_degree(n, m - j)
+        ])
+        b.append(geom.phase.to_xz(total))
+        if m < M:
+            amplitudes.append(geom.amplitude(b[m]))
     return CoefficientTable(
         n=n,
         M=M,
@@ -121,10 +102,7 @@ def bergman_coefficients(
 
 def amplitude_from_b(table: CoefficientTable, geom: GeometryPack) -> CoefficientTable:
     """Fill the amplitude family: a_0 = Delta0 - 1, a_m = (b_m o z) * Delta0."""
-    a = [geom.delta0_xytheta - 1]
-    for m in range(1, table.M + 1):
-        comp = geom.phase.substitute_z(table.b[m])
-        a.append(comp * geom.delta0_xytheta.truncate(comp.trunc_degree))
+    a = [geom.delta0_xytheta - 1] + [geom.amplitude(b) for b in table.b[1:]]
     return replace(table, a=tuple(a))
 
 

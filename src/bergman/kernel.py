@@ -29,12 +29,7 @@ def choose_truncation_order(k: int, C: float, max_order: int | None = None) -> i
     """The optimal truncation order floor(sqrt(k/C)), clamped to max_order."""
     if k < 1 or C <= 0:
         raise ValueError("need k >= 1 and C > 0")
-    n0 = int(math.isqrt(int(k / C))) if k / C >= 1 else 0
-    # isqrt of the floor is safe here; guard the boundary explicitly
-    while (n0 + 1) * (n0 + 1) <= k / C:
-        n0 += 1
-    while n0 * n0 > k / C:
-        n0 -= 1
+    n0 = math.isqrt(int(k / C))
     if max_order is not None and n0 > max_order:
         return max_order
     return n0
@@ -160,33 +155,28 @@ def eval_KN_chsc_closed(n: int, c, k: int, N: int, x, y) -> KernelReport:
     return make_chsc_closed_evaluator(n, c, N=N)(k, x, y)
 
 
-def make_series_evaluator(
-    geom: GeometryPack, table: CoefficientTable, C: float | None = None
-) -> Callable:
-    """Evaluator (k, x, y) -> report with N = min(N0(k, C), M); fixed M without C."""
+def make_series_evaluator(geom: GeometryPack, table: CoefficientTable) -> Callable:
+    """Evaluator (k, x, y) -> report at the table's full order M."""
 
     def run(k, x, y):
-        N = table.M if C is None else choose_truncation_order(k, C, table.M)
-        return eval_KN(geom, table, k, N, x, y)
+        return eval_KN(geom, table, k, table.M, x, y)
 
     return run
 
 
-def make_chsc_closed_evaluator(n: int, c, N: int | None = None, C: float | None = None) -> Callable:
-    """Closed-form evaluator (k, x, y) -> report.
+def make_chsc_closed_evaluator(n: int, c, N: int | None = None) -> Callable:
+    """Closed-form evaluator (k, x, y) -> report at order N (default n).
 
-    c and the constants through the cap order go to float once, as
-    ``complex(float(b_j))``; b_0..b_N do not depend on the cap.
+    c and the constants b_0..b_N go to float once, as ``complex(float(b_j))``.
     """
-    cap = N if N is not None else n
-    consts = [complex(float(b)) for b in chsc_coefficients(n, c, max(cap, 0))]
+    order = N if N is not None else n
+    consts = [complex(float(b)) for b in chsc_coefficients(n, c, max(order, 0))]
     psi_fn = chsc_psi(c)
 
     def b_fn(j, px, zbar):
         return consts[j]
 
     def run(k, x, y):
-        order = cap if C is None else choose_truncation_order(k, C, cap)
         return evaluate_kernel(n, k, order, x, y, psi_fn, b_fn)
 
     return run

@@ -19,10 +19,11 @@ Everything is exact rational arithmetic; the segment integral in the phase
 (:func:`bergman.series.segment_average`) is done termwise with integer
 Beta-function weights, never by quadrature.
 
-:class:`GeometryPack` also carries the one phase chain both coefficient
-routes use (:class:`PhaseChain`, built on first use as ``geom.phase``): it
-holds every composition through ``z(x, y, theta)`` and ``psi_x(x, z)``, so
-:mod:`bergman.coefficients` and :mod:`bergman.transport` share its caches.
+:class:`PhaseChain` is the only code that composes through the phase.
+:func:`build_geometry` builds it before the round-trip check and keeps it as
+``geom.phase``; it owns the one table of powers of ``z(x, y, theta)``, which
+the round-trip check, ``Delta0`` and both coefficient routes share, and
+``geom.amplitude(b)`` gives ``(b o z) * Delta0`` to both routes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import factorial
 from typing import Mapping, Sequence
 
@@ -40,6 +40,7 @@ from .series import (
     TruncatedSeries,
     det,
     exponents_of_degree,
+    linear_combination,
     multi_factorial,
     segment_average,
     unit,
@@ -288,13 +289,10 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     hinv = _fraction_matrix_inverse(hess)
 
     zvars = TruncatedSeries.variables(n3, D)[2 * n :]
-    remainder = []
-    for i in range(n):
-        r = theta[i]
-        for j in range(n):
-            if hess[i][j] != 0:
-                r = r - hess[i][j] * zvars[j]
-        remainder.append(r)
+    remainder = [
+        linear_combination([(1, theta[i])] + [(-h, zv) for h, zv in zip(hess[i], zvars) if h])
+        for i in range(n)
+    ]
 
     z = [TruncatedSeries.zero(n3, 0)] * n
     for d in range(1, D + 1):
@@ -303,27 +301,19 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
         powers: dict = {}  # z-powers shared by the n compositions of this sweep
         w = [r.compose(args, cache=powers) for r in remainder]
         tvars = variables[2 * n :]
-        z = []
-        for i in range(n):
-            acc = TruncatedSeries.zero(n3, d)
-            for j in range(n):
-                if hinv[i][j] != 0:
-                    acc = acc + hinv[i][j] * (tvars[j] - w[j])
-            z.append(acc)
+        z = [
+            linear_combination(
+                [(h, t) for h, t in zip(row, tvars) if h] + [(-h, wj) for h, wj in zip(row, w) if h]
+            )
+            for row in hinv
+        ]
     return z
 
 
 def build_delta0(
-    psi: TruncatedSeries,
-    theta: Sequence[TruncatedSeries],
-    z_of_theta: Sequence[TruncatedSeries],
-    z_powers: dict | None = None,
+    psi: TruncatedSeries, theta: Sequence[TruncatedSeries], phase: "PhaseChain"
 ) -> tuple:
-    """The Jacobian ratio det psi_yz / det theta_z, in both coordinate systems.
-
-    ``z_powers`` is the compose cache of powers of ``z_of_theta`` (see
-    :attr:`GeometryPack.z_powers`); it is read and grown, never required.
-    """
+    """The Jacobian ratio det psi_yz / det theta_z, in both coordinate systems."""
     n = psi.nvars // 2
     n3 = 3 * n
     D = psi.trunc_degree
@@ -338,56 +328,54 @@ def build_delta0(
     det_num = det(num_rows)
     det_den = det(den_rows)
     delta0_xyz = det_num * det_den.invert()
-    ids = TruncatedSeries.variables(n3, z_of_theta[0].trunc_degree)[: 2 * n]
-    delta0_xytheta = delta0_xyz.compose(list(ids) + list(z_of_theta), cache=z_powers)
-    return delta0_xyz, delta0_xytheta
-
-
-def merge_y_into_x(f: TruncatedSeries, n: int) -> TruncatedSeries:
-    """Formal substitution y = x: (x, y, w) blocks -> (x, w) blocks."""
-    var_map = tuple(range(n)) + tuple(range(n)) + tuple(range(n, 2 * n))
-    return f.remap_variables(2 * n, var_map)
+    return delta0_xyz, phase.substitute_z(delta0_xyz)
 
 
 class PhaseChain:
     """Series carried through the phase chain theta -> z(x,y,theta) -> theta(x,x,z).
 
-    Both coefficient routes go through these three compositions.  In each,
-    the x arguments are bare variables, which only move exponents, and the
-    other n arguments (``z(x,y,theta)``, ``psi_x(x,z)`` or ``w``) are
-    substituted.  Each composition has a cache of the powers of its n
-    substituted arguments, keyed by their exponent, so every call after the
-    first with one geometry reuses the powers built so far.  The powers of
-    ``z(x,y,theta)`` are the geometry's own table, :attr:`GeometryPack.z_powers`,
-    which the round-trip check in :func:`build_geometry` starts and
-    ``build_delta0`` grows; the other two caches start empty.  The caches
-    only grow; the results do not depend on them.
+    The only code that composes through the phase: the round-trip check,
+    ``Delta0`` and both coefficient routes go through these three
+    compositions.  In each, the x (and y) arguments are bare variables, which
+    only move exponents, and the other n arguments (``z(x,y,theta)``,
+    ``psi_x(x,z)`` or ``w``) are substituted.  Each composition has a cache
+    of the powers of its n substituted arguments, keyed by their exponent,
+    so every call after the first with one geometry reuses the powers built
+    so far.  The powers of ``z(x,y,theta)`` are :attr:`z_powers`, the
+    geometry's one table, which the round-trip check in
+    :func:`build_geometry` starts.  The caches only grow; the results do not
+    depend on them.
     """
 
-    def __init__(self, geom: "GeometryPack"):
-        n, D = geom.n, geom.degree
-        self._psi_x = geom.psi_x
-        self._x3 = TruncatedSeries.variables(3 * n, D - 1)[:n]
-        self._into_xytheta = self._x3 + list(geom.z_of_theta)
-        self._into_xytheta_cache = geom.z_powers
+    def __init__(self, n: int, D: int, psi_x: Sequence, z_of_theta: Sequence):
+        self._n = n
+        self._psi_x = psi_x
+        xy3 = TruncatedSeries.variables(3 * n, D - 1)[: 2 * n]
+        self._x3 = xy3[:n]
+        self._z_args = {2 * n: self._x3 + list(z_of_theta), 3 * n: xy3 + list(z_of_theta)}
+        self.z_powers: dict = {}
         x2 = TruncatedSeries.variables(2 * n, D - 1)[:n]
-        self._into_xz = x2 + list(geom.psi_x)
+        self._into_xz = x2 + list(psi_x)
         self._into_xz_cache: dict = {}
         self._w_args = None
         self._w_cache: dict = {}
+        # y = x: (x, y, w) blocks -> (x, w) blocks
+        self._merge_y = tuple(range(n)) * 2 + tuple(range(n, 2 * n))
 
-    def substitute_z(self, f_xz: TruncatedSeries) -> TruncatedSeries:
-        """f(x, z) -> f(x, z(x,y,theta)) in (x, y, theta) blocks."""
-        return f_xz.compose(self._into_xytheta, cache=self._into_xytheta_cache)
+    def substitute_z(self, f: TruncatedSeries) -> TruncatedSeries:
+        """f(x, z) or f(x, y, z) -> the same with z = z(x,y,theta), in (x, y, theta) blocks."""
+        return f.compose(self._z_args[f.nvars], cache=self.z_powers)
 
-    def to_xz(self, f_xtheta: TruncatedSeries) -> TruncatedSeries:
-        """f(x, theta) -> f(x, psi_x(x, z)) in (x, z) blocks."""
+    def to_xz(self, f_xytheta: TruncatedSeries) -> TruncatedSeries:
+        """f(x, y, theta) -> f(x, x, psi_x(x, z)) in (x, z) blocks."""
+        f_xtheta = f_xytheta.remap_variables(2 * self._n, self._merge_y)
         return f_xtheta.compose(self._into_xz, cache=self._into_xz_cache)
 
-    def diagonal_pullback(self, f_xtheta: TruncatedSeries) -> TruncatedSeries:
-        """f(x, theta) -> f(x, w) with w = theta(x,x,z(x,y,theta)) = psi_x(x, z(x,y,theta))."""
+    def diagonal_pullback(self, f_xytheta: TruncatedSeries) -> TruncatedSeries:
+        """f(x, y, theta) -> f(x, x, w) with w = theta(x,x,z(x,y,theta)) = psi_x(x, z(x,y,theta))."""
         if self._w_args is None:
             self._w_args = self._x3 + [self.substitute_z(p) for p in self._psi_x]
+        f_xtheta = f_xytheta.remap_variables(2 * self._n, self._merge_y)
         return f_xtheta.compose(self._w_args, cache=self._w_cache)
 
 
@@ -404,14 +392,12 @@ class GeometryPack:
     z_of_theta: tuple               # n series, (x, y, theta), degree D - 1
     delta0_xyz: TruncatedSeries     # (x, y, z), degree D - 2
     delta0_xytheta: TruncatedSeries  # (x, y, theta), degree D - 2
-    # gamma -> prod z_j^gamma_j at degree D - 1, over the z_of_theta that are not
-    # bare variables: the compose cache of every composition through z_of_theta
-    z_powers: dict = field(compare=False, repr=False)
+    phase: PhaseChain = field(compare=False, repr=False)
 
-    @cached_property
-    def phase(self) -> PhaseChain:
-        """The geometry's one phase chain, built on first use."""
-        return PhaseChain(self)
+    def amplitude(self, b: TruncatedSeries) -> TruncatedSeries:
+        """(b o z) * Delta0 in (x, y, theta) blocks, for b in (x, z) blocks of degree <= D - 2."""
+        comp = self.phase.substitute_z(b)
+        return comp * self.delta0_xytheta.truncate(comp.trunc_degree)
 
 
 def build_geometry(spec: PotentialSpec) -> GeometryPack:
@@ -422,16 +408,12 @@ def build_geometry(spec: PotentialSpec) -> GeometryPack:
     psi_x = tuple(psi.diff(unit(2 * n, i)) for i in range(n))
     theta = build_theta(psi)
     z_of_theta = invert_theta(theta)
-    ids = TruncatedSeries.variables(3 * n, D - 1)
-    args = list(ids[: 2 * n]) + list(z_of_theta)
-    # the check builds the z-powers from z_of_theta alone; they become the
-    # geometry's table, shared by build_delta0 and the phase chain
-    z_powers: dict = {}
-    roundtrip = [t.compose(args, cache=z_powers) for t in theta]
-    for i in range(n):
-        if roundtrip[i] != ids[2 * n + i]:
-            raise ArithmeticError("phase inversion failed the round-trip identity")
-    delta0_xyz, delta0_xytheta = build_delta0(psi, theta, z_of_theta, z_powers)
+    phase = PhaseChain(n, D, psi_x, z_of_theta)
+    # the check builds the z-powers from z_of_theta alone
+    zvars = TruncatedSeries.variables(3 * n, D - 1)[2 * n :]
+    if [phase.substitute_z(t) for t in theta] != zvars:
+        raise ArithmeticError("phase inversion failed the round-trip identity")
+    delta0_xyz, delta0_xytheta = build_delta0(psi, theta, phase)
     if delta0_xytheta.constant_term != 1:
         raise ArithmeticError("Delta0 must have constant term 1")
     return GeometryPack(
@@ -444,7 +426,7 @@ def build_geometry(spec: PotentialSpec) -> GeometryPack:
         z_of_theta=tuple(z_of_theta),
         delta0_xyz=delta0_xyz,
         delta0_xytheta=delta0_xytheta,
-        z_powers=z_powers,
+        phase=phase,
     )
 
 

@@ -13,7 +13,8 @@ A series with ``trunc_degree == D`` stores no exponent of total degree above
 ``D`` and is read as "exact through degree D, unknown beyond".  Arithmetic
 results are truncated to the degree they are guaranteed exact to:
 
-* ``+``, ``-``, ``*`` keep ``D`` (operands must agree on ``nvars`` and ``D``),
+* ``+``, ``-``, ``*`` keep ``D`` (operands must agree on ``nvars`` and ``D``;
+  ``+``, ``-`` and scalar ``*`` are :func:`linear_combination`, the one sum),
 * ``diff`` by a multi-index ``xi`` lowers it to ``max(0, D - |xi|)``,
 * ``compose`` takes the minimum over the operand degrees; arguments must have
   zero constant term, which is what makes truncated composition well defined,
@@ -57,9 +58,10 @@ denominator of ``f`` times the lcm of the ``P_gamma`` denominators, and the
 result is reduced once; the pair loop is the one ``mul_trunc`` runs.  The
 optional ``cache`` holds the ``P_gamma``, keyed by ``gamma`` (one entry per
 substituted argument), so calls that share an argument list share their
-powers.  :class:`bergman.potential.GeometryPack` keeps one such table for
-the inverted phase ``z(x, y, theta)``: the round-trip check builds it, and
-``build_delta0`` and every later composition through ``z`` reuse it.
+powers.  :class:`bergman.potential.PhaseChain`, the only composer through
+the phase, keeps one such table for the inverted phase ``z(x, y, theta)``
+(``phase.z_powers``): the round-trip check builds it, and ``Delta0`` and
+every later composition through ``z`` reuse it.
 
 Trusted construction
 --------------------
@@ -70,9 +72,9 @@ only drops zeros, sorts and reduces the denominator.  That is safe because
 each makes one entry per key from keys of valid operands by digit arithmetic
 that cannot carry: sums of keys of total degree at most the output degree
 (products, ``invert``, ``compose``, ``segment_average``), a multi-index taken
-from digits at least as large (``diff``), a degree cut (``truncate``) or rise
-(``lift``), or digits moved between slots (``remap_variables`` and bare
-``compose`` arguments).
+from digits at least as large (``diff``), the keys repacked to one base
+(``linear_combination``), a degree cut (``truncate``) or rise (``lift``), or
+digits moved between slots (``remap_variables`` and bare ``compose`` arguments).
 """
 
 from __future__ import annotations
@@ -304,61 +306,32 @@ class TruncatedSeries:
             other = TruncatedSeries.constant(self.nvars, self.trunc_degree, other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check_compatible(other, "add")
-        shift = max(self._shift, other._shift)
-        return _sum(self.nvars, self.trunc_degree, shift, [self, other])
+        return linear_combination([(1, self), (1, other)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries._canonical(
-            self.nvars, self.trunc_degree, self._shift,
-            dict(zip(self._keys, [-v for v in self._nums])), self._den,
-        )
+        return linear_combination([(-1, self)])
 
     def __sub__(self, other):
         if isinstance(other, _SCALARS):
             other = TruncatedSeries.constant(self.nvars, self.trunc_degree, other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self + (-other)
+        return linear_combination([(1, self), (-1, other)])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            if other == 0:
-                return TruncatedSeries.zero(self.nvars, self.trunc_degree)
-            num = other.numerator
-            return TruncatedSeries._canonical(
-                self.nvars, self.trunc_degree, self._shift,
-                dict(zip(self._keys, [v * num for v in self._nums])),
-                self._den * other.denominator,
-            )
+            return linear_combination([(other, self)])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other, "mul")
         return mul_trunc(self, other, self.trunc_degree)
 
-    def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series powers take non-negative integer exponents")
-        result = TruncatedSeries.one(self.nvars, self.trunc_degree)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+    __rmul__ = __mul__
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be nonzero.
@@ -431,7 +404,10 @@ class TruncatedSeries:
         """The same terms read as a series truncated at ``new_degree`` >= this one."""
         if new_degree < self.trunc_degree:
             raise ValueError(f"cannot lower truncation degree {self.trunc_degree} by lift")
-        return _sum(self.nvars, new_degree, max(self._shift, _shift_for(new_degree)), [self])
+        shift = max(self._shift, _shift_for(new_degree))
+        return TruncatedSeries._canonical(
+            self.nvars, new_degree, shift, dict(zip(self._keys_at(shift), self._nums)), self._den
+        )
 
     def truncate(self, new_degree: int) -> "TruncatedSeries":
         if new_degree > self.trunc_degree:
@@ -623,22 +599,31 @@ class TruncatedSeries:
         return cls(record["nvars"], record["trunc_degree"], coeffs)
 
 
-def _sum(nvars: int, degree: int, shift: int, terms: Sequence[TruncatedSeries]) -> TruncatedSeries:
-    """Sum of series in ``nvars`` variables with no key above ``degree``, keys at ``shift``."""
-    den = lcm(*[t._den for t in terms])
+def linear_combination(terms: Sequence[tuple]) -> TruncatedSeries:
+    """The sum of ``c * s`` over the ``(c, s)`` pairs of ``terms``.
+
+    Each ``c`` is an exact scalar and every ``s`` has the ``nvars`` and the
+    truncation degree of the first.  All terms go into one accumulator over
+    the lcm of the ``c.denominator * s._den``, reduced once.
+    """
+    first = terms[0][1]
+    for _, s in terms[1:]:
+        first._check_compatible(s, "add")
+    shift = max(s._shift for _, s in terms)
+    den = lcm(*[c.denominator * s._den for c, s in terms])
     acc: dict = {}
     get = acc.get
-    for t in terms:
-        keys, nums, d = t._keys_at(shift), t._nums, t._den
-        if d != den:
-            scale = den // d
+    for c, s in terms:
+        scale = c.numerator * (den // (c.denominator * s._den))
+        keys, nums = s._keys_at(shift), s._nums
+        if scale != 1:
             nums = [v * scale for v in nums]
         if acc:
             for k, v in zip(keys, nums):
                 acc[k] = get(k, 0) + v
         else:
             acc.update(zip(keys, nums))
-    return TruncatedSeries._canonical(nvars, degree, shift, acc, den)
+    return TruncatedSeries._canonical(first.nvars, first.trunc_degree, shift, acc, den)
 
 
 def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> TruncatedSeries:

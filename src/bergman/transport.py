@@ -4,9 +4,10 @@ An independent route to the Bergman coefficients: vector amplitudes A_m are
 produced order by order from fundamental-theorem-of-calculus solutions of the
 division problem ``(x - y) . A_m = RHS_m``, where each right hand side is
 built from derivatives of the previous order composed through the phase
-chain ``theta -> z(x,y,theta) -> theta(x,x,z)``: the geometry's shared
-``geom.phase`` (:class:`bergman.potential.PhaseChain`), the same compositions
-and caches the divergence recursion uses.  The scalar amplitude is
+chain ``theta -> z(x,y,theta) -> theta(x,x,z)``: the geometry's one
+``geom.phase`` (:class:`bergman.potential.PhaseChain`), whose compositions
+and caches the divergence recursion shares, and which collapses ``y = x``
+itself before it composes.  The scalar amplitude is
 then reassembled as ``(1 + k (x-y).A + D_theta.A) / Delta0`` and collapsed
 at ``y = x``, giving coefficients that must agree exactly with the
 divergence-form recursion of :mod:`bergman.coefficients`.
@@ -25,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .potential import DegreeBudgetError, GeometryPack, merge_y_into_x
-from .series import TruncatedSeries, segment_average, unit
+from .potential import DegreeBudgetError, GeometryPack
+from .series import TruncatedSeries, linear_combination, segment_average, unit
 
 
 @dataclass(frozen=True)
@@ -61,17 +62,13 @@ def _y_gradient_average(f: TruncatedSeries, n: int) -> list:
 
 
 def _divergence_theta(vec, n: int) -> TruncatedSeries:
-    acc = None
-    for i in range(n):
-        term = vec[i].diff(unit(3 * n, 2 * n + i))
-        acc = term if acc is None else acc + term
-    return acc
+    return linear_combination([(1, vec[i].diff(unit(3 * n, 2 * n + i))) for i in range(n)])
 
 
 def _step_rhs(geom: GeometryPack, prev_vec) -> TruncatedSeries:
     """Delta0 * Q - P for one step, with P = D_theta . A_{m-1} and Q its diagonal pullback."""
     p = _divergence_theta(prev_vec, geom.n)
-    q = geom.phase.diagonal_pullback(merge_y_into_x(p, geom.n))
+    q = geom.phase.diagonal_pullback(p)
     delta0 = geom.delta0_xytheta.truncate(q.trunc_degree)
     return delta0 * q - p.truncate(q.trunc_degree)
 
@@ -121,7 +118,6 @@ def reconstruct_coefficients(geom: GeometryPack, chain: TransportChain) -> list:
         )
     out = [TruncatedSeries.one(2 * n, D)]
     for m in range(1, chain.M + 1):
-        p = _divergence_theta(chain.A[m], n)
-        out.append(geom.phase.to_xz(merge_y_into_x(p, n)))
+        out.append(geom.phase.to_xz(_divergence_theta(chain.A[m], n)))
     return out
 

@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from bergman.chsc import ChscModel, delta0_taylor_coeffs, polynomial_identity_check
+from bergman.chsc import ChscModel, polynomial_identity_check
 from bergman.cli import main as cli_main
 from bergman.coefficients import bergman_coefficients, derivative_norm_table
 from bergman.growth import (
@@ -54,9 +54,7 @@ def test_criterion_1_chsc_closed_form_equality():
                 values.append(F(series.constant_term))
             if any(values[m] != 0 for m in range(n + 1, 5)):
                 ok = False
-            model = ChscModel(
-                n=n, c=F(c), a=tuple(delta0_taylor_coeffs(n, 4)), b=tuple(values)
-            )
+            model = ChscModel(n=n, c=F(c), b=tuple(values))
             if not polynomial_identity_check(model):
                 ok = False
             detail.append(f"n={n},c={c}:{[str(v) for v in values[: n + 1]]}")

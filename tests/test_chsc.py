@@ -85,7 +85,7 @@ class TestPolynomialIdentity:
 
     def test_detects_corruption(self):
         model = ChscModel.build(2, 1)
-        bad = ChscModel(n=2, c=F(1), a=model.a, b=(F(1), F(3), F(5)) + model.b[3:])
+        bad = ChscModel(n=2, c=F(1), b=(F(1), F(3), F(5)) + model.b[3:])
         assert not polynomial_identity_check(bad)
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergman.chsc import chsc_coefficients
 from bergman.coefficients import bergman_coefficients
@@ -111,6 +113,18 @@ class TestTruncationOrder:
     def test_clamp(self):
         assert choose_truncation_order(100, 1.0, max_order=3) == 3
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 10**12),
+        st.floats(1e-6, 1e6),
+        st.one_of(st.none(), st.integers(0, 50)),
+    )
+    def test_floor_sqrt_contract(self, k, C, max_order):
+        n0 = choose_truncation_order(k, C)
+        assert n0 * n0 <= k / C < (n0 + 1) * (n0 + 1)
+        want = n0 if max_order is None else min(n0, max_order)
+        assert choose_truncation_order(k, C, max_order) == want
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             choose_truncation_order(0, 1.0)
@@ -144,13 +158,11 @@ class TestEvalAgainstModels:
             return complex(float(chsc_coefficients(n, c, 3)[j]))
 
         x, y = [0.02 + 0.01j] * n, [0.015 - 0.005j] * n
-        for C in (None, 400.0):  # 400 gives orders 0, 1 and 3 on this grid
-            run = make_chsc_closed_evaluator(n, c, N=3, C=C)
-            for k in (64, 1024, 4096):
-                order = 3 if C is None else choose_truncation_order(k, C, 3)
-                want = evaluate_kernel(n, k, order, x, y, psi_fn, b_fn).to_dict()
-                assert run(k, x, y).to_dict() == want
-                assert eval_KN_chsc_closed(n, c, k, order, x, y).to_dict() == want
+        run = make_chsc_closed_evaluator(n, c, N=3)
+        for k in (64, 1024, 4096):
+            want = evaluate_kernel(n, k, 3, x, y, psi_fn, b_fn).to_dict()
+            assert run(k, x, y).to_dict() == want
+            assert eval_KN_chsc_closed(n, c, k, 3, x, y).to_dict() == want
 
     def test_chsc_series_matches_cpn(self, chsc_series):
         geom, table = chsc_series

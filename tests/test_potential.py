@@ -1,7 +1,11 @@
 """Polarization, phase geometry, diastasis, and the contour check."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from bergman import potential
 from bergman.coefficients import bergman_coefficients
 from bergman.potential import (
+    PhaseChain,
     PotentialSpec,
     SpecValidationError,
     build_delta0,
@@ -288,8 +293,8 @@ class TestZPowerTable:
     def test_entries_are_products_of_z(self, name):
         geom = build_geometry(self.SPECS[name]())
         n, D = geom.n, geom.degree - 1
-        assert geom.z_powers
-        for gamma, power in geom.z_powers.items():
+        assert geom.phase.z_powers
+        for gamma, power in geom.phase.z_powers.items():
             assert len(gamma) == n and any(gamma)
             want = TruncatedSeries.one(3 * n, D)
             for z, e in zip(geom.z_of_theta, gamma):
@@ -300,29 +305,31 @@ class TestZPowerTable:
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_build_delta0_with_and_without_the_table(self, name):
         geom = build_geometry(self.SPECS[name]())
-        parts = (geom.psi, geom.theta, geom.z_of_theta)
-        with_table = build_delta0(*parts, dict(geom.z_powers))
-        without = build_delta0(*parts)
+        with_table = build_delta0(geom.psi, geom.theta, geom.phase)
+        fresh = PhaseChain(geom.n, geom.degree, geom.psi_x, geom.z_of_theta)
+        without = build_delta0(geom.psi, geom.theta, fresh)
         assert with_table == without == (geom.delta0_xyz, geom.delta0_xytheta)
 
     def test_table_is_not_compared(self):
         spec = preset_quartic(1, F(1, 10), 8)
         geom, fresh = build_geometry(spec), build_geometry(spec)
-        geom.z_powers[(99,)] = TruncatedSeries.one(3, 7)
+        geom.phase.z_powers[(99,)] = TruncatedSeries.one(3, 7)
         assert geom == fresh
 
     def test_grown_table_leaves_the_coefficients_unchanged(self):
         spec = preset_quartic(1, F(1, 10), 10)
         geom = build_geometry(spec)
         chain = transport_chain(geom, 4)
-        assert geom.phase._into_xytheta_cache is geom.z_powers
-        before = set(geom.z_powers)
+        before = set(geom.phase.z_powers)
         # a dense polynomial in z asks for every power up to the degree
         D = geom.degree - 1
-        zpoly = sum((TruncatedSeries.variable(2, D, 1) ** e for e in range(1, D + 1)),
-                    TruncatedSeries.zero(2, D))
+        z = TruncatedSeries.variable(2, D, 1)
+        zpoly, power = TruncatedSeries.zero(2, D), TruncatedSeries.one(2, D)
+        for _ in range(D):
+            power = power * z
+            zpoly = zpoly + power
         geom.phase.substitute_z(zpoly)
-        assert set(geom.z_powers) > before
+        assert set(geom.phase.z_powers) > before
         fresh = build_geometry(spec)
         assert bergman_coefficients(geom, 4) == bergman_coefficients(fresh, 4)
         assert chain == transport_chain(fresh, 4)
@@ -348,7 +355,9 @@ class TestDelta0:
         # g(u) = e^u ((e^u - 1)/u)^(n-1)
         exp1 = TruncatedSeries(1, D, {(j,): F(1, math.factorial(j)) for j in range(D + 1)})
         ratio = TruncatedSeries(1, D, {(j,): F(1, math.factorial(j + 1)) for j in range(D + 1)})
-        g = exp1 * ratio ** (n - 1)
+        g = exp1
+        for _ in range(n - 1):
+            g = g * ratio
         g0 = g - TruncatedSeries.constant(1, D, g.constant_term)
         closed = g0.compose([u]) + 1
         assert geom.delta0_xytheta == closed
@@ -432,3 +441,16 @@ class TestPresetDispatch:
         assert make_preset("chsc", 1, 8, param=-1).coeffs == preset_chsc(1, -1, 8).coeffs
         with pytest.raises(SpecValidationError):
             make_preset("nope", 1, 6)
+
+
+class TestSampling:
+    def test_import_leaves_scipy_unloaded(self):
+        # the Halton points are computed in the package, so importing it
+        # costs no scipy.stats import
+        src = Path(potential.__file__).resolve().parent.parent
+        probe = "import sys, bergman; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"

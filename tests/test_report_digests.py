@@ -8,6 +8,8 @@ written in Python's shortest round-trip float form.  The last three cases pin
 float reports (``eval``, ``asymptotics`` and ``growth --task fit``) on the
 dense non-radial spec, so they also pin the order in which series evaluation
 sums its terms; they assume IEEE doubles and numpy's least-squares fit.
+The first case also pins ``contour.json``, the float report of the contour
+sweep, and with it the Halton sample points of :mod:`bergman.sampling`.
 """
 
 import hashlib
@@ -86,6 +88,8 @@ MATRIX = [
         {
             "geometry.json":
                 "f78d04086b9a256c29a8ccff1149283c63e1126ab9f15e1be08a243ac3d835db",
+            "contour.json":
+                "e306d04f28733ee8087a941dde3ae5cd5e170cea170b7fcbda40d598fcf609f5",
         },
     ),
     (

@@ -14,6 +14,7 @@ from bergman.series import (
     _add_products,
     det,
     exponents_of_degree,
+    linear_combination,
     multi_factorial,
     mul_trunc,
     sub_indices,
@@ -119,11 +120,9 @@ class TestMul:
         assert prod == TruncatedSeries(1, D, oracle)
         assert prod == univar(D, [1])
 
-    def test_scalar_and_pow(self):
+    def test_scalar(self):
         f = univar(4, [0, 1])
         assert 3 * f == univar(4, [0, 3])
-        assert f**3 == TruncatedSeries(1, 4, {(3,): 1})
-        assert f**0 == TruncatedSeries.one(1, 4)
 
     def test_mul_trunc_extends_for_polynomial_factor(self):
         # (x) * (1 + x) at out degree 2 keeps the x^2 term
@@ -576,6 +575,11 @@ class TestPackedCore:
             (sa + sb, {k: a.get(k, 0) + b.get(k, 0) for k in keys}),
             (sa - sb, {k: a.get(k, 0) - b.get(k, 0) for k in keys}),
             (sa * c, {k: v * c for k, v in a.items()}),
+            (-sa, {k: -v for k, v in a.items()}),
+            (
+                linear_combination([(c, sa), (F(-2, 3), sb), (-1, sb)]),
+                {k: c * a.get(k, 0) - F(5, 3) * b.get(k, 0) for k in keys},
+            ),
         ]
         for got, plain in cases:
             assert _items(got) == _expected(nvars, degree, plain)
