@@ -121,9 +121,6 @@ class NormTable:
     grid: int
     entries: dict  # (m, xi) -> float
 
-    def entry(self, m: int, xi) -> float:
-        return self.entries[(m, tuple(xi))]
-
     def order_norms(self) -> list:
         """The plain norms b_{m,0} for m = 0..M."""
         zero = (0,) * self.n

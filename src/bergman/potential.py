@@ -19,11 +19,15 @@ Everything is exact rational arithmetic; the segment integral in the phase
 (:func:`bergman.series.segment_average`) is done termwise with integer
 Beta-function weights, never by quadrature.
 
-:class:`PhaseChain` is the only code that composes through the phase.
-:func:`build_geometry` builds it before the round-trip check and keeps it as
-``geom.phase``; it owns the one table of powers of ``z(x, y, theta)``, which
-the round-trip check, ``Delta0`` and both coefficient routes share, and
-``geom.amplitude(b)`` gives ``(b o z) * Delta0`` to both routes.
+:func:`invert_theta` solves for z one homogeneous degree at a time and
+composes nothing.  :class:`PhaseChain` is the only code that composes
+through the phase, with two compositions: through ``z(x, y, theta)`` and
+through ``psi_x(x, z)``.  :func:`build_geometry` builds it before the
+round-trip check and keeps it as ``geom.phase``; it owns the one table of
+powers of ``z(x, y, theta)``, which the round-trip check, ``Delta0`` and both
+coefficient routes share, and ``geom.amplitude(b)`` gives ``(b o z) * Delta0``
+to both routes.  ``Delta0`` in (x, y, theta) comes from the inverse-function
+Jacobian, not from composing the (x, y, z) quotient.
 """
 
 from __future__ import annotations
@@ -42,7 +46,9 @@ from .series import (
     exponents_of_degree,
     linear_combination,
     multi_factorial,
+    power_step,
     segment_average,
+    sum_of_products,
     unit,
 )
 
@@ -271,14 +277,30 @@ def build_theta(psi: TruncatedSeries) -> list:
 def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     """Solve theta(x,y,z) = t for z as a series in (x, y, t).
 
-    Degree-graded fixed-point sweeps on formal series: with H the constant
-    z-linear part of theta and R the rest, sweep d = 1, ..., D sets
-    z <- H^{-1} (t - R(x, y, z)) with every series truncated at degree d.
-    R has no z-linear term of degree 1, so the degree-d part of R(x, y, z)
-    only reads z through degree d - 1: if z is exact through degree d - 1
-    before sweep d, it is exact through degree d after it.  Sweep d costs n
-    compositions at degree d, not at the full degree D, and they share one
-    cache of z-powers (x and y are bare variables and are never multiplied).
+    With H the constant z-linear part of theta and R the rest, z is the
+    fixed point of z = H^{-1} (t - R(x, y, z)), solved one homogeneous degree
+    at a time, as in lazy ("relaxed") power-series arithmetic.  Write
+    ``R_i = sum_gamma r_(i,gamma)(x, y) z^gamma``, let ``[f]_d`` be the
+    degree-d part of f, and keep z and every power ``P_gamma = z^gamma`` that
+    R or a power chain reads as lists of such pieces.  Sweep d = 1, ..., D
+    adds one piece to each:
+
+    * ``[P_gamma]_d = sum_k [P_(gamma-e_j)]_k [z_j]_(d-k)`` for |gamma| >= 2,
+      along the chain of :func:`bergman.series.power_step`;
+    * ``[R o z]_d = sum_gamma sum_e [r_gamma]_e [P_gamma]_(d-e)``;
+    * ``[z]_d = H^{-1} (delta_(d,1) t - [R o z]_d)``.
+
+    ``[z]_d`` is never read in sweep d, so each sweep is explicit.  In the
+    first sum ``P_(gamma-e_j)`` has valuation at least 1, so k >= 1.  In the
+    second, a power with |gamma| >= 2 reads only this sweep's new piece, and
+    ``r_(e_j)`` has no degree-0 part, because R has no z-linear term of
+    degree 1 (that is H).  A piece list grows only when its piece is
+    finished, so a read of an unfinished piece fails loudly.  Products of
+    homogeneous pieces are homogeneous, so each new piece is one
+    :func:`bergman.series.sum_of_products`.  Each ``P_gamma`` stops at the
+    highest degree a product reads.  The total work is about one power table
+    at full degree, where fixed-point sweeps of whole compositions rebuild
+    every power at every degree.
     """
     n3 = theta[0].nvars
     n = n3 // 3
@@ -288,32 +310,66 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
         raise ValueError("singular linear part: phase map not invertible at 0")
     hinv = _fraction_matrix_inverse(hess)
 
-    zvars = TruncatedSeries.variables(n3, D)[2 * n :]
-    remainder = [
-        linear_combination([(1, theta[i])] + [(-h, zv) for h, zv in zip(hess[i], zvars) if h])
-        for i in range(n)
-    ]
+    # r[i][gamma][e]: the degree-e part of the coefficient of z^gamma in R_i, in x and y only
+    units = [unit(n, j) for j in range(n)]
+    r = [t.graded_coefficients(2 * n) for t in theta]
+    for ri in r:
+        for u in units:
+            ri.get(u, {}).pop(0, None)  # H
 
-    z = [TruncatedSeries.zero(n3, 0)] * n
+    # top[gamma]: the highest degree of P_gamma that a product reads
+    top = dict.fromkeys(units, D)
+    for ri in r:
+        for gamma, parts in ri.items():
+            if sum(gamma) > 1:
+                top[gamma] = max(top.get(gamma, 0), D - min(parts))
+    for size in range(D, 2, -1):
+        for gamma in [g for g in top if sum(g) == size]:
+            lower = power_step(gamma)[1]
+            top[lower] = max(top.get(lower, 0), top[gamma] - 1)
+
+    zero = TruncatedSeries.zero(n3, D)
+    # P[gamma][d] = [P_gamma]_d, zero below the valuation |gamma|; P_0 = 1
+    pieces = {gamma: [zero] * sum(gamma) for gamma in top}
+    pieces[(0,) * n] = [TruncatedSeries.one(n3, D)] + [zero] * D
+    higher = [(gamma, *power_step(gamma)) for gamma in top if sum(gamma) > 1]
+    tvars = TruncatedSeries.variables(n3, D)[2 * n :]
     for d in range(1, D + 1):
-        variables = TruncatedSeries.variables(n3, d)
-        args = variables[: 2 * n] + [zi.lift(d) for zi in z]
-        powers: dict = {}  # z-powers shared by the n compositions of this sweep
-        w = [r.compose(args, cache=powers) for r in remainder]
-        tvars = variables[2 * n :]
-        z = [
-            linear_combination(
-                [(h, t) for h, t in zip(row, tvars) if h] + [(-h, wj) for h, wj in zip(row, w) if h]
-            )
-            for row in hinv
-        ]
-    return z
+        for gamma, j, lower in higher:
+            if sum(gamma) <= d <= top[gamma]:
+                pz, pl = pieces[units[j]], pieces[lower]
+                pieces[gamma].append(
+                    sum_of_products([(pl[k], pz[d - k]) for k in range(sum(gamma) - 1, d)], D)
+                )
+        rz = []
+        for ri in r:
+            pairs = [
+                (part, pieces[gamma][d - e])
+                for gamma, parts in ri.items()
+                for e, part in parts.items()
+                if d - e >= sum(gamma)
+            ]
+            rz.append(sum_of_products(pairs, D) if pairs else zero)
+        for u, row in zip(units, hinv):
+            pieces[u].append(linear_combination(
+                [(h, t) for h, t in zip(row, tvars) if h and d == 1]
+                + [(-h, w) for h, w in zip(row, rz) if h]
+            ))
+    return [linear_combination([(1, p) for p in pieces[u][1:]]) for u in units]
 
 
 def build_delta0(
     psi: TruncatedSeries, theta: Sequence[TruncatedSeries], phase: "PhaseChain"
 ) -> tuple:
-    """The Jacobian ratio det psi_yz / det theta_z, in both coordinate systems."""
+    """The Jacobian ratio det psi_yz / det theta_z, in both coordinate systems.
+
+    In (x, y, z) it is the quotient.  In (x, y, theta) it needs no quotient:
+    at z = z(x, y, theta) the inverse function theorem gives
+    ``det theta_z * det(dz/dtheta) = 1``, so the ratio is
+    ``det(psi_yz) o z * det(dz/dtheta)``.  That composes the small polynomial
+    det psi_yz, not the dense quotient, and dz/dtheta is a derivative of
+    ``z_of_theta``.
+    """
     n = psi.nvars // 2
     n3 = 3 * n
     D = psi.trunc_degree
@@ -326,39 +382,37 @@ def build_delta0(
         num_rows.append([psi_yi.diff(unit(n3, 2 * n + j)) for j in range(n)])
         den_rows.append([theta[i].diff(unit(n3, 2 * n + j)).truncate(D - 2) for j in range(n)])
     det_num = det(num_rows)
-    det_den = det(den_rows)
-    delta0_xyz = det_num * det_den.invert()
-    return delta0_xyz, phase.substitute_z(delta0_xyz)
+    delta0_xyz = det_num * det(den_rows).invert()
+    jacobian = [[z.diff(unit(n3, 2 * n + j)) for j in range(n)] for z in phase.z_of_theta]
+    return delta0_xyz, phase.substitute_z(det_num) * det(jacobian)
 
 
 class PhaseChain:
     """Series carried through the phase chain theta -> z(x,y,theta) -> theta(x,x,z).
 
     The only code that composes through the phase: the round-trip check,
-    ``Delta0`` and both coefficient routes go through these three
-    compositions.  In each, the x (and y) arguments are bare variables, which
-    only move exponents, and the other n arguments (``z(x,y,theta)``,
-    ``psi_x(x,z)`` or ``w``) are substituted.  Each composition has a cache
-    of the powers of its n substituted arguments, keyed by their exponent,
-    so every call after the first with one geometry reuses the powers built
-    so far.  The powers of ``z(x,y,theta)`` are :attr:`z_powers`, the
-    geometry's one table, which the round-trip check in
-    :func:`build_geometry` starts.  The caches only grow; the results do not
-    depend on them.
+    ``Delta0`` and both coefficient routes go through its two compositions,
+    :meth:`substitute_z` (z = ``z(x,y,theta)``) and :meth:`to_xz`
+    (theta = ``psi_x(x,z)``); the diagonal pullback is one after the other.
+    In each, the x (and y) arguments are bare variables, which only move
+    exponents, and the other n arguments are substituted.  Each composition
+    has a cache of the powers of its n substituted arguments, keyed by their
+    exponent, so every call after the first with one geometry reuses the
+    powers built so far.  The powers of ``z(x,y,theta)`` are
+    :attr:`z_powers`, the geometry's one table, which the round-trip check in
+    :func:`build_geometry` starts from ``z_of_theta`` alone.  The caches only
+    grow; the results do not depend on them.
     """
 
     def __init__(self, n: int, D: int, psi_x: Sequence, z_of_theta: Sequence):
         self._n = n
-        self._psi_x = psi_x
+        self.z_of_theta = tuple(z_of_theta)
         xy3 = TruncatedSeries.variables(3 * n, D - 1)[: 2 * n]
-        self._x3 = xy3[:n]
-        self._z_args = {2 * n: self._x3 + list(z_of_theta), 3 * n: xy3 + list(z_of_theta)}
+        self._z_args = {2 * n: xy3[:n] + list(z_of_theta), 3 * n: xy3 + list(z_of_theta)}
         self.z_powers: dict = {}
         x2 = TruncatedSeries.variables(2 * n, D - 1)[:n]
         self._into_xz = x2 + list(psi_x)
         self._into_xz_cache: dict = {}
-        self._w_args = None
-        self._w_cache: dict = {}
         # y = x: (x, y, w) blocks -> (x, w) blocks
         self._merge_y = tuple(range(n)) * 2 + tuple(range(n, 2 * n))
 
@@ -372,11 +426,11 @@ class PhaseChain:
         return f_xtheta.compose(self._into_xz, cache=self._into_xz_cache)
 
     def diagonal_pullback(self, f_xytheta: TruncatedSeries) -> TruncatedSeries:
-        """f(x, y, theta) -> f(x, x, w) with w = theta(x,x,z(x,y,theta)) = psi_x(x, z(x,y,theta))."""
-        if self._w_args is None:
-            self._w_args = self._x3 + [self.substitute_z(p) for p in self._psi_x]
-        f_xtheta = f_xytheta.remap_variables(2 * self._n, self._merge_y)
-        return f_xtheta.compose(self._w_args, cache=self._w_cache)
+        """f(x, y, theta) -> f(x, x, w) with w = theta(x,x,z(x,y,theta)) = psi_x(x, z(x,y,theta)).
+
+        Since w is psi_x at z = z(x,y,theta), this is ``substitute_z(to_xz(f))``.
+        """
+        return self.substitute_z(self.to_xz(f_xytheta))
 
 
 @dataclass(frozen=True)

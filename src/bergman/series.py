@@ -20,9 +20,10 @@ results are truncated to the degree they are guaranteed exact to:
   zero constant term, which is what makes truncated composition well defined,
 * ``invert`` keeps ``D`` and needs a nonzero constant term.
 
-:func:`mul_trunc` is the one escape hatch: it computes a product at a caller
-chosen output degree, for the few places where one factor is an exact
-polynomial and the plain rule would throw away valid coefficients.
+:func:`mul_trunc` and its n-ary form :func:`sum_of_products` are the one
+escape hatch: they compute products at a caller chosen output degree, for the
+few places where one factor is an exact polynomial, or every factor a
+homogeneous piece, and the plain rule would throw away valid coefficients.
 
 Storage
 -------
@@ -58,10 +59,14 @@ denominator of ``f`` times the lcm of the ``P_gamma`` denominators, and the
 result is reduced once; the pair loop is the one ``mul_trunc`` runs.  The
 optional ``cache`` holds the ``P_gamma``, keyed by ``gamma`` (one entry per
 substituted argument), so calls that share an argument list share their
-powers.  :class:`bergman.potential.PhaseChain`, the only composer through
-the phase, keeps one such table for the inverted phase ``z(x, y, theta)``
-(``phase.z_powers``): the round-trip check builds it, and ``Delta0`` and
-every later composition through ``z`` reuse it.
+powers; :func:`power_step` gives the chain every power table follows.
+:class:`bergman.potential.PhaseChain`, the only composer through the phase,
+keeps two such tables: one for ``psi_x(x, z)`` and one for the inverted phase
+``z(x, y, theta)`` (``phase.z_powers``), which the round-trip check builds
+and ``Delta0`` and every later composition through ``z`` reuse.  The phase
+inversion itself composes nothing: it builds the homogeneous pieces of its
+powers with :func:`sum_of_products`, the n-ary product over the same pair
+loop, from :meth:`TruncatedSeries.graded_coefficients` of the phase.
 
 Trusted construction
 --------------------
@@ -73,8 +78,10 @@ each makes one entry per key from keys of valid operands by digit arithmetic
 that cannot carry: sums of keys of total degree at most the output degree
 (products, ``invert``, ``compose``, ``segment_average``), a multi-index taken
 from digits at least as large (``diff``), the keys repacked to one base
-(``linear_combination``), a degree cut (``truncate``) or rise (``lift``), or
-digits moved between slots (``remap_variables`` and bare ``compose`` arguments).
+(``linear_combination``), a degree cut (``truncate``) or rise (``lift``),
+digits moved between slots (``remap_variables`` and bare ``compose``
+arguments), or trailing digits cleared with their sum taken off the degree
+digit (``graded_coefficients``).
 """
 
 from __future__ import annotations
@@ -445,6 +452,29 @@ class TruncatedSeries:
             out[new_key] = out.get(new_key, 0) + value
         return TruncatedSeries._canonical(new_nvars, self.trunc_degree, shift, out, self._den)
 
+    def graded_coefficients(self, start: int) -> dict:
+        """The coefficients of this series in the variables ``v`` from slot ``start`` on, by degree.
+
+        With ``f = sum_gamma c_gamma v^gamma`` (each ``c_gamma`` free of v),
+        returns ``gamma -> {e: [c_gamma]_e}``, the degree-e part of each
+        ``c_gamma`` as a series with this one's nvars and degree.
+        """
+        n, shift = self.nvars, self._shift
+        width, tail = shift * n, shift * (n - start)
+        parts: dict = {}
+        for key, value in zip(self._keys, self._nums):
+            gamma = _unpack(key, n, shift)[start:]
+            # clear the v digits and take their degree off the degree digit
+            rest = (key >> tail << tail) - (sum(gamma) << width)
+            parts.setdefault(gamma, {}).setdefault(rest >> width, {})[rest] = value
+        return {
+            gamma: {
+                e: TruncatedSeries._canonical(n, self.trunc_degree, shift, acc, self._den)
+                for e, acc in by_degree.items()
+            }
+            for gamma, by_degree in parts.items()
+        }
+
     def _bare_variable(self) -> int | None:
         """Slot i when this series is exactly x_i (one term, coefficient 1), else None."""
         if len(self._keys) != 1 or self._nums[0] != self._den:
@@ -513,8 +543,7 @@ class TruncatedSeries:
             hit = cache.get(gamma)
             if hit is not None:
                 return hit
-            j = max(j for j, e in enumerate(gamma) if e > 0)
-            lower = gamma[:j] + (gamma[j] - 1,) + gamma[j + 1 :]
+            j, lower = power_step(gamma)
             arg = args[substituted[j]]
             p = mul_trunc(power(lower), arg, tgt_D) if any(lower) else arg
             cache[gamma] = p
@@ -633,18 +662,42 @@ def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> Trunca
     the caller knows one factor is an exact polynomial (for example the
     degree one factor in (x - y) . A); that responsibility is the caller's.
     """
-    if a.nvars != b.nvars:
+    return sum_of_products([(a, b)], out_degree)
+
+
+def sum_of_products(pairs: Sequence[tuple], out_degree: int) -> TruncatedSeries:
+    """The sum of ``a * b`` over the ``(a, b)`` pairs of ``pairs``, truncated at ``out_degree``.
+
+    Every factor has the ``nvars`` of the first.  All products go into one
+    accumulator over the lcm of the ``a._den * b._den``, reduced once; in
+    each pair the factor with fewer terms carries the scale and is the outer
+    side of the pair loop.  As for :func:`mul_trunc`, exactness above the
+    factors' degrees is the caller's responsibility.
+    """
+    nvars = pairs[0][0].nvars
+    if any(s.nvars != nvars for pair in pairs for s in pair):
         raise ValueError("mul: nvars mismatch")
     if out_degree < 0:
         raise ValueError("mul: out_degree must be non-negative")
-    shift = max(a._shift, b._shift, _shift_for(out_degree))
-    a_keys, a_nums = a._keys_at(shift), a._nums
-    b_keys, b_nums = b._keys_at(shift), b._nums
-    if len(b_keys) < len(a_keys):
-        a_keys, a_nums, b_keys, b_nums = b_keys, b_nums, a_keys, a_nums
+    shift = max(_shift_for(out_degree), *(s._shift for pair in pairs for s in pair))
+    den = lcm(*[a._den * b._den for a, b in pairs])
     acc: dict = {}
-    _add_products(acc, zip(a_keys, a_nums), b_keys, b_nums, shift * a.nvars, out_degree)
-    return TruncatedSeries._canonical(a.nvars, out_degree, shift, acc, a._den * b._den)
+    for a, b in pairs:
+        if len(b._keys) < len(a._keys):
+            a, b = b, a
+        scale = den // (a._den * b._den)
+        a_nums = a._nums if scale == 1 else [v * scale for v in a._nums]
+        _add_products(
+            acc, zip(a._keys_at(shift), a_nums), b._keys_at(shift), b._nums, shift * nvars, out_degree
+        )
+    return TruncatedSeries._canonical(nvars, out_degree, shift, acc, den)
+
+
+def power_step(gamma: MultiIndex) -> tuple:
+    """The chain of every power table: ``P_gamma = P_lower * arg_j`` for
+    ``gamma != 0``, with ``j`` the last nonzero slot and ``lower = gamma - e_j``."""
+    j = max(j for j, e in enumerate(gamma) if e > 0)
+    return j, gamma[:j] + (gamma[j] - 1,) + gamma[j + 1 :]
 
 
 def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int, out_degree: int):

@@ -5,12 +5,14 @@ produced order by order from fundamental-theorem-of-calculus solutions of the
 division problem ``(x - y) . A_m = RHS_m``, where each right hand side is
 built from derivatives of the previous order composed through the phase
 chain ``theta -> z(x,y,theta) -> theta(x,x,z)``: the geometry's one
-``geom.phase`` (:class:`bergman.potential.PhaseChain`), whose compositions
-and caches the divergence recursion shares, and which collapses ``y = x``
-itself before it composes.  The scalar amplitude is
-then reassembled as ``(1 + k (x-y).A + D_theta.A) / Delta0`` and collapsed
-at ``y = x``, giving coefficients that must agree exactly with the
-divergence-form recursion of :mod:`bergman.coefficients`.
+``geom.phase`` (:class:`bergman.potential.PhaseChain`), whose two
+compositions and caches the divergence recursion shares.  Its diagonal
+pullback collapses ``y = x``, composes through ``psi_x(x, z)`` and then
+through ``z(x,y,theta)``, the same two steps as the recursion's.  The
+scalar amplitude is then reassembled as
+``(1 + k (x-y).A + D_theta.A) / Delta0`` and collapsed at ``y = x``, giving
+coefficients that must agree exactly with the divergence-form recursion of
+:mod:`bergman.coefficients`.
 
 The particular antiderivative solutions used here are the segment averages;
 they are what makes the chain reproducible (solutions of the division

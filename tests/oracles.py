@@ -4,7 +4,10 @@ None of these has a caller in the command line tool or the pipeline; the
 tests use them as independent references.  ``segment_average_oracle`` and
 ``eval_oracle`` are the loops the pipeline ran before it read the packed
 form: they read the ``coeffs`` view, one exponent tuple and one ``Fraction``
-per term.
+per term.  ``invert_theta_sweeps``, ``diagonal_pullback_w_table`` and
+``delta0_quotient`` are the phase geometry's earlier forms: whole
+compositions through plain ``compose``, with no ``PhaseChain`` and no table
+shared with the pipeline.
 """
 
 import cmath
@@ -13,7 +16,16 @@ import math
 from fractions import Fraction
 from math import comb, factorial
 
-from bergman.series import TruncatedSeries, exponents_of_degree, multi_factorial, sub_indices
+from bergman.potential import _fraction_matrix_inverse
+from bergman.series import (
+    TruncatedSeries,
+    det,
+    exponents_of_degree,
+    linear_combination,
+    multi_factorial,
+    sub_indices,
+    unit,
+)
 
 
 def cpn_kernel(n, k, x, y):
@@ -126,3 +138,63 @@ def eval_oracle(series, point):
                 term *= pows[i][e]
         total += term
     return total
+
+
+# -- the phase geometry's earlier forms ---------------------------------------------
+
+
+def invert_theta_sweeps(theta):
+    """``potential.invert_theta`` as fixed-point sweeps of whole compositions.
+
+    With H the constant z-linear part of theta and R the rest, sweep
+    d = 1, ..., D sets z <- H^{-1} (t - R(x, y, z)) with every series
+    truncated at degree d, rebuilding every power of z at that degree.
+    """
+    n3 = theta[0].nvars
+    n = n3 // 3
+    D = theta[0].trunc_degree
+    hess = [[Fraction(theta[i][unit(n3, 2 * n + j)]) for j in range(n)] for i in range(n)]
+    hinv = _fraction_matrix_inverse(hess)
+    zvars = TruncatedSeries.variables(n3, D)[2 * n :]
+    remainder = [
+        linear_combination([(1, theta[i])] + [(-h, zv) for h, zv in zip(hess[i], zvars) if h])
+        for i in range(n)
+    ]
+    z = [TruncatedSeries.zero(n3, 0)] * n
+    for d in range(1, D + 1):
+        variables = TruncatedSeries.variables(n3, d)
+        args = variables[: 2 * n] + [zi.lift(d) for zi in z]
+        w = [r.compose(args) for r in remainder]
+        tvars = variables[2 * n :]
+        z = [
+            linear_combination(
+                [(h, t) for h, t in zip(row, tvars) if h] + [(-h, wj) for h, wj in zip(row, w) if h]
+            )
+            for row in hinv
+        ]
+    return z
+
+
+def diagonal_pullback_w_table(geom, f):
+    """``PhaseChain.diagonal_pullback`` through the dense ``w = psi_x(x, z(x, y, theta))``.
+
+    f(x, y, theta) -> f(x, x, w), composing f at y = x with the powers of w.
+    """
+    n = geom.n
+    x = TruncatedSeries.variables(3 * n, geom.degree - 1)[:n]
+    w = [p.compose(x + list(geom.z_of_theta)) for p in geom.psi_x]
+    f_xtheta = f.remap_variables(2 * n, tuple(range(n)) * 2 + tuple(range(n, 2 * n)))
+    return f_xtheta.compose(x + w)
+
+
+def delta0_quotient(geom):
+    """``Delta0`` as the quotient det psi_yz / det theta_z in (x, y, z), then composed through z."""
+    n, D = geom.n, geom.degree
+    n3 = 3 * n
+    psi_y = geom.psi.remap_variables(n3, tuple(range(n, 3 * n)))
+    num = [[psi_y.diff(unit(n3, n + i)).diff(unit(n3, 2 * n + j)) for j in range(n)]
+           for i in range(n)]
+    den = [[t.diff(unit(n3, 2 * n + j)).truncate(D - 2) for j in range(n)] for t in geom.theta]
+    delta0_xyz = det(num) * det(den).invert()
+    xy = TruncatedSeries.variables(n3, D - 1)[: 2 * n]
+    return delta0_xyz, delta0_xyz.compose(xy + list(geom.z_of_theta))

@@ -30,8 +30,14 @@ from bergman.potential import (
     preset_quartic,
 )
 from bergman.series import TruncatedSeries, mul_trunc
-from bergman.transport import transport_chain
-from oracles import segment_average_oracle, write_spec
+from bergman.transport import first_amplitude, transport_chain
+from oracles import (
+    delta0_quotient,
+    diagonal_pullback_w_table,
+    invert_theta_sweeps,
+    segment_average_oracle,
+    write_spec,
+)
 
 F = Fraction
 
@@ -234,8 +240,9 @@ class TestInvertTheta:
 
     def test_geometry_caches_substituted_powers_only(self, monkeypatch):
         # x and y enter every composition of the geometry as bare variables,
-        # so only the z-like arguments are raised to powers (none of them in
-        # the early inversion sweeps of this model, where z = t is bare too).
+        # so only the z-like arguments are raised to powers.  The graded
+        # inversion composes nothing; the compositions are the round-trip
+        # check's and Delta0's, through z(x, y, t), which is never bare.
         compose = TruncatedSeries.compose
         seen = []
 
@@ -278,6 +285,57 @@ class TestInvertTheta:
             acc = acc * (x * th)
             geometric = geometric + acc
         assert z == th * geometric
+
+
+def dense_spec(D):
+    """|x|^2 - 3/4 (x^2 conj(x) + c.c.) - 1/2 (x^3 conj(x) + c.c.) + 3/8 |x|^4.
+
+    The first seed-1 potential of the benchmark's ``dense_orders`` family:
+    no symmetry, so every series of its geometry is dense.
+    """
+    return PotentialSpec(1, D, 0.3, {
+        ((1,), (1,)): F(1),
+        ((2,), (1,)): F(-3, 4), ((1,), (2,)): F(-3, 4),
+        ((3,), (1,)): F(-1, 2), ((1,), (3,)): F(-1, 2),
+        ((2,), (2,)): F(3, 8),
+    })
+
+
+OLD_FORM_SPECS = {
+    "dense_D16": lambda: dense_spec(16),
+    "non_radial_n2_D8": lambda: non_radial_n2_spec(8),
+    "holomorphic_D10": lambda: holomorphic_spec(10),
+    "chsc_n3_D8": lambda: preset_chsc(3, F(-1, 3), 8),
+    "dense_D3": lambda: dense_spec(3),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(OLD_FORM_SPECS))
+def old_form_spec(request):
+    return OLD_FORM_SPECS[request.param]()
+
+
+@pytest.fixture(scope="module")
+def old_form_geom(old_form_spec):
+    return build_geometry(old_form_spec)
+
+
+class TestOldForms:
+    """The geometry against its earlier forms in ``oracles``, which share no table with it."""
+
+    def test_graded_inversion_equals_the_sweeps(self, old_form_spec):
+        # from the spec, not build_geometry, so the round-trip check cannot stand in
+        theta = build_theta(polarize(old_form_spec))
+        assert invert_theta(theta) == invert_theta_sweeps(theta)
+
+    def test_jacobian_delta0_equals_the_quotient(self, old_form_geom):
+        geom = old_form_geom
+        assert (geom.delta0_xyz, geom.delta0_xytheta) == delta0_quotient(geom)
+
+    def test_two_step_pullback_equals_the_w_table(self, old_form_geom):
+        geom = old_form_geom
+        for f in (geom.delta0_xytheta, *geom.z_of_theta, *first_amplitude(geom)):
+            assert geom.phase.diagonal_pullback(f) == diagonal_pullback_w_table(geom, f)
 
 
 class TestZPowerTable:

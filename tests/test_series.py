@@ -17,7 +17,9 @@ from bergman.series import (
     linear_combination,
     multi_factorial,
     mul_trunc,
+    power_step,
     sub_indices,
+    sum_of_products,
     unit,
 )
 from oracles import eval_oracle, is_zero
@@ -564,6 +566,45 @@ class TestPackedCore:
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=30, deadline=None)
     @given(st.data())
+    def test_sum_of_products(self, kind, data):
+        nvars, out_degree = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 6))
+        maps = [
+            (data.draw(coefficient_map(nvars, out_degree, kind)),
+             data.draw(coefficient_map(nvars, out_degree, data.draw(st.sampled_from([kind, "int"])))))
+            for _ in range(data.draw(st.integers(1, 4)))
+        ]
+        pairs = [(TruncatedSeries(nvars, out_degree, a), TruncatedSeries(nvars, out_degree, b))
+                 for a, b in maps]
+        plain: dict = {}
+        for a, b in maps:
+            for k, v in _plain_mul(a, b, out_degree).items():
+                plain[k] = plain.get(k, 0) + v
+        got = sum_of_products(pairs, out_degree)
+        assert _items(got) == _expected(nvars, out_degree, plain)
+        assert got._den == math.lcm(*(F(c).denominator for c in got.coeffs.values()))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_graded_coefficients(self, kind, data):
+        nvars, degree = data.draw(st.integers(1, 7)), data.draw(st.integers(0, 6))
+        start = data.draw(st.integers(0, nvars))
+        f = data.draw(coefficient_map(nvars, degree, kind))
+        plain: dict = {}
+        for key, value in f.items():
+            if sum(key) <= degree and value != 0:
+                rest = key[:start] + (0,) * (nvars - start)
+                by_degree = plain.setdefault(key[start:], {}).setdefault(sum(rest), {})
+                by_degree[rest] = by_degree.get(rest, 0) + value
+        got = TruncatedSeries(nvars, degree, f).graded_coefficients(start)
+        assert sorted(got) == sorted(plain)
+        for gamma, parts in got.items():
+            for e, part in parts.items():
+                assert _items(part) == _expected(nvars, degree, plain[gamma][e])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
     def test_ring_operations(self, kind, data):
         nvars, degree = data.draw(st.integers(1, 9)), data.draw(st.integers(0, 8))
         a = data.draw(coefficient_map(nvars, degree, kind))
@@ -749,6 +790,17 @@ class TestStructure:
         assert unit(3, 0) == (1, 0, 0) and unit(3, 2) == (0, 0, 1)
         assert TruncatedSeries.variable(3, 2, 1) == TruncatedSeries(3, 2, {(0, 1, 0): 1})
         assert multi_factorial((3, 0, 2)) == 12
+
+    def test_power_step_takes_the_last_nonzero_slot(self):
+        assert power_step((2, 0, 3, 0)) == (2, (2, 0, 2, 0))
+        assert power_step((1, 0)) == (0, (0, 0))
+        x, y = TruncatedSeries.variables(2, 4)
+        cache: dict = {}
+        (x * x + y * y * y).compose([x + y, x - y], cache=cache)
+        for gamma, p in cache.items():
+            j, lower = power_step(gamma)
+            if any(lower):
+                assert p == cache[lower] * [x + y, x - y][j]
 
     def test_immutability(self):
         f = univar(2, [1])
