@@ -100,10 +100,10 @@ def polynomial_identity_check(model: ChscModel) -> bool:
 
 def chsc_psi(c) -> Callable:
     """The closed-form polarized potential (1/c) log(1 + c x . zbar) as a function
-    of ``(x, zbar)``, with limit x . zbar at c = 0; c is converted to float once."""
-    c = Fraction(c)
-    flat = c == 0
-    cf = float(c)
+    of ``(x, zbar)``, with limit x . zbar where c is 0 as a float; c is converted
+    to float once."""
+    cf = float(Fraction(c))
+    flat = cf == 0
 
     def psi(x: Sequence[complex], zbar: Sequence[complex]) -> complex:
         w = sum(complex(a) * complex(b) for a, b in zip(x, zbar))

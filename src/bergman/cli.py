@@ -9,8 +9,9 @@ same configuration writes byte-identical files.
 Exit codes: 0 when every verdict in the run passed, 1 when a verdict failed,
 2 for invalid input (malformed arguments, spec files or coefficient tables,
 a table of another dimension than the spec, spec validation, missing files,
-evaluation points outside the radius, insufficient degree, requests over a
-resource guard), and 3 for an unexpected internal error,
+evaluation points or a norm radius outside the spec's radius, insufficient
+degree, requests over a resource guard, values whose floating-point image
+overflows in a numeric step), and 3 for an unexpected internal error,
 reported as one ``internal error:`` line on stderr instead of a traceback.
 A failed transport cross-check names the first differing term in
 ``crosscheck.json``.
@@ -52,6 +53,7 @@ from .kernel import (
 from .potential import (
     DegreeBudgetError,
     PotentialSpec,
+    RadiusError,
     SpecValidationError,
     build_geometry,
     check_good_contour,
@@ -630,8 +632,12 @@ def main(argv=None) -> int:
     except DegreeBudgetError as err:
         print(f"error: {err} (required degree {err.required_degree})", file=sys.stderr)
         return 2
-    except (SpecValidationError, FileNotFoundError, ResourceGuardError) as err:
+    except (SpecValidationError, FileNotFoundError, ResourceGuardError, RadiusError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except OverflowError as err:
+        # exact arithmetic never overflows; only a float image of the input can
+        print(f"error: input out of floating-point range: {err}", file=sys.stderr)
         return 2
     except Exception as err:
         message = " ".join(str(err).split())

@@ -8,7 +8,10 @@ on-diagonal phase ``theta(x,x,z) = psi_x(x,z)``.  The amplitude is
 ``geom.amplitude`` and the collapse is ``geom.phase.to_xz``, both from the
 geometry's one phase chain (:class:`bergman.potential.PhaseChain`), which the
 transport route uses too.  The derivatives of every level are added in one
-:func:`bergman.series.linear_combination`.  All steps are exact.
+:func:`bergman.series.linear_combination`.  All steps are exact.  The
+recursion needs the amplitudes ``a_j = (b_j o z) * Delta0`` for j < M, so
+the table carries them (outside its record and ``==``), and
+:func:`amplitude_from_b` adds only ``a_M``.
 
 Degree bookkeeping: with geometry built at truncation degree D, the order m
 coefficient is exact through total degree ``D - 2m - 2`` for m >= 1 (the
@@ -19,11 +22,11 @@ and the entry point refuses degrees that cannot support the requested order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import factorial
 
-from .potential import DegreeBudgetError, GeometryPack
+from .potential import DegreeBudgetError, GeometryPack, RadiusError
 from .sampling import polydisc_points
 from .series import TruncatedSeries, exponents_of_degree, linear_combination, multi_factorial
 
@@ -43,6 +46,8 @@ class CoefficientTable:
     degrees: tuple                # effective truncation degree per order
     spec_sha256: str
     a: tuple | None = None        # (x, y, theta) series, index 0..M
+    # a_1..a_{M-1}, the amplitudes the recursion built; not in the record or ==
+    amplitudes: tuple = field(default=(), compare=False, repr=False)
 
     def to_record(self) -> dict:
         rec = {
@@ -97,12 +102,20 @@ def bergman_coefficients(geom: GeometryPack, M: int) -> CoefficientTable:
         b=tuple(b),
         degrees=tuple(s.trunc_degree for s in b),
         spec_sha256=geom.spec.sha256(),
+        amplitudes=tuple(amplitudes[1:]),
     )
 
 
 def amplitude_from_b(table: CoefficientTable, geom: GeometryPack) -> CoefficientTable:
-    """Fill the amplitude family: a_0 = Delta0 - 1, a_m = (b_m o z) * Delta0."""
-    a = [geom.delta0_xytheta - 1] + [geom.amplitude(b) for b in table.b[1:]]
+    """Fill the amplitude family: a_0 = Delta0 - 1, a_m = (b_m o z) * Delta0.
+
+    ``table`` must hold the coefficients of ``geom``.  The amplitudes the
+    recursion built come with the table, so only the orders past them (a_M
+    for a table from :func:`bergman_coefficients`, every order for one read
+    from a record) are composed here.
+    """
+    a = [geom.delta0_xytheta - 1, *table.amplitudes]
+    a += [geom.amplitude(b) for b in table.b[len(a) :]]
     return replace(table, a=tuple(a))
 
 
@@ -155,7 +168,7 @@ def derivative_norm_table(
     if grid < 2:
         raise ValueError("grid must be >= 2")
     if radius > geom.spec.eval_radius + 1e-12:
-        raise ValueError("radius exceeds the spec evaluation radius")
+        raise RadiusError("radius exceeds the spec evaluation radius")
     n = geom.n
     xs = polydisc_points(n, radius, grid)
     zs = polydisc_points(n, radius, grid, skip=grid)

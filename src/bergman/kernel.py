@@ -22,7 +22,7 @@ import numpy as np
 
 from .chsc import chsc_coefficients, chsc_psi
 from .coefficients import CoefficientTable
-from .potential import GeometryPack
+from .potential import GeometryPack, RadiusError
 
 
 def choose_truncation_order(k: int, C: float, max_order: int | None = None) -> int:
@@ -139,7 +139,7 @@ def eval_KN(
     if N > table.M:
         raise ValueError(f"order {N} exceeds the computed table order {table.M}")
     if not (in_eval_radius(geom.spec, x) and in_eval_radius(geom.spec, y)):
-        raise ValueError("evaluation point outside the configured radius")
+        raise RadiusError("evaluation point outside the configured radius")
 
     def psi_fn(px, zbar):
         return geom.psi.eval(list(px) + list(zbar))

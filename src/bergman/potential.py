@@ -27,15 +27,19 @@ round-trip check and keeps it as ``geom.phase``; it owns the one table of
 powers of ``z(x, y, theta)``, which the round-trip check, ``Delta0`` and both
 coefficient routes share, and ``geom.amplitude(b)`` gives ``(b o z) * Delta0``
 to both routes.  ``Delta0`` in (x, y, theta) comes from the inverse-function
-Jacobian, not from composing the (x, y, z) quotient.
+Jacobian, not from composing the (x, y, z) quotient.  No pipeline step reads
+that quotient, only the ``polarize`` report, so ``geom.delta0_xyz`` is built
+on first read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Mapping, Sequence
 
@@ -65,6 +69,10 @@ class DegreeBudgetError(ValueError):
         self.required_degree = required_degree
 
 
+class RadiusError(ValueError):
+    """An evaluation point or a sampling radius lies outside the spec's evaluation radius."""
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Coefficient data of a real-analytic Kahler potential near 0.
@@ -90,7 +98,7 @@ class PotentialSpec:
             raise SpecValidationError("eval_radius must be positive")
         zero = (0,) * n
         for (a, b), v in self.coeffs.items():
-            if len(a) != n or len(b) != n or min(a + b, default=0) < 0:
+            if len(a) != n or len(b) != n or not all(isinstance(e, int) and e >= 0 for e in a + b):
                 raise SpecValidationError(f"malformed term index ({a}, {b})")
         if self.coeffs.get((zero, zero), 0) != 0:
             raise SpecValidationError("normalization violated: c00 must be 0")
@@ -358,33 +366,31 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     return [linear_combination([(1, p) for p in pieces[u][1:]]) for u in units]
 
 
-def build_delta0(
-    psi: TruncatedSeries, theta: Sequence[TruncatedSeries], phase: "PhaseChain"
-) -> tuple:
-    """The Jacobian ratio det psi_yz / det theta_z, in both coordinate systems.
-
-    In (x, y, z) it is the quotient.  In (x, y, theta) it needs no quotient:
-    at z = z(x, y, theta) the inverse function theorem gives
-    ``det theta_z * det(dz/dtheta) = 1``, so the ratio is
-    ``det(psi_yz) o z * det(dz/dtheta)``.  That composes the small polynomial
-    det psi_yz, not the dense quotient, and dz/dtheta is a derivative of
-    ``z_of_theta``.
-    """
+def _det_psi_yz(psi: TruncatedSeries) -> TruncatedSeries:
+    """det psi_yz, the numerator of Delta0, as a series in (x, y, z) blocks."""
     n = psi.nvars // 2
     n3 = 3 * n
-    D = psi.trunc_degree
     # psi as a function of (y, z) inside the (x,y,z) space
-    psi_y = psi.remap_variables(n3, tuple(range(n, 2 * n)) + tuple(range(2 * n, 3 * n)))
-    num_rows = []
-    den_rows = []
-    for i in range(n):
-        psi_yi = psi_y.diff(unit(n3, n + i))
-        num_rows.append([psi_yi.diff(unit(n3, 2 * n + j)) for j in range(n)])
-        den_rows.append([theta[i].diff(unit(n3, 2 * n + j)).truncate(D - 2) for j in range(n)])
-    det_num = det(num_rows)
-    delta0_xyz = det_num * det(den_rows).invert()
-    jacobian = [[z.diff(unit(n3, 2 * n + j)) for j in range(n)] for z in phase.z_of_theta]
-    return delta0_xyz, phase.substitute_z(det_num) * det(jacobian)
+    psi_y = psi.remap_variables(n3, tuple(range(n, 3 * n)))
+    return det([
+        [psi_y.diff(unit(n3, n + i)).diff(unit(n3, 2 * n + j)) for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def build_delta0(psi: TruncatedSeries, phase: "PhaseChain") -> TruncatedSeries:
+    """The Jacobian ratio det psi_yz / det theta_z in (x, y, theta) blocks.
+
+    It needs no quotient: at z = z(x, y, theta) the inverse function theorem
+    gives ``det theta_z * det(dz/dtheta) = 1``, so the ratio is
+    ``det(psi_yz) o z * det(dz/dtheta)``.  That composes the small polynomial
+    det psi_yz, not the dense quotient, and dz/dtheta is a derivative of
+    ``z_of_theta``.  The (x, y, z) quotient is
+    :attr:`GeometryPack.delta0_xyz`, built on first read.
+    """
+    n = psi.nvars // 2
+    jacobian = [[z.diff(unit(3 * n, 2 * n + j)) for j in range(n)] for z in phase.z_of_theta]
+    return phase.substitute_z(_det_psi_yz(psi)) * det(jacobian)
 
 
 class PhaseChain:
@@ -393,15 +399,19 @@ class PhaseChain:
     The only code that composes through the phase: the round-trip check,
     ``Delta0`` and both coefficient routes go through its two compositions,
     :meth:`substitute_z` (z = ``z(x,y,theta)``) and :meth:`to_xz`
-    (theta = ``psi_x(x,z)``); the diagonal pullback is one after the other.
-    In each, the x (and y) arguments are bare variables, which only move
-    exponents, and the other n arguments are substituted.  Each composition
-    has a cache of the powers of its n substituted arguments, keyed by their
-    exponent, so every call after the first with one geometry reuses the
-    powers built so far.  The powers of ``z(x,y,theta)`` are
+    (theta = ``psi_x(x,z)``).  A transport step's diagonal pullback
+    ``f(x, y, theta) -> f(x, x, theta(x,x,z(x,y,theta)))`` is one after the
+    other, since ``theta(x,x,z) = psi_x(x,z)``.  In each, the x (and y)
+    arguments are bare variables, which only move exponents, and the other
+    n arguments are substituted.  Each composition has a cache of the powers
+    of its n substituted arguments, keyed by their exponent, so every call
+    after the first with one geometry reuses the powers built so far.  An
+    entry holds its power through the highest degree a call has read, and a
+    later call that reads higher replaces it (see Composition in
+    :mod:`bergman.series`).  The powers of ``z(x,y,theta)`` are
     :attr:`z_powers`, the geometry's one table, which the round-trip check in
-    :func:`build_geometry` starts from ``z_of_theta`` alone.  The caches only
-    grow; the results do not depend on them.
+    :func:`build_geometry` starts from ``z_of_theta`` alone.  The results do
+    not depend on the caches.
     """
 
     def __init__(self, n: int, D: int, psi_x: Sequence, z_of_theta: Sequence):
@@ -425,13 +435,6 @@ class PhaseChain:
         f_xtheta = f_xytheta.remap_variables(2 * self._n, self._merge_y)
         return f_xtheta.compose(self._into_xz, cache=self._into_xz_cache)
 
-    def diagonal_pullback(self, f_xytheta: TruncatedSeries) -> TruncatedSeries:
-        """f(x, y, theta) -> f(x, x, w) with w = theta(x,x,z(x,y,theta)) = psi_x(x, z(x,y,theta)).
-
-        Since w is psi_x at z = z(x,y,theta), this is ``substitute_z(to_xz(f))``.
-        """
-        return self.substitute_z(self.to_xz(f_xytheta))
-
 
 @dataclass(frozen=True)
 class GeometryPack:
@@ -444,9 +447,19 @@ class GeometryPack:
     psi_x: tuple                    # n series, (x, z), degree D - 1
     theta: tuple                    # n series, (x, y, z), degree D - 1
     z_of_theta: tuple               # n series, (x, y, theta), degree D - 1
-    delta0_xyz: TruncatedSeries     # (x, y, z), degree D - 2
     delta0_xytheta: TruncatedSeries  # (x, y, theta), degree D - 2
     phase: PhaseChain = field(compare=False, repr=False)
+
+    @cached_property
+    def delta0_xyz(self) -> TruncatedSeries:
+        """Delta0 as the quotient det psi_yz / det theta_z in (x, y, z) blocks, degree D - 2.
+
+        No pipeline step reads it, only the ``polarize`` report, so it is
+        built on first read.
+        """
+        n, D = self.n, self.degree
+        den = [[t.diff(unit(3 * n, 2 * n + j)).truncate(D - 2) for j in range(n)] for t in self.theta]
+        return _det_psi_yz(self.psi) * det(den).invert()
 
     def amplitude(self, b: TruncatedSeries) -> TruncatedSeries:
         """(b o z) * Delta0 in (x, y, theta) blocks, for b in (x, z) blocks of degree <= D - 2."""
@@ -467,7 +480,7 @@ def build_geometry(spec: PotentialSpec) -> GeometryPack:
     zvars = TruncatedSeries.variables(3 * n, D - 1)[2 * n :]
     if [phase.substitute_z(t) for t in theta] != zvars:
         raise ArithmeticError("phase inversion failed the round-trip identity")
-    delta0_xyz, delta0_xytheta = build_delta0(psi, theta, phase)
+    delta0_xytheta = build_delta0(psi, phase)
     if delta0_xytheta.constant_term != 1:
         raise ArithmeticError("Delta0 must have constant term 1")
     return GeometryPack(
@@ -478,7 +491,6 @@ def build_geometry(spec: PotentialSpec) -> GeometryPack:
         psi_x=psi_x,
         theta=tuple(theta),
         z_of_theta=tuple(z_of_theta),
-        delta0_xyz=delta0_xyz,
         delta0_xytheta=delta0_xytheta,
         phase=phase,
     )
@@ -539,7 +551,9 @@ def check_good_contour(
     Evaluates ``2 Re[psi(x, conj y) - psi(y, conj y)] + phi(y) - phi(x)
     + delta |x - y|^2`` over deterministic sample pairs and reports the
     maximum; the contour is good for this delta when the maximum is <= 0.
-    The default delta is half the smallest Hessian eigenvalue.
+    The default delta is half the smallest Hessian eigenvalue.  A NaN sample
+    (from a NaN delta or an overflowed evaluation) is the reported maximum,
+    so the check fails instead of skipping it.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -558,9 +572,11 @@ def check_good_contour(
             - phi_value(psi, x)
             + delta * sum(abs(a - b) ** 2 for a, b in zip(x, y))
         )
-        if q > worst:
+        if q > worst or math.isnan(q):
             worst = q
             worst_pair = (x, y)
+            if math.isnan(q):
+                break
     return ContourReport(
         delta=float(delta),
         samples=samples,

@@ -59,7 +59,13 @@ denominator of ``f`` times the lcm of the ``P_gamma`` denominators, and the
 result is reduced once; the pair loop is the one ``mul_trunc`` runs.  The
 optional ``cache`` holds the ``P_gamma``, keyed by ``gamma`` (one entry per
 substituted argument), so calls that share an argument list share their
-powers; :func:`power_step` gives the chain every power table follows.
+powers; :func:`power_step` gives the chain every power table follows,
+``P_gamma = P_lower * arg_j``.  A group reads ``P_gamma`` only through the
+output degree less the lowest degree of its moved exponents, and the chain
+reads ``P_lower`` one degree less, so each power is built to the highest
+degree a call reads, not to the argument degree.  An entry too low for a
+later call is rebuilt higher and replaced; an entry at least as high is
+reused as it is.
 :class:`bergman.potential.PhaseChain`, the only composer through the phase,
 keeps two such tables: one for ``psi_x(x, z)`` and one for the inverted phase
 ``z(x, y, theta)`` (``phase.z_powers``), which the round-trip check builds
@@ -496,9 +502,10 @@ class TruncatedSeries:
 
         Bare-variable arguments only move exponents (see Composition in the
         module docstring).  ``cache`` maps the exponent ``gamma`` of the
-        substituted arguments to their power product ``P_gamma`` at the
-        argument degree, so it may be shared across calls with the same
-        argument list, whatever the outer series and its degree.
+        substituted arguments to their power product ``P_gamma``, truncated
+        at the highest degree a call has read (its ``trunc_degree``), so it
+        may be shared across calls with the same argument list, whatever the
+        outer series and its degree.
         """
         if len(args) != self.nvars:
             raise ValueError(
@@ -539,18 +546,25 @@ class TruncatedSeries:
             group = groups.setdefault(tuple(e[i] for i in substituted), {})
             group[moved] = group.get(moved, 0) + value
 
-        def power(gamma: MultiIndex) -> "TruncatedSeries":
+        # group gamma reads P_gamma through out_D less its lowest moved degree, and
+        # the chain P_gamma = P_lower * arg_j reads P_lower one degree less
+        need = {
+            gamma: out_D - (min(group) >> tgt_width)
+            for gamma, group in groups.items() if any(gamma)
+        }
+        for size in range(max(map(sum, need), default=0), 1, -1):
+            for gamma in [g for g in need if sum(g) == size]:
+                lower = power_step(gamma)[1]
+                need[lower] = max(need.get(lower, 0), need[gamma] - 1)
+        for gamma in sorted(need, key=sum):
             hit = cache.get(gamma)
-            if hit is not None:
-                return hit
-            j, lower = power_step(gamma)
-            arg = args[substituted[j]]
-            p = mul_trunc(power(lower), arg, tgt_D) if any(lower) else arg
-            cache[gamma] = p
-            return p
+            if hit is None or hit.trunc_degree < need[gamma]:
+                j, lower = power_step(gamma)
+                arg = args[substituted[j]]
+                cache[gamma] = mul_trunc(cache[lower], arg, need[gamma]) if any(lower) else arg
 
         # one accumulator over self._den * scale, scale the lcm of the power denominators
-        powers = {gamma: power(gamma) for gamma in groups if any(gamma)}
+        powers = {gamma: cache[gamma] for gamma in groups if any(gamma)}
         scale = lcm(*[p._den for p in powers.values()])
         acc: dict = {}
         get = acc.get

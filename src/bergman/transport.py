@@ -6,13 +6,16 @@ division problem ``(x - y) . A_m = RHS_m``, where each right hand side is
 built from derivatives of the previous order composed through the phase
 chain ``theta -> z(x,y,theta) -> theta(x,x,z)``: the geometry's one
 ``geom.phase`` (:class:`bergman.potential.PhaseChain`), whose two
-compositions and caches the divergence recursion shares.  Its diagonal
-pullback collapses ``y = x``, composes through ``psi_x(x, z)`` and then
-through ``z(x,y,theta)``, the same two steps as the recursion's.  The
+compositions and caches the divergence recursion shares.  The diagonal
+pullback of step m collapses ``y = x``, composes through ``psi_x(x, z)``
+(``phase.to_xz``) and then through ``z(x,y,theta)``
+(``phase.substitute_z``), the same two steps as the recursion's.  The
 scalar amplitude is then reassembled as
 ``(1 + k (x-y).A + D_theta.A) / Delta0`` and collapsed at ``y = x``, giving
 coefficients that must agree exactly with the divergence-form recursion of
-:mod:`bergman.coefficients`.
+:mod:`bergman.coefficients`.  That collapse, ``b_m = to_xz(D_theta . A_m)``,
+is the first half of the pullback of step m + 1, so the chain keeps the
+b_1..b_{M-1} its steps made and reconstruction collapses only ``A_M``.
 
 The particular antiderivative solutions used here are the segment averages;
 they are what makes the chain reproducible (solutions of the division
@@ -26,7 +29,7 @@ coefficient reconstruction needs ``D >= 2M + 2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .potential import DegreeBudgetError, GeometryPack
 from .series import TruncatedSeries, linear_combination, segment_average, unit
@@ -39,6 +42,8 @@ class TransportChain:
     n: int
     M: int
     A: tuple  # A[m] is a tuple of n series in (x, y, theta) blocks
+    # b_1..b_{M-1}, the collapses the steps computed; not in the record or ==
+    b: tuple = field(default=(), compare=False, repr=False)
 
     def to_record(self) -> dict:
         return {
@@ -67,12 +72,17 @@ def _divergence_theta(vec, n: int) -> TruncatedSeries:
     return linear_combination([(1, vec[i].diff(unit(3 * n, 2 * n + i))) for i in range(n)])
 
 
-def _step_rhs(geom: GeometryPack, prev_vec) -> TruncatedSeries:
-    """Delta0 * Q - P for one step, with P = D_theta . A_{m-1} and Q its diagonal pullback."""
+def _step_rhs(geom: GeometryPack, prev_vec) -> tuple:
+    """The collapse b_{m-1} and Delta0 * Q - P for one step.
+
+    Here P = D_theta . A_{m-1}, b_{m-1} = ``phase.to_xz(P)`` and
+    Q = ``phase.substitute_z(b_{m-1})``, the diagonal pullback of P.
+    """
     p = _divergence_theta(prev_vec, geom.n)
-    q = geom.phase.diagonal_pullback(p)
+    b_prev = geom.phase.to_xz(p)
+    q = geom.phase.substitute_z(b_prev)
     delta0 = geom.delta0_xytheta.truncate(q.trunc_degree)
-    return delta0 * q - p.truncate(q.trunc_degree)
+    return b_prev, delta0 * q - p.truncate(q.trunc_degree)
 
 
 def first_amplitude(geom: GeometryPack) -> tuple:
@@ -81,10 +91,15 @@ def first_amplitude(geom: GeometryPack) -> tuple:
 
 
 def next_amplitude(geom: GeometryPack, prev_vec, m: int) -> tuple:
-    """A_m from A_{m-1}, for m >= 2, by the same averaged-gradient solution."""
+    """``(A_m, b_{m-1})`` from A_{m-1}, for m >= 2.
+
+    A_m is the same averaged-gradient solution as A_1; b_{m-1} is the
+    collapse of D_theta . A_{m-1} that the step computes on the way.
+    """
     if m < 2:
         raise ValueError("next_amplitude starts at order 2")
-    return tuple(_y_gradient_average(_step_rhs(geom, prev_vec), geom.n))
+    b_prev, rhs = _step_rhs(geom, prev_vec)
+    return tuple(_y_gradient_average(rhs, geom.n)), b_prev
 
 
 def transport_chain(geom: GeometryPack, M: int) -> TransportChain:
@@ -99,18 +114,22 @@ def transport_chain(geom: GeometryPack, M: int) -> TransportChain:
         TruncatedSeries.zero(3 * n, max(0, D - 1)) for _ in range(n)
     )
     vectors = [zero_vec]
+    collapses = []
     if M >= 1:
         vectors.append(first_amplitude(geom))
     for m in range(2, M + 1):
-        vectors.append(next_amplitude(geom, vectors[m - 1], m))
-    return TransportChain(n=n, M=M, A=tuple(vectors))
+        vec, b_prev = next_amplitude(geom, vectors[m - 1], m)
+        vectors.append(vec)
+        collapses.append(b_prev)
+    return TransportChain(n=n, M=M, A=tuple(vectors), b=tuple(collapses))
 
 
 def reconstruct_coefficients(geom: GeometryPack, chain: TransportChain) -> list:
     """Coefficients b_0..b_M from the chain, in (x, z) blocks.
 
     Collapsing the reassembled amplitude at y = x leaves
-    ``b_m(x, z) = (D_theta . A_m)(x, x, psi_x(x, z))`` for m >= 1.
+    ``b_m(x, z) = (D_theta . A_m)(x, x, psi_x(x, z))`` for m >= 1.  The
+    chain's steps computed b_1..b_{M-1}, so only b_M is collapsed here.
     """
     n, D = geom.n, geom.degree
     if D < 2 * chain.M + 2:
@@ -118,8 +137,8 @@ def reconstruct_coefficients(geom: GeometryPack, chain: TransportChain) -> list:
             f"reconstruction to order {chain.M} needs geometry degree >= {2 * chain.M + 2}",
             2 * chain.M + 2,
         )
-    out = [TruncatedSeries.one(2 * n, D)]
-    for m in range(1, chain.M + 1):
+    out = [TruncatedSeries.one(2 * n, D), *chain.b]
+    for m in range(len(out), chain.M + 1):
         out.append(geom.phase.to_xz(_divergence_theta(chain.A[m], n)))
     return out
 

@@ -7,7 +7,10 @@ form: they read the ``coeffs`` view, one exponent tuple and one ``Fraction``
 per term.  ``invert_theta_sweeps``, ``diagonal_pullback_w_table`` and
 ``delta0_quotient`` are the phase geometry's earlier forms: whole
 compositions through plain ``compose``, with no ``PhaseChain`` and no table
-shared with the pipeline.
+shared with the pipeline.  ``amplitudes_recomputed`` and
+``collapses_recomputed`` compute every amplitude ``(b_m o z) * Delta0`` and
+every collapse ``to_xz(D_theta . A_m)`` anew, on a fresh ``PhaseChain``,
+where the pipeline reuses what the recursion and the transport steps built.
 """
 
 import cmath
@@ -16,7 +19,7 @@ import math
 from fractions import Fraction
 from math import comb, factorial
 
-from bergman.potential import _fraction_matrix_inverse
+from bergman.potential import PhaseChain, _fraction_matrix_inverse
 from bergman.series import (
     TruncatedSeries,
     det,
@@ -176,7 +179,7 @@ def invert_theta_sweeps(theta):
 
 
 def diagonal_pullback_w_table(geom, f):
-    """``PhaseChain.diagonal_pullback`` through the dense ``w = psi_x(x, z(x, y, theta))``.
+    """A transport step's diagonal pullback through the dense ``w = psi_x(x, z(x, y, theta))``.
 
     f(x, y, theta) -> f(x, x, w), composing f at y = x with the powers of w.
     """
@@ -198,3 +201,28 @@ def delta0_quotient(geom):
     delta0_xyz = det(num) * det(den).invert()
     xy = TruncatedSeries.variables(n3, D - 1)[: 2 * n]
     return delta0_xyz, delta0_xyz.compose(xy + list(geom.z_of_theta))
+
+
+def _fresh_phase(geom):
+    return PhaseChain(geom.n, geom.degree, geom.psi_x, geom.z_of_theta)
+
+
+def amplitudes_recomputed(geom, table):
+    """``amplitude_from_b`` with every ``a_m = (b_m o z) * Delta0`` composed anew."""
+    phase = _fresh_phase(geom)
+    out = [geom.delta0_xytheta - 1]
+    for b in table.b[1:]:
+        comp = phase.substitute_z(b)
+        out.append(comp * geom.delta0_xytheta.truncate(comp.trunc_degree))
+    return out
+
+
+def collapses_recomputed(geom, chain):
+    """``reconstruct_coefficients`` with every ``b_m = to_xz(D_theta . A_m)`` collapsed anew."""
+    n = geom.n
+    phase = _fresh_phase(geom)
+    out = [TruncatedSeries.one(2 * n, geom.degree)]
+    for vec in chain.A[1:]:
+        div = linear_combination([(1, a.diff(unit(3 * n, 2 * n + i))) for i, a in enumerate(vec)])
+        out.append(phase.to_xz(div))
+    return out

@@ -1,9 +1,15 @@
 """CLI subcommands: files, verdicts, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergman import cli
 from bergman.cli import main
@@ -237,7 +243,8 @@ class TestDeterminism:
 
 # argv of inputs that must be refused as invalid (exit 2) with a usage or
 # error message, not a traceback.  "missing.json" is a spec without "terms",
-# "text_n.json" gives n as a string and "broken.json" is not JSON at all.
+# "text_n.json" gives n as a string, "text_alpha.json" gives an exponent as a
+# string and "broken.json" is not JSON at all.
 # "table/coefficients.json" is a real coefficient table, written for the cases
 # that read it, so they fail on the argument under test, not on a missing table.
 # The "table_*.json" files are small hand-written tables (see _table_record):
@@ -259,6 +266,15 @@ INVALID_INPUTS = {
     "lemma_k_max_zero": ["growth", "--task", "lemma", "--k-max", "0"],
     "lemma_n_max_negative": ["growth", "--task", "lemma", "--n-max", "-1"],
     "worst_case_order_negative": ["growth", "--task", "worst-case", "--order", "-1"],
+    "asymptotics_point_outside_radius": [
+        "asymptotics", "--preset", "chsc", "--degree", "6", "--coeffs", "table/coefficients.json",
+        "--x", "0.5", "--y", "0.02",
+    ],
+    "fit_norm_radius_above_spec_radius": [
+        "growth", "--task", "fit", "--preset", "chsc", "--degree", "6", "--radius", "0.05",
+        "--coeffs", "table/coefficients.json",
+    ],
+    "spec_exponent_not_integer": ["polarize", "--spec", "text_alpha.json"],
     "fit_grid_one": [
         "growth", "--task", "fit", "--preset", "chsc", "--degree", "6",
         "--coeffs", "table/coefficients.json", "--grid", "1",
@@ -281,6 +297,11 @@ INVALID_INPUTS = {
     ],
     "chsc_check_order_negative": ["chsc-check", "--n", "1", "--order", "-1"],
     "param_division_by_zero": ["polarize", "--preset", "chsc", "--param", "1/0", "--degree", "6"],
+    "param_beyond_float_range": ["polarize", "--preset", "chsc", "--param", "1e400", "--degree", "6"],
+    "closed_form_param_beyond_float_range": [
+        "asymptotics", "--closed-form", "--preset", "chsc", "--param", "1e400",
+        "--x", "0.01", "--y", "0.02",
+    ],
     "dimension_zero": ["polarize", "--preset", "chsc", "--n", "0", "--degree", "6"],
     "spec_not_json": ["polarize", "--spec", "broken.json"],
     "spec_missing_terms": ["polarize", "--spec", "missing.json"],
@@ -332,6 +353,8 @@ def test_invalid_input_exits_two_without_traceback(tmp_path, monkeypatch, capsys
     header = {"n": 1, "trunc_degree": 6, "eval_radius": 0.3}
     (tmp_path / "missing.json").write_text(json.dumps(header))
     (tmp_path / "text_n.json").write_text(json.dumps({**header, "n": "1", "terms": []}))
+    term = {"alpha": "1", "beta": "1", "num": 1, "den": 1}
+    (tmp_path / "text_alpha.json").write_text(json.dumps({**header, "terms": [term]}))
     (tmp_path / "table_missing_keys.json").write_text(json.dumps({"table": {}}))
     tables = {
         "table_float.json": _table_record(1, mode="float"),
@@ -364,3 +387,118 @@ def test_internal_error_exits_three_with_one_line(tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert rc == 3
     assert err == "internal error: RuntimeError: unexpected state\n"
+
+
+# -- the exit-code contract over random argv and spec files ------------------------------
+
+RATIONALS = ("1", "-1", "1/10", "-1/3", "0", "2", "1/0", "abc", "", "1e400", "1e-400", "nan", "3/2/1")
+POINTS = ("0", "0.01", "0.05+0.02j", "0.01,0.02", "0.9", "abc", "", "nan", "1e400", ",")
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9), st.floats(), st.text(max_size=3)
+)
+_json = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_exponents = st.lists(st.one_of(st.integers(-1, 4), _json_scalars), max_size=3)
+_spec_records = st.fixed_dictionaries({
+    "n": st.one_of(st.integers(-1, 3), _json_scalars),
+    "trunc_degree": st.one_of(st.integers(-1, 8), _json_scalars),
+    "eval_radius": st.one_of(st.floats(), _json_scalars),
+    "terms": st.lists(
+        st.fixed_dictionaries({
+            "alpha": _exponents, "beta": _exponents,
+            "num": st.one_of(st.integers(-3, 3), _json_scalars),
+            "den": st.one_of(st.integers(-1, 4), _json_scalars),
+        }),
+        max_size=4,
+    ),
+})
+# a spec file is garbage text, any JSON value, or a spec record with garbage fields
+_spec_files = st.one_of(st.text(max_size=20), _json.map(json.dumps), _spec_records.map(json.dumps))
+_orders = st.integers(-1, 4).map(str)
+_SPEC_OPTIONS = {
+    "--preset": st.sampled_from(["flat", "chsc", "quartic", "sphere"]),
+    "--n": st.integers(1, 3).map(str),
+    "--param": st.sampled_from(RATIONALS),
+    "--degree": st.integers(-1, 8).map(str),
+    "--radius": st.sampled_from(["0.3", "0", "-1", "nan", "x", "1e300"]),
+}
+_TABLES = ("coefficients.json", "garbage.json", "missing.json")
+OPTIONS = {
+    "polarize": {**_SPEC_OPTIONS, "--samples": st.sampled_from(["0", "1", "5"]),
+                 "--delta": st.sampled_from(["0.1", "-1", "nan"])},
+    "coeffs": {**_SPEC_OPTIONS, "--order": _orders, "--transport-order": _orders},
+    "eval": {**_SPEC_OPTIONS, "--coeffs": st.sampled_from(_TABLES),
+             "--k": st.sampled_from(["-1", "0", "1", "40"]), "--order": _orders,
+             "--C": st.sampled_from(["1", "0", "nan"]), "--x": st.sampled_from(POINTS),
+             "--y": st.sampled_from(POINTS)},
+    "asymptotics": {**_SPEC_OPTIONS, "--mode": st.sampled_from(["log", "scaling", "x"]),
+                    "--coeffs": st.sampled_from(_TABLES), "--closed-form": st.just(None),
+                    "--k-grid": st.sampled_from(["64,128", "64", "0,64", "a,b"]),
+                    "--x": st.sampled_from(POINTS), "--y": st.sampled_from(POINTS),
+                    "--max-slope": st.sampled_from(["-1.8", "nan"])},
+    "growth": {**_SPEC_OPTIONS,
+               "--task": st.sampled_from(["fit", "worst-case", "truncation", "lemma", "x"]),
+               "--coeffs": st.sampled_from(_TABLES), "--order": _orders,
+               "--kmax": st.sampled_from(["-1", "0", "3"]), "--grid": st.sampled_from(["1", "2"]),
+               "--xi-max": st.sampled_from(["0", "1"]), "--norm-radius": st.sampled_from(["0.05", "0", "9"]),
+               "--model": st.sampled_from(["m_factorial_sq", "m_factorial"]),
+               "--C": st.sampled_from(["1", "0"]), "--k": st.sampled_from(["0", "100"]),
+               "--deltas": st.sampled_from(["0.5,1", "0", "a"]),
+               "--n-max": st.sampled_from(["-1", "5"]), "--k-max": st.sampled_from(["0", "50"])},
+    "chsc-check": {"--n": st.integers(0, 3).map(str), "--param": st.sampled_from(RATIONALS),
+                   "--order": _orders},
+}
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    """A coefficient table (chsc n=1, degree 6, order 2) and a garbage table file."""
+    root = tmp_path_factory.mktemp("contract")
+    assert main(["coeffs", "--preset", "chsc", "--degree", "6", "--order", "2",
+                 "--out", str(root)]) == 0
+    (root / "garbage.json").write_text('{"table": [')
+    return root
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_random_argv_keeps_the_exit_code_contract(contract_dir, data):
+    command = data.draw(st.sampled_from(sorted(OPTIONS)), label="command")
+    argv = [command]
+    for flag, values in OPTIONS[command].items():
+        if data.draw(st.booleans(), label=flag):
+            value = data.draw(values, label=flag)
+            argv += [flag] if value is None else [flag, value]
+            if flag == "--coeffs":
+                argv[-1] = str(contract_dir / value)
+    with tempfile.TemporaryDirectory() as tmp:
+        if data.draw(st.booleans(), label="spec file"):
+            spec = Path(tmp) / "spec.json"
+            spec.write_text(data.draw(_spec_files, label="spec text"))
+            argv += ["--spec", str(spec)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                rc = main(argv + ["--out", str(Path(tmp) / "out")])
+            except SystemExit as exc:  # argparse refuses the argument itself
+                rc = exc.code
+    assert rc in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
+
+
+def test_nan_contour_samples_fail_the_check(tmp_path):
+    rc = main(["polarize", "--preset", "chsc", "--degree", "6", "--delta", "nan",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert not read_json(tmp_path / "contour.json")["report"]["passed"]
+
+
+def test_closed_form_curvature_below_float_range_is_flat(tmp_path):
+    argv = ["asymptotics", "--closed-form", "--preset", "chsc", "--x", "0.01", "--y", "0.02"]
+    assert main(argv + ["--param", "1e-400", "--out", str(tmp_path / "tiny")]) == 0
+    assert main(argv + ["--param", "0", "--out", str(tmp_path / "flat")]) == 0
+    tiny = read_json(tmp_path / "tiny" / "asymptotics.json")["fit"]
+    assert tiny == read_json(tmp_path / "flat" / "asymptotics.json")["fit"]

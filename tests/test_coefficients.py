@@ -105,6 +105,16 @@ class TestContracts:
 
 
 class TestAmplitudes:
+    def test_recursion_amplitudes_are_reused_and_not_recorded(self, quartic_geom, quartic_table):
+        from bergman.coefficients import CoefficientTable
+
+        assert len(quartic_table.amplitudes) == 2  # a_1, a_2 of an order-3 recursion
+        table = amplitude_from_b(quartic_table, quartic_geom)
+        assert all(a is b for a, b in zip(table.a[1:3], quartic_table.amplitudes))
+        back = CoefficientTable.from_record(table.to_record())
+        assert back.amplitudes == () and back == table
+        assert amplitude_from_b(back, quartic_geom).a == table.a
+
     def test_flat_amplitudes_vanish(self):
         geom = build_geometry(preset_flat(1, 8))
         table = amplitude_from_b(bergman_coefficients(geom, 2), geom)

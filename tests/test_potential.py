@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergman import potential
-from bergman.coefficients import bergman_coefficients
+from bergman.coefficients import amplitude_from_b, bergman_coefficients
 from bergman.potential import (
     PhaseChain,
     PotentialSpec,
@@ -29,9 +29,11 @@ from bergman.potential import (
     preset_flat,
     preset_quartic,
 )
-from bergman.series import TruncatedSeries, mul_trunc
-from bergman.transport import first_amplitude, transport_chain
+from bergman.series import TruncatedSeries, exponents_of_degree, mul_trunc
+from bergman.transport import first_amplitude, reconstruct_coefficients, transport_chain
 from oracles import (
+    amplitudes_recomputed,
+    collapses_recomputed,
     delta0_quotient,
     diagonal_pullback_w_table,
     invert_theta_sweeps,
@@ -287,16 +289,17 @@ class TestInvertTheta:
         assert z == th * geometric
 
 
-def dense_spec(D):
-    """|x|^2 - 3/4 (x^2 conj(x) + c.c.) - 1/2 (x^3 conj(x) + c.c.) + 3/8 |x|^4.
+def dense_spec(D, c21=F(-3, 4), c31=F(-1, 2)):
+    """|x|^2 + c21 (x^2 conj(x) + c.c.) + c31 (x^3 conj(x) + c.c.) + 3/8 |x|^4.
 
-    The first seed-1 potential of the benchmark's ``dense_orders`` family:
-    no symmetry, so every series of its geometry is dense.
+    With the default coefficients, the first seed-1 potential of the
+    benchmark's ``dense_orders`` family; (-1/4, -1/6) gives the second.  No
+    symmetry, so every series of its geometry is dense.
     """
     return PotentialSpec(1, D, 0.3, {
         ((1,), (1,)): F(1),
-        ((2,), (1,)): F(-3, 4), ((1,), (2,)): F(-3, 4),
-        ((3,), (1,)): F(-1, 2), ((1,), (3,)): F(-1, 2),
+        ((2,), (1,)): c21, ((1,), (2,)): c21,
+        ((3,), (1,)): c31, ((1,), (3,)): c31,
         ((2,), (2,)): F(3, 8),
     })
 
@@ -335,11 +338,63 @@ class TestOldForms:
     def test_two_step_pullback_equals_the_w_table(self, old_form_geom):
         geom = old_form_geom
         for f in (geom.delta0_xytheta, *geom.z_of_theta, *first_amplitude(geom)):
-            assert geom.phase.diagonal_pullback(f) == diagonal_pullback_w_table(geom, f)
+            pullback = geom.phase.substitute_z(geom.phase.to_xz(f))
+            assert pullback == diagonal_pullback_w_table(geom, f)
+
+    def test_reused_amplitudes_equal_the_recomputed(self, old_form_geom):
+        geom = old_form_geom
+        M = (geom.degree - 2) // 2
+        table = amplitude_from_b(bergman_coefficients(geom, M), geom)
+        assert len(table.a) == M + 1
+        assert list(table.a) == amplitudes_recomputed(geom, table)
+
+    def test_reused_collapses_equal_the_recomputed(self, old_form_geom):
+        geom = old_form_geom
+        M = (geom.degree - 2) // 2
+        chain = transport_chain(geom, M)
+        recon = reconstruct_coefficients(geom, chain)
+        assert len(recon) == M + 1
+        assert recon == collapses_recomputed(geom, chain)
+
+
+def _count_replaced_entries(monkeypatch) -> list:
+    """Patch ``compose`` to list every cache entry a call replaces, in any cache."""
+    replaced = []
+    original = TruncatedSeries.compose
+
+    def counting(series, args, cache=None):
+        before = dict(cache) if cache is not None else {}
+        out = original(series, args, cache)
+        replaced.extend(gamma for gamma, p in before.items() if cache[gamma] is not p)
+        return out
+
+    monkeypatch.setattr(TruncatedSeries, "compose", counting)
+    return replaced
+
+
+# The benchmark's exact jobs at seed 1: the two dense potentials (n=1, D=12, M=5)
+# and the chsc potentials (n=2, D=12, M=3) of curvature 3/5 and -2/5.
+BENCHMARK_JOBS = {
+    "dense_1": (lambda: dense_spec(12), 5),
+    "dense_2": (lambda: dense_spec(12, F(-1, 4), F(-1, 6)), 5),
+    "chsc_3/5": (lambda: preset_chsc(2, F(3, 5), 12), 3),
+    "chsc_-2/5": (lambda: preset_chsc(2, F(-2, 5), 12), 3),
+}
 
 
 class TestZPowerTable:
     """The geometry's one table of z-powers, started by the round-trip check."""
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_JOBS))
+    def test_coeffs_pipeline_replaces_no_entry(self, monkeypatch, name):
+        make, order = BENCHMARK_JOBS[name]
+        replaced = _count_replaced_entries(monkeypatch)
+        geom = build_geometry(make())
+        table = amplitude_from_b(bergman_coefficients(geom, order), geom)
+        recon = reconstruct_coefficients(geom, transport_chain(geom, order))
+        assert recon == list(table.b)
+        assert geom.phase.z_powers
+        assert replaced == []
 
     SPECS = {
         "quartic": lambda: preset_quartic(1, F(1, 10), 10),
@@ -350,10 +405,13 @@ class TestZPowerTable:
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_entries_are_products_of_z(self, name):
         geom = build_geometry(self.SPECS[name]())
-        n, D = geom.n, geom.degree - 1
+        n = geom.n
         assert geom.phase.z_powers
         for gamma, power in geom.phase.z_powers.items():
             assert len(gamma) == n and any(gamma)
+            # each entry holds the product through its own degree
+            D = power.trunc_degree
+            assert sum(gamma) <= D <= geom.degree - 1
             want = TruncatedSeries.one(3 * n, D)
             for z, e in zip(geom.z_of_theta, gamma):
                 for _ in range(e):
@@ -363,10 +421,31 @@ class TestZPowerTable:
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_build_delta0_with_and_without_the_table(self, name):
         geom = build_geometry(self.SPECS[name]())
-        with_table = build_delta0(geom.psi, geom.theta, geom.phase)
+        with_table = build_delta0(geom.psi, geom.phase)
         fresh = PhaseChain(geom.n, geom.degree, geom.psi_x, geom.z_of_theta)
-        without = build_delta0(geom.psi, geom.theta, fresh)
-        assert with_table == without == (geom.delta0_xyz, geom.delta0_xytheta)
+        without = build_delta0(geom.psi, fresh)
+        assert with_table == without == geom.delta0_xytheta
+
+    def test_a_later_call_that_reads_higher_replaces_the_entry(self, monkeypatch):
+        geom = build_geometry(self.SPECS["non_radial_n2"]())
+        phase = PhaseChain(geom.n, geom.degree, geom.psi_x, geom.z_of_theta)
+        replaced = _count_replaced_entries(monkeypatch)
+        low = phase.substitute_z(self._z_polynomial(geom, 3))
+        assert all(p.trunc_degree <= 3 for g, p in phase.z_powers.items() if sum(g) > 1)
+        full = self._z_polynomial(geom, geom.degree - 2)
+        got = phase.substitute_z(full)
+        assert replaced
+        fresh = PhaseChain(geom.n, geom.degree, geom.psi_x, geom.z_of_theta)
+        assert got == fresh.substitute_z(full)
+        assert low == fresh.substitute_z(self._z_polynomial(geom, 3))
+
+    @staticmethod
+    def _z_polynomial(geom, degree):
+        """Every z-monomial through ``degree``, in (x, z) blocks: it reads every power."""
+        n = geom.n
+        return TruncatedSeries(2 * n, degree, {
+            (0,) * n + gamma: 1 for d in range(1, degree + 1) for gamma in exponents_of_degree(n, d)
+        })
 
     def test_table_is_not_compared(self):
         spec = preset_quartic(1, F(1, 10), 8)
@@ -394,6 +473,15 @@ class TestZPowerTable:
 
 
 class TestDelta0:
+    def test_coeffs_pipeline_leaves_the_quotient_unbuilt(self):
+        geom = build_geometry(preset_quartic(1, F(1, 10), 10))
+        table = amplitude_from_b(bergman_coefficients(geom, 4), geom)
+        assert reconstruct_coefficients(geom, transport_chain(geom, 4)) == list(table.b)
+        assert "delta0_xyz" not in vars(geom)
+        quotient = geom.delta0_xyz
+        assert vars(geom)["delta0_xyz"] is quotient and geom.delta0_xyz is quotient
+        assert quotient == delta0_quotient(geom)[0]
+
     def test_flat_is_one(self):
         geom = build_geometry(preset_flat(2, 6))
         assert geom.delta0_xyz == TruncatedSeries.one(6, 4)

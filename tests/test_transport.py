@@ -44,7 +44,7 @@ def division_identity_gap(geom, chain, m):
     if m == 1:
         rhs = geom.delta0_xytheta - 1
     else:
-        rhs = _step_rhs(geom, chain.A[m - 1])
+        _, rhs = _step_rhs(geom, chain.A[m - 1])
     out_degree = min(chain.A[m][0].trunc_degree + 1, rhs.trunc_degree)
     lhs = TruncatedSeries.zero(3 * n, out_degree)
     for i in range(n):
@@ -133,8 +133,9 @@ class TestSteps:
     def test_stepwise_api_matches_chain(self, quartic_geom, quartic_chain):
         a1 = first_amplitude(quartic_geom)
         assert a1 == quartic_chain.A[1]
-        a2 = next_amplitude(quartic_geom, a1, 2)
+        a2, b1 = next_amplitude(quartic_geom, a1, 2)
         assert a2 == quartic_chain.A[2]
+        assert b1 == quartic_chain.b[0] == bergman_coefficients(quartic_geom, 1).b[1]
         with pytest.raises(ValueError):
             next_amplitude(quartic_geom, a1, 1)
 
@@ -169,6 +170,12 @@ class TestReconstruction:
         assert is_zero(division_identity_gap(geom, chain, 3))
         assert geom.phase is phase
         assert recon == list(table.b)
+
+    def test_step_collapses_are_reused_and_not_recorded(self, quartic_geom, quartic_chain):
+        assert len(quartic_chain.b) == quartic_chain.M - 1  # b_1..b_{M-1}
+        recon = reconstruct_coefficients(quartic_geom, quartic_chain)
+        assert all(a is b for a, b in zip(recon[1:], quartic_chain.b))
+        assert "b" not in quartic_chain.to_record()
 
     def test_order_zero_amplitude_is_one(self, quartic_geom, quartic_chain):
         b0 = amplitude_order_xyz(quartic_geom, quartic_chain, 0)
@@ -249,5 +256,7 @@ def test_pipeline_reads_only_the_packed_form():
     assert all((table.to_record(), chain.to_record(), [s.to_record() for s in recon]))
     eval_KN(geom, table, 40, 4, [0.1 + 0.05j], [0.12 - 0.03j])
     held = list(_series_in((geom, table, chain, recon)))
-    assert len(held) == 6 + 10 + 5 + 5  # geometry, b and a, A_0..A_4, reconstructed b
+    # geometry (the quotient is not built), b and a, the recursion's a_1..a_3,
+    # A_0..A_4, the steps' b_1..b_3, reconstructed b
+    assert len(held) == 5 + 10 + 3 + 5 + 3 + 5
     assert [s for s in held if s._coeffs is not None] == []
