@@ -287,10 +287,8 @@ def truncation_minimizer(C: float, k: int) -> TruncationScan:
     """
     if C <= 0 or k < 1:
         raise ValueError("need C > 0 and k >= 1")
-    logs = [
-        m * math.log(C) + 2.0 * lgamma(m + 1) - m * math.log(k)
-        for m in range(1, k + 1)
-    ]
+    log_C, log_k = math.log(C), math.log(k)
+    logs = [m * log_C + 2.0 * lgamma(m + 1) - m * log_k for m in range(1, k + 1)]
     arg = 1 + min(range(len(logs)), key=logs.__getitem__)
     diffs = [b - a for a, b in zip(logs, logs[1:])]
     rising = False

@@ -9,13 +9,29 @@ the logarithmic decay law
     (1/k) log|K|_w  =  -D(x,y)/2 + n log(k)/k - n log(pi)/k + residual,
 
 whose decay order in k is what the fit routines measure.
+
+A report is built in two stages.  The point values of a pair (x, y) do not
+depend on k: ``psi(x, conj y)``, the diastasis from ``phi(x)`` and
+``phi(y)``, and ``b_1..b_N(x, conj y)``.  The per-k assembly is the only
+stage that reads k, through ``k psi`` and the weights ``k^{-j}``.  A sweep
+over k at a fixed pair, as the decay fits make, evaluates the series once.
+Each evaluation path keeps one slot with the point values of the last pair
+it saw: :func:`eval_KN` and :func:`make_series_evaluator` share the slot of
+their :class:`CoefficientTable`, keyed by the geometry (by identity), N and
+the pair; each closed-form evaluator holds its own.  The key holds the
+exact bits of the pair, and a new pair replaces key and values together.
+The order and radius checks run on every call.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import marshal
 import math
+import weakref
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,30 +85,51 @@ class KernelReport:
         }
 
 
-def evaluate_kernel(
-    n: int,
-    k: int,
-    N: int,
-    x: Sequence[complex],
-    y: Sequence[complex],
-    psi_fn: Callable,
-    b_fn: Callable,
-) -> KernelReport:
-    """Assemble one report from value providers.
+@dataclass(frozen=True)
+class PointValues:
+    """The k-independent values a report reads at one pair (x, y)."""
 
-    ``psi_fn(x, zbar)`` returns the polarized potential; ``b_fn(j, x, zbar)``
-    returns the order-j coefficient value, both holomorphic in their slots.
-    """
-    x = tuple(complex(v) for v in x)
-    y = tuple(complex(v) for v in y)
+    N: int
+    x: tuple
+    y: tuple
+    psi_xy: complex
+    diastasis: float
+    b: tuple  # b_1..b_N at (x, conj y)
+
+
+def _point(p: Sequence[complex]) -> tuple:
+    return tuple(complex(v) for v in p)
+
+
+def _pair_key(x: tuple, y: tuple) -> bytes:
+    """The exact bits of a converted pair; ``==`` on floats would equate 0.0 and -0.0."""
+    return marshal.dumps((x, y))
+
+
+def _point_values(N: int, x, y, psi_fn: Callable, b_fn: Callable) -> PointValues:
+    """First stage: every value the pair's reports read, for any k."""
+    x = _point(x)
+    y = _point(y)
     ybar = tuple(v.conjugate() for v in y)
     psi_xy = complex(psi_fn(x, ybar))
     phi_x = complex(psi_fn(x, tuple(v.conjugate() for v in x))).real
     phi_y = complex(psi_fn(y, ybar)).real
+    return PointValues(
+        N=N,
+        x=x,
+        y=y,
+        psi_xy=psi_xy,
+        diastasis=phi_x + phi_y - 2.0 * psi_xy.real,
+        b=tuple(complex(b_fn(j, x, ybar)) for j in range(1, N + 1)),
+    )
+
+
+def _assemble(n: int, k: int, pv: PointValues) -> KernelReport:
+    """Second stage, the only one that reads k."""
+    psi_xy, dia = pv.psi_xy, pv.diastasis
     amp = 1 + 0j
-    for j in range(1, N + 1):
-        amp += complex(b_fn(j, x, ybar)) / k**j
-    dia = phi_x + phi_y - 2.0 * psi_xy.real
+    for j, b_j in enumerate(pv.b, 1):
+        amp += b_j / k**j
     log_prefactor = n * math.log(k / math.pi)
     log_amp = math.log(abs(amp)) if amp != 0 else float("-inf")
     log_mag = log_prefactor + k * psi_xy.real + log_amp
@@ -109,9 +146,9 @@ def evaluate_kernel(
     log_residual = log_amp / k
     return KernelReport(
         k=k,
-        N=N,
-        x=x,
-        y=y,
+        N=pv.N,
+        x=pv.x,
+        y=pv.y,
         psi_val=psi_xy,
         amplitude_val=amp,
         K_val=K_val,
@@ -120,6 +157,23 @@ def evaluate_kernel(
         diastasis=dia,
         log_residual=log_residual,
     )
+
+
+def evaluate_kernel(
+    n: int,
+    k: int,
+    N: int,
+    x: Sequence[complex],
+    y: Sequence[complex],
+    psi_fn: Callable,
+    b_fn: Callable,
+) -> KernelReport:
+    """Assemble one report from value providers.
+
+    ``psi_fn(x, zbar)`` returns the polarized potential; ``b_fn(j, x, zbar)``
+    returns the order-j coefficient value, both holomorphic in their slots.
+    """
+    return _assemble(n, k, _point_values(N, x, y, psi_fn, b_fn))
 
 
 def in_eval_radius(spec, point: Sequence[complex]) -> bool:
@@ -135,19 +189,30 @@ def eval_KN(
     x: Sequence[complex],
     y: Sequence[complex],
 ) -> KernelReport:
-    """Series-backed kernel report; points must sit inside the evaluation radius."""
+    """Series-backed kernel report; points must sit inside the evaluation radius.
+
+    The series are evaluated only when the pair, N or the geometry differs
+    from the last call on ``table``.
+    """
     if N > table.M:
         raise ValueError(f"order {N} exceeds the computed table order {table.M}")
+    x = _point(x)
+    y = _point(y)
     if not (in_eval_radius(geom.spec, x) and in_eval_radius(geom.spec, y)):
         raise RadiusError("evaluation point outside the configured radius")
+    key = (N, _pair_key(x, y))
+    held = table.kernel_slot[0]
+    if held is None or held[0]() is not geom or held[1] != key:
 
-    def psi_fn(px, zbar):
-        return geom.psi.eval(list(px) + list(zbar))
+        def psi_fn(px, zbar):
+            return geom.psi.eval(list(px) + list(zbar))
 
-    def b_fn(j, px, zbar):
-        return table.b[j].eval(list(px) + list(zbar))
+        def b_fn(j, px, zbar):
+            return table.b[j].eval(list(px) + list(zbar))
 
-    return evaluate_kernel(geom.n, k, N, x, y, psi_fn, b_fn)
+        held = (weakref.ref(geom), key, _point_values(N, x, y, psi_fn, b_fn))
+        table.kernel_slot[0] = held
+    return _assemble(geom.n, k, held[2])
 
 
 def eval_KN_chsc_closed(n: int, c, k: int, N: int, x, y) -> KernelReport:
@@ -168,16 +233,31 @@ def make_chsc_closed_evaluator(n: int, c, N: int | None = None) -> Callable:
     """Closed-form evaluator (k, x, y) -> report at order N (default n).
 
     c and the constants b_0..b_N go to float once, as ``complex(float(b_j))``.
+    The evaluators of recently used (n, c, N) are cached, keyed by the exact
+    value of c, so repeated calls share one evaluator and its slot.
     """
-    order = N if N is not None else n
+    return _chsc_closed_evaluator(n, Fraction(c), N if N is not None else n)
+
+
+@functools.lru_cache(maxsize=256)
+def _chsc_closed_evaluator(n: int, c: Fraction, order: int) -> Callable:
     consts = [complex(float(b)) for b in chsc_coefficients(n, c, max(order, 0))]
     psi_fn = chsc_psi(c)
 
     def b_fn(j, px, zbar):
         return consts[j]
 
+    slot = [None]  # (pair key, point values) of the last pair
+
     def run(k, x, y):
-        return evaluate_kernel(n, k, order, x, y, psi_fn, b_fn)
+        x = _point(x)
+        y = _point(y)
+        key = _pair_key(x, y)
+        held = slot[0]
+        if held is None or held[0] != key:
+            held = (key, _point_values(order, x, y, psi_fn, b_fn))
+            slot[0] = held
+        return _assemble(n, k, held[1])
 
     return run
 

@@ -73,6 +73,11 @@ class RadiusError(ValueError):
     """An evaluation point or a sampling radius lies outside the spec's evaluation radius."""
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: JSON ``true`` must not stand for 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Coefficient data of a real-analytic Kahler potential near 0.
@@ -88,17 +93,17 @@ class PotentialSpec:
 
     def validate(self) -> None:
         n = self.n
-        if not isinstance(n, int) or not isinstance(self.trunc_degree, int):
+        if not _is_int(n) or not _is_int(self.trunc_degree):
             raise SpecValidationError("n and trunc_degree must be integers")
         if n < 1:
             raise SpecValidationError("dimension n must be positive")
         if self.trunc_degree < 2:
             raise SpecValidationError("trunc_degree must be at least 2")
-        if not self.eval_radius > 0:
-            raise SpecValidationError("eval_radius must be positive")
+        if not (self.eval_radius > 0 and math.isfinite(self.eval_radius)):
+            raise SpecValidationError("eval_radius must be positive and finite")
         zero = (0,) * n
         for (a, b), v in self.coeffs.items():
-            if len(a) != n or len(b) != n or not all(isinstance(e, int) and e >= 0 for e in a + b):
+            if len(a) != n or len(b) != n or not all(_is_int(e) and e >= 0 for e in a + b):
                 raise SpecValidationError(f"malformed term index ({a}, {b})")
         if self.coeffs.get((zero, zero), 0) != 0:
             raise SpecValidationError("normalization violated: c00 must be 0")

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bergman import cli
@@ -244,7 +244,9 @@ class TestDeterminism:
 # argv of inputs that must be refused as invalid (exit 2) with a usage or
 # error message, not a traceback.  "missing.json" is a spec without "terms",
 # "text_n.json" gives n as a string, "text_alpha.json" gives an exponent as a
-# string and "broken.json" is not JSON at all.
+# string, "bool_n.json" and "bool_degree.json" give n or trunc_degree as JSON true,
+# "infinite_radius.json" gives eval_radius as Infinity and "broken.json" is not
+# JSON at all.
 # "table/coefficients.json" is a real coefficient table, written for the cases
 # that read it, so they fail on the argument under test, not on a missing table.
 # The "table_*.json" files are small hand-written tables (see _table_record):
@@ -306,6 +308,9 @@ INVALID_INPUTS = {
     "spec_not_json": ["polarize", "--spec", "broken.json"],
     "spec_missing_terms": ["polarize", "--spec", "missing.json"],
     "spec_n_not_integer": ["polarize", "--spec", "text_n.json"],
+    "spec_n_bool": ["polarize", "--spec", "bool_n.json"],
+    "spec_degree_bool": ["polarize", "--spec", "bool_degree.json"],
+    "spec_radius_infinite": ["polarize", "--spec", "infinite_radius.json"],
     "worst_case_over_guard": ["growth", "--task", "worst-case", "--n", "3", "--order", "7"],
     "coeffs_not_json": [
         "eval", "--preset", "chsc", "--degree", "6", "--coeffs", "broken.json",
@@ -355,6 +360,10 @@ def test_invalid_input_exits_two_without_traceback(tmp_path, monkeypatch, capsys
     (tmp_path / "text_n.json").write_text(json.dumps({**header, "n": "1", "terms": []}))
     term = {"alpha": "1", "beta": "1", "num": 1, "den": 1}
     (tmp_path / "text_alpha.json").write_text(json.dumps({**header, "terms": [term]}))
+    flat = [{"alpha": [1], "beta": [1], "num": 1, "den": 1}]
+    for name, field, value in (("bool_n.json", "n", True), ("bool_degree.json", "trunc_degree", True),
+                               ("infinite_radius.json", "eval_radius", float("inf"))):
+        (tmp_path / name).write_text(json.dumps({**header, field: value, "terms": flat}))
     (tmp_path / "table_missing_keys.json").write_text(json.dumps({"table": {}}))
     tables = {
         "table_float.json": _table_record(1, mode="float"),
@@ -463,21 +472,17 @@ def contract_dir(tmp_path_factory):
     return root
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_random_argv_keeps_the_exit_code_contract(contract_dir, data):
-    command = data.draw(st.sampled_from(sorted(OPTIONS)), label="command")
-    argv = [command]
-    for flag, values in OPTIONS[command].items():
-        if data.draw(st.booleans(), label=flag):
-            value = data.draw(values, label=flag)
-            argv += [flag] if value is None else [flag, value]
-            if flag == "--coeffs":
-                argv[-1] = str(contract_dir / value)
+def exit_code_under_contract(argv, contract_dir, spec_text=None):
+    """Run argv (``--coeffs`` names a file in ``contract_dir``), check it exits 0, 1 or 2
+    without a traceback, and return the exit code."""
+    argv = list(argv)
+    for i, item in enumerate(argv[:-1]):
+        if item == "--coeffs":
+            argv[i + 1] = str(contract_dir / argv[i + 1])
     with tempfile.TemporaryDirectory() as tmp:
-        if data.draw(st.booleans(), label="spec file"):
+        if spec_text is not None:
             spec = Path(tmp) / "spec.json"
-            spec.write_text(data.draw(_spec_files, label="spec text"))
+            spec.write_text(spec_text)
             argv += ["--spec", str(spec)]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -487,6 +492,74 @@ def test_random_argv_keeps_the_exit_code_contract(contract_dir, data):
                 rc = exc.code
     assert rc in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
+    return rc
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_random_argv_keeps_the_exit_code_contract(contract_dir, data):
+    command = data.draw(st.sampled_from(sorted(OPTIONS)), label="command")
+    argv = [command]
+    for flag, values in OPTIONS[command].items():
+        if data.draw(st.booleans(), label=flag):
+            value = data.draw(values, label=flag)
+            argv += [flag] if value is None else [flag, value]
+    spec_text = None
+    if data.draw(st.booleans(), label="spec file"):
+        spec_text = data.draw(_spec_files, label="spec text")
+    exit_code_under_contract(argv, contract_dir, spec_text)
+
+
+# One valid argv per subcommand (each exits 0 on the contract table).
+# Independent draws rarely hit an input that needs several fields right at once,
+# such as "polarize --preset chsc --param 1e400 --degree 6"; perturbing one or
+# two fields of a valid argv reaches them.
+VALID_ARGV = {
+    "polarize": {"--preset": "chsc", "--degree": "6", "--samples": "5"},
+    "coeffs": {"--preset": "chsc", "--degree": "6", "--order": "2", "--transport-order": "1"},
+    "eval": {"--preset": "chsc", "--degree": "6", "--coeffs": "coefficients.json",
+             "--k": "40", "--x": "0.01", "--y": "0.05+0.02j"},
+    "asymptotics": {"--preset": "chsc", "--degree": "6", "--coeffs": "coefficients.json",
+                    "--x": "0.01", "--y": "0.05+0.02j"},
+    "growth": {"--task": "truncation", "--preset": "chsc", "--degree": "6",
+               "--coeffs": "coefficients.json", "--n-max": "5", "--k-max": "50"},
+    "chsc-check": {"--n": "1", "--order": "2"},
+}
+
+
+@st.composite
+def perturbed_argv(draw):
+    """(argv, spec text or None): a valid argv with one or two fields replaced or dropped."""
+    command = draw(st.sampled_from(sorted(VALID_ARGV)))
+    fields = dict(VALID_ARGV[command])
+    spec_text = None
+    for flag in draw(st.lists(st.sampled_from(sorted(OPTIONS[command]) + ["--spec"]),
+                              min_size=1, max_size=2, unique=True)):
+        if flag in fields and draw(st.booleans()):
+            del fields[flag]
+        elif flag == "--spec":
+            spec_text = draw(_spec_files)
+        else:
+            fields[flag] = draw(OPTIONS[command][flag])
+    argv = [command]
+    for flag, value in fields.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv, spec_text
+
+
+def test_valid_argv_passes_the_contract_unperturbed(contract_dir):
+    for command, fields in VALID_ARGV.items():
+        argv = [command] + [item for pair in fields.items() for item in pair]
+        assert exit_code_under_contract(argv, contract_dir) == 0, argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=perturbed_argv())
+@example(case=(["polarize", "--preset", "chsc", "--degree", "6", "--samples", "5",
+                "--param", "1e400"], None))
+def test_perturbed_valid_argv_keeps_the_exit_code_contract(contract_dir, case):
+    argv, spec_text = case
+    exit_code_under_contract(argv, contract_dir, spec_text)
 
 
 def test_nan_contour_samples_fail_the_check(tmp_path):

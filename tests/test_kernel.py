@@ -1,6 +1,7 @@
 """Kernel evaluation against the exact model kernels, and the decay fits."""
 
 import cmath
+import json
 import math
 from fractions import Fraction
 from math import comb
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergman.chsc import chsc_coefficients
+from bergman.chsc import chsc_coefficients, chsc_psi
 from bergman.coefficients import bergman_coefficients
 from bergman.kernel import (
     choose_truncation_order,
@@ -21,11 +22,12 @@ from bergman.kernel import (
     make_series_evaluator,
     scaling_fit,
 )
-from bergman.potential import build_geometry, preset_chsc, preset_flat, preset_quartic
+from bergman.potential import RadiusError, build_geometry, preset_chsc, preset_flat, preset_quartic
 from bergman.series import TruncatedSeries, sub_indices, unit
 from oracles import cpn_kernel, flat_kernel
 
 F = Fraction
+K_GRID = (64, 128, 256, 512, 1024, 2048, 4096)  # the CLI's default k grid
 
 
 def multi_binomial(upper, lower):
@@ -327,3 +329,128 @@ class TestScaling:
             [0.05],
         )
         assert fit.slope is not None and fit.slope <= -1.35
+
+
+def bits(report):
+    """A report's record as text: == on floats would equate 0.0 and -0.0."""
+    return json.dumps(report.to_dict())
+
+
+def fresh_series_report(geom, table, k, N, x, y):
+    def psi_fn(px, zbar):
+        return geom.psi.eval(list(px) + list(zbar))
+
+    def b_fn(j, px, zbar):
+        return table.b[j].eval(list(px) + list(zbar))
+
+    return evaluate_kernel(geom.n, k, N, x, y, psi_fn, b_fn)
+
+
+def fresh_closed_report(n, c, k, N, x, y):
+    consts = chsc_coefficients(n, c, N)
+    return evaluate_kernel(n, k, N, x, y, chsc_psi(c), lambda j, px, zbar: complex(float(consts[j])))
+
+
+class TestPointSlot:
+    """Point values reused across k give the reports fresh closures give, bit for bit."""
+
+    N_DIM, C, M = 2, F(-1, 3), 3
+    PAIR_A = ([0.02 + 0.01j, -0.01j], [0.015 - 0.005j, 0.01])
+    PAIR_B = ([0.01, 0.03 - 0.02j], [-0.02 + 0.01j, 0.005j])
+    # equal to each other under ==, but not bit for bit
+    PAIR_ZERO = ([0.0, 0.01], [0.02, complex(0.0, 0.0)])
+    PAIR_NEG_ZERO = ([-0.0, 0.01], [0.02, complex(-0.0, -0.0)])
+
+    @pytest.fixture(scope="class")
+    def chsc2(self):
+        geom = build_geometry(preset_chsc(self.N_DIM, self.C, 8))
+        return geom, bergman_coefficients(geom, self.M)
+
+    def check_every_path(self, geom, table, x, y):
+        n, c, M = self.N_DIM, self.C, self.M
+        series = make_series_evaluator(geom, table)
+        closed = make_chsc_closed_evaluator(n, c, N=M)
+        for k in K_GRID:
+            want = bits(fresh_series_report(geom, table, k, M, x, y))
+            assert bits(eval_KN(geom, table, k, M, x, y)) == want
+            assert bits(series(k, x, y)) == want
+            want = bits(fresh_closed_report(n, c, k, M, x, y))
+            assert bits(eval_KN_chsc_closed(n, c, k, M, x, y)) == want
+            assert bits(closed(k, x, y)) == want
+
+    def test_pair_a_then_b_then_a(self, chsc2):
+        for x, y in (self.PAIR_A, self.PAIR_B, self.PAIR_A):
+            self.check_every_path(*chsc2, x, y)
+
+    def test_signed_zeros_are_another_pair(self, chsc2):
+        assert self.PAIR_ZERO == self.PAIR_NEG_ZERO
+        for x, y in (self.PAIR_ZERO, self.PAIR_NEG_ZERO, self.PAIR_ZERO):
+            self.check_every_path(*chsc2, x, y)
+
+    def test_order_below_the_table(self, chsc2):
+        geom, table = chsc2
+        x, y = self.PAIR_A
+        for N in (1, self.M, 0, 1):
+            for k in K_GRID:
+                want = bits(fresh_series_report(geom, table, k, N, x, y))
+                assert bits(eval_KN(geom, table, k, N, x, y)) == want
+                want = bits(fresh_closed_report(self.N_DIM, self.C, k, N, x, y))
+                assert bits(eval_KN_chsc_closed(self.N_DIM, self.C, k, N, x, y)) == want
+
+    def test_two_geometries_at_one_pair(self, chsc2):
+        geom, table = chsc2
+        other = build_geometry(preset_chsc(self.N_DIM, F(1, 2), 8))
+        other_table = bergman_coefficients(other, self.M)
+        x, y = self.PAIR_B
+        # each geometry with its own table, then both with one table
+        cases = [(geom, table), (other, other_table), (geom, table), (other, table), (geom, table)]
+        for g, t in cases:
+            for k in K_GRID:
+                assert bits(eval_KN(g, t, k, self.M, x, y)) == bits(
+                    fresh_series_report(g, t, k, self.M, x, y)
+                )
+
+    def test_checks_run_after_a_valid_call(self, chsc2):
+        geom, table = chsc2
+        x, y = self.PAIR_A
+        eval_KN(geom, table, 64, self.M, x, y)
+        with pytest.raises(RadiusError):
+            eval_KN(geom, table, 64, self.M, x, [0.9, 0.0])
+        with pytest.raises(RadiusError):
+            eval_KN(geom, table, 64, self.M, [0.9, 0.0], y)
+        with pytest.raises(ValueError, match="order"):
+            eval_KN(geom, table, 64, self.M + 1, x, y)
+        want = bits(fresh_series_report(geom, table, 128, self.M, x, y))
+        assert bits(eval_KN(geom, table, 128, self.M, x, y)) == want
+
+
+class TestEvaluationCounts:
+    """A sweep over k at one pair evaluates each series once."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        original = TruncatedSeries.eval
+
+        def counting(series, point):
+            calls.append(series)
+            return original(series, point)
+
+        monkeypatch.setattr(TruncatedSeries, "eval", counting)
+        return calls
+
+    @pytest.fixture
+    def quartic(self):
+        # a table of its own: a slot filled by another test would hide the count
+        geom = build_geometry(preset_quartic(1, F(1, 10), 12))
+        return geom, bergman_coefficients(geom, 3)
+
+    def test_fixed_pair_fit_evaluates_once(self, quartic, counted):
+        geom, table = quartic
+        log_asymptotic_fit(make_series_evaluator(geom, table), K_GRID, ([0.1], [0.05 + 0.02j]))
+        assert len(counted) == 3 + table.M
+
+    def test_scaled_pairs_evaluate_at_every_k(self, quartic, counted):
+        geom, table = quartic
+        scaling_fit(make_series_evaluator(geom, table), 1, K_GRID, [0.1], [0.05])
+        assert len(counted) == len(K_GRID) * (3 + table.M)

@@ -84,6 +84,23 @@ class TestValidation:
         with pytest.raises(SpecValidationError, match="positive"):
             bad.validate()
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("n", True, "integers"),
+        ("trunc_degree", True, "integers"),
+        ("eval_radius", math.inf, "finite"),
+        ("eval_radius", math.nan, "positive"),
+    ])
+    def test_bool_sizes_and_unbounded_radius_rejected(self, field, value, match):
+        # bool is an int subclass, so JSON true would otherwise read as 1
+        record = {**preset_flat(1, 4).to_record(), field: value}
+        with pytest.raises(SpecValidationError, match=match):
+            PotentialSpec.from_record(record).validate()
+
+    def test_bool_exponent_rejected(self):
+        bad = PotentialSpec(1, 4, 0.5, {((True,), (True,)): F(1)})
+        with pytest.raises(SpecValidationError, match="malformed"):
+            bad.validate()
+
     def test_file_roundtrip(self, tmp_path):
         spec = preset_chsc(2, 1, 8)
         path = tmp_path / "spec.json"
