@@ -137,15 +137,15 @@ def _rational(text: str) -> str:
 
 
 def _k_grid(text: str) -> list:
-    """argparse type: two or more comma separated integers >= 1, such as 64,128,256."""
+    """argparse type: comma separated integers >= 1, at least two distinct, such as 64,128,256."""
     try:
         values = [int(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not a comma separated list of integers: {text!r}"
         ) from None
-    if len(values) < 2 or min(values) < 1:
-        raise argparse.ArgumentTypeError(f"need at least two values k >= 1: {text!r}")
+    if len(set(values)) < 2 or min(values) < 1:
+        raise argparse.ArgumentTypeError(f"need at least two distinct values k >= 1: {text!r}")
     return values
 
 

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .chsc import chsc_coefficients, chsc_psi
 from .coefficients import CoefficientTable
 from .potential import GeometryPack, RadiusError
@@ -283,15 +281,23 @@ class DecayFit:
 
 
 def _fit(ks, residuals) -> DecayFit:
+    """Least-squares line through (log k, log|r|) over the nonzero residuals.
+
+    The centred two-pass formula over ``math.log``; every sum is a correctly rounded
+    ``math.fsum``, so the bits do not depend on how a Python version sums floats.
+    """
     live = [(k, abs(r)) for k, r in zip(ks, residuals) if abs(r) > 1e-300]
     if not live:
         return DecayFit(tuple(ks), tuple(residuals), None, None, True)
     if len(live) < 2:
         raise ValueError("need at least two nonzero residuals to fit a slope")
-    logk = np.log([k for k, _ in live])
-    logr = np.log([r for _, r in live])
-    slope, intercept = np.polyfit(logk, logr, 1)
-    return DecayFit(tuple(ks), tuple(residuals), float(slope), float(intercept), False)
+    logk, logr = [math.log(k) for k, _ in live], [math.log(r) for _, r in live]
+    if min(logk) == max(logk):
+        raise ValueError("need at least two distinct k to fit a slope")
+    mean_k, mean_r = math.fsum(logk) / len(live), math.fsum(logr) / len(live)
+    dk = [v - mean_k for v in logk]
+    slope = math.fsum(d * (v - mean_r) for d, v in zip(dk, logr)) / math.fsum(d * d for d in dk)
+    return DecayFit(tuple(ks), tuple(residuals), slope, mean_r - slope * mean_k, False)
 
 
 def log_asymptotic_fit(evaluator: Callable, k_grid: Sequence[int], pairs) -> DecayFit:

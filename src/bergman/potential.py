@@ -117,14 +117,11 @@ class PotentialSpec:
                 raise SpecValidationError(
                     "pure linear term present: the phase map must fix the origin"
                 )
-        minors = self.hessian()
-        for size in range(1, n + 1):
-            sub = [row[:size] for row in minors[:size]]
-            if det(sub) <= 0:
-                raise SpecValidationError(
-                    "hessian not positive definite "
-                    f"(leading principal minor of size {size} is not positive)"
-                )
+        if size := _nonpositive_minor(self.hessian()):
+            raise SpecValidationError(
+                "hessian not positive definite "
+                f"(leading principal minor of size {size} is not positive)"
+            )
 
     def hessian(self) -> list:
         """The mixed Hessian [c_{e_i e_j}] at the origin, as Fractions."""
@@ -135,10 +132,18 @@ class PotentialSpec:
         ]
 
     def hessian_min_eigenvalue(self) -> float:
-        import numpy as np
+        """The float nearest the Hessian's smallest eigenvalue lam_min (the lower one at a tie).
 
-        h = np.array([[float(v) for v in row] for row in self.hessian()])
-        return float(np.linalg.eigvalsh(h)[0])
+        ``H - x I`` is positive definite exactly when x < lam_min, so the leading-minor test
+        bisects the floats between a Gershgorin lower bound and the least diagonal entry.
+        """
+        h = self.hessian()
+        lo = min(row[i] - sum(abs(v) for v in row) + abs(row[i]) for i, row in enumerate(h))
+        lo = math.nextafter(float(lo), -math.inf)
+        hi = math.nextafter(float(min(row[i] for i, row in enumerate(h))), math.inf)
+        while lo < (mid := (lo + hi) / 2) < hi:
+            lo, hi = (lo, mid) if _nonpositive_minor(h, Fraction(mid)) else (mid, hi)
+        return lo if _nonpositive_minor(h, (Fraction(lo) + Fraction(hi)) / 2) else hi
 
     # -- serialization ------------------------------------------------------
 
@@ -236,6 +241,12 @@ def make_preset(name: str, n: int, degree: int, param=None, radius=None) -> Pote
     if name == "quartic":
         return preset_quartic(n, Fraction(param if param is not None else "1/10"), degree, **kwargs)
     raise SpecValidationError(f"unknown preset {name!r} (expected flat, chsc or quartic)")
+
+
+def _nonpositive_minor(rows, shift=0) -> int:
+    """Size of the first non-positive leading minor of ``rows - shift I``, or 0 (Sylvester)."""
+    rows = [[v - shift * (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    return next((s for s in range(1, len(rows) + 1) if det([r[:s] for r in rows[:s]]) <= 0), 0)
 
 
 def _fraction_matrix_inverse(rows: Sequence[Sequence[Fraction]]) -> list:

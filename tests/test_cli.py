@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -297,6 +299,10 @@ INVALID_INPUTS = {
         "asymptotics", "--closed-form", "--preset", "chsc", "--k-grid", "64",
         "--x", "0.01", "--y", "0.02",
     ],
+    "k_grid_one_distinct_value": [
+        "asymptotics", "--closed-form", "--preset", "chsc", "--k-grid", "64,64",
+        "--x", "0.01", "--y", "0.02",
+    ],
     "chsc_check_order_negative": ["chsc-check", "--n", "1", "--order", "-1"],
     "param_division_by_zero": ["polarize", "--preset", "chsc", "--param", "1/0", "--degree", "6"],
     "param_beyond_float_range": ["polarize", "--preset", "chsc", "--param", "1e400", "--degree", "6"],
@@ -312,6 +318,7 @@ INVALID_INPUTS = {
     "spec_degree_bool": ["polarize", "--spec", "bool_degree.json"],
     "spec_radius_infinite": ["polarize", "--spec", "infinite_radius.json"],
     "worst_case_over_guard": ["growth", "--task", "worst-case", "--n", "3", "--order", "7"],
+    "lemma_over_guard": ["growth", "--task", "lemma", "--k-max", "100000"],
     "coeffs_not_json": [
         "eval", "--preset", "chsc", "--degree", "6", "--coeffs", "broken.json",
         "--k", "10", "--x", "0.1", "--y", "0.05",
@@ -387,6 +394,18 @@ def test_invalid_input_exits_two_without_traceback(tmp_path, monkeypatch, capsys
     assert "error" in err
 
 
+def test_the_package_loads_only_the_standard_library():
+    # -S keeps site-packages off sys.path, so a third-party import fails outright
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import bergman.cli; "
+            "print(*sorted({name.split('.')[0] for name in sys.modules}))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(src)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split()) - {"__main__"}
+    assert {name for name in loaded if name not in sys.stdlib_module_names} == {"bergman"}
+
+
 def test_internal_error_exits_three_with_one_line(tmp_path, monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("unexpected\nstate")
@@ -445,7 +464,7 @@ OPTIONS = {
              "--y": st.sampled_from(POINTS)},
     "asymptotics": {**_SPEC_OPTIONS, "--mode": st.sampled_from(["log", "scaling", "x"]),
                     "--coeffs": st.sampled_from(_TABLES), "--closed-form": st.just(None),
-                    "--k-grid": st.sampled_from(["64,128", "64", "0,64", "a,b"]),
+                    "--k-grid": st.sampled_from(["64,128", "64", "64,64", "0,64", "a,b"]),
                     "--x": st.sampled_from(POINTS), "--y": st.sampled_from(POINTS),
                     "--max-slope": st.sampled_from(["-1.8", "nan"])},
     "growth": {**_SPEC_OPTIONS,

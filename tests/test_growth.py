@@ -8,8 +8,10 @@ from math import factorial
 
 import pytest
 
+from bergman import growth
 from bergman.coefficients import bergman_coefficients, derivative_norm_table
 from bergman.growth import (
+    LEMMA_CHECK_LIMIT,
     WORST_CASE_LIMITS,
     ResourceGuardError,
     exp_factorial_bound_check,
@@ -166,3 +168,13 @@ class TestExpFactorialBound:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             exp_factorial_bound_check(deltas=(0.0,))
+
+    def test_resource_guard(self, monkeypatch):
+        # the default sweep (4 deltas, N <= 20, k <= 10^4) sits well inside the limit
+        assert 4 * 21 * 10_000 <= LEMMA_CHECK_LIMIT / 2
+        with pytest.raises(ResourceGuardError, match="lemma"):
+            exp_factorial_bound_check(deltas=(1.0,), n_max=0, k_max=LEMMA_CHECK_LIMIT + 1)
+        monkeypatch.setattr(growth, "LEMMA_CHECK_LIMIT", 2 * 10 * 10)
+        assert exp_factorial_bound_check(deltas=(0.5, 1.0), n_max=9, k_max=10).checked == 200
+        with pytest.raises(ResourceGuardError):
+            exp_factorial_bound_check(deltas=(0.5, 1.0), n_max=9, k_max=11)

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import random
 from fractions import Fraction
 from math import comb
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from bergman.chsc import chsc_coefficients, chsc_psi
 from bergman.coefficients import bergman_coefficients
 from bergman.kernel import (
+    _fit,
     choose_truncation_order,
     eval_KN,
     eval_KN_chsc_closed,
@@ -294,6 +296,46 @@ class TestLogAsymptotics:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             log_asymptotic_fit(make_chsc_closed_evaluator(1, 1), [], ([0.1], [0.05]))
+
+
+def exact_line(ks, residuals):
+    """Exact least-squares slope and intercept through the same math.log floats as _fit."""
+    xs = [F(math.log(k)) for k in ks]
+    ys = [F(math.log(abs(r))) for r in residuals]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+    return slope, my - slope * mx
+
+
+def irregular_grids(count=200, seed=20240611):
+    """Seeded k grids with ratios 1.2-4 between neighbours and noisy power-law residuals.
+
+    The slopes stay in the decay laws' range, away from 0: near a zero slope
+    the centred sum cancels and no float formula keeps a relative bound.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        ks = [rng.randint(2, 100)]
+        for _ in range(rng.randint(1, 11)):
+            ks.append(max(ks[-1] + 1, round(ks[-1] * rng.uniform(1.2, 4.0))))
+        slope, intercept = rng.uniform(-3, -0.2), rng.uniform(-20, 20)
+        yield ks, [math.exp(slope * math.log(k) + intercept + rng.gauss(0, 0.05)) for k in ks]
+
+
+class TestFit:
+    def test_fit_matches_the_exact_least_squares_line(self):
+        rng = random.Random(7)
+        on_k_grid = [(K_GRID, [k ** -2.0 * (1 + rng.uniform(-0.5, 0.5)) for k in K_GRID])
+                     for _ in range(20)]
+        for ks, residuals in on_k_grid + list(irregular_grids()):
+            fit = _fit(ks, residuals)
+            slope, intercept = exact_line(ks, residuals)
+            assert abs(F(fit.slope) - slope) <= F(1e-15) * abs(slope)
+            assert abs(F(fit.intercept) - intercept) <= F(1e-13) * max(abs(intercept), 1)
+
+    def test_one_distinct_k_is_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            _fit([64, 64], [1e-3, 2e-3])
 
 
 class TestScaling:

@@ -29,7 +29,7 @@ from bergman.potential import (
     preset_flat,
     preset_quartic,
 )
-from bergman.series import TruncatedSeries, exponents_of_degree, mul_trunc
+from bergman.series import TruncatedSeries, exponents_of_degree, mul_trunc, unit
 from bergman.transport import first_amplitude, reconstruct_coefficients, transport_chain
 from oracles import (
     amplitudes_recomputed,
@@ -52,6 +52,38 @@ def chsc11_geom():
 @pytest.fixture(scope="module")
 def quartic_geom():
     return build_geometry(preset_quartic(1, F(1, 10), 10))
+
+
+def hessian_spec(rows):
+    """A spec whose only terms are the mixed Hessian entries ``rows``."""
+    n = len(rows)
+    coeffs = {(unit(n, i), unit(n, j)): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+    return PotentialSpec(n, 4, 0.3, coeffs)
+
+
+def conjugated(q, d):
+    """q diag(d) q^T, exactly."""
+    return [[sum(q[i][l] * d[l] * q[j][l] for l in range(len(d))) for j in range(len(d))]
+            for i in range(len(d))]
+
+
+ROTATION = [[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]]
+ROTATED = conjugated(ROTATION, [F(1, 3), F(2)])
+
+
+class TestHessianMinEigenvalue:
+    @pytest.mark.parametrize("rows,smallest", [
+        ([[F(2, 7)]], F(2, 7)),
+        ([[F(1), F(1, 4)], [F(1, 4), F(1)]], F(3, 4)),
+        (ROTATED, F(1, 3)),
+        # 3x3 blocks: the rotated pair beside a larger and a smaller eigenvalue
+        ([[F(7, 10), 0, 0], [0, *ROTATED[0]], [0, *ROTATED[1]]], F(1, 3)),
+        ([[*ROTATED[0], 0], [*ROTATED[1], 0], [0, 0, F(1, 5)]], F(1, 5)),
+    ])
+    def test_nearest_float_of_the_exact_eigenvalue(self, rows, smallest):
+        spec = hessian_spec(rows)
+        spec.validate()
+        assert spec.hessian_min_eigenvalue() == float(smallest)
 
 
 class TestValidation:
@@ -95,6 +127,11 @@ class TestValidation:
         record = {**preset_flat(1, 4).to_record(), field: value}
         with pytest.raises(SpecValidationError, match=match):
             PotentialSpec.from_record(record).validate()
+
+    def test_failing_minor_is_named(self):
+        bad = hessian_spec([[F(1), F(2)], [F(2), F(1)]])
+        with pytest.raises(SpecValidationError, match="minor of size 2 is not positive"):
+            bad.validate()
 
     def test_bool_exponent_rejected(self):
         bad = PotentialSpec(1, 4, 0.5, {((True,), (True,)): F(1)})
