@@ -20,6 +20,7 @@ A failed transport cross-check names the first differing term in
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -192,9 +193,12 @@ def _parse_point(text: str, n: int) -> list:
     if len(parts) != n:
         raise SpecValidationError(f"point {text!r} has {len(parts)} components, expected {n}")
     try:
-        return [complex(p.strip()) for p in parts]
+        point = [complex(p.strip()) for p in parts]
     except ValueError:
         raise SpecValidationError(f"point {text!r} is not a list of complex numbers") from None
+    if not all(map(cmath.isfinite, point)):
+        raise SpecValidationError(f"point {text!r} has a component that is not finite")
+    return point
 
 
 def _load_table(coeffs: str | None, n: int) -> CoefficientTable:

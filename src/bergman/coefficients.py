@@ -48,10 +48,6 @@ class CoefficientTable:
     a: tuple | None = None        # (x, y, theta) series, index 0..M
     # a_1..a_{M-1}, the amplitudes the recursion built; not in the record or ==
     amplitudes: tuple = field(default=(), compare=False, repr=False)
-    # [(weak reference to the geometry, key, point values)] of the last pair
-    # bergman.kernel.eval_KN evaluated on this table; not in the record or ==,
-    # and not copied by replace()
-    kernel_slot: list = field(default_factory=lambda: [None], init=False, compare=False, repr=False)
 
     def to_record(self) -> dict:
         rec = {

@@ -46,19 +46,7 @@ class GrowthFit:
     grid: int
 
     def to_dict(self) -> dict:
-        return {
-            "orders": list(self.orders),
-            "norms": list(self.norms),
-            "model": self.model,
-            "fitted_C": self.fitted_C,
-            "cover_C": self.cover_C,
-            "prefix_cover_C": self.prefix_cover_C,
-            "residuals": list(self.residuals),
-            "slack": self.slack,
-            "verdict": self.verdict,
-            "radius": self.radius,
-            "grid": self.grid,
-        }
+        return dict(vars(self))
 
 
 _MODEL_WEIGHTS = {"m_factorial_sq": 2, "m_factorial": 1}
@@ -268,16 +256,7 @@ class TruncationScan:
     stirling_bound_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "C": self.C,
-            "k": self.k,
-            "argmin": self.argmin,
-            "min_value": self.min_value,
-            "sqrt_target": self.sqrt_target,
-            "unimodal": self.unimodal,
-            "within_one_of_target": self.within_one_of_target,
-            "stirling_bound_ok": self.stirling_bound_ok,
-        }
+        return dict(vars(self))
 
 
 def truncation_minimizer(C: float, k: int) -> TruncationScan:
@@ -326,14 +305,7 @@ class BoundSweep:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "deltas": list(self.deltas),
-            "n_max": self.n_max,
-            "k_max": self.k_max,
-            "checked": self.checked,
-            "violations": [list(v) for v in self.violations],
-            "passed": self.passed,
-        }
+        return dict(vars(self))
 
 
 def exp_factorial_bound_check(

@@ -15,11 +15,12 @@ depend on k: ``psi(x, conj y)``, the diastasis from ``phi(x)`` and
 ``phi(y)``, and ``b_1..b_N(x, conj y)``.  The per-k assembly is the only
 stage that reads k, through ``k psi`` and the weights ``k^{-j}``.  A sweep
 over k at a fixed pair, as the decay fits make, evaluates the series once.
-Each evaluation path keeps one slot with the point values of the last pair
-it saw: :func:`eval_KN` and :func:`make_series_evaluator` share the slot of
-their :class:`CoefficientTable`, keyed by the geometry (by identity), N and
-the pair; each closed-form evaluator holds its own.  The key holds the
-exact bits of the pair, and a new pair replaces key and values together.
+:class:`PairEvaluator` is the only holder of point values: it keeps those of
+the last pair it saw with the exact bits of the pair, and a new pair
+replaces both together.  A closed-form evaluator is a PairEvaluator;
+:func:`eval_KN` (and so :func:`make_series_evaluator`) calls the one held in
+a module slot, keyed by the geometry and the table (weak references,
+compared by identity) and N.
 The order and radius checks run on every call.
 """
 
@@ -99,27 +100,42 @@ def _point(p: Sequence[complex]) -> tuple:
     return tuple(complex(v) for v in p)
 
 
-def _pair_key(x: tuple, y: tuple) -> bytes:
-    """The exact bits of a converted pair; ``==`` on floats would equate 0.0 and -0.0."""
-    return marshal.dumps((x, y))
+class PairEvaluator:
+    """Reports (k, x, y) -> :class:`KernelReport` at order N, from value providers.
 
+    ``psi_fn(x, zbar)`` returns the polarized potential; ``b_fn(j, x, zbar)``
+    returns the order-j coefficient value, both holomorphic in their slots.
+    The point values of the last pair are kept with the exact bits of the
+    pair, as one tuple replaced together.
+    """
 
-def _point_values(N: int, x, y, psi_fn: Callable, b_fn: Callable) -> PointValues:
-    """First stage: every value the pair's reports read, for any k."""
-    x = _point(x)
-    y = _point(y)
-    ybar = tuple(v.conjugate() for v in y)
-    psi_xy = complex(psi_fn(x, ybar))
-    phi_x = complex(psi_fn(x, tuple(v.conjugate() for v in x))).real
-    phi_y = complex(psi_fn(y, ybar)).real
-    return PointValues(
-        N=N,
-        x=x,
-        y=y,
-        psi_xy=psi_xy,
-        diastasis=phi_x + phi_y - 2.0 * psi_xy.real,
-        b=tuple(complex(b_fn(j, x, ybar)) for j in range(1, N + 1)),
-    )
+    def __init__(self, n: int, N: int, psi_fn: Callable, b_fn: Callable):
+        self.n, self.N, self.psi_fn, self.b_fn = n, N, psi_fn, b_fn
+        self._held = None  # (pair bits, point values) of the last pair
+
+    def __call__(self, k: int, x: Sequence[complex], y: Sequence[complex]) -> KernelReport:
+        x, y = _point(x), _point(y)
+        key = marshal.dumps((x, y))  # exact bits: == on floats would equate 0.0 and -0.0
+        held = self._held
+        if held is None or held[0] != key:
+            held = self._held = (key, self._point_values(x, y))
+        return _assemble(self.n, k, held[1])
+
+    def _point_values(self, x: tuple, y: tuple) -> PointValues:
+        """First stage: every value the pair's reports read, for any k."""
+        psi_fn = self.psi_fn
+        ybar = tuple(v.conjugate() for v in y)
+        psi_xy = complex(psi_fn(x, ybar))
+        phi_x = complex(psi_fn(x, tuple(v.conjugate() for v in x))).real
+        phi_y = complex(psi_fn(y, ybar)).real
+        return PointValues(
+            N=self.N,
+            x=x,
+            y=y,
+            psi_xy=psi_xy,
+            diastasis=phi_x + phi_y - 2.0 * psi_xy.real,
+            b=tuple(complex(self.b_fn(j, x, ybar)) for j in range(1, self.N + 1)),
+        )
 
 
 def _assemble(n: int, k: int, pv: PointValues) -> KernelReport:
@@ -157,26 +173,17 @@ def _assemble(n: int, k: int, pv: PointValues) -> KernelReport:
     )
 
 
-def evaluate_kernel(
-    n: int,
-    k: int,
-    N: int,
-    x: Sequence[complex],
-    y: Sequence[complex],
-    psi_fn: Callable,
-    b_fn: Callable,
-) -> KernelReport:
-    """Assemble one report from value providers.
-
-    ``psi_fn(x, zbar)`` returns the polarized potential; ``b_fn(j, x, zbar)``
-    returns the order-j coefficient value, both holomorphic in their slots.
-    """
-    return _assemble(n, k, _point_values(N, x, y, psi_fn, b_fn))
-
-
 def in_eval_radius(spec, point: Sequence[complex]) -> bool:
-    """Whether every component of ``point`` lies within the spec's evaluation radius."""
-    return max(abs(complex(v)) for v in point) <= spec.eval_radius + 1e-12
+    """Whether every component of ``point`` lies within the spec's evaluation radius.
+
+    A NaN component does not: every comparison with NaN is false.
+    """
+    return all(abs(complex(v)) <= spec.eval_radius + 1e-12 for v in point)
+
+
+# (weak reference to the geometry, weak reference to the table, N, evaluator)
+# of the last eval_KN call
+_series_slot = [None]
 
 
 def eval_KN(
@@ -189,28 +196,20 @@ def eval_KN(
 ) -> KernelReport:
     """Series-backed kernel report; points must sit inside the evaluation radius.
 
-    The series are evaluated only when the pair, N or the geometry differs
-    from the last call on ``table``.
+    The series are evaluated only when the pair, N, the table or the
+    geometry differs from the last call.
     """
     if N > table.M:
         raise ValueError(f"order {N} exceeds the computed table order {table.M}")
-    x = _point(x)
-    y = _point(y)
     if not (in_eval_radius(geom.spec, x) and in_eval_radius(geom.spec, y)):
         raise RadiusError("evaluation point outside the configured radius")
-    key = (N, _pair_key(x, y))
-    held = table.kernel_slot[0]
-    if held is None or held[0]() is not geom or held[1] != key:
-
-        def psi_fn(px, zbar):
-            return geom.psi.eval(list(px) + list(zbar))
-
-        def b_fn(j, px, zbar):
-            return table.b[j].eval(list(px) + list(zbar))
-
-        held = (weakref.ref(geom), key, _point_values(N, x, y, psi_fn, b_fn))
-        table.kernel_slot[0] = held
-    return _assemble(geom.n, k, held[2])
+    held = _series_slot[0]
+    if held is None or held[0]() is not geom or held[1]() is not table or held[2] != N:
+        psi, b = geom.psi, table.b  # the providers hold the series, not the geometry or the table
+        evaluator = PairEvaluator(geom.n, N, lambda px, zbar: psi.eval([*px, *zbar]),
+                                  lambda j, px, zbar: b[j].eval([*px, *zbar]))
+        held = _series_slot[0] = (weakref.ref(geom), weakref.ref(table), N, evaluator)
+    return held[3](k, x, y)
 
 
 def eval_KN_chsc_closed(n: int, c, k: int, N: int, x, y) -> KernelReport:
@@ -232,32 +231,15 @@ def make_chsc_closed_evaluator(n: int, c, N: int | None = None) -> Callable:
 
     c and the constants b_0..b_N go to float once, as ``complex(float(b_j))``.
     The evaluators of recently used (n, c, N) are cached, keyed by the exact
-    value of c, so repeated calls share one evaluator and its slot.
+    value of c, so repeated calls share one :class:`PairEvaluator` and its point values.
     """
     return _chsc_closed_evaluator(n, Fraction(c), N if N is not None else n)
 
 
 @functools.lru_cache(maxsize=256)
-def _chsc_closed_evaluator(n: int, c: Fraction, order: int) -> Callable:
+def _chsc_closed_evaluator(n: int, c: Fraction, order: int) -> PairEvaluator:
     consts = [complex(float(b)) for b in chsc_coefficients(n, c, max(order, 0))]
-    psi_fn = chsc_psi(c)
-
-    def b_fn(j, px, zbar):
-        return consts[j]
-
-    slot = [None]  # (pair key, point values) of the last pair
-
-    def run(k, x, y):
-        x = _point(x)
-        y = _point(y)
-        key = _pair_key(x, y)
-        held = slot[0]
-        if held is None or held[0] != key:
-            held = (key, _point_values(order, x, y, psi_fn, b_fn))
-            slot[0] = held
-        return _assemble(n, k, held[1])
-
-    return run
+    return PairEvaluator(n, order, chsc_psi(c), lambda j, px, zbar: consts[j])
 
 
 @dataclass(frozen=True)
@@ -271,13 +253,7 @@ class DecayFit:
     all_zero: bool
 
     def to_dict(self) -> dict:
-        return {
-            "ks": list(self.ks),
-            "residuals": list(self.residuals),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "all_zero": self.all_zero,
-        }
+        return dict(vars(self))
 
 
 def _fit(ks, residuals) -> DecayFit:
@@ -285,8 +261,9 @@ def _fit(ks, residuals) -> DecayFit:
 
     The centred two-pass formula over ``math.log``; every sum is a correctly rounded
     ``math.fsum``, so the bits do not depend on how a Python version sums floats.
+    A NaN residual stays live, so it makes the slope NaN and no verdict passes.
     """
-    live = [(k, abs(r)) for k, r in zip(ks, residuals) if abs(r) > 1e-300]
+    live = [(k, abs(r)) for k, r in zip(ks, residuals) if not abs(r) <= 1e-300]
     if not live:
         return DecayFit(tuple(ks), tuple(residuals), None, None, True)
     if len(live) < 2:

@@ -46,6 +46,7 @@ from typing import Mapping, Sequence
 from .sampling import polydisc_points
 from .series import (
     TruncatedSeries,
+    close_power_chain,
     det,
     exponents_of_degree,
     linear_combination,
@@ -347,10 +348,7 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
         for gamma, parts in ri.items():
             if sum(gamma) > 1:
                 top[gamma] = max(top.get(gamma, 0), D - min(parts))
-    for size in range(D, 2, -1):
-        for gamma in [g for g in top if sum(g) == size]:
-            lower = power_step(gamma)[1]
-            top[lower] = max(top.get(lower, 0), top[gamma] - 1)
+    close_power_chain(top)
 
     zero = TruncatedSeries.zero(n3, D)
     # P[gamma][d] = [P_gamma]_d, zero below the valuation |gamma|; P_0 = 1

@@ -546,16 +546,11 @@ class TruncatedSeries:
             group = groups.setdefault(tuple(e[i] for i in substituted), {})
             group[moved] = group.get(moved, 0) + value
 
-        # group gamma reads P_gamma through out_D less its lowest moved degree, and
-        # the chain P_gamma = P_lower * arg_j reads P_lower one degree less
-        need = {
+        # group gamma reads P_gamma through out_D less its lowest moved degree
+        need = close_power_chain({
             gamma: out_D - (min(group) >> tgt_width)
             for gamma, group in groups.items() if any(gamma)
-        }
-        for size in range(max(map(sum, need), default=0), 1, -1):
-            for gamma in [g for g in need if sum(g) == size]:
-                lower = power_step(gamma)[1]
-                need[lower] = max(need.get(lower, 0), need[gamma] - 1)
+        })
         for gamma in sorted(need, key=sum):
             hit = cache.get(gamma)
             if hit is None or hit.trunc_degree < need[gamma]:
@@ -712,6 +707,16 @@ def power_step(gamma: MultiIndex) -> tuple:
     ``gamma != 0``, with ``j`` the last nonzero slot and ``lower = gamma - e_j``."""
     j = max(j for j, e in enumerate(gamma) if e > 0)
     return j, gamma[:j] + (gamma[j] - 1,) + gamma[j + 1 :]
+
+
+def close_power_chain(top: dict) -> dict:
+    """Close ``top`` (gamma -> highest degree of ``P_gamma`` read) in place under
+    :func:`power_step`, whose product ``P_lower * arg_j`` reads ``P_lower`` one degree less."""
+    for size in range(max(map(sum, top), default=0), 1, -1):
+        for gamma in [g for g in top if sum(g) == size]:
+            lower = power_step(gamma)[1]
+            top[lower] = max(top.get(lower, 0), top[gamma] - 1)
+    return top
 
 
 def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int, out_degree: int):

@@ -73,16 +73,15 @@ def _divergence_theta(vec, n: int) -> TruncatedSeries:
 
 
 def _step_rhs(geom: GeometryPack, prev_vec) -> tuple:
-    """The collapse b_{m-1} and Delta0 * Q - P for one step.
+    """The collapse b_{m-1} and ``geom.amplitude(b_{m-1}) - P`` for one step.
 
-    Here P = D_theta . A_{m-1}, b_{m-1} = ``phase.to_xz(P)`` and
-    Q = ``phase.substitute_z(b_{m-1})``, the diagonal pullback of P.
+    Here P = D_theta . A_{m-1} and b_{m-1} = ``phase.to_xz(P)``; the
+    amplitude ``(b_{m-1} o z) * Delta0`` holds the diagonal pullback of P.
     """
     p = _divergence_theta(prev_vec, geom.n)
     b_prev = geom.phase.to_xz(p)
-    q = geom.phase.substitute_z(b_prev)
-    delta0 = geom.delta0_xytheta.truncate(q.trunc_degree)
-    return b_prev, delta0 * q - p.truncate(q.trunc_degree)
+    amp = geom.amplitude(b_prev)
+    return b_prev, amp - p.truncate(amp.trunc_degree)
 
 
 def first_amplitude(geom: GeometryPack) -> tuple:

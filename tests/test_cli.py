@@ -262,6 +262,15 @@ INVALID_INPUTS = {
     "eval_C_zero": EVAL + ["--k", "10", "--C", "0", "--x", "0.1", "--y", "0.05"],
     "eval_point_outside_radius": EVAL + ["--k", "10", "--x", "0.9", "--y", "0.05"],
     "eval_point_not_complex": EVAL + ["--k", "10", "--x", "0.1", "--y", "abc"],
+    "eval_point_nan": EVAL + ["--k", "10", "--x", "nan", "--y", "0.05"],
+    "asymptotics_point_nan_component": [
+        "asymptotics", "--preset", "quartic", "--n", "2", "--param", "1/10", "--degree", "6",
+        "--coeffs", "table_n2.json", "--x", "0.1,nan", "--y", "0.05,0.05",
+    ],
+    "scaling_point_nan": [
+        "asymptotics", "--closed-form", "--preset", "chsc", "--mode", "scaling",
+        "--x", "nan", "--y", "0.05",
+    ],
     "eval_order_above_table": EVAL + ["--k", "10", "--order", "5", "--x", "0.1", "--y", "0.05"],
     "truncation_C_zero": ["growth", "--task", "truncation", "--C", "0"],
     "truncation_k_zero": ["growth", "--task", "truncation", "--k", "0"],

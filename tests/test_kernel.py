@@ -1,9 +1,11 @@
 """Kernel evaluation against the exact model kernels, and the decay fits."""
 
 import cmath
+import gc
 import json
 import math
 import random
+import weakref
 from fractions import Fraction
 from math import comb
 
@@ -14,11 +16,12 @@ from hypothesis import strategies as st
 from bergman.chsc import chsc_coefficients, chsc_psi
 from bergman.coefficients import bergman_coefficients
 from bergman.kernel import (
+    PairEvaluator,
     _fit,
     choose_truncation_order,
     eval_KN,
     eval_KN_chsc_closed,
-    evaluate_kernel,
+    in_eval_radius,
     log_asymptotic_fit,
     make_chsc_closed_evaluator,
     make_series_evaluator,
@@ -164,7 +167,7 @@ class TestEvalAgainstModels:
         x, y = [0.02 + 0.01j] * n, [0.015 - 0.005j] * n
         run = make_chsc_closed_evaluator(n, c, N=3)
         for k in (64, 1024, 4096):
-            want = evaluate_kernel(n, k, 3, x, y, psi_fn, b_fn).to_dict()
+            want = PairEvaluator(n, 3, psi_fn, b_fn)(k, x, y).to_dict()
             assert run(k, x, y).to_dict() == want
             assert eval_KN_chsc_closed(n, c, k, 3, x, y).to_dict() == want
 
@@ -195,6 +198,12 @@ class TestEvalAgainstModels:
         geom, table = quartic_series
         with pytest.raises(ValueError, match="radius"):
             eval_KN(geom, table, 10, 1, [0.9], [0.0])
+
+    def test_a_nan_component_is_outside_the_radius(self):
+        spec = preset_chsc(2, 1, 6)
+        for point in ([0.1, float("nan")], [float("nan"), 0.1], [complex(0.0, float("nan")), 0.0]):
+            assert not in_eval_radius(spec, point)
+        assert in_eval_radius(spec, [0.1, 0.05j])
 
     def test_order_guard(self, quartic_series):
         geom, table = quartic_series
@@ -337,6 +346,14 @@ class TestFit:
         with pytest.raises(ValueError, match="distinct"):
             _fit([64, 64], [1e-3, 2e-3])
 
+    def test_a_nan_residual_makes_the_slope_nan(self):
+        # a NaN is not a zero: it stays in the fit, so no slope verdict can pass
+        nan = float("nan")
+        for residuals in ([1e-3, nan, 2e-5], [nan] * 3, [0.0, nan, 1e-5]):
+            fit = _fit([64, 256, 1024], residuals)
+            assert not fit.all_zero
+            assert math.isnan(fit.slope)
+
 
 class TestScaling:
     def test_flat_residual_negligible(self):
@@ -385,12 +402,12 @@ def fresh_series_report(geom, table, k, N, x, y):
     def b_fn(j, px, zbar):
         return table.b[j].eval(list(px) + list(zbar))
 
-    return evaluate_kernel(geom.n, k, N, x, y, psi_fn, b_fn)
+    return PairEvaluator(geom.n, N, psi_fn, b_fn)(k, x, y)
 
 
 def fresh_closed_report(n, c, k, N, x, y):
     consts = chsc_coefficients(n, c, N)
-    return evaluate_kernel(n, k, N, x, y, chsc_psi(c), lambda j, px, zbar: complex(float(consts[j])))
+    return PairEvaluator(n, N, chsc_psi(c), lambda j, px, zbar: complex(float(consts[j])))(k, x, y)
 
 
 class TestPointSlot:
@@ -451,6 +468,35 @@ class TestPointSlot:
                 assert bits(eval_KN(g, t, k, self.M, x, y)) == bits(
                     fresh_series_report(g, t, k, self.M, x, y)
                 )
+
+    def test_switching_the_table_alone(self, chsc2):
+        geom, table = chsc2
+        other = build_geometry(preset_chsc(self.N_DIM, F(1, 2), 8))
+        other_table = bergman_coefficients(other, self.M)
+        x, y = self.PAIR_A
+        for t in (table, other_table, table):
+            for k in K_GRID:
+                assert bits(eval_KN(geom, t, k, self.M, x, y)) == bits(
+                    fresh_series_report(geom, t, k, self.M, x, y)
+                )
+
+    def test_collected_geometry_and_table_are_not_read(self):
+        # the slot keeps neither alive, and a dead weak reference never matches,
+        # even where the new objects reuse the old ids
+        spec, (x, y) = preset_chsc(self.N_DIM, self.C, 8), self.PAIR_A
+        geom = build_geometry(spec)
+        table = bergman_coefficients(geom, self.M)
+        eval_KN(geom, table, 64, self.M, x, y)
+        refs = weakref.ref(geom), weakref.ref(table)
+        del geom, table
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+        geom = build_geometry(preset_chsc(self.N_DIM, F(1, 2), 8))
+        table = bergman_coefficients(geom, self.M)
+        for k in K_GRID:
+            assert bits(eval_KN(geom, table, k, self.M, x, y)) == bits(
+                fresh_series_report(geom, table, k, self.M, x, y)
+            )
 
     def test_checks_run_after_a_valid_call(self, chsc2):
         geom, table = chsc2

@@ -4,11 +4,13 @@ The SHA-256 digests below were recorded from a fixed command matrix; a
 refactor of the exact pipeline must reproduce every report byte for byte.
 Most pinned reports are made of exact rationals, strings and verdicts.
 ``worst_case.csv`` has a ``ratio`` column, a quotient of two exact integers
-written in Python's shortest round-trip float form.  The last three cases pin
-float reports (``eval``, ``asymptotics`` and ``growth --task fit``) on the
-dense non-radial spec, so they also pin the order in which series evaluation
-sums its terms; they assume IEEE doubles, the C library's ``log`` (through
-``math.log``) and ``math.fsum``, which the least-squares fit sums with.
+written in Python's shortest round-trip float form.  Three cases pin float
+reports (``eval``, ``asymptotics`` and ``growth --task fit``) on the dense
+non-radial spec, so they also pin the order in which series evaluation sums
+its terms; they assume IEEE doubles, the C library's ``log`` (through
+``math.log``) and ``math.fsum``, which the least-squares fit sums with.  The
+last two pin the float records of the truncation-rule checks
+(``growth --task truncation`` and ``lemma``).
 The first case also pins ``contour.json``, the float report of the contour
 sweep, and with it the Halton sample points of :mod:`bergman.sampling`.
 """
@@ -221,6 +223,23 @@ MATRIX = [
                 "6b839649e9b3c9538534f64672ab7b9f46a0d1ab7027a50d7c33e63840f85df6",
             "norms.csv":
                 "457eca38e18feec061463d975688de7568878ac032c44dccd7b51fe719c22f05",
+        },
+    ),
+    # the float records of the two truncation-rule checks
+    (
+        ["growth", "--task", "truncation", "--C", "0.7", "--k", "250"],
+        0,
+        {
+            "truncation.json":
+                "eefc4d2cf417a05bb9499511ed48704aaed536326724a26ef9b2fcbd19e0ee40",
+        },
+    ),
+    (
+        ["growth", "--task", "lemma", "--deltas", "0.25,1,3", "--n-max", "8", "--k-max", "3000"],
+        0,
+        {
+            "lemma_sweep.json":
+                "5c93c3c0455ef44eb47dd31a1c98f34ff3250fa6c2c463278684c46c0d345d6f",
         },
     ),
 ]
