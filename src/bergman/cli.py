@@ -369,28 +369,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    if args.closed_form:
-        if args.preset != "chsc":
-            raise SpecValidationError("--closed-form is only available for the chsc preset")
+    if args.closed_form and args.preset != "chsc":
+        raise SpecValidationError("--closed-form is only available for the chsc preset")
+    spec = None if args.closed_form else _load_spec(args)
+    n = args.n if spec is None else spec.n
+    # both points before the table and the geometry, so a bad point fails fast
+    x, y = _parse_point(args.x, n), _parse_point(args.y, n)
+    if spec is None:
         c = Fraction(args.param if args.param is not None else 1)
-        n = args.n
         evaluator = make_chsc_closed_evaluator(n, c, N=max(n, 1))
-        spec_hash = None
     else:
-        spec = _load_spec(args)
-        n = spec.n
         table = _load_table(args.coeffs, n)
-        geom = build_geometry(spec)
-        evaluator = make_series_evaluator(geom, table)
-        spec_hash = spec.sha256()
+        evaluator = make_series_evaluator(build_geometry(spec), table)
     if args.mode == "log":
-        x = _parse_point(args.x, n)
-        y = _parse_point(args.y, n)
         fit = log_asymptotic_fit(evaluator, args.k_grid, (x, y))
     else:
-        u = _parse_point(args.x, n)
-        v = _parse_point(args.y, n)
-        fit = scaling_fit(evaluator, n, args.k_grid, u, v)
+        fit = scaling_fit(evaluator, n, args.k_grid, x, y)
     if fit.all_zero:
         passed = True
     else:
@@ -408,7 +402,7 @@ def cmd_asymptotics(args) -> int:
             "closed_form": args.closed_form,
             "max_slope": args.max_slope,
         },
-        spec_sha256=spec_hash,
+        spec_sha256=None if spec is None else spec.sha256(),
         fit=fit.to_dict(),
         verdict="pass" if passed else "fail",
     )

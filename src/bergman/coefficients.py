@@ -9,9 +9,9 @@ on-diagonal phase ``theta(x,x,z) = psi_x(x,z)``.  The amplitude is
 geometry's one phase chain (:class:`bergman.potential.PhaseChain`), which the
 transport route uses too.  The derivatives of every level are added in one
 :func:`bergman.series.linear_combination`.  All steps are exact.  The
-recursion needs the amplitudes ``a_j = (b_j o z) * Delta0`` for j < M, so
-the table carries them (outside its record and ``==``), and
-:func:`amplitude_from_b` adds only ``a_M``.
+recursion needs the amplitudes ``a_j = (b_j o z) * Delta0`` for j < M;
+``geom.amplitude`` keeps each one it composes, so :func:`amplitude_from_b`
+and the transport chain read them back, and only ``a_M`` is new.
 
 Degree bookkeeping: with geometry built at truncation degree D, the order m
 coefficient is exact through total degree ``D - 2m - 2`` for m >= 1 (the
@@ -22,7 +22,7 @@ and the entry point refuses degrees that cannot support the requested order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 
@@ -46,8 +46,6 @@ class CoefficientTable:
     degrees: tuple                # effective truncation degree per order
     spec_sha256: str
     a: tuple | None = None        # (x, y, theta) series, index 0..M
-    # a_1..a_{M-1}, the amplitudes the recursion built; not in the record or ==
-    amplitudes: tuple = field(default=(), compare=False, repr=False)
 
     def to_record(self) -> dict:
         rec = {
@@ -102,20 +100,17 @@ def bergman_coefficients(geom: GeometryPack, M: int) -> CoefficientTable:
         b=tuple(b),
         degrees=tuple(s.trunc_degree for s in b),
         spec_sha256=geom.spec.sha256(),
-        amplitudes=tuple(amplitudes[1:]),
     )
 
 
 def amplitude_from_b(table: CoefficientTable, geom: GeometryPack) -> CoefficientTable:
     """Fill the amplitude family: a_0 = Delta0 - 1, a_m = (b_m o z) * Delta0.
 
-    ``table`` must hold the coefficients of ``geom``.  The amplitudes the
-    recursion built come with the table, so only the orders past them (a_M
-    for a table from :func:`bergman_coefficients`, every order for one read
-    from a record) are composed here.
+    ``table`` must hold the coefficients of ``geom``.  ``geom.amplitude``
+    returns what it composed before for the same b, so for a table from
+    :func:`bergman_coefficients` only a_M is composed here.
     """
-    a = [geom.delta0_xytheta - 1, *table.amplitudes]
-    a += [geom.amplitude(b) for b in table.b[len(a) :]]
+    a = [geom.delta0_xytheta - 1, *map(geom.amplitude, table.b[1:])]
     return replace(table, a=tuple(a))
 
 

@@ -25,11 +25,13 @@ through the phase, with two compositions: through ``z(x, y, theta)`` and
 through ``psi_x(x, z)``.  :func:`build_geometry` builds it before the
 round-trip check and keeps it as ``geom.phase``; it owns the one table of
 powers of ``z(x, y, theta)``, which the round-trip check, ``Delta0`` and both
-coefficient routes share, and ``geom.amplitude(b)`` gives ``(b o z) * Delta0``
-to both routes.  ``Delta0`` in (x, y, theta) comes from the inverse-function
-Jacobian, not from composing the (x, y, z) quotient.  No pipeline step reads
-that quotient, only the ``polarize`` report, so ``geom.delta0_xyz`` is built
-on first read.
+coefficient routes share.  ``geom.amplitude(b)`` gives ``(b o z) * Delta0``
+to both routes and keeps each result with its b, so the transport chain
+reads the amplitudes the recursion composed.  ``Delta0`` in (x, y, theta)
+is ``det(dw/dtheta)`` for ``w = psi_y(y, z(x, y, theta))``, by the chain
+rule; it needs no (x, y, z) quotient.  No pipeline step reads that
+quotient, only the ``polarize`` report, so ``geom.delta0_xyz`` is built on
+first read.
 """
 
 from __future__ import annotations
@@ -380,16 +382,13 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     return [linear_combination([(1, p) for p in pieces[u][1:]]) for u in units]
 
 
-def _det_psi_yz(psi: TruncatedSeries) -> TruncatedSeries:
-    """det psi_yz, the numerator of Delta0, as a series in (x, y, z) blocks."""
+def _psi_y(psi: TruncatedSeries) -> list:
+    """The y-gradient psi_y(y, z) as n series in (x, y, z) blocks, degree D - 1."""
     n = psi.nvars // 2
     n3 = 3 * n
     # psi as a function of (y, z) inside the (x,y,z) space
-    psi_y = psi.remap_variables(n3, tuple(range(n, 3 * n)))
-    return det([
-        [psi_y.diff(unit(n3, n + i)).diff(unit(n3, 2 * n + j)) for j in range(n)]
-        for i in range(n)
-    ])
+    psi_at_yz = psi.remap_variables(n3, tuple(range(n, 3 * n)))
+    return [psi_at_yz.diff(unit(n3, n + i)) for i in range(n)]
 
 
 def build_delta0(psi: TruncatedSeries, phase: "PhaseChain") -> TruncatedSeries:
@@ -397,14 +396,15 @@ def build_delta0(psi: TruncatedSeries, phase: "PhaseChain") -> TruncatedSeries:
 
     It needs no quotient: at z = z(x, y, theta) the inverse function theorem
     gives ``det theta_z * det(dz/dtheta) = 1``, so the ratio is
-    ``det(psi_yz) o z * det(dz/dtheta)``.  That composes the small polynomial
-    det psi_yz, not the dense quotient, and dz/dtheta is a derivative of
-    ``z_of_theta``.  The (x, y, z) quotient is
+    ``det(psi_yz o z) * det(dz/dtheta)``, which by the chain rule is
+    ``det(dw/dtheta)`` for ``w = psi_y(y, z(x, y, theta))``.  That composes
+    psi_y through the z-powers the round-trip check built and multiplies no
+    dense series outside the determinant.  The (x, y, z) quotient is
     :attr:`GeometryPack.delta0_xyz`, built on first read.
     """
     n = psi.nvars // 2
-    jacobian = [[z.diff(unit(3 * n, 2 * n + j)) for j in range(n)] for z in phase.z_of_theta]
-    return phase.substitute_z(_det_psi_yz(psi)) * det(jacobian)
+    w = [phase.substitute_z(g) for g in _psi_y(psi)]
+    return det([[wi.diff(unit(3 * n, 2 * n + j)) for j in range(n)] for wi in w])
 
 
 class PhaseChain:
@@ -463,6 +463,8 @@ class GeometryPack:
     z_of_theta: tuple               # n series, (x, y, theta), degree D - 1
     delta0_xytheta: TruncatedSeries  # (x, y, theta), degree D - 2
     phase: PhaseChain = field(compare=False, repr=False)
+    # (b, amplitude(b)) pairs that amplitude reads back; they never change a result
+    amplitudes: list = field(default_factory=list, compare=False, repr=False)
 
     @cached_property
     def delta0_xyz(self) -> TruncatedSeries:
@@ -472,13 +474,22 @@ class GeometryPack:
         built on first read.
         """
         n, D = self.n, self.degree
+        num = [[g.diff(unit(3 * n, 2 * n + j)) for j in range(n)] for g in _psi_y(self.psi)]
         den = [[t.diff(unit(3 * n, 2 * n + j)).truncate(D - 2) for j in range(n)] for t in self.theta]
-        return _det_psi_yz(self.psi) * det(den).invert()
+        return det(num) * det(den).invert()
 
     def amplitude(self, b: TruncatedSeries) -> TruncatedSeries:
-        """(b o z) * Delta0 in (x, y, theta) blocks, for b in (x, z) blocks of degree <= D - 2."""
+        """(b o z) * Delta0 in (x, y, theta) blocks, for b in (x, z) blocks of degree <= D - 2.
+
+        Kept in :attr:`amplitudes`, so a later call with an equal b returns it.
+        """
+        for seen, a in self.amplitudes:
+            if seen == b:
+                return a
         comp = self.phase.substitute_z(b)
-        return comp * self.delta0_xytheta.truncate(comp.trunc_degree)
+        a = comp * self.delta0_xytheta.truncate(comp.trunc_degree)
+        self.amplitudes.append((b, a))
+        return a
 
 
 def build_geometry(spec: PotentialSpec) -> GeometryPack:

@@ -84,10 +84,10 @@ each makes one entry per key from keys of valid operands by digit arithmetic
 that cannot carry: sums of keys of total degree at most the output degree
 (products, ``invert``, ``compose``, ``segment_average``), a multi-index taken
 from digits at least as large (``diff``), the keys repacked to one base
-(``linear_combination``), a degree cut (``truncate``) or rise (``lift``),
-digits moved between slots (``remap_variables`` and bare ``compose``
-arguments), or trailing digits cleared with their sum taken off the degree
-digit (``graded_coefficients``).
+(``linear_combination``), a degree cut (``truncate``), digits moved between
+slots (``remap_variables`` and bare ``compose`` arguments), or trailing
+digits cleared with their sum taken off the degree digit
+(``graded_coefficients``).
 """
 
 from __future__ import annotations
@@ -412,15 +412,6 @@ class TruncatedSeries:
         return TruncatedSeries._canonical(n, new_D, shift, out, self._den)
 
     # -- structural operations ----------------------------------------------
-
-    def lift(self, new_degree: int) -> "TruncatedSeries":
-        """The same terms read as a series truncated at ``new_degree`` >= this one."""
-        if new_degree < self.trunc_degree:
-            raise ValueError(f"cannot lower truncation degree {self.trunc_degree} by lift")
-        shift = max(self._shift, _shift_for(new_degree))
-        return TruncatedSeries._canonical(
-            self.nvars, new_degree, shift, dict(zip(self._keys_at(shift), self._nums)), self._den
-        )
 
     def truncate(self, new_degree: int) -> "TruncatedSeries":
         if new_degree > self.trunc_degree:

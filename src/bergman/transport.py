@@ -76,7 +76,8 @@ def _step_rhs(geom: GeometryPack, prev_vec) -> tuple:
     """The collapse b_{m-1} and ``geom.amplitude(b_{m-1}) - P`` for one step.
 
     Here P = D_theta . A_{m-1} and b_{m-1} = ``phase.to_xz(P)``; the
-    amplitude ``(b_{m-1} o z) * Delta0`` holds the diagonal pullback of P.
+    amplitude ``(b_{m-1} o z) * Delta0`` holds the diagonal pullback of P;
+    after the recursion, ``geom.amplitude`` returns the one it composed.
     """
     p = _divergence_theta(prev_vec, geom.n)
     b_prev = geom.phase.to_xz(p)

@@ -4,13 +4,15 @@ None of these has a caller in the command line tool or the pipeline; the
 tests use them as independent references.  ``segment_average_oracle`` and
 ``eval_oracle`` are the loops the pipeline ran before it read the packed
 form: they read the ``coeffs`` view, one exponent tuple and one ``Fraction``
-per term.  ``invert_theta_sweeps``, ``diagonal_pullback_w_table`` and
-``delta0_quotient`` are the phase geometry's earlier forms: whole
-compositions through plain ``compose``, with no ``PhaseChain`` and no table
-shared with the pipeline.  ``amplitudes_recomputed`` and
-``collapses_recomputed`` compute every amplitude ``(b_m o z) * Delta0`` and
-every collapse ``to_xz(D_theta . A_m)`` anew, on a fresh ``PhaseChain``,
-where the pipeline reuses what the recursion and the transport steps built.
+per term.  ``invert_theta_sweeps``, ``diagonal_pullback_w_table``,
+``delta0_quotient`` and ``delta0_jacobian_product`` are the phase geometry's
+earlier forms: whole compositions through plain ``compose``, with no
+``PhaseChain`` and no table shared with the pipeline.
+``amplitudes_recomputed`` and ``collapses_recomputed`` compute every
+amplitude ``(b_m o z) * Delta0`` and every collapse ``to_xz(D_theta . A_m)``
+anew, on a fresh ``PhaseChain``, where the pipeline reuses what the
+recursion and the transport steps built.  ``lift`` raises a series'
+truncation degree; only the tests need it.
 """
 
 import cmath
@@ -109,6 +111,13 @@ def segment_average_oracle(f, n, block_start, x_start, y_start, out_nvars, passt
     return TruncatedSeries(out_nvars, f.trunc_degree, out)
 
 
+def lift(series, new_degree):
+    """The same terms read as a series truncated at ``new_degree`` >= its own degree."""
+    if new_degree < series.trunc_degree:
+        raise ValueError(f"cannot lower truncation degree {series.trunc_degree} by lift")
+    return TruncatedSeries(series.nvars, new_degree, series.coeffs)
+
+
 def is_zero(series):
     """Whether a series has no terms, read through ``==`` on the packed form."""
     return series == TruncatedSeries.zero(series.nvars, series.trunc_degree)
@@ -166,7 +175,7 @@ def invert_theta_sweeps(theta):
     z = [TruncatedSeries.zero(n3, 0)] * n
     for d in range(1, D + 1):
         variables = TruncatedSeries.variables(n3, d)
-        args = variables[: 2 * n] + [zi.lift(d) for zi in z]
+        args = variables[: 2 * n] + [lift(zi, d) for zi in z]
         w = [r.compose(args) for r in remainder]
         tvars = variables[2 * n :]
         z = [
@@ -190,17 +199,32 @@ def diagonal_pullback_w_table(geom, f):
     return f_xtheta.compose(x + w)
 
 
+def _det_psi_yz(geom):
+    """det psi_yz in (x, y, z) blocks, degree D - 2."""
+    n = geom.n
+    n3 = 3 * n
+    psi_y = geom.psi.remap_variables(n3, tuple(range(n, 3 * n)))
+    return det([[psi_y.diff(unit(n3, n + i)).diff(unit(n3, 2 * n + j)) for j in range(n)]
+                for i in range(n)])
+
+
 def delta0_quotient(geom):
     """``Delta0`` as the quotient det psi_yz / det theta_z in (x, y, z), then composed through z."""
     n, D = geom.n, geom.degree
     n3 = 3 * n
-    psi_y = geom.psi.remap_variables(n3, tuple(range(n, 3 * n)))
-    num = [[psi_y.diff(unit(n3, n + i)).diff(unit(n3, 2 * n + j)) for j in range(n)]
-           for i in range(n)]
     den = [[t.diff(unit(n3, 2 * n + j)).truncate(D - 2) for j in range(n)] for t in geom.theta]
-    delta0_xyz = det(num) * det(den).invert()
+    delta0_xyz = _det_psi_yz(geom) * det(den).invert()
     xy = TruncatedSeries.variables(n3, D - 1)[: 2 * n]
     return delta0_xyz, delta0_xyz.compose(xy + list(geom.z_of_theta))
+
+
+def delta0_jacobian_product(geom):
+    """``Delta0`` in (x, y, theta) as ``(det psi_yz o z) * det(dz/dtheta)``, one dense product."""
+    n, D = geom.n, geom.degree
+    n3 = 3 * n
+    xy = TruncatedSeries.variables(n3, D - 1)[: 2 * n]
+    jacobian = [[z.diff(unit(n3, 2 * n + j)) for j in range(n)] for z in geom.z_of_theta]
+    return _det_psi_yz(geom).compose(xy + list(geom.z_of_theta)) * det(jacobian)
 
 
 def _fresh_phase(geom):

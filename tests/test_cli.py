@@ -188,6 +188,25 @@ class TestAsymptoticsCommand:
         assert payload["verdict"] == "pass"
         assert (tmp_path / "asymptotics.csv").exists()
 
+    @pytest.mark.parametrize("mode", ["log", "scaling"])
+    def test_bad_point_exits_two_before_the_geometry(self, tmp_path, monkeypatch, capsys, mode):
+        assert main(["coeffs", "--preset", "chsc", "--degree", "6", "--order", "1",
+                     "--transport-order", "1", "--out", str(tmp_path)]) == 0
+        built = []
+
+        def refuse(spec):
+            built.append(spec)
+            raise RuntimeError("the geometry was built before the points were parsed")
+
+        monkeypatch.setattr(cli, "build_geometry", refuse)
+        rc = main(
+            ["asymptotics", "--preset", "chsc", "--degree", "6",
+             "--coeffs", str(tmp_path / "coefficients.json"), "--mode", mode,
+             "--x", "0.01", "--y", "abc", "--out", str(tmp_path)]
+        )
+        assert rc == 2 and built == []
+        assert "not a list of complex numbers" in capsys.readouterr().err
+
 
 class TestGrowthCommand:
     def test_worst_case(self, tmp_path):

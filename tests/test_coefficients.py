@@ -12,6 +12,7 @@ from bergman.coefficients import (
 )
 from bergman.potential import (
     DegreeBudgetError,
+    GeometryPack,
     build_geometry,
     preset_chsc,
     preset_flat,
@@ -105,15 +106,36 @@ class TestContracts:
 
 
 class TestAmplitudes:
-    def test_recursion_amplitudes_are_reused_and_not_recorded(self, quartic_geom, quartic_table):
+    def test_recursion_amplitudes_are_reused_and_not_recorded(self, monkeypatch):
         from bergman.coefficients import CoefficientTable
 
-        assert len(quartic_table.amplitudes) == 2  # a_1, a_2 of an order-3 recursion
-        table = amplitude_from_b(quartic_table, quartic_geom)
-        assert all(a is b for a, b in zip(table.a[1:3], quartic_table.amplitudes))
+        spec = preset_quartic(1, F(1, 10), 12)
+        geom = build_geometry(spec)
+        composed = []
+        amplitude = GeometryPack.amplitude
+
+        def spy(self, b):
+            composed.append(amplitude(self, b))
+            return composed[-1]
+
+        monkeypatch.setattr(GeometryPack, "amplitude", spy)
+        recursion = bergman_coefficients(geom, 3)
+        monkeypatch.undo()
+        assert len(composed) == 2  # a_1, a_2 of an order-3 recursion
+        table = amplitude_from_b(recursion, geom)
+        assert all(a is c for a, c in zip(table.a[1:3], composed))
         back = CoefficientTable.from_record(table.to_record())
-        assert back.amplitudes == () and back == table
-        assert amplitude_from_b(back, quartic_geom).a == table.a
+        assert back == table and back.to_record() == table.to_record()
+        assert amplitude_from_b(back, build_geometry(spec)).a == table.a
+
+    def test_a_different_b_of_the_same_degree_is_composed_anew(self, quartic_geom, quartic_table):
+        b = quartic_table.b[2]
+        kept = quartic_geom.amplitude(b)
+        other = b + TruncatedSeries.variable(2, b.trunc_degree, 1)
+        got = quartic_geom.amplitude(other)
+        assert got != kept
+        assert got == build_geometry(quartic_geom.spec).amplitude(other)
+        assert quartic_geom.amplitude(b) is kept
 
     def test_flat_amplitudes_vanish(self):
         geom = build_geometry(preset_flat(1, 8))

@@ -34,6 +34,7 @@ from bergman.transport import first_amplitude, reconstruct_coefficients, transpo
 from oracles import (
     amplitudes_recomputed,
     collapses_recomputed,
+    delta0_jacobian_product,
     delta0_quotient,
     diagonal_pullback_w_table,
     invert_theta_sweeps,
@@ -389,6 +390,11 @@ class TestOldForms:
         geom = old_form_geom
         assert (geom.delta0_xyz, geom.delta0_xytheta) == delta0_quotient(geom)
 
+    def test_chain_rule_delta0_equals_the_jacobian_product(self, old_form_geom):
+        geom = old_form_geom
+        fresh = PhaseChain(geom.n, geom.degree, geom.psi_x, geom.z_of_theta)
+        assert geom.delta0_xytheta == build_delta0(geom.psi, fresh) == delta0_jacobian_product(geom)
+
     def test_two_step_pullback_equals_the_w_table(self, old_form_geom):
         geom = old_form_geom
         for f in (geom.delta0_xytheta, *geom.z_of_theta, *first_amplitude(geom)):
@@ -527,6 +533,12 @@ class TestZPowerTable:
 
 
 class TestDelta0:
+    @pytest.mark.parametrize("name", ["dense_1", "dense_2"])
+    def test_chain_rule_equals_the_jacobian_product_on_benchmark_jobs(self, name):
+        make, _ = BENCHMARK_JOBS[name]
+        geom = build_geometry(make())
+        assert geom.delta0_xytheta == delta0_jacobian_product(geom)
+
     def test_coeffs_pipeline_leaves_the_quotient_unbuilt(self):
         geom = build_geometry(preset_quartic(1, F(1, 10), 10))
         table = amplitude_from_b(bergman_coefficients(geom, 4), geom)

@@ -9,6 +9,7 @@ from bergman.coefficients import amplitude_from_b, bergman_coefficients
 from bergman.kernel import eval_KN
 from bergman.potential import (
     DegreeBudgetError,
+    PhaseChain,
     PotentialSpec,
     build_geometry,
     preset_chsc,
@@ -171,6 +172,26 @@ class TestReconstruction:
         assert geom.phase is phase
         assert recon == list(table.b)
 
+    def test_steps_after_the_recursion_compose_no_amplitude(self, monkeypatch):
+        spec = preset_quartic(1, F(1, 10), 12)
+        geom = build_geometry(spec)
+        bergman_coefficients(geom, 5)
+        substitute_z = PhaseChain.substitute_z
+        composed_b = []
+
+        def spy(self, f):
+            if f.nvars == 2:  # a b-series, in (x, z) blocks
+                composed_b.append(f)
+            return substitute_z(self, f)
+
+        monkeypatch.setattr(PhaseChain, "substitute_z", spy)
+        chain = transport_chain(geom, 5)
+        assert composed_b == []
+        # on a geometry where no recursion ran, the steps compose b_1..b_4
+        fresh = transport_chain(build_geometry(spec), 5)
+        assert len(composed_b) == 4
+        assert chain == fresh and chain.b == fresh.b
+
     def test_step_collapses_are_reused_and_not_recorded(self, quartic_geom, quartic_chain):
         assert len(quartic_chain.b) == quartic_chain.M - 1  # b_1..b_{M-1}
         recon = reconstruct_coefficients(quartic_geom, quartic_chain)
@@ -256,7 +277,7 @@ def test_pipeline_reads_only_the_packed_form():
     assert all((table.to_record(), chain.to_record(), [s.to_record() for s in recon]))
     eval_KN(geom, table, 40, 4, [0.1 + 0.05j], [0.12 - 0.03j])
     held = list(_series_in((geom, table, chain, recon)))
-    # geometry (the quotient is not built), b and a, the recursion's a_1..a_3,
+    # geometry (the quotient is not built), its kept (b_m, a_m) for m = 1..4, b and a,
     # A_0..A_4, the steps' b_1..b_3, reconstructed b
-    assert len(held) == 5 + 10 + 3 + 5 + 3 + 5
+    assert len(held) == 5 + 8 + 10 + 5 + 3 + 5
     assert [s for s in held if s._coeffs is not None] == []
