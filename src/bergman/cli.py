@@ -558,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polarize", help="build and store the series geometry")
     _spec_options(p)
     p.add_argument("--samples", type=_positive_int, default=200)
-    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--delta", type=_positive_float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_polarize)
 
@@ -596,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     _spec_options(p)
     p.add_argument("--task", choices=["fit", "worst-case", "truncation", "lemma"], required=True)
     p.add_argument("--coeffs", default=None)
-    p.add_argument("--norm-radius", type=float, default=0.1)
+    p.add_argument("--norm-radius", type=_positive_float, default=0.1)
     p.add_argument("--grid", type=_int_at_least(2), default=5)
     p.add_argument("--xi-max", type=_non_negative_int, default=0)
     p.add_argument("--model", choices=["m_factorial_sq", "m_factorial"], default="m_factorial_sq")

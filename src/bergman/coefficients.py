@@ -5,9 +5,9 @@ operator ``D_y . D_theta`` to the composed amplitude
 ``b_{m-l}(x, z(x,y,theta)) * Delta0(x,y,theta)``, restricting to ``y = x``
 and converting the result back to ``(x, z)`` coordinates through the
 on-diagonal phase ``theta(x,x,z) = psi_x(x,z)``.  The amplitude is
-``geom.amplitude`` and the collapse is ``geom.phase.to_xz``, both from the
-geometry's one phase chain (:class:`bergman.potential.PhaseChain`), which the
-transport route uses too.  The derivatives of every level are added in one
+``geom.amplitude`` and the collapse is ``geom.to_xz``, both compositions of
+the geometry (:class:`bergman.potential.GeometryPack`), which the transport
+route uses too.  The derivatives of every level are added in one
 :func:`bergman.series.linear_combination`.  All steps are exact.  The
 recursion needs the amplitudes ``a_j = (b_j o z) * Delta0`` for j < M;
 ``geom.amplitude`` keeps each one it composes, so :func:`amplitude_from_b`
@@ -91,7 +91,7 @@ def bergman_coefficients(geom: GeometryPack, M: int) -> CoefficientTable:
             for j, a_j in enumerate(amplitudes)
             for delta in exponents_of_degree(n, m - j)
         ])
-        b.append(geom.phase.to_xz(total))
+        b.append(geom.to_xz(total))
         if m < M:
             amplitudes.append(geom.amplitude(b[m]))
     return CoefficientTable(

@@ -20,18 +20,16 @@ Everything is exact rational arithmetic; the segment integral in the phase
 Beta-function weights, never by quadrature.
 
 :func:`invert_theta` solves for z one homogeneous degree at a time and
-composes nothing.  :class:`PhaseChain` is the only code that composes
-through the phase, with two compositions: through ``z(x, y, theta)`` and
-through ``psi_x(x, z)``.  :func:`build_geometry` builds it before the
-round-trip check and keeps it as ``geom.phase``; it owns the one table of
-powers of ``z(x, y, theta)``, which the round-trip check, ``Delta0`` and both
-coefficient routes share.  ``geom.amplitude(b)`` gives ``(b o z) * Delta0``
-to both routes and keeps each result with its b, so the transport chain
-reads the amplitudes the recursion composed.  ``Delta0`` in (x, y, theta)
-is ``det(dw/dtheta)`` for ``w = psi_y(y, z(x, y, theta))``, by the chain
-rule; it needs no (x, y, z) quotient.  No pipeline step reads that
-quotient, only the ``polarize`` report, so ``geom.delta0_xyz`` is built on
-first read.
+composes nothing.  :func:`build_geometry` builds psi, psi_x and the phase,
+which cost milliseconds; its :class:`GeometryPack` builds the checked
+inversion and both forms of ``Delta0`` on first read, so commands that read
+only psi never invert the phase.  The pack is the only code that composes
+through the phase; it owns the one table of powers of ``z(x, y, theta)``,
+which the round-trip check, ``Delta0`` and both coefficient routes share.
+``Delta0`` in (x, y, theta) is ``det(dw/dtheta)`` for
+``w = psi_y(y, z(x, y, theta))``, by the chain rule (:func:`build_delta0`,
+which takes the pack); only the ``polarize`` report reads the (x, y, z)
+quotient ``geom.delta0_xyz``.
 """
 
 from __future__ import annotations
@@ -391,68 +389,41 @@ def _psi_y(psi: TruncatedSeries) -> list:
     return [psi_at_yz.diff(unit(n3, n + i)) for i in range(n)]
 
 
-def build_delta0(psi: TruncatedSeries, phase: "PhaseChain") -> TruncatedSeries:
+def build_delta0(psi: TruncatedSeries, phase: "GeometryPack") -> TruncatedSeries:
     """The Jacobian ratio det psi_yz / det theta_z in (x, y, theta) blocks.
 
     It needs no quotient: at z = z(x, y, theta) the inverse function theorem
     gives ``det theta_z * det(dz/dtheta) = 1``, so the ratio is
     ``det(psi_yz o z) * det(dz/dtheta)``, which by the chain rule is
-    ``det(dw/dtheta)`` for ``w = psi_y(y, z(x, y, theta))``.  That composes
-    psi_y through the z-powers the round-trip check built and multiplies no
-    dense series outside the determinant.  The (x, y, z) quotient is
-    :attr:`GeometryPack.delta0_xyz`, built on first read.
+    ``det(dw/dtheta)`` for ``w = psi_y(y, z(x, y, theta))``, composed by
+    ``phase``, the :class:`GeometryPack` of psi, through the z-powers the
+    round-trip check built; no dense series is multiplied outside the
+    determinant.
     """
     n = psi.nvars // 2
     w = [phase.substitute_z(g) for g in _psi_y(psi)]
     return det([[wi.diff(unit(3 * n, 2 * n + j)) for j in range(n)] for wi in w])
 
 
-class PhaseChain:
-    """Series carried through the phase chain theta -> z(x,y,theta) -> theta(x,x,z).
-
-    The only code that composes through the phase: the round-trip check,
-    ``Delta0`` and both coefficient routes go through its two compositions,
-    :meth:`substitute_z` (z = ``z(x,y,theta)``) and :meth:`to_xz`
-    (theta = ``psi_x(x,z)``).  A transport step's diagonal pullback
-    ``f(x, y, theta) -> f(x, x, theta(x,x,z(x,y,theta)))`` is one after the
-    other, since ``theta(x,x,z) = psi_x(x,z)``.  In each, the x (and y)
-    arguments are bare variables, which only move exponents, and the other
-    n arguments are substituted.  Each composition has a cache of the powers
-    of its n substituted arguments, keyed by their exponent, so every call
-    after the first with one geometry reuses the powers built so far.  An
-    entry holds its power through the highest degree a call has read, and a
-    later call that reads higher replaces it (see Composition in
-    :mod:`bergman.series`).  The powers of ``z(x,y,theta)`` are
-    :attr:`z_powers`, the geometry's one table, which the round-trip check in
-    :func:`build_geometry` starts from ``z_of_theta`` alone.  The results do
-    not depend on the caches.
-    """
-
-    def __init__(self, n: int, D: int, psi_x: Sequence, z_of_theta: Sequence):
-        self._n = n
-        self.z_of_theta = tuple(z_of_theta)
-        xy3 = TruncatedSeries.variables(3 * n, D - 1)[: 2 * n]
-        self._z_args = {2 * n: xy3[:n] + list(z_of_theta), 3 * n: xy3 + list(z_of_theta)}
-        self.z_powers: dict = {}
-        x2 = TruncatedSeries.variables(2 * n, D - 1)[:n]
-        self._into_xz = x2 + list(psi_x)
-        self._into_xz_cache: dict = {}
-        # y = x: (x, y, w) blocks -> (x, w) blocks
-        self._merge_y = tuple(range(n)) * 2 + tuple(range(n, 2 * n))
-
-    def substitute_z(self, f: TruncatedSeries) -> TruncatedSeries:
-        """f(x, z) or f(x, y, z) -> the same with z = z(x,y,theta), in (x, y, theta) blocks."""
-        return f.compose(self._z_args[f.nvars], cache=self.z_powers)
-
-    def to_xz(self, f_xytheta: TruncatedSeries) -> TruncatedSeries:
-        """f(x, y, theta) -> f(x, x, psi_x(x, z)) in (x, z) blocks."""
-        f_xtheta = f_xytheta.remap_variables(2 * self._n, self._merge_y)
-        return f_xtheta.compose(self._into_xz, cache=self._into_xz_cache)
-
-
 @dataclass(frozen=True)
 class GeometryPack:
-    """Derived series geometry of one potential at a fixed truncation degree."""
+    """Derived series geometry of one potential at a fixed truncation degree.
+
+    ``psi``, ``psi_x`` and ``theta`` are built with the pack.  The inverse
+    phase :attr:`z_of_theta` and both forms of ``Delta0`` are built on first
+    read and kept.  The pack is the only code that composes through the
+    phase chain theta -> z(x,y,theta) -> theta(x,x,z), with two compositions:
+    :meth:`substitute_z` (z = ``z(x,y,theta)``) and :meth:`to_xz`
+    (theta = ``psi_x(x,z)``).  In each, the x (and y) arguments are bare
+    variables, which only move exponents, and the other n arguments are
+    substituted.  Each composition keeps the powers of its n substituted
+    arguments, keyed by their exponent: :attr:`z_powers`, which the
+    round-trip check starts from ``z_of_theta`` alone, and
+    :attr:`psi_x_powers`.  An entry holds its power through the highest
+    degree a call has read, and a later call that reads higher replaces it
+    (see Composition in :mod:`bergman.series`).  The caches and the
+    amplitudes never change a result.
+    """
 
     spec: PotentialSpec
     n: int
@@ -460,23 +431,63 @@ class GeometryPack:
     psi: TruncatedSeries            # (x, z), degree D
     psi_x: tuple                    # n series, (x, z), degree D - 1
     theta: tuple                    # n series, (x, y, z), degree D - 1
-    z_of_theta: tuple               # n series, (x, y, theta), degree D - 1
-    delta0_xytheta: TruncatedSeries  # (x, y, theta), degree D - 2
-    phase: PhaseChain = field(compare=False, repr=False)
-    # (b, amplitude(b)) pairs that amplitude reads back; they never change a result
+    z_powers: dict = field(default_factory=dict, compare=False, repr=False)
+    psi_x_powers: dict = field(default_factory=dict, compare=False, repr=False)
+    # (b, amplitude(b)) pairs that amplitude reads back
     amplitudes: list = field(default_factory=list, compare=False, repr=False)
+
+    @cached_property
+    def z_of_theta(self) -> tuple:
+        """The inverse phase z(x, y, theta): n series in (x, y, theta) blocks, degree D - 1.
+
+        Kept only once ``theta(x, y, z(x, y, theta)) = theta`` holds exactly;
+        a failed round trip raises and keeps nothing, not even its z-powers.
+        """
+        z = tuple(invert_theta(self.theta))
+        powers: dict = {}
+        thetas = TruncatedSeries.variables(3 * self.n, self.degree - 1)[2 * self.n :]
+        if [t.compose(self._bare[0] + list(z), cache=powers) for t in self.theta] != thetas:
+            raise ArithmeticError("phase inversion failed the round-trip identity")
+        self.z_powers.update(powers)
+        return z
+
+    @cached_property
+    def delta0_xytheta(self) -> TruncatedSeries:
+        """Delta0 in (x, y, theta) blocks, degree D - 2, by :func:`build_delta0`."""
+        delta0 = build_delta0(self.psi, self)
+        if delta0.constant_term != 1:
+            raise ArithmeticError("Delta0 must have constant term 1")
+        return delta0
 
     @cached_property
     def delta0_xyz(self) -> TruncatedSeries:
         """Delta0 as the quotient det psi_yz / det theta_z in (x, y, z) blocks, degree D - 2.
 
-        No pipeline step reads it, only the ``polarize`` report, so it is
-        built on first read.
+        No pipeline step reads it, only the ``polarize`` report.
         """
         n, D = self.n, self.degree
         num = [[g.diff(unit(3 * n, 2 * n + j)) for j in range(n)] for g in _psi_y(self.psi)]
         den = [[t.diff(unit(3 * n, 2 * n + j)).truncate(D - 2) for j in range(n)] for t in self.theta]
         return det(num) * det(den).invert()
+
+    @cached_property
+    def _bare(self) -> tuple:
+        """The bare arguments: x and y in (x, y, theta) blocks, and x in (x, z) blocks."""
+        n, D = self.n, self.degree
+        return (TruncatedSeries.variables(3 * n, D - 1)[: 2 * n],
+                TruncatedSeries.variables(2 * n, D - 1)[:n])
+
+    def substitute_z(self, f: TruncatedSeries) -> TruncatedSeries:
+        """f(x, z) or f(x, y, z) -> the same with z = z(x,y,theta), in (x, y, theta) blocks."""
+        bare = self._bare[0][: f.nvars - self.n]
+        return f.compose(bare + list(self.z_of_theta), cache=self.z_powers)
+
+    def to_xz(self, f_xytheta: TruncatedSeries) -> TruncatedSeries:
+        """f(x, y, theta) -> f(x, x, psi_x(x, z)) in (x, z) blocks."""
+        n = self.n
+        # y = x: (x, y, w) blocks -> (x, w) blocks
+        f_xtheta = f_xytheta.remap_variables(2 * n, tuple(range(n)) * 2 + tuple(range(n, 2 * n)))
+        return f_xtheta.compose(self._bare[1] + list(self.psi_x), cache=self.psi_x_powers)
 
     def amplitude(self, b: TruncatedSeries) -> TruncatedSeries:
         """(b o z) * Delta0 in (x, y, theta) blocks, for b in (x, z) blocks of degree <= D - 2.
@@ -486,7 +497,7 @@ class GeometryPack:
         for seen, a in self.amplitudes:
             if seen == b:
                 return a
-        comp = self.phase.substitute_z(b)
+        comp = self.substitute_z(b)
         a = comp * self.delta0_xytheta.truncate(comp.trunc_degree)
         self.amplitudes.append((b, a))
         return a
@@ -497,27 +508,13 @@ def build_geometry(spec: PotentialSpec) -> GeometryPack:
     n, D = spec.n, spec.trunc_degree
     if D < 3:
         raise DegreeBudgetError("geometry needs trunc_degree >= 3", 3)
-    psi_x = tuple(psi.diff(unit(2 * n, i)) for i in range(n))
-    theta = build_theta(psi)
-    z_of_theta = invert_theta(theta)
-    phase = PhaseChain(n, D, psi_x, z_of_theta)
-    # the check builds the z-powers from z_of_theta alone
-    zvars = TruncatedSeries.variables(3 * n, D - 1)[2 * n :]
-    if [phase.substitute_z(t) for t in theta] != zvars:
-        raise ArithmeticError("phase inversion failed the round-trip identity")
-    delta0_xytheta = build_delta0(psi, phase)
-    if delta0_xytheta.constant_term != 1:
-        raise ArithmeticError("Delta0 must have constant term 1")
     return GeometryPack(
         spec=spec,
         n=n,
         degree=D,
         psi=psi,
-        psi_x=psi_x,
-        theta=tuple(theta),
-        z_of_theta=tuple(z_of_theta),
-        delta0_xytheta=delta0_xytheta,
-        phase=phase,
+        psi_x=tuple(psi.diff(unit(2 * n, i)) for i in range(n)),
+        theta=tuple(build_theta(psi)),
     )
 
 

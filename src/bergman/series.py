@@ -66,9 +66,9 @@ reads ``P_lower`` one degree less, so each power is built to the highest
 degree a call reads, not to the argument degree.  An entry too low for a
 later call is rebuilt higher and replaced; an entry at least as high is
 reused as it is.
-:class:`bergman.potential.PhaseChain`, the only composer through the phase,
+:class:`bergman.potential.GeometryPack`, the only composer through the phase,
 keeps two such tables: one for ``psi_x(x, z)`` and one for the inverted phase
-``z(x, y, theta)`` (``phase.z_powers``), which the round-trip check builds
+``z(x, y, theta)`` (``geom.z_powers``), which the round-trip check builds
 and ``Delta0`` and every later composition through ``z`` reuse.  The phase
 inversion itself composes nothing: it builds the homogeneous pieces of its
 powers with :func:`sum_of_products`, the n-ary product over the same pair

@@ -4,13 +4,12 @@ An independent route to the Bergman coefficients: vector amplitudes A_m are
 produced order by order from fundamental-theorem-of-calculus solutions of the
 division problem ``(x - y) . A_m = RHS_m``, where each right hand side is
 built from derivatives of the previous order composed through the phase
-chain ``theta -> z(x,y,theta) -> theta(x,x,z)``: the geometry's one
-``geom.phase`` (:class:`bergman.potential.PhaseChain`), whose two
-compositions and caches the divergence recursion shares.  The diagonal
-pullback of step m collapses ``y = x``, composes through ``psi_x(x, z)``
-(``phase.to_xz``) and then through ``z(x,y,theta)``
-(``phase.substitute_z``), the same two steps as the recursion's.  The
-scalar amplitude is then reassembled as
+chain ``theta -> z(x,y,theta) -> theta(x,x,z)`` by the geometry itself
+(:class:`bergman.potential.GeometryPack`), whose two compositions and caches
+the divergence recursion shares.  The diagonal pullback of step m collapses
+``y = x``, composes through ``psi_x(x, z)`` (``geom.to_xz``) and then
+through ``z(x,y,theta)`` (``geom.substitute_z``), the same two steps as the
+recursion's.  The scalar amplitude is then reassembled as
 ``(1 + k (x-y).A + D_theta.A) / Delta0`` and collapsed at ``y = x``, giving
 coefficients that must agree exactly with the divergence-form recursion of
 :mod:`bergman.coefficients`.  That collapse, ``b_m = to_xz(D_theta . A_m)``,
@@ -75,12 +74,12 @@ def _divergence_theta(vec, n: int) -> TruncatedSeries:
 def _step_rhs(geom: GeometryPack, prev_vec) -> tuple:
     """The collapse b_{m-1} and ``geom.amplitude(b_{m-1}) - P`` for one step.
 
-    Here P = D_theta . A_{m-1} and b_{m-1} = ``phase.to_xz(P)``; the
+    Here P = D_theta . A_{m-1} and b_{m-1} = ``geom.to_xz(P)``; the
     amplitude ``(b_{m-1} o z) * Delta0`` holds the diagonal pullback of P;
     after the recursion, ``geom.amplitude`` returns the one it composed.
     """
     p = _divergence_theta(prev_vec, geom.n)
-    b_prev = geom.phase.to_xz(p)
+    b_prev = geom.to_xz(p)
     amp = geom.amplitude(b_prev)
     return b_prev, amp - p.truncate(amp.trunc_degree)
 
@@ -139,6 +138,6 @@ def reconstruct_coefficients(geom: GeometryPack, chain: TransportChain) -> list:
         )
     out = [TruncatedSeries.one(2 * n, D), *chain.b]
     for m in range(len(out), chain.M + 1):
-        out.append(geom.phase.to_xz(_divergence_theta(chain.A[m], n)))
+        out.append(geom.to_xz(_divergence_theta(chain.A[m], n)))
     return out
 

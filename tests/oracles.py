@@ -7,10 +7,10 @@ form: they read the ``coeffs`` view, one exponent tuple and one ``Fraction``
 per term.  ``invert_theta_sweeps``, ``diagonal_pullback_w_table``,
 ``delta0_quotient`` and ``delta0_jacobian_product`` are the phase geometry's
 earlier forms: whole compositions through plain ``compose``, with no
-``PhaseChain`` and no table shared with the pipeline.
+table shared with the pipeline.
 ``amplitudes_recomputed`` and ``collapses_recomputed`` compute every
 amplitude ``(b_m o z) * Delta0`` and every collapse ``to_xz(D_theta . A_m)``
-anew, on a fresh ``PhaseChain``, where the pipeline reuses what the
+anew, on a fresh geometry, where the pipeline reuses what the
 recursion and the transport steps built.  ``lift`` raises a series'
 truncation degree; only the tests need it.
 """
@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from math import comb, factorial
 
-from bergman.potential import PhaseChain, _fraction_matrix_inverse
+from bergman.potential import _fraction_matrix_inverse, build_geometry
 from bergman.series import (
     TruncatedSeries,
     det,
@@ -227,16 +227,12 @@ def delta0_jacobian_product(geom):
     return _det_psi_yz(geom).compose(xy + list(geom.z_of_theta)) * det(jacobian)
 
 
-def _fresh_phase(geom):
-    return PhaseChain(geom.n, geom.degree, geom.psi_x, geom.z_of_theta)
-
-
 def amplitudes_recomputed(geom, table):
     """``amplitude_from_b`` with every ``a_m = (b_m o z) * Delta0`` composed anew."""
-    phase = _fresh_phase(geom)
+    fresh = build_geometry(geom.spec)
     out = [geom.delta0_xytheta - 1]
     for b in table.b[1:]:
-        comp = phase.substitute_z(b)
+        comp = fresh.substitute_z(b)
         out.append(comp * geom.delta0_xytheta.truncate(comp.trunc_degree))
     return out
 
@@ -244,9 +240,9 @@ def amplitudes_recomputed(geom, table):
 def collapses_recomputed(geom, chain):
     """``reconstruct_coefficients`` with every ``b_m = to_xz(D_theta . A_m)`` collapsed anew."""
     n = geom.n
-    phase = _fresh_phase(geom)
+    fresh = build_geometry(geom.spec)
     out = [TruncatedSeries.one(2 * n, geom.degree)]
     for vec in chain.A[1:]:
         div = linear_combination([(1, a.diff(unit(3 * n, 2 * n + i))) for i, a in enumerate(vec)])
-        out.append(phase.to_xz(div))
+        out.append(fresh.to_xz(div))
     return out

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -13,9 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bergman import cli
+from bergman import cli, potential
 from bergman.cli import main
+from bergman.potential import check_good_contour, make_preset, polarize
 from bergman.series import TruncatedSeries
+from oracles import write_spec
+from test_potential import non_radial_n2_spec
 
 
 def read_json(path):
@@ -208,6 +212,51 @@ class TestAsymptoticsCommand:
         assert "not a list of complex numbers" in capsys.readouterr().err
 
 
+class TestLazyGeometry:
+    """Only the commands that read z(x, y, theta) invert the phase, once each."""
+
+    @pytest.fixture
+    def inversions(self, monkeypatch):
+        solve, calls = potential.invert_theta, []
+
+        def counting(theta):
+            calls.append(theta)
+            return solve(theta)
+
+        monkeypatch.setattr(potential, "invert_theta", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["polarize", "--preset", "chsc", "--degree", "6", "--samples", "5"],
+        ["coeffs", "--preset", "chsc", "--degree", "6", "--order", "2"],
+        ["chsc-check", "--n", "1", "--order", "2"],
+    ], ids=["polarize", "coeffs", "chsc-check"])
+    def test_readers_of_the_inversion_run_it_once(self, tmp_path, inversions, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert len(inversions) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--k", "40", "--x", "0.01", "--y", "0.05+0.02j"],
+        ["asymptotics", "--mode", "log", "--x", "0.01", "--y", "0.05+0.02j"],
+        ["asymptotics", "--mode", "scaling", "--x", "0.01", "--y", "0.05+0.02j"],
+        ["growth", "--task", "fit", "--norm-radius", "0.05"],
+    ], ids=["eval", "asymptotics_log", "asymptotics_scaling", "growth_fit"])
+    def test_readers_of_psi_alone_never_invert(self, tmp_path, contract_dir, inversions, argv):
+        # contract_dir is module-scoped, so its table is built before the spy goes in
+        rc = main(argv + ["--preset", "chsc", "--degree", "6",
+                          "--coeffs", str(contract_dir / "coefficients.json"), "--out", str(tmp_path)])
+        assert rc in (0, 1) and inversions == []
+
+    def test_point_outside_the_radius_exits_two_without_inverting(self, tmp_path, inversions, capsys):
+        write_spec(non_radial_n2_spec(12), tmp_path / "spec.json")
+        (tmp_path / "table.json").write_text(json.dumps(_table_record(2)))
+        rc = main(["asymptotics", "--spec", str(tmp_path / "spec.json"),
+                   "--coeffs", str(tmp_path / "table.json"),
+                   "--x", "0.5,0.5", "--y", "0.05,0.05", "--out", str(tmp_path)])
+        assert rc == 2 and inversions == []
+        assert "radius" in capsys.readouterr().err
+
+
 class TestGrowthCommand:
     def test_worst_case(self, tmp_path):
         rc = main(
@@ -312,6 +361,21 @@ INVALID_INPUTS = {
         "--coeffs", "table/coefficients.json", "--grid", "1",
     ],
     "polarize_samples_zero": ["polarize", "--preset", "chsc", "--degree", "6", "--samples", "0"],
+    "polarize_delta_negative": ["polarize", "--preset", "chsc", "--degree", "6", "--delta", "-5"],
+    "polarize_delta_zero": ["polarize", "--preset", "chsc", "--degree", "6", "--delta", "0"],
+    "polarize_delta_nan": ["polarize", "--preset", "chsc", "--degree", "6", "--delta", "nan"],
+    "fit_norm_radius_negative": [
+        "growth", "--task", "fit", "--preset", "chsc", "--degree", "6",
+        "--coeffs", "table/coefficients.json", "--norm-radius", "-0.1",
+    ],
+    "fit_norm_radius_zero": [
+        "growth", "--task", "fit", "--preset", "chsc", "--degree", "6",
+        "--coeffs", "table/coefficients.json", "--norm-radius", "0",
+    ],
+    "fit_norm_radius_nan": [
+        "growth", "--task", "fit", "--preset", "chsc", "--degree", "6",
+        "--coeffs", "table/coefficients.json", "--norm-radius", "nan",
+    ],
     "asymptotics_without_table": [
         "asymptotics", "--preset", "chsc", "--degree", "6", "--x", "0.01", "--y", "0.02",
     ],
@@ -609,11 +673,11 @@ def test_perturbed_valid_argv_keeps_the_exit_code_contract(contract_dir, case):
     exit_code_under_contract(argv, contract_dir, spec_text)
 
 
-def test_nan_contour_samples_fail_the_check(tmp_path):
-    rc = main(["polarize", "--preset", "chsc", "--degree", "6", "--delta", "nan",
-               "--out", str(tmp_path)])
-    assert rc == 1
-    assert not read_json(tmp_path / "contour.json")["report"]["passed"]
+def test_nan_contour_samples_fail_the_check():
+    # the command line refuses a NaN delta, so the NaN-sample path is reached directly
+    spec = make_preset("chsc", 1, 6)
+    report = check_good_contour(spec, polarize(spec), delta=float("nan"))
+    assert math.isnan(report.max_excess) and not report.passed
 
 
 def test_closed_form_curvature_below_float_range_is_flat(tmp_path):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from bergman import potential
 from bergman.coefficients import amplitude_from_b, bergman_coefficients
 from bergman.potential import (
-    PhaseChain,
     PotentialSpec,
     SpecValidationError,
     build_delta0,
@@ -292,8 +291,15 @@ class TestInvertTheta:
             return [TruncatedSeries(n3, D, coeffs)] + z[1:]
 
         monkeypatch.setattr(potential, "invert_theta", off_by_one_at_top_degree)
+        geom = build_geometry(preset_chsc(2, 1, 6))
+        # the read that inverts checks; a failed check keeps neither z nor its powers
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match="round-trip"):
+                geom.z_of_theta
+        assert "z_of_theta" not in vars(geom) and geom.z_powers == {}
         with pytest.raises(ArithmeticError, match="round-trip"):
-            build_geometry(preset_chsc(2, 1, 6))
+            geom.delta0_xytheta
+        assert geom.z_powers == {}
 
     def test_geometry_caches_substituted_powers_only(self, monkeypatch):
         # x and y enter every composition of the geometry as bare variables,
@@ -313,6 +319,8 @@ class TestInvertTheta:
 
         monkeypatch.setattr(TruncatedSeries, "compose", spy)
         geom = build_geometry(preset_chsc(2, 1, 8))
+        assert seen == []  # nothing is composed before a layer is read
+        geom.delta0_xytheta
         monkeypatch.undo()
         assert {2} in [lengths for _, lengths in seen]
         assert all(lengths <= {s} for s, lengths in seen)
@@ -392,13 +400,13 @@ class TestOldForms:
 
     def test_chain_rule_delta0_equals_the_jacobian_product(self, old_form_geom):
         geom = old_form_geom
-        fresh = PhaseChain(geom.n, geom.degree, geom.psi_x, geom.z_of_theta)
+        fresh = build_geometry(geom.spec)
         assert geom.delta0_xytheta == build_delta0(geom.psi, fresh) == delta0_jacobian_product(geom)
 
     def test_two_step_pullback_equals_the_w_table(self, old_form_geom):
         geom = old_form_geom
         for f in (geom.delta0_xytheta, *geom.z_of_theta, *first_amplitude(geom)):
-            pullback = geom.phase.substitute_z(geom.phase.to_xz(f))
+            pullback = geom.substitute_z(geom.to_xz(f))
             assert pullback == diagonal_pullback_w_table(geom, f)
 
     def test_reused_amplitudes_equal_the_recomputed(self, old_form_geom):
@@ -453,7 +461,7 @@ class TestZPowerTable:
         table = amplitude_from_b(bergman_coefficients(geom, order), geom)
         recon = reconstruct_coefficients(geom, transport_chain(geom, order))
         assert recon == list(table.b)
-        assert geom.phase.z_powers
+        assert geom.z_powers
         assert replaced == []
 
     SPECS = {
@@ -465,9 +473,10 @@ class TestZPowerTable:
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_entries_are_products_of_z(self, name):
         geom = build_geometry(self.SPECS[name]())
+        geom.delta0_xytheta  # the round-trip check and Delta0 fill the table
         n = geom.n
-        assert geom.phase.z_powers
-        for gamma, power in geom.phase.z_powers.items():
+        assert geom.z_powers
+        for gamma, power in geom.z_powers.items():
             assert len(gamma) == n and any(gamma)
             # each entry holds the product through its own degree
             D = power.trunc_degree
@@ -481,23 +490,31 @@ class TestZPowerTable:
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_build_delta0_with_and_without_the_table(self, name):
         geom = build_geometry(self.SPECS[name]())
-        with_table = build_delta0(geom.psi, geom.phase)
-        fresh = PhaseChain(geom.n, geom.degree, geom.psi_x, geom.z_of_theta)
-        without = build_delta0(geom.psi, fresh)
-        assert with_table == without == geom.delta0_xytheta
+        delta0 = geom.delta0_xytheta
+        with_table = build_delta0(geom.psi, geom)
+        without = build_delta0(geom.psi, self._without_table(geom.spec))
+        assert with_table == without == delta0
+
+    @staticmethod
+    def _without_table(spec):
+        """A geometry whose inversion is read and whose table of z-powers is empty."""
+        geom = build_geometry(spec)
+        geom.z_of_theta
+        geom.z_powers.clear()
+        return geom
 
     def test_a_later_call_that_reads_higher_replaces_the_entry(self, monkeypatch):
-        geom = build_geometry(self.SPECS["non_radial_n2"]())
-        phase = PhaseChain(geom.n, geom.degree, geom.psi_x, geom.z_of_theta)
+        spec = self.SPECS["non_radial_n2"]()
+        geom = self._without_table(spec)
         replaced = _count_replaced_entries(monkeypatch)
-        low = phase.substitute_z(self._z_polynomial(geom, 3))
-        assert all(p.trunc_degree <= 3 for g, p in phase.z_powers.items() if sum(g) > 1)
+        low = geom.substitute_z(self._z_polynomial(geom, 3))
+        assert all(p.trunc_degree <= 3 for g, p in geom.z_powers.items() if sum(g) > 1)
         full = self._z_polynomial(geom, geom.degree - 2)
-        got = phase.substitute_z(full)
+        got = geom.substitute_z(full)
         assert replaced
-        fresh = PhaseChain(geom.n, geom.degree, geom.psi_x, geom.z_of_theta)
+        fresh = self._without_table(spec)
         assert got == fresh.substitute_z(full)
-        assert low == fresh.substitute_z(self._z_polynomial(geom, 3))
+        assert low == fresh.substitute_z(self._z_polynomial(fresh, 3))
 
     @staticmethod
     def _z_polynomial(geom, degree):
@@ -510,14 +527,15 @@ class TestZPowerTable:
     def test_table_is_not_compared(self):
         spec = preset_quartic(1, F(1, 10), 8)
         geom, fresh = build_geometry(spec), build_geometry(spec)
-        geom.phase.z_powers[(99,)] = TruncatedSeries.one(3, 7)
+        geom.delta0_xytheta  # a pack with its layers built equals one without
+        geom.z_powers[(99,)] = TruncatedSeries.one(3, 7)
         assert geom == fresh
 
     def test_grown_table_leaves_the_coefficients_unchanged(self):
         spec = preset_quartic(1, F(1, 10), 10)
         geom = build_geometry(spec)
         chain = transport_chain(geom, 4)
-        before = set(geom.phase.z_powers)
+        before = set(geom.z_powers)
         # a dense polynomial in z asks for every power up to the degree
         D = geom.degree - 1
         z = TruncatedSeries.variable(2, D, 1)
@@ -525,8 +543,8 @@ class TestZPowerTable:
         for _ in range(D):
             power = power * z
             zpoly = zpoly + power
-        geom.phase.substitute_z(zpoly)
-        assert set(geom.phase.z_powers) > before
+        geom.substitute_z(zpoly)
+        assert set(geom.z_powers) > before
         fresh = build_geometry(spec)
         assert bergman_coefficients(geom, 4) == bergman_coefficients(fresh, 4)
         assert chain == transport_chain(fresh, 4)

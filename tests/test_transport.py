@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from bergman import potential
 from bergman.coefficients import amplitude_from_b, bergman_coefficients
 from bergman.kernel import eval_KN
 from bergman.potential import (
     DegreeBudgetError,
-    PhaseChain,
+    GeometryPack,
     PotentialSpec,
     build_geometry,
     preset_chsc,
@@ -162,21 +163,32 @@ class TestReconstruction:
         for m in range(4):
             assert via_transport[m] == direct.b[m]
 
-    def test_both_routes_share_one_phase_chain(self):
+    def test_both_routes_share_one_phase_chain(self, monkeypatch):
+        solve, inversions = potential.invert_theta, []
+
+        def counting(theta):
+            inversions.append(theta)
+            return solve(theta)
+
+        monkeypatch.setattr(potential, "invert_theta", counting)
         geom = build_geometry(preset_quartic(1, F(1, 10), 10))
         table = amplitude_from_b(bergman_coefficients(geom, 3), geom)
-        phase = geom.phase
+        def shared():
+            return geom.z_of_theta, geom.delta0_xytheta, geom.z_powers, geom.psi_x_powers
+
+        kept = shared()
         chain = transport_chain(geom, 3)
         recon = reconstruct_coefficients(geom, chain)
         assert is_zero(division_identity_gap(geom, chain, 3))
-        assert geom.phase is phase
+        assert len(inversions) == 1
+        assert all(a is b for a, b in zip(kept, shared()))
         assert recon == list(table.b)
 
     def test_steps_after_the_recursion_compose_no_amplitude(self, monkeypatch):
         spec = preset_quartic(1, F(1, 10), 12)
         geom = build_geometry(spec)
         bergman_coefficients(geom, 5)
-        substitute_z = PhaseChain.substitute_z
+        substitute_z = GeometryPack.substitute_z
         composed_b = []
 
         def spy(self, f):
@@ -184,7 +196,7 @@ class TestReconstruction:
                 composed_b.append(f)
             return substitute_z(self, f)
 
-        monkeypatch.setattr(PhaseChain, "substitute_z", spy)
+        monkeypatch.setattr(GeometryPack, "substitute_z", spy)
         chain = transport_chain(geom, 5)
         assert composed_b == []
         # on a geometry where no recursion ran, the steps compose b_1..b_4
@@ -276,8 +288,9 @@ def test_pipeline_reads_only_the_packed_form():
     assert all(recon[m] == table.b[m] for m in range(5))
     assert all((table.to_record(), chain.to_record(), [s.to_record() for s in recon]))
     eval_KN(geom, table, 40, 4, [0.1 + 0.05j], [0.12 - 0.03j])
-    held = list(_series_in((geom, table, chain, recon)))
-    # geometry (the quotient is not built), its kept (b_m, a_m) for m = 1..4, b and a,
-    # A_0..A_4, the steps' b_1..b_3, reconstructed b
-    assert len(held) == 5 + 8 + 10 + 5 + 3 + 5
+    layers = (geom.z_of_theta, geom.delta0_xytheta)
+    held = list(_series_in((geom, layers, table, chain, recon)))
+    # geometry fields, its z_of_theta and Delta0 (the quotient is not built), its kept
+    # (b_m, a_m) for m = 1..4, b and a, A_0..A_4, the steps' b_1..b_3, reconstructed b
+    assert len(held) == 3 + 2 + 8 + 10 + 5 + 3 + 5
     assert [s for s in held if s._coeffs is not None] == []
