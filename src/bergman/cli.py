@@ -26,6 +26,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 from .chsc import chsc_coefficients, verdict_record
@@ -201,6 +202,15 @@ def _parse_point(text: str, n: int) -> list:
     return point
 
 
+def _require_in_radius(spec: PotentialSpec, args, x: list, y: list) -> None:
+    """Refuse ``--x`` or ``--y`` when it lies outside the spec's evaluation radius."""
+    for option, text, pt in (("--x", args.x, x), ("--y", args.y, y)):
+        if not in_eval_radius(spec, pt):
+            raise SpecValidationError(
+                f"{option} {text!r} lies outside the evaluation radius {spec.eval_radius}"
+            )
+
+
 def _load_table(coeffs: str | None, n: int) -> CoefficientTable:
     """The coefficient table in ``coeffs``, checked against the spec dimension ``n``."""
     if coeffs is None:
@@ -213,16 +223,10 @@ def _load_table(coeffs: str | None, n: int) -> CoefficientTable:
     try:
         with open(path) as fh:
             table = CoefficientTable.from_record(json.load(fh)["table"])
-        consistent = len(table.b) == table.M + 1 and all(b.nvars == 2 * table.n for b in table.b)
     except KeyError as err:
         raise SpecValidationError(f"coefficient file {path} is missing the key {err}") from err
     except (TypeError, ValueError, ZeroDivisionError) as err:
         raise SpecValidationError(f"malformed coefficient file {path}: {err}") from err
-    if not consistent:
-        raise SpecValidationError(
-            f"malformed coefficient file {path}: expected M + 1 = {table.M + 1} series "
-            f"in {2 * table.n} variables"
-        )
     if table.n != n:
         raise SpecValidationError(
             f"coefficient file {path} is for dimension n={table.n}, but the spec has n={n}"
@@ -280,8 +284,6 @@ def cmd_polarize(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    if args.order < 0 or args.transport_order < 0:
-        raise SpecValidationError("--order and --transport-order must be non-negative")
     spec = _load_spec(args)
     geom = build_geometry(spec)
     table = amplitude_from_b(bergman_coefficients(geom, args.order), geom)
@@ -327,11 +329,7 @@ def cmd_eval(args) -> int:
     spec = _load_spec(args)
     x = _parse_point(args.x, spec.n)
     y = _parse_point(args.y, spec.n)
-    for option, text, pt in (("--x", args.x, x), ("--y", args.y, y)):
-        if not in_eval_radius(spec, pt):
-            raise SpecValidationError(
-                f"{option} {text!r} lies outside the evaluation radius {spec.eval_radius}"
-            )
+    _require_in_radius(spec, args, x, y)
     table = _load_table(args.coeffs, spec.n)
     geom = build_geometry(spec)
     if table.spec_sha256 != spec.sha256():
@@ -377,7 +375,13 @@ def cmd_asymptotics(args) -> int:
     x, y = _parse_point(args.x, n), _parse_point(args.y, n)
     if spec is None:
         c = Fraction(args.param if args.param is not None else 1)
-        evaluator = make_chsc_closed_evaluator(n, c, N=max(n, 1))
+        # the model at the least degree, for its radius: --radius, or the preset's own
+        model = make_preset("chsc", n, 2, c, args.radius)
+        model.validate()
+        _require_in_radius(model, args, x, y)
+        if any(1 + c * Fraction(sum(abs(v) ** 2 for v in p)) <= 0 for p in (x, y)):
+            raise SpecValidationError("--x or --y lies off the model's domain 1 + c|p|^2 > 0")
+        evaluator = make_chsc_closed_evaluator(n, c, N=n)
     else:
         table = _load_table(args.coeffs, n)
         evaluator = make_series_evaluator(build_geometry(spec), table)
@@ -449,8 +453,6 @@ def cmd_growth(args) -> int:
         print(f"growth fit ({args.model}): {fit.verdict}")
         return 0 if ok else 1
     if args.task == "worst-case":
-        from math import factorial
-
         table = worst_case_norm_table(args.n, args.order, args.kmax)
         rows = []
         ok = True
@@ -518,7 +520,7 @@ def cmd_growth(args) -> int:
 
 
 def cmd_chsc_check(args) -> int:
-    c = Fraction(args.param if args.param is not None else 1)
+    c = Fraction(args.param)
     record = verdict_record(args.n, c, args.order)
     degree = max(2 * args.order + 2, 4)
     geom = build_geometry(make_preset("chsc", args.n, degree, c))
@@ -564,8 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="coefficients by both methods plus cross-check")
     _spec_options(p)
-    p.add_argument("--order", type=int, required=True, help="highest order M")
-    p.add_argument("--transport-order", type=int, default=3)
+    p.add_argument("--order", type=_non_negative_int, required=True, help="highest order M")
+    p.add_argument("--transport-order", type=_non_negative_int, default=3)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_coeffs)
 
@@ -600,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_int_at_least(2), default=5)
     p.add_argument("--xi-max", type=_non_negative_int, default=0)
     p.add_argument("--model", choices=["m_factorial_sq", "m_factorial"], default="m_factorial_sq")
-    p.add_argument("--order", type=_non_negative_int, default=4, help="M for fit/worst-case tasks")
+    p.add_argument("--order", type=_non_negative_int, default=4, help="M for the worst-case task")
     p.add_argument("--kmax", type=_non_negative_int, default=4)
     p.add_argument("--C", type=_positive_float, default=1.0)
     p.add_argument("--k", type=_positive_int, default=100)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 
-from .potential import DegreeBudgetError, GeometryPack, RadiusError
+from .potential import GeometryPack, RadiusError, require_degree
 from .sampling import polydisc_points
 from .series import TruncatedSeries, exponents_of_degree, linear_combination, multi_factorial
 
@@ -61,14 +61,19 @@ class CoefficientTable:
 
     @classmethod
     def from_record(cls, rec: dict) -> "CoefficientTable":
-        return cls(
-            n=rec["n"],
-            M=rec["M"],
-            b=tuple(TruncatedSeries.from_record(r) for r in rec["b"]),
-            degrees=tuple(rec["effective_degrees"]),
-            spec_sha256=rec["spec_sha256"],
-            a=tuple(TruncatedSeries.from_record(r) for r in rec["a"]) if "a" in rec else None,
-        )
+        """The table of ``rec``; a ValueError unless its fields agree with its series."""
+        n, M = rec["n"], rec["M"]
+        if type(n) is not int or type(M) is not int or M < 0:
+            raise ValueError(f"n and M must be integers and M >= 0, got n={n!r}, M={M!r}")
+        b = tuple(TruncatedSeries.from_record(r) for r in rec["b"])
+        a = tuple(TruncatedSeries.from_record(r) for r in rec["a"]) if "a" in rec else None
+        for name, series, nvars in (("b", b, 2 * n), ("a", a, 3 * n)):
+            if series is not None and [s.nvars for s in series] != [nvars] * (M + 1):
+                raise ValueError(f"expected M + 1 = {M + 1} series {name} in {nvars} variables")
+        degrees = tuple(rec["effective_degrees"])
+        if degrees != tuple(s.trunc_degree for s in b):
+            raise ValueError("effective_degrees must be the truncation degrees of b")
+        return cls(n=n, M=M, b=b, degrees=degrees, spec_sha256=rec["spec_sha256"], a=a)
 
 
 def bergman_coefficients(geom: GeometryPack, M: int) -> CoefficientTable:
@@ -78,9 +83,7 @@ def bergman_coefficients(geom: GeometryPack, M: int) -> CoefficientTable:
     order M.
     """
     n, D = geom.n, geom.degree
-    need = required_geometry_degree(M)
-    if M >= 1 and D < need:
-        raise DegreeBudgetError(f"order {M} needs geometry degree >= {need}, got {D}", need)
+    require_degree(D, required_geometry_degree(M), f"order {M}")
     b = [TruncatedSeries.one(2 * n, D)]
     amplitudes = [geom.delta0_xytheta]  # a_j = (b_j o z) * Delta0, with a_0 = Delta0
     for m in range(1, M + 1):

@@ -277,19 +277,12 @@ def _fit(ks, residuals) -> DecayFit:
     return DecayFit(tuple(ks), tuple(residuals), slope, mean_r - slope * mean_k, False)
 
 
-def log_asymptotic_fit(evaluator: Callable, k_grid: Sequence[int], pairs) -> DecayFit:
-    """Fit the decay of the logarithmic-law residual over a k grid.
-
-    ``pairs`` is one fixed (x, y) pair or a callable k -> (x, y); shrinking
-    pairs with k keeps them inside the decay law's validity window.
-    """
+def log_asymptotic_fit(evaluator: Callable, k_grid: Sequence[int], pair) -> DecayFit:
+    """Fit the decay of the logarithmic-law residual over a k grid at one (x, y) ``pair``."""
     if not k_grid:
         raise ValueError("empty k grid")
-    residuals = []
-    for k in k_grid:
-        x, y = pairs(k) if callable(pairs) else pairs
-        residuals.append(evaluator(k, x, y).log_residual)
-    return _fit(list(k_grid), residuals)
+    x, y = pair
+    return _fit(list(k_grid), [evaluator(k, x, y).log_residual for k in k_grid])
 
 
 def scaling_fit(

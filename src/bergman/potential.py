@@ -16,14 +16,17 @@ Variable block conventions used across the package, for dimension n:
   n..2n-1.
 
 Everything is exact rational arithmetic; the segment integral in the phase
-(:func:`bergman.series.segment_average`) is done termwise with integer
-Beta-function weights, never by quadrature.
+(:func:`bergman.series.segment_average` of ``psi_x(y, z)``) is done termwise
+with integer Beta-function weights, never by quadrature, and the only linear
+algebra is :func:`bergman.series.det`.  :func:`require_degree` is the one
+refusal of a truncation degree too small for a computation.
 
-:func:`invert_theta` solves for z one homogeneous degree at a time and
-composes nothing.  :func:`build_geometry` builds psi, psi_x and the phase,
-which cost milliseconds; its :class:`GeometryPack` builds the checked
-inversion and both forms of ``Delta0`` on first read, so commands that read
-only psi never invert the phase.  The pack is the only code that composes
+:func:`invert_theta` solves for z one homogeneous degree at a time, with the
+inverse Hessian by Cramer's rule, and composes nothing.  :func:`build_geometry`
+builds psi, psi_x and the phase, which cost milliseconds; its
+:class:`GeometryPack` builds the checked inversion and both forms of
+``Delta0`` on first read, so commands that read only psi never invert the
+phase.  The pack is the only code that composes
 through the phase; it owns the one table of powers of ``z(x, y, theta)``,
 which the round-trip check, ``Delta0`` and both coefficient routes share.
 ``Delta0`` in (x, y, theta) is ``det(dw/dtheta)`` for
@@ -68,6 +71,12 @@ class DegreeBudgetError(ValueError):
     def __init__(self, message: str, required_degree: int):
         super().__init__(message)
         self.required_degree = required_degree
+
+
+def require_degree(degree: int, need: int, what: str) -> None:
+    """Raise :class:`DegreeBudgetError` unless the geometry ``degree`` is at least ``need``."""
+    if degree < need:
+        raise DegreeBudgetError(f"{what} needs geometry degree >= {need}, got {degree}", need)
 
 
 class RadiusError(ValueError):
@@ -250,24 +259,6 @@ def _nonpositive_minor(rows, shift=0) -> int:
     return next((s for s in range(1, len(rows) + 1) if det([r[:s] for r in rows[:s]]) <= 0), 0)
 
 
-def _fraction_matrix_inverse(rows: Sequence[Sequence[Fraction]]) -> list:
-    size = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
-           for i, row in enumerate(rows)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular linear part")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
-
-
 # -- polarization and phase ---------------------------------------------------
 
 
@@ -286,17 +277,9 @@ def polarize(spec: PotentialSpec) -> TruncatedSeries:
 def build_theta(psi: TruncatedSeries) -> list:
     """The phase theta_i(x,y,z): the x-gradient of psi averaged from y to x."""
     n = psi.nvars // 2
-    out = []
-    passthrough = {n + i: 2 * n + i for i in range(n)}  # z block through
-    for i in range(n):
-        g = psi.diff(unit(2 * n, i))
-        out.append(
-            segment_average(
-                g, n, block_start=0, x_start=0, y_start=n,
-                out_nvars=3 * n, passthrough=passthrough,
-            )
-        )
-    return out
+    # psi_x(y, z) in (x, y, z) blocks, averaged over its y block
+    return [segment_average(psi.diff(unit(2 * n, i)).remap_variables(3 * n, range(n, 3 * n)), n)
+            for i in range(n)]
 
 
 def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
@@ -331,9 +314,12 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     n = n3 // 3
     D = theta[0].trunc_degree
     hess = [[Fraction(theta[i][unit(n3, 2 * n + j)]) for j in range(n)] for i in range(n)]
-    if det(hess) == 0:
+    det_h = det(hess)
+    if det_h == 0:
         raise ValueError("singular linear part: phase map not invertible at 0")
-    hinv = _fraction_matrix_inverse(hess)
+    # Cramer's rule: (H^{-1})_ij is det H, with column i replaced by e_j, over det H
+    hinv = [[det([[int(r == j) if c == i else v for c, v in enumerate(row)]
+                  for r, row in enumerate(hess)]) / det_h for j in range(n)] for i in range(n)]
 
     # r[i][gamma][e]: the degree-e part of the coefficient of z^gamma in R_i, in x and y only
     units = [unit(n, j) for j in range(n)]
@@ -389,19 +375,18 @@ def _psi_y(psi: TruncatedSeries) -> list:
     return [psi_at_yz.diff(unit(n3, n + i)) for i in range(n)]
 
 
-def build_delta0(psi: TruncatedSeries, phase: "GeometryPack") -> TruncatedSeries:
+def build_delta0(geom: "GeometryPack") -> TruncatedSeries:
     """The Jacobian ratio det psi_yz / det theta_z in (x, y, theta) blocks.
 
     It needs no quotient: at z = z(x, y, theta) the inverse function theorem
     gives ``det theta_z * det(dz/dtheta) = 1``, so the ratio is
     ``det(psi_yz o z) * det(dz/dtheta)``, which by the chain rule is
-    ``det(dw/dtheta)`` for ``w = psi_y(y, z(x, y, theta))``, composed by
-    ``phase``, the :class:`GeometryPack` of psi, through the z-powers the
-    round-trip check built; no dense series is multiplied outside the
-    determinant.
+    ``det(dw/dtheta)`` for ``w = psi_y(y, z(x, y, theta))``, composed by the
+    pack through the z-powers the round-trip check built; no dense series is
+    multiplied outside the determinant.
     """
-    n = psi.nvars // 2
-    w = [phase.substitute_z(g) for g in _psi_y(psi)]
+    n = geom.n
+    w = [geom.substitute_z(g) for g in _psi_y(geom.psi)]
     return det([[wi.diff(unit(3 * n, 2 * n + j)) for j in range(n)] for wi in w])
 
 
@@ -454,7 +439,7 @@ class GeometryPack:
     @cached_property
     def delta0_xytheta(self) -> TruncatedSeries:
         """Delta0 in (x, y, theta) blocks, degree D - 2, by :func:`build_delta0`."""
-        delta0 = build_delta0(self.psi, self)
+        delta0 = build_delta0(self)
         if delta0.constant_term != 1:
             raise ArithmeticError("Delta0 must have constant term 1")
         return delta0
@@ -506,8 +491,7 @@ class GeometryPack:
 def build_geometry(spec: PotentialSpec) -> GeometryPack:
     psi = polarize(spec)
     n, D = spec.n, spec.trunc_degree
-    if D < 3:
-        raise DegreeBudgetError("geometry needs trunc_degree >= 3", 3)
+    require_degree(D, 3, "the phase")
     return GeometryPack(
         spec=spec,
         n=n,

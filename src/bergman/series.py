@@ -82,10 +82,11 @@ Operations build their results through ``TruncatedSeries._canonical``, which
 only drops zeros, sorts and reduces the denominator.  That is safe because
 each makes one entry per key from keys of valid operands by digit arithmetic
 that cannot carry: sums of keys of total degree at most the output degree
-(products, ``invert``, ``compose``, ``segment_average``), a multi-index taken
-from digits at least as large (``diff``), the keys repacked to one base
-(``linear_combination``), a degree cut (``truncate``), digits moved between
-slots (``remap_variables`` and bare ``compose`` arguments), or trailing
+(products, ``invert``, ``compose``), a multi-index taken from digits at least
+as large (``diff``), the keys repacked to one base (``linear_combination``),
+a degree cut (``truncate``), digits moved between slots (``remap_variables``,
+bare ``compose`` arguments, and ``segment_average``, which moves part of each
+y digit to the matching x digit and keeps the degree digit), or trailing
 digits cleared with their sum taken off the degree digit
 (``graded_coefficients``).
 """
@@ -725,47 +726,35 @@ def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int, ou
             acc[k] = get(k, 0) + va * vb
 
 
-def segment_average(
-    f: TruncatedSeries, n: int, block_start: int, x_start: int, y_start: int,
-    out_nvars: int, passthrough: dict,
-) -> TruncatedSeries:
-    """Integrate f with its block at ``block_start`` moved along a segment.
+def segment_average(f: TruncatedSeries, n: int) -> TruncatedSeries:
+    """``int_0^1 f(x, t*x + (1-t)*y, w) dt`` for f in (x, y, w) blocks of n variables each.
 
-    Replaces the n variables starting at ``block_start`` by ``t*x + (1-t)*y``
-    and integrates t over [0, 1] exactly: with D the degree of f, the monomial
-    ``w^gamma`` contributes the integer weight ``binom(gamma, j) |j|! |gamma-j|!
-    (D+1)!/(|gamma|+1)!`` at ``x^j y^(gamma-j)``, built once per ``gamma``; all
-    terms share the denominator of f times ``(D+1)!``, reduced once at the end.
-    Other variables move via ``passthrough``.
+    Exact and termwise: with D the degree of f, the y monomial ``y^gamma``
+    contributes the integer weight ``binom(gamma, j) |j|! |gamma-j|!
+    (D+1)!/(|gamma|+1)!`` at ``x^j y^(gamma-j)``, so a key gains j in its x
+    digits and loses it from its y digits, a step built once per ``gamma``.
+    All terms share the denominator of f times ``(D+1)!``, reduced once.
     """
-    D = f.trunc_degree
-    shift = _shift_for(D)
+    D, shift = f.trunc_degree, f._shift
     top = factorial(D + 1)
-    splits: dict = {}  # gamma -> [(packed key of x^j y^(gamma-j), integer weight)]
+    pad = (0,) * n
+    splits: dict = {}  # gamma -> [(key step x^j / y^j, integer weight)]
     acc: dict = {}
     get = acc.get
     for key, value in zip(f._keys, f._nums):
-        e = _unpack(key, f.nvars, f._shift)
-        gamma = e[block_start : block_start + n]
+        gamma = _unpack(key, 3 * n, shift)[n : 2 * n]
         split = splits.get(gamma)
         if split is None:
             total = sum(gamma)
             split = splits[gamma] = []
             for j in sub_indices(gamma):
-                out = [0] * out_nvars
                 w = top // factorial(total + 1) * factorial(sum(j)) * factorial(total - sum(j))
-                for i, (g, jj) in enumerate(zip(gamma, j)):
+                for g, jj in zip(gamma, j):
                     w *= comb(g, jj)
-                    out[x_start + i] += jj
-                    out[y_start + i] += g - jj
-                split.append((_pack(out, shift), w))
-        base = [0] * out_nvars
-        for src, dst in passthrough.items():
-            base[dst] += e[src]
-        base = _pack(base, shift)
-        for p, w in split:
-            acc[base + p] = get(base + p, 0) + value * w
-    return TruncatedSeries._canonical(out_nvars, D, shift, acc, f._den * top)
+                split.append((_pack(j + pad + pad, shift) - _pack(pad + j + pad, shift), w))
+        for step, w in split:
+            acc[key + step] = get(key + step, 0) + value * w
+    return TruncatedSeries._canonical(3 * n, D, shift, acc, f._den * top)
 
 
 def det(rows: Sequence[Sequence]):

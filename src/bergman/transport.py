@@ -16,11 +16,13 @@ coefficients that must agree exactly with the divergence-form recursion of
 is the first half of the pullback of step m + 1, so the chain keeps the
 b_1..b_{M-1} its steps made and reconstruction collapses only ``A_M``.
 
-The particular antiderivative solutions used here are the segment averages;
-they are what makes the chain reproducible (solutions of the division
-problem are not unique).
+The particular antiderivative solutions used here are the segment averages
+over the y block, :func:`bergman.series.segment_average`, the same integral
+that builds the phase; they are what makes the chain reproducible (solutions
+of the division problem are not unique).
 
-Degree bookkeeping, asserted at runtime: with geometry at degree D the order
+Degree bookkeeping, refused at runtime by
+:func:`bergman.potential.require_degree`: with geometry at degree D the order
 m vector amplitude is exact through ``D - 2m - 1`` (one y derivative and one
 theta derivative per step), so a chain to order M needs ``D >= 2M + 1`` and
 coefficient reconstruction needs ``D >= 2M + 2``.
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .potential import DegreeBudgetError, GeometryPack
+from .potential import GeometryPack, require_degree
 from .series import TruncatedSeries, linear_combination, segment_average, unit
 
 
@@ -52,19 +54,9 @@ class TransportChain:
         }
 
 
-def _segment_average_y(f: TruncatedSeries, n: int) -> TruncatedSeries:
-    """Integrate f(x, t x + (1-t) y, theta) dt over [0, 1], termwise."""
-    passthrough = {i: i for i in range(n)}
-    passthrough.update({2 * n + i: 2 * n + i for i in range(n)})
-    return segment_average(
-        f, n, block_start=n, x_start=0, y_start=n, out_nvars=3 * n,
-        passthrough=passthrough,
-    )
-
-
 def _y_gradient_average(f: TruncatedSeries, n: int) -> list:
     """Components -int_0^1 (D_{y_i} f)(x, tx+(1-t)y, theta) dt."""
-    return [-_segment_average_y(f.diff(unit(3 * n, n + i)), n) for i in range(n)]
+    return [-segment_average(f.diff(unit(3 * n, n + i)), n) for i in range(n)]
 
 
 def _divergence_theta(vec, n: int) -> TruncatedSeries:
@@ -89,14 +81,12 @@ def first_amplitude(geom: GeometryPack) -> tuple:
     return tuple(_y_gradient_average(geom.delta0_xytheta, geom.n))
 
 
-def next_amplitude(geom: GeometryPack, prev_vec, m: int) -> tuple:
-    """``(A_m, b_{m-1})`` from A_{m-1}, for m >= 2.
+def next_amplitude(geom: GeometryPack, prev_vec) -> tuple:
+    """``(A_m, b_{m-1})`` from A_{m-1} = ``prev_vec``, for m >= 2.
 
     A_m is the same averaged-gradient solution as A_1; b_{m-1} is the
     collapse of D_theta . A_{m-1} that the step computes on the way.
     """
-    if m < 2:
-        raise ValueError("next_amplitude starts at order 2")
     b_prev, rhs = _step_rhs(geom, prev_vec)
     return tuple(_y_gradient_average(rhs, geom.n)), b_prev
 
@@ -104,20 +94,14 @@ def next_amplitude(geom: GeometryPack, prev_vec, m: int) -> tuple:
 def transport_chain(geom: GeometryPack, M: int) -> TransportChain:
     """Build A_1..A_M; raises when the geometry degree cannot support M."""
     n, D = geom.n, geom.degree
-    if M >= 1 and D < 2 * M + 1:
-        raise DegreeBudgetError(
-            f"transport chain to order {M} needs geometry degree >= {2 * M + 1}, got {D}",
-            2 * M + 1,
-        )
-    zero_vec = tuple(
-        TruncatedSeries.zero(3 * n, max(0, D - 1)) for _ in range(n)
-    )
+    require_degree(D, 2 * M + 1, f"the transport chain to order {M}")
+    zero_vec = tuple(TruncatedSeries.zero(3 * n, D - 1) for _ in range(n))
     vectors = [zero_vec]
     collapses = []
     if M >= 1:
         vectors.append(first_amplitude(geom))
     for m in range(2, M + 1):
-        vec, b_prev = next_amplitude(geom, vectors[m - 1], m)
+        vec, b_prev = next_amplitude(geom, vectors[m - 1])
         vectors.append(vec)
         collapses.append(b_prev)
     return TransportChain(n=n, M=M, A=tuple(vectors), b=tuple(collapses))
@@ -131,11 +115,7 @@ def reconstruct_coefficients(geom: GeometryPack, chain: TransportChain) -> list:
     chain's steps computed b_1..b_{M-1}, so only b_M is collapsed here.
     """
     n, D = geom.n, geom.degree
-    if D < 2 * chain.M + 2:
-        raise DegreeBudgetError(
-            f"reconstruction to order {chain.M} needs geometry degree >= {2 * chain.M + 2}",
-            2 * chain.M + 2,
-        )
+    require_degree(D, 2 * chain.M + 2, f"reconstruction to order {chain.M}")
     out = [TruncatedSeries.one(2 * n, D), *chain.b]
     for m in range(len(out), chain.M + 1):
         out.append(geom.to_xz(_divergence_theta(chain.A[m], n)))

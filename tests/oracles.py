@@ -7,7 +7,9 @@ form: they read the ``coeffs`` view, one exponent tuple and one ``Fraction``
 per term.  ``invert_theta_sweeps``, ``diagonal_pullback_w_table``,
 ``delta0_quotient`` and ``delta0_jacobian_product`` are the phase geometry's
 earlier forms: whole compositions through plain ``compose``, with no
-table shared with the pipeline.
+table shared with the pipeline; the sweeps invert the Hessian by
+Gauss-Jordan elimination (``fraction_matrix_inverse``), where the pipeline
+uses Cramer's rule over ``det``.
 ``amplitudes_recomputed`` and ``collapses_recomputed`` compute every
 amplitude ``(b_m o z) * Delta0`` and every collapse ``to_xz(D_theta . A_m)``
 anew, on a fresh geometry, where the pipeline reuses what the
@@ -21,7 +23,7 @@ import math
 from fractions import Fraction
 from math import comb, factorial
 
-from bergman.potential import _fraction_matrix_inverse, build_geometry
+from bergman.potential import build_geometry
 from bergman.series import (
     TruncatedSeries,
     det,
@@ -155,6 +157,23 @@ def eval_oracle(series, point):
 # -- the phase geometry's earlier forms ---------------------------------------------
 
 
+def fraction_matrix_inverse(rows):
+    """The inverse of an invertible matrix of exact rationals, by Gauss-Jordan elimination."""
+    size = len(rows)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
+           for i, row in enumerate(rows)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(size):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[size:] for row in aug]
+
+
 def invert_theta_sweeps(theta):
     """``potential.invert_theta`` as fixed-point sweeps of whole compositions.
 
@@ -166,7 +185,7 @@ def invert_theta_sweeps(theta):
     n = n3 // 3
     D = theta[0].trunc_degree
     hess = [[Fraction(theta[i][unit(n3, 2 * n + j)]) for j in range(n)] for i in range(n)]
-    hinv = _fraction_matrix_inverse(hess)
+    hinv = fraction_matrix_inverse(hess)
     zvars = TruncatedSeries.variables(n3, D)[2 * n :]
     remainder = [
         linear_combination([(1, theta[i])] + [(-h, zv) for h, zv in zip(hess[i], zvars) if h])

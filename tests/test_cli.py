@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -124,12 +126,11 @@ class TestCoeffs:
         "orders", [["--order", "-1"], ["--order", "2", "--transport-order", "-1"]]
     )
     def test_negative_order_is_exit_two(self, tmp_path, capsys, orders):
-        rc = main(
-            ["coeffs", "--preset", "flat", "--n", "1", "--degree", "6", *orders,
-             "--out", str(tmp_path)]
-        )
-        assert rc == 2
-        assert "must be non-negative" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:  # argparse refuses the argument itself
+            main(["coeffs", "--preset", "flat", "--n", "1", "--degree", "6", *orders,
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "must be at least 0" in capsys.readouterr().err
         assert not (tmp_path / "crosscheck.json").exists()
 
 
@@ -321,7 +322,8 @@ class TestDeterminism:
 # that read it, so they fail on the argument under test, not on a missing table.
 # The "table_*.json" files are small hand-written tables (see _table_record):
 # one without keys, one in a float mode, one for n=2, one with a short index,
-# one claiming more orders than it holds and one whose n disagrees with its series.
+# one claiming more orders than it holds, one whose n disagrees with its series,
+# and those of TABLE_DEFECTS below.
 EVAL = [
     "eval", "--preset", "chsc", "--degree", "6", "--coeffs", "table/coefficients.json",
 ]
@@ -439,6 +441,26 @@ INVALID_INPUTS = {
         "eval", "--preset", "chsc", "--degree", "6", "--coeffs", "table_n1_series_n2.json",
         "--k", "10", "--x", "0.1", "--y", "0.05",
     ],
+    "closed_form_point_off_domain": [
+        "asymptotics", "--closed-form", "--preset", "chsc", "--param", "-1", "--radius", "2",
+        "--x", "1", "--y", "1",
+    ],
+    "closed_form_point_outside_default_radius": [
+        "asymptotics", "--closed-form", "--preset", "chsc", "--param", "-1",
+        "--x", "1.5", "--y", "1.5",
+    ],
+    "closed_form_point_outside_given_radius": [
+        "asymptotics", "--closed-form", "--preset", "chsc", "--radius", "0.01",
+        "--x", "0.5", "--y", "0.005",
+    ],
+    "closed_form_scaling_point_outside_radius": [
+        "asymptotics", "--closed-form", "--preset", "chsc", "--mode", "scaling",
+        "--x", "0.01", "--y", "0.5",
+    ],
+    "closed_form_radius_negative": [
+        "asymptotics", "--closed-form", "--preset", "chsc", "--radius", "-1",
+        "--x", "0.01", "--y", "0.02",
+    ],
 }
 
 
@@ -448,6 +470,33 @@ def _table_record(n, mode="rational", index_length=None):
     term.update({"num": 1, "den": 1} if mode == "rational" else {"re": 1.0, "im": 0.0})
     b0 = {"nvars": 2 * n, "trunc_degree": 6, "mode": mode, "terms": [term]}
     return {"table": {"n": n, "M": 0, "effective_degrees": [6], "spec_sha256": "", "b": [b0]}}
+
+
+# Tables whose fields disagree with their series: each is _table_record(1) with
+# these fields replaced, written as table_<name>.json.  One with no orders at all
+# would evaluate, fit and bound nothing, so each command must refuse it.
+TABLE_DEFECTS = {
+    "M_negative": {"M": -1, "b": [], "effective_degrees": []},
+    "n_bool": {"n": True},
+    "M_bool": {"M": True},
+    "degrees_not_the_series_degrees": {"effective_degrees": [99, -5, "x"]},
+    "degree_off_by_one": {"effective_degrees": [7]},
+    "a_in_two_variables": {"a": _table_record(1)["table"]["b"]},
+    "a_too_few": {"a": []},
+}
+for _defect in TABLE_DEFECTS:
+    INVALID_INPUTS[f"coeffs_{_defect}"] = [
+        "eval", "--preset", "chsc", "--degree", "6", "--coeffs", f"table_{_defect}.json",
+        "--k", "10", "--x", "0.1", "--y", "0.05",
+    ]
+INVALID_INPUTS["coeffs_M_negative_asymptotics"] = [
+    "asymptotics", "--preset", "chsc", "--degree", "6", "--coeffs", "table_M_negative.json",
+    "--x", "0.01", "--y", "0.02",
+]
+INVALID_INPUTS["coeffs_M_negative_fit"] = [
+    "growth", "--task", "fit", "--preset", "chsc", "--degree", "6",
+    "--coeffs", "table_M_negative.json",
+]
 
 
 @pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
@@ -471,6 +520,8 @@ def test_invalid_input_exits_two_without_traceback(tmp_path, monkeypatch, capsys
         "table_M2.json": {"table": {**_table_record(1)["table"], "M": 2}},
         "table_n1_series_n2.json": {"table": {**_table_record(2)["table"], "n": 1}},
     }
+    for name, fields in TABLE_DEFECTS.items():
+        tables[f"table_{name}.json"] = {"table": {**_table_record(1)["table"], **fields}}
     for name, record in tables.items():
         (tmp_path / name).write_text(json.dumps(record))
     if "table/coefficients.json" in INVALID_INPUTS[case]:
@@ -484,6 +535,27 @@ def test_invalid_input_exits_two_without_traceback(tmp_path, monkeypatch, capsys
     assert rc == 2
     assert "Traceback" not in err
     assert "error" in err
+
+
+def readme_commands():
+    """The arguments of each ``bergman`` line of the README's sh blocks, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("bergman "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_cli_lines_exit_zero(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the README writes to out/
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "polarize", "coeffs", "eval", "asymptotics", "growth", "chsc-check",
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv
 
 
 def test_the_package_loads_only_the_standard_library():

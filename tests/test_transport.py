@@ -135,11 +135,9 @@ class TestSteps:
     def test_stepwise_api_matches_chain(self, quartic_geom, quartic_chain):
         a1 = first_amplitude(quartic_geom)
         assert a1 == quartic_chain.A[1]
-        a2, b1 = next_amplitude(quartic_geom, a1, 2)
+        a2, b1 = next_amplitude(quartic_geom, a1)
         assert a2 == quartic_chain.A[2]
         assert b1 == quartic_chain.b[0] == bergman_coefficients(quartic_geom, 1).b[1]
-        with pytest.raises(ValueError):
-            next_amplitude(quartic_geom, a1, 1)
 
 
 class TestReconstruction:
