@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
 
+from .potential import RadiusError
 from .series import TruncatedSeries
 
 
@@ -101,7 +102,8 @@ def polynomial_identity_check(model: ChscModel) -> bool:
 def chsc_psi(c) -> Callable:
     """The closed-form polarized potential (1/c) log(1 + c x . zbar) as a function
     of ``(x, zbar)``, with limit x . zbar where c is 0 as a float; c is converted
-    to float once."""
+    to float once.  A pair with 1 + c x . zbar = 0, where the logarithm has its
+    pole, raises :class:`bergman.potential.RadiusError`."""
     cf = float(Fraction(c))
     flat = cf == 0
 
@@ -109,7 +111,10 @@ def chsc_psi(c) -> Callable:
         w = sum(complex(a) * complex(b) for a, b in zip(x, zbar))
         if flat:
             return w
-        return cmath.log(1 + cf * w) / cf
+        u = 1 + cf * w
+        if u == 0:
+            raise RadiusError("the pair lies off the model's domain: 1 + c x.conj(y) = 0")
+        return cmath.log(u) / cf
 
     return psi
 

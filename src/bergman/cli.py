@@ -8,10 +8,11 @@ same configuration writes byte-identical files.
 
 Exit codes: 0 when every verdict in the run passed, 1 when a verdict failed,
 2 for invalid input (malformed arguments, spec files or coefficient tables,
-a table of another dimension than the spec, spec validation, missing files,
-evaluation points or a norm radius outside the spec's radius, insufficient
-degree, requests over a resource guard, values whose floating-point image
-overflows in a numeric step), and 3 for an unexpected internal error,
+a table of another dimension than the spec, spec validation, missing or
+unreadable files, an ``--out`` that cannot be written, evaluation points or a
+norm radius outside the spec's radius, a closed-form pair off the model's
+domain, insufficient degree, requests over a resource guard, values whose
+floating-point image overflows in a numeric step), and 3 for an unexpected internal error,
 reported as one ``internal error:`` line on stderr instead of a traceback.
 A failed transport cross-check names the first differing term in
 ``crosscheck.json``.
@@ -35,6 +36,7 @@ from .coefficients import (
     amplitude_from_b,
     bergman_coefficients,
     derivative_norm_table,
+    required_geometry_degree,
 )
 from .growth import (
     ResourceGuardError,
@@ -46,7 +48,6 @@ from .growth import (
 from .kernel import (
     choose_truncation_order,
     eval_KN,
-    in_eval_radius,
     log_asymptotic_fit,
     make_chsc_closed_evaluator,
     make_series_evaluator,
@@ -59,6 +60,7 @@ from .potential import (
     SpecValidationError,
     build_geometry,
     check_good_contour,
+    in_eval_radius,
     make_preset,
 )
 from .series import TruncatedSeries, grlex_key
@@ -165,8 +167,6 @@ def _spec_options(parser: argparse.ArgumentParser) -> None:
 
 def _load_spec(args) -> PotentialSpec:
     if args.spec is not None:
-        if not args.spec.exists():
-            raise FileNotFoundError(f"spec file not found: {args.spec}")
         spec = PotentialSpec.from_file(args.spec)
     elif args.preset is not None:
         if args.degree is None:
@@ -218,8 +218,6 @@ def _load_table(coeffs: str | None, n: int) -> CoefficientTable:
             "--coeffs is required: a coefficients.json from the coeffs command"
         )
     path = Path(coeffs)
-    if not path.exists():
-        raise FileNotFoundError(f"coefficient file not found: {path}")
     try:
         with open(path) as fh:
             table = CoefficientTable.from_record(json.load(fh)["table"])
@@ -521,13 +519,14 @@ def cmd_growth(args) -> int:
 
 def cmd_chsc_check(args) -> int:
     c = Fraction(args.param)
-    record = verdict_record(args.n, c, args.order)
-    degree = max(2 * args.order + 2, 4)
+    order = args.n + 2 if args.order is None else args.order
+    record = verdict_record(args.n, c, order)
+    degree = max(required_geometry_degree(order), 4)
     geom = build_geometry(make_preset("chsc", args.n, degree, c))
-    table = bergman_coefficients(geom, args.order)
-    closed = chsc_coefficients(args.n, c, args.order)
+    table = bergman_coefficients(geom, order)
+    closed = chsc_coefficients(args.n, c, order)
     cross_ok = True
-    for m in range(args.order + 1):
+    for m in range(order + 1):
         series = table.b[m]
         if len(series.coeffs) > 1 or series.constant_term != closed[m]:
             cross_ok = False
@@ -536,7 +535,7 @@ def cmd_chsc_check(args) -> int:
     _write_report(
         Path(args.out) / "chsc_check.json",
         "chsc-check",
-        config={"n": args.n, "c": str(c), "order": args.order, "degree": degree},
+        config={"n": args.n, "c": str(c), "order": order, "degree": degree},
         result=record,
         verdict="pass" if ok else "fail",
     )
@@ -625,14 +624,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "order", None) is None and args.command == "chsc-check":
-        args.order = args.n + 2
     try:
         return args.fn(args)
     except DegreeBudgetError as err:
         print(f"error: {err} (required degree {err.required_degree})", file=sys.stderr)
         return 2
-    except (SpecValidationError, FileNotFoundError, ResourceGuardError, RadiusError) as err:
+    except (SpecValidationError, OSError, ResourceGuardError, RadiusError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OverflowError as err:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 
-from .potential import GeometryPack, RadiusError, require_degree
+from .potential import GeometryPack, RadiusError, in_eval_radius, require_degree
 from .sampling import polydisc_points
 from .series import TruncatedSeries, exponents_of_degree, linear_combination, multi_factorial
 
@@ -165,7 +165,7 @@ def derivative_norm_table(
     """Evaluate ||D_z^xi b_m|| on a grid x grid product grid in the polydisc."""
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    if radius > geom.spec.eval_radius + 1e-12:
+    if not in_eval_radius(geom.spec, [radius]):
         raise RadiusError("radius exceeds the spec evaluation radius")
     n = geom.n
     xs = polydisc_points(n, radius, grid)

@@ -52,7 +52,11 @@ class GrowthFit:
 _MODEL_WEIGHTS = {"m_factorial_sq": 2, "m_factorial": 1}
 
 
-def fit_growth(norms: NormTable, model: str = "m_factorial_sq", slack: float = 0.05) -> GrowthFit:
+# how far above the first half's covering constant the later orders may push it
+GROWTH_SLACK = 0.05
+
+
+def fit_growth(norms: NormTable, model: str = "m_factorial_sq") -> GrowthFit:
     """Fit the growth model to the order norms b_{m,0}, m >= 1.
 
     All-zero families report "vanishing"; families positive on a prefix and
@@ -62,9 +66,9 @@ def fit_growth(norms: NormTable, model: str = "m_factorial_sq", slack: float = 0
     The model asserts an upper bound, so the verdict checks that the bound
     covers with a stable constant: cover_C is the smallest constant whose
     bound ``C^m (m!)^w`` dominates every computed norm, and the verdict is
-    PASS when the later orders do not push it more than ``slack`` above the
-    covering constant of the first half.  Norms growing slower than the
-    model therefore pass (they sit under the bound); norms growing faster
+    PASS when the later orders do not push it more than ``GROWTH_SLACK``
+    above the covering constant of the first half.  Norms growing slower than
+    the model therefore pass (they sit under the bound); norms growing faster
     keep raising the covering constant to the last computed order and fail.
     The least-squares constant is reported alongside; it is the default
     calibration for the optimal truncation order, not the verdict.
@@ -77,7 +81,7 @@ def fit_growth(norms: NormTable, model: str = "m_factorial_sq", slack: float = 0
     tail = tuple(values[1:])
     base = dict(
         orders=orders, norms=tail, model=model, fitted_C=None, cover_C=None,
-        prefix_cover_C=None, residuals=(), slack=slack,
+        prefix_cover_C=None, residuals=(), slack=GROWTH_SLACK,
         radius=norms.radius, grid=norms.grid,
     )
     positive = [(m, values[m]) for m in orders if values[m] > 0]
@@ -100,7 +104,7 @@ def fit_growth(norms: NormTable, model: str = "m_factorial_sq", slack: float = 0
     split = max(2, (len(per_order) + 1) // 2)
     cover = math.exp(max(per_order))
     prefix_cover = math.exp(max(per_order[:split]))
-    verdict = "pass" if cover <= prefix_cover * (1.0 + slack) else "fail"
+    verdict = "pass" if cover <= prefix_cover * (1.0 + GROWTH_SLACK) else "fail"
     base["fitted_C"] = math.exp(log_c)
     base["cover_C"] = cover
     base["prefix_cover_C"] = prefix_cover

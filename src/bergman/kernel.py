@@ -32,12 +32,11 @@ import marshal
 import math
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .chsc import chsc_coefficients, chsc_psi
 from .coefficients import CoefficientTable
-from .potential import GeometryPack, RadiusError
+from .potential import GeometryPack, RadiusError, in_eval_radius
 
 
 def choose_truncation_order(k: int, C: float, max_order: int | None = None) -> int:
@@ -173,14 +172,6 @@ def _assemble(n: int, k: int, pv: PointValues) -> KernelReport:
     )
 
 
-def in_eval_radius(spec, point: Sequence[complex]) -> bool:
-    """Whether every component of ``point`` lies within the spec's evaluation radius.
-
-    A NaN component does not: every comparison with NaN is false.
-    """
-    return all(abs(complex(v)) <= spec.eval_radius + 1e-12 for v in point)
-
-
 # (weak reference to the geometry, weak reference to the table, N, evaluator)
 # of the last eval_KN call
 _series_slot = [None]
@@ -226,20 +217,18 @@ def make_series_evaluator(geom: GeometryPack, table: CoefficientTable) -> Callab
     return run
 
 
-def make_chsc_closed_evaluator(n: int, c, N: int | None = None) -> Callable:
-    """Closed-form evaluator (k, x, y) -> report at order N (default n).
+@functools.lru_cache(maxsize=256)
+def make_chsc_closed_evaluator(n: int, c, N: int) -> PairEvaluator:
+    """Closed-form evaluator (k, x, y) -> report at order N.
 
     c and the constants b_0..b_N go to float once, as ``complex(float(b_j))``.
-    The evaluators of recently used (n, c, N) are cached, keyed by the exact
-    value of c, so repeated calls share one :class:`PairEvaluator` and its point values.
+    The evaluators of recently used (n, c, N) are cached, keyed by the value
+    of c, so repeated calls share one :class:`PairEvaluator` and its point
+    values.  Every caller passes N by keyword: the cache keys a positional N
+    apart.
     """
-    return _chsc_closed_evaluator(n, Fraction(c), N if N is not None else n)
-
-
-@functools.lru_cache(maxsize=256)
-def _chsc_closed_evaluator(n: int, c: Fraction, order: int) -> PairEvaluator:
-    consts = [complex(float(b)) for b in chsc_coefficients(n, c, max(order, 0))]
-    return PairEvaluator(n, order, chsc_psi(c), lambda j, px, zbar: consts[j])
+    consts = [complex(float(b)) for b in chsc_coefficients(n, c, N)]
+    return PairEvaluator(n, N, chsc_psi(c), lambda j, px, zbar: consts[j])
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ A potential is supplied as Hermitian coefficient data for
 ``phi(x) = sum c[alpha,beta] x^alpha conj(x)^beta`` near 0.  This module
 builds its polarization ``psi(x, z)`` (replace ``conj(x)`` by an independent
 holomorphic block ``z``), the averaged-gradient phase ``theta(x, y, z)``, the
-inverse map ``z(x, y, theta)``, the Jacobian ratio ``Delta0``, Calabi's
-diastasis, and a numeric check that the phase defines a good contour.
+inverse map ``z(x, y, theta)``, the Jacobian ratio ``Delta0``, and a
+numeric check that the phase defines a good contour.  Calabi's diastasis is
+computed with the kernel's point values (:class:`bergman.kernel.PairEvaluator`).
 
 Variable block conventions used across the package, for dimension n:
 
@@ -81,6 +82,14 @@ def require_degree(degree: int, need: int, what: str) -> None:
 
 class RadiusError(ValueError):
     """An evaluation point or a sampling radius lies outside the spec's evaluation radius."""
+
+
+def in_eval_radius(spec, point: Sequence[complex]) -> bool:
+    """Whether every component of ``point`` lies within the spec's evaluation radius.
+
+    A NaN component does not: every comparison with NaN is false.
+    """
+    return all(abs(complex(v)) <= spec.eval_radius + 1e-12 for v in point)
 
 
 def _is_int(value) -> bool:
@@ -516,10 +525,8 @@ def psi_value(psi: TruncatedSeries, x: Sequence[complex], zbar: Sequence[complex
     return psi.eval(pt)
 
 
-def diastasis(psi: TruncatedSeries, x: Sequence[complex], y: Sequence[complex]) -> float:
-    """Calabi's diastasis phi(x) + phi(y) - 2 Re psi(x, conj y)."""
-    cross = psi_value(psi, x, [complex(v).conjugate() for v in y])
-    return phi_value(psi, x) + phi_value(psi, y) - 2.0 * cross.real
+# the largest sample of the contour inequality that still counts as <= 0
+CONTOUR_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -550,7 +557,6 @@ def check_good_contour(
     psi: TruncatedSeries,
     samples: int = 200,
     delta: float | None = None,
-    tolerance: float = 1e-9,
 ) -> ContourReport:
     """Numeric sweep of the contour inequality.
 
@@ -588,6 +594,6 @@ def check_good_contour(
         samples=samples,
         max_excess=worst,
         worst_pair=worst_pair,
-        tolerance=tolerance,
-        passed=worst <= tolerance,
+        tolerance=CONTOUR_TOLERANCE,
+        passed=worst <= CONTOUR_TOLERANCE,
     )

@@ -157,7 +157,7 @@ def test_criterion_6_growth_bound_quartic():
     geom = build_geometry(preset_quartic(1, F(1, 10), 18))
     table = bergman_coefficients(geom, 8)
     norms = derivative_norm_table(table, geom, 0.1, 5)
-    fit = fit_growth(norms, model="m_factorial_sq", slack=0.05)
+    fit = fit_growth(norms, model="m_factorial_sq")
     ok = fit.verdict == "pass"
     _verdict(
         6,

@@ -320,6 +320,7 @@ class TestDeterminism:
 # JSON at all.
 # "table/coefficients.json" is a real coefficient table, written for the cases
 # that read it, so they fail on the argument under test, not on a missing table.
+# A case without its own --out writes to "out".
 # The "table_*.json" files are small hand-written tables (see _table_record):
 # one without keys, one in a float mode, one for n=2, one with a short index,
 # one claiming more orders than it holds, one whose n disagrees with its series,
@@ -461,6 +462,22 @@ INVALID_INPUTS = {
         "asymptotics", "--closed-form", "--preset", "chsc", "--radius", "-1",
         "--x", "0.01", "--y", "0.02",
     ],
+    "closed_form_pair_at_the_log_pole": [
+        "asymptotics", "--closed-form", "--preset", "chsc", "--param", "4", "--radius", "0.5",
+        "--x", "0.5", "--y", "-0.5",
+    ],
+    "closed_form_scaled_pair_at_the_log_pole": [
+        "asymptotics", "--closed-form", "--preset", "chsc", "--param", "4", "--radius", "0.5",
+        "--x", "0.5", "--y", "-0.5", "--mode", "scaling", "--k-grid", "1,2",
+    ],
+    "spec_is_a_directory": ["polarize", "--spec", "."],
+    "coeffs_is_a_directory": [
+        "eval", "--preset", "chsc", "--degree", "6", "--coeffs", ".",
+        "--k", "10", "--x", "0.1", "--y", "0.05",
+    ],
+    "out_below_a_file": [
+        "growth", "--task", "truncation", "--out", "broken.json/x",
+    ],
 }
 
 
@@ -528,7 +545,8 @@ def test_invalid_input_exits_two_without_traceback(tmp_path, monkeypatch, capsys
         assert main(["coeffs", "--preset", "chsc", "--degree", "6", "--order", "1",
                      "--transport-order", "1", "--out", "table"]) == 0
     try:
-        rc = main(INVALID_INPUTS[case] + ["--out", "out"])
+        argv = INVALID_INPUTS[case]
+        rc = main(argv if "--out" in argv else argv + ["--out", "out"])
     except SystemExit as exc:  # argparse refuses the argument itself
         rc = exc.code
     err = capsys.readouterr().err

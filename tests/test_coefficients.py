@@ -13,6 +13,7 @@ from bergman.coefficients import (
 from bergman.potential import (
     DegreeBudgetError,
     GeometryPack,
+    RadiusError,
     build_geometry,
     preset_chsc,
     preset_flat,
@@ -187,6 +188,11 @@ class TestNormTable:
         assert value > 0
         # regression pin, first computed by this exact configuration
         assert value == pytest.approx(0.20097963860102674, rel=1e-9)
+
+    @pytest.mark.parametrize("radius", [0.31, float("nan")])
+    def test_radius_outside_the_spec_radius_is_refused(self, quartic_geom, quartic_table, radius):
+        with pytest.raises(RadiusError):
+            derivative_norm_table(quartic_table, quartic_geom, radius, 3)
 
     def test_csv_rows_carry_metadata(self, quartic_geom, quartic_table):
         norms = derivative_norm_table(quartic_table, quartic_geom, 0.1, 3, xi_max=1)

@@ -21,13 +21,19 @@ from bergman.kernel import (
     choose_truncation_order,
     eval_KN,
     eval_KN_chsc_closed,
-    in_eval_radius,
     log_asymptotic_fit,
     make_chsc_closed_evaluator,
     make_series_evaluator,
     scaling_fit,
 )
-from bergman.potential import RadiusError, build_geometry, preset_chsc, preset_flat, preset_quartic
+from bergman.potential import (
+    RadiusError,
+    build_geometry,
+    in_eval_radius,
+    preset_chsc,
+    preset_flat,
+    preset_quartic,
+)
 from bergman.series import TruncatedSeries, sub_indices, unit
 from oracles import cpn_kernel, flat_kernel
 
@@ -205,6 +211,21 @@ class TestEvalAgainstModels:
             assert not in_eval_radius(spec, point)
         assert in_eval_radius(spec, [0.1, 0.05j])
 
+    def test_closed_form_pole_is_outside_the_domain(self):
+        # 1 + c x.conj(y) = 0: the logarithm of the closed form has its pole there
+        with pytest.raises(RadiusError, match="domain"):
+            chsc_psi(4)([0.5], [-0.5])
+        with pytest.raises(RadiusError, match="domain"):
+            eval_KN_chsc_closed(1, 4, 10, 1, [0.5], [-0.5])
+
+    def test_closed_form_evaluator_cache_is_shared(self):
+        n = 2
+        run = make_chsc_closed_evaluator(n, 1, N=2)
+        assert make_chsc_closed_evaluator(n, Fraction(1), N=2) is run
+        hits = make_chsc_closed_evaluator.cache_info().hits
+        eval_KN_chsc_closed(n, Fraction(1), 64, 2, [0.01, 0.02], [0.03, 0.0])
+        assert make_chsc_closed_evaluator.cache_info().hits == hits + 1
+
     def test_order_guard(self, quartic_series):
         geom, table = quartic_series
         with pytest.raises(ValueError, match="order"):
@@ -304,7 +325,7 @@ class TestLogAsymptotics:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            log_asymptotic_fit(make_chsc_closed_evaluator(1, 1), [], ([0.1], [0.05]))
+            log_asymptotic_fit(make_chsc_closed_evaluator(1, 1, N=1), [], ([0.1], [0.05]))
 
 
 def exact_line(ks, residuals):

@@ -1,0 +1,50 @@
+"""Every top-level function and class of the package has a caller.
+
+A name counts as called when the package (other than ``__init__``) or the
+benchmark harness loads it as a bare name, imports it, or reads it as an
+attribute of a package module (``kernel.name``); a field of the same name
+does not count.  Strings count only in ``perfbench/spans.py``, whose
+``LAYER_TARGETS`` names the functions the traced runs wrap.  Tests do not
+count: code that only tests call has no role in the pipeline.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bergman"
+STRING_TABLES = {ROOT / "perfbench" / "spans.py"}
+
+
+def _sources():
+    return [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+
+
+def _used_names() -> set:
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    used = set()
+    for path in _sources() + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and path in STRING_TABLES):
+                used.add(node.value)
+    return used
+
+
+def test_every_top_level_definition_has_a_caller():
+    used = _used_names()
+    unused = [
+        f"{path.name}:{node.name}"
+        for path in _sources()
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+    ]
+    assert unused == []
