@@ -187,6 +187,8 @@ class PotentialSpec:
         try:
             coeffs = {}
             for t in record["terms"]:
+                if not (_is_int(t["num"]) and _is_int(t["den"])):
+                    raise ValueError(f"term num and den must be integers, got {t!r}")
                 key = (tuple(t["alpha"]), tuple(t["beta"]))
                 coeffs[key] = coeffs.get(key, 0) + Fraction(t["num"], t["den"])
             return cls(

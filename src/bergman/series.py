@@ -72,7 +72,12 @@ keeps two such tables: one for ``psi_x(x, z)`` and one for the inverted phase
 and ``Delta0`` and every later composition through ``z`` reuse.  The phase
 inversion itself composes nothing: it builds the homogeneous pieces of its
 powers with :func:`sum_of_products`, the n-ary product over the same pair
-loop, from :meth:`TruncatedSeries.graded_coefficients` of the phase.
+loop, from :meth:`TruncatedSeries.graded_coefficients` of the phase.  Many
+of those pieces vanish, so every product skips a pair with an empty factor,
+and a sum with no pair left is the zero series at once.  No table outlives
+a call: apart from the ``cache`` a caller passes in and the views a series
+builds of itself, tables such as the split steps of :func:`segment_average`
+are rebuilt on every call, so a repeated call costs what the first one did.
 
 Trusted construction
 --------------------
@@ -88,17 +93,22 @@ a degree cut (``truncate``), digits moved between slots (``remap_variables``,
 bare ``compose`` arguments, and ``segment_average``, which moves part of each
 y digit to the matching x digit and keeps the degree digit), or trailing
 digits cleared with their sum taken off the degree digit
-(``graded_coefficients``).
+(``graded_coefficients``).  A product with an empty factor makes no entry,
+so :func:`sum_of_products` drops the pair after the ``nvars`` check and
+before it picks the base and the denominator.  ``segment_average`` builds
+its steps in each call from unit moves of one digit and keeps none.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, perm
+from math import factorial, gcd, lcm, perm
 from typing import Iterator, Sequence
 
 MultiIndex = tuple  # exponent tuples of non-negative ints
+
+_set = object.__setattr__  # writes a slot past the immutability guard of TruncatedSeries
 
 _SCALARS = (int, Fraction)
 
@@ -207,9 +217,14 @@ class TruncatedSeries:
             if g != 1:
                 nums = [v // g for v in nums]
                 den //= g
-        fields = (nvars, trunc_degree, shift, keys, nums, den, None, None)
-        for name, value in zip(TruncatedSeries.__slots__, fields):
-            object.__setattr__(self, name, value)
+        _set(self, "nvars", nvars)
+        _set(self, "trunc_degree", trunc_degree)
+        _set(self, "_shift", shift)
+        _set(self, "_keys", keys)
+        _set(self, "_nums", nums)
+        _set(self, "_den", den)
+        _set(self, "_coeffs", None)
+        _set(self, "_plan", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("TruncatedSeries is immutable")
@@ -256,7 +271,7 @@ class TruncatedSeries:
             values = self._nums if den == 1 else [Fraction(v, den) for v in self._nums]
             n, shift = self.nvars, self._shift
             view = {_unpack(k, n, shift): v for k, v in zip(self._keys, values)}
-            object.__setattr__(self, "_coeffs", view)
+            _set(self, "_coeffs", view)
         return self._coeffs
 
     @property
@@ -586,7 +601,7 @@ class TruncatedSeries:
                 (complex(num / self._den), tuple(starts[i] + e for i, e in enumerate(key) if e))
                 for key, num in zip(exps, self._nums)
             ]
-            object.__setattr__(self, "_plan", (max_exp, terms))
+            _set(self, "_plan", (max_exp, terms))
         max_exp, terms = self._plan
         pows = []  # the per-variable power tables, concatenated
         for z, m in zip(point, max_exp):
@@ -620,13 +635,25 @@ class TruncatedSeries:
 
     @classmethod
     def from_record(cls, record: dict) -> "TruncatedSeries":
+        """The series of ``record``; a ValueError unless its sizes, exponents, ``num``
+        and ``den`` are ints (JSON ``true`` and ``2.0`` are not) and no ``den`` is 0."""
         mode = record.get("mode", "rational")
         if mode != "rational":
             raise ValueError(f"series record mode {mode!r} is not 'rational'; series are exact")
+        nvars, degree = record["nvars"], record["trunc_degree"]
+        if type(nvars) is not int or type(degree) is not int:
+            raise ValueError(
+                f"nvars and trunc_degree must be integers, got {nvars!r} and {degree!r}"
+            )
         coeffs = {}
         for term in record["terms"]:
-            coeffs[tuple(term["index"])] = Fraction(term["num"], term["den"])
-        return cls(record["nvars"], record["trunc_degree"], coeffs)
+            index, num, den = tuple(term["index"]), term["num"], term["den"]
+            if any(type(v) is not int for v in index + (num, den)) or den == 0:
+                raise ValueError(
+                    f"term {term!r} needs integer exponents, num and den, with den != 0"
+                )
+            coeffs[index] = Fraction(num, den)
+        return cls(nvars, degree, coeffs)
 
 
 def linear_combination(terms: Sequence[tuple]) -> TruncatedSeries:
@@ -669,28 +696,37 @@ def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> Trunca
 def sum_of_products(pairs: Sequence[tuple], out_degree: int) -> TruncatedSeries:
     """The sum of ``a * b`` over the ``(a, b)`` pairs of ``pairs``, truncated at ``out_degree``.
 
-    Every factor has the ``nvars`` of the first.  All products go into one
+    Every factor has the ``nvars`` of the first.  A pair with an empty factor
+    adds nothing, so it is checked and then dropped before the base, the
+    denominator or the pair loop; with no pair left the result is the zero
+    series.  All other products go into one
     accumulator over the lcm of the ``a._den * b._den``, reduced once; in
     each pair the factor with fewer terms carries the scale and is the outer
     side of the pair loop.  As for :func:`mul_trunc`, exactness above the
     factors' degrees is the caller's responsibility.
     """
     nvars = pairs[0][0].nvars
-    if any(s.nvars != nvars for pair in pairs for s in pair):
-        raise ValueError("mul: nvars mismatch")
+    shift = _shift_for(out_degree)
+    den = 1
+    live = []  # (outer, inner) factors of the pairs with no empty side
+    for a, b in pairs:
+        if a.nvars != nvars or b.nvars != nvars:
+            raise ValueError("mul: nvars mismatch")
+        if a._keys and b._keys:
+            if len(b._keys) < len(a._keys):
+                a, b = b, a
+            live.append((a, b))
+            shift = max(shift, a._shift, b._shift)
+            den = lcm(den, a._den * b._den)
     if out_degree < 0:
         raise ValueError("mul: out_degree must be non-negative")
-    shift = max(_shift_for(out_degree), *(s._shift for pair in pairs for s in pair))
-    den = lcm(*[a._den * b._den for a, b in pairs])
     acc: dict = {}
-    for a, b in pairs:
-        if len(b._keys) < len(a._keys):
-            a, b = b, a
+    width = shift * nvars
+    for a, b in live:
         scale = den // (a._den * b._den)
         a_nums = a._nums if scale == 1 else [v * scale for v in a._nums]
-        _add_products(
-            acc, zip(a._keys_at(shift), a_nums), b._keys_at(shift), b._nums, shift * nvars, out_degree
-        )
+        a_terms = zip(a._keys_at(shift), a_nums)
+        _add_products(acc, a_terms, b._keys_at(shift), b._nums, width, out_degree)
     return TruncatedSeries._canonical(nvars, out_degree, shift, acc, den)
 
 
@@ -732,29 +768,38 @@ def segment_average(f: TruncatedSeries, n: int) -> TruncatedSeries:
     Exact and termwise: with D the degree of f, the y monomial ``y^gamma``
     contributes the integer weight ``binom(gamma, j) |j|! |gamma-j|!
     (D+1)!/(|gamma|+1)!`` at ``x^j y^(gamma-j)``, so a key gains j in its x
-    digits and loses it from its y digits, a step built once per ``gamma``.
-    All terms share the denominator of f times ``(D+1)!``, reduced once.
+    digits and loses it from its y digits.  The steps and weights of each
+    ``gamma`` are built once per call, slot by slot from one factorial list,
+    and each step moves units from a y digit to its x digit.  All terms share
+    the denominator of f times ``(D+1)!``, reduced once.
     """
     D, shift = f.trunc_degree, f._shift
-    top = factorial(D + 1)
-    pad = (0,) * n
-    splits: dict = {}  # gamma -> [(key step x^j / y^j, integer weight)]
+    fact = [1]
+    for i in range(1, D + 2):
+        fact.append(fact[-1] * i)
+    # one unit moved from digit y_i to digit x_i; the degree digit keeps its sum
+    moves = [(1 << shift * (3 * n - 1 - i)) - (1 << shift * (2 * n - 1 - i)) for i in range(n)]
+    y_offset, y_mask = shift * n, (1 << shift * n) - 1
+    splits: dict = {}  # y digits of gamma -> [(key step x^j / y^j, integer weight)]
     acc: dict = {}
     get = acc.get
     for key, value in zip(f._keys, f._nums):
-        gamma = _unpack(key, 3 * n, shift)[n : 2 * n]
-        split = splits.get(gamma)
+        y_digits = (key >> y_offset) & y_mask
+        split = splits.get(y_digits)
         if split is None:
+            gamma = _unpack(y_digits, n, shift)
             total = sum(gamma)
-            split = splits[gamma] = []
-            for j in sub_indices(gamma):
-                w = top // factorial(total + 1) * factorial(sum(j)) * factorial(total - sum(j))
-                for g, jj in zip(gamma, j):
-                    w *= comb(g, jj)
-                split.append((_pack(j + pad + pad, shift) - _pack(pad + j + pad, shift), w))
+            parts = [(0, 1, 0)]  # (step, product of binomials, |j|) over the slots so far
+            for g, move in zip(gamma, moves):
+                parts = [(step + jj * move, w * fact[g] // (fact[jj] * fact[g - jj]), size + jj)
+                         for step, w, size in parts for jj in range(g + 1)]
+            scale = fact[D + 1] // fact[total + 1]
+            split = splits[y_digits] = [
+                (step, scale * w * fact[size] * fact[total - size]) for step, w, size in parts
+            ]
         for step, w in split:
             acc[key + step] = get(key + step, 0) + value * w
-    return TruncatedSeries._canonical(3 * n, D, shift, acc, f._den * top)
+    return TruncatedSeries._canonical(3 * n, D, shift, acc, f._den * fact[D + 1])
 
 
 def det(rows: Sequence[Sequence]):

@@ -4,7 +4,10 @@ None of these has a caller in the command line tool or the pipeline; the
 tests use them as independent references.  ``segment_average_oracle`` and
 ``eval_oracle`` are the loops the pipeline ran before it read the packed
 form: they read the ``coeffs`` view, one exponent tuple and one ``Fraction``
-per term.  ``invert_theta_sweeps``, ``diagonal_pullback_w_table``,
+per term.  ``segment_average_per_split`` is the packed segment average as it
+was before it built its steps slot by slot: three ``factorial`` calls, a
+``comb`` per slot and two packed keys for each split of each y exponent.
+``invert_theta_sweeps``, ``diagonal_pullback_w_table``,
 ``delta0_quotient`` and ``delta0_jacobian_product`` are the phase geometry's
 earlier forms: whole compositions through plain ``compose``, with no
 table shared with the pipeline; the sweeps invert the Hessian by
@@ -26,6 +29,8 @@ from math import comb, factorial
 from bergman.potential import build_geometry
 from bergman.series import (
     TruncatedSeries,
+    _pack,
+    _unpack,
     det,
     exponents_of_degree,
     linear_combination,
@@ -111,6 +116,29 @@ def segment_average_oracle(f, n, block_start, x_start, y_start, out_nvars, passt
             new_key = tuple(new_key)
             out[new_key] = out.get(new_key, 0) + value * weight
     return TruncatedSeries(out_nvars, f.trunc_degree, out)
+
+
+def segment_average_per_split(f, n):
+    """``series.segment_average`` with each split ``x^j y^(gamma-j)`` of ``y^gamma`` built alone."""
+    D, shift = f.trunc_degree, f._shift
+    top = factorial(D + 1)
+    pad = (0,) * n
+    splits = {}  # gamma -> [(key step x^j / y^j, integer weight)]
+    acc = {}
+    for key, value in zip(f._keys, f._nums):
+        gamma = _unpack(key, 3 * n, shift)[n : 2 * n]
+        split = splits.get(gamma)
+        if split is None:
+            total = sum(gamma)
+            split = splits[gamma] = []
+            for j in sub_indices(gamma):
+                w = top // factorial(total + 1) * factorial(sum(j)) * factorial(total - sum(j))
+                for g, jj in zip(gamma, j):
+                    w *= comb(g, jj)
+                split.append((_pack(j + pad + pad, shift) - _pack(pad + j + pad, shift), w))
+        for step, w in split:
+            acc[key + step] = acc.get(key + step, 0) + value * w
+    return TruncatedSeries._canonical(3 * n, D, shift, acc, f._den * top)
 
 
 def lift(series, new_degree):

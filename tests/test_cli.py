@@ -316,6 +316,7 @@ class TestDeterminism:
 # error message, not a traceback.  "missing.json" is a spec without "terms",
 # "text_n.json" gives n as a string, "text_alpha.json" gives an exponent as a
 # string, "bool_n.json" and "bool_degree.json" give n or trunc_degree as JSON true,
+# "bool_num.json" and "bool_den.json" give the one term's num or den as JSON true,
 # "infinite_radius.json" gives eval_radius as Infinity and "broken.json" is not
 # JSON at all.
 # "table/coefficients.json" is a real coefficient table, written for the cases
@@ -412,6 +413,10 @@ INVALID_INPUTS = {
     "spec_n_bool": ["polarize", "--spec", "bool_n.json"],
     "spec_degree_bool": ["polarize", "--spec", "bool_degree.json"],
     "spec_radius_infinite": ["polarize", "--spec", "infinite_radius.json"],
+    "spec_num_bool": ["coeffs", "--spec", "bool_num.json", "--order", "1",
+                      "--transport-order", "1"],
+    "spec_den_bool": ["coeffs", "--spec", "bool_den.json", "--order", "1",
+                      "--transport-order", "1"],
     "worst_case_over_guard": ["growth", "--task", "worst-case", "--n", "3", "--order", "7"],
     "lemma_over_guard": ["growth", "--task", "lemma", "--k-max", "100000"],
     "coeffs_not_json": [
@@ -501,10 +506,30 @@ TABLE_DEFECTS = {
     "a_in_two_variables": {"a": _table_record(1)["table"]["b"]},
     "a_too_few": {"a": []},
 }
+# Series records whose sizes or term values are not ints: JSON 2.0 and true
+# compare equal to 2 and 1, so each once ran (exit 0) or ended in exit 3.
+_B0 = _table_record(1)["table"]["b"][0]
+SERIES_DEFECTS = {
+    "b_nvars_float": {"b": [{**_B0, "nvars": 2.0}]},
+    "b_degree_float": {"b": [{**_B0, "trunc_degree": 6.0}], "effective_degrees": [6.0]},
+    "b_num_bool": {"b": [{**_B0, "terms": [{**_B0["terms"][0], "num": True}]}]},
+    "b_den_bool": {"b": [{**_B0, "terms": [{**_B0["terms"][0], "den": True}]}]},
+    "b_exponent_bool": {"b": [{**_B0, "terms": [{**_B0["terms"][0], "index": [False, False]}]}]},
+}
+TABLE_DEFECTS.update(SERIES_DEFECTS)
 for _defect in TABLE_DEFECTS:
     INVALID_INPUTS[f"coeffs_{_defect}"] = [
         "eval", "--preset", "chsc", "--degree", "6", "--coeffs", f"table_{_defect}.json",
         "--k", "10", "--x", "0.1", "--y", "0.05",
+    ]
+for _defect in SERIES_DEFECTS:
+    INVALID_INPUTS[f"coeffs_{_defect}_asymptotics"] = [
+        "asymptotics", "--preset", "chsc", "--degree", "6", "--coeffs", f"table_{_defect}.json",
+        "--x", "0.01", "--y", "0.02",
+    ]
+    INVALID_INPUTS[f"coeffs_{_defect}_fit"] = [
+        "growth", "--task", "fit", "--preset", "chsc", "--degree", "6",
+        "--coeffs", f"table_{_defect}.json",
     ]
 INVALID_INPUTS["coeffs_M_negative_asymptotics"] = [
     "asymptotics", "--preset", "chsc", "--degree", "6", "--coeffs", "table_M_negative.json",
@@ -529,6 +554,8 @@ def test_invalid_input_exits_two_without_traceback(tmp_path, monkeypatch, capsys
     for name, field, value in (("bool_n.json", "n", True), ("bool_degree.json", "trunc_degree", True),
                                ("infinite_radius.json", "eval_radius", float("inf"))):
         (tmp_path / name).write_text(json.dumps({**header, field: value, "terms": flat}))
+    for name, field in (("bool_num.json", "num"), ("bool_den.json", "den")):
+        (tmp_path / name).write_text(json.dumps({**header, "terms": [{**flat[0], field: True}]}))
     (tmp_path / "table_missing_keys.json").write_text(json.dumps({"table": {}}))
     tables = {
         "table_float.json": _table_record(1, mode="float"),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergman import potential
+from bergman import potential, series
 from bergman.coefficients import amplitude_from_b, bergman_coefficients
 from bergman.kernel import PairEvaluator
 from bergman.potential import (
@@ -38,6 +38,7 @@ from oracles import (
     diagonal_pullback_w_table,
     invert_theta_sweeps,
     segment_average_oracle,
+    segment_average_per_split,
     write_spec,
 )
 
@@ -127,6 +128,13 @@ class TestValidation:
         record = {**preset_flat(1, 4).to_record(), field: value}
         with pytest.raises(SpecValidationError, match=match):
             PotentialSpec.from_record(record).validate()
+
+    @pytest.mark.parametrize("field", ["num", "den"])
+    def test_bool_term_value_rejected(self, field):
+        record = preset_flat(1, 4).to_record()
+        record["terms"][0][field] = True
+        with pytest.raises(SpecValidationError, match="num and den must be integers"):
+            PotentialSpec.from_record(record)
 
     def test_failing_minor_is_named(self):
         bad = hessian_spec([[F(1), F(2)], [F(2), F(1)]])
@@ -229,6 +237,19 @@ class TestSegmentAverage:
         assert got == want
         assert got.to_record() == want.to_record()
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_slot_steps_equal_the_per_split_loop(self, n, data):
+        degree = data.draw(st.integers(0, 8))
+        slots = st.lists(st.integers(0, 3 * n - 1), max_size=degree)
+        keys = slots.map(lambda picks: tuple(picks.count(i) for i in range(3 * n)))
+        f = TruncatedSeries(3 * n, degree, data.draw(st.dictionaries(keys, RATIONALS, max_size=8)))
+        got, want = potential.segment_average(f, n), segment_average_per_split(f, n)
+        assert (got._shift, got._keys, got._nums, got._den) == (
+            want._shift, want._keys, want._nums, want._den
+        )
+
     def test_build_theta_matches_fraction_loop(self, quartic_geom):
         psi = quartic_geom.psi
         want = segment_average_oracle(psi.diff((1, 0)), 1, 0, 0, 1, 3, {1: 2})
@@ -301,6 +322,23 @@ class TestInvertTheta:
         with pytest.raises(ArithmeticError, match="round-trip"):
             geom.delta0_xytheta
         assert geom.z_powers == {}
+
+    def test_no_product_has_an_empty_factor(self, monkeypatch):
+        # The chsc phase has homogeneous pieces that vanish, so the inversion
+        # meets many products with a zero factor; none may reach the pair loop.
+        add_products = series._add_products
+        sides = []
+
+        def spy(acc, a_terms, b_keys, b_nums, width, out_degree):
+            a_terms = list(a_terms)
+            sides.append((len(a_terms), len(b_keys)))
+            add_products(acc, a_terms, b_keys, b_nums, width, out_degree)
+
+        monkeypatch.setattr(series, "_add_products", spy)
+        build_geometry(preset_chsc(2, F(1, 2), 12)).z_of_theta
+        monkeypatch.undo()
+        assert len(sides) > 100
+        assert [s for s in sides if 0 in s] == []
 
     def test_geometry_caches_substituted_powers_only(self, monkeypatch):
         # x and y enter every composition of the geometry as bare variables,
@@ -394,6 +432,15 @@ class TestOldForms:
         # from the spec, not build_geometry, so the round-trip check cannot stand in
         theta = build_theta(polarize(old_form_spec))
         assert invert_theta(theta) == invert_theta_sweeps(theta)
+
+    def test_build_theta_equals_the_per_split_average(self, old_form_spec):
+        psi = polarize(old_form_spec)
+        n = old_form_spec.n
+        yz = [psi.diff(unit(2 * n, i)).remap_variables(3 * n, range(n, 3 * n)) for i in range(n)]
+        want = [segment_average_per_split(f, n) for f in yz]
+        got = build_theta(psi)
+        assert got == want
+        assert [(t._keys, t._nums, t._den) for t in got] == [(t._keys, t._nums, t._den) for t in want]
 
     def test_jacobian_delta0_equals_the_quotient(self, old_form_geom):
         geom = old_form_geom

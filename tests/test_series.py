@@ -405,6 +405,34 @@ class TestTrustedConstructor:
             assert _items(got) == _items(want)
 
     @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(series_strategy(2, 4), series_strategy(2, 4),
+                           st.sampled_from(["", "a", "b", "ab"])), min_size=1, max_size=4),
+        st.integers(0, 6),
+    )
+    def test_sum_of_products_with_empty_factors(self, drawn, out_degree):
+        zero = TruncatedSeries.zero(2, 4)
+        some = [(zero if "a" in e else a, zero if "b" in e else b) for a, b, e in drawn]
+        every = [(zero, b) if i % 2 else (a, zero) for i, (a, b, _) in enumerate(drawn)]
+        for pairs in (some, every):
+            plain: dict = {}
+            for a, b in pairs:
+                for k, v in _plain_mul(a.coeffs, b.coeffs, out_degree).items():
+                    plain[k] = plain.get(k, 0) + v
+            got = sum_of_products(pairs, out_degree)
+            assert _items(got) == _items(TruncatedSeries(2, out_degree, plain))
+        assert sum_of_products(every, out_degree) == TruncatedSeries.zero(2, out_degree)
+
+    def test_empty_factors_are_still_checked(self):
+        a, zero = TruncatedSeries.variable(2, 4, 0), TruncatedSeries.zero(2, 4)
+        wrong = TruncatedSeries.zero(3, 4)
+        for pairs in ([(a, a), (wrong, a)], [(zero, wrong)]):
+            with pytest.raises(ValueError, match="mul: nvars mismatch"):
+                sum_of_products(pairs, 4)
+        with pytest.raises(ValueError, match="out_degree must be non-negative"):
+            sum_of_products([(zero, a)], -1)
+
+    @settings(max_examples=60, deadline=None)
     @given(series_strategy(2, 4), no_constant, no_constant)
     def test_compose(self, f, u, v):
         got = f.compose([u, v])
@@ -829,4 +857,24 @@ class TestSerialization:
         rec = TruncatedSeries(1, 2, {(1,): F(-3, 7)}).to_record()
         rec["mode"] = "float"
         with pytest.raises(ValueError, match="mode"):
+            TruncatedSeries.from_record(rec)
+
+    @pytest.mark.parametrize("fields,term,match", [
+        ({"nvars": 2.0}, {}, "nvars and trunc_degree"),
+        ({"nvars": True}, {}, "nvars and trunc_degree"),
+        ({"trunc_degree": 2.0}, {}, "nvars and trunc_degree"),
+        ({"trunc_degree": True}, {}, "nvars and trunc_degree"),
+        ({}, {"num": True}, "integer exponents"),
+        ({}, {"den": True}, "integer exponents"),
+        ({}, {"num": 1.5}, "integer exponents"),
+        ({}, {"den": 0}, "den != 0"),
+        ({}, {"index": [True, 0]}, "integer exponents"),
+        ({}, {"index": [1.0, 0]}, "integer exponents"),
+    ])
+    def test_non_integer_fields_rejected(self, fields, term, match):
+        # bool is an int subclass and 2.0 == 2, so JSON true or 2.0 would otherwise pass
+        rec = TruncatedSeries(2, 2, {(1, 0): F(-3, 7)}).to_record()
+        rec.update(fields)
+        rec["terms"][0].update(term)
+        with pytest.raises(ValueError, match=match):
             TruncatedSeries.from_record(rec)
