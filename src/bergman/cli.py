@@ -77,12 +77,9 @@ def _write_report(path: Path, command: str, **fields) -> None:
     nothing run-dependent is added, so re-runs write identical bytes.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(
-            {"schema_version": SCHEMA_VERSION, "command": command, **fields},
-            fh, sort_keys=True, indent=2,
-        )
-        fh.write("\n")
+    report = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
+    with open(path, "w") as fh:  # one write call; json.dump makes one per token
+        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path: Path, rows: list, fieldnames: list) -> None:

@@ -53,6 +53,7 @@ from .series import (
     close_power_chain,
     det,
     exponents_of_degree,
+    graded_pieces,
     linear_combination,
     multi_factorial,
     power_step,
@@ -297,29 +298,30 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     """Solve theta(x,y,z) = t for z as a series in (x, y, t).
 
     With H the constant z-linear part of theta and R the rest, z is the
-    fixed point of z = H^{-1} (t - R(x, y, z)), solved one homogeneous degree
-    at a time, as in lazy ("relaxed") power-series arithmetic.  Write
-    ``R_i = sum_gamma r_(i,gamma)(x, y) z^gamma``, let ``[f]_d`` be the
-    degree-d part of f, and keep z and every power ``P_gamma = z^gamma`` that
-    R or a power chain reads as lists of such pieces.  Sweep d = 1, ..., D
-    adds one piece to each:
+    fixed point of z = H^{-1} t + S(x, y, z), S = -H^{-1} R, solved one
+    homogeneous degree at a time, as in lazy ("relaxed") power-series
+    arithmetic.  Write ``S_u = sum_gamma s_(u,gamma)(x, y) z^gamma``, let
+    ``[f]_d`` be the degree-d part of f, and keep z and every power
+    ``P_gamma = z^gamma`` that S or a power chain reads as lists of such
+    pieces.  Sweep d = 1, ..., D adds one piece to each:
 
     * ``[P_gamma]_d = sum_k [P_(gamma-e_j)]_k [z_j]_(d-k)`` for |gamma| >= 2,
       along the chain of :func:`bergman.series.power_step`;
-    * ``[R o z]_d = sum_gamma sum_e [r_gamma]_e [P_gamma]_(d-e)``;
-    * ``[z]_d = H^{-1} (delta_(d,1) t - [R o z]_d)``.
+    * ``[z_u]_d = delta_(d,1) (H^{-1} t)_u + sum_gamma sum_e [s_(u,gamma)]_e [P_gamma]_(d-e)``.
 
-    ``[z]_d`` is never read in sweep d, so each sweep is explicit.  In the
-    first sum ``P_(gamma-e_j)`` has valuation at least 1, so k >= 1.  In the
-    second, a power with |gamma| >= 2 reads only this sweep's new piece, and
-    ``r_(e_j)`` has no degree-0 part, because R has no z-linear term of
-    degree 1 (that is H).  A piece list grows only when its piece is
-    finished, so a read of an unfinished piece fails loudly.  Products of
-    homogeneous pieces are homogeneous, so each new piece is one
-    :func:`bergman.series.sum_of_products`.  Each ``P_gamma`` stops at the
-    highest degree a product reads.  The total work is about one power table
-    at full degree, where fixed-point sweeps of whole compositions rebuild
-    every power at every degree.
+    ``[z]_d`` is never read in sweep d, so each sweep is explicit: in the
+    first sum k >= 1, and in the second a power with |gamma| >= 2 reads only
+    this sweep's new piece, while ``s_(u,e_j)`` has no degree-0 part (that
+    is H).  A piece list grows only when its piece is finished, so a read of
+    an unfinished piece fails loudly.  Pieces are raw: packed keys at the
+    digit width of theta to integer numerators over one denominator, or None
+    when the piece vanishes; :func:`bergman.series.graded_pieces` splits
+    ``-H^{-1} theta`` into the ``[s_(u,gamma)]_e``, and each new piece is one
+    :func:`bergman.series.sum_of_products`.  Only the returned z_u become
+    series.  Each ``P_gamma`` stops at the highest degree a product reads,
+    so the total work is about one power table at full degree, where
+    fixed-point sweeps of whole compositions rebuild every power at every
+    degree.
     """
     n3 = theta[0].nvars
     n = n3 // 3
@@ -332,49 +334,51 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     hinv = [[det([[int(r == j) if c == i else v for c, v in enumerate(row)]
                   for r, row in enumerate(hess)]) / det_h for j in range(n)] for i in range(n)]
 
-    # r[i][gamma][e]: the degree-e part of the coefficient of z^gamma in R_i, in x and y only
+    # z = H^{-1} t + S(x, y, z) with S = -H^{-1} R, which is -H^{-1} theta without its
+    # z-linear part -z; s[u] lists (gamma, e, |gamma|, [s_(u,gamma)]_e) of S_u, and
+    # (H^{-1} t)_u as a part of degree 1 free of z
+    shift = max(t._shift for t in theta)
+    width = shift * n3
     units = [unit(n, j) for j in range(n)]
-    r = [t.graded_coefficients(2 * n) for t in theta]
-    for ri in r:
-        for u in units:
-            ri.get(u, {}).pop(0, None)  # H
-
-    # top[gamma]: the highest degree of P_gamma that a product reads
-    top = dict.fromkeys(units, D)
-    for ri in r:
-        for gamma, parts in ri.items():
+    tvars = TruncatedSeries.variables(n3, D)[2 * n :]
+    ht = [linear_combination([(h, t) for h, t in zip(row, tvars) if h]) for row in hinv]
+    top = dict.fromkeys(units, D)  # gamma -> the highest degree of P_gamma a product reads
+    s = []
+    for u, row, t_u in zip(units, hinv, ht):
+        su = [((0,) * n, 1, 0, (dict(zip(t_u._keys_at(shift), t_u._nums)), t_u._den))]
+        neg = linear_combination([(-h, t) for h, t in zip(row, theta) if h])
+        for gamma, parts in graded_pieces(neg, 2 * n, shift).items():
+            su += [(gamma, e, sum(gamma), p) for e, p in parts.items() if (gamma, e) != (u, 0)]
             if sum(gamma) > 1:
                 top[gamma] = max(top.get(gamma, 0), D - min(parts))
+        s.append(su)
     close_power_chain(top)
 
-    zero = TruncatedSeries.zero(n3, D)
-    # P[gamma][d] = [P_gamma]_d, zero below the valuation |gamma|; P_0 = 1
-    pieces = {gamma: [zero] * sum(gamma) for gamma in top}
-    pieces[(0,) * n] = [TruncatedSeries.one(n3, D)] + [zero] * D
+    # P[gamma][d] = [P_gamma]_d, None below the valuation |gamma|; P_0 = 1
+    one = ({0: 1}, 1)
+    pieces = {gamma: [None] * sum(gamma) for gamma in top}
+    pieces[(0,) * n] = [one] + [None] * D
     higher = [(gamma, *power_step(gamma)) for gamma in top if sum(gamma) > 1]
-    tvars = TruncatedSeries.variables(n3, D)[2 * n :]
     for d in range(1, D + 1):
         for gamma, j, lower in higher:
             if sum(gamma) <= d <= top[gamma]:
                 pz, pl = pieces[units[j]], pieces[lower]
-                pieces[gamma].append(
-                    sum_of_products([(pl[k], pz[d - k]) for k in range(sum(gamma) - 1, d)], D)
-                )
-        rz = []
-        for ri in r:
-            pairs = [
-                (part, pieces[gamma][d - e])
-                for gamma, parts in ri.items()
-                for e, part in parts.items()
-                if d - e >= sum(gamma)
-            ]
-            rz.append(sum_of_products(pairs, D) if pairs else zero)
-        for u, row in zip(units, hinv):
-            pieces[u].append(linear_combination(
-                [(h, t) for h, t in zip(row, tvars) if h and d == 1]
-                + [(-h, w) for h, w in zip(row, rz) if h]
-            ))
-    return [linear_combination([(1, p) for p in pieces[u][1:]]) for u in units]
+                pieces[gamma].append(sum_of_products(
+                    [(pl[k], pz[d - k]) for k in range(sum(gamma) - 1, d)], width, D
+                ))
+        for u, su in zip(units, s):
+            pairs = [(part, pieces[gamma][d - e]) for gamma, e, size, part in su if d - e >= size]
+            pieces[u].append(sum_of_products(pairs, width, D))
+    # z_u has theta's digit width once a nonzero R_j with (H^{-1})_uj != 0 enters it (its
+    # first product meets a nonzero power piece), else it is (H^{-1} t)_u at its own width
+    nonlinear = [len(t._keys) > sum(map(bool, row)) for t, row in zip(theta, hess)]
+    z = []
+    for u, row, t_u in zip(units, hinv, ht):
+        if any(h and big for h, big in zip(row, nonlinear)):
+            terms, den = sum_of_products([(one, p) for p in pieces[u][1:]], width, D)
+            t_u = TruncatedSeries._canonical(n3, D, shift, terms, den)
+        z.append(t_u)
+    return z
 
 
 def _psi_y(psi: TruncatedSeries) -> list:

@@ -20,10 +20,9 @@ results are truncated to the degree they are guaranteed exact to:
   zero constant term, which is what makes truncated composition well defined,
 * ``invert`` keeps ``D`` and needs a nonzero constant term.
 
-:func:`mul_trunc` and its n-ary form :func:`sum_of_products` are the one
-escape hatch: they compute products at a caller chosen output degree, for the
-few places where one factor is an exact polynomial, or every factor a
-homogeneous piece, and the plain rule would throw away valid coefficients.
+:func:`mul_trunc` is the one escape hatch: it computes a product at a caller
+chosen output degree, for the few places where one factor is an exact
+polynomial and the plain rule would throw away valid coefficients.
 
 Storage
 -------
@@ -51,33 +50,35 @@ Composition
 -----------
 ``f.compose(args)`` never raises a bare target variable to a power: an
 argument that is exactly ``x_j`` (one term, coefficient 1, degree 1) only
-moves the exponent of its slot to slot ``j``.  The terms of ``f`` are grouped
-by the exponent ``gamma`` of the other, substituted, arguments, and each
-group is multiplied by the power product ``P_gamma`` of those arguments.
-Every group product goes into one accumulator over one denominator, the
-denominator of ``f`` times the lcm of the ``P_gamma`` denominators, and the
-result is reduced once; the pair loop is the one ``mul_trunc`` runs.  The
-optional ``cache`` holds the ``P_gamma``, keyed by ``gamma`` (one entry per
-substituted argument), so calls that share an argument list share their
-powers; :func:`power_step` gives the chain every power table follows,
-``P_gamma = P_lower * arg_j``.  A group reads ``P_gamma`` only through the
-output degree less the lowest degree of its moved exponents, and the chain
-reads ``P_lower`` one degree less, so each power is built to the highest
-degree a call reads, not to the argument degree.  An entry too low for a
-later call is rebuilt higher and replaced; an entry at least as high is
-reused as it is.
+moves the exponent of its slot to slot ``j``.  Bare arguments of consecutive
+slots that go to consecutive slots form a run, moved with one shift and one
+mask; the moved degree digit is the outer degree less ``|gamma|``.  The terms
+of ``f`` are grouped by their packed digits of the other, substituted,
+arguments, ``gamma`` is unpacked once per group, and each group is
+multiplied by the power product ``P_gamma`` of those arguments.  Every group
+product goes into one accumulator over one denominator, the denominator of
+``f`` times the lcm of the ``P_gamma`` denominators (the group carries the
+scale), and the result is reduced once; the pair loop is the one
+``mul_trunc`` runs.  The optional ``cache`` holds the ``P_gamma``, keyed by
+``gamma`` (one entry per substituted argument), so calls that share an
+argument list share their powers; :func:`power_step` gives the chain every
+power table follows, ``P_gamma = P_lower * arg_j``.  A group reads
+``P_gamma`` only through the output degree less the lowest degree of its
+moved exponents, and the chain reads ``P_lower`` one degree less, so each
+power is built to the highest degree a call reads, not to the argument
+degree.  An entry too low for a later call is rebuilt higher and replaced;
+an entry at least as high is reused as it is.
 :class:`bergman.potential.GeometryPack`, the only composer through the phase,
 keeps two such tables: one for ``psi_x(x, z)`` and one for the inverted phase
 ``z(x, y, theta)`` (``geom.z_powers``), which the round-trip check builds
 and ``Delta0`` and every later composition through ``z`` reuse.  The phase
-inversion itself composes nothing: it builds the homogeneous pieces of its
-powers with :func:`sum_of_products`, the n-ary product over the same pair
-loop, from :meth:`TruncatedSeries.graded_coefficients` of the phase.  Many
-of those pieces vanish, so every product skips a pair with an empty factor,
-and a sum with no pair left is the zero series at once.  No table outlives
-a call: apart from the ``cache`` a caller passes in and the views a series
-builds of itself, tables such as the split steps of :func:`segment_average`
-are rebuilt on every call, so a repeated call costs what the first one did.
+inversion composes nothing: it keeps raw homogeneous pieces, split from the
+phase by :func:`graded_pieces`, and fills each new one through the same pair
+loop with :func:`sum_of_products`, which skips every pair with a vanishing
+piece.  No table outlives a call: apart from the ``cache`` a caller passes
+in and the views a series builds of itself, tables such as the split steps
+of :func:`segment_average` are rebuilt on every call, so a repeated call
+costs what the first one did.
 
 Trusted construction
 --------------------
@@ -87,16 +88,15 @@ Operations build their results through ``TruncatedSeries._canonical``, which
 only drops zeros, sorts and reduces the denominator.  That is safe because
 each makes one entry per key from keys of valid operands by digit arithmetic
 that cannot carry: sums of keys of total degree at most the output degree
-(products, ``invert``, ``compose``), a multi-index taken from digits at least
-as large (``diff``), the keys repacked to one base (``linear_combination``),
-a degree cut (``truncate``), digits moved between slots (``remap_variables``,
-bare ``compose`` arguments, and ``segment_average``, which moves part of each
-y digit to the matching x digit and keeps the degree digit), or trailing
-digits cleared with their sum taken off the degree digit
-(``graded_coefficients``).  A product with an empty factor makes no entry,
-so :func:`sum_of_products` drops the pair after the ``nvars`` check and
-before it picks the base and the denominator.  ``segment_average`` builds
-its steps in each call from unit moves of one digit and keeps none.
+(products, ``invert``, ``compose``, the phase inversion), a multi-index taken
+from digits at least as large (``diff``), the keys repacked to one base
+(``linear_combination``), a degree cut (``truncate``), digits moved between
+slots (``remap_variables``, bare ``compose`` arguments, and
+``segment_average``, which moves part of each y digit to the matching x digit
+and keeps the degree digit).  A product with an empty factor makes no entry,
+so :func:`mul_trunc` returns the zero series after the ``nvars`` check.
+``segment_average`` builds its steps in each call from unit moves of one
+digit and keeps none.
 """
 
 from __future__ import annotations
@@ -465,29 +465,6 @@ class TruncatedSeries:
             out[new_key] = out.get(new_key, 0) + value
         return TruncatedSeries._canonical(new_nvars, self.trunc_degree, shift, out, self._den)
 
-    def graded_coefficients(self, start: int) -> dict:
-        """The coefficients of this series in the variables ``v`` from slot ``start`` on, by degree.
-
-        With ``f = sum_gamma c_gamma v^gamma`` (each ``c_gamma`` free of v),
-        returns ``gamma -> {e: [c_gamma]_e}``, the degree-e part of each
-        ``c_gamma`` as a series with this one's nvars and degree.
-        """
-        n, shift = self.nvars, self._shift
-        width, tail = shift * n, shift * (n - start)
-        parts: dict = {}
-        for key, value in zip(self._keys, self._nums):
-            gamma = _unpack(key, n, shift)[start:]
-            # clear the v digits and take their degree off the degree digit
-            rest = (key >> tail << tail) - (sum(gamma) << width)
-            parts.setdefault(gamma, {}).setdefault(rest >> width, {})[rest] = value
-        return {
-            gamma: {
-                e: TruncatedSeries._canonical(n, self.trunc_degree, shift, acc, self._den)
-                for e, acc in by_degree.items()
-            }
-            for gamma, by_degree in parts.items()
-        }
-
     def _bare_variable(self) -> int | None:
         """Slot i when this series is exactly x_i (one term, coefficient 1), else None."""
         if len(self._keys) != 1 or self._nums[0] != self._den:
@@ -531,27 +508,41 @@ class TruncatedSeries:
         if cache is None:
             cache = {}
         shift = max(_shift_for(tgt_D), *(a._shift for a in args))
-        moves = []  # (outer slot, target digit offset) of each bare-variable argument
+        n, own_shift = self.nvars, self._shift
+        # runs of bare arguments, (last outer slot, last target slot, length); a run
+        # of one digit width moves with one shift and one mask
+        runs = []
         substituted = []  # outer slots of the other arguments
         for i, a in enumerate(args):
             target = a._bare_variable()
             if target is None:
                 substituted.append(i)
+            elif runs and own_shift == shift and runs[-1][:2] == (i - 1, target - 1):
+                runs[-1] = (i, target, runs[-1][2] + 1)
             else:
-                moves.append((i, shift * (tgt_n - 1 - target)))
+                runs.append((i, target, 1))
+        moves = [(own_shift * (n - 1 - i), (1 << own_shift * size) - 1, shift * (tgt_n - 1 - t))
+                 for i, t, size in runs]
+        offsets = [own_shift * (n - 1 - i) for i in substituted]
+        own_mask = (1 << own_shift) - 1
+        sub_mask = sum(own_mask << offset for offset in offsets)
 
         # argument valuation >= 1 makes outer terms above out_D vanish below it
-        n, own_shift = self.nvars, self._shift
         cut = bisect_left(self._keys, (out_D + 1) << (own_shift * n))
-        tgt_width = shift * tgt_n
-        groups: dict[MultiIndex, dict] = {}
+        own_width, tgt_width = own_shift * n, shift * tgt_n
+        groups: dict = {}  # substituted digits -> (gamma, |gamma| in the degree digit, moved terms)
         for key, value in zip(self._keys[:cut], self._nums[:cut]):
-            e = _unpack(key, n, own_shift)
-            moved = sum(e[i] for i, _ in moves) << tgt_width
-            for i, offset in moves:
-                moved += e[i] << offset
-            group = groups.setdefault(tuple(e[i] for i in substituted), {})
-            group[moved] = group.get(moved, 0) + value
+            sub = key & sub_mask
+            group = groups.get(sub)
+            if group is None:
+                gamma = tuple(sub >> offset & own_mask for offset in offsets)
+                group = groups[sub] = (gamma, sum(gamma) << tgt_width, {})
+            moved = (key >> own_width << tgt_width) - group[1]
+            for down, mask, up in moves:
+                moved += (key >> down & mask) << up
+            terms = group[2]
+            terms[moved] = terms.get(moved, 0) + value
+        groups = {gamma: terms for gamma, _, terms in groups.values()}
 
         # group gamma reads P_gamma through out_D less its lowest moved degree
         need = close_power_chain({
@@ -576,9 +567,10 @@ class TruncatedSeries:
                 for k, v in group.items():
                     acc[k] = get(k, 0) + v * scale
             else:
+                # the group, mostly the smaller side, carries the scale
                 ratio = scale // p._den
-                p_nums = p._nums if ratio == 1 else [v * ratio for v in p._nums]
-                _add_products(acc, group.items(), p._keys_at(shift), p_nums, tgt_width, out_D)
+                terms = group.items() if ratio == 1 else [(k, v * ratio) for k, v in group.items()]
+                _add_products(acc, terms, p._keys_at(shift), p._nums, tgt_width, out_D)
         return TruncatedSeries._canonical(tgt_n, out_D, shift, acc, self._den * scale)
 
     # -- numerics ------------------------------------------------------------
@@ -689,45 +681,74 @@ def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> Trunca
     Out-degrees above min(a.trunc_degree, b.trunc_degree) are only exact when
     the caller knows one factor is an exact polynomial (for example the
     degree one factor in (x - y) . A); that responsibility is the caller's.
+    An empty factor gives the zero series; the factor with fewer terms is the
+    outer side of the pair loop.
     """
-    return sum_of_products([(a, b)], out_degree)
-
-
-def sum_of_products(pairs: Sequence[tuple], out_degree: int) -> TruncatedSeries:
-    """The sum of ``a * b`` over the ``(a, b)`` pairs of ``pairs``, truncated at ``out_degree``.
-
-    Every factor has the ``nvars`` of the first.  A pair with an empty factor
-    adds nothing, so it is checked and then dropped before the base, the
-    denominator or the pair loop; with no pair left the result is the zero
-    series.  All other products go into one
-    accumulator over the lcm of the ``a._den * b._den``, reduced once; in
-    each pair the factor with fewer terms carries the scale and is the outer
-    side of the pair loop.  As for :func:`mul_trunc`, exactness above the
-    factors' degrees is the caller's responsibility.
-    """
-    nvars = pairs[0][0].nvars
-    shift = _shift_for(out_degree)
-    den = 1
-    live = []  # (outer, inner) factors of the pairs with no empty side
-    for a, b in pairs:
-        if a.nvars != nvars or b.nvars != nvars:
-            raise ValueError("mul: nvars mismatch")
-        if a._keys and b._keys:
-            if len(b._keys) < len(a._keys):
-                a, b = b, a
-            live.append((a, b))
-            shift = max(shift, a._shift, b._shift)
-            den = lcm(den, a._den * b._den)
+    if a.nvars != b.nvars:
+        raise ValueError("mul: nvars mismatch")
     if out_degree < 0:
         raise ValueError("mul: out_degree must be non-negative")
+    if not (a._keys and b._keys):
+        return TruncatedSeries.zero(a.nvars, out_degree)
+    if len(b._keys) < len(a._keys):
+        a, b = b, a
+    shift = max(_shift_for(out_degree), a._shift, b._shift)
     acc: dict = {}
-    width = shift * nvars
-    for a, b in live:
-        scale = den // (a._den * b._den)
-        a_nums = a._nums if scale == 1 else [v * scale for v in a._nums]
-        a_terms = zip(a._keys_at(shift), a_nums)
-        _add_products(acc, a_terms, b._keys_at(shift), b._nums, width, out_degree)
-    return TruncatedSeries._canonical(nvars, out_degree, shift, acc, den)
+    a_terms = zip(a._keys_at(shift), a._nums)
+    _add_products(acc, a_terms, b._keys_at(shift), b._nums, shift * a.nvars, out_degree)
+    return TruncatedSeries._canonical(a.nvars, out_degree, shift, acc, a._den * b._den)
+
+
+def _piece(acc: dict, den: int):
+    """The piece ``(terms, den)`` of packed key -> numerator over ``den`` (positive):
+    terms sorted, zeros dropped, reduced by the gcd; None when no term is left."""
+    terms = {k: v for k, v in sorted(acc.items()) if v}
+    if not terms:
+        return None
+    g = gcd(den, *terms.values())
+    return ({k: v // g for k, v in terms.items()} if g != 1 else terms), den // g
+
+
+def graded_pieces(f: TruncatedSeries, start: int, shift: int) -> dict:
+    """``gamma -> {e: [c_gamma]_e}`` for ``f = sum_gamma c_gamma v^gamma``, v the
+    variables from slot ``start`` on and each ``c_gamma`` free of v: the degree-e
+    parts as pieces (see :func:`sum_of_products`), keyed at digit width ``shift``."""
+    n = f.nvars
+    width, low = shift * n, (1 << shift * (n - start)) - 1
+    groups: dict = {}  # v digits -> the (key, numerator) terms that have them
+    for key, value in zip(f._keys_at(shift), f._nums):
+        groups.setdefault(key & low, []).append((key, value))
+    out = {}
+    for digits, terms in groups.items():
+        gamma = _unpack(digits, n - start, shift)
+        # clear the v digits and take their degree off the degree digit
+        drop = digits + (sum(gamma) << width)
+        parts: dict = {}
+        for key, value in terms:
+            parts.setdefault((key - drop) >> width, {})[key - drop] = value
+        out[gamma] = {e: _piece(acc, f._den) for e, acc in parts.items()}
+    return out
+
+
+def sum_of_products(pairs: Sequence[tuple], width: int, out_degree: int):
+    """The sum of ``a * b`` over pairs of pieces, truncated at ``out_degree``, as a piece.
+
+    A piece is ``(terms, den)``: sorted packed keys (``width`` bits below the
+    degree digit) to integer numerators over one positive denominator,
+    reduced; a vanishing piece is None, and its pairs are dropped first.  The
+    other products go into one accumulator over the lcm of the pairs'
+    denominators, reduced once; the side with fewer terms carries the scale.
+    """
+    live = [(a, b) for a, b in pairs if a and b]
+    den = lcm(*[da * db for (_, da), (_, db) in live])
+    acc: dict = {}
+    for (a, da), (b, db) in live:
+        if len(b) < len(a):
+            a, b = b, a
+        scale = den // (da * db)
+        a_terms = a.items() if scale == 1 else [(k, v * scale) for k, v in a.items()]
+        _add_products(acc, a_terms, list(b), list(b.values()), width, out_degree)
+    return _piece(acc, den)
 
 
 def power_step(gamma: MultiIndex) -> tuple:
@@ -751,13 +772,15 @@ def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int, ou
     """Add ``va * vb`` at ``ka + kb`` into ``acc`` for every pair of degree at most
     ``out_degree``; ``b_keys`` are sorted, the keys of ``a_terms`` may come in any order."""
     b_terms = list(zip(b_keys, b_nums))
+    size = len(b_terms)
     get = acc.get
     for ka, va in a_terms:
         # b keys below this bound have degree at most out_degree - deg(ka)
         bound = (out_degree + 1 - (ka >> width)) << width
         if bound <= 0:
             continue
-        for kb, vb in b_terms[: bisect_left(b_keys, bound)]:
+        stop = bisect_left(b_keys, bound)
+        for kb, vb in b_terms if stop == size else b_terms[:stop]:
             k = ka + kb
             acc[k] = get(k, 0) + va * vb
 

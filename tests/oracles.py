@@ -12,7 +12,11 @@ was before it built its steps slot by slot: three ``factorial`` calls, a
 earlier forms: whole compositions through plain ``compose``, with no
 table shared with the pipeline; the sweeps invert the Hessian by
 Gauss-Jordan elimination (``fraction_matrix_inverse``), where the pipeline
-uses Cramer's rule over ``det``.
+uses Cramer's rule over ``det``.  ``invert_theta_pieces`` is the
+degree-by-degree inversion as it was before it kept raw pieces: every
+homogeneous piece a ``TruncatedSeries``, split from R (not ``-H^{-1} R``)
+by ``graded_coefficients``, each new piece one ``sum_of_series_products``
+and ``H^{-1}`` applied per sweep, with the Gauss-Jordan inverse.
 ``amplitudes_recomputed`` and ``collapses_recomputed`` compute every
 amplitude ``(b_m o z) * Delta0`` and every collapse ``to_xz(D_theta . A_m)``
 anew, on a fresh geometry, where the pipeline reuses what the
@@ -24,17 +28,21 @@ import cmath
 import json
 import math
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from bergman.potential import build_geometry
 from bergman.series import (
     TruncatedSeries,
+    _add_products,
     _pack,
+    _shift_for,
     _unpack,
+    close_power_chain,
     det,
     exponents_of_degree,
     linear_combination,
     multi_factorial,
+    power_step,
     sub_indices,
     unit,
 )
@@ -232,6 +240,104 @@ def invert_theta_sweeps(theta):
             for row in hinv
         ]
     return z
+
+
+def graded_coefficients(f, start):
+    """The coefficients of ``f`` in the variables ``v`` from slot ``start`` on, by degree.
+
+    ``gamma -> {e: [c_gamma]_e}`` for ``f = sum_gamma c_gamma v^gamma``, each
+    part a series with ``f``'s nvars and degree.
+    """
+    n, shift = f.nvars, f._shift
+    width, tail = shift * n, shift * (n - start)
+    parts = {}
+    for key, value in zip(f._keys, f._nums):
+        gamma = _unpack(key, n, shift)[start:]
+        # clear the v digits and take their degree off the degree digit
+        rest = (key >> tail << tail) - (sum(gamma) << width)
+        parts.setdefault(gamma, {}).setdefault(rest >> width, {})[rest] = value
+    return {
+        gamma: {
+            e: TruncatedSeries._canonical(n, f.trunc_degree, shift, acc, f._den)
+            for e, acc in by_degree.items()
+        }
+        for gamma, by_degree in parts.items()
+    }
+
+
+def sum_of_series_products(pairs, out_degree):
+    """The sum of ``a * b`` over pairs of series, truncated at ``out_degree``,
+    in one accumulator; a pair with an empty factor is dropped."""
+    nvars = pairs[0][0].nvars
+    shift = _shift_for(out_degree)
+    den = 1
+    live = []
+    for a, b in pairs:
+        if a._keys and b._keys:
+            if len(b._keys) < len(a._keys):
+                a, b = b, a
+            live.append((a, b))
+            shift = max(shift, a._shift, b._shift)
+            den = lcm(den, a._den * b._den)
+    acc = {}
+    width = shift * nvars
+    for a, b in live:
+        scale = den // (a._den * b._den)
+        a_nums = a._nums if scale == 1 else [v * scale for v in a._nums]
+        _add_products(acc, zip(a._keys_at(shift), a_nums), b._keys_at(shift), b._nums,
+                      width, out_degree)
+    return TruncatedSeries._canonical(nvars, out_degree, shift, acc, den)
+
+
+def invert_theta_pieces(theta):
+    """``potential.invert_theta`` with every homogeneous piece a ``TruncatedSeries``.
+
+    The same degree-by-degree solve, with the pieces of theta from
+    ``graded_coefficients`` and each new piece one ``sum_of_series_products``.
+    """
+    n3 = theta[0].nvars
+    n = n3 // 3
+    D = theta[0].trunc_degree
+    hess = [[Fraction(theta[i][unit(n3, 2 * n + j)]) for j in range(n)] for i in range(n)]
+    hinv = fraction_matrix_inverse(hess)
+    units = [unit(n, j) for j in range(n)]
+    r = [graded_coefficients(t, 2 * n) for t in theta]
+    for ri in r:
+        for u in units:
+            ri.get(u, {}).pop(0, None)  # H
+    top = dict.fromkeys(units, D)
+    for ri in r:
+        for gamma, parts in ri.items():
+            if sum(gamma) > 1:
+                top[gamma] = max(top.get(gamma, 0), D - min(parts))
+    close_power_chain(top)
+    zero = TruncatedSeries.zero(n3, D)
+    pieces = {gamma: [zero] * sum(gamma) for gamma in top}
+    pieces[(0,) * n] = [TruncatedSeries.one(n3, D)] + [zero] * D
+    higher = [(gamma, *power_step(gamma)) for gamma in top if sum(gamma) > 1]
+    tvars = TruncatedSeries.variables(n3, D)[2 * n :]
+    for d in range(1, D + 1):
+        for gamma, j, lower in higher:
+            if sum(gamma) <= d <= top[gamma]:
+                pz, pl = pieces[units[j]], pieces[lower]
+                pieces[gamma].append(sum_of_series_products(
+                    [(pl[k], pz[d - k]) for k in range(sum(gamma) - 1, d)], D
+                ))
+        rz = []
+        for ri in r:
+            pairs = [
+                (part, pieces[gamma][d - e])
+                for gamma, parts in ri.items()
+                for e, part in parts.items()
+                if d - e >= sum(gamma)
+            ]
+            rz.append(sum_of_series_products(pairs, D) if pairs else zero)
+        for u, row in zip(units, hinv):
+            pieces[u].append(linear_combination(
+                [(h, t) for h, t in zip(row, tvars) if h and d == 1]
+                + [(-h, w) for h, w in zip(row, rz) if h]
+            ))
+    return [linear_combination([(1, p) for p in pieces[u][1:]]) for u in units]
 
 
 def diagonal_pullback_w_table(geom, f):

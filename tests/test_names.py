@@ -1,9 +1,12 @@
-"""Every top-level function and class of the package has a caller.
+"""Every top-level function and class of the package, and every public method
+or property of its classes, has a caller.
 
-A name counts as called when the package (other than ``__init__``) or the
-benchmark harness loads it as a bare name, imports it, or reads it as an
-attribute of a package module (``kernel.name``); a field of the same name
-does not count.  Strings count only in ``perfbench/spans.py``, whose
+A top-level name counts as called when the package (other than ``__init__``)
+or the benchmark harness loads it as a bare name, imports it, or reads it as
+an attribute of a package module (``kernel.name``); a field of the same name
+does not count.  A method or property (dunder names aside) counts as called
+when the package or the harness reads an attribute of its name, on any
+object.  Strings count only in ``perfbench/spans.py``, whose
 ``LAYER_TARGETS`` names the functions the traced runs wrap.  Tests do not
 count: code that only tests call has no role in the pipeline.
 """
@@ -48,3 +51,30 @@ def test_every_top_level_definition_has_a_caller():
         and node.name not in used
     ]
     assert unused == []
+
+
+def _attribute_reads() -> set:
+    reads = set()
+    for path in _sources() + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and path in STRING_TABLES):
+                reads.add(node.value)
+    return reads
+
+
+def test_every_public_method_has_a_reader():
+    reads = _attribute_reads()
+    unread = [
+        f"{path.name}:{cls.name}.{node.name}"
+        for path in _sources()
+        for cls in ast.parse(path.read_text(), str(path)).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in reads
+    ]
+    assert unread == []

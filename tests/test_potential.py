@@ -36,6 +36,7 @@ from oracles import (
     delta0_jacobian_product,
     delta0_quotient,
     diagonal_pullback_w_table,
+    invert_theta_pieces,
     invert_theta_sweeps,
     segment_average_oracle,
     segment_average_per_split,
@@ -406,6 +407,51 @@ def dense_spec(D, c21=F(-3, 4), c31=F(-1, 2)):
     })
 
 
+def _assert_same_inversion(theta):
+    """The raw-piece inversion builds what the series-piece inversion built, field by field."""
+    got, want = invert_theta(theta), invert_theta_pieces(theta)
+    assert [(z._shift, z._keys, z._nums, z._den) for z in got] == [
+        (z._shift, z._keys, z._nums, z._den) for z in want
+    ]
+
+
+@st.composite
+def hermitian_specs(draw, n):
+    """A valid spec in n variables: |x|^2 plus drawn Hermitian pairs c[a,b] = c[b,a],
+    none of them constant, linear or in the Hessian."""
+    degree = draw(st.integers(3, 8 - n))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    pairs = st.tuples(exps, exps).filter(
+        lambda ab: 2 <= sum(ab[0]) + sum(ab[1]) <= degree and (sum(ab[0]), sum(ab[1])) != (1, 1)
+    )
+    coeffs = {(unit(n, i), unit(n, i)): F(1) for i in range(n)}
+    values = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7]))
+    for a, b in draw(st.lists(pairs, max_size=6)):
+        coeffs[(a, b)] = coeffs[(b, a)] = draw(values)
+    return PotentialSpec(n, degree, 0.3, coeffs)
+
+
+class TestRawInversion:
+    """``invert_theta`` on raw pieces against ``oracles.invert_theta_pieces``."""
+
+    # the model_geometry benchmark curvatures at seeds 1 and 7919
+    @pytest.mark.parametrize("c", [F(3, 5), F(-2, 5), F(3, 4)])
+    def test_chsc_benchmark_curvatures(self, c):
+        _assert_same_inversion(build_theta(polarize(preset_chsc(2, c, 12))))
+
+    @pytest.mark.parametrize("spec", [dense_spec(12), non_radial_n2_spec(10)], ids=["dense", "n2"])
+    def test_dense_and_non_radial(self, spec):
+        _assert_same_inversion(build_theta(polarize(spec)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_drawn_hermitian_specs(self, n, data):
+        spec = data.draw(hermitian_specs(n))
+        spec.validate()
+        _assert_same_inversion(build_theta(polarize(spec)))
+
+
 OLD_FORM_SPECS = {
     "dense_D16": lambda: dense_spec(16),
     "non_radial_n2_D8": lambda: non_radial_n2_spec(8),
@@ -432,6 +478,9 @@ class TestOldForms:
         # from the spec, not build_geometry, so the round-trip check cannot stand in
         theta = build_theta(polarize(old_form_spec))
         assert invert_theta(theta) == invert_theta_sweeps(theta)
+
+    def test_raw_inversion_equals_the_series_pieces(self, old_form_spec):
+        _assert_same_inversion(build_theta(polarize(old_form_spec)))
 
     def test_build_theta_equals_the_per_split_average(self, old_form_spec):
         psi = polarize(old_form_spec)

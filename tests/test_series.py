@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from bergman.series import (
     TruncatedSeries,
     _add_products,
+    _shift_for,
     det,
     exponents_of_degree,
+    graded_pieces,
     linear_combination,
     multi_factorial,
     mul_trunc,
@@ -350,6 +352,27 @@ def _items(s):
     return s.nvars, s.trunc_degree, list(s.coeffs.items())
 
 
+def _piece_of(s: TruncatedSeries, shift: int):
+    """The raw piece of ``s`` (keys at digit width ``shift``), None when ``s`` is empty."""
+    return (dict(zip(s._keys_at(shift), s._nums)), s._den) if s._keys else None
+
+
+def _series_of(piece, nvars: int, degree: int, shift: int) -> TruncatedSeries:
+    terms, den = piece or ({}, 1)
+    return TruncatedSeries._canonical(nvars, degree, shift, terms, den)
+
+
+def _sum_of_pieces(pairs, nvars: int, out_degree: int) -> TruncatedSeries:
+    """``sum_of_products`` of the raw pieces of series pairs, as a series; the
+    piece it returns must be sorted and reduced, as every piece is."""
+    shift = max([_shift_for(out_degree)] + [s._shift for pair in pairs for s in pair])
+    pieces = [(_piece_of(a, shift), _piece_of(b, shift)) for a, b in pairs]
+    got = sum_of_products(pieces, shift * nvars, out_degree)
+    if got is not None:
+        assert list(got[0]) == sorted(got[0]) and math.gcd(got[1], *got[0].values()) == 1
+    return _series_of(got, nvars, out_degree, shift)
+
+
 no_constant = series_strategy(3, 3).filter(lambda s: s.constant_term == 0)
 
 
@@ -368,6 +391,11 @@ COMPOSE_SHAPES = {
     "none_bare": [DENSE, DENSE, DENSE],
     "scaled_variable": [("2x", 0), DENSE, ("x", 1)],
     "variable_plus_higher_term": [("x+", 0), ("x", 1), DENSE],
+    # runs of bare arguments: the pipeline's prefix run, a run onto shifted
+    # target slots, and an outer series of 2 variables into 3 as (x, z) -> (x, y, theta)
+    "prefix_run": [("x", 0), ("x", 1), DENSE],
+    "run_to_shifted_slots": [("x", 1), ("x", 2), DENSE],
+    "two_into_three": [("x", 0), DENSE],
 }
 
 
@@ -411,6 +439,7 @@ class TestTrustedConstructor:
         st.integers(0, 6),
     )
     def test_sum_of_products_with_empty_factors(self, drawn, out_degree):
+        # a vanishing piece is None; its pairs add nothing
         zero = TruncatedSeries.zero(2, 4)
         some = [(zero if "a" in e else a, zero if "b" in e else b) for a, b, e in drawn]
         every = [(zero, b) if i % 2 else (a, zero) for i, (a, b, _) in enumerate(drawn)]
@@ -419,18 +448,21 @@ class TestTrustedConstructor:
             for a, b in pairs:
                 for k, v in _plain_mul(a.coeffs, b.coeffs, out_degree).items():
                     plain[k] = plain.get(k, 0) + v
-            got = sum_of_products(pairs, out_degree)
+            got = _sum_of_pieces(pairs, 2, out_degree)
             assert _items(got) == _items(TruncatedSeries(2, out_degree, plain))
-        assert sum_of_products(every, out_degree) == TruncatedSeries.zero(2, out_degree)
+        pieces = [(_piece_of(a, 3), _piece_of(b, 3)) for a, b in every]
+        assert all(None in pair for pair in pieces)
+        assert sum_of_products(pieces, 3 * 2, out_degree) is None
 
     def test_empty_factors_are_still_checked(self):
         a, zero = TruncatedSeries.variable(2, 4, 0), TruncatedSeries.zero(2, 4)
         wrong = TruncatedSeries.zero(3, 4)
-        for pairs in ([(a, a), (wrong, a)], [(zero, wrong)]):
+        for x, y in ((a, TruncatedSeries.variable(3, 4, 0)), (zero, wrong), (wrong, zero)):
             with pytest.raises(ValueError, match="mul: nvars mismatch"):
-                sum_of_products(pairs, 4)
+                mul_trunc(x, y, 4)
         with pytest.raises(ValueError, match="out_degree must be non-negative"):
-            sum_of_products([(zero, a)], -1)
+            mul_trunc(zero, a, -1)
+        assert mul_trunc(zero, a, 6) == TruncatedSeries.zero(2, 6)
 
     @settings(max_examples=60, deadline=None)
     @given(series_strategy(2, 4), no_constant, no_constant)
@@ -453,6 +485,11 @@ class TestTrustedConstructor:
             out_D = min(degree, 3)
             want = TruncatedSeries(3, out_D, _plain_compose(f, args, out_D))
             assert _items(got) == _items(want)
+        # keys are exponent tuples of the substituted slots only (a drawn
+        # argument may itself be a bare variable)
+        substituted = sum(1 for a in args if a not in TruncatedSeries.variables(3, 3))
+        assert all(type(key) is tuple and len(key) == substituted
+                   and all(type(e) is int for e in key) for key in cache)
 
     def test_compose_cache_holds_substituted_powers_only(self):
         x = TruncatedSeries.variables(3, 3)
@@ -607,7 +644,7 @@ class TestPackedCore:
         for a, b in maps:
             for k, v in _plain_mul(a, b, out_degree).items():
                 plain[k] = plain.get(k, 0) + v
-        got = sum_of_products(pairs, out_degree)
+        got = _sum_of_pieces(pairs, nvars, out_degree)
         assert _items(got) == _expected(nvars, out_degree, plain)
         assert got._den == math.lcm(*(F(c).denominator for c in got.coeffs.values()))
 
@@ -624,11 +661,16 @@ class TestPackedCore:
                 rest = key[:start] + (0,) * (nvars - start)
                 by_degree = plain.setdefault(key[start:], {}).setdefault(sum(rest), {})
                 by_degree[rest] = by_degree.get(rest, 0) + value
-        got = TruncatedSeries(nvars, degree, f).graded_coefficients(start)
+        series = TruncatedSeries(nvars, degree, f)
+        shift = series._shift + data.draw(st.integers(0, 1))  # its own digit width or wider
+        got = graded_pieces(series, start, shift)
         assert sorted(got) == sorted(plain)
         for gamma, parts in got.items():
             for e, part in parts.items():
-                assert _items(part) == _expected(nvars, degree, plain[gamma][e])
+                want = _expected(nvars, degree, plain[gamma][e])
+                assert _items(_series_of(part, nvars, degree, shift)) == want
+                assert list(part[0]) == sorted(part[0])
+                assert math.gcd(part[1], *part[0].values()) == 1
 
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=30, deadline=None)
