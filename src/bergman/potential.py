@@ -168,14 +168,10 @@ class PotentialSpec:
     # -- serialization ------------------------------------------------------
 
     def to_record(self) -> dict:
-        terms = []
-        for (a, b) in sorted(self.coeffs, key=lambda ab: (sum(ab[0]) + sum(ab[1]), ab)):
-            v = Fraction(self.coeffs[(a, b)])
-            if v == 0:
-                continue
-            terms.append(
-                {"alpha": list(a), "beta": list(b), "num": v.numerator, "den": v.denominator}
-            )
+        items = sorted(self.coeffs.items(), key=lambda t: (sum(t[0][0] + t[0][1]), t[0]))
+        values = [(ab, v if isinstance(v, (int, Fraction)) else Fraction(v)) for ab, v in items]
+        terms = [{"alpha": list(a), "beta": list(b), "num": v.numerator, "den": v.denominator}
+                 for (a, b), v in values if v]
         return {
             "n": self.n,
             "trunc_degree": self.trunc_degree,
@@ -313,15 +309,15 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     first sum k >= 1, and in the second a power with |gamma| >= 2 reads only
     this sweep's new piece, while ``s_(u,e_j)`` has no degree-0 part (that
     is H).  A piece list grows only when its piece is finished, so a read of
-    an unfinished piece fails loudly.  Pieces are raw: packed keys at the
-    digit width of theta to integer numerators over one denominator, or None
-    when the piece vanishes; :func:`bergman.series.graded_pieces` splits
-    ``-H^{-1} theta`` into the ``[s_(u,gamma)]_e``, and each new piece is one
-    :func:`bergman.series.sum_of_products`.  Only the returned z_u become
-    series.  Each ``P_gamma`` stops at the highest degree a product reads,
-    so the total work is about one power table at full degree, where
-    fixed-point sweeps of whole compositions rebuild every power at every
-    degree.
+    an unfinished piece fails loudly.  A piece is the ``(keys, nums, den)``
+    triple a series stores, at the digit width of theta, or None when it
+    vanishes; :func:`bergman.series.graded_pieces` splits ``-H^{-1} theta``
+    into the ``[s_(u,gamma)]_e``, and a new piece is one
+    :func:`bergman.series.sum_of_products` of the pairs of live pieces, or
+    None, with no call, when no pair is live.  Only the z_u become series.
+    Each ``P_gamma`` stops at the highest degree a product reads, so the total
+    work is about one power table at full degree, where fixed-point sweeps of
+    whole compositions rebuild every power at every degree.
     """
     n3 = theta[0].nvars
     n = n3 // 3
@@ -345,7 +341,7 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     top = dict.fromkeys(units, D)  # gamma -> the highest degree of P_gamma a product reads
     s = []
     for u, row, t_u in zip(units, hinv, ht):
-        su = [((0,) * n, 1, 0, (dict(zip(t_u._keys_at(shift), t_u._nums)), t_u._den))]
+        su = [((0,) * n, 1, 0, (t_u._keys_at(shift), t_u._nums, t_u._den))]
         neg = linear_combination([(-h, t) for h, t in zip(row, theta) if h])
         for gamma, parts in graded_pieces(neg, 2 * n, shift).items():
             su += [(gamma, e, sum(gamma), p) for e, p in parts.items() if (gamma, e) != (u, 0)]
@@ -355,7 +351,7 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     close_power_chain(top)
 
     # P[gamma][d] = [P_gamma]_d, None below the valuation |gamma|; P_0 = 1
-    one = ({0: 1}, 1)
+    one = ([0], [1], 1)
     pieces = {gamma: [None] * sum(gamma) for gamma in top}
     pieces[(0,) * n] = [one] + [None] * D
     higher = [(gamma, *power_step(gamma)) for gamma in top if sum(gamma) > 1]
@@ -363,20 +359,21 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
         for gamma, j, lower in higher:
             if sum(gamma) <= d <= top[gamma]:
                 pz, pl = pieces[units[j]], pieces[lower]
-                pieces[gamma].append(sum_of_products(
-                    [(pl[k], pz[d - k]) for k in range(sum(gamma) - 1, d)], width, D
-                ))
+                pairs = [(pl[k], pz[d - k]) for k in range(sum(gamma) - 1, d)
+                         if pl[k] and pz[d - k]]
+                pieces[gamma].append(sum_of_products(pairs, width, D) if pairs else None)
         for u, su in zip(units, s):
-            pairs = [(part, pieces[gamma][d - e]) for gamma, e, size, part in su if d - e >= size]
-            pieces[u].append(sum_of_products(pairs, width, D))
+            pairs = [(part, p) for gamma, e, size, part in su
+                     if d - e >= size and (p := pieces[gamma][d - e])]
+            pieces[u].append(sum_of_products(pairs, width, D) if pairs else None)
     # z_u has theta's digit width once a nonzero R_j with (H^{-1})_uj != 0 enters it (its
     # first product meets a nonzero power piece), else it is (H^{-1} t)_u at its own width
     nonlinear = [len(t._keys) > sum(map(bool, row)) for t, row in zip(theta, hess)]
     z = []
     for u, row, t_u in zip(units, hinv, ht):
         if any(h and big for h, big in zip(row, nonlinear)):
-            terms, den = sum_of_products([(one, p) for p in pieces[u][1:]], width, D)
-            t_u = TruncatedSeries._canonical(n3, D, shift, terms, den)
+            piece = sum_of_products([(one, p) for p in pieces[u][1:]], width, D)
+            t_u = TruncatedSeries._from_sorted(n3, D, shift, *piece)
         z.append(t_u)
     return z
 
@@ -414,9 +411,9 @@ class GeometryPack:
     read and kept.  The pack is the only code that composes through the
     phase chain theta -> z(x,y,theta) -> theta(x,x,z), with two compositions:
     :meth:`substitute_z` (z = ``z(x,y,theta)``) and :meth:`to_xz`
-    (theta = ``psi_x(x,z)``).  In each, the x (and y) arguments are bare
-    variables, which only move exponents, and the other n arguments are
-    substituted.  Each composition keeps the powers of its n substituted
+    (y = x, theta = ``psi_x(x,z)``).  In each, the x and y arguments are bare
+    variables, which only move exponents (``to_xz`` moves both onto x), and
+    the other n arguments are substituted.  Each composition keeps the powers of its n substituted
     arguments, keyed by their exponent: :attr:`z_powers`, which the
     round-trip check starts from ``z_of_theta`` alone, and
     :attr:`psi_x_powers`.  An entry holds its power through the highest
@@ -483,11 +480,9 @@ class GeometryPack:
         return f.compose(bare + list(self.z_of_theta), cache=self.z_powers)
 
     def to_xz(self, f_xytheta: TruncatedSeries) -> TruncatedSeries:
-        """f(x, y, theta) -> f(x, x, psi_x(x, z)) in (x, z) blocks."""
-        n = self.n
-        # y = x: (x, y, w) blocks -> (x, w) blocks
-        f_xtheta = f_xytheta.remap_variables(2 * n, tuple(range(n)) * 2 + tuple(range(n, 2 * n)))
-        return f_xtheta.compose(self._bare[1] + list(self.psi_x), cache=self.psi_x_powers)
+        """f(x, y, theta) -> f(x, x, psi_x(x, z)) in (x, z) blocks, in one composition."""
+        x = self._bare[1]
+        return f_xytheta.compose(x + x + list(self.psi_x), cache=self.psi_x_powers)
 
     def amplitude(self, b: TruncatedSeries) -> TruncatedSeries:
         """(b o z) * Delta0 in (x, y, theta) blocks, for b in (x, z) blocks of degree <= D - 2.

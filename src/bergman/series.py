@@ -40,6 +40,8 @@ denominators, so a product sums ``num_a * num_b`` in ints over
 ``den_a * den_b`` and reduces once per result, not once per term pair.
 The form is canonical up to the base, so ``==`` compares numerators and
 keys repacked to the larger base, and ``[]`` bisects on the packed key.
+The phase inversion's homogeneous pieces share the form: the triple ``(keys,
+nums, den)``, None when the piece vanishes, reduced by the one :func:`_piece`.
 ``eval`` builds a float plan on first use: per term, in graded lexicographic
 order, ``complex(num / den)`` (correctly rounded, as ``complex(Fraction)``)
 and the power table entries it multiplies.  ``coeffs``, the view by exponent
@@ -69,32 +71,33 @@ power is built to the highest degree a call reads, not to the argument
 degree.  An entry too low for a later call is rebuilt higher and replaced;
 an entry at least as high is reused as it is.
 :class:`bergman.potential.GeometryPack`, the only composer through the phase,
-keeps two such tables: one for ``psi_x(x, z)`` and one for the inverted phase
-``z(x, y, theta)`` (``geom.z_powers``), which the round-trip check builds
-and ``Delta0`` and every later composition through ``z`` reuse.  The phase
-inversion composes nothing: it keeps raw homogeneous pieces, split from the
-phase by :func:`graded_pieces`, and fills each new one through the same pair
-loop with :func:`sum_of_products`, which skips every pair with a vanishing
-piece.  No table outlives a call: apart from the ``cache`` a caller passes
-in and the views a series builds of itself, tables such as the split steps
-of :func:`segment_average` are rebuilt on every call, so a repeated call
-costs what the first one did.
+keeps two such tables: one for ``psi_x(x, z)``, read by ``to_xz`` in one
+composition that runs both the x and the y block onto x, and one for the
+inverted phase ``z(x, y, theta)`` (``geom.z_powers``), which the round-trip
+check builds and ``Delta0`` and every later composition through ``z`` reuse.
+The phase inversion composes nothing: it splits the phase into pieces with
+:func:`graded_pieces` and makes each new one with :func:`sum_of_products` of
+its live pairs.  No table outlives a call: apart from a caller's ``cache``
+and the views a series builds of itself, tables such as the split steps of
+:func:`segment_average` are rebuilt on every call, so a repeated call costs
+what the first one did.
 
 Trusted construction
 --------------------
 The public constructor validates every exponent tuple (length, sign, degree)
 and sums duplicates, because specs, records and callers may hand it anything.
-Operations build their results through ``TruncatedSeries._canonical``, which
-only drops zeros, sorts and reduces the denominator.  That is safe because
-each makes one entry per key from keys of valid operands by digit arithmetic
-that cannot carry: sums of keys of total degree at most the output degree
-(products, ``invert``, ``compose``, the phase inversion), a multi-index taken
-from digits at least as large (``diff``), the keys repacked to one base
-(``linear_combination``), a degree cut (``truncate``), digits moved between
-slots (``remap_variables``, bare ``compose`` arguments, and
-``segment_average``, which moves part of each y digit to the matching x digit
-and keeps the degree digit).  A product with an empty factor makes no entry,
-so :func:`mul_trunc` returns the zero series after the ``nvars`` check.
+Operations only drop zeros and reduce (:func:`_piece`), since each makes its
+keys from keys of valid operands by digit arithmetic that cannot carry.  Sums
+of keys of degree at most the output degree (products, ``invert``,
+``compose``, the phase inversion) and moves that can merge keys (a sum of
+series, ``remap_variables``, bare ``compose`` arguments, ``segment_average``,
+which moves part of each y digit to its x digit) fill a dict that
+``TruncatedSeries._canonical`` sorts.  The rest build their lists in key
+order for ``TruncatedSeries._from_sorted``: ``truncate`` slices them, a scalar
+multiple keeps the keys, and ``diff`` and :func:`graded_pieces` take one
+constant, no digit larger than the key's, off each key of a sorted run, and
+``x < y`` gives ``x - c < y - c``.  An empty factor makes no entry, so
+:func:`mul_trunc` returns the zero series after the ``nvars`` check.
 ``segment_average`` builds its steps in each call from unit moves of one
 digit and keeps none.
 """
@@ -201,22 +204,12 @@ class TruncatedSeries:
         shift = _shift_for(trunc_degree)
         den = lcm(*[v.denominator for v in clean.values()])
         packed = {_pack(k, shift): v.numerator * (den // v.denominator) for k, v in clean.items()}
-        self._store(nvars, trunc_degree, shift, packed, den)
+        keys = sorted(packed)
+        self._store(nvars, trunc_degree, shift, keys, [packed[k] for k in keys], den)
 
-    def _store(self, nvars: int, trunc_degree: int, shift: int, acc: dict, den: int):
-        """Set the fields from packed key -> numerator over ``den``, in canonical form."""
-        keys = sorted(acc)
-        nums = [acc[k] for k in keys]
-        if 0 in nums:
-            keys = [k for k, v in zip(keys, nums) if v]
-            nums = [v for v in nums if v]
-        if den != 1:
-            g = gcd(den, *nums)
-            if den < 0:
-                g = -g
-            if g != 1:
-                nums = [v // g for v in nums]
-                den //= g
+    def _store(self, nvars: int, trunc_degree: int, shift: int, keys: list, nums: list, den: int):
+        """Set the fields from sorted packed keys and numerators over ``den`` by :func:`_piece`."""
+        keys, nums, den = _piece(keys, nums, den) or ([], [], 1)
         _set(self, "nvars", nvars)
         _set(self, "trunc_degree", trunc_degree)
         _set(self, "_shift", shift)
@@ -225,6 +218,7 @@ class TruncatedSeries:
         _set(self, "_den", den)
         _set(self, "_coeffs", None)
         _set(self, "_plan", None)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("TruncatedSeries is immutable")
@@ -237,9 +231,13 @@ class TruncatedSeries:
     ) -> "TruncatedSeries":
         """Trusted constructor from packed key -> numerator over ``den``, one
         entry per valid key of degree at most ``trunc_degree``; nothing is checked."""
-        out = object.__new__(cls)
-        out._store(nvars, trunc_degree, shift, acc, den)
-        return out
+        keys = sorted(acc)
+        return cls._from_sorted(nvars, trunc_degree, shift, keys, [acc[k] for k in keys], den)
+
+    @classmethod
+    def _from_sorted(cls, nvars: int, trunc_degree: int, shift: int, keys, nums, den: int):
+        """:meth:`_canonical` from keys already in order, with their numerators."""
+        return object.__new__(cls)._store(nvars, trunc_degree, shift, keys, nums, den)
 
     @classmethod
     def zero(cls, nvars: int, trunc_degree: int) -> "TruncatedSeries":
@@ -411,25 +409,25 @@ class TruncatedSeries:
         new_D = max(0, self.trunc_degree - order)
         if order == 0:
             return self.truncate(new_D)
-        n, shift = self.nvars, self._shift
-        mask = (1 << shift) - 1
-        slots = [(shift * (n - 1 - i), d) for i, d in enumerate(xi) if d]
+        n, shift, mask = self.nvars, self._shift, (1 << self._shift) - 1
+        # per derivative slot, the falling factorial e!/(e-d)! of each digit e, 0 below d
+        slots = [(shift * (n - 1 - i), [perm(e, d) for e in range(self.trunc_degree + 1)])
+                 for i, d in enumerate(xi) if d]
         step = _pack(xi, shift)
-        out = {}
+        keys, nums = [], []
         for key, value in zip(self._keys, self._nums):
-            factor = 1
-            for offset, d in slots:
-                e = (key >> offset) & mask
-                if e < d:
-                    break
-                factor *= perm(e, d)
-            else:
-                out[key - step] = value * factor
-        return TruncatedSeries._canonical(n, new_D, shift, out, self._den)
+            for offset, falling in slots:
+                value *= falling[key >> offset & mask]
+            if value:
+                keys.append(key - step)
+                nums.append(value)
+        return TruncatedSeries._from_sorted(n, new_D, shift, keys, nums, self._den)
 
     # -- structural operations ----------------------------------------------
 
     def truncate(self, new_degree: int) -> "TruncatedSeries":
+        if new_degree < 0:
+            raise ValueError("truncate: new_degree must be non-negative")
         if new_degree > self.trunc_degree:
             raise ValueError(
                 f"cannot raise truncation degree {self.trunc_degree} to {new_degree}"
@@ -437,9 +435,8 @@ class TruncatedSeries:
         if new_degree == self.trunc_degree:
             return self
         cut = bisect_left(self._keys, (new_degree + 1) << (self._shift * self.nvars))
-        return TruncatedSeries._canonical(
-            self.nvars, new_degree, self._shift,
-            dict(zip(self._keys[:cut], self._nums[:cut])), self._den,
+        return TruncatedSeries._from_sorted(
+            self.nvars, new_degree, self._shift, self._keys[:cut], self._nums[:cut], self._den
         )
 
     def remap_variables(self, new_nvars: int, var_map: Sequence[int]) -> "TruncatedSeries":
@@ -454,14 +451,14 @@ class TruncatedSeries:
             raise ValueError("var_map length must equal nvars")
         if any(t < 0 or t >= new_nvars for t in var_map):
             raise ValueError("var_map target out of range")
-        n, shift = self.nvars, self._shift
-        offsets = [shift * (new_nvars - 1 - t) for t in var_map]
+        n, shift, mask = self.nvars, self._shift, (1 << self._shift) - 1
+        moves = [(shift * (n - 1 - i), shift * (new_nvars - 1 - t)) for i, t in enumerate(var_map)]
         width, new_width = shift * n, shift * new_nvars
         out = {}
         for key, value in zip(self._keys, self._nums):
             new_key = (key >> width) << new_width
-            for e, offset in zip(_unpack(key, n, shift), offsets):
-                new_key += e << offset
+            for down, up in moves:
+                new_key += (key >> down & mask) << up
             out[new_key] = out.get(new_key, 0) + value
         return TruncatedSeries._canonical(new_nvars, self.trunc_degree, shift, out, self._den)
 
@@ -542,7 +539,9 @@ class TruncatedSeries:
                 moved += (key >> down & mask) << up
             terms = group[2]
             terms[moved] = terms.get(moved, 0) + value
-        groups = {gamma: terms for gamma, _, terms in groups.values()}
+        # runs onto one target slot can cancel terms; a group left empty reads no power
+        groups = {gamma: live for gamma, _, terms in groups.values()
+                  if (live := {k: v for k, v in terms.items() if v})}
 
         # group gamma reads P_gamma through out_D less its lowest moved degree
         need = close_power_chain({
@@ -613,11 +612,13 @@ class TruncatedSeries:
 
     def to_record(self) -> dict:
         """Structured record; each term carries its index and reduced num/den."""
-        n, shift, den = self.nvars, self._shift, self._den
+        shift, den = self._shift, self._den
+        mask, offsets = (1 << shift) - 1, range(shift * (self.nvars - 1), -1, -shift)
         terms = []
         for key, num in zip(self._keys, self._nums):
-            g = gcd(num, den)
-            terms.append({"index": list(_unpack(key, n, shift)), "num": num // g, "den": den // g})
+            g = gcd(num, den) if den != 1 else 1
+            index = [key >> offset & mask for offset in offsets]
+            terms.append({"index": index, "num": num // g, "den": den // g})
         return {
             "nvars": self.nvars,
             "trunc_degree": self.trunc_degree,
@@ -655,7 +656,11 @@ def linear_combination(terms: Sequence[tuple]) -> TruncatedSeries:
     truncation degree of the first.  All terms go into one accumulator over
     the lcm of the ``c.denominator * s._den``, reduced once.
     """
-    first = terms[0][1]
+    c, first = terms[0]
+    if len(terms) == 1:  # a scalar multiple keeps the keys, in their order
+        nums = [v * c.numerator for v in first._nums]
+        return TruncatedSeries._from_sorted(first.nvars, first.trunc_degree, first._shift,
+                                            first._keys, nums, c.denominator * first._den)
     for _, s in terms[1:]:
         first._check_compatible(s, "add")
     shift = max(s._shift for _, s in terms)
@@ -699,56 +704,66 @@ def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> Trunca
     return TruncatedSeries._canonical(a.nvars, out_degree, shift, acc, a._den * b._den)
 
 
-def _piece(acc: dict, den: int):
-    """The piece ``(terms, den)`` of packed key -> numerator over ``den`` (positive):
-    terms sorted, zeros dropped, reduced by the gcd; None when no term is left."""
-    terms = {k: v for k, v in sorted(acc.items()) if v}
-    if not terms:
+def _piece(keys: list, nums: list, den: int):
+    """The piece ``(keys, nums, den)`` of sorted packed keys and their numerators over
+    ``den``: zeros dropped, reduced by the gcd to a positive ``den``; None when no
+    term is left.  A series stores its terms in this form."""
+    if 0 in nums:
+        keys = [k for k, v in zip(keys, nums) if v]
+        nums = [v for v in nums if v]
+    if not nums:
         return None
-    g = gcd(den, *terms.values())
-    return ({k: v // g for k, v in terms.items()} if g != 1 else terms), den // g
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    if g != 1:
+        nums = [v // g for v in nums]
+        den //= g
+    return keys, nums, den
 
 
 def graded_pieces(f: TruncatedSeries, start: int, shift: int) -> dict:
     """``gamma -> {e: [c_gamma]_e}`` for ``f = sum_gamma c_gamma v^gamma``, v the
     variables from slot ``start`` on and each ``c_gamma`` free of v: the degree-e
-    parts as pieces (see :func:`sum_of_products`), keyed at digit width ``shift``."""
+    parts as pieces (see :func:`sum_of_products`), keyed at digit width ``shift``.
+    A part's keys arrive in order and lose one constant, so they stay in order."""
     n = f.nvars
     width, low = shift * n, (1 << shift * (n - start)) - 1
-    groups: dict = {}  # v digits -> the (key, numerator) terms that have them
+    parts: dict = {}  # (v digits, degree digit) -> the keys and numerators that have them
     for key, value in zip(f._keys_at(shift), f._nums):
-        groups.setdefault(key & low, []).append((key, value))
-    out = {}
-    for digits, terms in groups.items():
+        keys, nums = parts.setdefault((key & low, key >> width), ([], []))
+        keys.append(key)
+        nums.append(value)
+    out: dict = {}
+    for (digits, degree), (keys, nums) in parts.items():
         gamma = _unpack(digits, n - start, shift)
         # clear the v digits and take their degree off the degree digit
-        drop = digits + (sum(gamma) << width)
-        parts: dict = {}
-        for key, value in terms:
-            parts.setdefault((key - drop) >> width, {})[key - drop] = value
-        out[gamma] = {e: _piece(acc, f._den) for e, acc in parts.items()}
+        size = sum(gamma)
+        drop = digits + (size << width)
+        out.setdefault(gamma, {})[degree - size] = _piece([k - drop for k in keys], nums, f._den)
     return out
 
 
 def sum_of_products(pairs: Sequence[tuple], width: int, out_degree: int):
     """The sum of ``a * b`` over pairs of pieces, truncated at ``out_degree``, as a piece.
 
-    A piece is ``(terms, den)``: sorted packed keys (``width`` bits below the
-    degree digit) to integer numerators over one positive denominator,
-    reduced; a vanishing piece is None, and its pairs are dropped first.  The
-    other products go into one accumulator over the lcm of the pairs'
-    denominators, reduced once; the side with fewer terms carries the scale.
+    A piece is ``(keys, nums, den)`` as a series stores it (:func:`_piece`):
+    sorted packed keys (``width`` bits below the degree digit), their integer
+    numerators and one positive denominator, reduced; a vanishing piece is
+    None, and its pairs are dropped first.  The other products go into one
+    accumulator over the lcm of the pairs' denominators, reduced once; the
+    side with fewer terms carries the scale.
     """
     live = [(a, b) for a, b in pairs if a and b]
-    den = lcm(*[da * db for (_, da), (_, db) in live])
+    den = lcm(*[a[2] * b[2] for a, b in live])
     acc: dict = {}
-    for (a, da), (b, db) in live:
-        if len(b) < len(a):
-            a, b = b, a
-        scale = den // (da * db)
-        a_terms = a.items() if scale == 1 else [(k, v * scale) for k, v in a.items()]
-        _add_products(acc, a_terms, list(b), list(b.values()), width, out_degree)
-    return _piece(acc, den)
+    for (a_keys, a_nums, a_den), (b_keys, b_nums, b_den) in live:
+        if len(b_keys) < len(a_keys):
+            a_keys, a_nums, b_keys, b_nums = b_keys, b_nums, a_keys, a_nums
+        scale = den // (a_den * b_den)
+        if scale != 1:
+            a_nums = [v * scale for v in a_nums]
+        _add_products(acc, zip(a_keys, a_nums), b_keys, b_nums, width, out_degree)
+    keys = sorted(acc)
+    return _piece(keys, [acc[k] for k in keys], den)
 
 
 def power_step(gamma: MultiIndex) -> tuple:
@@ -771,8 +786,7 @@ def close_power_chain(top: dict) -> dict:
 def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int, out_degree: int):
     """Add ``va * vb`` at ``ka + kb`` into ``acc`` for every pair of degree at most
     ``out_degree``; ``b_keys`` are sorted, the keys of ``a_terms`` may come in any order."""
-    b_terms = list(zip(b_keys, b_nums))
-    size = len(b_terms)
+    size = len(b_keys)
     get = acc.get
     for ka, va in a_terms:
         # b keys below this bound have degree at most out_degree - deg(ka)
@@ -780,7 +794,7 @@ def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int, ou
         if bound <= 0:
             continue
         stop = bisect_left(b_keys, bound)
-        for kb, vb in b_terms if stop == size else b_terms[:stop]:
+        for kb, vb in zip(b_keys, b_nums) if stop == size else zip(b_keys[:stop], b_nums[:stop]):
             k = ka + kb
             acc[k] = get(k, 0) + va * vb
 

@@ -22,13 +22,23 @@ amplitude ``(b_m o z) * Delta0`` and every collapse ``to_xz(D_theta . A_m)``
 anew, on a fresh geometry, where the pipeline reuses what the
 recursion and the transport steps built.  ``lift`` raises a series'
 truncation degree; only the tests need it.
+
+``diff_per_term``, ``remap_variables_unpacked``, ``to_record_unpacked``,
+``graded_pieces_dict`` and ``sum_of_products_dict`` are the series loops as
+they were before pieces and series shared one sorted ``(keys, nums, den)``
+form: the derivative calls ``math.perm`` per term, remaps and records unpack
+an exponent tuple per term, every result is rebuilt through a dict and a
+sort, and a piece is a dict of packed key -> numerator with its denominator.
+``spec_record_via_fraction`` is ``PotentialSpec.to_record`` as it was, with
+one ``Fraction`` built per value, and ``to_xz_remap_then_compose`` is
+``GeometryPack.to_xz`` as two steps: y = x by a remap, then the composition.
 """
 
 import cmath
 import json
 import math
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm, perm
 
 from bergman.potential import build_geometry
 from bergman.series import (
@@ -399,3 +409,115 @@ def collapses_recomputed(geom, chain):
         div = linear_combination([(1, a.diff(unit(3 * n, 2 * n + i))) for i, a in enumerate(vec)])
         out.append(fresh.to_xz(div))
     return out
+
+
+# -- series loops before the one sorted (keys, nums, den) form --------------------
+
+
+def diff_per_term(s, xi):
+    """``TruncatedSeries.diff`` with one ``math.perm`` per term and slot, through a dict."""
+    xi = tuple(xi)
+    order = sum(xi)
+    new_D = max(0, s.trunc_degree - order)
+    if order == 0:
+        return s.truncate(new_D)
+    n, shift = s.nvars, s._shift
+    mask = (1 << shift) - 1
+    slots = [(shift * (n - 1 - i), d) for i, d in enumerate(xi) if d]
+    step = _pack(xi, shift)
+    out = {}
+    for key, value in zip(s._keys, s._nums):
+        factor = 1
+        for offset, d in slots:
+            e = (key >> offset) & mask
+            if e < d:
+                break
+            factor *= perm(e, d)
+        else:
+            out[key - step] = value * factor
+    return TruncatedSeries._canonical(n, new_D, shift, out, s._den)
+
+
+def remap_variables_unpacked(s, new_nvars, var_map):
+    """``TruncatedSeries.remap_variables`` with an exponent tuple unpacked per term."""
+    n, shift = s.nvars, s._shift
+    offsets = [shift * (new_nvars - 1 - t) for t in var_map]
+    width, new_width = shift * n, shift * new_nvars
+    out = {}
+    for key, value in zip(s._keys, s._nums):
+        new_key = (key >> width) << new_width
+        for e, offset in zip(_unpack(key, n, shift), offsets):
+            new_key += e << offset
+        out[new_key] = out.get(new_key, 0) + value
+    return TruncatedSeries._canonical(new_nvars, s.trunc_degree, shift, out, s._den)
+
+
+def to_record_unpacked(s):
+    """``TruncatedSeries.to_record`` with an exponent tuple unpacked and a gcd per term."""
+    terms = []
+    for key, num in zip(s._keys, s._nums):
+        g = gcd(num, s._den)
+        terms.append({"index": list(_unpack(key, s.nvars, s._shift)),
+                      "num": num // g, "den": s._den // g})
+    return {"nvars": s.nvars, "trunc_degree": s.trunc_degree, "mode": "rational", "terms": terms}
+
+
+def _dict_piece(acc, den):
+    """The dict piece ``(terms, den)``: terms sorted, zeros dropped, reduced; None when empty."""
+    terms = {k: v for k, v in sorted(acc.items()) if v}
+    if not terms:
+        return None
+    g = gcd(den, *terms.values())
+    return ({k: v // g for k, v in terms.items()} if g != 1 else terms), den // g
+
+
+def graded_pieces_dict(f, start, shift):
+    """``series.graded_pieces`` with dict pieces, each part rebuilt through a sort."""
+    n = f.nvars
+    width, low = shift * n, (1 << shift * (n - start)) - 1
+    groups = {}
+    for key, value in zip(f._keys_at(shift), f._nums):
+        groups.setdefault(key & low, []).append((key, value))
+    out = {}
+    for digits, terms in groups.items():
+        gamma = _unpack(digits, n - start, shift)
+        drop = digits + (sum(gamma) << width)
+        parts = {}
+        for key, value in terms:
+            parts.setdefault((key - drop) >> width, {})[key - drop] = value
+        out[gamma] = {e: _dict_piece(acc, f._den) for e, acc in parts.items()}
+    return out
+
+
+def sum_of_products_dict(pairs, width, out_degree):
+    """``series.sum_of_products`` on dict pieces, with the b side listed per call."""
+    live = [(a, b) for a, b in pairs if a and b]
+    den = lcm(*[da * db for (_, da), (_, db) in live])
+    acc = {}
+    for (a, da), (b, db) in live:
+        if len(b) < len(a):
+            a, b = b, a
+        scale = den // (da * db)
+        a_terms = a.items() if scale == 1 else [(k, v * scale) for k, v in a.items()]
+        _add_products(acc, a_terms, list(b), list(b.values()), width, out_degree)
+    return _dict_piece(acc, den)
+
+
+def spec_record_via_fraction(spec):
+    """``PotentialSpec.to_record`` with a ``Fraction`` built from every value."""
+    terms = []
+    for (a, b) in sorted(spec.coeffs, key=lambda ab: (sum(ab[0]) + sum(ab[1]), ab)):
+        v = Fraction(spec.coeffs[(a, b)])
+        if v != 0:
+            terms.append({"alpha": list(a), "beta": list(b),
+                          "num": v.numerator, "den": v.denominator})
+    return {"n": spec.n, "trunc_degree": spec.trunc_degree, "eval_radius": spec.eval_radius,
+            "terms": terms}
+
+
+def to_xz_remap_then_compose(geom, f, cache):
+    """``geom.to_xz(f)``: y = x by ``remap_variables``, then ``compose`` with ``psi_x``."""
+    n = geom.n
+    f_xtheta = f.remap_variables(2 * n, tuple(range(n)) * 2 + tuple(range(n, 2 * n)))
+    x = TruncatedSeries.variables(2 * n, geom.degree - 1)[:n]
+    return f_xtheta.compose(x + list(geom.psi_x), cache=cache)

@@ -15,6 +15,7 @@ from bergman import potential, series
 from bergman.coefficients import amplitude_from_b, bergman_coefficients
 from bergman.kernel import PairEvaluator
 from bergman.potential import (
+    GeometryPack,
     PotentialSpec,
     SpecValidationError,
     build_delta0,
@@ -40,6 +41,8 @@ from oracles import (
     invert_theta_sweeps,
     segment_average_oracle,
     segment_average_per_split,
+    spec_record_via_fraction,
+    to_xz_remap_then_compose,
     write_spec,
 )
 
@@ -154,6 +157,21 @@ class TestValidation:
         back = PotentialSpec.from_file(path)
         assert back.coeffs == dict(spec.coeffs)
         assert back.sha256() == spec.sha256()
+
+    def test_record_reads_ints_and_fractions_as_they_are(self):
+        # ints, Fractions, a float, a string and zeros: the record is the one
+        # built with a Fraction from every value
+        n = 2
+        spec = PotentialSpec(n, 6, 0.3, {
+            **preset_chsc(n, F(-2, 5), 6).coeffs,
+            ((1, 0), (0, 1)): 0.25, ((0, 1), (1, 0)): "1/4",
+            ((2, 0), (0, 1)): 3, ((0, 1), (2, 0)): F(6, 2),
+            ((1, 1), (0, 0)): 0, ((0, 0), (1, 1)): F(0),
+        })
+        assert spec.to_record() == spec_record_via_fraction(spec)
+        for make in (lambda: preset_chsc(2, F(3, 5), 12), lambda: dense_spec(12)):
+            spec = make()
+            assert spec.to_record() == spec_record_via_fraction(spec)
 
 
 class TestPolarize:
@@ -450,6 +468,47 @@ class TestRawInversion:
         spec = data.draw(hermitian_specs(n))
         spec.validate()
         _assert_same_inversion(build_theta(polarize(spec)))
+
+
+def _fields(s):
+    return s.nvars, s.trunc_degree, s._shift, s._keys, s._nums, s._den
+
+
+TO_XZ_SPECS = pytest.mark.parametrize("make, order", [
+    (lambda: preset_chsc(2, F(3, 5), 12), 3), (lambda: dense_spec(12), 5),
+    (lambda: non_radial_n2_spec(10), 4),
+], ids=["chsc_n2_D12", "dense_D12", "n2_D10"])
+
+
+class TestToXz:
+    """``GeometryPack.to_xz``, one composition with both bare blocks run onto x, against
+    the remap to y = x followed by the composition."""
+
+    @TO_XZ_SPECS
+    def test_one_composition_equals_remap_then_compose(self, make, order):
+        geom = build_geometry(make())
+        cache = {}
+        for f in (*geom.z_of_theta, geom.delta0_xytheta):
+            assert _fields(geom.to_xz(f)) == _fields(to_xz_remap_then_compose(geom, f, cache))
+        # the same powers of psi_x, keyed by the exponents of the theta block alone
+        assert list(geom.psi_x_powers) == list(cache)
+        assert all(len(gamma) == geom.n for gamma in cache)
+        assert all(_fields(p) == _fields(cache[g]) for g, p in geom.psi_x_powers.items())
+
+    @TO_XZ_SPECS
+    def test_pipeline_builds_the_same_psi_x_powers(self, monkeypatch, make, order):
+        # On the diagonal the theta terms of a chsc divergence cancel: the remap
+        # drops them before composing, and compose must build no power for them.
+        def run(geom):
+            table = amplitude_from_b(bergman_coefficients(geom, order), geom)
+            recon = reconstruct_coefficients(geom, transport_chain(geom, order))
+            powers = {g: _fields(p) for g, p in geom.psi_x_powers.items()}
+            return [_fields(b) for b in table.b], [_fields(b) for b in recon], powers
+
+        got = run(build_geometry(make()))
+        monkeypatch.setattr(GeometryPack, "to_xz", lambda geom, f: to_xz_remap_then_compose(
+            geom, f, geom.psi_x_powers))
+        assert got == run(build_geometry(make()))
 
 
 OLD_FORM_SPECS = {

@@ -24,7 +24,16 @@ from bergman.series import (
     sum_of_products,
     unit,
 )
-from oracles import eval_oracle, is_zero, lift
+from oracles import (
+    diff_per_term,
+    eval_oracle,
+    graded_pieces_dict,
+    is_zero,
+    lift,
+    remap_variables_unpacked,
+    sum_of_products_dict,
+    to_record_unpacked,
+)
 
 F = Fraction
 
@@ -354,12 +363,12 @@ def _items(s):
 
 def _piece_of(s: TruncatedSeries, shift: int):
     """The raw piece of ``s`` (keys at digit width ``shift``), None when ``s`` is empty."""
-    return (dict(zip(s._keys_at(shift), s._nums)), s._den) if s._keys else None
+    return (s._keys_at(shift), s._nums, s._den) if s._keys else None
 
 
 def _series_of(piece, nvars: int, degree: int, shift: int) -> TruncatedSeries:
-    terms, den = piece or ({}, 1)
-    return TruncatedSeries._canonical(nvars, degree, shift, terms, den)
+    keys, nums, den = piece or ([], [], 1)
+    return TruncatedSeries._canonical(nvars, degree, shift, dict(zip(keys, nums)), den)
 
 
 def _sum_of_pieces(pairs, nvars: int, out_degree: int) -> TruncatedSeries:
@@ -369,7 +378,7 @@ def _sum_of_pieces(pairs, nvars: int, out_degree: int) -> TruncatedSeries:
     pieces = [(_piece_of(a, shift), _piece_of(b, shift)) for a, b in pairs]
     got = sum_of_products(pieces, shift * nvars, out_degree)
     if got is not None:
-        assert list(got[0]) == sorted(got[0]) and math.gcd(got[1], *got[0].values()) == 1
+        assert got[0] == sorted(got[0]) and math.gcd(got[2], *got[1]) == 1
     return _series_of(got, nvars, out_degree, shift)
 
 
@@ -396,6 +405,8 @@ COMPOSE_SHAPES = {
     "prefix_run": [("x", 0), ("x", 1), DENSE],
     "run_to_shifted_slots": [("x", 1), ("x", 2), DENSE],
     "two_into_three": [("x", 0), DENSE],
+    # GeometryPack.to_xz: a 3n-block series into 2n targets, both bare blocks onto x
+    "two_runs_one_block": [("x", 0), ("x", 1), ("x", 0), ("x", 1), DENSE, DENSE],
 }
 
 
@@ -669,8 +680,8 @@ class TestPackedCore:
             for e, part in parts.items():
                 want = _expected(nvars, degree, plain[gamma][e])
                 assert _items(_series_of(part, nvars, degree, shift)) == want
-                assert list(part[0]) == sorted(part[0])
-                assert math.gcd(part[1], *part[0].values()) == 1
+                assert part[0] == sorted(part[0])
+                assert math.gcd(part[2], *part[1]) == 1
 
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=30, deadline=None)
@@ -742,6 +753,95 @@ class TestPackedCore:
             got = mul_trunc(sa, sb, out_degree)
             assert _items(got) == _expected(nvars, out_degree, _plain_mul(a, b, out_degree))
             assert got[power(out_degree)] != 0
+
+
+def _fields(s):
+    return s.nvars, s.trunc_degree, s._shift, s._keys, s._nums, s._den
+
+
+def _widened(s, wider):
+    """``s`` itself, or the same terms at a digit width one wider (truncate keeps the width)."""
+    if not wider:
+        return s
+    return TruncatedSeries(s.nvars, 1 << s._shift, s.coeffs).truncate(s.trunc_degree)
+
+
+def _dict_of(piece):
+    """A dict piece of ``oracles`` as the (keys, nums, den) triple, None kept."""
+    return piece and (list(piece[0]), list(piece[0].values()), piece[1])
+
+
+class TestOldLoops:
+    """Loops that build their lists in key order against their dict-and-sort forms in
+    ``oracles``, field by field, at a series' own digit width and one wider."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_diff(self, kind, data):
+        nvars, degree = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 7))
+        f = TruncatedSeries(nvars, degree, data.draw(coefficient_map(nvars, degree, kind)))
+        f = _widened(f, data.draw(st.booleans()))
+        # digits of xi may exceed every exponent of f, and xi = 0 is the order-0 derivative
+        xi = data.draw(st.tuples(*[st.integers(0, 3)] * nvars))
+        assert _fields(f.diff(xi)) == _fields(diff_per_term(f, xi))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_remap_and_record(self, kind, data):
+        nvars, degree = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 7))
+        f = TruncatedSeries(nvars, degree, data.draw(coefficient_map(nvars, degree, kind)))
+        f = _widened(f, data.draw(st.booleans()))
+        # few targets make many-to-one maps, which add exponents and merge keys
+        new_nvars = data.draw(st.integers(1, 6))
+        var_map = data.draw(st.lists(st.integers(0, new_nvars - 1),
+                                     min_size=nvars, max_size=nvars))
+        got = f.remap_variables(new_nvars, var_map)
+        want = remap_variables_unpacked(f, new_nvars, var_map)
+        assert _fields(got) == _fields(want)
+        assert f.to_record() == to_record_unpacked(f)
+        assert got.to_record() == to_record_unpacked(want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_graded_pieces(self, kind, data):
+        nvars, degree = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 6))
+        f = TruncatedSeries(nvars, degree, data.draw(coefficient_map(nvars, degree, kind)))
+        start = data.draw(st.integers(0, nvars))
+        shift = f._shift + data.draw(st.integers(0, 1))
+        got, want = graded_pieces(f, start, shift), graded_pieces_dict(f, start, shift)
+        assert list(got) == list(want)
+        for gamma, parts in want.items():
+            assert {e: _dict_of(p) for e, p in parts.items()} == got[gamma]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_sum_of_products(self, kind, data):
+        nvars, out_degree = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 6))
+        maps = [data.draw(coefficient_map(nvars, out_degree, kind))
+                for _ in range(2 * data.draw(st.integers(1, 4)))]
+        series = [TruncatedSeries(nvars, out_degree, m) for m in maps]
+        shift = _shift_for(out_degree) + data.draw(st.integers(0, 1))
+        triples = [(s._keys_at(shift), s._nums, s._den) if s._keys else None for s in series]
+        dicts = [(dict(zip(*t[:2])), t[2]) if t else None for t in triples]
+        got = sum_of_products(list(zip(triples[::2], triples[1::2])), shift * nvars, out_degree)
+        want = sum_of_products_dict(list(zip(dicts[::2], dicts[1::2])), shift * nvars, out_degree)
+        assert got == _dict_of(want)
+
+    @pytest.mark.parametrize("nvars", [1, 3])
+    def test_zero_series(self, nvars):
+        plain = TruncatedSeries.zero(nvars, 4)
+        for zero in (plain, _widened(plain, True)):
+            for xi in ((0,) * nvars, unit(nvars, 0), (2,) * nvars):
+                assert _fields(zero.diff(xi)) == _fields(diff_per_term(zero, xi))
+            assert _fields(zero.remap_variables(1, [0] * nvars)) == _fields(
+                remap_variables_unpacked(zero, 1, [0] * nvars))
+            assert zero.to_record() == to_record_unpacked(zero)
+            assert _fields(-zero) == _fields(3 * zero) == _fields(zero)
+            assert graded_pieces(zero, 0, zero._shift) == {}
 
 
 # wide numerators over the large primes: conversions to float must round
@@ -881,6 +981,12 @@ class TestStructure:
     def test_float_coefficient_rejected(self):
         with pytest.raises(TypeError, match="exact"):
             TruncatedSeries(1, 2, {(1,): 0.5})
+
+    def test_truncate_refuses_a_negative_degree(self):
+        f = TruncatedSeries(2, 3, {(1, 0): 1, (0, 0): 2})
+        with pytest.raises(ValueError, match="non-negative"):
+            f.truncate(-1)
+        assert f.truncate(0) == TruncatedSeries.constant(2, 0, 2)
 
 
 class TestSerialization:
