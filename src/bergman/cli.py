@@ -39,7 +39,6 @@ from .coefficients import (
     required_geometry_degree,
 )
 from .growth import (
-    ResourceGuardError,
     exp_factorial_bound_check,
     fit_growth,
     truncation_minimizer,
@@ -57,6 +56,7 @@ from .potential import (
     DegreeBudgetError,
     PotentialSpec,
     RadiusError,
+    ResourceGuardError,
     SpecValidationError,
     build_geometry,
     check_good_contour,
@@ -110,13 +110,20 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a finite number > 0."""
+def _finite_float(text: str) -> float:
+    """argparse type: a finite number (not inf or nan)."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number: {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    if (value := _finite_float(text)) <= 0:
         raise argparse.ArgumentTypeError(f"must be a finite number > 0: {text!r}")
     return value
 
@@ -586,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-grid", type=_k_grid, default="64,128,256,512,1024,2048,4096")
     p.add_argument("--x", required=True, help="pair point (u for scaling mode)")
     p.add_argument("--y", required=True, help="pair point (v for scaling mode)")
-    p.add_argument("--max-slope", type=float, default=-1.8)
+    p.add_argument("--max-slope", type=_finite_float, default=-1.8)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_asymptotics)
 

@@ -218,14 +218,13 @@ def make_series_evaluator(geom: GeometryPack, table: CoefficientTable) -> Callab
 
 
 @functools.lru_cache(maxsize=256)
-def make_chsc_closed_evaluator(n: int, c, N: int) -> PairEvaluator:
+def make_chsc_closed_evaluator(n: int, c, *, N: int) -> PairEvaluator:
     """Closed-form evaluator (k, x, y) -> report at order N.
 
     c and the constants b_0..b_N go to float once, as ``complex(float(b_j))``.
     The evaluators of recently used (n, c, N) are cached, keyed by the value
     of c, so repeated calls share one :class:`PairEvaluator` and its point
-    values.  Every caller passes N by keyword: the cache keys a positional N
-    apart.
+    values.  N is keyword-only: the cache would key a positional N apart.
     """
     consts = [complex(float(b)) for b in chsc_coefficients(n, c, N)]
     return PairEvaluator(n, N, chsc_psi(c), lambda j, px, zbar: consts[j])

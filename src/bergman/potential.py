@@ -22,9 +22,12 @@ with integer Beta-function weights, never by quadrature, and the only linear
 algebra is :func:`bergman.series.det`.  :func:`require_degree` is the one
 refusal of a truncation degree too small for a computation.
 
-:func:`invert_theta` solves for z one homogeneous degree at a time, with the
-inverse Hessian by Cramer's rule, and composes nothing.  :func:`build_geometry`
-builds psi, psi_x and the phase, which cost milliseconds; its
+:func:`invert_theta` inverts the Hessian by Cramer's rule and leaves the
+degree-by-degree solve to :func:`bergman.series.fixed_point`, which composes
+nothing; no code here reads the packed form of a series.  :func:`build_geometry`
+builds psi, psi_x, ``psi_x(y, z)`` (moved into (x, y, z) blocks by one
+composition with bare arguments; the phase and both forms of ``Delta0`` read
+it) and the phase, which cost milliseconds; its
 :class:`GeometryPack` builds the checked inversion and both forms of
 ``Delta0`` on first read, so commands that read only psi never invert the
 phase.  The pack is the only code that composes
@@ -50,15 +53,12 @@ from typing import Mapping, Sequence
 from .sampling import polydisc_points
 from .series import (
     TruncatedSeries,
-    close_power_chain,
     det,
     exponents_of_degree,
-    graded_pieces,
+    fixed_point,
     linear_combination,
     multi_factorial,
-    power_step,
     segment_average,
-    sum_of_products,
     unit,
 )
 
@@ -79,6 +79,10 @@ def require_degree(degree: int, need: int, what: str) -> None:
     """Raise :class:`DegreeBudgetError` unless the geometry ``degree`` is at least ``need``."""
     if degree < need:
         raise DegreeBudgetError(f"{what} needs geometry degree >= {need}, got {degree}", need)
+
+
+class ResourceGuardError(ValueError):
+    """A request is well formed but larger than the computation is sized for."""
 
 
 class RadiusError(ValueError):
@@ -282,42 +286,20 @@ def polarize(spec: PotentialSpec) -> TruncatedSeries:
     return TruncatedSeries(2 * n, D, coeffs)
 
 
-def build_theta(psi: TruncatedSeries) -> list:
-    """The phase theta_i(x,y,z): the x-gradient of psi averaged from y to x."""
-    n = psi.nvars // 2
-    # psi_x(y, z) in (x, y, z) blocks, averaged over its y block
-    return [segment_average(psi.diff(unit(2 * n, i)).remap_variables(3 * n, range(n, 3 * n)), n)
-            for i in range(n)]
+def build_theta(psi_x_yz: Sequence[TruncatedSeries]) -> list:
+    """The phase theta_i(x,y,z): psi_x(y, z) in (x, y, z) blocks averaged from y to x."""
+    n = psi_x_yz[0].nvars // 3
+    return [segment_average(f, n) for f in psi_x_yz]
 
 
 def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     """Solve theta(x,y,z) = t for z as a series in (x, y, t).
 
-    With H the constant z-linear part of theta and R the rest, z is the
-    fixed point of z = H^{-1} t + S(x, y, z), S = -H^{-1} R, solved one
-    homogeneous degree at a time, as in lazy ("relaxed") power-series
-    arithmetic.  Write ``S_u = sum_gamma s_(u,gamma)(x, y) z^gamma``, let
-    ``[f]_d`` be the degree-d part of f, and keep z and every power
-    ``P_gamma = z^gamma`` that S or a power chain reads as lists of such
-    pieces.  Sweep d = 1, ..., D adds one piece to each:
-
-    * ``[P_gamma]_d = sum_k [P_(gamma-e_j)]_k [z_j]_(d-k)`` for |gamma| >= 2,
-      along the chain of :func:`bergman.series.power_step`;
-    * ``[z_u]_d = delta_(d,1) (H^{-1} t)_u + sum_gamma sum_e [s_(u,gamma)]_e [P_gamma]_(d-e)``.
-
-    ``[z]_d`` is never read in sweep d, so each sweep is explicit: in the
-    first sum k >= 1, and in the second a power with |gamma| >= 2 reads only
-    this sweep's new piece, while ``s_(u,e_j)`` has no degree-0 part (that
-    is H).  A piece list grows only when its piece is finished, so a read of
-    an unfinished piece fails loudly.  A piece is the ``(keys, nums, den)``
-    triple a series stores, at the digit width of theta, or None when it
-    vanishes; :func:`bergman.series.graded_pieces` splits ``-H^{-1} theta``
-    into the ``[s_(u,gamma)]_e``, and a new piece is one
-    :func:`bergman.series.sum_of_products` of the pairs of live pieces, or
-    None, with no call, when no pair is live.  Only the z_u become series.
-    Each ``P_gamma`` stops at the highest degree a product reads, so the total
-    work is about one power table at full degree, where fixed-point sweeps of
-    whole compositions rebuild every power at every degree.
+    With H the constant z-linear part of theta, z is the fixed point of
+    z = H^{-1} t + S(x, y, z), S = z - H^{-1} theta, which has no z-linear
+    part with a constant coefficient.  :func:`bergman.series.fixed_point`
+    solves it one homogeneous degree at a time, as in lazy ("relaxed")
+    power-series arithmetic; this function only inverts H, by Cramer's rule.
     """
     n3 = theta[0].nvars
     n = n3 // 3
@@ -330,61 +312,11 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     hinv = [[det([[int(r == j) if c == i else v for c, v in enumerate(row)]
                   for r, row in enumerate(hess)]) / det_h for j in range(n)] for i in range(n)]
 
-    # z = H^{-1} t + S(x, y, z) with S = -H^{-1} R, which is -H^{-1} theta without its
-    # z-linear part -z; s[u] lists (gamma, e, |gamma|, [s_(u,gamma)]_e) of S_u, and
-    # (H^{-1} t)_u as a part of degree 1 free of z
-    shift = max(t._shift for t in theta)
-    width = shift * n3
-    units = [unit(n, j) for j in range(n)]
-    tvars = TruncatedSeries.variables(n3, D)[2 * n :]
-    ht = [linear_combination([(h, t) for h, t in zip(row, tvars) if h]) for row in hinv]
-    top = dict.fromkeys(units, D)  # gamma -> the highest degree of P_gamma a product reads
-    s = []
-    for u, row, t_u in zip(units, hinv, ht):
-        su = [((0,) * n, 1, 0, (t_u._keys_at(shift), t_u._nums, t_u._den))]
-        neg = linear_combination([(-h, t) for h, t in zip(row, theta) if h])
-        for gamma, parts in graded_pieces(neg, 2 * n, shift).items():
-            su += [(gamma, e, sum(gamma), p) for e, p in parts.items() if (gamma, e) != (u, 0)]
-            if sum(gamma) > 1:
-                top[gamma] = max(top.get(gamma, 0), D - min(parts))
-        s.append(su)
-    close_power_chain(top)
-
-    # P[gamma][d] = [P_gamma]_d, None below the valuation |gamma|; P_0 = 1
-    one = ([0], [1], 1)
-    pieces = {gamma: [None] * sum(gamma) for gamma in top}
-    pieces[(0,) * n] = [one] + [None] * D
-    higher = [(gamma, *power_step(gamma)) for gamma in top if sum(gamma) > 1]
-    for d in range(1, D + 1):
-        for gamma, j, lower in higher:
-            if sum(gamma) <= d <= top[gamma]:
-                pz, pl = pieces[units[j]], pieces[lower]
-                pairs = [(pl[k], pz[d - k]) for k in range(sum(gamma) - 1, d)
-                         if pl[k] and pz[d - k]]
-                pieces[gamma].append(sum_of_products(pairs, width, D) if pairs else None)
-        for u, su in zip(units, s):
-            pairs = [(part, p) for gamma, e, size, part in su
-                     if d - e >= size and (p := pieces[gamma][d - e])]
-            pieces[u].append(sum_of_products(pairs, width, D) if pairs else None)
-    # z_u has theta's digit width once a nonzero R_j with (H^{-1})_uj != 0 enters it (its
-    # first product meets a nonzero power piece), else it is (H^{-1} t)_u at its own width
-    nonlinear = [len(t._keys) > sum(map(bool, row)) for t, row in zip(theta, hess)]
-    z = []
-    for u, row, t_u in zip(units, hinv, ht):
-        if any(h and big for h, big in zip(row, nonlinear)):
-            piece = sum_of_products([(one, p) for p in pieces[u][1:]], width, D)
-            t_u = TruncatedSeries._from_sorted(n3, D, shift, *piece)
-        z.append(t_u)
-    return z
-
-
-def _psi_y(psi: TruncatedSeries) -> list:
-    """The y-gradient psi_y(y, z) as n series in (x, y, z) blocks, degree D - 1."""
-    n = psi.nvars // 2
-    n3 = 3 * n
-    # psi as a function of (y, z) inside the (x,y,z) space
-    psi_at_yz = psi.remap_variables(n3, tuple(range(n, 3 * n)))
-    return [psi_at_yz.diff(unit(n3, n + i)) for i in range(n)]
+    zvars = TruncatedSeries.variables(n3, D)[2 * n :]
+    lin = [linear_combination([(h, t) for h, t in zip(row, zvars) if h]) for row in hinv]
+    rest = [linear_combination([(1, z_u)] + [(-h, t) for h, t in zip(row, theta) if h])
+            for z_u, row in zip(zvars, hinv)]
+    return fixed_point(lin, rest)
 
 
 def build_delta0(geom: "GeometryPack") -> TruncatedSeries:
@@ -393,12 +325,13 @@ def build_delta0(geom: "GeometryPack") -> TruncatedSeries:
     It needs no quotient: at z = z(x, y, theta) the inverse function theorem
     gives ``det theta_z * det(dz/dtheta) = 1``, so the ratio is
     ``det(psi_yz o z) * det(dz/dtheta)``, which by the chain rule is
-    ``det(dw/dtheta)`` for ``w = psi_y(y, z(x, y, theta))``, composed by the
-    pack through the z-powers the round-trip check built; no dense series is
-    multiplied outside the determinant.
+    ``det(dw/dtheta)`` for ``w = psi_y(y, z(x, y, theta))``, with psi_y(y, z)
+    the pack's ``psi_x_yz``, composed by the pack through the z-powers the
+    round-trip check built; no dense series is multiplied outside the
+    determinant.
     """
     n = geom.n
-    w = [geom.substitute_z(g) for g in _psi_y(geom.psi)]
+    w = [geom.substitute_z(g) for g in geom.psi_x_yz]
     return det([[wi.diff(unit(3 * n, 2 * n + j)) for j in range(n)] for wi in w])
 
 
@@ -406,9 +339,9 @@ def build_delta0(geom: "GeometryPack") -> TruncatedSeries:
 class GeometryPack:
     """Derived series geometry of one potential at a fixed truncation degree.
 
-    ``psi``, ``psi_x`` and ``theta`` are built with the pack.  The inverse
-    phase :attr:`z_of_theta` and both forms of ``Delta0`` are built on first
-    read and kept.  The pack is the only code that composes through the
+    ``psi``, ``psi_x``, ``psi_x_yz`` and ``theta`` are built with the pack.
+    The inverse phase :attr:`z_of_theta` and both forms of ``Delta0`` are
+    built on first read and kept.  The pack is the only code that composes through the
     phase chain theta -> z(x,y,theta) -> theta(x,x,z), with two compositions:
     :meth:`substitute_z` (z = ``z(x,y,theta)``) and :meth:`to_xz`
     (y = x, theta = ``psi_x(x,z)``).  In each, the x and y arguments are bare
@@ -427,6 +360,7 @@ class GeometryPack:
     degree: int
     psi: TruncatedSeries            # (x, z), degree D
     psi_x: tuple                    # n series, (x, z), degree D - 1
+    psi_x_yz: tuple                 # psi_x(y, z): n series, (x, y, z), degree D - 1
     theta: tuple                    # n series, (x, y, z), degree D - 1
     z_powers: dict = field(default_factory=dict, compare=False, repr=False)
     psi_x_powers: dict = field(default_factory=dict, compare=False, repr=False)
@@ -463,7 +397,7 @@ class GeometryPack:
         No pipeline step reads it, only the ``polarize`` report.
         """
         n, D = self.n, self.degree
-        num = [[g.diff(unit(3 * n, 2 * n + j)) for j in range(n)] for g in _psi_y(self.psi)]
+        num = [[g.diff(unit(3 * n, 2 * n + j)) for j in range(n)] for g in self.psi_x_yz]
         den = [[t.diff(unit(3 * n, 2 * n + j)).truncate(D - 2) for j in range(n)] for t in self.theta]
         return det(num) * det(den).invert()
 
@@ -502,13 +436,17 @@ def build_geometry(spec: PotentialSpec) -> GeometryPack:
     psi = polarize(spec)
     n, D = spec.n, spec.trunc_degree
     require_degree(D, 3, "the phase")
+    psi_x = tuple(psi.diff(unit(2 * n, i)) for i in range(n))
+    yz = TruncatedSeries.variables(3 * n, D - 1)[n:]
+    psi_x_yz = tuple(f.compose(yz) for f in psi_x)
     return GeometryPack(
         spec=spec,
         n=n,
         degree=D,
         psi=psi,
-        psi_x=tuple(psi.diff(unit(2 * n, i)) for i in range(n)),
-        theta=tuple(build_theta(psi)),
+        psi_x=psi_x,
+        psi_x_yz=psi_x_yz,
+        theta=tuple(build_theta(psi_x_yz)),
     )
 
 
@@ -528,6 +466,10 @@ def psi_value(psi: TruncatedSeries, x: Sequence[complex], zbar: Sequence[complex
 
 # the largest sample of the contour inequality that still counts as <= 0
 CONTOUR_TOLERANCE = 1e-9
+# Largest sample count of check_good_contour, which builds both Halton point
+# lists whole: a sample took 21-105 us (chsc n=1 D=6 to n=3 D=12) on a 2-CPU
+# x86_64 VM under Python 3.11.7, so the limit is about 1 s of sweep.
+CONTOUR_SAMPLE_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -570,6 +512,9 @@ def check_good_contour(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if samples > CONTOUR_SAMPLE_LIMIT:
+        raise ResourceGuardError(f"resource guard: the contour check draws {samples} sample"
+                                 f" pairs; keep it <= {CONTOUR_SAMPLE_LIMIT}")
     n = spec.n
     if delta is None:
         delta = 0.5 * spec.hessian_min_eigenvalue()

@@ -40,8 +40,9 @@ denominators, so a product sums ``num_a * num_b`` in ints over
 ``den_a * den_b`` and reduces once per result, not once per term pair.
 The form is canonical up to the base, so ``==`` compares numerators and
 keys repacked to the larger base, and ``[]`` bisects on the packed key.
-The phase inversion's homogeneous pieces share the form: the triple ``(keys,
+The homogeneous pieces of :func:`fixed_point` share the form: the triple ``(keys,
 nums, den)``, None when the piece vanishes, reduced by the one :func:`_piece`.
+No other module reads the packed form: callers pass and get series.
 ``eval`` builds a float plan on first use: per term, in graded lexicographic
 order, ``complex(num / den)`` (correctly rounded, as ``complex(Fraction)``)
 and the power table entries it multiplies.  ``coeffs``, the view by exponent
@@ -52,9 +53,11 @@ Composition
 -----------
 ``f.compose(args)`` never raises a bare target variable to a power: an
 argument that is exactly ``x_j`` (one term, coefficient 1, degree 1) only
-moves the exponent of its slot to slot ``j``.  Bare arguments of consecutive
-slots that go to consecutive slots form a run, moved with one shift and one
-mask; the moved degree digit is the outer degree less ``|gamma|``.  The terms
+moves the exponent of its slot to slot ``j``, so a composition with bare
+arguments alone is the one way to rename, move or merge variables.  Bare
+arguments of consecutive slots that go to consecutive slots form a run,
+moved with one shift and one mask; the moved degree digit is the outer
+degree less ``|gamma|``.  The terms
 of ``f`` are grouped by their packed digits of the other, substituted,
 arguments, ``gamma`` is unpacked once per group, and each group is
 multiplied by the power product ``P_gamma`` of those arguments.  Every group
@@ -75,12 +78,12 @@ keeps two such tables: one for ``psi_x(x, z)``, read by ``to_xz`` in one
 composition that runs both the x and the y block onto x, and one for the
 inverted phase ``z(x, y, theta)`` (``geom.z_powers``), which the round-trip
 check builds and ``Delta0`` and every later composition through ``z`` reuse.
-The phase inversion composes nothing: it splits the phase into pieces with
-:func:`graded_pieces` and makes each new one with :func:`sum_of_products` of
-its live pairs.  No table outlives a call: apart from a caller's ``cache``
-and the views a series builds of itself, tables such as the split steps of
-:func:`segment_average` are rebuilt on every call, so a repeated call costs
-what the first one did.
+The phase inversion composes nothing: :func:`fixed_point` splits its
+inputs into pieces with :func:`_graded_pieces` and makes each new one with
+:func:`_sum_of_products` of its live pairs.  No table outlives a call: apart
+from a caller's ``cache`` and the views a series builds of itself, tables
+such as the split steps of :func:`segment_average` are rebuilt on every
+call, so a repeated call costs what the first one did.
 
 Trusted construction
 --------------------
@@ -89,14 +92,14 @@ and sums duplicates, because specs, records and callers may hand it anything.
 Operations only drop zeros and reduce (:func:`_piece`), since each makes its
 keys from keys of valid operands by digit arithmetic that cannot carry.  Sums
 of keys of degree at most the output degree (products, ``invert``,
-``compose``, the phase inversion) and moves that can merge keys (a sum of
-series, ``remap_variables``, bare ``compose`` arguments, ``segment_average``,
-which moves part of each y digit to its x digit) fill a dict that
-``TruncatedSeries._canonical`` sorts.  The rest build their lists in key
-order for ``TruncatedSeries._from_sorted``: ``truncate`` slices them, a scalar
-multiple keeps the keys, and ``diff`` and :func:`graded_pieces` take one
-constant, no digit larger than the key's, off each key of a sorted run, and
-``x < y`` gives ``x - c < y - c``.  An empty factor makes no entry, so
+``compose``, :func:`fixed_point`) and moves that can merge keys (a sum of
+series, bare ``compose`` arguments, ``segment_average``, which moves part of
+each y digit to its x digit) fill a dict that ``TruncatedSeries._canonical``
+sorts.  The rest build their lists in key order for
+``TruncatedSeries._from_sorted``: ``truncate`` slices them, a scalar multiple
+keeps the keys, and ``diff`` and :func:`_graded_pieces` take one constant, no
+digit larger than the key's, off each key of a sorted run, and ``x < y``
+gives ``x - c < y - c``.  An empty factor makes no entry, so
 :func:`mul_trunc` returns the zero series after the ``nvars`` check.
 ``segment_average`` builds its steps in each call from unit moves of one
 digit and keeps none.
@@ -374,28 +377,23 @@ class TruncatedSeries:
         n, D, shift = self.nvars, self.trunc_degree, self._shift
         width = shift * n
         c = self._nums[0]
-        by_degree: dict[int, list] = {}  # positive-degree terms of A, times c^(e-1)
+        by_degree: dict[int, list] = {}  # positive-degree terms of -A, times c^(e-1)
         for k, v in zip(self._keys[1:], self._nums[1:]):
             e = k >> width
-            by_degree.setdefault(e, []).append((k, v * c ** (e - 1)))
-        levels = [{0: 1}]
+            by_degree.setdefault(e, []).append((k, -v * c ** (e - 1)))
+        levels = [([0], [1])]  # U_d as sorted keys and numerators
         for d in range(1, D + 1):
             acc: dict = {}
-            get = acc.get
             for e, terms in by_degree.items():
                 if e > d:
                     break
-                lower = levels[d - e]
-                for ka, va in terms:
-                    for kb, vb in lower.items():
-                        k = ka + kb
-                        acc[k] = get(k, 0) - va * vb
-            levels.append({k: v for k, v in acc.items() if v})
+                _add_products(acc, terms, *levels[d - e], width, d)
+            keys = [k for k in sorted(acc) if acc[k]]
+            levels.append((keys, [acc[k] for k in keys]))
         out = {}
-        for d, level in enumerate(levels):
+        for d, (level_keys, level_nums) in enumerate(levels):
             scale = self._den * c ** (D - d)
-            for k, v in level.items():
-                out[k] = v * scale
+            out.update(zip(level_keys, [v * scale for v in level_nums]))
         return TruncatedSeries._canonical(n, D, shift, out, c ** (D + 1))
 
     # -- calculus ----------------------------------------------------------
@@ -438,29 +436,6 @@ class TruncatedSeries:
         return TruncatedSeries._from_sorted(
             self.nvars, new_degree, self._shift, self._keys[:cut], self._nums[:cut], self._den
         )
-
-    def remap_variables(self, new_nvars: int, var_map: Sequence[int]) -> "TruncatedSeries":
-        """Relocate variables; sources mapping to one target add exponents.
-
-        Mapping variable i of this series to var_map[i] of the target space
-        implements block renames (x,z) -> (y,z slots of a bigger space) and
-        formal substitutions like y = x (map the y block onto the x block).
-        """
-        var_map = tuple(var_map)
-        if len(var_map) != self.nvars:
-            raise ValueError("var_map length must equal nvars")
-        if any(t < 0 or t >= new_nvars for t in var_map):
-            raise ValueError("var_map target out of range")
-        n, shift, mask = self.nvars, self._shift, (1 << self._shift) - 1
-        moves = [(shift * (n - 1 - i), shift * (new_nvars - 1 - t)) for i, t in enumerate(var_map)]
-        width, new_width = shift * n, shift * new_nvars
-        out = {}
-        for key, value in zip(self._keys, self._nums):
-            new_key = (key >> width) << new_width
-            for down, up in moves:
-                new_key += (key >> down & mask) << up
-            out[new_key] = out.get(new_key, 0) + value
-        return TruncatedSeries._canonical(new_nvars, self.trunc_degree, shift, out, self._den)
 
     def _bare_variable(self) -> int | None:
         """Slot i when this series is exactly x_i (one term, coefficient 1), else None."""
@@ -720,10 +695,10 @@ def _piece(keys: list, nums: list, den: int):
     return keys, nums, den
 
 
-def graded_pieces(f: TruncatedSeries, start: int, shift: int) -> dict:
+def _graded_pieces(f: TruncatedSeries, start: int, shift: int) -> dict:
     """``gamma -> {e: [c_gamma]_e}`` for ``f = sum_gamma c_gamma v^gamma``, v the
     variables from slot ``start`` on and each ``c_gamma`` free of v: the degree-e
-    parts as pieces (see :func:`sum_of_products`), keyed at digit width ``shift``.
+    parts as pieces (see :func:`_sum_of_products`), keyed at digit width ``shift``.
     A part's keys arrive in order and lose one constant, so they stay in order."""
     n = f.nvars
     width, low = shift * n, (1 << shift * (n - start)) - 1
@@ -742,7 +717,7 @@ def graded_pieces(f: TruncatedSeries, start: int, shift: int) -> dict:
     return out
 
 
-def sum_of_products(pairs: Sequence[tuple], width: int, out_degree: int):
+def _sum_of_products(pairs: Sequence[tuple], width: int, out_degree: int):
     """The sum of ``a * b`` over pairs of pieces, truncated at ``out_degree``, as a piece.
 
     A piece is ``(keys, nums, den)`` as a series stores it (:func:`_piece`):
@@ -781,6 +756,70 @@ def close_power_chain(top: dict) -> dict:
             lower = power_step(gamma)[1]
             top[lower] = max(top.get(lower, 0), top[gamma] - 1)
     return top
+
+
+def fixed_point(lin: Sequence[TruncatedSeries], rest: Sequence[TruncatedSeries]) -> list:
+    """The series z with ``z_u = lin_u + rest_u(v, z)``, one homogeneous degree at a time.
+
+    All series share the nvars and degree D of ``lin[0]``; in ``rest`` the z
+    fill the last n = ``len(lin)`` slots and v the others, and each z_u is a
+    series in the slots of ``lin``.  With ``rest_u = sum_gamma
+    s_(u,gamma)(v) z^gamma`` and ``[f]_d`` the degree-d part of f, sweep
+    d = 1, ..., D adds one piece to z and to each power ``P_gamma = z^gamma``
+    that rest or a power chain reads:
+
+    * ``[P_gamma]_d = sum_k [P_(gamma-e_j)]_k [z_j]_(d-k)`` for |gamma| >= 2,
+      along the chain of :func:`power_step`;
+    * ``[z_u]_d = [lin_u]_d + sum_gamma sum_e [s_(u,gamma)]_e [P_gamma]_(d-e)``.
+
+    No sweep reads ``[z]_d`` unless lin or an ``s_(u,gamma)`` with |gamma| <= 1
+    has a constant term, which is a ValueError.  A piece is the ``(keys, nums,
+    den)`` of :func:`_piece` at the widest digit width of the inputs, or None;
+    a new one is one :func:`_sum_of_products` of the live pairs, with no call
+    when none is live.  Each ``P_gamma`` stops at the highest degree a product
+    reads, so the work is about one power table at full degree.
+    """
+    N, D, n = lin[0].nvars, lin[0].trunc_degree, len(lin)
+    for s in (*lin, *rest):
+        lin[0]._check_compatible(s, "fixed_point")
+    shift = max(s._shift for s in (*lin, *rest))
+    width = shift * N
+    units = [unit(n, j) for j in range(n)]
+    zero = (0,) * n
+    top = dict.fromkeys(units, D)  # gamma -> the highest degree of P_gamma a product reads
+    terms = []  # per u, (gamma, e, |gamma|, [s_(u,gamma)]_e), lin_u's parts under gamma 0
+    for lin_u, rest_u in zip(lin, rest):
+        # lin_u by degree alone: no slot is split off
+        su = [(zero, e, 0, p) for e, p in _graded_pieces(lin_u, N, shift).get((), {}).items()]
+        for gamma, parts in _graded_pieces(rest_u, N - n, shift).items():
+            size = sum(gamma)
+            su += [(gamma, e, size, p) for e, p in parts.items()]
+            if size > 1:
+                top[gamma] = max(top.get(gamma, 0), D - min(parts))
+        if any(e == 0 and size <= 1 for _, e, size, _ in su):
+            raise ValueError("fixed_point: a constant term in lin or in a coefficient of "
+                             "rest of degree <= 1 in z makes the solve implicit")
+        terms.append(su)
+    close_power_chain(top)
+
+    # pieces[gamma][d] = [P_gamma]_d, None below the valuation |gamma|; P_0 = 1
+    pieces = {gamma: [None] * sum(gamma) for gamma in top}
+    pieces[zero] = [([0], [1], 1)] + [None] * D
+    higher = [(gamma, *power_step(gamma)) for gamma in top if sum(gamma) > 1]
+    for d in range(1, D + 1):
+        for gamma, j, lower in higher:
+            if sum(gamma) <= d <= top[gamma]:
+                pz, pl = pieces[units[j]], pieces[lower]
+                pairs = [(pl[k], pz[d - k]) for k in range(sum(gamma) - 1, d)
+                         if pl[k] and pz[d - k]]
+                pieces[gamma].append(_sum_of_products(pairs, width, D) if pairs else None)
+        for u, su in zip(units, terms):
+            pairs = [(part, p) for gamma, e, size, part in su
+                     if d - e >= size and (p := pieces[gamma][d - e])]
+            pieces[u].append(_sum_of_products(pairs, width, D) if pairs else None)
+    one = pieces[zero][0]
+    z = [_sum_of_products([(one, p) for p in pieces[u][1:]], width, D) for u in units]
+    return [TruncatedSeries._from_sorted(N, D, shift, *(p or ([], [], 1))) for p in z]
 
 
 def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int, out_degree: int):

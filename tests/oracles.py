@@ -29,6 +29,8 @@ they were before pieces and series shared one sorted ``(keys, nums, den)``
 form: the derivative calls ``math.perm`` per term, remaps and records unpack
 an exponent tuple per term, every result is rebuilt through a dict and a
 sort, and a piece is a dict of packed key -> numerator with its denominator.
+``remap_variables_unpacked`` is also the tests' own variable mover, apart from
+the package's one, ``compose`` with bare arguments.
 ``spec_record_via_fraction`` is ``PotentialSpec.to_record`` as it was, with
 one ``Fraction`` built per value, and ``to_xz_remap_then_compose`` is
 ``GeometryPack.to_xz`` as two steps: y = x by a remap, then the composition.
@@ -358,7 +360,7 @@ def diagonal_pullback_w_table(geom, f):
     n = geom.n
     x = TruncatedSeries.variables(3 * n, geom.degree - 1)[:n]
     w = [p.compose(x + list(geom.z_of_theta)) for p in geom.psi_x]
-    f_xtheta = f.remap_variables(2 * n, tuple(range(n)) * 2 + tuple(range(n, 2 * n)))
+    f_xtheta = remap_variables_unpacked(f, 2 * n, tuple(range(n)) * 2 + tuple(range(n, 2 * n)))
     return f_xtheta.compose(x + w)
 
 
@@ -366,7 +368,7 @@ def _det_psi_yz(geom):
     """det psi_yz in (x, y, z) blocks, degree D - 2."""
     n = geom.n
     n3 = 3 * n
-    psi_y = geom.psi.remap_variables(n3, tuple(range(n, 3 * n)))
+    psi_y = remap_variables_unpacked(geom.psi, n3, tuple(range(n, 3 * n)))
     return det([[psi_y.diff(unit(n3, n + i)).diff(unit(n3, 2 * n + j)) for j in range(n)]
                 for i in range(n)])
 
@@ -439,7 +441,8 @@ def diff_per_term(s, xi):
 
 
 def remap_variables_unpacked(s, new_nvars, var_map):
-    """``TruncatedSeries.remap_variables`` with an exponent tuple unpacked per term."""
+    """Variable i of ``s`` moved to slot ``var_map[i]`` of ``new_nvars``, sources that share a
+    target adding exponents, with an exponent tuple unpacked per term and ``s``'s digit width."""
     n, shift = s.nvars, s._shift
     offsets = [shift * (new_nvars - 1 - t) for t in var_map]
     width, new_width = shift * n, shift * new_nvars
@@ -472,7 +475,7 @@ def _dict_piece(acc, den):
 
 
 def graded_pieces_dict(f, start, shift):
-    """``series.graded_pieces`` with dict pieces, each part rebuilt through a sort."""
+    """``series._graded_pieces`` with dict pieces, each part rebuilt through a sort."""
     n = f.nvars
     width, low = shift * n, (1 << shift * (n - start)) - 1
     groups = {}
@@ -490,7 +493,7 @@ def graded_pieces_dict(f, start, shift):
 
 
 def sum_of_products_dict(pairs, width, out_degree):
-    """``series.sum_of_products`` on dict pieces, with the b side listed per call."""
+    """``series._sum_of_products`` on dict pieces, with the b side listed per call."""
     live = [(a, b) for a, b in pairs if a and b]
     den = lcm(*[da * db for (_, da), (_, db) in live])
     acc = {}
@@ -516,8 +519,8 @@ def spec_record_via_fraction(spec):
 
 
 def to_xz_remap_then_compose(geom, f, cache):
-    """``geom.to_xz(f)``: y = x by ``remap_variables``, then ``compose`` with ``psi_x``."""
+    """``geom.to_xz(f)``: y = x by ``remap_variables_unpacked``, then ``compose`` with ``psi_x``."""
     n = geom.n
-    f_xtheta = f.remap_variables(2 * n, tuple(range(n)) * 2 + tuple(range(n, 2 * n)))
+    f_xtheta = remap_variables_unpacked(f, 2 * n, tuple(range(n)) * 2 + tuple(range(n, 2 * n)))
     x = TruncatedSeries.variables(2 * n, geom.degree - 1)[:n]
     return f_xtheta.compose(x + list(geom.psi_x), cache=cache)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bergman import cli, potential
+from bergman import cli, growth, potential
 from bergman.cli import main
 from bergman.potential import check_good_contour, make_preset, polarize
 from bergman.series import TruncatedSeries
@@ -346,6 +346,9 @@ INVALID_INPUTS = {
     "eval_order_above_table": EVAL + ["--k", "10", "--order", "5", "--x", "0.1", "--y", "0.05"],
     "truncation_C_zero": ["growth", "--task", "truncation", "--C", "0"],
     "truncation_k_zero": ["growth", "--task", "truncation", "--k", "0"],
+    "truncation_k_over_guard": [
+        "growth", "--task", "truncation", "--k", str(growth.TRUNCATION_K_LIMIT + 1),
+    ],
     "lemma_delta_zero": ["growth", "--task", "lemma", "--deltas", "0,1"],
     "lemma_delta_not_number": ["growth", "--task", "lemma", "--deltas", "a"],
     "lemma_k_max_zero": ["growth", "--task", "lemma", "--k-max", "0"],
@@ -365,6 +368,10 @@ INVALID_INPUTS = {
         "--coeffs", "table/coefficients.json", "--grid", "1",
     ],
     "polarize_samples_zero": ["polarize", "--preset", "chsc", "--degree", "6", "--samples", "0"],
+    "polarize_samples_over_guard": [
+        "polarize", "--preset", "chsc", "--degree", "6",
+        "--samples", str(potential.CONTOUR_SAMPLE_LIMIT + 1),
+    ],
     "polarize_delta_negative": ["polarize", "--preset", "chsc", "--degree", "6", "--delta", "-5"],
     "polarize_delta_zero": ["polarize", "--preset", "chsc", "--degree", "6", "--delta", "0"],
     "polarize_delta_nan": ["polarize", "--preset", "chsc", "--degree", "6", "--delta", "nan"],
@@ -458,6 +465,15 @@ INVALID_INPUTS = {
     "closed_form_point_outside_given_radius": [
         "asymptotics", "--closed-form", "--preset", "chsc", "--radius", "0.01",
         "--x", "0.5", "--y", "0.005",
+    ],
+    # a non-finite bound would pass or fail every fit whatever its slope
+    "max_slope_inf": [
+        "asymptotics", "--closed-form", "--preset", "chsc", "--mode", "scaling",
+        "--x", "0.01", "--y", "0.02", "--max-slope", "inf",
+    ],
+    "max_slope_nan": [
+        "asymptotics", "--closed-form", "--preset", "chsc", "--x", "0.01", "--y", "0.02",
+        "--max-slope", "nan",
     ],
     "closed_form_scaling_point_outside_radius": [
         "asymptotics", "--closed-form", "--preset", "chsc", "--mode", "scaling",
@@ -788,6 +804,21 @@ def test_valid_argv_passes_the_contract_unperturbed(contract_dir):
 def test_perturbed_valid_argv_keeps_the_exit_code_contract(contract_dir, case):
     argv, spec_text = case
     exit_code_under_contract(argv, contract_dir, spec_text)
+
+
+@pytest.mark.parametrize("argv, guarded", [
+    (["growth", "--task", "truncation", "--k", str(growth.TRUNCATION_K_LIMIT + 1)],
+     (growth, "lgamma")),
+    (["polarize", "--preset", "chsc", "--degree", "6",
+      "--samples", str(potential.CONTOUR_SAMPLE_LIMIT + 1)], (potential, "polydisc_points")),
+], ids=["truncation", "polarize"])
+def test_guard_refuses_before_the_lists_are_built(tmp_path, monkeypatch, capsys, argv, guarded):
+    calls = []
+    monkeypatch.setattr(*guarded, lambda *args, **kwargs: calls.append(args))
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert calls == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: resource guard")
 
 
 def test_nan_contour_samples_fail_the_check():

@@ -226,6 +226,11 @@ class TestEvalAgainstModels:
         eval_KN_chsc_closed(n, Fraction(1), 64, 2, [0.01, 0.02], [0.03, 0.0])
         assert make_chsc_closed_evaluator.cache_info().hits == hits + 1
 
+    def test_closed_form_evaluator_takes_N_by_keyword_only(self):
+        # a positional N would be a second cache entry for the same evaluator
+        with pytest.raises(TypeError):
+            make_chsc_closed_evaluator(1, 1, 2)
+
     def test_order_guard(self, quartic_series):
         geom, table = quartic_series
         with pytest.raises(ValueError, match="order"):

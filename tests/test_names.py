@@ -9,6 +9,9 @@ when the package or the harness reads an attribute of its name, on any
 object.  Strings count only in ``perfbench/spans.py``, whose
 ``LAYER_TARGETS`` names the functions the traced runs wrap.  Tests do not
 count: code that only tests call has no role in the pipeline.
+
+The packed form of a series (its sorted keys, numerators, denominator, digit
+width and the trusted constructors) is read by ``series.py`` alone.
 """
 
 import ast
@@ -51,6 +54,21 @@ def test_every_top_level_definition_has_a_caller():
         and node.name not in used
     ]
     assert unused == []
+
+
+# the packed form of a series: only series.py reads these fields and constructors
+SERIES_PRIVATE = {"_keys", "_nums", "_den", "_shift", "_keys_at", "_from_sorted", "_canonical",
+                  "_store"}
+
+
+def test_only_series_reads_the_packed_form():
+    reads = [
+        f"{path.name}:{node.lineno}:{node.attr}"
+        for path in _sources() if path.name != "series.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in SERIES_PRIVATE
+    ]
+    assert reads == []
 
 
 def _attribute_reads() -> set:

@@ -39,6 +39,7 @@ from oracles import (
     diagonal_pullback_w_table,
     invert_theta_pieces,
     invert_theta_sweeps,
+    remap_variables_unpacked,
     segment_average_oracle,
     segment_average_per_split,
     spec_record_via_fraction,
@@ -213,14 +214,14 @@ class TestTheta:
 
     def test_theta_on_diagonal_equals_psi_gradient(self, chsc11_geom):
         n = chsc11_geom.n
-        merged = chsc11_geom.theta[0].remap_variables(2 * n, (0, 0, 1))
+        merged = remap_variables_unpacked(chsc11_geom.theta[0], 2 * n, (0, 0, 1))
         assert merged == chsc11_geom.psi_x[0]
 
     def test_theta_on_diagonal_chsc2(self):
         geom = build_geometry(preset_chsc(2, 1, 8))
         var_map = (0, 1, 0, 1, 2, 3)
         for i in range(2):
-            assert geom.theta[i].remap_variables(4, var_map) == geom.psi_x[i]
+            assert remap_variables_unpacked(geom.theta[i], 4, var_map) == geom.psi_x[i]
 
 
 # Numerators over denominators that include the large primes, so the common
@@ -250,8 +251,8 @@ class TestSegmentAverage:
         keys = slots.map(lambda picks: tuple(picks.count(i) for i in range(nvars)))
         f = TruncatedSeries(nvars, degree, data.draw(st.dictionaries(keys, RATIONALS, max_size=8)))
         want = segment_average_oracle(f, n, block_start, 0, n, 3 * n, passthrough)
-        if kind == "build_theta":  # as build_theta does, move (x, z) to the (y, z) blocks first
-            f = f.remap_variables(3 * n, range(n, 3 * n))
+        if kind == "build_theta":  # as build_geometry does, move (x, z) to the (y, z) blocks first
+            f = remap_variables_unpacked(f, 3 * n, range(n, 3 * n))
         got = potential.segment_average(f, n)
         assert got == want
         assert got.to_record() == want.to_record()
@@ -272,7 +273,7 @@ class TestSegmentAverage:
     def test_build_theta_matches_fraction_loop(self, quartic_geom):
         psi = quartic_geom.psi
         want = segment_average_oracle(psi.diff((1, 0)), 1, 0, 0, 1, 3, {1: 2})
-        assert build_theta(psi) == [want]
+        assert build_theta(quartic_geom.psi_x_yz) == [want]
 
 
 def holomorphic_spec(D):
@@ -307,7 +308,7 @@ class TestInvertTheta:
         "spec", [holomorphic_spec(10), non_radial_n2_spec(6)], ids=["holomorphic", "n2"]
     )
     def test_round_trip_at_full_degree(self, spec):
-        theta = build_theta(polarize(spec))
+        theta = build_geometry(spec).theta
         z = invert_theta(theta)
         n3, D = 3 * spec.n, spec.trunc_degree - 1
         ids = TruncatedSeries.variables(n3, D)
@@ -317,7 +318,7 @@ class TestInvertTheta:
 
     def test_holomorphic_terms_reach_z(self):
         # theta = z + (x + y)/3 + ..., so z = t - (x + y)/3 + ...
-        z = invert_theta(build_theta(polarize(holomorphic_spec(6))))[0]
+        z = invert_theta(build_geometry(holomorphic_spec(6)).theta)[0]
         assert (z[(1, 0, 0)], z[(0, 1, 0)], z[(0, 0, 1)]) == (F(-1, 3), F(-1, 3), 1)
 
     def test_round_trip_check_can_fail(self, monkeypatch):
@@ -377,7 +378,8 @@ class TestInvertTheta:
 
         monkeypatch.setattr(TruncatedSeries, "compose", spy)
         geom = build_geometry(preset_chsc(2, 1, 8))
-        assert seen == []  # nothing is composed before a layer is read
+        # before a layer is read, only psi_x moves into (x, y, z) blocks: bare arguments alone
+        assert seen == [(0, set())] * 2
         geom.delta0_xytheta
         monkeypatch.undo()
         assert {2} in [lengths for _, lengths in seen]
@@ -399,7 +401,7 @@ class TestInvertTheta:
     def test_chsc_mobius_on_diagonal(self, chsc11_geom):
         # theta = z/(1+xz) at y = x inverts to z = theta/(1 - x theta)
         D = 9
-        z = chsc11_geom.z_of_theta[0].remap_variables(2, (0, 0, 1))
+        z = remap_variables_unpacked(chsc11_geom.z_of_theta[0], 2, (0, 0, 1))
         x = TruncatedSeries.variable(2, D, 0)
         th = TruncatedSeries.variable(2, D, 1)
         geometric = TruncatedSeries.one(2, D)
@@ -433,18 +435,29 @@ def _assert_same_inversion(theta):
     ]
 
 
+def _exponent_of_size(draw, n, size):
+    """An exponent tuple of n entries 0-2 that sum to ``size`` (at most 2n), slot by slot."""
+    out = []
+    for slot in range(n, 0, -1):
+        e = draw(st.integers(max(0, size - 2 * (slot - 1)), min(2, size)))
+        out.append(e)
+        size -= e
+    return tuple(out)
+
+
 @st.composite
 def hermitian_specs(draw, n):
     """A valid spec in n variables: |x|^2 plus drawn Hermitian pairs c[a,b] = c[b,a],
-    none of them constant, linear or in the Hessian."""
+    none of them constant, linear or in the Hessian.  Each pair (a, b) has entries
+    0-2 and 2 <= |a| + |b| <= degree, not (|a|, |b|) = (1, 1): the sizes are drawn
+    first and the exponents within them, so no draw is filtered away."""
     degree = draw(st.integers(3, 8 - n))
-    exps = st.tuples(*[st.integers(0, 2)] * n)
-    pairs = st.tuples(exps, exps).filter(
-        lambda ab: 2 <= sum(ab[0]) + sum(ab[1]) <= degree and (sum(ab[0]), sum(ab[1])) != (1, 1)
-    )
+    sizes = [(p, q) for p in range(2 * n + 1) for q in range(2 * n + 1)
+             if 2 <= p + q <= degree and (p, q) != (1, 1)]
     coeffs = {(unit(n, i), unit(n, i)): F(1) for i in range(n)}
     values = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7]))
-    for a, b in draw(st.lists(pairs, max_size=6)):
+    for p, q in draw(st.lists(st.sampled_from(sizes), max_size=6)):
+        a, b = _exponent_of_size(draw, n, p), _exponent_of_size(draw, n, q)
         coeffs[(a, b)] = coeffs[(b, a)] = draw(values)
     return PotentialSpec(n, degree, 0.3, coeffs)
 
@@ -455,11 +468,11 @@ class TestRawInversion:
     # the model_geometry benchmark curvatures at seeds 1 and 7919
     @pytest.mark.parametrize("c", [F(3, 5), F(-2, 5), F(3, 4)])
     def test_chsc_benchmark_curvatures(self, c):
-        _assert_same_inversion(build_theta(polarize(preset_chsc(2, c, 12))))
+        _assert_same_inversion(build_geometry(preset_chsc(2, c, 12)).theta)
 
     @pytest.mark.parametrize("spec", [dense_spec(12), non_radial_n2_spec(10)], ids=["dense", "n2"])
     def test_dense_and_non_radial(self, spec):
-        _assert_same_inversion(build_theta(polarize(spec)))
+        _assert_same_inversion(build_geometry(spec).theta)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @settings(max_examples=20, deadline=None)
@@ -467,7 +480,7 @@ class TestRawInversion:
     def test_drawn_hermitian_specs(self, n, data):
         spec = data.draw(hermitian_specs(n))
         spec.validate()
-        _assert_same_inversion(build_theta(polarize(spec)))
+        _assert_same_inversion(build_geometry(spec).theta)
 
 
 def _fields(s):
@@ -534,19 +547,19 @@ class TestOldForms:
     """The geometry against its earlier forms in ``oracles``, which share no table with it."""
 
     def test_graded_inversion_equals_the_sweeps(self, old_form_spec):
-        # from the spec, not build_geometry, so the round-trip check cannot stand in
-        theta = build_theta(polarize(old_form_spec))
+        # invert_theta itself, not z_of_theta, so the round-trip check cannot stand in
+        theta = build_geometry(old_form_spec).theta
         assert invert_theta(theta) == invert_theta_sweeps(theta)
 
     def test_raw_inversion_equals_the_series_pieces(self, old_form_spec):
-        _assert_same_inversion(build_theta(polarize(old_form_spec)))
+        _assert_same_inversion(build_geometry(old_form_spec).theta)
 
-    def test_build_theta_equals_the_per_split_average(self, old_form_spec):
-        psi = polarize(old_form_spec)
-        n = old_form_spec.n
-        yz = [psi.diff(unit(2 * n, i)).remap_variables(3 * n, range(n, 3 * n)) for i in range(n)]
-        want = [segment_average_per_split(f, n) for f in yz]
-        got = build_theta(psi)
+    def test_build_theta_equals_the_per_split_average(self, old_form_geom):
+        geom, n = old_form_geom, old_form_geom.n
+        yz = [remap_variables_unpacked(f, 3 * n, range(n, 3 * n)) for f in geom.psi_x]
+        assert list(geom.psi_x_yz) == yz
+        want = [segment_average_per_split(f, n) for f in geom.psi_x_yz]
+        got = list(geom.theta)
         assert got == want
         assert [(t._keys, t._nums, t._den) for t in got] == [(t._keys, t._nums, t._den) for t in want]
 
@@ -753,7 +766,7 @@ class TestDelta0:
             geom = build_geometry(spec)
             n = geom.n
             var_map = tuple(range(n)) + tuple(range(n)) + tuple(range(n, 2 * n))
-            merged = geom.delta0_xytheta.remap_variables(2 * n, var_map)
+            merged = remap_variables_unpacked(geom.delta0_xytheta, 2 * n, var_map)
             assert merged == TruncatedSeries.one(2 * n, geom.delta0_xytheta.trunc_degree)
 
 

@@ -12,16 +12,17 @@ from hypothesis import strategies as st
 from bergman.series import (
     TruncatedSeries,
     _add_products,
+    _graded_pieces,
     _shift_for,
+    _sum_of_products,
     det,
     exponents_of_degree,
-    graded_pieces,
+    fixed_point,
     linear_combination,
     multi_factorial,
     mul_trunc,
     power_step,
     sub_indices,
-    sum_of_products,
     unit,
 )
 from oracles import (
@@ -372,11 +373,11 @@ def _series_of(piece, nvars: int, degree: int, shift: int) -> TruncatedSeries:
 
 
 def _sum_of_pieces(pairs, nvars: int, out_degree: int) -> TruncatedSeries:
-    """``sum_of_products`` of the raw pieces of series pairs, as a series; the
+    """``_sum_of_products`` of the raw pieces of series pairs, as a series; the
     piece it returns must be sorted and reduced, as every piece is."""
     shift = max([_shift_for(out_degree)] + [s._shift for pair in pairs for s in pair])
     pieces = [(_piece_of(a, shift), _piece_of(b, shift)) for a, b in pairs]
-    got = sum_of_products(pieces, shift * nvars, out_degree)
+    got = _sum_of_products(pieces, shift * nvars, out_degree)
     if got is not None:
         assert got[0] == sorted(got[0]) and math.gcd(got[2], *got[1]) == 1
     return _series_of(got, nvars, out_degree, shift)
@@ -463,7 +464,7 @@ class TestTrustedConstructor:
             assert _items(got) == _items(TruncatedSeries(2, out_degree, plain))
         pieces = [(_piece_of(a, 3), _piece_of(b, 3)) for a, b in every]
         assert all(None in pair for pair in pieces)
-        assert sum_of_products(pieces, 3 * 2, out_degree) is None
+        assert _sum_of_products(pieces, 3 * 2, out_degree) is None
 
     def test_empty_factors_are_still_checked(self):
         a, zero = TruncatedSeries.variable(2, 4, 0), TruncatedSeries.zero(2, 4)
@@ -674,7 +675,7 @@ class TestPackedCore:
                 by_degree[rest] = by_degree.get(rest, 0) + value
         series = TruncatedSeries(nvars, degree, f)
         shift = series._shift + data.draw(st.integers(0, 1))  # its own digit width or wider
-        got = graded_pieces(series, start, shift)
+        got = _graded_pieces(series, start, shift)
         assert sorted(got) == sorted(plain)
         for gamma, parts in got.items():
             for e, part in parts.items():
@@ -797,9 +798,10 @@ class TestOldLoops:
         new_nvars = data.draw(st.integers(1, 6))
         var_map = data.draw(st.lists(st.integers(0, new_nvars - 1),
                                      min_size=nvars, max_size=nvars))
-        got = f.remap_variables(new_nvars, var_map)
+        # compose on bare arguments moves variables; it packs at the width of its arguments
+        got = f.compose([TruncatedSeries.variable(new_nvars, degree, t) for t in var_map])
         want = remap_variables_unpacked(f, new_nvars, var_map)
-        assert _fields(got) == _fields(want)
+        assert got == want
         assert f.to_record() == to_record_unpacked(f)
         assert got.to_record() == to_record_unpacked(want)
 
@@ -811,7 +813,7 @@ class TestOldLoops:
         f = TruncatedSeries(nvars, degree, data.draw(coefficient_map(nvars, degree, kind)))
         start = data.draw(st.integers(0, nvars))
         shift = f._shift + data.draw(st.integers(0, 1))
-        got, want = graded_pieces(f, start, shift), graded_pieces_dict(f, start, shift)
+        got, want = _graded_pieces(f, start, shift), graded_pieces_dict(f, start, shift)
         assert list(got) == list(want)
         for gamma, parts in want.items():
             assert {e: _dict_of(p) for e, p in parts.items()} == got[gamma]
@@ -827,7 +829,7 @@ class TestOldLoops:
         shift = _shift_for(out_degree) + data.draw(st.integers(0, 1))
         triples = [(s._keys_at(shift), s._nums, s._den) if s._keys else None for s in series]
         dicts = [(dict(zip(*t[:2])), t[2]) if t else None for t in triples]
-        got = sum_of_products(list(zip(triples[::2], triples[1::2])), shift * nvars, out_degree)
+        got = _sum_of_products(list(zip(triples[::2], triples[1::2])), shift * nvars, out_degree)
         want = sum_of_products_dict(list(zip(dicts[::2], dicts[1::2])), shift * nvars, out_degree)
         assert got == _dict_of(want)
 
@@ -837,11 +839,11 @@ class TestOldLoops:
         for zero in (plain, _widened(plain, True)):
             for xi in ((0,) * nvars, unit(nvars, 0), (2,) * nvars):
                 assert _fields(zero.diff(xi)) == _fields(diff_per_term(zero, xi))
-            assert _fields(zero.remap_variables(1, [0] * nvars)) == _fields(
-                remap_variables_unpacked(zero, 1, [0] * nvars))
+            moved = zero.compose([TruncatedSeries.variable(1, 4, 0)] * nvars)
+            assert moved == remap_variables_unpacked(zero, 1, [0] * nvars)
             assert zero.to_record() == to_record_unpacked(zero)
             assert _fields(-zero) == _fields(3 * zero) == _fields(zero)
-            assert graded_pieces(zero, 0, zero._shift) == {}
+            assert _graded_pieces(zero, 0, zero._shift) == {}
 
 
 # wide numerators over the large primes: conversions to float must round
@@ -938,12 +940,30 @@ class TestStructure:
     def test_remap_merges_blocks(self):
         # f(x, y) with y set equal to x: x*y + y^2 -> 2 x^2
         f = TruncatedSeries(2, 3, {(1, 1): 1, (0, 2): 1})
-        assert f.remap_variables(1, (0, 0)) == TruncatedSeries(1, 3, {(2,): 2})
+        x = TruncatedSeries.variable(1, 3, 0)
+        assert f.compose([x, x]) == TruncatedSeries(1, 3, {(2,): 2})
 
     def test_remap_relocates(self):
         f = TruncatedSeries(2, 3, {(1, 2): 5})
-        g = f.remap_variables(3, (2, 0))
+        z, x = TruncatedSeries.variable(3, 3, 2), TruncatedSeries.variable(3, 3, 0)
+        g = f.compose([z, x])
         assert g == TruncatedSeries(3, 3, {(2, 0, 1): 5})
+
+    def test_fixed_point_of_a_geometric_series(self):
+        # z = t + x z in (x, t) blocks is z = t / (1 - x)
+        x, t = TruncatedSeries.variables(2, 6)
+        (z,) = fixed_point([t], [x * t])
+        assert z == TruncatedSeries(2, 6, {(k, 1): 1 for k in range(6)})
+        assert z == t + x * z
+
+    @pytest.mark.parametrize("lin_constant, rest_constant, rest_linear", [
+        (1, 0, 0), (0, 1, 0), (0, 0, 1),
+    ], ids=["lin_constant", "rest_constant", "rest_linear_constant"])
+    def test_fixed_point_refuses_an_implicit_solve(self, lin_constant, rest_constant, rest_linear):
+        x, t = TruncatedSeries.variables(2, 6)
+        lin, rest = t + lin_constant, x * t + rest_constant + rest_linear * t
+        with pytest.raises(ValueError, match="implicit"):
+            fixed_point([lin], [rest])
 
     def test_exponent_enumeration(self):
         assert list(exponents_of_degree(2, 2)) == [(2, 0), (1, 1), (0, 2)]

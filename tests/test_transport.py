@@ -26,7 +26,7 @@ from bergman.transport import (
     reconstruct_coefficients,
     transport_chain,
 )
-from oracles import is_zero
+from oracles import is_zero, remap_variables_unpacked
 
 F = Fraction
 
@@ -226,8 +226,8 @@ class TestYIndependence:
         n = quartic_geom.n
         for m in (1, 2, 3):
             full = amplitude_order_xyz(quartic_geom, quartic_chain, m)
-            collapsed = full.remap_variables(
-                2 * n, tuple(range(n)) + tuple(range(n)) + tuple(range(n, 2 * n))
+            collapsed = remap_variables_unpacked(
+                full, 2 * n, tuple(range(n)) + tuple(range(n)) + tuple(range(n, 2 * n))
             )
             assert collapsed == direct.b[m].truncate(collapsed.trunc_degree)
 
@@ -288,7 +288,8 @@ def test_pipeline_reads_only_the_packed_form():
     eval_KN(geom, table, 40, 4, [0.1 + 0.05j], [0.12 - 0.03j])
     layers = (geom.z_of_theta, geom.delta0_xytheta)
     held = list(_series_in((geom, layers, table, chain, recon)))
-    # geometry fields, its z_of_theta and Delta0 (the quotient is not built), its kept
-    # (b_m, a_m) for m = 1..4, b and a, A_0..A_4, the steps' b_1..b_3, reconstructed b
-    assert len(held) == 3 + 2 + 8 + 10 + 5 + 3 + 5
+    # geometry fields (psi, psi_x, psi_x_yz, theta), its z_of_theta and Delta0 (the quotient
+    # is not built), its kept (b_m, a_m) for m = 1..4, b and a, A_0..A_4, the steps'
+    # b_1..b_3, reconstructed b
+    assert len(held) == 4 + 2 + 8 + 10 + 5 + 3 + 5
     assert [s for s in held if s._coeffs is not None] == []
