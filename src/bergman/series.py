@@ -67,7 +67,10 @@ scale), and the result is reduced once; the pair loop is the one
 ``mul_trunc`` runs.  The optional ``cache`` holds the ``P_gamma``, keyed by
 ``gamma`` (one entry per substituted argument), so calls that share an
 argument list share their powers; :func:`power_step` gives the chain every
-power table follows, ``P_gamma = P_lower * arg_j``.  A group reads
+power table follows, ``P_gamma = P_lower * arg_j``.  Its first step,
+``P_(2 e_j) = arg_j * arg_j``, is a square: ``P_(e_j)`` is ``arg_j`` itself,
+and :func:`mul_trunc` of a series with itself runs :func:`_add_square`, the
+pair loop that visits each unordered pair of terms once.  A group reads
 ``P_gamma`` only through the output degree less the lowest degree of its
 moved exponents, and the chain reads ``P_lower`` one degree less, so each
 power is built to the highest degree a call reads, not to the argument
@@ -662,7 +665,10 @@ def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> Trunca
     the caller knows one factor is an exact polynomial (for example the
     degree one factor in (x - y) . A); that responsibility is the caller's.
     An empty factor gives the zero series; the factor with fewer terms is the
-    outer side of the pair loop.
+    outer side of the pair loop.  A factor times itself (the same object, as
+    in ``x * x``) is a square: :func:`_add_square` visits each unordered pair
+    of terms once, into the same accumulator with the same reduction, so the
+    result equals the product of two equal, distinct factors field by field.
     """
     if a.nvars != b.nvars:
         raise ValueError("mul: nvars mismatch")
@@ -673,9 +679,12 @@ def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> Trunca
     if len(b._keys) < len(a._keys):
         a, b = b, a
     shift = max(_shift_for(out_degree), a._shift, b._shift)
-    acc: dict = {}
-    a_terms = zip(a._keys_at(shift), a._nums)
-    _add_products(acc, a_terms, b._keys_at(shift), b._nums, shift * a.nvars, out_degree)
+    width, acc = shift * a.nvars, {}
+    if a is b:
+        _add_square(acc, a._keys_at(shift), a._nums, width, out_degree)
+    else:
+        _add_products(acc, zip(a._keys_at(shift), a._nums), b._keys_at(shift), b._nums,
+                      width, out_degree)
     return TruncatedSeries._canonical(a.nvars, out_degree, shift, acc, a._den * b._den)
 
 
@@ -725,15 +734,20 @@ def _sum_of_products(pairs: Sequence[tuple], width: int, out_degree: int):
     numerators and one positive denominator, reduced; a vanishing piece is
     None, and its pairs are dropped first.  The other products go into one
     accumulator over the lcm of the pairs' denominators, reduced once; the
-    side with fewer terms carries the scale.
+    side with fewer terms carries the scale.  A pair of one piece with itself
+    (the same object) is a square, run by :func:`_add_square`.
     """
     live = [(a, b) for a, b in pairs if a and b]
     den = lcm(*[a[2] * b[2] for a, b in live])
     acc: dict = {}
-    for (a_keys, a_nums, a_den), (b_keys, b_nums, b_den) in live:
+    for a, b in live:
+        (a_keys, a_nums, a_den), (b_keys, b_nums, b_den) = a, b
+        scale = den // (a_den * b_den)
+        if a is b:
+            _add_square(acc, a_keys, a_nums, width, out_degree, scale)
+            continue
         if len(b_keys) < len(a_keys):
             a_keys, a_nums, b_keys, b_nums = b_keys, b_nums, a_keys, a_nums
-        scale = den // (a_den * b_den)
         if scale != 1:
             a_nums = [v * scale for v in a_nums]
         _add_products(acc, zip(a_keys, a_nums), b_keys, b_nums, width, out_degree)
@@ -750,10 +764,16 @@ def power_step(gamma: MultiIndex) -> tuple:
 
 def close_power_chain(top: dict) -> dict:
     """Close ``top`` (gamma -> highest degree of ``P_gamma`` read) in place under
-    :func:`power_step`, whose product ``P_lower * arg_j`` reads ``P_lower`` one degree less."""
-    for size in range(max(map(sum, top), default=0), 1, -1):
-        for gamma in [g for g in top if sum(g) == size]:
+    :func:`power_step`, whose product ``P_lower * arg_j`` reads ``P_lower`` one degree less.
+    The exponents are bucketed by size once, largest first; a new lower joins its bucket."""
+    by_size: dict = {}
+    for gamma in top:
+        by_size.setdefault(sum(gamma), []).append(gamma)
+    for size in range(max(by_size, default=0), 1, -1):
+        for gamma in by_size.get(size, ()):
             lower = power_step(gamma)[1]
+            if lower not in top:
+                by_size.setdefault(size - 1, []).append(lower)
             top[lower] = max(top.get(lower, 0), top[gamma] - 1)
     return top
 
@@ -769,7 +789,9 @@ def fixed_point(lin: Sequence[TruncatedSeries], rest: Sequence[TruncatedSeries])
     that rest or a power chain reads:
 
     * ``[P_gamma]_d = sum_k [P_(gamma-e_j)]_k [z_j]_(d-k)`` for |gamma| >= 2,
-      along the chain of :func:`power_step`;
+      along the chain of :func:`power_step`; for ``gamma = 2 e_j`` the sum
+      takes each pair {k, d - k} once, ``2 [z_j]_k [z_j]_(d-k)`` for k < d - k,
+      and squares the piece ``[z_j]_(d/2)`` with :func:`_add_square`;
     * ``[z_u]_d = [lin_u]_d + sum_gamma sum_e [s_(u,gamma)]_e [P_gamma]_(d-e)``.
 
     No sweep reads ``[z]_d`` unless lin or an ``s_(u,gamma)`` with |gamma| <= 1
@@ -810,8 +832,14 @@ def fixed_point(lin: Sequence[TruncatedSeries], rest: Sequence[TruncatedSeries])
         for gamma, j, lower in higher:
             if sum(gamma) <= d <= top[gamma]:
                 pz, pl = pieces[units[j]], pieces[lower]
-                pairs = [(pl[k], pz[d - k]) for k in range(sum(gamma) - 1, d)
-                         if pl[k] and pz[d - k]]
+                if pl is pz:  # z_j^2: each pair {k, d - k} once, the lower k doubled
+                    pairs = [((p[0], [2 * v for v in p[1]], p[2]), q)
+                             for k in range(1, (d + 1) // 2) if (p := pz[k]) and (q := pz[d - k])]
+                    if d % 2 == 0 and (p := pz[d // 2]):
+                        pairs.append((p, p))
+                else:
+                    pairs = [(pl[k], pz[d - k]) for k in range(sum(gamma) - 1, d)
+                             if pl[k] and pz[d - k]]
                 pieces[gamma].append(_sum_of_products(pairs, width, D) if pairs else None)
         for u, su in zip(units, terms):
             pairs = [(part, p) for gamma, e, size, part in su
@@ -836,6 +864,24 @@ def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int, ou
         for kb, vb in zip(b_keys, b_nums) if stop == size else zip(b_keys[:stop], b_nums[:stop]):
             k = ka + kb
             acc[k] = get(k, 0) + va * vb
+
+
+def _add_square(acc: dict, keys: list, nums: list, width: int, out_degree: int, scale: int = 1):
+    """:func:`_add_products` of ``scale`` times the sorted terms with the terms themselves,
+    each unordered pair once: ``scale * v * v`` at ``k + k`` and twice
+    ``scale * va * vb`` at ``ka + kb`` for each later ``kb``, of degree at most ``out_degree``."""
+    get = acc.get
+    for i, (ka, va) in enumerate(zip(keys, nums)):
+        bound = (out_degree + 1 - (ka >> width)) << width
+        if ka >= bound:  # 2 deg(ka) > out_degree, and the later keys are no lower
+            break
+        stop = bisect_left(keys, bound, i + 1)
+        vs = va * scale
+        acc[ka + ka] = get(ka + ka, 0) + vs * va
+        vs += vs
+        for kb, vb in zip(keys[i + 1:stop], nums[i + 1:stop]):
+            k = ka + kb
+            acc[k] = get(k, 0) + vs * vb
 
 
 def segment_average(f: TruncatedSeries, n: int) -> TruncatedSeries:

@@ -31,6 +31,9 @@ an exponent tuple per term, every result is rebuilt through a dict and a
 sort, and a piece is a dict of packed key -> numerator with its denominator.
 ``remap_variables_unpacked`` is also the tests' own variable mover, apart from
 the package's one, ``compose`` with bare arguments.
+``close_power_chain_rescan`` is ``series.close_power_chain`` as it was
+before it bucketed the exponents by size: one scan of every exponent per
+size; ``invert_theta_pieces`` closes its chain with it.
 ``spec_record_via_fraction`` is ``PotentialSpec.to_record`` as it was, with
 one ``Fraction`` built per value, and ``to_xz_remap_then_compose`` is
 ``GeometryPack.to_xz`` as two steps: y = x by a remap, then the composition.
@@ -49,7 +52,6 @@ from bergman.series import (
     _pack,
     _shift_for,
     _unpack,
-    close_power_chain,
     det,
     exponents_of_degree,
     linear_combination,
@@ -301,6 +303,15 @@ def sum_of_series_products(pairs, out_degree):
     return TruncatedSeries._canonical(nvars, out_degree, shift, acc, den)
 
 
+def close_power_chain_rescan(top):
+    """``series.close_power_chain`` by one scan of ``top`` per size, largest first."""
+    for size in range(max(map(sum, top), default=0), 1, -1):
+        for gamma in [g for g in top if sum(g) == size]:
+            lower = power_step(gamma)[1]
+            top[lower] = max(top.get(lower, 0), top[gamma] - 1)
+    return top
+
+
 def invert_theta_pieces(theta):
     """``potential.invert_theta`` with every homogeneous piece a ``TruncatedSeries``.
 
@@ -322,7 +333,7 @@ def invert_theta_pieces(theta):
         for gamma, parts in ri.items():
             if sum(gamma) > 1:
                 top[gamma] = max(top.get(gamma, 0), D - min(parts))
-    close_power_chain(top)
+    close_power_chain_rescan(top)
     zero = TruncatedSeries.zero(n3, D)
     pieces = {gamma: [zero] * sum(gamma) for gamma in top}
     pieces[(0,) * n] = [TruncatedSeries.one(n3, D)] + [zero] * D

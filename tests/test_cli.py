@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bergman import cli, growth, potential
+from bergman import cli, coefficients, growth, potential
 from bergman.cli import main
 from bergman.potential import check_good_contour, make_preset, polarize
 from bergman.series import TruncatedSeries
@@ -363,6 +363,12 @@ INVALID_INPUTS = {
         "--coeffs", "table/coefficients.json",
     ],
     "spec_exponent_not_integer": ["polarize", "--spec", "text_alpha.json"],
+    "fit_grid_over_guard": [
+        "growth", "--task", "fit", "--preset", "chsc", "--degree", "6",
+        "--coeffs", "table/coefficients.json",
+        # the table holds M = 1: 2 * grid^2 points, just above the limit
+        "--grid", str(math.isqrt(coefficients.NORM_POINT_LIMIT // 2) + 1),
+    ],
     "fit_grid_one": [
         "growth", "--task", "fit", "--preset", "chsc", "--degree", "6",
         "--coeffs", "table/coefficients.json", "--grid", "1",
@@ -811,10 +817,16 @@ def test_perturbed_valid_argv_keeps_the_exit_code_contract(contract_dir, case):
      (growth, "lgamma")),
     (["polarize", "--preset", "chsc", "--degree", "6",
       "--samples", str(potential.CONTOUR_SAMPLE_LIMIT + 1)], (potential, "polydisc_points")),
-], ids=["truncation", "polarize"])
-def test_guard_refuses_before_the_lists_are_built(tmp_path, monkeypatch, capsys, argv, guarded):
+    # the contract table holds M = 2: 3 * grid^2 points, just above the limit
+    (["growth", "--task", "fit", "--preset", "chsc", "--degree", "6", "--coeffs", "coefficients.json",
+      "--grid", str(math.isqrt(coefficients.NORM_POINT_LIMIT // 3) + 1)],
+     (coefficients, "polydisc_points")),
+], ids=["truncation", "polarize", "fit"])
+def test_guard_refuses_before_the_lists_are_built(tmp_path, monkeypatch, capsys, contract_dir,
+                                                  argv, guarded):
     calls = []
     monkeypatch.setattr(*guarded, lambda *args, **kwargs: calls.append(args))
+    argv = [str(contract_dir / item) if item == "coefficients.json" else item for item in argv]
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert calls == []
     lines = capsys.readouterr().err.splitlines()

@@ -345,8 +345,9 @@ class TestInvertTheta:
 
     def test_no_product_has_an_empty_factor(self, monkeypatch):
         # The chsc phase has homogeneous pieces that vanish, so the inversion
-        # meets many products with a zero factor; none may reach the pair loop.
-        add_products = series._add_products
+        # meets many products with a zero factor; none may reach a pair loop,
+        # the ordered one or the one that squares.
+        add_products, add_square = series._add_products, series._add_square
         sides = []
 
         def spy(acc, a_terms, b_keys, b_nums, width, out_degree):
@@ -354,7 +355,12 @@ class TestInvertTheta:
             sides.append((len(a_terms), len(b_keys)))
             add_products(acc, a_terms, b_keys, b_nums, width, out_degree)
 
+        def square_spy(acc, keys, nums, *args):
+            sides.append((len(keys), len(keys)))
+            add_square(acc, keys, nums, *args)
+
         monkeypatch.setattr(series, "_add_products", spy)
+        monkeypatch.setattr(series, "_add_square", square_spy)
         build_geometry(preset_chsc(2, F(1, 2), 12)).z_of_theta
         monkeypatch.undo()
         assert len(sides) > 100
@@ -617,6 +623,44 @@ BENCHMARK_JOBS = {
     "chsc_3/5": (lambda: preset_chsc(2, F(3, 5), 12), 3),
     "chsc_-2/5": (lambda: preset_chsc(2, F(-2, 5), 12), 3),
 }
+
+
+# pair visits of the dense_orders job below, pinned so that no change drops the square path
+PAIR_VISITS = 21_183
+
+
+def _count_pair_visits(monkeypatch) -> list:
+    """Patch both pair loops of ``series`` to count their visits, one per product
+    added to the accumulator; the count is the one entry of the returned list."""
+    visits = [0]
+
+    class Counting(dict):
+        def __setitem__(self, key, value):
+            visits[0] += 1
+            super().__setitem__(key, value)
+
+    for name in ("_add_products", "_add_square"):
+        def spy(acc, *args, loop=getattr(series, name)):
+            counting = Counting(acc)
+            loop(counting, *args)
+            acc.update(counting)
+
+        monkeypatch.setattr(series, name, spy)
+    return visits
+
+
+def test_pair_visits_of_the_dense_pipeline(monkeypatch):
+    # An exact work count of the first seed-1 dense_orders job: both coefficient
+    # routes to order 5, with the inversion, its round-trip check and Delta0.
+    # Squares visit each unordered pair of terms once; the ordered loop alone
+    # visited 26,168 pairs.
+    visits = _count_pair_visits(monkeypatch)
+    geom = build_geometry(dense_spec(12))
+    table = amplitude_from_b(bergman_coefficients(geom, 5), geom)
+    recon = reconstruct_coefficients(geom, transport_chain(geom, 5))
+    monkeypatch.undo()
+    assert recon == list(table.b)
+    assert visits == [PAIR_VISITS]
 
 
 class TestZPowerTable:

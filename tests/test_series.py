@@ -15,6 +15,7 @@ from bergman.series import (
     _graded_pieces,
     _shift_for,
     _sum_of_products,
+    close_power_chain,
     det,
     exponents_of_degree,
     fixed_point,
@@ -26,6 +27,7 @@ from bergman.series import (
     unit,
 )
 from oracles import (
+    close_power_chain_rescan,
     diff_per_term,
     eval_oracle,
     graded_pieces_dict,
@@ -772,6 +774,58 @@ def _dict_of(piece):
     return piece and (list(piece[0]), list(piece[0].values()), piece[1])
 
 
+class TestSquares:
+    """A series times itself visits each unordered pair of terms once.  The square
+    must equal the plain product and, field by field, the product of two equal
+    operands that are distinct objects, which runs the ordered pair loop."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_square_equals_the_product_of_equal_operands(self, kind, data):
+        nvars, degree = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 6))
+        a = data.draw(coefficient_map(nvars, degree, kind))
+        wider = data.draw(st.booleans())
+        sa = _widened(TruncatedSeries(nvars, degree, a), wider)
+        sb = _widened(TruncatedSeries(nvars, degree, a), wider)
+        out_degree = data.draw(st.integers(0, degree + 2))
+        got = mul_trunc(sa, sa, out_degree)
+        assert _items(got) == _expected(nvars, out_degree, _plain_mul(a, a, out_degree))
+        assert _fields(got) == _fields(mul_trunc(sa, sb, out_degree))
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @pytest.mark.parametrize("wider", [False, True], ids=["own_width", "wider"])
+    @pytest.mark.parametrize("terms", [
+        {}, {(1,): F(-2, 3)}, {(0,): 5, (1,): -3, (2,): -1}, {(1,): F(1, 2), (2,): F(-5, 6)},
+    ], ids=["zero", "one_term", "negative", "den_above_one"])
+    def test_square_at_degrees_below_at_and_above(self, nvars, wider, terms):
+        degree = 4
+        # the terms' exponents spread over the slots: (e,) -> (e, e-1, ...) cut to nvars
+        a = {tuple(max(e[0] - i, 0) for i in range(nvars)): v for e, v in terms.items()}
+        sa = _widened(TruncatedSeries(nvars, degree, a), wider)
+        sb = _widened(TruncatedSeries(nvars, degree, a), wider)
+        for out_degree in (degree - 1, degree, degree + 1):
+            got = mul_trunc(sa, sa, out_degree)
+            assert _items(got) == _expected(nvars, out_degree, _plain_mul(a, a, out_degree))
+            assert _fields(got) == _fields(mul_trunc(sa, sb, out_degree))
+        assert _fields(sa * sa) == _fields(sa * sb)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_square_piece_in_a_sum_of_products(self, kind, data):
+        # a square pair (p, p) among other pairs, so the sum's scale reaches it
+        nvars, out_degree = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 6))
+        maps = [data.draw(coefficient_map(nvars, out_degree, kind)) for _ in range(3)]
+        a, b, c = (TruncatedSeries(nvars, out_degree, m) for m in maps)
+        shift = max(_shift_for(out_degree), a._shift, b._shift, c._shift)
+        p, q, r = (_piece_of(s, shift) for s in (a, b, c))
+        copy = p and (list(p[0]), list(p[1]), p[2])
+        width = shift * nvars
+        got = _sum_of_products([(p, p), (q, r)], width, out_degree)
+        assert got == _sum_of_products([(p, copy), (q, r)], width, out_degree)
+
+
 class TestOldLoops:
     """Loops that build their lists in key order against their dict-and-sort forms in
     ``oracles``, field by field, at a series' own digit width and one wider."""
@@ -980,6 +1034,15 @@ class TestStructure:
         assert unit(3, 0) == (1, 0, 0) and unit(3, 2) == (0, 0, 1)
         assert TruncatedSeries.variable(3, 2, 1) == TruncatedSeries(3, 2, {(0, 1, 0): 1})
         assert multi_factorial((3, 0, 2)) == 12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_power_chain_closes_as_the_rescan_did(self, data):
+        nvars = data.draw(st.integers(1, 4))
+        top = data.draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 4)] * nvars), st.integers(0, 12), max_size=8))
+        got = close_power_chain(dict(top))
+        assert list(got.items()) == list(close_power_chain_rescan(dict(top)).items())
 
     def test_power_step_takes_the_last_nonzero_slot(self):
         assert power_step((2, 0, 3, 0)) == (2, (2, 0, 2, 0))
