@@ -62,6 +62,7 @@ from .potential import (
     check_good_contour,
     in_eval_radius,
     make_preset,
+    require_geometry_size,
 )
 from .series import TruncatedSeries, grlex_key
 from .transport import reconstruct_coefficients, transport_chain
@@ -172,9 +173,11 @@ def _spec_options(parser: argparse.ArgumentParser) -> None:
 def _load_spec(args) -> PotentialSpec:
     if args.spec is not None:
         spec = PotentialSpec.from_file(args.spec)
+        require_geometry_size(spec.n, spec.trunc_degree)
     elif args.preset is not None:
         if args.degree is None:
             raise SpecValidationError("presets need an explicit --degree")
+        require_geometry_size(args.n, args.degree)
         spec = make_preset(args.preset, args.n, args.degree, args.param, args.radius)
     else:
         raise SpecValidationError("provide either --spec or --preset")
@@ -524,8 +527,9 @@ def cmd_growth(args) -> int:
 def cmd_chsc_check(args) -> int:
     c = Fraction(args.param)
     order = args.n + 2 if args.order is None else args.order
-    record = verdict_record(args.n, c, order)
     degree = max(required_geometry_degree(order), 4)
+    require_geometry_size(args.n, degree)
+    record = verdict_record(args.n, c, order)
     geom = build_geometry(make_preset("chsc", args.n, degree, c))
     table = bergman_coefficients(geom, order)
     closed = chsc_coefficients(args.n, c, order)

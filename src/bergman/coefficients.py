@@ -7,8 +7,11 @@ and converting the result back to ``(x, z)`` coordinates through the
 on-diagonal phase ``theta(x,x,z) = psi_x(x,z)``.  The amplitude is
 ``geom.amplitude`` and the collapse is ``geom.to_xz``, both compositions of
 the geometry (:class:`bergman.potential.GeometryPack`), which the transport
-route uses too.  The derivatives of every level are added in one
-:func:`bergman.series.linear_combination`.  All steps are exact.  The
+route uses too.  Each level is one :func:`bergman.series.linear_combination`
+whose terms carry their multi-index ``(0, delta, delta)``: the sum
+differentiates each amplitude as it reads it, so no derivative is a series
+of its own, and the a_j of different degrees meet at one output degree.
+All steps are exact.  The
 recursion needs the amplitudes ``a_j = (b_j o z) * Delta0`` for j < M;
 ``geom.amplitude`` keeps each one it composes, so :func:`amplitude_from_b`
 and the transport chain read them back, and only ``a_M`` is new.
@@ -96,7 +99,7 @@ def bergman_coefficients(geom: GeometryPack, M: int) -> CoefficientTable:
         # -sum_j (D_y . D_theta)^(m-j) / (m-j)! of a_j, where (D_y . D_theta)^l / l!
         # is the sum over |delta| = l of D_y^delta D_theta^delta / delta!
         total = linear_combination([
-            (Fraction(-1, multi_factorial(delta)), a_j.diff((0,) * n + delta + delta))
+            (Fraction(-1, multi_factorial(delta)), a_j, (0,) * n + delta + delta)
             for j, a_j in enumerate(amplitudes)
             for delta in exponents_of_degree(n, m - j)
         ])

@@ -85,6 +85,36 @@ class ResourceGuardError(ValueError):
     """A request is well formed but larger than the computation is sized for."""
 
 
+# Largest number of (x, y, theta) monomials of degree <= D - 1 in 3n variables,
+# C(3n + D - 1, 3n), that a geometry may hold: the phase, its inverse and Delta0
+# live there.  It admits n=1 up to D=180 and n=2 up to D=27; `coeffs --preset
+# chsc --n 1 --degree 120 --order 1` took 2.9 s on a 2-CPU x86_64 VM under
+# Python 3.11.7, and a refusal about 1 ms.
+GEOMETRY_MONOMIAL_LIMIT = 1_000_000
+
+
+def require_geometry_size(n, degree) -> None:
+    """Raise :class:`ResourceGuardError` when a geometry of dimension ``n`` at truncation
+    degree ``degree`` would span more than :data:`GEOMETRY_MONOMIAL_LIMIT` (x, y, theta)
+    monomials.  Sizes that are not positive ints are left to spec validation.
+
+    The count is built as C(a + i, i), i = 1..min(3n, D - 1), with ``a`` the larger
+    of 3n and D - 1; each factor is at least 2, so a refusal costs a few steps.
+    """
+    if not (_is_int(n) and _is_int(degree) and n >= 1 and degree >= 1):
+        return
+    k, a = sorted((3 * n, degree - 1))
+    count = 1
+    for i in range(1, k + 1):
+        count = count * (a + i) // i
+        if count > GEOMETRY_MONOMIAL_LIMIT:
+            raise ResourceGuardError(
+                f"resource guard: a geometry of n={n} at degree {degree} spans more than"
+                f" {GEOMETRY_MONOMIAL_LIMIT} (x, y, theta) monomials, C(3n + D - 1, 3n);"
+                " lower --n or the degree"
+            )
+
+
 class RadiusError(ValueError):
     """An evaluation point or a sampling radius lies outside the spec's evaluation radius."""
 
@@ -433,6 +463,7 @@ class GeometryPack:
 
 
 def build_geometry(spec: PotentialSpec) -> GeometryPack:
+    require_geometry_size(spec.n, spec.trunc_degree)
     psi = polarize(spec)
     n, D = spec.n, spec.trunc_degree
     require_degree(D, 3, "the phase")

@@ -15,7 +15,9 @@ results are truncated to the degree they are guaranteed exact to:
 
 * ``+``, ``-``, ``*`` keep ``D`` (operands must agree on ``nvars`` and ``D``;
   ``+``, ``-`` and scalar ``*`` are :func:`linear_combination`, the one sum),
-* ``diff`` by a multi-index ``xi`` lowers it to ``max(0, D - |xi|)``,
+* ``diff`` by a multi-index ``xi`` lowers it to ``max(0, D - |xi|)``; so does
+  a term ``(c, s, xi)`` of :func:`linear_combination`, whose terms must agree
+  on that output degree,
 * ``compose`` takes the minimum over the operand degrees; arguments must have
   zero constant term, which is what makes truncated composition well defined,
 * ``invert`` keeps ``D`` and needs a nonzero constant term.
@@ -85,8 +87,9 @@ The phase inversion composes nothing: :func:`fixed_point` splits its
 inputs into pieces with :func:`_graded_pieces` and makes each new one with
 :func:`_sum_of_products` of its live pairs.  No table outlives a call: apart
 from a caller's ``cache`` and the views a series builds of itself, tables
-such as the split steps of :func:`segment_average` are rebuilt on every
-call, so a repeated call costs what the first one did.
+such as the split steps of :func:`segment_average` and the falling
+factorials of :func:`linear_combination` are rebuilt on every call, so a
+repeated call costs what the first one did.
 
 Trusted construction
 --------------------
@@ -100,12 +103,20 @@ series, bare ``compose`` arguments, ``segment_average``, which moves part of
 each y digit to its x digit) fill a dict that ``TruncatedSeries._canonical``
 sorts.  The rest build their lists in key order for
 ``TruncatedSeries._from_sorted``: ``truncate`` slices them, a scalar multiple
-keeps the keys, and ``diff`` and :func:`_graded_pieces` take one constant, no
-digit larger than the key's, off each key of a sorted run, and ``x < y``
-gives ``x - c < y - c``.  An empty factor makes no entry, so
+keeps the keys, and a derivative and :func:`_graded_pieces` take one
+constant, no digit larger than the key's, off each key of a sorted run, and
+``x < y`` gives ``x - c < y - c``.  An empty factor makes no entry, so
 :func:`mul_trunc` returns the zero series after the ``nvars`` check.
 ``segment_average`` builds its steps in each call from unit moves of one
 digit and keeps none.
+
+Two operations differentiate inside their own accumulator, so no derivative
+is ever a series of its own: :func:`linear_combination`, whose terms may
+carry a multi-index (``diff`` is its one-term case), and
+:func:`y_gradient_average`, which takes ``-D_(y_i)`` of each term inside the
+one split/weight loop of ``segment_average``.  A term whose factor is zero
+(an exponent below the derivative order) makes no entry, and a surviving
+key loses the order from its digits with no borrow.
 """
 
 from __future__ import annotations
@@ -402,27 +413,11 @@ class TruncatedSeries:
     # -- calculus ----------------------------------------------------------
 
     def diff(self, xi: Sequence[int]) -> "TruncatedSeries":
-        """Formal partial derivative D^xi; truncation drops to D - |xi|."""
-        xi = tuple(xi)
-        if len(xi) != self.nvars or any(e < 0 for e in xi):
-            raise ValueError(f"bad derivative multi-index {xi}")
-        order = sum(xi)
-        new_D = max(0, self.trunc_degree - order)
-        if order == 0:
-            return self.truncate(new_D)
-        n, shift, mask = self.nvars, self._shift, (1 << self._shift) - 1
-        # per derivative slot, the falling factorial e!/(e-d)! of each digit e, 0 below d
-        slots = [(shift * (n - 1 - i), [perm(e, d) for e in range(self.trunc_degree + 1)])
-                 for i, d in enumerate(xi) if d]
-        step = _pack(xi, shift)
-        keys, nums = [], []
-        for key, value in zip(self._keys, self._nums):
-            for offset, falling in slots:
-                value *= falling[key >> offset & mask]
-            if value:
-                keys.append(key - step)
-                nums.append(value)
-        return TruncatedSeries._from_sorted(n, new_D, shift, keys, nums, self._den)
+        """Formal partial derivative D^xi; truncation drops to max(0, D - |xi|).
+
+        The one-term :func:`linear_combination` ``[(1, self, xi)]``.
+        """
+        return linear_combination([(1, self, xi)])
 
     # -- structural operations ----------------------------------------------
 
@@ -628,34 +623,91 @@ class TruncatedSeries:
 
 
 def linear_combination(terms: Sequence[tuple]) -> TruncatedSeries:
-    """The sum of ``c * s`` over the ``(c, s)`` pairs of ``terms``.
+    """The sum of ``c * D^xi s`` over the terms ``(c, s)`` or ``(c, s, xi)`` of ``terms``.
 
-    Each ``c`` is an exact scalar and every ``s`` has the ``nvars`` and the
-    truncation degree of the first.  All terms go into one accumulator over
-    the lcm of the ``c.denominator * s._den``, reduced once.
+    Each ``c`` is an exact scalar and each ``xi``, when given, a derivative
+    multi-index of ``s`` (no ``xi`` is the zero one); a bad one is a
+    ValueError, as in :meth:`TruncatedSeries.diff`.  ``D^xi s`` has degree
+    ``max(0, s.trunc_degree - |xi|)``, and every term must have the ``nvars``
+    and that output degree of the first, so amplitudes of different degrees
+    add when their derivatives meet.  No derivative series is built: each
+    term's series is read once, in key order, its keys losing ``xi`` and its
+    numerators gaining the falling factorials of their digits (see
+    :func:`_derived`), and every term goes into one accumulator over the lcm
+    of the ``c.denominator * s._den``, keys at the widest digit width, reduced
+    once.  A single term keeps its keys in order and needs no accumulator.
     """
-    c, first = terms[0]
-    if len(terms) == 1:  # a scalar multiple keeps the keys, in their order
-        nums = [v * c.numerator for v in first._nums]
-        return TruncatedSeries._from_sorted(first.nvars, first.trunc_degree, first._shift,
-                                            first._keys, nums, c.denominator * first._den)
-    for _, s in terms[1:]:
-        first._check_compatible(s, "add")
-    shift = max(s._shift for _, s in terms)
-    den = lcm(*[c.denominator * s._den for c, s in terms])
+    n, out_D, parts = terms[0][1].nvars, None, []
+    for term in terms:
+        c, s, xi = term if len(term) == 3 else (*term, None)
+        if s.nvars != n:
+            raise ValueError(f"add: nvars mismatch ({n} vs {s.nvars})")
+        degree = s.trunc_degree
+        if xi is not None:
+            xi = tuple(xi)
+            if len(xi) != n or min(xi) < 0:
+                raise ValueError(f"bad derivative multi-index {xi}")
+            degree = max(0, degree - sum(xi))
+            xi = xi if any(xi) else None
+        if out_D is None:
+            out_D = degree
+        elif degree != out_D:
+            raise ValueError(f"add: truncation degree mismatch ({out_D} vs {degree}); "
+                             "align with truncate()")
+        parts.append((c, s, xi))
+    tables: dict = {}
+    if len(parts) == 1:  # keys that lose one constant, or none, stay in order
+        return TruncatedSeries._from_sorted(n, out_D, s._shift,
+                                            *_derived(s, xi, s._shift, c.numerator, tables),
+                                            c.denominator * s._den)
+    shift = max(s._shift for _, s, _ in parts)
+    den = lcm(*[c.denominator * s._den for c, s, _ in parts])
     acc: dict = {}
     get = acc.get
-    for c, s in terms:
-        scale = c.numerator * (den // (c.denominator * s._den))
-        keys, nums = s._keys_at(shift), s._nums
-        if scale != 1:
-            nums = [v * scale for v in nums]
+    for c, s, xi in parts:
+        keys, nums = _derived(s, xi, shift, c.numerator * (den // (c.denominator * s._den)), tables)
         if acc:
             for k, v in zip(keys, nums):
                 acc[k] = get(k, 0) + v
         else:
             acc.update(zip(keys, nums))
-    return TruncatedSeries._canonical(first.nvars, first.trunc_degree, shift, acc, den)
+    return TruncatedSeries._canonical(n, out_D, shift, acc, den)
+
+
+def _derived(s: TruncatedSeries, xi, shift: int, scale: int, tables: dict) -> tuple:
+    """The keys at digit width ``shift``, in order, and the numerators over ``s._den``
+    of ``scale * D^xi s`` (``xi`` None for ``scale * s``), zeros dropped.
+
+    A digit ``e`` in slot ``i`` of ``xi`` gives the falling factorial
+    ``e!/(e - xi_i)!``, 0 below ``xi_i``, from the table of order ``xi_i`` that
+    ``tables`` keeps for the call; the scale rides on a copy of the first
+    slot's table, and a term stops at its first zero factor.  A term with a
+    nonzero factor has every digit at least ``xi``, so its key loses ``xi``
+    (and ``|xi|`` from its degree digit) with no borrow.
+    """
+    keys, nums = s._keys_at(shift), s._nums
+    if xi is None:
+        return keys, nums if scale == 1 else [v * scale for v in nums]
+    n, mask = s.nvars, (1 << shift) - 1
+    for d in xi:
+        if d and d not in tables:
+            tables[d] = [perm(e, d) for e in range(mask + 1)]
+    (first, falling), *rest = [(shift * (n - 1 - i), tables[d]) for i, d in enumerate(xi) if d]
+    if scale != 1:
+        falling = [f * scale for f in falling]
+    step = _pack(xi, shift)
+    out_keys, out_nums = [], []
+    for key, value in zip(keys, nums):
+        f = falling[key >> first & mask]
+        if f:
+            for offset, table in rest:
+                f *= table[key >> offset & mask]
+                if not f:
+                    break
+            else:
+                out_keys.append(key - step)
+                out_nums.append(value * f)
+    return out_keys, out_nums
 
 
 def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> TruncatedSeries:
@@ -895,17 +947,76 @@ def segment_average(f: TruncatedSeries, n: int) -> TruncatedSeries:
     and each step moves units from a y digit to its x digit.  All terms share
     the denominator of f times ``(D+1)!``, reduced once.
     """
-    D, shift = f.trunc_degree, f._shift
+    return _segment_average(zip(f._keys, f._nums), n, f.trunc_degree, f._shift, f._den, {})
+
+
+def y_gradient_average(terms: Sequence[tuple], n: int) -> list:
+    """The components ``-int_0^1 (D_(y_i) g)(x, t*x + (1-t)*y, w) dt``, i < n, of the sum
+    ``g`` of ``c * s`` over the ``(c, s)`` pairs of ``terms``.
+
+    Every ``s`` is a series in (x, y, w) blocks of n variables each, with the
+    truncation degree D of the first.  One pass, no derivative or sum built
+    as a series: the pairs are summed into one dict (one pair is read as it
+    is); for each i, a term with y_i digit ``e >= 1`` loses one from that digit
+    and from its degree, its numerator is multiplied by ``-e``, and the
+    :func:`segment_average` split/weight loop at degree ``max(0, D - 1)`` takes
+    it.  The n components share that loop's splits.
+    """
+    c, first = terms[0]
+    for _, s in terms[1:]:
+        first._check_compatible(s, "add")
+    if first.nvars != 3 * n:
+        raise ValueError(f"y_gradient_average: expected {3 * n} variables, got {first.nvars}")
+    if len(terms) == 1:
+        shift, den = first._shift, c.denominator * first._den
+        nums = first._nums if c.numerator == 1 else [v * c.numerator for v in first._nums]
+        items = list(zip(first._keys, nums))
+    else:
+        shift = max(s._shift for _, s in terms)
+        den = lcm(*[c.denominator * s._den for c, s in terms])
+        merged: dict = {}
+        get = merged.get
+        for c, s in terms:
+            scale = c.numerator * (den // (c.denominator * s._den))
+            nums = s._nums if scale == 1 else [v * scale for v in s._nums]
+            if merged:
+                for k, v in zip(s._keys_at(shift), nums):
+                    merged[k] = get(k, 0) + v
+            else:
+                merged.update(zip(s._keys_at(shift), nums))
+        items = list(merged.items())
+    D, splits = max(0, first.trunc_degree - 1), {}
+    return [_segment_average(items, n, D, shift, den, splits, i) for i in range(n)]
+
+
+def _segment_average(items, n: int, D: int, shift: int, den: int, splits: dict,
+                     slot: int | None = None):
+    """The split/weight loop of :func:`segment_average` over the packed ``(key, numerator)``
+    ``items`` of a series of degree D at digit width ``shift`` over ``den``.  ``splits``
+    keeps the steps and weights of each y exponent, for calls at one D, width and slot
+    kind.  With a ``slot`` i, each item is first replaced by ``-D_(y_i)`` of it: a term
+    with y_i digit ``e >= 1`` loses one from that digit and from its degree digit and
+    its numerator gains ``e``, and the weights carry the sign."""
     fact = [1]
     for i in range(1, D + 2):
         fact.append(fact[-1] * i)
     # one unit moved from digit y_i to digit x_i; the degree digit keeps its sum
     moves = [(1 << shift * (3 * n - 1 - i)) - (1 << shift * (2 * n - 1 - i)) for i in range(n)]
     y_offset, y_mask = shift * n, (1 << shift * n) - 1
-    splits: dict = {}  # y digits of gamma -> [(key step x^j / y^j, integer weight)]
+    sign = 1 if slot is None else -1
+    if slot is not None:
+        offset, mask = shift * (2 * n - 1 - slot), (1 << shift) - 1  # the digit of y_i
+        drop = (1 << shift * 3 * n) + (1 << offset)
+    # splits: y digits of gamma -> [(key step x^j / y^j, integer weight)]
     acc: dict = {}
     get = acc.get
-    for key, value in zip(f._keys, f._nums):
+    for key, value in items:
+        if slot is not None:
+            e = key >> offset & mask
+            if not (e and value):
+                continue
+            key -= drop
+            value *= e
         y_digits = (key >> y_offset) & y_mask
         split = splits.get(y_digits)
         if split is None:
@@ -915,13 +1026,14 @@ def segment_average(f: TruncatedSeries, n: int) -> TruncatedSeries:
             for g, move in zip(gamma, moves):
                 parts = [(step + jj * move, w * fact[g] // (fact[jj] * fact[g - jj]), size + jj)
                          for step, w, size in parts for jj in range(g + 1)]
-            scale = fact[D + 1] // fact[total + 1]
+            scale = sign * fact[D + 1] // fact[total + 1]
             split = splits[y_digits] = [
                 (step, scale * w * fact[size] * fact[total - size]) for step, w, size in parts
             ]
         for step, w in split:
-            acc[key + step] = get(key + step, 0) + value * w
-    return TruncatedSeries._canonical(3 * n, D, shift, acc, f._den * fact[D + 1])
+            k = key + step
+            acc[k] = get(k, 0) + value * w
+    return TruncatedSeries._canonical(3 * n, D, shift, acc, den * fact[D + 1])
 
 
 def det(rows: Sequence[Sequence]):

@@ -16,10 +16,15 @@ coefficients that must agree exactly with the divergence-form recursion of
 is the first half of the pullback of step m + 1, so the chain keeps the
 b_1..b_{M-1} its steps made and reconstruction collapses only ``A_M``.
 
-The particular antiderivative solutions used here are the segment averages
-over the y block, :func:`bergman.series.segment_average`, the same integral
-that builds the phase; they are what makes the chain reproducible (solutions
-of the division problem are not unique).
+The particular solution of each step is the averaged y-gradient
+``A_i = -int_0^1 (D_{y_i} f)(x, tx+(1-t)y, theta) dt`` of its right-hand
+side f, the segment average over the y block that also builds the phase; it
+is what makes the chain reproducible (solutions of the division problem are
+not unique).  :func:`bergman.series.y_gradient_average` makes all n
+components in one pass from the (coefficient, series) pairs of f, so neither
+the right-hand side ``amplitude - P`` nor a y-derivative is built as a
+series, and ``D_theta . A`` is one linear combination that differentiates
+its terms.
 
 Degree bookkeeping, refused at runtime by
 :func:`bergman.potential.require_degree`: with geometry at degree D the order
@@ -33,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .potential import GeometryPack, require_degree
-from .series import TruncatedSeries, linear_combination, segment_average, unit
+from .series import TruncatedSeries, linear_combination, unit, y_gradient_average
 
 
 @dataclass(frozen=True)
@@ -54,17 +59,14 @@ class TransportChain:
         }
 
 
-def _y_gradient_average(f: TruncatedSeries, n: int) -> list:
-    """Components -int_0^1 (D_{y_i} f)(x, tx+(1-t)y, theta) dt."""
-    return [-segment_average(f.diff(unit(3 * n, n + i)), n) for i in range(n)]
-
-
 def _divergence_theta(vec, n: int) -> TruncatedSeries:
-    return linear_combination([(1, vec[i].diff(unit(3 * n, 2 * n + i))) for i in range(n)])
+    """D_theta . vec, the sum of the D_{theta_i} vec[i], made in one linear combination."""
+    return linear_combination([(1, a, unit(3 * n, 2 * n + i)) for i, a in enumerate(vec)])
 
 
 def _step_rhs(geom: GeometryPack, prev_vec) -> tuple:
-    """The collapse b_{m-1} and ``geom.amplitude(b_{m-1}) - P`` for one step.
+    """The collapse b_{m-1} and the right-hand side ``geom.amplitude(b_{m-1}) - P``
+    of one step, as the (coefficient, series) pairs that :func:`y_gradient_average` sums.
 
     Here P = D_theta . A_{m-1} and b_{m-1} = ``geom.to_xz(P)``; the
     amplitude ``(b_{m-1} o z) * Delta0`` holds the diagonal pullback of P;
@@ -73,12 +75,12 @@ def _step_rhs(geom: GeometryPack, prev_vec) -> tuple:
     p = _divergence_theta(prev_vec, geom.n)
     b_prev = geom.to_xz(p)
     amp = geom.amplitude(b_prev)
-    return b_prev, amp - p.truncate(amp.trunc_degree)
+    return b_prev, [(1, amp), (-1, p.truncate(amp.trunc_degree))]
 
 
 def first_amplitude(geom: GeometryPack) -> tuple:
     """A_1: componentwise -int_0^1 (D_{y_i} Delta0)(x, tx+(1-t)y, theta) dt."""
-    return tuple(_y_gradient_average(geom.delta0_xytheta, geom.n))
+    return tuple(y_gradient_average([(1, geom.delta0_xytheta)], geom.n))
 
 
 def next_amplitude(geom: GeometryPack, prev_vec) -> tuple:
@@ -88,7 +90,7 @@ def next_amplitude(geom: GeometryPack, prev_vec) -> tuple:
     collapse of D_theta . A_{m-1} that the step computes on the way.
     """
     b_prev, rhs = _step_rhs(geom, prev_vec)
-    return tuple(_y_gradient_average(rhs, geom.n)), b_prev
+    return tuple(y_gradient_average(rhs, geom.n)), b_prev
 
 
 def transport_chain(geom: GeometryPack, M: int) -> TransportChain:

@@ -34,6 +34,12 @@ the package's one, ``compose`` with bare arguments.
 ``close_power_chain_rescan`` is ``series.close_power_chain`` as it was
 before it bucketed the exponents by size: one scan of every exponent per
 size; ``invert_theta_pieces`` closes its chain with it.
+``linear_combination_of_diffs`` and ``y_gradient_average_of_diffs`` are the
+sums of derivatives as the coefficient recursion and the transport chain
+made them before the sum differentiated its terms: every derivative a series
+of its own (``diff_per_term``), the transport right-hand side summed as a
+series, each y-gradient averaged by ``segment_average_per_split`` and
+negated.
 ``spec_record_via_fraction`` is ``PotentialSpec.to_record`` as it was, with
 one ``Fraction`` built per value, and ``to_xz_remap_then_compose`` is
 ``GeometryPack.to_xz`` as two steps: y = x by a remap, then the composition.
@@ -449,6 +455,19 @@ def diff_per_term(s, xi):
         else:
             out[key - step] = value * factor
     return TruncatedSeries._canonical(n, new_D, shift, out, s._den)
+
+
+def linear_combination_of_diffs(terms):
+    """``linear_combination`` of ``(c, s, xi)`` terms with each ``D^xi s`` built first."""
+    return linear_combination([(c, diff_per_term(s, xi)) for c, s, xi in terms])
+
+
+def y_gradient_average_of_diffs(terms, n):
+    """``series.y_gradient_average``: the sum of the ``(c, s)`` pairs as a series, then
+    ``-segment_average(D_(y_i) f, n)`` for each i, every step its own series."""
+    f = linear_combination(list(terms))
+    return [-segment_average_per_split(diff_per_term(f, unit(3 * n, n + i)), n)
+            for i in range(n)]
 
 
 def remap_variables_unpacked(s, new_nvars, var_map):

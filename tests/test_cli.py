@@ -833,6 +833,43 @@ def test_guard_refuses_before_the_lists_are_built(tmp_path, monkeypatch, capsys,
     assert len(lines) == 1 and lines[0].startswith("error: resource guard")
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--preset", "chsc", "--n", "1", "--degree", "181", "--order", "1"],
+    ["coeffs", "--preset", "quartic", "--n", "2", "--degree", "28", "--order", "1"],
+    ["coeffs", "--preset", "chsc", "--n", "1", "--degree", "100000", "--order", "1"],
+    ["eval", "--spec", "spec.json", "--coeffs", "coefficients.json", "--k", "4",
+     "--x", "0", "--y", "0"],
+    ["chsc-check", "--n", "1", "--order", "90"],  # degree 2 * 90 + 2 = 182
+], ids=["chsc_n1", "quartic_n2", "huge_degree", "spec_file", "chsc_check"])
+def test_geometry_guard_refuses_before_a_preset_or_geometry(tmp_path, monkeypatch, capsys, argv):
+    # one step above GEOMETRY_MONOMIAL_LIMIT: C(3n + D - 1, 3n) (x, y, theta) monomials
+    built = []
+    for owner, name in ((potential, "preset_chsc"), (potential, "preset_quartic"),
+                        (cli, "build_geometry"), (cli, "verdict_record")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name: built.append(name))
+    coeffs = {((1,), (1,)): 1, ((2,), (2,)): Fraction(-1, 2)}
+    write_spec(potential.PotentialSpec(1, 181, 0.3, coeffs), tmp_path / "spec.json")
+    argv = [str(tmp_path / item) if item.endswith(".json") else item for item in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert built == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: resource guard")
+
+
+def test_geometry_guard_admits_its_limit(monkeypatch):
+    # n=1 at D=180 passes the guard and reaches the preset, which stops the run
+    built = []
+
+    def preset_chsc(*args):
+        built.append(args)
+        raise RuntimeError("reached the preset")
+
+    monkeypatch.setattr(potential, "preset_chsc", preset_chsc)
+    assert main(["coeffs", "--preset", "chsc", "--n", "1", "--degree", "180", "--order", "1",
+                 "--out", "unused"]) == 3
+    assert [args[2] for args in built] == [180]
+
+
 def test_nan_contour_samples_fail_the_check():
     # the command line refuses a NaN delta, so the NaN-sample path is reached directly
     spec = make_preset("chsc", 1, 6)

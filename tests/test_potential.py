@@ -663,6 +663,53 @@ def test_pair_visits_of_the_dense_pipeline(monkeypatch):
     assert visits == [PAIR_VISITS]
 
 
+# TruncatedSeries.diff calls of the coefficient and transport pipeline: psi_x (n) and
+# the Jacobian of Delta0 (n^2).  The recursion's level sums, the transport's
+# divergences and its averaged y-gradients differentiate inside their own sum; a
+# derivative series built there again (27 and 34 before) fails the count.
+DIFF_CALLS = {"dense_1": 2, "chsc_3/5": 6}
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_CALLS))
+def test_diff_calls_of_the_pipeline(monkeypatch, name):
+    calls = []
+    diff = TruncatedSeries.diff
+    monkeypatch.setattr(TruncatedSeries, "diff", lambda s, xi: calls.append(xi) or diff(s, xi))
+    make, order = BENCHMARK_JOBS[name]
+    geom = build_geometry(make())
+    table = amplitude_from_b(bergman_coefficients(geom, order), geom)
+    recon = reconstruct_coefficients(geom, transport_chain(geom, order))
+    monkeypatch.undo()
+    assert recon == list(table.b)
+    assert len(calls) == DIFF_CALLS[name]
+
+
+@pytest.mark.parametrize("n, top", [(1, 180), (2, 27), (3, 15)])
+def test_geometry_guard_at_the_limit(monkeypatch, n, top):
+    limit = potential.GEOMETRY_MONOMIAL_LIMIT
+    assert math.comb(3 * n + top - 1, 3 * n) <= limit < math.comb(3 * n + top, 3 * n)
+    potential.require_geometry_size(n, top)
+    with pytest.raises(potential.ResourceGuardError, match="resource guard"):
+        potential.require_geometry_size(n, top + 1)
+    # build_geometry refuses before it polarizes
+    polarized = []
+    monkeypatch.setattr(potential, "polarize", polarized.append)
+    with pytest.raises(potential.ResourceGuardError):
+        build_geometry(PotentialSpec(n, top + 1, 0.3, {}))
+    assert polarized == []
+
+
+@pytest.mark.parametrize("n, degree", [(True, 10**9), (1, 2.5), (0, 10**9), (10**9, 0), (1, -3)])
+def test_geometry_guard_leaves_bad_sizes_to_validation(n, degree):
+    potential.require_geometry_size(n, degree)
+
+
+def test_geometry_guard_refuses_huge_sizes_at_once():
+    for n, degree in ((1, 10**100), (10**100, 2), (10**50, 10**50)):
+        with pytest.raises(potential.ResourceGuardError):
+            potential.require_geometry_size(n, degree)
+
+
 class TestZPowerTable:
     """The geometry's one table of z-powers, started by the round-trip check."""
 

@@ -25,6 +25,7 @@ from bergman.series import (
     power_step,
     sub_indices,
     unit,
+    y_gradient_average,
 )
 from oracles import (
     close_power_chain_rescan,
@@ -33,9 +34,11 @@ from oracles import (
     graded_pieces_dict,
     is_zero,
     lift,
+    linear_combination_of_diffs,
     remap_variables_unpacked,
     sum_of_products_dict,
     to_record_unpacked,
+    y_gradient_average_of_diffs,
 )
 
 F = Fraction
@@ -898,6 +901,114 @@ class TestOldLoops:
             assert zero.to_record() == to_record_unpacked(zero)
             assert _fields(-zero) == _fields(3 * zero) == _fields(zero)
             assert _graded_pieces(zero, 0, zero._shift) == {}
+
+
+SCALARS = st.one_of(SMALL_INTS, st.fractions(min_value=-3, max_value=3, max_denominator=12))
+
+
+class TestFusedDerivatives:
+    """Sums that differentiate their terms, against the same sums of derivative series
+    built one by one in ``oracles``, field by field, at a series' own digit width and
+    one wider.  Derivative orders may exceed every exponent, so terms vanish."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_linear_combination_of_derivatives(self, kind, data):
+        n = data.draw(st.integers(1, 3))
+        nvars, out_degree = 3 * n, data.draw(st.integers(0, 4))
+        terms = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            xi = data.draw(st.tuples(*[st.integers(0, 2)] * nvars))
+            order = sum(xi)
+            # at output degree 0, an input of degree below |xi| is cut to 0 as well
+            degree = out_degree + order if out_degree else data.draw(st.integers(0, order))
+            f = TruncatedSeries(nvars, degree, data.draw(coefficient_map(nvars, degree, kind)))
+            terms.append((data.draw(SCALARS), _widened(f, data.draw(st.booleans())), xi))
+        got = linear_combination(terms)
+        assert _fields(got) == _fields(linear_combination_of_diffs(terms))
+        assert got.trunc_degree == out_degree
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_terms_with_and_without_derivatives(self, kind, data):
+        nvars, degree = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 5))
+        slot = data.draw(st.integers(0, nvars - 1))
+        f, g = (TruncatedSeries(nvars, d, data.draw(coefficient_map(nvars, d, kind)))
+                for d in (degree, degree + 1))
+        terms = [(F(-2, 3), f), (data.draw(SCALARS), g, unit(nvars, slot))]
+        want = linear_combination([(F(-2, 3), f), (terms[1][0], diff_per_term(g, unit(nvars, slot)))])
+        assert _fields(linear_combination(terms)) == _fields(want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_y_gradient_average(self, kind, data):
+        n, degree = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 6))
+        pairs = [
+            (data.draw(SCALARS),
+             _widened(TruncatedSeries(3 * n, degree, data.draw(coefficient_map(3 * n, degree, kind))),
+                      data.draw(st.booleans())))
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        got, want = y_gradient_average(pairs, n), y_gradient_average_of_diffs(pairs, n)
+        assert [_fields(s) for s in got] == [_fields(s) for s in want]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("wider", [False, True], ids=["own_width", "wider"])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_zero_and_low_degree_inputs(self, n, wider, degree):
+        nvars = 3 * n
+        zero = _widened(TruncatedSeries.zero(nvars, degree), wider)
+        # a constant and every linear monomial: only y and w slots of degree 1 survive
+        low = _widened(TruncatedSeries(nvars, degree, {
+            **{(0,) * nvars: F(5, 7)}, **{unit(nvars, i): F(i - 2, 3) for i in range(nvars)},
+        }), wider)
+        for f in (zero, low):
+            for pairs in ([(1, f)], [(F(1, 2), f), (-3, zero)], [(1, f), (-1, f)]):
+                got, want = y_gradient_average(pairs, n), y_gradient_average_of_diffs(pairs, n)
+                assert [_fields(s) for s in got] == [_fields(s) for s in want]
+            for xi in ((0,) * nvars, unit(nvars, 0), unit(nvars, nvars - 1), (1,) * nvars):
+                terms = [(F(-1, 2), f, xi), (2, f, xi)]
+                assert _fields(linear_combination(terms)) == _fields(linear_combination_of_diffs(terms))
+                assert _fields(f.diff(xi)) == _fields(diff_per_term(f, xi))
+
+    def test_a_vanishing_sum_is_the_zero_series(self):
+        x, y, w = TruncatedSeries.variables(3, 4)
+        f = x * y * y + w * w
+        # D_y f = 2xy and D_w f = 2w: each term of f dies under one of them
+        g = (x * y + w).truncate(3)
+        got = linear_combination([(1, f, (0, 1, 0)), (1, f, (0, 0, 1)), (-2, g)])
+        zero = TruncatedSeries.zero(3, 3)
+        assert (got._keys, got._nums, got._den) == ([], [], 1) and got == zero
+        (average,) = y_gradient_average([(1, f), (-1, f)], 1)
+        assert (average._keys, average._nums, average._den) == ([], [], 1) and average == zero
+
+    @pytest.mark.parametrize("xi", [(1, 0), (0, 1, 0, 0), (1, -1, 0)], ids=["short", "long", "negative"])
+    def test_a_bad_multi_index_is_refused(self, xi):
+        f = TruncatedSeries.variable(3, 4, 0)
+        with pytest.raises(ValueError, match="bad derivative multi-index"):
+            linear_combination([(1, f), (1, f, xi)])
+        with pytest.raises(ValueError, match="bad derivative multi-index"):
+            f.diff(xi)
+
+    def test_mismatched_terms_are_refused(self):
+        f3, f4 = TruncatedSeries.zero(3, 3), TruncatedSeries.zero(3, 4)
+        with pytest.raises(ValueError, match="nvars mismatch"):
+            linear_combination([(1, f3), (1, TruncatedSeries.zero(2, 3))])
+        with pytest.raises(ValueError, match="truncation degree mismatch"):
+            linear_combination([(1, f3, (0, 1, 0)), (1, f4, (0, 1, 0))])
+        with pytest.raises(ValueError, match="truncation degree mismatch"):
+            linear_combination([(1, f3), (1, f4, (1, 0, 0)), (1, f4)])
+        # output degrees agree: degree 4 less one derivative is degree 3
+        assert linear_combination([(1, f3), (1, f4, (1, 0, 0))]) == f3
+        with pytest.raises(ValueError, match="nvars mismatch"):
+            y_gradient_average([(1, f3), (1, TruncatedSeries.zero(2, 3))], 1)
+        with pytest.raises(ValueError, match="truncation degree mismatch"):
+            y_gradient_average([(1, f3), (1, f4)], 1)
+        with pytest.raises(ValueError, match="expected 6 variables"):
+            y_gradient_average([(1, f3)], 2)
 
 
 # wide numerators over the large primes: conversions to float must round

@@ -17,7 +17,7 @@ from bergman.potential import (
     preset_flat,
     preset_quartic,
 )
-from bergman.series import TruncatedSeries, mul_trunc, unit
+from bergman.series import TruncatedSeries, linear_combination, mul_trunc, unit
 from bergman.transport import (
     _divergence_theta,
     _step_rhs,
@@ -46,7 +46,8 @@ def division_identity_gap(geom, chain, m):
     if m == 1:
         rhs = geom.delta0_xytheta - 1
     else:
-        _, rhs = _step_rhs(geom, chain.A[m - 1])
+        _, pairs = _step_rhs(geom, chain.A[m - 1])
+        rhs = linear_combination(pairs)
     out_degree = min(chain.A[m][0].trunc_degree + 1, rhs.trunc_degree)
     lhs = TruncatedSeries.zero(3 * n, out_degree)
     for i in range(n):
