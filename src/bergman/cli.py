@@ -11,11 +11,12 @@ Exit codes: 0 when every verdict in the run passed, 1 when a verdict failed,
 a table of another dimension than the spec, spec validation, missing or
 unreadable files, an ``--out`` that cannot be written, evaluation points or a
 norm radius outside the spec's radius, a closed-form pair off the model's
-domain, insufficient degree, requests over a resource guard, values whose
-floating-point image overflows in a numeric step), and 3 for an unexpected internal error,
-reported as one ``internal error:`` line on stderr instead of a traceback.
-A failed transport cross-check names the first differing term in
-``crosscheck.json``.
+domain, a truncation scan's ``--C`` outside [1/k, k], insufficient degree,
+requests over a resource guard, values whose floating-point image overflows
+in a numeric step), and 3 for an unexpected internal error, reported as one
+``internal error:`` line on stderr instead of a traceback.  A failed transport
+cross-check names the first differing term in ``crosscheck.json``.  An option's
+value may start with ``-`` as an argument of its own (``--param -1/2``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import cmath
 import csv
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from math import factorial
@@ -491,6 +493,12 @@ def cmd_growth(args) -> int:
         print(f"worst-case lower bounds: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
     if args.task == "truncation":
+        # the scan runs m = 1..k and checks Stirling's bound at m = floor(sqrt(k/C))
+        if not 1 <= math.sqrt(args.k / args.C) <= args.k:
+            raise SpecValidationError(
+                f"--C {args.C} is outside [1/k, k] = [{1 / args.k:g}, {args.k}] for"
+                f" --k {args.k}: the truncation scan needs 1 <= sqrt(k/C) <= k"
+            )
         scan = truncation_minimizer(args.C, args.k)
         ok = scan.unimodal and scan.within_one_of_target and scan.stirling_bound_ok
         _write_report(
@@ -629,9 +637,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list) -> list:
+    """``--option -1/2`` as ``--option=-1/2``: argparse takes an argument that starts with
+    ``-`` for an option unless it is a plain number, so a value that starts with ``-`` and
+    a digit or a ``.`` is joined to the option before it."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except DegreeBudgetError as err:

@@ -18,8 +18,9 @@ Variable block conventions used across the package, for dimension n:
 
 Everything is exact rational arithmetic; the segment integral in the phase
 (:func:`bergman.series.segment_average` of ``psi_x(y, z)``) is done termwise
-with integer Beta-function weights, never by quadrature, and the only linear
-algebra is :func:`bergman.series.det`.  :func:`require_degree` is the one
+with integer Beta-function weights, never by quadrature.  The linear algebra
+is :func:`bergman.series.det`, apart from the positive-definiteness test,
+which eliminates without pivoting.  :func:`require_degree` is the one
 refusal of a truncation degree too small for a computation.
 
 :func:`invert_theta` inverts the Hessian by Cramer's rule and leaves the
@@ -296,9 +297,20 @@ def make_preset(name: str, n: int, degree: int, param=None, radius=None) -> Pote
 
 
 def _nonpositive_minor(rows, shift=0) -> int:
-    """Size of the first non-positive leading minor of ``rows - shift I``, or 0 (Sylvester)."""
-    rows = [[v - shift * (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows)]
-    return next((s for s in range(1, len(rows) + 1) if det([r[:s] for r in rows[:s]]) <= 0), 0)
+    """Size of the first non-positive leading minor of ``rows - shift I``, or 0 (Sylvester).
+
+    Exact elimination without pivoting: while the leading minors are positive, pivot k
+    is minor_k / minor_(k-1), so the first non-positive pivot sits at that size.
+    """
+    rows = [[Fraction(v) - shift * (i == j) for j, v in enumerate(row)]
+            for i, row in enumerate(rows)]
+    for k, pivot_row in enumerate(rows):
+        if pivot_row[k] <= 0:
+            return k + 1
+        for row in rows[k + 1:]:
+            if factor := row[k] / pivot_row[k]:
+                row[k + 1:] = [v - factor * p for v, p in zip(row[k + 1:], pivot_row[k + 1:])]
+    return 0
 
 
 # -- polarization and phase ---------------------------------------------------

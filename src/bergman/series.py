@@ -42,8 +42,10 @@ denominators, so a product sums ``num_a * num_b`` in ints over
 ``den_a * den_b`` and reduces once per result, not once per term pair.
 The form is canonical up to the base, so ``==`` compares numerators and
 keys repacked to the larger base, and ``[]`` bisects on the packed key.
-The homogeneous pieces of :func:`fixed_point` share the form: the triple ``(keys,
-nums, den)``, None when the piece vanishes, reduced by the one :func:`_piece`.
+The pieces that :func:`_sum_of_products` multiplies share the form: the
+triple ``(keys, nums, den)``, None when the piece vanishes, reduced by the
+one :func:`_piece`; :func:`mul_trunc`, ``invert`` and :func:`fixed_point`
+work on them.
 No other module reads the packed form: callers pass and get series.
 ``eval`` builds a float plan on first use: per term, in graded lexicographic
 order, ``complex(num / den)`` (correctly rounded, as ``complex(Fraction)``)
@@ -66,12 +68,13 @@ multiplied by the power product ``P_gamma`` of those arguments.  Every group
 product goes into one accumulator over one denominator, the denominator of
 ``f`` times the lcm of the ``P_gamma`` denominators (the group carries the
 scale), and the result is reduced once; the pair loop is the one
-``mul_trunc`` runs.  The optional ``cache`` holds the ``P_gamma``, keyed by
-``gamma`` (one entry per substituted argument), so calls that share an
-argument list share their powers; :func:`power_step` gives the chain every
-power table follows, ``P_gamma = P_lower * arg_j``.  Its first step,
-``P_(2 e_j) = arg_j * arg_j``, is a square: ``P_(e_j)`` is ``arg_j`` itself,
-and :func:`mul_trunc` of a series with itself runs :func:`_add_square`, the
+:func:`_sum_of_products` runs.  The optional ``cache`` holds the
+``P_gamma``, keyed by ``gamma`` (one entry per substituted argument), so
+calls that share an argument list share their powers; :func:`power_step`
+gives the chain every power table follows, ``P_gamma = P_lower * arg_j``.
+Its first step, ``P_(2 e_j) = arg_j * arg_j``, is a square: ``P_(e_j)`` is
+``arg_j`` itself, and :func:`mul_trunc` of a series with itself passes one
+piece twice to :func:`_sum_of_products`, which runs :func:`_add_square`, the
 pair loop that visits each unordered pair of terms once.  A group reads
 ``P_gamma`` only through the output degree less the lowest degree of its
 moved exponents, and the chain reads ``P_lower`` one degree less, so each
@@ -96,17 +99,18 @@ Trusted construction
 The public constructor validates every exponent tuple (length, sign, degree)
 and sums duplicates, because specs, records and callers may hand it anything.
 Operations only drop zeros and reduce (:func:`_piece`), since each makes its
-keys from keys of valid operands by digit arithmetic that cannot carry.  Sums
-of keys of degree at most the output degree (products, ``invert``,
-``compose``, :func:`fixed_point`) and moves that can merge keys (a sum of
-series, bare ``compose`` arguments, ``segment_average``, which moves part of
-each y digit to its x digit) fill a dict that ``TruncatedSeries._canonical``
-sorts.  The rest build their lists in key order for
-``TruncatedSeries._from_sorted``: ``truncate`` slices them, a scalar multiple
-keeps the keys, and a derivative and :func:`_graded_pieces` take one
-constant, no digit larger than the key's, off each key of a sorted run, and
-``x < y`` gives ``x - c < y - c``.  An empty factor makes no entry, so
-:func:`mul_trunc` returns the zero series after the ``nvars`` check.
+keys from keys of valid operands by digit arithmetic that cannot carry.
+Products, ``invert`` and :func:`fixed_point` build pieces: each sum of key
+pairs of degree at most the output degree is one :func:`_sum_of_products`,
+which sorts its dict once.  ``compose``'s group sum and moves that can merge
+keys (a sum of series, bare ``compose`` arguments, ``segment_average``, which
+moves part of each y digit to its x digit) fill a dict that
+``TruncatedSeries._canonical`` sorts.  The rest build their lists in key
+order for ``TruncatedSeries._from_sorted``: ``truncate`` slices them, a
+scalar multiple keeps the keys, and a derivative and :func:`_graded_pieces`
+take one constant, no digit larger than the key's, off each key of a sorted
+run, and ``x < y`` gives ``x - c < y - c``.  An empty factor gives
+:func:`mul_trunc` the zero series at once, after the ``nvars`` check.
 ``segment_average`` builds its steps in each call from unit moves of one
 digit and keeps none.
 
@@ -380,35 +384,25 @@ class TruncatedSeries:
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be nonzero.
 
-        Solved degree by degree without division: with numerators A over
-        ``den`` and c = A_0, the levels U_0 = 1, U_d = -sum_e c^(e-1) A_e U_(d-e)
-        satisfy 1/A = sum_d U_d / c^(d+1), so the inverse is
-        ``den * sum_d U_d c^(D-d)`` over ``c^(D+1)``, reduced once.  In exact
-        arithmetic a * a.invert() == 1 through the truncation degree.
+        On the degree pieces [A]_e of :func:`_graded_pieces`: U_0 = 1/A_0 and
+        U_d = -(1/A_0) sum_e [A]_e U_(d-e), each level one :func:`_sum_of_products`,
+        and the levels summed by one more, as in :func:`fixed_point`.
         """
         if self.constant_term == 0:
             raise ValueError("invert: constant term is zero")
         n, D, shift = self.nvars, self.trunc_degree, self._shift
         width = shift * n
-        c = self._nums[0]
-        by_degree: dict[int, list] = {}  # positive-degree terms of -A, times c^(e-1)
-        for k, v in zip(self._keys[1:], self._nums[1:]):
-            e = k >> width
-            by_degree.setdefault(e, []).append((k, -v * c ** (e - 1)))
-        levels = [([0], [1])]  # U_d as sorted keys and numerators
+        parts = _graded_pieces(self, n, shift)[()]
+        _, (c,), den = parts.pop(0)  # A_0 = c / den
+        minus = _piece([0], [-den], c)
+        scaled = {e: _sum_of_products([(minus, p)], width, D) for e, p in parts.items()}
+        levels = [_piece([0], [den], c)]
         for d in range(1, D + 1):
-            acc: dict = {}
-            for e, terms in by_degree.items():
-                if e > d:
-                    break
-                _add_products(acc, terms, *levels[d - e], width, d)
-            keys = [k for k in sorted(acc) if acc[k]]
-            levels.append((keys, [acc[k] for k in keys]))
-        out = {}
-        for d, (level_keys, level_nums) in enumerate(levels):
-            scale = self._den * c ** (D - d)
-            out.update(zip(level_keys, [v * scale for v in level_nums]))
-        return TruncatedSeries._canonical(n, D, shift, out, c ** (D + 1))
+            levels.append(_sum_of_products(
+                [(p, levels[d - e]) for e, p in scaled.items() if e <= d], width, D))
+        one = ([0], [1], 1)
+        inverse = _sum_of_products([(one, p) for p in levels], width, D)
+        return TruncatedSeries._from_sorted(n, D, shift, *inverse)
 
     # -- calculus ----------------------------------------------------------
 
@@ -711,16 +705,14 @@ def _derived(s: TruncatedSeries, xi, shift: int, scale: int, tables: dict) -> tu
 
 
 def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> TruncatedSeries:
-    """Cauchy product truncated at ``out_degree``.
+    """Cauchy product truncated at ``out_degree``: one :func:`_sum_of_products` of the
+    factors as pieces, at the widest digit width of the factors and ``out_degree``.
 
     Out-degrees above min(a.trunc_degree, b.trunc_degree) are only exact when
     the caller knows one factor is an exact polynomial (for example the
     degree one factor in (x - y) . A); that responsibility is the caller's.
-    An empty factor gives the zero series; the factor with fewer terms is the
-    outer side of the pair loop.  A factor times itself (the same object, as
-    in ``x * x``) is a square: :func:`_add_square` visits each unordered pair
-    of terms once, into the same accumulator with the same reduction, so the
-    result equals the product of two equal, distinct factors field by field.
+    An empty factor gives the zero series.  A factor times itself (the same
+    object, as in ``x * x``) passes one piece twice, so the pair is a square.
     """
     if a.nvars != b.nvars:
         raise ValueError("mul: nvars mismatch")
@@ -728,16 +720,11 @@ def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> Trunca
         raise ValueError("mul: out_degree must be non-negative")
     if not (a._keys and b._keys):
         return TruncatedSeries.zero(a.nvars, out_degree)
-    if len(b._keys) < len(a._keys):
-        a, b = b, a
     shift = max(_shift_for(out_degree), a._shift, b._shift)
-    width, acc = shift * a.nvars, {}
-    if a is b:
-        _add_square(acc, a._keys_at(shift), a._nums, width, out_degree)
-    else:
-        _add_products(acc, zip(a._keys_at(shift), a._nums), b._keys_at(shift), b._nums,
-                      width, out_degree)
-    return TruncatedSeries._canonical(a.nvars, out_degree, shift, acc, a._den * b._den)
+    pa = (a._keys_at(shift), a._nums, a._den)
+    pb = pa if a is b else (b._keys_at(shift), b._nums, b._den)
+    product = _sum_of_products([(pa, pb)], shift * a.nvars, out_degree)
+    return TruncatedSeries._from_sorted(a.nvars, out_degree, shift, *(product or ([], [], 1)))
 
 
 def _piece(keys: list, nums: list, den: int):
@@ -952,41 +939,19 @@ def segment_average(f: TruncatedSeries, n: int) -> TruncatedSeries:
 
 def y_gradient_average(terms: Sequence[tuple], n: int) -> list:
     """The components ``-int_0^1 (D_(y_i) g)(x, t*x + (1-t)*y, w) dt``, i < n, of the sum
-    ``g`` of ``c * s`` over the ``(c, s)`` pairs of ``terms``.
+    ``g`` of ``c * s`` over the ``(c, s)`` pairs of ``terms``, series of one degree D in
+    (x, y, w) blocks of n variables.
 
-    Every ``s`` is a series in (x, y, w) blocks of n variables each, with the
-    truncation degree D of the first.  One pass, no derivative or sum built
-    as a series: the pairs are summed into one dict (one pair is read as it
-    is); for each i, a term with y_i digit ``e >= 1`` loses one from that digit
-    and from its degree, its numerator is multiplied by ``-e``, and the
-    :func:`segment_average` split/weight loop at degree ``max(0, D - 1)`` takes
-    it.  The n components share that loop's splits.
+    ``g`` is one :func:`linear_combination`, and no derivative is built as a series: the
+    :func:`segment_average` split/weight loop at degree ``max(0, D - 1)`` takes each
+    y_i derivative term by term, and the n components share its splits.
     """
-    c, first = terms[0]
-    for _, s in terms[1:]:
-        first._check_compatible(s, "add")
-    if first.nvars != 3 * n:
-        raise ValueError(f"y_gradient_average: expected {3 * n} variables, got {first.nvars}")
-    if len(terms) == 1:
-        shift, den = first._shift, c.denominator * first._den
-        nums = first._nums if c.numerator == 1 else [v * c.numerator for v in first._nums]
-        items = list(zip(first._keys, nums))
-    else:
-        shift = max(s._shift for _, s in terms)
-        den = lcm(*[c.denominator * s._den for c, s in terms])
-        merged: dict = {}
-        get = merged.get
-        for c, s in terms:
-            scale = c.numerator * (den // (c.denominator * s._den))
-            nums = s._nums if scale == 1 else [v * scale for v in s._nums]
-            if merged:
-                for k, v in zip(s._keys_at(shift), nums):
-                    merged[k] = get(k, 0) + v
-            else:
-                merged.update(zip(s._keys_at(shift), nums))
-        items = list(merged.items())
-    D, splits = max(0, first.trunc_degree - 1), {}
-    return [_segment_average(items, n, D, shift, den, splits, i) for i in range(n)]
+    g = linear_combination(terms)
+    if g.nvars != 3 * n:
+        raise ValueError(f"y_gradient_average: expected {3 * n} variables, got {g.nvars}")
+    D, splits = max(0, g.trunc_degree - 1), {}
+    return [_segment_average(zip(g._keys, g._nums), n, D, g._shift, g._den, splits, i)
+            for i in range(n)]
 
 
 def _segment_average(items, n: int, D: int, shift: int, den: int, splits: dict,

@@ -40,6 +40,14 @@ made them before the sum differentiated its terms: every derivative a series
 of its own (``diff_per_term``), the transport right-hand side summed as a
 series, each y-gradient averaged by ``segment_average_per_split`` and
 negated.
+``mul_trunc_pair_loop`` and ``invert_levels`` are ``series.mul_trunc`` and
+``TruncatedSeries.invert`` as they were before they went through
+``_sum_of_products``: the product runs its own pair loop (``_add_square`` for
+a square) into its own accumulator, and the inverse solves integer levels
+U_d = -sum_e c^(e-1) A_e U_(d-e) over the constant numerator c, scaled and
+reduced once at the end.  ``nonpositive_minor_cofactor`` is the leading-minor
+test of ``PotentialSpec.validate`` as it was: every leading minor a cofactor
+``det``, s! products for size s.
 ``spec_record_via_fraction`` is ``PotentialSpec.to_record`` as it was, with
 one ``Fraction`` built per value, and ``to_xz_remap_then_compose`` is
 ``GeometryPack.to_xz`` as two steps: y = x by a remap, then the composition.
@@ -55,6 +63,7 @@ from bergman.potential import build_geometry
 from bergman.series import (
     TruncatedSeries,
     _add_products,
+    _add_square,
     _pack,
     _shift_for,
     _unpack,
@@ -554,3 +563,62 @@ def to_xz_remap_then_compose(geom, f, cache):
     f_xtheta = remap_variables_unpacked(f, 2 * n, tuple(range(n)) * 2 + tuple(range(n, 2 * n)))
     x = TruncatedSeries.variables(2 * n, geom.degree - 1)[:n]
     return f_xtheta.compose(x + list(geom.psi_x), cache=cache)
+
+
+# -- products and inverses before they went through the sum of products -----------
+
+
+def mul_trunc_pair_loop(a, b, out_degree):
+    """``series.mul_trunc`` with its own pair loop and accumulator."""
+    if a.nvars != b.nvars:
+        raise ValueError("mul: nvars mismatch")
+    if out_degree < 0:
+        raise ValueError("mul: out_degree must be non-negative")
+    if not (a._keys and b._keys):
+        return TruncatedSeries.zero(a.nvars, out_degree)
+    if len(b._keys) < len(a._keys):
+        a, b = b, a
+    shift = max(_shift_for(out_degree), a._shift, b._shift)
+    width, acc = shift * a.nvars, {}
+    if a is b:
+        _add_square(acc, a._keys_at(shift), a._nums, width, out_degree)
+    else:
+        _add_products(acc, zip(a._keys_at(shift), a._nums), b._keys_at(shift), b._nums,
+                      width, out_degree)
+    return TruncatedSeries._canonical(a.nvars, out_degree, shift, acc, a._den * b._den)
+
+
+def invert_levels(s):
+    """``TruncatedSeries.invert`` by integer levels: with numerators A over ``den`` and
+    c = A_0, U_0 = 1 and U_d = -sum_e c^(e-1) A_e U_(d-e), so that the inverse is
+    ``den * sum_d U_d c^(D-d)`` over ``c^(D+1)``."""
+    if s.constant_term == 0:
+        raise ValueError("invert: constant term is zero")
+    n, D, shift = s.nvars, s.trunc_degree, s._shift
+    width = shift * n
+    c = s._nums[0]
+    by_degree = {}  # positive-degree terms of -A, times c^(e-1)
+    for k, v in zip(s._keys[1:], s._nums[1:]):
+        e = k >> width
+        by_degree.setdefault(e, []).append((k, -v * c ** (e - 1)))
+    levels = [([0], [1])]  # U_d as sorted keys and numerators
+    for d in range(1, D + 1):
+        acc = {}
+        for e, terms in by_degree.items():
+            if e > d:
+                break
+            _add_products(acc, terms, *levels[d - e], width, d)
+        keys = [k for k in sorted(acc) if acc[k]]
+        levels.append((keys, [acc[k] for k in keys]))
+    out = {}
+    for d, (level_keys, level_nums) in enumerate(levels):
+        scale = s._den * c ** (D - d)
+        out.update(zip(level_keys, [v * scale for v in level_nums]))
+    return TruncatedSeries._canonical(n, D, shift, out, c ** (D + 1))
+
+
+def nonpositive_minor_cofactor(rows, shift=0):
+    """Size of the first non-positive leading minor of ``rows - shift I``, or 0, with
+    every leading minor a cofactor ``det``."""
+    rows = [[v - shift * (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    return next((s for s in range(1, len(rows) + 1) if det([r[:s] for r in rows[:s]]) <= 0), 0)

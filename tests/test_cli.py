@@ -279,6 +279,23 @@ class TestGrowthCommand:
         scan = read_json(tmp_path / "truncation.json")["scan"]
         assert scan["argmin"] in (9, 10, 11)
 
+    @pytest.mark.parametrize("C, k", [("11", "10"), ("0.001", "100"), ("1.5", "1")])
+    def test_truncation_outside_its_range_is_refused_before_the_scan(
+        self, tmp_path, monkeypatch, capsys, C, k
+    ):
+        monkeypatch.setattr(cli, "truncation_minimizer", lambda *a: pytest.fail("scan ran"))
+        argv = ["growth", "--task", "truncation", "--C", C, "--k", k, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "outside [1/k, k]" in line
+        assert not (tmp_path / "truncation.json").exists()
+
+    @pytest.mark.parametrize("C, k", [("10", "10"), ("0.1", "10"), ("1", "1")])
+    def test_truncation_at_the_ends_of_its_range(self, tmp_path, C, k):
+        argv = ["growth", "--task", "truncation", "--C", C, "--k", k, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert read_json(tmp_path / "truncation.json")["verdict"] == "pass"
+
     def test_lemma_small(self, tmp_path):
         rc = main(
             ["growth", "--task", "lemma", "--deltas", "0.5,1", "--n-max", "4",
@@ -348,6 +365,11 @@ INVALID_INPUTS = {
     "truncation_k_zero": ["growth", "--task", "truncation", "--k", "0"],
     "truncation_k_over_guard": [
         "growth", "--task", "truncation", "--k", str(growth.TRUNCATION_K_LIMIT + 1),
+    ],
+    # the scan checks a fact that needs 1 <= sqrt(k/C) <= k, that is C in [1/k, k]
+    "truncation_C_above_k": ["growth", "--task", "truncation", "--C", "11", "--k", "10"],
+    "truncation_C_below_one_over_k": [
+        "growth", "--task", "truncation", "--C", "0.001", "--k", "100",
     ],
     "lemma_delta_zero": ["growth", "--task", "lemma", "--deltas", "0,1"],
     "lemma_delta_not_number": ["growth", "--task", "lemma", "--deltas", "a"],
@@ -602,6 +624,31 @@ def test_invalid_input_exits_two_without_traceback(tmp_path, monkeypatch, capsys
     assert rc == 2
     assert "Traceback" not in err
     assert "error" in err
+
+
+# a value that starts with "-" as the argument after its option, and in the "=" form
+NEGATIVE_VALUES = {
+    "param_rational": (["chsc-check", "--n", "1", "--order", "2"], "--param", "-1/2"),
+    "param_preset": (["polarize", "--preset", "chsc", "--n", "1", "--degree", "6",
+                      "--samples", "10"], "--param", "-1/2"),
+    "x_list": (["asymptotics", "--preset", "chsc", "--n", "2", "--closed-form",
+                "--y", "0.05,0.02"], "--x", "-0.1,0.05"),
+    "x_complex": (["asymptotics", "--preset", "chsc", "--n", "1", "--closed-form",
+                   "--y", "0.05"], "--x", "-0.1+0.05j"),
+    "max_slope_leading_dot": (["asymptotics", "--preset", "chsc", "--n", "1", "--closed-form",
+                               "--x", "0.1", "--y", "0.05"], "--max-slope", "-.5e0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_VALUES))
+def test_negative_values_as_separate_arguments(tmp_path, case):
+    argv, option, value = NEGATIVE_VALUES[case]
+    assert main(argv + [option, value, "--out", str(tmp_path / "apart")]) == 0
+    assert main(argv + [f"{option}={value}", "--out", str(tmp_path / "joined")]) == 0
+    apart = sorted(p.name for p in (tmp_path / "apart").iterdir())
+    assert apart == sorted(p.name for p in (tmp_path / "joined").iterdir())
+    for name in apart:
+        assert (tmp_path / "apart" / name).read_bytes() == (tmp_path / "joined" / name).read_bytes()
 
 
 def readme_commands():

@@ -11,7 +11,8 @@ object.  Strings count only in ``perfbench/spans.py``, whose
 count: code that only tests call has no role in the pipeline.
 
 The packed form of a series (its sorted keys, numerators, denominator, digit
-width and the trusted constructors) is read by ``series.py`` alone.
+width and the trusted constructors) is read by ``series.py`` alone, and its two
+pair loops by ``_sum_of_products`` and ``TruncatedSeries.compose`` alone.
 """
 
 import ast
@@ -69,6 +70,32 @@ def test_only_series_reads_the_packed_form():
         if isinstance(node, ast.Attribute) and node.attr in SERIES_PRIVATE
     ]
     assert reads == []
+
+
+# the pair loops of series.py and the only functions that read them: every product
+# of series or pieces is one _sum_of_products, apart from compose's group sum
+PAIR_LOOP_READERS = {
+    "_add_products": {"series.py:_sum_of_products", "series.py:TruncatedSeries.compose"},
+    "_add_square": {"series.py:_sum_of_products"},
+}
+
+
+def test_only_the_sum_of_products_and_compose_run_the_pair_loops():
+    readers = {name: set() for name in PAIR_LOOP_READERS}
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, scope + [child.name])
+                continue
+            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if name in readers:  # a bare name, or an attribute such as series._add_square
+                readers[name].add(f"{path.name}:{'.'.join(scope)}")
+            visit(child, path, scope)
+
+    for path in _sources():
+        visit(ast.parse(path.read_text(), str(path)), path, [])
+    assert readers == PAIR_LOOP_READERS
 
 
 def _attribute_reads() -> set:

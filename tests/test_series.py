@@ -32,9 +32,11 @@ from oracles import (
     diff_per_term,
     eval_oracle,
     graded_pieces_dict,
+    invert_levels,
     is_zero,
     lift,
     linear_combination_of_diffs,
+    mul_trunc_pair_loop,
     remap_variables_unpacked,
     sum_of_products_dict,
     to_record_unpacked,
@@ -827,6 +829,62 @@ class TestSquares:
         width = shift * nvars
         got = _sum_of_products([(p, p), (q, r)], width, out_degree)
         assert got == _sum_of_products([(p, copy), (q, r)], width, out_degree)
+
+
+class TestReroutedProducts:
+    """``mul_trunc`` and ``invert`` through ``_sum_of_products``, against their own pair
+    loops in ``oracles``, field by field, at a series' own digit width and one wider."""
+
+    @staticmethod
+    def _draw(data, nvars, degree, kind):
+        """A series of ``kind`` that may have a nonzero constant term, such as -2 or -2/3."""
+        f = data.draw(coefficient_map(nvars, degree, kind, min_degree=1))
+        if data.draw(st.booleans()):
+            f[(0,) * nvars] = data.draw(CONSTANTS[kind])
+        return _widened(TruncatedSeries(nvars, degree, f), data.draw(st.booleans()))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_mul_trunc(self, kind, data):
+        nvars, da, db = (data.draw(st.integers(*bounds)) for bounds in ((1, 3), (0, 6), (0, 6)))
+        a = self._draw(data, nvars, da, kind)
+        b = a if data.draw(st.booleans()) else self._draw(data, nvars, db, kind)  # or a square
+        out_degree = data.draw(st.integers(0, max(da, db) + 2))
+        got = mul_trunc(a, b, out_degree)
+        assert _fields(got) == _fields(mul_trunc_pair_loop(a, b, out_degree))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_invert(self, kind, data):
+        nvars, degree = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 6))
+        f = data.draw(coefficient_map(nvars, degree, kind, min_degree=1))
+        f[(0,) * nvars] = data.draw(CONSTANTS[kind])
+        s = _widened(TruncatedSeries(nvars, degree, f), data.draw(st.booleans()))
+        assert _fields(s.invert()) == _fields(invert_levels(s))
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @pytest.mark.parametrize("wider", [False, True], ids=["own_width", "wider"])
+    def test_degree_zero_single_terms_and_empty_factors(self, nvars, wider):
+        zero, last = (0,) * nvars, unit(nvars, nvars - 1)
+        series = [_widened(s, wider) for s in (
+            TruncatedSeries.constant(nvars, 0, F(-2, 3)),  # degree 0
+            TruncatedSeries.constant(nvars, 4, -5),  # one term, the constant
+            TruncatedSeries(nvars, 4, {last: F(3, 4)}),  # one term, no constant
+            TruncatedSeries(nvars, 4, {zero: F(-7, 2), unit(nvars, 0): 2, last: F(-1, 3)}),
+            TruncatedSeries.zero(nvars, 4),  # the empty factor
+        )]
+        for a in series:
+            for b in series:
+                for out_degree in (0, 3, 4, 6):
+                    got = mul_trunc(a, b, out_degree)
+                    assert _fields(got) == _fields(mul_trunc_pair_loop(a, b, out_degree))
+            if a.constant_term:
+                assert _fields(a.invert()) == _fields(invert_levels(a))
+            else:
+                with pytest.raises(ValueError, match="constant term is zero"):
+                    a.invert()
 
 
 class TestOldLoops:
