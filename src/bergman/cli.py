@@ -304,25 +304,24 @@ def cmd_coeffs(args) -> int:
         m = mismatches[0]
         failure["first_mismatch"] = _first_mismatch(m, recon[m], table.b[m])
     out = Path(args.out)
-    sha = spec.sha256()
     _write_report(
         out / "coefficients.json",
         "coeffs",
         config={**_spec_config(args), "order": args.order},
-        spec_sha256=sha,
+        spec_sha256=spec.sha256(),
         table=table.to_record(),
     )
     _write_report(
         out / "transport.json",
         "coeffs",
-        spec_sha256=sha,
+        spec_sha256=spec.sha256(),
         chain=chain.to_record(),
         reconstructed_b=[s.to_record() for s in recon],
     )
     _write_report(
         out / "crosscheck.json",
         "coeffs",
-        spec_sha256=sha,
+        spec_sha256=spec.sha256(),
         orders_compared=t_order,
         mismatched_orders=mismatches,
         cross_check="pass" if ok else "fail",

@@ -18,12 +18,13 @@ Variable block conventions used across the package, for dimension n:
 
 Everything is exact rational arithmetic; the segment integral in the phase
 (:func:`bergman.series.segment_average` of ``psi_x(y, z)``) is done termwise
-with integer Beta-function weights, never by quadrature.  The linear algebra
-is :func:`bergman.series.det`, apart from the positive-definiteness test,
-which eliminates without pivoting.  :func:`require_degree` is the one
-refusal of a truncation degree too small for a computation.
+with integer Beta-function weights, never by quadrature.  Scalar linear
+algebra is ``Fraction`` elimination; determinants of series are
+:func:`bergman.series.det`.  :func:`require_degree` is the one refusal of a
+truncation degree too small for a computation.  A :class:`PotentialSpec` is
+read-only, so its digest is computed once and every report reuses it.
 
-:func:`invert_theta` inverts the Hessian by Cramer's rule and leaves the
+:func:`invert_theta` inverts the Hessian by elimination and leaves the
 degree-by-degree solve to :func:`bergman.series.fixed_point`, which composes
 nothing; no code here reads the packed form of a series.  :func:`build_geometry`
 builds psi, psi_x, ``psi_x(y, z)`` (moved into (x, y, z) blocks by one
@@ -49,6 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .sampling import polydisc_points
@@ -138,13 +140,17 @@ class PotentialSpec:
     """Coefficient data of a real-analytic Kahler potential near 0.
 
     ``coeffs`` maps ``(alpha, beta)`` exponent-tuple pairs to real rational
-    values; Hermitian symmetry of real data reads ``c[a,b] == c[b,a]``.
+    values; Hermitian symmetry of real data reads ``c[a,b] == c[b,a]``.  The spec
+    keeps it as a read-only view of its own copy, so :meth:`sha256` is computed once.
     """
 
     n: int
     trunc_degree: int
     eval_radius: float
     coeffs: Mapping
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
 
     def validate(self) -> None:
         n = self.n
@@ -244,8 +250,11 @@ class PotentialSpec:
         return cls.from_record(record)
 
     def sha256(self) -> str:
-        blob = json.dumps(self.to_record(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        return hashlib.sha256(json.dumps(self.to_record(), sort_keys=True).encode()).hexdigest()
 
 
 # -- presets ----------------------------------------------------------------
@@ -341,24 +350,36 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     z = H^{-1} t + S(x, y, z), S = z - H^{-1} theta, which has no z-linear
     part with a constant coefficient.  :func:`bergman.series.fixed_point`
     solves it one homogeneous degree at a time, as in lazy ("relaxed")
-    power-series arithmetic; this function only inverts H, by Cramer's rule.
+    power-series arithmetic; this function only inverts H, by :func:`_hessian_inverse`.
     """
     n3 = theta[0].nvars
     n = n3 // 3
     D = theta[0].trunc_degree
-    hess = [[Fraction(theta[i][unit(n3, 2 * n + j)]) for j in range(n)] for i in range(n)]
-    det_h = det(hess)
-    if det_h == 0:
-        raise ValueError("singular linear part: phase map not invertible at 0")
-    # Cramer's rule: (H^{-1})_ij is det H, with column i replaced by e_j, over det H
-    hinv = [[det([[int(r == j) if c == i else v for c, v in enumerate(row)]
-                  for r, row in enumerate(hess)]) / det_h for j in range(n)] for i in range(n)]
+    hinv = _hessian_inverse([[theta[i][unit(n3, 2 * n + j)] for j in range(n)] for i in range(n)])
 
     zvars = TruncatedSeries.variables(n3, D)[2 * n :]
     lin = [linear_combination([(h, t) for h, t in zip(row, zvars) if h]) for row in hinv]
     rest = [linear_combination([(1, z_u)] + [(-h, t) for h, t in zip(row, theta) if h])
             for z_u, row in zip(zvars, hinv)]
     return fixed_point(lin, rest)
+
+
+def _hessian_inverse(rows) -> list:
+    """Gauss-Jordan inverse of a matrix of exact rationals: a zero pivot swaps in the first
+    row below with a nonzero entry, and a column with none is singular, a ValueError."""
+    size = len(rows)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
+           for i, row in enumerate(rows)]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if aug[r][col]), None)
+        if pivot is None:
+            raise ValueError("singular linear part: phase map not invertible at 0")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r, row in enumerate(aug):
+            if r != col and (f := row[col]):
+                aug[r] = [a - f * b for a, b in zip(row, aug[col])]
+    return [row[size:] for row in aug]
 
 
 def build_delta0(geom: "GeometryPack") -> TruncatedSeries:

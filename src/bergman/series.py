@@ -98,21 +98,22 @@ Trusted construction
 --------------------
 The public constructor validates every exponent tuple (length, sign, degree)
 and sums duplicates, because specs, records and callers may hand it anything.
-Operations only drop zeros and reduce (:func:`_piece`), since each makes its
-keys from keys of valid operands by digit arithmetic that cannot carry.
-Products, ``invert`` and :func:`fixed_point` build pieces: each sum of key
-pairs of degree at most the output degree is one :func:`_sum_of_products`,
-which sorts its dict once.  ``compose``'s group sum and moves that can merge
-keys (a sum of series, bare ``compose`` arguments, ``segment_average``, which
-moves part of each y digit to its x digit) fill a dict that
-``TruncatedSeries._canonical`` sorts.  The rest build their lists in key
-order for ``TruncatedSeries._from_sorted``: ``truncate`` slices them, a
-scalar multiple keeps the keys, and a derivative and :func:`_graded_pieces`
-take one constant, no digit larger than the key's, off each key of a sorted
-run, and ``x < y`` gives ``x - c < y - c``.  An empty factor gives
-:func:`mul_trunc` the zero series at once, after the ``nvars`` check.
-``segment_average`` builds its steps in each call from unit moves of one
-digit and keeps none.
+Operations only drop zeros and reduce, once per result (:func:`_piece`),
+since each makes its keys from keys of valid operands by digit arithmetic
+that cannot carry.  Products, ``invert``, :func:`fixed_point` and :func:`det`
+of series build pieces: each sum of key pairs of degree at most the output
+degree is one :func:`_sum_of_products`, which sorts its dict and reduces, and
+``TruncatedSeries._from_piece`` stores that piece as it is.  ``compose``'s
+group sum and moves that can merge keys (a sum of series, bare ``compose``
+arguments, ``segment_average``, which moves part of each y digit to its x
+digit) fill a dict that ``TruncatedSeries._canonical`` sorts and reduces.
+The rest build their lists in key order and reduce them: ``truncate`` slices
+them, a scalar multiple keeps the keys, and a derivative and
+:func:`_graded_pieces` take one constant, no digit larger than the key's, off
+each key of a sorted run, and ``x < y`` gives ``x - c < y - c``.  An empty
+factor gives :func:`mul_trunc` the zero series at once, after the ``nvars``
+check.  ``segment_average`` builds its steps in each call from unit moves of
+one digit and keeps none.
 
 Two operations differentiate inside their own accumulator, so no derivative
 is ever a series of its own: :func:`linear_combination`, whose terms may
@@ -226,11 +227,11 @@ class TruncatedSeries:
         den = lcm(*[v.denominator for v in clean.values()])
         packed = {_pack(k, shift): v.numerator * (den // v.denominator) for k, v in clean.items()}
         keys = sorted(packed)
-        self._store(nvars, trunc_degree, shift, keys, [packed[k] for k in keys], den)
+        self._store(nvars, trunc_degree, shift, _piece(keys, [packed[k] for k in keys], den))
 
-    def _store(self, nvars: int, trunc_degree: int, shift: int, keys: list, nums: list, den: int):
-        """Set the fields from sorted packed keys and numerators over ``den`` by :func:`_piece`."""
-        keys, nums, den = _piece(keys, nums, den) or ([], [], 1)
+    def _store(self, nvars: int, trunc_degree: int, shift: int, piece):
+        """Set the fields from a reduced piece (see :func:`_piece`), None for the zero series."""
+        keys, nums, den = piece or ([], [], 1)
         _set(self, "nvars", nvars)
         _set(self, "trunc_degree", trunc_degree)
         _set(self, "_shift", shift)
@@ -253,12 +254,12 @@ class TruncatedSeries:
         """Trusted constructor from packed key -> numerator over ``den``, one
         entry per valid key of degree at most ``trunc_degree``; nothing is checked."""
         keys = sorted(acc)
-        return cls._from_sorted(nvars, trunc_degree, shift, keys, [acc[k] for k in keys], den)
+        return cls._from_piece(nvars, trunc_degree, shift, _piece(keys, [acc[k] for k in keys], den))
 
     @classmethod
-    def _from_sorted(cls, nvars: int, trunc_degree: int, shift: int, keys, nums, den: int):
-        """:meth:`_canonical` from keys already in order, with their numerators."""
-        return object.__new__(cls)._store(nvars, trunc_degree, shift, keys, nums, den)
+    def _from_piece(cls, nvars: int, trunc_degree: int, shift: int, piece):
+        """Trusted constructor from a reduced piece (see :func:`_piece`), None for zero."""
+        return object.__new__(cls)._store(nvars, trunc_degree, shift, piece)
 
     @classmethod
     def zero(cls, nvars: int, trunc_degree: int) -> "TruncatedSeries":
@@ -402,7 +403,7 @@ class TruncatedSeries:
                 [(p, levels[d - e]) for e, p in scaled.items() if e <= d], width, D))
         one = ([0], [1], 1)
         inverse = _sum_of_products([(one, p) for p in levels], width, D)
-        return TruncatedSeries._from_sorted(n, D, shift, *inverse)
+        return TruncatedSeries._from_piece(n, D, shift, inverse)
 
     # -- calculus ----------------------------------------------------------
 
@@ -425,9 +426,8 @@ class TruncatedSeries:
         if new_degree == self.trunc_degree:
             return self
         cut = bisect_left(self._keys, (new_degree + 1) << (self._shift * self.nvars))
-        return TruncatedSeries._from_sorted(
-            self.nvars, new_degree, self._shift, self._keys[:cut], self._nums[:cut], self._den
-        )
+        return TruncatedSeries._from_piece(self.nvars, new_degree, self._shift,
+                                           _piece(self._keys[:cut], self._nums[:cut], self._den))
 
     def _bare_variable(self) -> int | None:
         """Slot i when this series is exactly x_i (one term, coefficient 1), else None."""
@@ -651,9 +651,9 @@ def linear_combination(terms: Sequence[tuple]) -> TruncatedSeries:
         parts.append((c, s, xi))
     tables: dict = {}
     if len(parts) == 1:  # keys that lose one constant, or none, stay in order
-        return TruncatedSeries._from_sorted(n, out_D, s._shift,
-                                            *_derived(s, xi, s._shift, c.numerator, tables),
-                                            c.denominator * s._den)
+        keys, nums = _derived(s, xi, s._shift, c.numerator, tables)
+        return TruncatedSeries._from_piece(n, out_D, s._shift,
+                                           _piece(keys, nums, c.denominator * s._den))
     shift = max(s._shift for _, s, _ in parts)
     den = lcm(*[c.denominator * s._den for c, s, _ in parts])
     acc: dict = {}
@@ -724,7 +724,7 @@ def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> Trunca
     pa = (a._keys_at(shift), a._nums, a._den)
     pb = pa if a is b else (b._keys_at(shift), b._nums, b._den)
     product = _sum_of_products([(pa, pb)], shift * a.nvars, out_degree)
-    return TruncatedSeries._from_sorted(a.nvars, out_degree, shift, *(product or ([], [], 1)))
+    return TruncatedSeries._from_piece(a.nvars, out_degree, shift, product)
 
 
 def _piece(keys: list, nums: list, den: int):
@@ -886,21 +886,22 @@ def fixed_point(lin: Sequence[TruncatedSeries], rest: Sequence[TruncatedSeries])
             pieces[u].append(_sum_of_products(pairs, width, D) if pairs else None)
     one = pieces[zero][0]
     z = [_sum_of_products([(one, p) for p in pieces[u][1:]], width, D) for u in units]
-    return [TruncatedSeries._from_sorted(N, D, shift, *(p or ([], [], 1))) for p in z]
+    return [TruncatedSeries._from_piece(N, D, shift, p) for p in z]
 
 
 def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int, out_degree: int):
     """Add ``va * vb`` at ``ka + kb`` into ``acc`` for every pair of degree at most
-    ``out_degree``; ``b_keys`` are sorted, the keys of ``a_terms`` may come in any order."""
-    size = len(b_keys)
+    ``out_degree``; ``b_keys`` are sorted, the keys of ``a_terms`` may come in any order.
+    The b rows of degree at most ``out_degree - deg(ka)`` are cut once per run of a-terms
+    of one degree, so once per degree for a-terms in key order, as every caller has them."""
     get = acc.get
+    cut = None  # the degree of ka that keys and nums were cut for
     for ka, va in a_terms:
-        # b keys below this bound have degree at most out_degree - deg(ka)
-        bound = (out_degree + 1 - (ka >> width)) << width
-        if bound <= 0:
-            continue
-        stop = bisect_left(b_keys, bound)
-        for kb, vb in zip(b_keys, b_nums) if stop == size else zip(b_keys[:stop], b_nums[:stop]):
+        if ka >> width != cut:
+            cut = ka >> width
+            stop = bisect_left(b_keys, (out_degree + 1 - cut) << width)
+            keys, nums = b_keys[:stop], b_nums[:stop]
+        for kb, vb in zip(keys, nums):
             k = ka + kb
             acc[k] = get(k, 0) + va * vb
 
@@ -1004,20 +1005,26 @@ def _segment_average(items, n: int, D: int, shift: int, den: int, splits: dict,
 def det(rows: Sequence[Sequence]):
     """Determinant of a square matrix by cofactor expansion along the first row.
 
-    Entries may be exact scalars or series; series products truncate as usual.
+    Entries are exact scalars or series of one ``nvars`` and degree D.  For
+    series, the signed products ``(-1)^j a_0j det(minor_0j)`` go as pieces into
+    one :func:`_sum_of_products` at degree D, reduced once, at the widest digit
+    width of D and of the factors of the live pairs.
     """
     size = len(rows)
     if size == 0 or any(len(row) != size for row in rows):
         raise ValueError("det: matrix is not square")
     if size == 1:
         return rows[0][0]
-    if size == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = None
-    for j in range(size):
-        minor = [[row[c] for c in range(size) if c != j] for row in rows[1:]]
-        term = rows[0][j] * det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    cofactors = [(rows[0][j], det([[row[c] for c in range(size) if c != j] for row in rows[1:]]))
+                 for j in range(size)]
+    if not all(isinstance(v, TruncatedSeries) for row in rows for v in row):
+        return sum(-a * m if j % 2 else a * m for j, (a, m) in enumerate(cofactors))
+    first = rows[0][0]
+    n, D = first.nvars, first.trunc_degree
+    for v in (v for row in rows for v in row):
+        first._check_compatible(v, "det")
+    live = [(j, a, m) for j, (a, m) in enumerate(cofactors) if a._keys and m._keys]
+    shift = max([_shift_for(D)] + [s._shift for _, a, m in live for s in (a, m)])
+    pairs = [((a._keys_at(shift), [-v for v in a._nums] if j % 2 else a._nums, a._den),
+              (m._keys_at(shift), m._nums, m._den)) for j, a, m in live]
+    return TruncatedSeries._from_piece(n, D, shift, _sum_of_products(pairs, shift * n, D))

@@ -10,13 +10,15 @@ was before it built its steps slot by slot: three ``factorial`` calls, a
 ``invert_theta_sweeps``, ``diagonal_pullback_w_table``,
 ``delta0_quotient`` and ``delta0_jacobian_product`` are the phase geometry's
 earlier forms: whole compositions through plain ``compose``, with no
-table shared with the pipeline; the sweeps invert the Hessian by
-Gauss-Jordan elimination (``fraction_matrix_inverse``), where the pipeline
-uses Cramer's rule over ``det``.  ``invert_theta_pieces`` is the
+table shared with the pipeline; the sweeps invert the Hessian by Cramer's
+rule over ``det`` (``cramer_inverse``), where the pipeline uses Gauss-Jordan
+elimination.  ``invert_theta_pieces`` is the
 degree-by-degree inversion as it was before it kept raw pieces: every
 homogeneous piece a ``TruncatedSeries``, split from R (not ``-H^{-1} R``)
 by ``graded_coefficients``, each new piece one ``sum_of_series_products``
-and ``H^{-1}`` applied per sweep, with the Gauss-Jordan inverse.
+and ``H^{-1}`` applied per sweep, with the Cramer inverse.
+``det_cofactor`` is ``series.det`` as it was before its cofactor products
+went into one accumulator: each product a series, summed by ``+``.
 ``amplitudes_recomputed`` and ``collapses_recomputed`` compute every
 amplitude ``(b_m o z) * Delta0`` and every collapse ``to_xz(D_theta . A_m)``
 anew, on a fresh geometry, where the pipeline reuses what the
@@ -222,21 +224,36 @@ def eval_oracle(series, point):
 # -- the phase geometry's earlier forms ---------------------------------------------
 
 
-def fraction_matrix_inverse(rows):
-    """The inverse of an invertible matrix of exact rationals, by Gauss-Jordan elimination."""
+def cramer_inverse(rows):
+    """The inverse of a matrix of exact rationals by Cramer's rule over ``det``: entry
+    (i, j) is det of the matrix with column i replaced by e_j, over its det.  A singular
+    matrix is a ValueError."""
     size = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
-           for i, row in enumerate(rows)]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
+    rows = [[Fraction(v) for v in row] for row in rows]
+    det_h = det(rows)
+    if det_h == 0:
+        raise ValueError("singular matrix")
+    return [[det([[int(r == j) if c == i else v for c, v in enumerate(row)]
+                  for r, row in enumerate(rows)]) / det_h for j in range(size)]
+            for i in range(size)]
+
+
+def det_cofactor(rows):
+    """``series.det`` as it was before it summed its cofactor products in one accumulator:
+    each product ``a_0j * det(minor)`` a series of its own, negated and added in turn."""
+    size = len(rows)
+    if size == 1:
+        return rows[0][0]
+    if size == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    acc = None
+    for j in range(size):
+        minor = [[row[c] for c in range(size) if c != j] for row in rows[1:]]
+        term = rows[0][j] * det_cofactor(minor)
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def invert_theta_sweeps(theta):
@@ -250,7 +267,7 @@ def invert_theta_sweeps(theta):
     n = n3 // 3
     D = theta[0].trunc_degree
     hess = [[Fraction(theta[i][unit(n3, 2 * n + j)]) for j in range(n)] for i in range(n)]
-    hinv = fraction_matrix_inverse(hess)
+    hinv = cramer_inverse(hess)
     zvars = TruncatedSeries.variables(n3, D)[2 * n :]
     remainder = [
         linear_combination([(1, theta[i])] + [(-h, zv) for h, zv in zip(hess[i], zvars) if h])
@@ -337,7 +354,7 @@ def invert_theta_pieces(theta):
     n = n3 // 3
     D = theta[0].trunc_degree
     hess = [[Fraction(theta[i][unit(n3, 2 * n + j)]) for j in range(n)] for i in range(n)]
-    hinv = fraction_matrix_inverse(hess)
+    hinv = cramer_inverse(hess)
     units = [unit(n, j) for j in range(n)]
     r = [graded_coefficients(t, 2 * n) for t in theta]
     for ri in r:

@@ -58,7 +58,7 @@ def test_every_top_level_definition_has_a_caller():
 
 
 # the packed form of a series: only series.py reads these fields and constructors
-SERIES_PRIVATE = {"_keys", "_nums", "_den", "_shift", "_keys_at", "_from_sorted", "_canonical",
+SERIES_PRIVATE = {"_keys", "_nums", "_den", "_shift", "_keys_at", "_canonical", "_from_piece",
                   "_store"}
 
 

@@ -17,6 +17,7 @@ from bergman.coefficients import amplitude_from_b, bergman_coefficients
 from bergman.kernel import PairEvaluator
 from bergman.potential import (
     GeometryPack,
+    _hessian_inverse,
     _nonpositive_minor,
     PotentialSpec,
     SpecValidationError,
@@ -36,6 +37,7 @@ from bergman.transport import first_amplitude, reconstruct_coefficients, transpo
 from oracles import (
     amplitudes_recomputed,
     collapses_recomputed,
+    cramer_inverse,
     delta0_jacobian_product,
     delta0_quotient,
     diagonal_pullback_w_table,
@@ -976,3 +978,139 @@ class TestSampling:
             capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == "False"
+
+
+# -- the Hessian inverse ------------------------------------------------------
+
+RATIONALS = st.builds(F, st.integers(-5, 5), st.sampled_from([1, 2, 3, 7]))
+
+
+@st.composite
+def rational_matrices(draw, size):
+    """A square matrix of small rationals; one time in two its first pivot is 0, so
+    elimination must swap rows at the first column."""
+    rows = [[draw(RATIONALS) for _ in range(size)] for _ in range(size)]
+    if size > 1 and draw(st.booleans()):
+        rows[0][0] = F(0)
+    return rows
+
+
+class TestHessianInverse:
+    """Gauss-Jordan elimination against Cramer's rule over ``det`` in ``oracles``."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_elimination_matches_cramer(self, size, data):
+        rows = data.draw(rational_matrices(size))
+        try:
+            want = cramer_inverse(rows)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                _hessian_inverse(rows)
+            return
+        assert _hessian_inverse(rows) == want
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 1], [1, 0]],
+        [[0, 2, 1], [0, 1, 3], [F(1, 2), 0, 0]],
+        [[1, 1, 0], [1, 1, 1], [0, 1, 1]],  # the second pivot is 0 after one step
+    ], ids=["swap_2", "swap_twice", "swap_after_a_step"])
+    def test_zero_pivots_swap_rows(self, rows):
+        assert _hessian_inverse(rows) == cramer_inverse(rows)
+
+    @pytest.mark.parametrize("size", [2, 3, 5])
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_singular_matrices_raise(self, size, data):
+        rows = data.draw(rational_matrices(size))
+        # the last row is a combination of the others
+        weights = [data.draw(RATIONALS) for _ in range(size - 1)]
+        rows[-1] = [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(size)]
+        with pytest.raises(ValueError, match="singular"):
+            _hessian_inverse(rows)
+
+    def test_flat_n8_inverts_in_under_a_second(self):
+        # Cramer's rule took n^2 cofactor determinants: 9.4 s on a 2-CPU x86_64 VM
+        theta = build_geometry(preset_flat(8, 4)).theta
+        start = time.perf_counter()
+        z = invert_theta(theta)
+        assert time.perf_counter() - start < 1.0
+        assert z == TruncatedSeries.variables(24, 3)[16:]
+
+
+# -- a read-only spec and its digest ------------------------------------------
+
+
+class TestReadOnlySpec:
+    @pytest.mark.parametrize("make", [
+        lambda: preset_chsc(2, F(3, 5), 12), lambda: dense_spec(12), lambda: non_radial_n2_spec(8),
+    ], ids=["chsc", "dense", "n2"])
+    def test_digest_survives_the_record_round_trip(self, make):
+        spec = make()
+        back = PotentialSpec.from_record(spec.to_record())
+        assert back.sha256() == spec.sha256() == spec.sha256()
+        assert back == spec
+
+    def test_the_spec_keeps_its_own_copy(self):
+        coeffs = dict(dense_spec(12).coeffs)
+        spec = PotentialSpec(1, 12, 0.3, coeffs)
+        digest, record = spec.sha256(), spec.to_record()
+        coeffs[((2,), (2,))] = F(1, 9)
+        del coeffs[((3,), (1,))]
+        assert spec.coeffs[((2,), (2,))] == F(3, 8) and ((3,), (1,)) in spec.coeffs
+        assert spec.sha256() == digest and spec.to_record() == record
+        assert spec.sha256() == PotentialSpec.from_record(record).sha256()
+
+    def test_coeffs_refuse_item_assignment(self):
+        spec = preset_chsc(1, 1, 6)
+        with pytest.raises(TypeError):
+            spec.coeffs[((1,), (1,))] = F(2)
+        with pytest.raises(TypeError):
+            del spec.coeffs[((1,), (1,))]
+
+
+# -- exact invariances of the b_m ---------------------------------------------
+
+
+def _swapped(b):
+    """b(z, x) for a series b(x, z) in (x, z) blocks: the blocks change places."""
+    n = b.nvars // 2
+    v = TruncatedSeries.variables(b.nvars, b.trunc_degree)
+    return b.compose(v[n:] + v[:n])
+
+
+def _asymmetric_orders(b) -> list:
+    return [m for m, bm in enumerate(b) if _swapped(bm) != bm]
+
+
+class TestInvariances:
+    """Identities every b_m satisfies, whatever the potential."""
+
+    @pytest.mark.parametrize("spec,order", [(dense_spec(12), 5), (non_radial_n2_spec(10), 4)],
+                             ids=["dense", "n2"])
+    def test_hermitian_symmetry(self, spec, order):
+        # real coefficient data: b_m(x, z) = b_m(z, x)
+        b = bergman_coefficients(build_geometry(spec), order).b
+        assert len(b) == order + 1 and sum(len(bm.coeffs) for bm in b) > 4 * len(b)  # not vacuous
+        assert _asymmetric_orders(b) == []
+
+    def test_scaling(self):
+        # phi -> (3/2) phi is k -> 3k/2 in the kernel, so b_m -> (2/3)^m b_m
+        spec = dense_spec(12)
+        scaled = PotentialSpec(spec.n, spec.trunc_degree, spec.eval_radius,
+                               {key: F(3, 2) * v for key, v in spec.coeffs.items()})
+        b = bergman_coefficients(build_geometry(spec), 5).b
+        got = bergman_coefficients(build_geometry(scaled), 5).b
+        assert list(got) == [F(2, 3) ** m * bm for m, bm in enumerate(b)]
+
+    def test_symmetry_catches_a_squared_delta0(self, monkeypatch):
+        # Delta0 -> Delta0^2 enters both coefficient routes alike, so the
+        # transport cross-check passes it; the symmetry at n=1 does not
+        build = potential.build_delta0
+        monkeypatch.setattr(potential, "build_delta0", lambda geom: build(geom) * build(geom))
+        geom = build_geometry(dense_spec(12))
+        b = bergman_coefficients(geom, 5).b
+        assert geom.delta0_xytheta != build(build_geometry(dense_spec(12)))
+        assert reconstruct_coefficients(geom, transport_chain(geom, 5)) == list(b)
+        assert _asymmetric_orders(b) != []

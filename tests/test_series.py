@@ -29,6 +29,7 @@ from bergman.series import (
 )
 from oracles import (
     close_power_chain_rescan,
+    det_cofactor,
     diff_per_term,
     eval_oracle,
     graded_pieces_dict,
@@ -523,7 +524,7 @@ class TestTrustedConstructor:
 
 class TestOneAccumulator:
     """compose adds every group product into one accumulator over one denominator;
-    _store keeps no key whose numerator cancelled."""
+    _piece keeps no key whose numerator cancelled."""
 
     def test_compose_over_coprime_large_prime_denominators(self):
         p, q = 998_244_353, 1_000_000_007
@@ -1278,3 +1279,77 @@ class TestSerialization:
         rec["terms"][0].update(term)
         with pytest.raises(ValueError, match=match):
             TruncatedSeries.from_record(rec)
+
+
+def _reduced(s) -> bool:
+    """The stored piece of ``s`` is what ``_piece`` returns: no zero numerator, a positive
+    denominator and no common factor of the denominator and the numerators."""
+    return 0 not in s._nums and s._den > 0 and math.gcd(s._den, *s._nums) == 1
+
+
+class TestOneReductionPerResult:
+    """Products, inverses, fixed points and determinants store the piece that
+    ``_sum_of_products`` reduced, with no second reduction; the piece must already be
+    reduced, and ``det`` must match the cofactor ``det`` that summed a series per product."""
+
+    @staticmethod
+    def _entry(data, nvars, degree, kind):
+        """A series of ``kind``, at its own digit width or one wider, zero one time in four."""
+        if data.draw(st.integers(0, 3)) == 0:
+            return TruncatedSeries.zero(nvars, degree)
+        f = TruncatedSeries(nvars, degree, data.draw(coefficient_map(nvars, degree, kind)))
+        return _widened(f, data.draw(st.booleans()))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_det_matches_the_cofactor_sum(self, kind, data):
+        size, nvars, degree = (data.draw(st.integers(*b)) for b in ((1, 3), (1, 2), (0, 4)))
+        rows = [[self._entry(data, nvars, degree, kind) for _ in range(size)] for _ in range(size)]
+        got = det(rows)
+        assert _fields(got) == _fields(det_cofactor(rows))
+        assert _reduced(got)
+
+    def test_det_with_denominators_and_zero_entries(self):
+        x, y = TruncatedSeries.variables(2, 3)
+        zero = TruncatedSeries.zero(2, 3)
+        wide = _widened(F(1, 3) * x * y + F(5, 7), True)
+        rows = [[F(1, 2) + x, zero, wide], [y * F(2, 5), 1 - x * y, zero],
+                [zero, x * F(-3, 4), wide]]
+        assert _fields(det(rows)) == _fields(det_cofactor(rows))
+        # every product has a zero factor: the wide entry sets no digit width
+        dead = [[zero, wide], [zero, wide]]
+        assert _fields(det(dead)) == _fields(det_cofactor(dead)) == (2, 3, _shift_for(3), [], [], 1)
+
+    def test_det_refuses_entries_of_other_degrees(self):
+        with pytest.raises(ValueError, match="truncation degree"):
+            det([[TruncatedSeries.one(1, 2), TruncatedSeries.one(1, 3)]] * 2)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_products_and_inverses_store_reduced_pieces(self, kind, data):
+        nvars, degree = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 6))
+        a, b = (self._entry(data, nvars, degree, kind) for _ in range(2))
+        out_degree = data.draw(st.integers(0, degree + 2))
+        assert _reduced(mul_trunc(a, b, out_degree)) and _reduced(mul_trunc(a, a, out_degree))
+        f = data.draw(coefficient_map(nvars, degree, kind, min_degree=1))
+        f[(0,) * nvars] = data.draw(CONSTANTS[kind])
+        s = _widened(TruncatedSeries(nvars, degree, f), data.draw(st.booleans()))
+        assert _reduced(s.invert())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_fixed_points_store_reduced_pieces(self, kind, data):
+        # z_u = lin_u + rest_u(v, z): lin of valuation >= 1, rest of valuation >= 2,
+        # so no coefficient of rest with |gamma| <= 1 has a constant term
+        n, v, degree = (data.draw(st.integers(*b)) for b in ((1, 2), (1, 2), (2, 5)))
+        lin = [TruncatedSeries(v + n, degree, data.draw(coefficient_map(v + n, degree, kind, 1)))
+               for _ in range(n)]
+        rest = [TruncatedSeries(v + n, degree, data.draw(coefficient_map(v + n, degree, kind, 2)))
+                for _ in range(n)]
+        z = fixed_point(lin, rest)
+        assert all(_reduced(s) for s in z)
+        for zu, lu, ru in zip(z, lin, rest):
+            assert zu == lu + ru.compose(TruncatedSeries.variables(v + n, degree)[:v] + z)
