@@ -141,7 +141,8 @@ class PotentialSpec:
 
     ``coeffs`` maps ``(alpha, beta)`` exponent-tuple pairs to real rational
     values; Hermitian symmetry of real data reads ``c[a,b] == c[b,a]``.  The spec
-    keeps it as a read-only view of its own copy, so :meth:`sha256` is computed once.
+    keeps it as a read-only view of its own copy, so :meth:`sha256` is computed once
+    and :meth:`validate` runs its checks until the first success.
     """
 
     n: int
@@ -153,6 +154,15 @@ class PotentialSpec:
         object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
 
     def validate(self) -> None:
+        """Raise :class:`SpecValidationError` unless the spec is a valid potential.
+
+        The spec is read-only, so a success is kept and a later call costs nothing;
+        a failing spec raises on every call.
+        """
+        self._valid
+
+    @cached_property
+    def _valid(self) -> bool:
         n = self.n
         if not _is_int(n) or not _is_int(self.trunc_degree):
             raise SpecValidationError("n and trunc_degree must be integers")
@@ -183,6 +193,7 @@ class PotentialSpec:
                 "hessian not positive definite "
                 f"(leading principal minor of size {size} is not positive)"
             )
+        return True
 
     def hessian(self) -> list:
         """The mixed Hessian [c_{e_i e_j}] at the origin, as Fractions."""
@@ -338,9 +349,12 @@ def polarize(spec: PotentialSpec) -> TruncatedSeries:
 
 
 def build_theta(psi_x_yz: Sequence[TruncatedSeries]) -> list:
-    """The phase theta_i(x,y,z): psi_x(y, z) in (x, y, z) blocks averaged from y to x."""
-    n = psi_x_yz[0].nvars // 3
-    return [segment_average(f, n) for f in psi_x_yz]
+    """The phase theta_i(x,y,z): psi_x(y, z) in (x, y, z) blocks averaged from y to x.
+
+    The n averages share one table of split steps and weights, dropped on return.
+    """
+    n, splits = psi_x_yz[0].nvars // 3, {}
+    return [segment_average(f, n, splits) for f in psi_x_yz]
 
 
 def invert_theta(theta: Sequence[TruncatedSeries]) -> list:

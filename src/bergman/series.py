@@ -45,7 +45,12 @@ keys repacked to the larger base, and ``[]`` bisects on the packed key.
 The pieces that :func:`_sum_of_products` multiplies share the form: the
 triple ``(keys, nums, den)``, None when the piece vanishes, reduced by the
 one :func:`_piece`; :func:`mul_trunc`, ``invert`` and :func:`fixed_point`
-work on them.
+work on them.  A piece's keys are sorted, except in the two level solves
+(the sweep of :func:`fixed_point` and ``invert``): the homogeneous pieces
+they make keep the order the accumulator met.  All keys of such a piece
+carry one degree digit d, and a product of degrees k and d - k with d at
+most the output degree is never cut, so the uncut pair loops need no order;
+each solve sorts once, when it sums its pieces into the result.
 No other module reads the packed form: callers pass and get series.
 ``eval`` builds a float plan on first use: per term, in graded lexicographic
 order, ``complex(num / den)`` (correctly rounded, as ``complex(Fraction)``)
@@ -58,7 +63,10 @@ Composition
 ``f.compose(args)`` never raises a bare target variable to a power: an
 argument that is exactly ``x_j`` (one term, coefficient 1, degree 1) only
 moves the exponent of its slot to slot ``j``, so a composition with bare
-arguments alone is the one way to rename, move or merge variables.  Bare
+arguments alone is the one way to rename, move or merge variables.  Both
+argument checks read keys alone: a constant term is a first key of 0, and a
+bare argument's one key has degree digit 1 and its slot in ``bit_length``.
+Bare
 arguments of consecutive slots that go to consecutive slots form a run,
 moved with one shift and one mask; the moved degree digit is the outer
 degree less ``|gamma|``.  The terms
@@ -88,9 +96,10 @@ inverted phase ``z(x, y, theta)`` (``geom.z_powers``), which the round-trip
 check builds and ``Delta0`` and every later composition through ``z`` reuse.
 The phase inversion composes nothing: :func:`fixed_point` splits its
 inputs into pieces with :func:`_graded_pieces` and makes each new one with
-:func:`_sum_of_products` of its live pairs.  No table outlives a call: apart
-from a caller's ``cache`` and the views a series builds of itself, tables
-such as the split steps of :func:`segment_average` and the falling
+the uncut :func:`_sum_of_products` of its live pairs (see Storage).  No table
+outlives a call: apart from a caller's ``cache`` or ``splits`` (``build_theta``
+shares one among its n averages) and the views a series builds of itself,
+tables such as the split steps of :func:`segment_average` and the falling
 factorials of :func:`linear_combination` are rebuilt on every call, so a
 repeated call costs what the first one did.
 
@@ -103,7 +112,8 @@ since each makes its keys from keys of valid operands by digit arithmetic
 that cannot carry.  Products, ``invert``, :func:`fixed_point` and :func:`det`
 of series build pieces: each sum of key pairs of degree at most the output
 degree is one :func:`_sum_of_products`, which sorts its dict and reduces, and
-``TruncatedSeries._from_piece`` stores that piece as it is.  ``compose``'s
+``TruncatedSeries._from_piece`` stores that piece as it is; the level solves'
+uncut sums reduce without sorting (see Storage).  ``compose``'s
 group sum and moves that can merge keys (a sum of series, bare ``compose``
 arguments, ``segment_average``, which moves part of each y digit to its x
 digit) fill a dict that ``TruncatedSeries._canonical`` sorts and reduces.
@@ -112,8 +122,8 @@ them, a scalar multiple keeps the keys, and a derivative and
 :func:`_graded_pieces` take one constant, no digit larger than the key's, off
 each key of a sorted run, and ``x < y`` gives ``x - c < y - c``.  An empty
 factor gives :func:`mul_trunc` the zero series at once, after the ``nvars``
-check.  ``segment_average`` builds its steps in each call from unit moves of
-one digit and keeps none.
+check.  ``segment_average`` builds its steps from unit moves of one digit, in
+each call or once for the calls that share a caller's ``splits``.
 
 Two operations differentiate inside their own accumulator, so no derivative
 is ever a series of its own: :func:`linear_combination`, whose terms may
@@ -128,6 +138,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import repeat
 from math import factorial, gcd, lcm, perm
 from typing import Iterator, Sequence
 
@@ -386,8 +397,8 @@ class TruncatedSeries:
         """Multiplicative inverse; the constant term must be nonzero.
 
         On the degree pieces [A]_e of :func:`_graded_pieces`: U_0 = 1/A_0 and
-        U_d = -(1/A_0) sum_e [A]_e U_(d-e), each level one :func:`_sum_of_products`,
-        and the levels summed by one more, as in :func:`fixed_point`.
+        U_d = -(1/A_0) sum_e [A]_e U_(d-e), each level one uncut :func:`_sum_of_products`,
+        and the levels summed by one more and sorted once, as in :func:`fixed_point`.
         """
         if self.constant_term == 0:
             raise ValueError("invert: constant term is zero")
@@ -396,14 +407,14 @@ class TruncatedSeries:
         parts = _graded_pieces(self, n, shift)[()]
         _, (c,), den = parts.pop(0)  # A_0 = c / den
         minus = _piece([0], [-den], c)
-        scaled = {e: _sum_of_products([(minus, p)], width, D) for e, p in parts.items()}
+        scaled = {e: _sum_of_products([(minus, p)], width, None) for e, p in parts.items()}
         levels = [_piece([0], [den], c)]
         for d in range(1, D + 1):
             levels.append(_sum_of_products(
-                [(p, levels[d - e]) for e, p in scaled.items() if e <= d], width, D))
+                [(p, levels[d - e]) for e, p in scaled.items() if e <= d], width, None))
         one = ([0], [1], 1)
-        inverse = _sum_of_products([(one, p) for p in levels], width, D)
-        return TruncatedSeries._from_piece(n, D, shift, inverse)
+        inverse = _sum_of_products([(one, p) for p in levels], width, None)
+        return TruncatedSeries._from_piece(n, D, shift, _sorted_piece(inverse))
 
     # -- calculus ----------------------------------------------------------
 
@@ -430,11 +441,15 @@ class TruncatedSeries:
                                            _piece(self._keys[:cut], self._nums[:cut], self._den))
 
     def _bare_variable(self) -> int | None:
-        """Slot i when this series is exactly x_i (one term, coefficient 1), else None."""
+        """Slot i when this series is exactly x_i (one term, coefficient 1), else None:
+        the one key has degree digit 1, and ``bit_length`` finds its slot."""
         if len(self._keys) != 1 or self._nums[0] != self._den:
             return None
-        key = _unpack(self._keys[0], self.nvars, self._shift)
-        return key.index(1) if sum(key) == 1 else None
+        width = self._shift * self.nvars
+        key = self._keys[0]
+        if key >> width != 1:
+            return None
+        return self.nvars - 1 - ((key - (1 << width)).bit_length() - 1) // self._shift
 
     def compose(
         self,
@@ -464,7 +479,7 @@ class TruncatedSeries:
         for a in args:
             if a.nvars != tgt_n or a.trunc_degree != tgt_D:
                 raise ValueError("compose: arguments disagree on nvars or degree")
-            if a.constant_term != 0:
+            if a._keys and a._keys[0] == 0:  # the constant key packs to 0, the least
                 raise ValueError(
                     "compose: argument has nonzero constant term; re-center first"
                 )
@@ -578,14 +593,15 @@ class TruncatedSeries:
     # -- serialization -------------------------------------------------------
 
     def to_record(self) -> dict:
-        """Structured record; each term carries its index and reduced num/den."""
-        shift, den = self._shift, self._den
-        mask, offsets = (1 << shift) - 1, range(shift * (self.nvars - 1), -1, -shift)
-        terms = []
-        for key, num in zip(self._keys, self._nums):
-            g = gcd(num, den) if den != 1 else 1
-            index = [key >> offset & mask for offset in offsets]
-            terms.append({"index": index, "num": num // g, "den": den // g})
+        """Structured record; each term carries its index and reduced num/den.
+        Built column by column: one list per digit over all keys, one gcd per term."""
+        shift, den, keys, nums = self._shift, self._den, self._keys, self._nums
+        mask = (1 << shift) - 1
+        columns = [[key >> offset & mask for key in keys]
+                   for offset in range(shift * (self.nvars - 1), -1, -shift)]
+        indices = map(list, zip(*columns))
+        terms = [{"index": index, "num": num // g, "den": den // g}
+                 for index, num, g in zip(indices, nums, map(gcd, nums, repeat(den)))]
         return {
             "nvars": self.nvars,
             "trunc_degree": self.trunc_degree,
@@ -728,9 +744,9 @@ def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> Trunca
 
 
 def _piece(keys: list, nums: list, den: int):
-    """The piece ``(keys, nums, den)`` of sorted packed keys and their numerators over
-    ``den``: zeros dropped, reduced by the gcd to a positive ``den``; None when no
-    term is left.  A series stores its terms in this form."""
+    """The piece ``(keys, nums, den)`` of packed keys (sorted but in the level solves, see
+    Storage) and their numerators over ``den``: zeros dropped, reduced by the gcd to a
+    positive ``den``; None when no term is left.  A series stores its terms in this form."""
     if 0 in nums:
         keys = [k for k, v in zip(keys, nums) if v]
         nums = [v for v in nums if v]
@@ -765,7 +781,7 @@ def _graded_pieces(f: TruncatedSeries, start: int, shift: int) -> dict:
     return out
 
 
-def _sum_of_products(pairs: Sequence[tuple], width: int, out_degree: int):
+def _sum_of_products(pairs: Sequence[tuple], width: int, out_degree: int | None):
     """The sum of ``a * b`` over pairs of pieces, truncated at ``out_degree``, as a piece.
 
     A piece is ``(keys, nums, den)`` as a series stores it (:func:`_piece`):
@@ -775,6 +791,10 @@ def _sum_of_products(pairs: Sequence[tuple], width: int, out_degree: int):
     accumulator over the lcm of the pairs' denominators, reduced once; the
     side with fewer terms carries the scale.  A pair of one piece with itself
     (the same object) is a square, run by :func:`_add_square`.
+
+    ``out_degree`` None is the uncut sum, for homogeneous pieces whose products
+    all stay within the output degree (the level solves, see Storage): no pair
+    is cut, the pieces need no order, and the result keeps the order first met.
     """
     live = [(a, b) for a, b in pairs if a and b]
     den = lcm(*[a[2] * b[2] for a, b in live])
@@ -790,6 +810,8 @@ def _sum_of_products(pairs: Sequence[tuple], width: int, out_degree: int):
         if scale != 1:
             a_nums = [v * scale for v in a_nums]
         _add_products(acc, zip(a_keys, a_nums), b_keys, b_nums, width, out_degree)
+    if out_degree is None:
+        return _piece(list(acc), list(acc.values()), den)
     keys = sorted(acc)
     return _piece(keys, [acc[k] for k in keys], den)
 
@@ -797,7 +819,9 @@ def _sum_of_products(pairs: Sequence[tuple], width: int, out_degree: int):
 def power_step(gamma: MultiIndex) -> tuple:
     """The chain of every power table: ``P_gamma = P_lower * arg_j`` for
     ``gamma != 0``, with ``j`` the last nonzero slot and ``lower = gamma - e_j``."""
-    j = max(j for j, e in enumerate(gamma) if e > 0)
+    j = len(gamma) - 1
+    while not gamma[j]:
+        j -= 1
     return j, gamma[:j] + (gamma[j] - 1,) + gamma[j + 1 :]
 
 
@@ -839,6 +863,11 @@ def fixed_point(lin: Sequence[TruncatedSeries], rest: Sequence[TruncatedSeries])
     a new one is one :func:`_sum_of_products` of the live pairs, with no call
     when none is live.  Each ``P_gamma`` stops at the highest degree a product
     reads, so the work is about one power table at full degree.
+
+    Every ``[P_gamma]_d`` and ``[z_u]_d`` the sweep makes is an unsorted
+    homogeneous piece of degree d, and each product pairs degrees k and d - k
+    with d <= D, so the sums are uncut (``out_degree`` None, see Storage); each
+    z_u is sorted once, when its pieces are summed.
     """
     N, D, n = lin[0].nvars, lin[0].trunc_degree, len(lin)
     for s in (*lin, *rest):
@@ -866,10 +895,11 @@ def fixed_point(lin: Sequence[TruncatedSeries], rest: Sequence[TruncatedSeries])
     # pieces[gamma][d] = [P_gamma]_d, None below the valuation |gamma|; P_0 = 1
     pieces = {gamma: [None] * sum(gamma) for gamma in top}
     pieces[zero] = [([0], [1], 1)] + [None] * D
-    higher = [(gamma, *power_step(gamma)) for gamma in top if sum(gamma) > 1]
+    higher = [(gamma, size, top[gamma], *power_step(gamma))
+              for gamma in top if (size := sum(gamma)) > 1]
     for d in range(1, D + 1):
-        for gamma, j, lower in higher:
-            if sum(gamma) <= d <= top[gamma]:
+        for gamma, size, last, j, lower in higher:
+            if size <= d <= last:
                 pz, pl = pieces[units[j]], pieces[lower]
                 if pl is pz:  # z_j^2: each pair {k, d - k} once, the lower k doubled
                     pairs = [((p[0], [2 * v for v in p[1]], p[2]), q)
@@ -877,24 +907,41 @@ def fixed_point(lin: Sequence[TruncatedSeries], rest: Sequence[TruncatedSeries])
                     if d % 2 == 0 and (p := pz[d // 2]):
                         pairs.append((p, p))
                 else:
-                    pairs = [(pl[k], pz[d - k]) for k in range(sum(gamma) - 1, d)
+                    pairs = [(pl[k], pz[d - k]) for k in range(size - 1, d)
                              if pl[k] and pz[d - k]]
-                pieces[gamma].append(_sum_of_products(pairs, width, D) if pairs else None)
+                pieces[gamma].append(_sum_of_products(pairs, width, None) if pairs else None)
         for u, su in zip(units, terms):
             pairs = [(part, p) for gamma, e, size, part in su
                      if d - e >= size and (p := pieces[gamma][d - e])]
-            pieces[u].append(_sum_of_products(pairs, width, D) if pairs else None)
+            pieces[u].append(_sum_of_products(pairs, width, None) if pairs else None)
     one = pieces[zero][0]
-    z = [_sum_of_products([(one, p) for p in pieces[u][1:]], width, D) for u in units]
-    return [TruncatedSeries._from_piece(N, D, shift, p) for p in z]
+    z = [_sum_of_products([(one, p) for p in pieces[u][1:]], width, None) for u in units]
+    return [TruncatedSeries._from_piece(N, D, shift, _sorted_piece(p)) for p in z]
 
 
-def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int, out_degree: int):
+def _sorted_piece(piece):
+    """``piece`` (see :func:`_piece`) with its keys in order; None stays None."""
+    if piece is None:
+        return None
+    keys, nums, den = piece
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [keys[i] for i in order], [nums[i] for i in order], den
+
+
+def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int,
+                  out_degree: int | None):
     """Add ``va * vb`` at ``ka + kb`` into ``acc`` for every pair of degree at most
     ``out_degree``; ``b_keys`` are sorted, the keys of ``a_terms`` may come in any order.
     The b rows of degree at most ``out_degree - deg(ka)`` are cut once per run of a-terms
-    of one degree, so once per degree for a-terms in key order, as every caller has them."""
+    of one degree, so once per degree for a-terms in key order, as every caller has them.
+    With ``out_degree`` None nothing is cut and neither side need be sorted."""
     get = acc.get
+    if out_degree is None:
+        for ka, va in a_terms:
+            for kb, vb in zip(b_keys, b_nums):
+                k = ka + kb
+                acc[k] = get(k, 0) + va * vb
+        return
     cut = None  # the degree of ka that keys and nums were cut for
     for ka, va in a_terms:
         if ka >> width != cut:
@@ -906,16 +953,20 @@ def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int, ou
             acc[k] = get(k, 0) + va * vb
 
 
-def _add_square(acc: dict, keys: list, nums: list, width: int, out_degree: int, scale: int = 1):
+def _add_square(acc: dict, keys: list, nums: list, width: int, out_degree: int | None,
+                scale: int = 1):
     """:func:`_add_products` of ``scale`` times the sorted terms with the terms themselves,
     each unordered pair once: ``scale * v * v`` at ``k + k`` and twice
-    ``scale * va * vb`` at ``ka + kb`` for each later ``kb``, of degree at most ``out_degree``."""
+    ``scale * va * vb`` at ``ka + kb`` for each later ``kb``, of degree at most ``out_degree``
+    (None: no cut, and the terms may come in any order)."""
     get = acc.get
+    stop = len(keys)
     for i, (ka, va) in enumerate(zip(keys, nums)):
-        bound = (out_degree + 1 - (ka >> width)) << width
-        if ka >= bound:  # 2 deg(ka) > out_degree, and the later keys are no lower
-            break
-        stop = bisect_left(keys, bound, i + 1)
+        if out_degree is not None:
+            bound = (out_degree + 1 - (ka >> width)) << width
+            if ka >= bound:  # 2 deg(ka) > out_degree, and the later keys are no lower
+                break
+            stop = bisect_left(keys, bound, i + 1)
         vs = va * scale
         acc[ka + ka] = get(ka + ka, 0) + vs * va
         vs += vs
@@ -924,18 +975,24 @@ def _add_square(acc: dict, keys: list, nums: list, width: int, out_degree: int, 
             acc[k] = get(k, 0) + vs * vb
 
 
-def segment_average(f: TruncatedSeries, n: int) -> TruncatedSeries:
+def segment_average(f: TruncatedSeries, n: int, splits: dict | None = None) -> TruncatedSeries:
     """``int_0^1 f(x, t*x + (1-t)*y, w) dt`` for f in (x, y, w) blocks of n variables each.
 
     Exact and termwise: with D the degree of f, the y monomial ``y^gamma``
     contributes the integer weight ``binom(gamma, j) |j|! |gamma-j|!
     (D+1)!/(|gamma|+1)!`` at ``x^j y^(gamma-j)``, so a key gains j in its x
     digits and loses it from its y digits.  The steps and weights of each
-    ``gamma`` are built once per call, slot by slot from one factorial list,
-    and each step moves units from a y digit to its x digit.  All terms share
-    the denominator of f times ``(D+1)!``, reduced once.
+    ``gamma`` are built once, slot by slot from one factorial list, and each
+    step moves units from a y digit to its x digit.  All terms share the
+    denominator of f times ``(D+1)!``, reduced once.
+
+    Calls that get one ``splits`` dict share their steps (as the n calls of
+    :func:`bergman.potential.build_theta` do); it keys them by nvars, degree
+    and digit width, so any calls may share it.
     """
-    return _segment_average(zip(f._keys, f._nums), n, f.trunc_degree, f._shift, f._den, {})
+    D, shift = f.trunc_degree, f._shift
+    table = {} if splits is None else splits.setdefault((f.nvars, D, shift), {})
+    return _segment_average(zip(f._keys, f._nums), n, D, shift, f._den, table)
 
 
 def y_gradient_average(terms: Sequence[tuple], n: int) -> list:

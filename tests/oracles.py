@@ -50,6 +50,8 @@ U_d = -sum_e c^(e-1) A_e U_(d-e) over the constant numerator c, scaled and
 reduced once at the end.  ``nonpositive_minor_cofactor`` is the leading-minor
 test of ``PotentialSpec.validate`` as it was: every leading minor a cofactor
 ``det``, s! products for size s.
+``bare_variable_unpacked`` is ``TruncatedSeries._bare_variable`` as it was before it
+read the slot from the packed key: the exponent tuple unpacked and searched.
 ``spec_record_via_fraction`` is ``PotentialSpec.to_record`` as it was, with
 one ``Fraction`` built per value, and ``to_xz_remap_then_compose`` is
 ``GeometryPack.to_xz`` as two steps: y = x by a remap, then the composition.
@@ -519,6 +521,15 @@ def to_record_unpacked(s):
         terms.append({"index": list(_unpack(key, s.nvars, s._shift)),
                       "num": num // g, "den": s._den // g})
     return {"nvars": s.nvars, "trunc_degree": s.trunc_degree, "mode": "rational", "terms": terms}
+
+
+def bare_variable_unpacked(s):
+    """Slot i when ``s`` is exactly x_i (one term, coefficient 1), else None, from the
+    unpacked exponent tuple."""
+    if len(s._keys) != 1 or s._nums[0] != s._den:
+        return None
+    key = _unpack(s._keys[0], s.nvars, s._shift)
+    return key.index(1) if sum(key) == 1 else None
 
 
 def _dict_piece(acc, den):

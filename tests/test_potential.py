@@ -1069,6 +1069,33 @@ class TestReadOnlySpec:
         with pytest.raises(TypeError):
             del spec.coeffs[((1,), (1,))]
 
+    def test_validation_runs_once_per_valid_spec(self, monkeypatch):
+        # the Hessian test is the last check; a kept success runs it no more
+        calls = []
+        monkeypatch.setattr(potential, "_nonpositive_minor",
+                            lambda rows: calls.append(rows) or _nonpositive_minor(rows))
+        spec = non_radial_n2_spec(8)
+        assert spec.validate() is None and len(calls) == 1
+        assert spec.validate() is None and polarize(spec) == polarize(spec)
+        assert len(calls) == 1
+        PotentialSpec.from_record(spec.to_record()).validate()  # a new spec checks again
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("spec, match", [
+        (PotentialSpec(1, 6, 0.3, {((0,), (0,)): F(1), ((1,), (1,)): F(1)}), "normalization"),
+        (hessian_spec([[1, 2], [2, 1]]), "positive definite"),
+    ], ids=["constant_term", "indefinite_hessian"])
+    def test_an_invalid_spec_raises_on_every_call(self, monkeypatch, spec, match):
+        calls = []
+        monkeypatch.setattr(potential, "_nonpositive_minor",
+                            lambda rows: calls.append(rows) or _nonpositive_minor(rows))
+        for _ in range(3):
+            with pytest.raises(SpecValidationError, match=match):
+                spec.validate()
+            with pytest.raises(SpecValidationError, match=match):
+                polarize(spec)
+        assert len(calls) == (6 if match == "positive definite" else 0)
+
 
 # -- exact invariances of the b_m ---------------------------------------------
 
@@ -1114,3 +1141,59 @@ class TestInvariances:
         assert geom.delta0_xytheta != build(build_geometry(dense_spec(12)))
         assert reconstruct_coefficients(geom, transport_chain(geom, 5)) == list(b)
         assert _asymmetric_orders(b) != []
+
+    @pytest.mark.parametrize("spec, pluriharmonic, order", [
+        # + (x^3 + conj(x)^3) / 5
+        (dense_spec(12), {((3,), (0,)): F(1, 5), ((0,), (3,)): F(1, 5)}, 5),
+        # - (x_1 x_2 + conj(x_1 x_2)) / 7, the one such term of the spec
+        (non_radial_n2_spec(8), {((1, 1), (0, 0)): F(-1, 7), ((0, 0), (1, 1)): F(-1, 7)}, 3),
+    ], ids=["dense_add_cubic", "n2_drop_x1x2"])
+    def test_gauge(self, spec, pluriharmonic, order):
+        """phi -> phi + h(x) + conj(h(x)), h holomorphic with no linear part, multiplies
+        the kernel by e^(k h(x)) e^(k conj(h(y))) and changes no b_m.
+
+        The terms move the phase by a z-free g(x, y), so z, Delta0 and every
+        amplitude change while each b_m must stay field-equal.  A source mutation
+        that this catches and the transport cross-check misses: ``build_theta``
+        averaging only the terms of psi_x(y, z) that contain z, which drops g
+        (see :meth:`test_gauge_catches_a_phase_without_its_z_free_terms`).  The
+        Delta0 -> Delta0^2 patch passes both.
+        """
+        gauged = _with_added_terms(spec, pluriharmonic)
+        geom, gauged_geom = build_geometry(spec), build_geometry(gauged)
+        assert gauged_geom.z_of_theta != geom.z_of_theta  # the gauge reaches the geometry
+        b = bergman_coefficients(geom, order).b
+        assert sum(len(bm.coeffs) for bm in b) > 4 * len(b)  # not vacuous
+        assert [_fields(bm) for bm in bergman_coefficients(gauged_geom, order).b] == [
+            _fields(bm) for bm in b
+        ]
+
+    def test_gauge_catches_a_phase_without_its_z_free_terms(self, monkeypatch):
+        # psi_x(y, z) has z-free terms only from pluriharmonic ones; averaging
+        # without them keeps both coefficient routes in step, so the transport
+        # cross-check passes, but b_m then depends on the gauge
+        spec = dense_spec(12)
+        b = bergman_coefficients(build_geometry(spec), 5).b
+        build = potential.build_theta
+
+        def without_z_free_terms(psi_x_yz):
+            n = psi_x_yz[0].nvars // 3
+            return build([TruncatedSeries(f.nvars, f.trunc_degree, {
+                k: v for k, v in f.coeffs.items() if any(k[2 * n:])}) for f in psi_x_yz])
+
+        monkeypatch.setattr(potential, "build_theta", without_z_free_terms)
+        assert bergman_coefficients(build_geometry(spec), 5).b == b  # no z-free terms to drop
+        geom = build_geometry(_with_added_terms(spec, {((3,), (0,)): F(1, 5),
+                                                       ((0,), (3,)): F(1, 5)}))
+        gauged = bergman_coefficients(geom, 5).b
+        assert reconstruct_coefficients(geom, transport_chain(geom, 5)) == list(gauged)
+        assert list(gauged) != list(b)
+
+
+def _with_added_terms(spec, terms):
+    """``spec`` with ``terms`` added to its coefficients; a sum of 0 drops the term."""
+    coeffs = dict(spec.coeffs)
+    for key, value in terms.items():
+        coeffs[key] = coeffs.get(key, 0) + value
+    return PotentialSpec(spec.n, spec.trunc_degree, spec.eval_radius,
+                         {key: v for key, v in coeffs.items() if v})

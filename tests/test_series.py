@@ -28,6 +28,7 @@ from bergman.series import (
     y_gradient_average,
 )
 from oracles import (
+    bare_variable_unpacked,
     close_power_chain_rescan,
     det_cofactor,
     diff_per_term,
@@ -39,6 +40,7 @@ from oracles import (
     linear_combination_of_diffs,
     mul_trunc_pair_loop,
     remap_variables_unpacked,
+    sum_of_series_products,
     sum_of_products_dict,
     to_record_unpacked,
     y_gradient_average_of_diffs,
@@ -830,6 +832,83 @@ class TestSquares:
         width = shift * nvars
         got = _sum_of_products([(p, p), (q, r)], width, out_degree)
         assert got == _sum_of_products([(p, copy), (q, r)], width, out_degree)
+
+
+class TestUncutPieces:
+    """The uncut sum (``out_degree`` None) of homogeneous pieces in any key order, as
+    ``fixed_point`` builds them, and the O(1) argument checks of ``compose``."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_uncut_sum_of_shuffled_homogeneous_pieces(self, kind, data):
+        nvars, out_degree = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 8))
+        pairs = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            d = data.draw(st.integers(0, out_degree))
+            k = data.draw(st.integers(0, d))
+            a, b = (TruncatedSeries(nvars, out_degree, data.draw(
+                coefficient_map(nvars, e, kind, min_degree=e))) for e in (k, d - k))
+            # a square when k = d - k and the draw says so
+            pairs.append((a, a) if k == d - k and data.draw(st.booleans()) else (a, b))
+        shift = max([_shift_for(out_degree)] + [s._shift for pair in pairs for s in pair])
+        shift += data.draw(st.integers(0, 1))  # the widest digit width or one wider
+
+        def shuffled(s):
+            if not s._keys:
+                return None
+            order = data.draw(st.permutations(range(len(s._keys))))
+            keys = s._keys_at(shift)
+            return [keys[i] for i in order], [s._nums[i] for i in order], s._den
+
+        pieces = {}  # one shuffled piece per series, so a square stays one object
+        for a, b in pairs:
+            for s in (a, b):
+                if id(s) not in pieces:
+                    pieces[id(s)] = shuffled(s)
+        got = _sum_of_products([(pieces[id(a)], pieces[id(b)]) for a, b in pairs],
+                               shift * nvars, None)
+        want = sum_of_series_products(pairs, out_degree)
+        if got is None:
+            assert want._keys == []
+            return
+        keys, nums, den = got
+        assert len(set(keys)) == len(keys) and 0 not in nums
+        assert den > 0 and math.gcd(den, *nums) == 1
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        assert ([keys[i] for i in order], [nums[i] for i in order], den) == (
+            want._keys_at(shift), want._nums, want._den)
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 5])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 7, 8, 31, 32])
+    @pytest.mark.parametrize("wider", [False, True], ids=["own_width", "wider"])
+    def test_bare_variable_reads_the_packed_key(self, nvars, degree, wider):
+        # one-term series of degree 0-2 in every slot, coefficients 1 and others
+        values = (1, -1, 2, F(1, 2), F(3, 3))
+        seen = 0
+        for size in range(min(degree, 2) + 1):
+            for e in exponents_of_degree(nvars, size):
+                for v in values:
+                    s = _widened(TruncatedSeries(nvars, degree, {e: v}), wider)
+                    assert s._bare_variable() == bare_variable_unpacked(s)
+                    seen += s._bare_variable() is not None
+        assert seen == (2 * nvars if degree else 0)  # 1 and 3/3 in each slot
+
+    @pytest.mark.parametrize("shape", ["alone", "with_variable", "after_bare", "dense"])
+    @pytest.mark.parametrize("wider", [False, True], ids=["own_width", "wider"])
+    @pytest.mark.parametrize("constant", [1, -2, F(1, 3)])
+    def test_compose_refuses_an_argument_with_a_constant_term(self, shape, wider, constant):
+        x = TruncatedSeries.variables(3, 4)
+        c = TruncatedSeries.constant(3, 4, constant)
+        bad = _widened({"alone": c, "with_variable": c + x[1], "after_bare": c + x[0],
+                        "dense": c + x[0] * x[1] - x[2] * x[2] * x[2]}[shape], wider)
+        f = TruncatedSeries(3, 4, {(1, 0, 0): 1, (0, 1, 1): F(-1, 2), (0, 0, 2): 3})
+        for args in ([bad, x[1], x[2]], [x[0], x[1], bad], [x[0], bad, x[2] * x[2]]):
+            with pytest.raises(ValueError, match="nonzero constant term"):
+                f.compose(args)
+        # the same argument less its constant term composes
+        ok = bad - c.truncate(bad.trunc_degree)
+        assert f.compose([x[0], ok, x[2]]) == f.compose([x[0], _widened(ok, not wider), x[2]])
 
 
 class TestReroutedProducts:
