@@ -24,9 +24,10 @@ algebra is ``Fraction`` elimination; determinants of series are
 truncation degree too small for a computation.  A :class:`PotentialSpec` is
 read-only, so its digest is computed once and every report reuses it.
 
-:func:`invert_theta` inverts the Hessian by elimination and leaves the
-degree-by-degree solve to :func:`bergman.series.fixed_point`, which composes
-nothing; no code here reads the packed form of a series.  :func:`build_geometry`
+:func:`invert_theta` inverts the Hessian by elimination and hands it with
+theta to :func:`bergman.series.fixed_point`, which reads theta's terms once
+and composes nothing; no code here reads the packed form of a series, and
+the pack builds only the bare variables it reads.  :func:`build_geometry`
 builds psi, psi_x, ``psi_x(y, z)`` (moved into (x, y, z) blocks by one
 composition with bare arguments; the phase and both forms of ``Delta0`` read
 it) and the phase, which cost milliseconds; its
@@ -37,8 +38,9 @@ through the phase; it owns the one table of powers of ``z(x, y, theta)``,
 which the round-trip check, ``Delta0`` and both coefficient routes share.
 ``Delta0`` in (x, y, theta) is ``det(dw/dtheta)`` for
 ``w = psi_y(y, z(x, y, theta))``, by the chain rule (:func:`build_delta0`,
-which takes the pack); only the ``polarize`` report reads the (x, y, z)
-quotient ``geom.delta0_xyz``.
+which takes the pack); the determinant differentiates its entries itself, so
+no Jacobian entry is a series.  Only the ``polarize`` report reads the
+(x, y, z) quotient ``geom.delta0_xyz``.
 """
 
 from __future__ import annotations
@@ -53,13 +55,13 @@ from math import factorial
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+from . import series
 from .sampling import polydisc_points
 from .series import (
     TruncatedSeries,
     det,
     exponents_of_degree,
     fixed_point,
-    linear_combination,
     multi_factorial,
     segment_average,
     unit,
@@ -362,20 +364,17 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
 
     With H the constant z-linear part of theta, z is the fixed point of
     z = H^{-1} t + S(x, y, z), S = z - H^{-1} theta, which has no z-linear
-    part with a constant coefficient.  :func:`bergman.series.fixed_point`
-    solves it one homogeneous degree at a time, as in lazy ("relaxed")
-    power-series arithmetic; this function only inverts H, by :func:`_hessian_inverse`.
+    part with a constant coefficient.  This function only inverts H, by
+    :func:`_hessian_inverse`, and hands H^{-1} and theta to
+    :func:`bergman.series.fixed_point`, which forms the graded parts of
+    H^{-1} t and -H^{-1} theta in one pass over theta's terms and solves one
+    homogeneous degree at a time, as in lazy ("relaxed") power-series
+    arithmetic.  No series is built for H^{-1} t or S, and no variable.
     """
     n3 = theta[0].nvars
     n = n3 // 3
-    D = theta[0].trunc_degree
     hinv = _hessian_inverse([[theta[i][unit(n3, 2 * n + j)] for j in range(n)] for i in range(n)])
-
-    zvars = TruncatedSeries.variables(n3, D)[2 * n :]
-    lin = [linear_combination([(h, t) for h, t in zip(row, zvars) if h]) for row in hinv]
-    rest = [linear_combination([(1, z_u)] + [(-h, t) for h, t in zip(row, theta) if h])
-            for z_u, row in zip(zvars, hinv)]
-    return fixed_point(lin, rest)
+    return fixed_point(hinv, theta)
 
 
 def _hessian_inverse(rows) -> list:
@@ -404,12 +403,14 @@ def build_delta0(geom: "GeometryPack") -> TruncatedSeries:
     ``det(psi_yz o z) * det(dz/dtheta)``, which by the chain rule is
     ``det(dw/dtheta)`` for ``w = psi_y(y, z(x, y, theta))``, with psi_y(y, z)
     the pack's ``psi_x_yz``, composed by the pack through the z-powers the
-    round-trip check built; no dense series is multiplied outside the
-    determinant.
+    round-trip check built.  The entries ``D_(theta_j) w_i`` go to
+    :func:`bergman.series.det` as ``(w_i, xi)`` pairs, which it differentiates
+    into its own pieces: no Jacobian series is built, and no dense series is
+    multiplied outside the determinant.
     """
     n = geom.n
     w = [geom.substitute_z(g) for g in geom.psi_x_yz]
-    return det([[wi.diff(unit(3 * n, 2 * n + j)) for j in range(n)] for wi in w])
+    return det([[(wi, unit(3 * n, 2 * n + j)) for j in range(n)] for wi in w])
 
 
 @dataclass(frozen=True)
@@ -453,7 +454,8 @@ class GeometryPack:
         """
         z = tuple(invert_theta(self.theta))
         powers: dict = {}
-        thetas = TruncatedSeries.variables(3 * self.n, self.degree - 1)[2 * self.n :]
+        n, D = self.n, self.degree
+        thetas = TruncatedSeries.variables(3 * n, D - 1, range(2 * n, 3 * n))
         if [t.compose(self._bare[0] + list(z), cache=powers) for t in self.theta] != thetas:
             raise ArithmeticError("phase inversion failed the round-trip identity")
         self.z_powers.update(powers)
@@ -473,17 +475,17 @@ class GeometryPack:
 
         No pipeline step reads it, only the ``polarize`` report.
         """
-        n, D = self.n, self.degree
-        num = [[g.diff(unit(3 * n, 2 * n + j)) for j in range(n)] for g in self.psi_x_yz]
-        den = [[t.diff(unit(3 * n, 2 * n + j)).truncate(D - 2) for j in range(n)] for t in self.theta]
+        n = self.n
+        num = [[(g, unit(3 * n, 2 * n + j)) for j in range(n)] for g in self.psi_x_yz]
+        den = [[(t, unit(3 * n, 2 * n + j)) for j in range(n)] for t in self.theta]
         return det(num) * det(den).invert()
 
     @cached_property
     def _bare(self) -> tuple:
         """The bare arguments: x and y in (x, y, theta) blocks, and x in (x, z) blocks."""
         n, D = self.n, self.degree
-        return (TruncatedSeries.variables(3 * n, D - 1)[: 2 * n],
-                TruncatedSeries.variables(2 * n, D - 1)[:n])
+        return (TruncatedSeries.variables(3 * n, D - 1, range(2 * n)),
+                TruncatedSeries.variables(2 * n, D - 1, range(n)))
 
     def substitute_z(self, f: TruncatedSeries) -> TruncatedSeries:
         """f(x, z) or f(x, y, z) -> the same with z = z(x,y,theta), in (x, y, theta) blocks."""
@@ -498,13 +500,16 @@ class GeometryPack:
     def amplitude(self, b: TruncatedSeries) -> TruncatedSeries:
         """(b o z) * Delta0 in (x, y, theta) blocks, for b in (x, z) blocks of degree <= D - 2.
 
-        Kept in :attr:`amplitudes`, so a later call with an equal b returns it.
+        The product is cut at the degree of ``b o z``, so Delta0 is read as it is,
+        with no truncated copy.  Kept in :attr:`amplitudes`, so a later call with an
+        equal b returns it.
         """
         for seen, a in self.amplitudes:
             if seen == b:
                 return a
         comp = self.substitute_z(b)
-        a = comp * self.delta0_xytheta.truncate(comp.trunc_degree)
+        # looked up on its module, where a traced run wraps it
+        a = series.mul_trunc(comp, self.delta0_xytheta, comp.trunc_degree)
         self.amplitudes.append((b, a))
         return a
 
@@ -515,7 +520,7 @@ def build_geometry(spec: PotentialSpec) -> GeometryPack:
     n, D = spec.n, spec.trunc_degree
     require_degree(D, 3, "the phase")
     psi_x = tuple(psi.diff(unit(2 * n, i)) for i in range(n))
-    yz = TruncatedSeries.variables(3 * n, D - 1)[n:]
+    yz = TruncatedSeries.variables(3 * n, D - 1, range(n, 3 * n))
     psi_x_yz = tuple(f.compose(yz) for f in psi_x)
     return GeometryPack(
         spec=spec,

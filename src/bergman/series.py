@@ -47,10 +47,12 @@ triple ``(keys, nums, den)``, None when the piece vanishes, reduced by the
 one :func:`_piece`; :func:`mul_trunc`, ``invert`` and :func:`fixed_point`
 work on them.  A piece's keys are sorted, except in the two level solves
 (the sweep of :func:`fixed_point` and ``invert``): the homogeneous pieces
-they make keep the order the accumulator met.  All keys of such a piece
-carry one degree digit d, and a product of degrees k and d - k with d at
-most the output degree is never cut, so the uncut pair loops need no order;
-each solve sorts once, when it sums its pieces into the result.
+they make keep the order the accumulator met, and so do the parts of theta
+that :func:`fixed_point` reads (:func:`_solve_parts`), which also keep one
+unreduced denominator per row of the Hessian inverse.  All keys of such a
+piece carry one degree digit d, and a product of degrees k and d - k with d
+at most the output degree is never cut, so the uncut pair loops need no
+order; each solve sorts once, when it sums its pieces into the result.
 No other module reads the packed form: callers pass and get series.
 ``eval`` builds a float plan on first use: per term, in graded lexicographic
 order, ``complex(num / den)`` (correctly rounded, as ``complex(Fraction)``)
@@ -88,15 +90,21 @@ pair loop that visits each unordered pair of terms once.  A group reads
 moved exponents, and the chain reads ``P_lower`` one degree less, so each
 power is built to the highest degree a call reads, not to the argument
 degree.  An entry too low for a later call is rebuilt higher and replaced;
-an entry at least as high is reused as it is.
+an entry at least as high is reused as it is, and only the missing or too
+low entries close a chain, since a cached entry's lowers are cached too.
+Only bare arguments that share a target slot can cancel moved terms, so
+only then does a group lose its zeros before it reads a power.
 :class:`bergman.potential.GeometryPack`, the only composer through the phase,
 keeps two such tables: one for ``psi_x(x, z)``, read by ``to_xz`` in one
 composition that runs both the x and the y block onto x, and one for the
 inverted phase ``z(x, y, theta)`` (``geom.z_powers``), which the round-trip
 check builds and ``Delta0`` and every later composition through ``z`` reuse.
-The phase inversion composes nothing: :func:`fixed_point` splits its
-inputs into pieces with :func:`_graded_pieces` and makes each new one with
-the uncut :func:`_sum_of_products` of its live pairs (see Storage).  No table
+The phase inversion composes nothing: :func:`fixed_point` takes theta and
+the inverse of its constant z-linear part H, forms the parts of H^-1 t and
+of -H^-1 theta in one pass over theta's terms (the z-linear constant part
+cancels exactly and is dropped), and makes each new piece with the uncut
+:func:`_sum_of_products` of its live pairs (see Storage); each level reads a
+list of the power steps it extends, made once per solve.  No table
 outlives a call: apart from a caller's ``cache`` or ``splits`` (``build_theta``
 shares one among its n averages) and the views a series builds of itself,
 tables such as the split steps of :func:`segment_average` and the falling
@@ -107,6 +115,9 @@ Trusted construction
 --------------------
 The public constructor validates every exponent tuple (length, sign, degree)
 and sums duplicates, because specs, records and callers may hand it anything.
+``zero``, ``one``, ``constant``, ``variable`` and ``variables`` check only
+their sizes, the slot and the value's type, and store their one piece with
+``TruncatedSeries._from_piece``; ``variables`` builds the slots it is given.
 Operations only drop zeros and reduce, once per result (:func:`_piece`),
 since each makes its keys from keys of valid operands by digit arithmetic
 that cannot carry.  Products, ``invert``, :func:`fixed_point` and :func:`det`
@@ -122,25 +133,27 @@ them, a scalar multiple keeps the keys, and a derivative and
 :func:`_graded_pieces` take one constant, no digit larger than the key's, off
 each key of a sorted run, and ``x < y`` gives ``x - c < y - c``.  An empty
 factor gives :func:`mul_trunc` the zero series at once, after the ``nvars``
-check.  ``segment_average`` builds its steps from unit moves of one digit, in
+check, and each factor's piece stops at the output degree (a slice).  ``segment_average`` builds its steps from unit moves of one digit, in
 each call or once for the calls that share a caller's ``splits``.
 
-Two operations differentiate inside their own accumulator, so no derivative
-is ever a series of its own: :func:`linear_combination`, whose terms may
-carry a multi-index (``diff`` is its one-term case), and
+Three operations differentiate inside their own sums, so no derivative is
+ever a series of its own: :func:`linear_combination`, whose terms may carry
+a multi-index (``diff`` is its one-term case), :func:`det`, whose entries
+may be pairs ``(s, xi)`` (each becomes a derivative piece once), and
 :func:`y_gradient_average`, which takes ``-D_(y_i)`` of each term inside the
-one split/weight loop of ``segment_average``.  A term whose factor is zero
-(an exponent below the derivative order) makes no entry, and a surviving
-key loses the order from its digits with no borrow.
+one split/weight loop of ``segment_average``.  A derivative scan starts at
+the first key of degree ``|xi|``, since no lower key survives.  A term whose
+factor is zero (an exponent below the derivative order) makes no entry, and
+a surviving key loses the order from its digits with no borrow.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from math import factorial, gcd, lcm, perm
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MultiIndex = tuple  # exponent tuples of non-negative ints
 
@@ -209,16 +222,20 @@ def _unpack(p: int, nvars: int, shift: int) -> MultiIndex:
     return tuple(out)
 
 
+def _check_shape(nvars: int, trunc_degree: int) -> None:
+    if nvars < 1:
+        raise ValueError("nvars must be positive")
+    if trunc_degree < 0:
+        raise ValueError("trunc_degree must be non-negative")
+
+
 class TruncatedSeries:
     """A formal power series in ``nvars`` variables, truncated by total degree."""
 
     __slots__ = ("nvars", "trunc_degree", "_shift", "_keys", "_nums", "_den", "_coeffs", "_plan")
 
     def __init__(self, nvars: int, trunc_degree: int, coeffs: dict | None = None):
-        if nvars < 1:
-            raise ValueError("nvars must be positive")
-        if trunc_degree < 0:
-            raise ValueError("trunc_degree must be non-negative")
+        _check_shape(nvars, trunc_degree)
         clean = {}
         if coeffs:
             for key, value in coeffs.items():
@@ -274,11 +291,17 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, nvars: int, trunc_degree: int) -> "TruncatedSeries":
-        return cls(nvars, trunc_degree, {})
+        return cls.constant(nvars, trunc_degree, 0)
 
     @classmethod
     def constant(cls, nvars: int, trunc_degree: int, value) -> "TruncatedSeries":
-        return cls(nvars, trunc_degree, {(0,) * nvars: value})
+        """``value`` as a series, stored as its one piece; nvars, degree and type are checked
+        as the public constructor checks them."""
+        _check_shape(nvars, trunc_degree)
+        if not isinstance(value, _SCALARS):
+            raise TypeError(f"coefficient {value!r} is not an int or Fraction; series are exact")
+        piece = ([0], [value.numerator], value.denominator) if value else None
+        return cls._from_piece(nvars, trunc_degree, _shift_for(trunc_degree), piece)
 
     @classmethod
     def one(cls, nvars: int, trunc_degree: int) -> "TruncatedSeries":
@@ -286,11 +309,20 @@ class TruncatedSeries:
 
     @classmethod
     def variable(cls, nvars: int, trunc_degree: int, i: int) -> "TruncatedSeries":
-        return cls(nvars, trunc_degree, {unit(nvars, i): 1})
+        """x_i as a series, its one key packed directly (none at degree 0); a slot outside
+        0..nvars-1 is a ValueError."""
+        _check_shape(nvars, trunc_degree)
+        if not 0 <= i < nvars:
+            raise ValueError(f"variable slot {i} is outside 0..{nvars - 1}")
+        shift = _shift_for(trunc_degree)
+        piece = ([(1 << shift * nvars) | (1 << shift * (nvars - 1 - i))], [1], 1)
+        return cls._from_piece(nvars, trunc_degree, shift, piece if trunc_degree else None)
 
     @classmethod
-    def variables(cls, nvars: int, trunc_degree: int) -> list:
-        return [cls.variable(nvars, trunc_degree, i) for i in range(nvars)]
+    def variables(cls, nvars: int, trunc_degree: int, slots: Iterable[int] | None = None) -> list:
+        """x_i for each slot i of ``slots``, every slot when None."""
+        return [cls.variable(nvars, trunc_degree, i)
+                for i in (range(nvars) if slots is None else slots)]
 
     # -- inspection --------------------------------------------------------
 
@@ -343,10 +375,7 @@ class TruncatedSeries:
 
     def _keys_at(self, shift: int) -> list:
         """The packed keys repacked at digit width ``shift`` (at least this series' own)."""
-        if shift == self._shift:
-            return self._keys
-        n, old = self.nvars, self._shift
-        return [_pack(_unpack(k, n, old), shift) for k in self._keys]
+        return _repacked(self._keys, self.nvars, self._shift, shift)
 
     # -- ring operations ---------------------------------------------------
 
@@ -492,11 +521,14 @@ class TruncatedSeries:
         # of one digit width moves with one shift and one mask
         runs = []
         substituted = []  # outer slots of the other arguments
+        targets = set()  # target slots of the bare arguments
         for i, a in enumerate(args):
             target = a._bare_variable()
             if target is None:
                 substituted.append(i)
-            elif runs and own_shift == shift and runs[-1][:2] == (i - 1, target - 1):
+                continue
+            targets.add(target)
+            if runs and own_shift == shift and runs[-1][:2] == (i - 1, target - 1):
                 runs[-1] = (i, target, runs[-1][2] + 1)
             else:
                 runs.append((i, target, 1))
@@ -514,23 +546,32 @@ class TruncatedSeries:
             sub = key & sub_mask
             group = groups.get(sub)
             if group is None:
-                gamma = tuple(sub >> offset & own_mask for offset in offsets)
+                gamma = tuple([sub >> offset & own_mask for offset in offsets])
                 group = groups[sub] = (gamma, sum(gamma) << tgt_width, {})
             moved = (key >> own_width << tgt_width) - group[1]
             for down, mask, up in moves:
                 moved += (key >> down & mask) << up
             terms = group[2]
             terms[moved] = terms.get(moved, 0) + value
-        # runs onto one target slot can cancel terms; a group left empty reads no power
-        groups = {gamma: live for gamma, _, terms in groups.values()
-                  if (live := {k: v for k, v in terms.items() if v})}
+        if len(targets) < n - len(substituted):
+            # bare arguments onto one target slot can cancel terms; a group left empty
+            # reads no power
+            groups = {gamma: live for gamma, _, terms in groups.values()
+                      if (live := {k: v for k, v in terms.items() if v})}
+        else:
+            groups = {gamma: terms for gamma, _, terms in groups.values()}
 
-        # group gamma reads P_gamma through out_D less its lowest moved degree
-        need = close_power_chain({
-            gamma: out_D - (min(group) >> tgt_width)
-            for gamma, group in groups.items() if any(gamma)
-        })
-        for gamma in sorted(need, key=sum):
+        # group gamma reads P_gamma through out_D less its lowest moved degree; only the
+        # entries missing or too low close a chain (a cached entry's lowers are cached
+        # at least one degree below it)
+        need = {}
+        for gamma, group in groups.items():
+            if any(gamma):
+                top = out_D - (min(group) >> tgt_width)
+                hit = cache.get(gamma)
+                if hit is None or hit.trunc_degree < top:
+                    need[gamma] = top
+        for gamma in sorted(close_power_chain(need), key=sum):
             hit = cache.get(gamma)
             if hit is None or hit.trunc_degree < need[gamma]:
                 j, lower = power_step(gamma)
@@ -547,11 +588,9 @@ class TruncatedSeries:
             if p is None:
                 for k, v in group.items():
                     acc[k] = get(k, 0) + v * scale
-            else:
-                # the group, mostly the smaller side, carries the scale
-                ratio = scale // p._den
-                terms = group.items() if ratio == 1 else [(k, v * ratio) for k, v in group.items()]
-                _add_products(acc, terms, p._keys_at(shift), p._nums, tgt_width, out_D)
+            else:  # the group, mostly the smaller side, carries the scale
+                _add_products(acc, group.items(), p._keys_at(shift), p._nums, tgt_width, out_D,
+                              scale // p._den)
         return TruncatedSeries._canonical(tgt_n, out_D, shift, acc, self._den * scale)
 
     # -- numerics ------------------------------------------------------------
@@ -691,7 +730,8 @@ def _derived(s: TruncatedSeries, xi, shift: int, scale: int, tables: dict) -> tu
     A digit ``e`` in slot ``i`` of ``xi`` gives the falling factorial
     ``e!/(e - xi_i)!``, 0 below ``xi_i``, from the table of order ``xi_i`` that
     ``tables`` keeps for the call; the scale rides on a copy of the first
-    slot's table, and a term stops at its first zero factor.  A term with a
+    slot's table, the scan starts at the first key of degree ``|xi|`` (a bisect
+    on the degree digit), and a term stops at its first zero factor.  A term with a
     nonzero factor has every digit at least ``xi``, so its key loses ``xi``
     (and ``|xi|`` from its degree digit) with no borrow.
     """
@@ -706,8 +746,10 @@ def _derived(s: TruncatedSeries, xi, shift: int, scale: int, tables: dict) -> tu
     if scale != 1:
         falling = [f * scale for f in falling]
     step = _pack(xi, shift)
+    # no key below degree |xi| survives D^xi: the scan starts at the first that reaches it
+    start = bisect_left(keys, sum(xi) << shift * n)
     out_keys, out_nums = [], []
-    for key, value in zip(keys, nums):
+    for key, value in zip(islice(keys, start, None), islice(nums, start, None)):
         f = falling[key >> first & mask]
         if f:
             for offset, table in rest:
@@ -729,6 +771,8 @@ def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> Trunca
     degree one factor in (x - y) . A); that responsibility is the caller's.
     An empty factor gives the zero series.  A factor times itself (the same
     object, as in ``x * x``) passes one piece twice, so the pair is a square.
+    Each factor's piece stops at ``out_degree``, since no term above it pairs,
+    so the side with fewer terms that can pair carries the scale.
     """
     if a.nvars != b.nvars:
         raise ValueError("mul: nvars mismatch")
@@ -737,10 +781,21 @@ def mul_trunc(a: TruncatedSeries, b: TruncatedSeries, out_degree: int) -> Trunca
     if not (a._keys and b._keys):
         return TruncatedSeries.zero(a.nvars, out_degree)
     shift = max(_shift_for(out_degree), a._shift, b._shift)
-    pa = (a._keys_at(shift), a._nums, a._den)
-    pb = pa if a is b else (b._keys_at(shift), b._nums, b._den)
+    bound = (out_degree + 1) << shift * a.nvars
+    pa = _piece_below(a, shift, bound)
+    pb = pa if a is b else _piece_below(b, shift, bound)
     product = _sum_of_products([(pa, pb)], shift * a.nvars, out_degree)
     return TruncatedSeries._from_piece(a.nvars, out_degree, shift, product)
+
+
+def _piece_below(s: TruncatedSeries, shift: int, bound: int):
+    """The piece of the terms of ``s`` whose keys at digit width ``shift`` lie below
+    ``bound``, None when none does; a cut piece keeps the denominator unreduced."""
+    keys = s._keys_at(shift)
+    stop = bisect_left(keys, bound)
+    if stop == len(keys):
+        return keys, s._nums, s._den
+    return (keys[:stop], s._nums[:stop], s._den) if stop else None
 
 
 def _piece(keys: list, nums: list, den: int):
@@ -800,16 +855,12 @@ def _sum_of_products(pairs: Sequence[tuple], width: int, out_degree: int | None)
     den = lcm(*[a[2] * b[2] for a, b in live])
     acc: dict = {}
     for a, b in live:
-        (a_keys, a_nums, a_den), (b_keys, b_nums, b_den) = a, b
-        scale = den // (a_den * b_den)
         if a is b:
-            _add_square(acc, a_keys, a_nums, width, out_degree, scale)
-            continue
-        if len(b_keys) < len(a_keys):
-            a_keys, a_nums, b_keys, b_nums = b_keys, b_nums, a_keys, a_nums
-        if scale != 1:
-            a_nums = [v * scale for v in a_nums]
-        _add_products(acc, zip(a_keys, a_nums), b_keys, b_nums, width, out_degree)
+            _add_square(acc, a[0], a[1], width, out_degree, den // (a[2] * a[2]))
+        elif len(b[0]) < len(a[0]):
+            _add_products(acc, zip(b[0], b[1]), a[0], a[1], width, out_degree, den // (a[2] * b[2]))
+        else:
+            _add_products(acc, zip(a[0], a[1]), b[0], b[1], width, out_degree, den // (a[2] * b[2]))
     if out_degree is None:
         return _piece(list(acc), list(acc.values()), den)
     keys = sorted(acc)
@@ -841,82 +892,169 @@ def close_power_chain(top: dict) -> dict:
     return top
 
 
-def fixed_point(lin: Sequence[TruncatedSeries], rest: Sequence[TruncatedSeries]) -> list:
-    """The series z with ``z_u = lin_u + rest_u(v, z)``, one homogeneous degree at a time.
+def fixed_point(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries]) -> list:
+    """The series z with ``theta(v, z) = t``, one homogeneous degree at a time.
 
-    All series share the nvars and degree D of ``lin[0]``; in ``rest`` the z
-    fill the last n = ``len(lin)`` slots and v the others, and each z_u is a
-    series in the slots of ``lin``.  With ``rest_u = sum_gamma
-    s_(u,gamma)(v) z^gamma`` and ``[f]_d`` the degree-d part of f, sweep
-    d = 1, ..., D adds one piece to z and to each power ``P_gamma = z^gamma``
-    that rest or a power chain reads:
+    The n series of ``theta`` share nvars and degree D; their last n slots are
+    z and v the others, and each z_u is a series in the same slots, t in place
+    of z.  ``hinv`` is the exact inverse of the constant z-linear part H of
+    theta.  Then z = H^-1 t + S(v, z) with S = z - H^-1 theta, and with
+    ``S_u = sum_gamma s_(u,gamma)(v) z^gamma`` and ``[f]_d`` the degree-d part
+    of f, sweep d = 1, ..., D adds one piece to z and to each power
+    ``P_gamma = z^gamma`` that S or a power chain reads:
 
     * ``[P_gamma]_d = sum_k [P_(gamma-e_j)]_k [z_j]_(d-k)`` for |gamma| >= 2,
       along the chain of :func:`power_step`; for ``gamma = 2 e_j`` the sum
       takes each pair {k, d - k} once, ``2 [z_j]_k [z_j]_(d-k)`` for k < d - k,
       and squares the piece ``[z_j]_(d/2)`` with :func:`_add_square`;
-    * ``[z_u]_d = [lin_u]_d + sum_gamma sum_e [s_(u,gamma)]_e [P_gamma]_(d-e)``.
+    * ``[z_u]_d = sum_gamma sum_e [s_(u,gamma)]_e [P_gamma]_(d-e)``.
 
-    No sweep reads ``[z]_d`` unless lin or an ``s_(u,gamma)`` with |gamma| <= 1
-    has a constant term, which is a ValueError.  A piece is the ``(keys, nums,
-    den)`` of :func:`_piece` at the widest digit width of the inputs, or None;
-    a new one is one :func:`_sum_of_products` of the live pairs, with no call
-    when none is live.  Each ``P_gamma`` stops at the highest degree a product
-    reads, so the work is about one power table at full degree.
+    The parts ``[s_(u,gamma)]_e`` come from one pass over theta's terms
+    (:func:`_solve_parts`); H^-1 t is the part gamma = 0, e = 1, and the
+    z-linear constant part cancels exactly and is dropped.  No sweep reads
+    ``[z]_d`` unless theta has a constant term or ``hinv`` does not invert H,
+    which is a ValueError.  A piece is the ``(keys, nums, den)`` of
+    :func:`_piece` at the widest digit width of theta and D, or None; a new
+    one is one :func:`_sum_of_products` of the live pairs, with no call when
+    none is live.  Each ``P_gamma`` stops at the highest degree a product
+    reads, so the work is about one power table at full degree.  Each level
+    looks up only the steps that extend a power there, listed once per solve.
 
     Every ``[P_gamma]_d`` and ``[z_u]_d`` the sweep makes is an unsorted
     homogeneous piece of degree d, and each product pairs degrees k and d - k
     with d <= D, so the sums are uncut (``out_degree`` None, see Storage); each
     z_u is sorted once, when its pieces are summed.
     """
-    N, D, n = lin[0].nvars, lin[0].trunc_degree, len(lin)
-    for s in (*lin, *rest):
-        lin[0]._check_compatible(s, "fixed_point")
-    shift = max(s._shift for s in (*lin, *rest))
+    N, D, n = theta[0].nvars, theta[0].trunc_degree, len(theta)
+    for s in theta:
+        theta[0]._check_compatible(s, "fixed_point")
+    shift = max(_shift_for(D), *(s._shift for s in theta))
     width = shift * N
+    parts = _solve_parts(hinv, theta, shift)
     units = [unit(n, j) for j in range(n)]
     zero = (0,) * n
     top = dict.fromkeys(units, D)  # gamma -> the highest degree of P_gamma a product reads
-    terms = []  # per u, (gamma, e, |gamma|, [s_(u,gamma)]_e), lin_u's parts under gamma 0
-    for lin_u, rest_u in zip(lin, rest):
-        # lin_u by degree alone: no slot is split off
-        su = [(zero, e, 0, p) for e, p in _graded_pieces(lin_u, N, shift).get((), {}).items()]
-        for gamma, parts in _graded_pieces(rest_u, N - n, shift).items():
-            size = sum(gamma)
-            su += [(gamma, e, size, p) for e, p in parts.items()]
-            if size > 1:
-                top[gamma] = max(top.get(gamma, 0), D - min(parts))
-        if any(e == 0 and size <= 1 for _, e, size, _ in su):
-            raise ValueError("fixed_point: a constant term in lin or in a coefficient of "
-                             "rest of degree <= 1 in z makes the solve implicit")
-        terms.append(su)
+    for su in parts:
+        for gamma, e, size, _ in su:
+            if size > 1 and top.get(gamma, 0) < D - e:
+                top[gamma] = D - e
     close_power_chain(top)
 
     # pieces[gamma][d] = [P_gamma]_d, None below the valuation |gamma|; P_0 = 1
     pieces = {gamma: [None] * sum(gamma) for gamma in top}
     pieces[zero] = [([0], [1], 1)] + [None] * D
-    higher = [(gamma, size, top[gamma], *power_step(gamma))
-              for gamma in top if (size := sum(gamma)) > 1]
+    # 2 [z_j]_k for the squares, which read it for k <= (D - 1) // 2 only
+    twice = [[None] for _ in units]
+    # per level d, the steps (pieces of P_gamma, of P_lower, of z_j, the lowest k, and
+    # for a square the doubled z_j, else None) that extend a power at d
+    steps: list = [[] for _ in range(D + 1)]
+    for gamma, last in top.items():
+        if (size := sum(gamma)) > 1:
+            j, lower = power_step(gamma)
+            step = (pieces[gamma], pieces[lower], pieces[units[j]], size - 1,
+                    twice[j] if lower == units[j] else None)
+            for d in range(size, last + 1):
+                steps[d].append(step)
+    sums = [(pieces[u], tw, [(pieces[gamma], e, size, part) for gamma, e, size, part in su])
+            for u, tw, su in zip(units, twice, parts)]
     for d in range(1, D + 1):
-        for gamma, size, last, j, lower in higher:
-            if size <= d <= last:
-                pz, pl = pieces[units[j]], pieces[lower]
-                if pl is pz:  # z_j^2: each pair {k, d - k} once, the lower k doubled
-                    pairs = [((p[0], [2 * v for v in p[1]], p[2]), q)
-                             for k in range(1, (d + 1) // 2) if (p := pz[k]) and (q := pz[d - k])]
-                    if d % 2 == 0 and (p := pz[d // 2]):
-                        pairs.append((p, p))
-                else:
-                    pairs = [(pl[k], pz[d - k]) for k in range(size - 1, d)
-                             if pl[k] and pz[d - k]]
-                pieces[gamma].append(_sum_of_products(pairs, width, None) if pairs else None)
-        for u, su in zip(units, terms):
-            pairs = [(part, p) for gamma, e, size, part in su
-                     if d - e >= size and (p := pieces[gamma][d - e])]
-            pieces[u].append(_sum_of_products(pairs, width, None) if pairs else None)
+        for out, pl, pz, first, doubled in steps[d]:
+            if doubled is None:
+                pairs = [(p, q) for k in range(first, d) if (p := pl[k]) and (q := pz[d - k])]
+            else:  # z_j^2: each pair {k, d - k} once, the lower k doubled
+                pairs = [(p, q) for k in range(1, (d + 1) // 2)
+                         if (p := doubled[k]) and (q := pz[d - k])]
+                if d % 2 == 0 and (p := pz[d // 2]):
+                    pairs.append((p, p))
+            out.append(_sum_of_products(pairs, width, None) if pairs else None)
+        for out, tw, su in sums:
+            pairs = [(part, p) for power, e, size, part in su
+                     if d - e >= size and (p := power[d - e])]
+            p = _sum_of_products(pairs, width, None) if pairs else None
+            out.append(p)
+            tw.append((p[0], [v + v for v in p[1]], p[2]) if p and 2 * d < D else None)
     one = pieces[zero][0]
     z = [_sum_of_products([(one, p) for p in pieces[u][1:]], width, None) for u in units]
     return [TruncatedSeries._from_piece(N, D, shift, _sorted_piece(p)) for p in z]
+
+
+def _solve_parts(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries], shift: int) -> list:
+    """Per u, the ``(gamma, e, |gamma|, [s_(u,gamma)]_e)`` of the solve of :func:`fixed_point`,
+    ``S_u = (H^-1 t)_u + z_u - (H^-1 theta)_u``, none of them zero.
+
+    One pass over theta's terms groups them by their z digits and degree digit,
+    and each group's keys lose those digits and their degree once, so in any
+    order they lose one constant.  Row u of ``hinv`` then scales each group of
+    theta_i over one denominator of the row, the lcm of its
+    ``h.denominator * theta_i._den``, and adds the groups of one (gamma, e).  A
+    part keeps that denominator unreduced (the level sums reduce).  The t_j of
+    H^-1 t have the keys of the z_j, so they join the part gamma = 0, e = 1 after
+    the grouping, and z_u joins the part of its own key, where it cancels H's
+    constant: a part left there, or a constant term of theta, makes the solve
+    implicit, a ValueError.  A part of one group is its scaled numerators; only
+    parts of several share an accumulator.
+    """
+    n = len(theta)
+    width, zw = shift * theta[0].nvars, shift * n
+    low = (1 << zw) - 1
+    shapes: dict = {}  # group -> (gamma, |gamma|, e, the digits its keys lose)
+
+    def shape(g):
+        if (found := shapes.get(g)) is None:
+            gamma = _unpack(g & low, n, shift)
+            size = sum(gamma)
+            found = shapes[g] = (gamma, size, (g >> zw) - size, (g & low) + (size << width))
+        return found
+
+    # per theta_i: group (z digits, degree digit above them) -> (keys, nums, the drop)
+    grouped = []
+    for t in theta:
+        groups: dict = {}
+        for key, value in zip(t._keys_at(shift), t._nums):
+            group = groups.get(g := key & low | key >> width << zw)
+            if group is None:
+                drop = shape(g)[3]
+                groups[g] = ([key - drop], [value], drop)
+            else:
+                group[0].append(key - group[2])
+                group[1].append(value)
+        grouped.append(groups)
+    units = [1 << shift * (n - 1 - j) for j in range(n)]  # a z_j digit, or t_j's
+    out = []
+    for u, row in enumerate(hinv):
+        den = lcm(*[h.denominator * t._den for h, t in zip(row, theta) if h])
+        merged: dict = {}  # group -> [(scale, (keys, nums, drop))]
+        for h, t, groups in zip(row, theta, grouped):
+            if h:
+                c = -h.numerator * (den // (h.denominator * t._den))
+                for g, part in groups.items():
+                    merged.setdefault(g, []).append((c, part))
+        merged.setdefault(1 << zw, []).extend(
+            (h.numerator * (den // h.denominator), ([(1 << width) | j], [1], 0))
+            for h, j in zip(row, units) if h)
+        merged.setdefault(units[u] | 1 << zw, []).append((den, ([0], [1], 0)))
+        su = []
+        for g, group in merged.items():
+            gamma, size, e, _ = shape(g)
+            if len(group) == 1:
+                ((c, (keys, nums, _)),) = group
+                nums = [c * v for v in nums]
+            else:
+                acc: dict = {}
+                get = acc.get
+                for c, (keys, nums, _) in group:
+                    for k, v in zip(keys, nums):
+                        acc[k] = get(k, 0) + c * v
+                keys = [k for k, v in acc.items() if v]
+                if not keys:
+                    continue
+                nums = [v for v in acc.values() if v]
+            if e == 0 and size <= 1:
+                raise ValueError("fixed_point: a constant term in theta, or hinv not the "
+                                 "inverse of its z-linear part, makes the solve implicit")
+            su.append((gamma, e, size, (keys, nums, den)))
+        out.append(su)
+    return out
 
 
 def _sorted_piece(piece):
@@ -929,7 +1067,7 @@ def _sorted_piece(piece):
 
 
 def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int,
-                  out_degree: int | None):
+                  out_degree: int | None, scale: int = 1):
     """Add ``va * vb`` at ``ka + kb`` into ``acc`` for every pair of degree at most
     ``out_degree``; ``b_keys`` are sorted, the keys of ``a_terms`` may come in any order.
     The b rows of degree at most ``out_degree - deg(ka)`` are cut once per run of a-terms
@@ -938,6 +1076,7 @@ def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int,
     get = acc.get
     if out_degree is None:
         for ka, va in a_terms:
+            va *= scale
             for kb, vb in zip(b_keys, b_nums):
                 k = ka + kb
                 acc[k] = get(k, 0) + va * vb
@@ -948,6 +1087,7 @@ def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int,
             cut = ka >> width
             stop = bisect_left(b_keys, (out_degree + 1 - cut) << width)
             keys, nums = b_keys[:stop], b_nums[:stop]
+        va *= scale
         for kb, vb in zip(keys, nums):
             k = ka + kb
             acc[k] = get(k, 0) + va * vb
@@ -1062,26 +1202,71 @@ def _segment_average(items, n: int, D: int, shift: int, den: int, splits: dict,
 def det(rows: Sequence[Sequence]):
     """Determinant of a square matrix by cofactor expansion along the first row.
 
-    Entries are exact scalars or series of one ``nvars`` and degree D.  For
-    series, the signed products ``(-1)^j a_0j det(minor_0j)`` go as pieces into
-    one :func:`_sum_of_products` at degree D, reduced once, at the widest digit
-    width of D and of the factors of the live pairs.
+    Entries are exact scalars, or series of one ``nvars`` and pairs ``(s, xi)`` that
+    stand for ``D^xi s``, all of one output degree D (a series is its own degree, a
+    pair ``max(0, s.trunc_degree - |xi|)``).  No derivative is built as a series:
+    each entry becomes a piece once, keys losing ``xi`` as in
+    :func:`linear_combination`, and the signed products ``(-1)^j a_0j det(minor_0j)``
+    of each level go into one :func:`_sum_of_products` at degree D, reduced once,
+    at the widest digit width of D and of the factors of the live pairs.  A minor
+    whose first-row factor vanishes is not expanded.  A 1x1 series matrix is its
+    entry, a pair differentiated.
     """
     size = len(rows)
     if size == 0 or any(len(row) != size for row in rows):
         raise ValueError("det: matrix is not square")
+    entries = [v if isinstance(v, tuple) else (v, None) for row in rows for v in row]
+    if not all(isinstance(s, TruncatedSeries) for s, _ in entries):
+        if size == 1:
+            return rows[0][0]
+        minors = [det([row[:j] + row[j + 1:] for row in rows[1:]]) for j in range(size)]
+        return sum(-a * m if j % 2 else a * m for j, (a, m) in enumerate(zip(rows[0], minors)))
+    first = entries[0][0]
+    n, D = first.nvars, None
+    for s, xi in entries:
+        degree = s.trunc_degree if xi is None else max(0, s.trunc_degree - sum(xi))
+        if s.nvars != n:
+            raise ValueError(f"det: nvars mismatch ({n} vs {s.nvars})")
+        if D is None:
+            D = degree
+        elif degree != D:
+            raise ValueError(f"det: truncation degree mismatch ({D} vs {degree}); "
+                             "align with truncate()")
+    if size == 1:
+        return rows[0][0] if entries[0][1] is None else linear_combination([(1, *entries[0])])
+    tables: dict = {}  # digit width -> the falling factorial tables of _derived
+    pieces = []  # each entry's (piece, digit width), the piece None when it vanishes
+    for s, xi in entries:
+        if xi is not None and any(xi):
+            keys, nums = _derived(s, tuple(xi), s._shift, 1, tables.setdefault(s._shift, {}))
+        else:
+            keys, nums = s._keys, s._nums
+        pieces.append(((keys, nums, s._den) if keys else None, s._shift))
+    piece, shift = _det_of_pieces([pieces[i:i + size] for i in range(0, size * size, size)], n, D)
+    return TruncatedSeries._from_piece(n, D, shift, piece)
+
+
+def _det_of_pieces(rows: list, n: int, D: int) -> tuple:
+    """The cofactor determinant of a matrix of ``(piece, digit width)`` entries as one
+    ``(piece, digit width)``: each level one :func:`_sum_of_products` at degree D of its live
+    signed pairs, at the widest digit width of D and of their factors."""
+    size = len(rows)
     if size == 1:
         return rows[0][0]
-    cofactors = [(rows[0][j], det([[row[c] for c in range(size) if c != j] for row in rows[1:]]))
-                 for j in range(size)]
-    if not all(isinstance(v, TruncatedSeries) for row in rows for v in row):
-        return sum(-a * m if j % 2 else a * m for j, (a, m) in enumerate(cofactors))
-    first = rows[0][0]
-    n, D = first.nvars, first.trunc_degree
-    for v in (v for row in rows for v in row):
-        first._check_compatible(v, "det")
-    live = [(j, a, m) for j, (a, m) in enumerate(cofactors) if a._keys and m._keys]
-    shift = max([_shift_for(D)] + [s._shift for _, a, m in live for s in (a, m)])
-    pairs = [((a._keys_at(shift), [-v for v in a._nums] if j % 2 else a._nums, a._den),
-              (m._keys_at(shift), m._nums, m._den)) for j, a, m in live]
-    return TruncatedSeries._from_piece(n, D, shift, _sum_of_products(pairs, shift * n, D))
+    live = []
+    for j, (a, a_shift) in enumerate(rows[0]):
+        if a is None:
+            continue
+        m, m_shift = _det_of_pieces([row[:j] + row[j + 1:] for row in rows[1:]], n, D)
+        if m is not None:
+            live.append((j, a, a_shift, m, m_shift))
+    shift = max([_shift_for(D)] + [w for _, _, a_w, _, m_w in live for w in (a_w, m_w)])
+    pairs = [((_repacked(a[0], n, a_shift, shift), [-v for v in a[1]] if j % 2 else a[1], a[2]),
+              (_repacked(m[0], n, m_shift, shift), m[1], m[2]))
+             for j, a, a_shift, m, m_shift in live]
+    return _sum_of_products(pairs, shift * n, D), shift
+
+
+def _repacked(keys: list, n: int, old: int, shift: int) -> list:
+    """Packed keys of digit width ``old`` repacked at width ``shift`` (at least ``old``)."""
+    return keys if old == shift else [_pack(_unpack(k, n, old), shift) for k in keys]

@@ -55,6 +55,19 @@ read the slot from the packed key: the exponent tuple unpacked and searched.
 ``spec_record_via_fraction`` is ``PotentialSpec.to_record`` as it was, with
 one ``Fraction`` built per value, and ``to_xz_remap_then_compose`` is
 ``GeometryPack.to_xz`` as two steps: y = x by a remap, then the composition.
+
+``invert_theta_lin_rest`` is ``potential.invert_theta`` as it was before the
+solve took theta and the Hessian inverse itself: it builds lin = H^-1 t and
+rest = z - H^-1 theta as 2n series with ``linear_combination`` and a full
+``variables`` list, and ``fixed_point_lin_rest`` re-splits them with
+``_graded_pieces`` and pays one ``_sum_of_products`` per homogeneous piece.
+``round_trip_powers`` is the round-trip check of ``GeometryPack.z_of_theta``
+on that inversion, with every variable built, and returns the z-powers it
+composed; ``build_delta0_jacobian_series`` is ``potential.build_delta0`` with
+the n^2 Jacobian entries built as ``diff`` series first; ``derived_full_scan``
+is ``series._derived`` scanning every key, below ``|xi|`` too; and
+``amplitude_truncated_delta0`` is ``GeometryPack.amplitude`` multiplying by a
+truncated copy of Delta0, with no table of earlier amplitudes.
 """
 
 import cmath
@@ -68,9 +81,13 @@ from bergman.series import (
     TruncatedSeries,
     _add_products,
     _add_square,
+    _graded_pieces,
     _pack,
     _shift_for,
+    _sorted_piece,
+    _sum_of_products,
     _unpack,
+    close_power_chain,
     det,
     exponents_of_degree,
     linear_combination,
@@ -650,3 +667,122 @@ def nonpositive_minor_cofactor(rows, shift=0):
     every leading minor a cofactor ``det``."""
     rows = [[v - shift * (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows)]
     return next((s for s in range(1, len(rows) + 1) if det([r[:s] for r in rows[:s]]) <= 0), 0)
+
+
+# -- the phase solve, its check and Delta0 before the solve read theta itself -------
+
+
+def fixed_point_lin_rest(lin, rest):
+    """``series.fixed_point`` as it was: the z with ``z_u = lin_u + rest_u(v, z)``, its
+    inputs split by ``_graded_pieces`` and one ``_sum_of_products`` per new piece."""
+    N, D, n = lin[0].nvars, lin[0].trunc_degree, len(lin)
+    shift = max(s._shift for s in (*lin, *rest))
+    width = shift * N
+    units = [unit(n, j) for j in range(n)]
+    zero = (0,) * n
+    top = dict.fromkeys(units, D)
+    terms = []
+    for lin_u, rest_u in zip(lin, rest):
+        su = [(zero, e, 0, p) for e, p in _graded_pieces(lin_u, N, shift).get((), {}).items()]
+        for gamma, parts in _graded_pieces(rest_u, N - n, shift).items():
+            size = sum(gamma)
+            su += [(gamma, e, size, p) for e, p in parts.items()]
+            if size > 1:
+                top[gamma] = max(top.get(gamma, 0), D - min(parts))
+        if any(e == 0 and size <= 1 for _, e, size, _ in su):
+            raise ValueError("fixed_point: the solve is implicit")
+        terms.append(su)
+    close_power_chain(top)
+    pieces = {gamma: [None] * sum(gamma) for gamma in top}
+    pieces[zero] = [([0], [1], 1)] + [None] * D
+    higher = [(gamma, size, top[gamma], *power_step(gamma))
+              for gamma in top if (size := sum(gamma)) > 1]
+    for d in range(1, D + 1):
+        for gamma, size, last, j, lower in higher:
+            if size <= d <= last:
+                pz, pl = pieces[units[j]], pieces[lower]
+                if pl is pz:
+                    pairs = [((p[0], [2 * v for v in p[1]], p[2]), q)
+                             for k in range(1, (d + 1) // 2) if (p := pz[k]) and (q := pz[d - k])]
+                    if d % 2 == 0 and (p := pz[d // 2]):
+                        pairs.append((p, p))
+                else:
+                    pairs = [(pl[k], pz[d - k]) for k in range(size - 1, d)
+                             if pl[k] and pz[d - k]]
+                pieces[gamma].append(_sum_of_products(pairs, width, None) if pairs else None)
+        for u, su in zip(units, terms):
+            pairs = [(part, p) for gamma, e, size, part in su
+                     if d - e >= size and (p := pieces[gamma][d - e])]
+            pieces[u].append(_sum_of_products(pairs, width, None) if pairs else None)
+    one = pieces[zero][0]
+    z = [_sum_of_products([(one, p) for p in pieces[u][1:]], width, None) for u in units]
+    return [TruncatedSeries._from_piece(N, D, shift, _sorted_piece(p)) for p in z]
+
+
+def invert_theta_lin_rest(theta):
+    """``potential.invert_theta`` building lin and rest as series for ``fixed_point_lin_rest``."""
+    from bergman.potential import _hessian_inverse
+
+    n3 = theta[0].nvars
+    n = n3 // 3
+    D = theta[0].trunc_degree
+    hinv = _hessian_inverse([[theta[i][unit(n3, 2 * n + j)] for j in range(n)] for i in range(n)])
+    zvars = TruncatedSeries.variables(n3, D)[2 * n:]
+    lin = [linear_combination([(h, t) for h, t in zip(row, zvars) if h]) for row in hinv]
+    rest = [linear_combination([(1, z_u)] + [(-h, t) for h, t in zip(row, theta) if h])
+            for z_u, row in zip(zvars, hinv)]
+    return fixed_point_lin_rest(lin, rest)
+
+
+def round_trip_powers(theta):
+    """The z-powers the round-trip check composes theta through, on the inversion of
+    ``invert_theta_lin_rest`` and a full list of variables; a failed check is an error."""
+    z = invert_theta_lin_rest(theta)
+    n3, D = z[0].nvars, z[0].trunc_degree
+    n = n3 // 3
+    ids = TruncatedSeries.variables(n3, D)
+    powers = {}
+    if [t.compose(ids[:2 * n] + list(z), cache=powers) for t in theta] != ids[2 * n:]:
+        raise ArithmeticError("phase inversion failed the round-trip identity")
+    return powers
+
+
+def build_delta0_jacobian_series(geom):
+    """``potential.build_delta0`` with the Jacobian dw/dtheta built as n^2 ``diff`` series."""
+    n = geom.n
+    w = [geom.substitute_z(g) for g in geom.psi_x_yz]
+    return det([[wi.diff(unit(3 * n, 2 * n + j)) for j in range(n)] for wi in w])
+
+
+def derived_full_scan(s, xi, shift, scale, tables):
+    """``series._derived`` reading every key, those below degree ``|xi|`` too."""
+    keys, nums = s._keys_at(shift), s._nums
+    if xi is None:
+        return keys, nums if scale == 1 else [v * scale for v in nums]
+    n, mask = s.nvars, (1 << shift) - 1
+    for d in xi:
+        if d and d not in tables:
+            tables[d] = [perm(e, d) for e in range(mask + 1)]
+    (first, falling), *rest = [(shift * (n - 1 - i), tables[d]) for i, d in enumerate(xi) if d]
+    if scale != 1:
+        falling = [f * scale for f in falling]
+    step = _pack(xi, shift)
+    out_keys, out_nums = [], []
+    for key, value in zip(keys, nums):
+        f = falling[key >> first & mask]
+        if f:
+            for offset, table in rest:
+                f *= table[key >> offset & mask]
+                if not f:
+                    break
+            else:
+                out_keys.append(key - step)
+                out_nums.append(value * f)
+    return out_keys, out_nums
+
+
+def amplitude_truncated_delta0(geom, b):
+    """``(b o z) * Delta0`` as ``GeometryPack.amplitude`` made it: Delta0 truncated to the
+    degree of ``b o z`` first, and no table of earlier amplitudes read."""
+    comp = geom.substitute_z(b)
+    return comp * geom.delta0_xytheta.truncate(comp.trunc_degree)

@@ -35,16 +35,20 @@ from bergman.potential import (
 from bergman.series import TruncatedSeries, exponents_of_degree, mul_trunc, unit
 from bergman.transport import first_amplitude, reconstruct_coefficients, transport_chain
 from oracles import (
+    amplitude_truncated_delta0,
     amplitudes_recomputed,
+    build_delta0_jacobian_series,
     collapses_recomputed,
     cramer_inverse,
     delta0_jacobian_product,
     delta0_quotient,
     diagonal_pullback_w_table,
+    invert_theta_lin_rest,
     invert_theta_pieces,
     invert_theta_sweeps,
     nonpositive_minor_cofactor,
     remap_variables_unpacked,
+    round_trip_powers,
     segment_average_oracle,
     segment_average_per_split,
     spec_record_via_fraction,
@@ -377,10 +381,10 @@ class TestInvertTheta:
         add_products, add_square = series._add_products, series._add_square
         sides = []
 
-        def spy(acc, a_terms, b_keys, b_nums, width, out_degree):
+        def spy(acc, a_terms, b_keys, b_nums, *args):
             a_terms = list(a_terms)
             sides.append((len(a_terms), len(b_keys)))
-            add_products(acc, a_terms, b_keys, b_nums, width, out_degree)
+            add_products(acc, a_terms, b_keys, b_nums, *args)
 
         def square_spy(acc, keys, nums, *args):
             sides.append((len(keys), len(keys)))
@@ -690,11 +694,12 @@ def test_pair_visits_of_the_dense_pipeline(monkeypatch):
     assert visits == [PAIR_VISITS]
 
 
-# TruncatedSeries.diff calls of the coefficient and transport pipeline: psi_x (n) and
-# the Jacobian of Delta0 (n^2).  The recursion's level sums, the transport's
-# divergences and its averaged y-gradients differentiate inside their own sum; a
-# derivative series built there again (27 and 34 before) fails the count.
-DIFF_CALLS = {"dense_1": 2, "chsc_3/5": 6}
+# TruncatedSeries.diff calls of the coefficient and transport pipeline: psi_x (n).
+# The recursion's level sums, the transport's divergences, its averaged y-gradients
+# and the Jacobian determinant of Delta0 differentiate inside their own sums; a
+# derivative series built there again (27 and 34 before, then 2 and 6 with the
+# Jacobian's n^2) fails the count.
+DIFF_CALLS = {"dense_1": 1, "chsc_3/5": 2}
 
 
 @pytest.mark.parametrize("name", sorted(DIFF_CALLS))
@@ -709,6 +714,116 @@ def test_diff_calls_of_the_pipeline(monkeypatch, name):
     monkeypatch.undo()
     assert recon == list(table.b)
     assert len(calls) == DIFF_CALLS[name]
+
+
+@st.composite
+def off_diagonal_hermitian_specs(draw, n):
+    """A drawn ``hermitian_specs(n)`` whose Hessian gains off-diagonal entries c[e_i, e_j] =
+    c[e_j, e_i] of size at most 1/(2n), so it stays positive definite (Gershgorin)."""
+    spec = draw(hermitian_specs(n))
+    coeffs = dict(spec.coeffs)
+    small = st.builds(F, st.integers(-1, 1), st.sampled_from([2 * n, 3 * n, 5 * n]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            coeffs[(unit(n, i), unit(n, j))] = coeffs[(unit(n, j), unit(n, i))] = draw(small)
+    return PotentialSpec(n, spec.trunc_degree, spec.eval_radius,
+                         {key: v for key, v in coeffs.items() if v})
+
+
+class TestPhaseLayersAgainstTheirEarlierBodies:
+    """The solve that reads theta and H^-1 itself, the round-trip check's z-powers, Delta0
+    with no Jacobian series and the amplitude cut at its own degree, against the bodies
+    they had before (``oracles``), field by field."""
+
+    @staticmethod
+    def _assert_same_layers(spec):
+        geom = build_geometry(spec)
+        assert [_fields(z) for z in invert_theta(geom.theta)] == [
+            _fields(z) for z in invert_theta_lin_rest(geom.theta)]
+        want = round_trip_powers(geom.theta)
+        geom.z_of_theta
+        assert sorted(geom.z_powers) == sorted(want)
+        assert all(_fields(p) == _fields(want[gamma]) for gamma, p in geom.z_powers.items())
+        assert _fields(geom.delta0_xytheta) == _fields(
+            build_delta0_jacobian_series(build_geometry(spec)))
+        return geom
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_JOBS))
+    def test_benchmark_jobs(self, name):
+        make, order = BENCHMARK_JOBS[name]
+        geom = self._assert_same_layers(make())
+        for b in bergman_coefficients(geom, order).b[1:]:
+            assert _fields(geom.amplitude(b)) == _fields(amplitude_truncated_delta0(geom, b))
+
+    @pytest.mark.parametrize("spec", [non_radial_n2_spec(8), holomorphic_spec(10),
+                                      hessian_spec(ROTATED), preset_chsc(3, F(-1, 3), 7)],
+                             ids=["n2", "holomorphic", "rotated_hessian", "chsc_n3"])
+    def test_fixed_specs(self, spec):
+        self._assert_same_layers(spec)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_drawn_hermitian_specs(self, n, data):
+        spec = data.draw(off_diagonal_hermitian_specs(n))
+        spec.validate()
+        self._assert_same_layers(spec)
+
+    def test_the_check_never_reads_the_solves_table(self, monkeypatch):
+        # A piece the solve keeps, [z_1^2]_2, is corrupted after it is made: the powers
+        # of z read it, so z comes out wrong.  The check composes theta through powers
+        # that mul_trunc builds from that z alone, so it fails; a check that read the
+        # solve's own table would agree with the wrong z and pass.
+        spec = preset_chsc(2, F(3, 5), 8)
+        solve, sums = series.fixed_point, series._sum_of_products
+        state = {"solving": False, "calls": 0}
+
+        def corrupting(pairs, width, out_degree):
+            piece = sums(pairs, width, out_degree)
+            if state["solving"] and piece:
+                state["calls"] += 1
+                if state["calls"] == 3:  # after the n = 2 pieces of [z]_1: the first power
+                    keys, nums, den = piece
+                    return keys, [nums[0] + den] + nums[1:], den
+            return piece
+
+        def solving(hinv, theta):
+            state.update(solving=True, calls=0)
+            try:
+                return solve(hinv, theta)
+            finally:
+                state["solving"] = False
+
+        monkeypatch.setattr(series, "_sum_of_products", corrupting)
+        monkeypatch.setattr(series, "fixed_point", solving)
+        monkeypatch.setattr(potential, "fixed_point", solving)
+        geom = build_geometry(spec)
+        assert invert_theta(geom.theta) != invert_theta_lin_rest(geom.theta)
+        with pytest.raises(ArithmeticError, match="round-trip"):
+            geom.z_of_theta
+        assert "z_of_theta" not in vars(geom) and geom.z_powers == {}
+
+
+# TruncatedSeries.__init__ calls (the validating constructor) of the same pipeline:
+# polarize alone.  Variables, constants and every operation store trusted pieces; the
+# phase built 35 a chsc job and 19 a dense one when the variables it threw away were
+# validated too.
+CONSTRUCTOR_CALLS = {name: 1 for name in BENCHMARK_JOBS}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTOR_CALLS))
+def test_validating_constructor_calls_of_the_pipeline(monkeypatch, name):
+    calls = []
+    init = TruncatedSeries.__init__
+    monkeypatch.setattr(TruncatedSeries, "__init__",
+                        lambda s, *args, **kw: calls.append(args) or init(s, *args, **kw))
+    make, order = BENCHMARK_JOBS[name]
+    geom = build_geometry(make())
+    table = amplitude_from_b(bergman_coefficients(geom, order), geom)
+    recon = reconstruct_coefficients(geom, transport_chain(geom, order))
+    monkeypatch.undo()
+    assert recon == list(table.b)
+    assert len(calls) == CONSTRUCTOR_CALLS[name]
 
 
 @pytest.mark.parametrize("n, top", [(1, 180), (2, 27), (3, 15)])
@@ -1167,6 +1282,60 @@ class TestInvariances:
         assert [_fields(bm) for bm in bergman_coefficients(gauged_geom, order).b] == [
             _fields(bm) for bm in b
         ]
+
+    # F(u) = u + u^2/3 at n=1; F(u) = (u_1 + u_2^2/3, u_2 - u_1 u_2/2) at n=2
+    COORDINATES = {
+        "dense": (lambda: dense_spec(14), 6, [{(1,): F(1), (2,): F(1, 3)}]),
+        "n2": (lambda: non_radial_n2_spec(10), 4,
+               [{(1, 0): F(1), (0, 2): F(1, 3)}, {(0, 1): F(1), (1, 1): F(-1, 2)}]),
+    }
+
+    @staticmethod
+    def _pulled_back(f, maps, degree):
+        """f(F(u), F(v)) for f in (x, z) blocks, as a series in (u, v) blocks: x = F(u) and
+        z = F(v), F with real coefficients, so that conj(F(u)) = F(conj(u))."""
+        n = len(maps)
+        pad = (0,) * n
+        args = [TruncatedSeries(2 * n, degree, {e + pad: c for e, c in m.items()}) for m in maps]
+        args += [TruncatedSeries(2 * n, degree, {pad + e: c for e, c in m.items()}) for m in maps]
+        return f.compose(args)
+
+    def _coordinate_pairs(self, name):
+        """(b_m of the spec of psi o (F, conj F), b_m o (F, conj F)) through each effective
+        degree D - 2m - 2, and the geometry of the pulled-back spec."""
+        make, order, maps = self.COORDINATES[name]
+        spec = make()
+        n, D = spec.n, spec.trunc_degree
+        psi = self._pulled_back(polarize(spec), maps, D)
+        pulled = PotentialSpec(n, D, spec.eval_radius,
+                               {(k[:n], k[n:]): v for k, v in psi.coeffs.items()})
+        pulled.validate()
+        b = bergman_coefficients(build_geometry(spec), order).b
+        geom = build_geometry(pulled)
+        got = bergman_coefficients(geom, order).b
+        pairs = [(g.truncate(D - 2 * m - 2), self._pulled_back(bm, maps, bm.trunc_degree)
+                  .truncate(D - 2 * m - 2)) for m, (g, bm) in enumerate(zip(got, b))]
+        return pairs, geom, order
+
+    @pytest.mark.parametrize("name", sorted(COORDINATES))
+    def test_holomorphic_coordinates(self, name):
+        """For x = F(u), F(u) = u + O(u^2) polynomial with real coefficients, the potential
+        phi o F has the coefficients b_m o (F, conj F): the measure det phi_(x conj x)
+        d lambda does not depend on the coordinates, so each b_m is a function.  Compared
+        through each effective degree D - 2m - 2."""
+        pairs, _, _ = self._coordinate_pairs(name)
+        assert sum(len(got.coeffs) for got, _ in pairs) > 4 * len(pairs)  # not vacuous
+        assert [got for got, _ in pairs] == [want for _, want in pairs]
+
+    def test_coordinates_catch_a_squared_delta0_that_the_cross_check_misses(self, monkeypatch):
+        # Delta0 -> Delta0^2 enters both coefficient routes alike, so the transport
+        # reconstruction still equals b; the coordinate change at n=2 sees it
+        build = potential.build_delta0
+        monkeypatch.setattr(potential, "build_delta0", lambda geom: build(geom) * build(geom))
+        pairs, geom, order = self._coordinate_pairs("n2")
+        b = bergman_coefficients(geom, order).b
+        assert reconstruct_coefficients(geom, transport_chain(geom, order)) == list(b)
+        assert [m for m, (got, want) in enumerate(pairs) if got != want] != []
 
     def test_gauge_catches_a_phase_without_its_z_free_terms(self, monkeypatch):
         # psi_x(y, z) has z-free terms only from pluriharmonic ones; averaging

@@ -6,12 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bergman.series import (
     TruncatedSeries,
     _add_products,
+    _derived,
     _graded_pieces,
     _shift_for,
     _sum_of_products,
@@ -29,7 +30,9 @@ from bergman.series import (
 )
 from oracles import (
     bare_variable_unpacked,
+    cramer_inverse,
     close_power_chain_rescan,
+    derived_full_scan,
     det_cofactor,
     diff_per_term,
     eval_oracle,
@@ -1149,6 +1152,87 @@ class TestFusedDerivatives:
             y_gradient_average([(1, f3)], 2)
 
 
+class TestDerivativesInsideOtherSums:
+    """The derivative scan that starts at degree |xi|, and ``det`` of ``(s, xi)`` entries,
+    against the full scan (``oracles``) and ``det`` of derivative series, field by field."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_scan_from_degree_xi(self, kind, data):
+        nvars, degree = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 6))
+        f = _widened(TruncatedSeries(nvars, degree, data.draw(coefficient_map(nvars, degree, kind))),
+                     data.draw(st.booleans()))
+        xi = data.draw(st.tuples(*[st.integers(0, 3)] * nvars).filter(any))
+        shift = f._shift + data.draw(st.integers(0, 1))
+        scale = data.draw(st.sampled_from([1, -2, 7]))
+        assert _derived(f, xi, shift, scale, {}) == derived_full_scan(f, xi, shift, scale, {})
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_det_of_derivative_entries(self, kind, data):
+        size, nvars, degree = (data.draw(st.integers(*b)) for b in ((1, 3), (1, 3), (0, 4)))
+        rows, series_rows = [], []
+        for _ in range(size):
+            row, series_row = [], []
+            for _ in range(size):
+                xi = data.draw(st.tuples(*[st.integers(0, 1)] * nvars))
+                d = degree + sum(xi)
+                entry = TruncatedSeries(nvars, d, data.draw(coefficient_map(nvars, d, kind)))
+                entry = _widened(entry, data.draw(st.booleans()))
+                row.append((entry, xi) if data.draw(st.booleans()) or any(xi) else entry)
+                series_row.append(diff_per_term(entry, xi) if any(xi) else entry)
+            rows.append(row)
+            series_rows.append(series_row)
+        assert _fields(det(rows)) == _fields(det(series_rows))
+
+    def test_det_refuses_derivatives_of_other_degrees(self):
+        f3, f4 = TruncatedSeries.one(2, 3), TruncatedSeries.one(2, 4)
+        with pytest.raises(ValueError, match="truncation degree"):
+            det([[(f3, (1, 0)), f3], [f3, f3]])
+        assert det([[(f4, (1, 0)), f3], [f3, (f4, (0, 1))]]) == TruncatedSeries.zero(2, 3) - 1
+        with pytest.raises(ValueError, match="nvars"):
+            det([[f3, TruncatedSeries.one(1, 3)], [f3, f3]])
+
+
+class TestTrustedConstants:
+    """Variables and constants store their one piece directly: field-equal to the validating
+    constructor, and refused where it refuses."""
+
+    @pytest.mark.parametrize("nvars, degree", [(1, 0), (1, 1), (2, 7), (3, 8), (6, 11), (4, 16)])
+    def test_field_equal_to_the_constructor(self, nvars, degree):
+        for i in range(nvars):
+            assert _fields(TruncatedSeries.variable(nvars, degree, i)) == _fields(
+                TruncatedSeries(nvars, degree, {unit(nvars, i): 1}))
+        assert [_fields(v) for v in TruncatedSeries.variables(nvars, degree, range(1, nvars))] == [
+            _fields(TruncatedSeries(nvars, degree, {unit(nvars, i): 1})) for i in range(1, nvars)]
+        for value in (0, 1, -3, F(2, 6), F(0)):
+            assert _fields(TruncatedSeries.constant(nvars, degree, value)) == _fields(
+                TruncatedSeries(nvars, degree, {(0,) * nvars: value}))
+        assert _fields(TruncatedSeries.one(nvars, degree)) == _fields(
+            TruncatedSeries(nvars, degree, {(0,) * nvars: 1}))
+        assert _fields(TruncatedSeries.zero(nvars, degree)) == _fields(
+            TruncatedSeries(nvars, degree, {}))
+
+    @pytest.mark.parametrize("i", [-1, 3, 7])
+    def test_a_slot_outside_the_variables_is_refused(self, i):
+        with pytest.raises(ValueError):
+            TruncatedSeries.variable(3, 4, i)
+        with pytest.raises(ValueError):
+            TruncatedSeries.variables(3, 4, [0, i])
+
+    def test_bad_sizes_and_values_are_refused(self):
+        for make in (lambda n, d: TruncatedSeries.variable(n, d, 0), TruncatedSeries.zero,
+                     TruncatedSeries.one, lambda n, d: TruncatedSeries.constant(n, d, 2)):
+            with pytest.raises(ValueError, match="trunc_degree"):
+                make(2, -1)
+            with pytest.raises(ValueError, match="nvars"):
+                make(0, 3)
+        with pytest.raises(TypeError, match="exact"):
+            TruncatedSeries.constant(2, 3, 0.5)
+
+
 # wide numerators over the large primes: conversions to float must round
 WIDE = st.builds(Fraction, st.integers(-(2**80), 2**80), st.sampled_from(LARGE_PRIMES))
 POINT_VALUES = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False)
@@ -1253,9 +1337,9 @@ class TestStructure:
         assert g == TruncatedSeries(3, 3, {(2, 0, 1): 5})
 
     def test_fixed_point_of_a_geometric_series(self):
-        # z = t + x z in (x, t) blocks is z = t / (1 - x)
+        # theta = z - x z in (x, z) blocks, H = 1, inverts to z = t / (1 - x)
         x, t = TruncatedSeries.variables(2, 6)
-        (z,) = fixed_point([t], [x * t])
+        (z,) = fixed_point([[1]], [t - x * t])
         assert z == TruncatedSeries(2, 6, {(k, 1): 1 for k in range(6)})
         assert z == t + x * z
 
@@ -1263,10 +1347,13 @@ class TestStructure:
         (1, 0, 0), (0, 1, 0), (0, 0, 1),
     ], ids=["lin_constant", "rest_constant", "rest_linear_constant"])
     def test_fixed_point_refuses_an_implicit_solve(self, lin_constant, rest_constant, rest_linear):
+        # z = (t + lin_constant) + (x z + rest_constant + rest_linear z) is theta = t for
+        # theta = (1 - rest_linear) z - x z - lin_constant - rest_constant and hinv = [[1]]:
+        # a constant term of theta, or an hinv that does not invert its z-linear part
         x, t = TruncatedSeries.variables(2, 6)
-        lin, rest = t + lin_constant, x * t + rest_constant + rest_linear * t
+        theta = (1 - rest_linear) * t - x * t - lin_constant - rest_constant
         with pytest.raises(ValueError, match="implicit"):
-            fixed_point([lin], [rest])
+            fixed_point([[1]], [theta])
 
     def test_exponent_enumeration(self):
         assert list(exponents_of_degree(2, 2)) == [(2, 0), (1, 1), (0, 2)]
@@ -1421,14 +1508,19 @@ class TestOneReductionPerResult:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_fixed_points_store_reduced_pieces(self, kind, data):
-        # z_u = lin_u + rest_u(v, z): lin of valuation >= 1, rest of valuation >= 2,
-        # so no coefficient of rest with |gamma| <= 1 has a constant term
+        # theta_u = (H z)_u + a v-linear part + terms of valuation >= 2, H invertible
         n, v, degree = (data.draw(st.integers(*b)) for b in ((1, 2), (1, 2), (2, 5)))
-        lin = [TruncatedSeries(v + n, degree, data.draw(coefficient_map(v + n, degree, kind, 1)))
-               for _ in range(n)]
-        rest = [TruncatedSeries(v + n, degree, data.draw(coefficient_map(v + n, degree, kind, 2)))
-                for _ in range(n)]
-        z = fixed_point(lin, rest)
+        entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+        hess = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
+        assume(det(hess) != 0)
+        theta = []
+        for row in hess:
+            f = data.draw(coefficient_map(v + n, degree, kind, 1))
+            f = {k: c for k, c in f.items() if sum(k) > 1 or not any(k[v:])}
+            f.update({unit(v + n, v + j): h for j, h in enumerate(row) if h})
+            theta.append(TruncatedSeries(v + n, degree, f))
+        z = fixed_point(cramer_inverse(hess), theta)
         assert all(_reduced(s) for s in z)
-        for zu, lu, ru in zip(z, lin, rest):
-            assert zu == lu + ru.compose(TruncatedSeries.variables(v + n, degree)[:v] + z)
+        ids = TruncatedSeries.variables(v + n, degree)
+        for u, t in enumerate(theta):
+            assert t.compose(ids[:v] + z) == ids[v + u]
