@@ -8,8 +8,9 @@ Three independent probes of how fast the coefficients can grow:
 * :func:`worst_case_norm_table` runs the equality case of the recursive
   norm inequality with unit constant in exact big-integer arithmetic, which
   is where the factorial-squared floor comes from; its five-fold sum is
-  evaluated in factored form, as an integer kernel per order (built from
-  the weights W) applied to cached partial sums T of earlier orders,
+  evaluated in factored form, as an integer kernel per order (its weights W
+  summed by degree) applied to cached partial sums T of earlier orders, on
+  indices packed into ints, each with one list of its sub-indices,
 * :func:`truncation_minimizer` and :func:`exp_factorial_bound_check` verify
   the two elementary facts behind the optimal truncation order: the scan of
   ``C^m (m!)^2 / k^m`` is unimodal with minimum near sqrt(k/C), and
@@ -22,9 +23,12 @@ rationals.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lgamma
+from operator import mul
 from typing import Iterable
 
 from .coefficients import NormTable
@@ -116,10 +120,11 @@ def fit_growth(norms: NormTable, model: str = "m_factorial_sq") -> GrowthFit:
 # -- worst case equality recursion -------------------------------------------
 
 
-# Largest (M, Kmax) per n for worst_case_norm_table.  The table at each
-# corner took 0.33-0.82 s on a 2-CPU x86_64 VM under Python 3.11; one step
-# past a corner, (1,28,32), (2,12,12), (3,7,8) and (4,5,6) took 0.94-1.8 s.
-WORST_CASE_LIMITS = {1: (24, 28), 2: (10, 12), 3: (6, 10), 4: (4, 8), 5: (4, 4)}
+# Largest (M, Kmax) per n for worst_case_norm_table, about a quarter second each, so the
+# two cheapest (n = 2, 4) run in the tests in about 0.5 s.  On a 2-CPU x86_64 VM, Python
+# 3.11.7, best of 5 in two sets: corners 0.15-0.33 s; M + 1 0.18-0.29 s (n=1), 0.31-0.48,
+# 0.50-0.69, 0.72-1.05 and 0.87-0.91 s (n=5); Kmax + 1 0.16-0.41 s.
+WORST_CASE_LIMITS = {1: (30, 32), 2: (12, 20), 3: (7, 15), 4: (5, 14), 5: (5, 5)}
 # Largest len(deltas) * (n_max + 1) * k_max for exp_factorial_bound_check: at
 # the limit the sweep took 0.20 s (n_max = 20) to 0.90 s (n_max = 0, where the
 # per-k log dominates) on the same VM.
@@ -155,7 +160,7 @@ def worst_case_norm_table(n: int, M: int, Kmax: int) -> dict:
                       binom(alpha + g 1, g 1) binom(beta + g 1, g 1),
 
     the order-l kernel K_l(gamma) = sum_{|delta|=l} delta! W(delta, |gamma|)
-    / gamma! is built once per call, and
+    / gamma! is built once per call (see :func:`_order_kernel`), and
 
         value(m, xi) = sum_{xi0 <= xi} xi! / xi0! T(m, xi0),
         T(m, eta)    = sum_{l=1..m} sum_{|gamma| <= 2l} K_l(gamma)
@@ -166,6 +171,11 @@ def worst_case_norm_table(n: int, M: int, Kmax: int) -> dict:
     value(p, gamma + xi0) for each xi, lets one T serve every xi >= eta.
     Kernels are held multiplied by (2M)!, which every gamma! divides, so the
     sums run in integers and each value is one exact integer division.
+
+    Indices are ints with digits in base Kmax + 2M + 1, above every entry the
+    recursion reaches, so gamma + eta is one add; the caches are one dict per order,
+    each xi gets one list of (xi0, xi! / xi0!) for every order, and the term l = m
+    of T is read off value(0, .) = [. == 0].  Every cache lives for one call.
     """
     if n < 1 or M < 0 or Kmax < 0:
         raise ValueError("need n >= 1, M >= 0, Kmax >= 0")
@@ -176,74 +186,64 @@ def worst_case_norm_table(n: int, M: int, Kmax: int) -> dict:
             + ", ".join(f"n={k}: M <= {m}, Kmax <= {K}" for k, (m, K) in WORST_CASE_LIMITS.items())
         )
     scale = math.factorial(2 * M)
-    kernels = {l: _order_kernel(n, l, scale) for l in range(1, M + 1)}
-    values: dict = {}
-    totals: dict = {}
-    zero = (0,) * n
+    base = Kmax + 2 * M + 1
+    places = [base**i for i in range(n - 1, -1, -1)]
+    kernels = [None] + [[(sum(map(mul, places, g)), c) for g, c in _order_kernel(n, l, scale)]
+                        for l in range(1, M + 1)]
+    values: list = [{} for _ in range(M + 1)]  # per order m >= 1: xi -> value(m, xi)
+    totals: list = [{} for _ in range(M + 1)]  # per order m >= 1: eta -> scale * T(m, eta)
+    subs: dict = {}  # xi -> [(xi0, xi! / xi0!) for xi0 <= xi]
 
-    def total(m: int, eta) -> int:
-        """scale * T(m, eta)."""
-        key = (m, eta)
-        hit = totals.get(key)
-        if hit is None:
-            hit = sum(
-                c * value(m - l, tuple(g + e for g, e in zip(gamma, eta)))
-                for l in range(1, m + 1)
-                for gamma, c in kernels[l]
-            )
-            totals[key] = hit
+    def total(m: int, eta: int) -> int:
+        hit = kernels[m][0][1] if eta == 0 else 0
+        for l in range(1, m):
+            p, known = m - l, values[m - l]
+            for gamma, c in kernels[l]:
+                v = known.get(gamma + eta)
+                hit += c * (value(p, gamma + eta) if v is None else v)
+        totals[m][eta] = hit
         return hit
 
-    def value(m: int, xi) -> int:
-        if m == 0:
-            return 1 if xi == zero else 0
-        key = (m, xi)
-        hit = values.get(key)
-        if hit is None:
-            xi_fact = multi_factorial(xi)
-            acc = sum(
-                xi_fact // multi_factorial(xi0) * total(m, xi0) for xi0 in sub_indices(xi)
-            )
-            hit = values[key] = acc // scale
+    def value(m: int, xi: int) -> int:
+        terms = subs.get(xi)
+        if terms is None:
+            terms, rest = [(0, 1)], xi
+            for place in reversed(places):
+                rest, digit = divmod(rest, base)
+                column = [(j * place, math.perm(digit, digit - j)) for j in range(digit + 1)]
+                terms = [(a + b, c * f) for a, c in terms for b, f in column]
+            subs[xi] = terms
+        t = totals[m]
+        values[m][xi] = hit = sum(c * (t[x] if x in t else total(m, x)) for x, c in terms) // scale
         return hit
 
-    out = {}
-    for m in range(M + 1):
-        for k in range(Kmax + 1):
-            xi = (k,) + (0,) * (n - 1)
-            out[(m, k)] = Fraction(value(m, xi))
-    return out
+    return {(m, k): Fraction(value(m, k * places[0]) if m else int(k == 0))
+            for m in range(M + 1) for k in range(Kmax + 1)}
 
 
 def _order_kernel(n: int, l: int, scale: int) -> list:
-    """Pairs (gamma, scale * K_l(gamma)) for |gamma| <= 2l.
+    """Pairs (gamma, scale * K_l(gamma)) for |gamma| <= 2l, in degree order.
 
-    ``scale`` must be a multiple of (2l)!, so every entry is an integer.
+    ``scale`` must be a multiple of (2l)!, so every entry is an integer.  W(delta, g) is
+    sum_{d + d' >= g} S_g(d) S_g(d'), S_g(d) = sum_{alpha <= delta, |alpha| = d} binom(alpha
+    + g 1, g 1): one pass over the alpha and a suffix sum.  W and delta! see only the
+    multiset of delta's entries, so each is weighed once, times its number of orderings.
     """
     weights = [0] * (2 * l + 1)  # sum_{|delta|=l} delta! W(delta, g)
-    for delta in exponents_of_degree(n, l):
-        subs = [(sum(a), a) for a in sub_indices(delta)]
-        delta_fact = multi_factorial(delta)
+    for delta, count in Counter(tuple(sorted(d)) for d in exponents_of_degree(n, l)).items():
+        subs = [(sum(alpha), alpha) for alpha in sub_indices(delta)]
+        delta_fact = count * multi_factorial(delta)
         for g in range(2 * l + 1):
-            weights[g] += delta_fact * sum(
-                _ones_binomial(alpha, g) * _ones_binomial(beta, g)
-                for deg_a, alpha in subs
-                for deg_b, beta in subs
-                if deg_a + deg_b >= g
-            )
+            by_degree = [0] * (l + 1)  # S_g(d)
+            for d, alpha in subs:
+                by_degree[d] += math.prod([math.comb(a + g, g) for a in alpha])
+            tail = list(accumulate(reversed(by_degree)))[::-1] + [0] * l  # sum_{d' >= d} S_g(d')
+            weights[g] += delta_fact * sum(s * tail[max(g - d, 0)] for d, s in enumerate(by_degree))
     return [
         (gamma, weights[g] * scale // multi_factorial(gamma))
         for g in range(2 * l + 1)
         for gamma in exponents_of_degree(n, g)
     ]
-
-
-def _ones_binomial(alpha, g: int) -> int:
-    """binom(alpha + g*ones, g*ones), componentwise product."""
-    out = 1
-    for a in alpha:
-        out *= math.comb(a + g, g)
-    return out
 
 
 # -- truncation rules ---------------------------------------------------------

@@ -52,7 +52,8 @@ that :func:`fixed_point` reads (:func:`_solve_parts`), which also keep one
 unreduced denominator per row of the Hessian inverse.  All keys of such a
 piece carry one degree digit d, and a product of degrees k and d - k with d
 at most the output degree is never cut, so the uncut pair loops need no
-order; each solve sorts once, when it sums its pieces into the result.
+order; each solve sorts once, when :func:`_joined` concatenates its pieces,
+which share no key, into the result.
 No other module reads the packed form: callers pass and get series.
 ``eval`` builds a float plan on first use: per term, in graded lexicographic
 order, ``complex(num / den)`` (correctly rounded, as ``complex(Fraction)``)
@@ -427,7 +428,7 @@ class TruncatedSeries:
 
         On the degree pieces [A]_e of :func:`_graded_pieces`: U_0 = 1/A_0 and
         U_d = -(1/A_0) sum_e [A]_e U_(d-e), each level one uncut :func:`_sum_of_products`,
-        and the levels summed by one more and sorted once, as in :func:`fixed_point`.
+        and the levels joined by :func:`_joined`, as in :func:`fixed_point`.
         """
         if self.constant_term == 0:
             raise ValueError("invert: constant term is zero")
@@ -441,9 +442,7 @@ class TruncatedSeries:
         for d in range(1, D + 1):
             levels.append(_sum_of_products(
                 [(p, levels[d - e]) for e, p in scaled.items() if e <= d], width, None))
-        one = ([0], [1], 1)
-        inverse = _sum_of_products([(one, p) for p in levels], width, None)
-        return TruncatedSeries._from_piece(n, D, shift, _sorted_piece(inverse))
+        return TruncatedSeries._from_piece(n, D, shift, _joined(levels))
 
     # -- calculus ----------------------------------------------------------
 
@@ -922,8 +921,9 @@ def fixed_point(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries]) -> l
 
     Every ``[P_gamma]_d`` and ``[z_u]_d`` the sweep makes is an unsorted
     homogeneous piece of degree d, and each product pairs degrees k and d - k
-    with d <= D, so the sums are uncut (``out_degree`` None, see Storage); each
-    z_u is sorted once, when its pieces are summed.
+    with d <= D, so the sums are uncut (``out_degree`` None, see Storage).  The
+    pieces of one z_u share no key, so :func:`_joined` sums them with no pair
+    loop, reduced once and sorted once.
     """
     N, D, n = theta[0].nvars, theta[0].trunc_degree, len(theta)
     for s in theta:
@@ -973,9 +973,7 @@ def fixed_point(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries]) -> l
             p = _sum_of_products(pairs, width, None) if pairs else None
             out.append(p)
             tw.append((p[0], [v + v for v in p[1]], p[2]) if p and 2 * d < D else None)
-    one = pieces[zero][0]
-    z = [_sum_of_products([(one, p) for p in pieces[u][1:]], width, None) for u in units]
-    return [TruncatedSeries._from_piece(N, D, shift, _sorted_piece(p)) for p in z]
+    return [TruncatedSeries._from_piece(N, D, shift, _joined(pieces[u][1:])) for u in units]
 
 
 def _solve_parts(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries], shift: int) -> list:
@@ -1064,6 +1062,16 @@ def _sorted_piece(piece):
     keys, nums, den = piece
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return [keys[i] for i in order], [nums[i] for i in order], den
+
+
+def _joined(pieces: list):
+    """The sum of pieces (see :func:`_piece`, None for zero) that share no key, such as
+    the levels of a solve: their terms over the lcm of their denominators, reduced once
+    and sorted once, with no pair loop."""
+    live = [p for p in pieces if p]
+    den = lcm(*[p[2] for p in live])
+    return _sorted_piece(_piece([k for p in live for k in p[0]],
+                                [v * (den // p[2]) for p in live for v in p[1]], den))
 
 
 def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int,

@@ -68,6 +68,17 @@ the n^2 Jacobian entries built as ``diff`` series first; ``derived_full_scan``
 is ``series._derived`` scanning every key, below ``|xi|`` too; and
 ``amplitude_truncated_delta0`` is ``GeometryPack.amplitude`` multiplying by a
 truncated copy of Delta0, with no table of earlier amplitudes.
+``joined_by_pair_loop`` is the sum of a solve's level pieces as
+``series.fixed_point`` and ``TruncatedSeries.invert`` made it before they
+joined them: one ``_sum_of_products`` of each piece with the one-term piece 1,
+so the pair loop visits every term once.
+
+``worst_case_norm_table_tuples`` and ``order_kernel_pair_loop`` are
+``growth.worst_case_norm_table`` and ``growth._order_kernel`` as they were
+before indices were packed: every index an exponent tuple, each lookup built
+by a ``zip`` of gamma and eta, each sub-index sum walked through
+``sub_indices`` with ``multi_factorial`` per (m, xi), and W(delta, g) as the
+double loop over pairs (alpha, beta) of sub-indices of every delta.
 """
 
 import cmath
@@ -786,3 +797,76 @@ def amplitude_truncated_delta0(geom, b):
     degree of ``b o z`` first, and no table of earlier amplitudes read."""
     comp = geom.substitute_z(b)
     return comp * geom.delta0_xytheta.truncate(comp.trunc_degree)
+
+
+# -- level sums and the worst case table before they were rewritten ------------
+
+
+def joined_by_pair_loop(pieces):
+    """The sum of level pieces sharing no key, through the pair loop, sorted once."""
+    one = ([0], [1], 1)
+    return _sorted_piece(_sum_of_products([(one, p) for p in pieces], 0, None))
+
+
+def worst_case_norm_table_tuples(n, M, Kmax):
+    """``growth.worst_case_norm_table`` on exponent tuples, without its guard."""
+    scale = factorial(2 * M)
+    kernels = {l: order_kernel_pair_loop(n, l, scale) for l in range(1, M + 1)}
+    values, totals = {}, {}
+    zero = (0,) * n
+
+    def total(m, eta):
+        key = (m, eta)
+        hit = totals.get(key)
+        if hit is None:
+            hit = sum(
+                c * value(m - l, tuple(g + e for g, e in zip(gamma, eta)))
+                for l in range(1, m + 1)
+                for gamma, c in kernels[l]
+            )
+            totals[key] = hit
+        return hit
+
+    def value(m, xi):
+        if m == 0:
+            return 1 if xi == zero else 0
+        key = (m, xi)
+        hit = values.get(key)
+        if hit is None:
+            xi_fact = multi_factorial(xi)
+            acc = sum(
+                xi_fact // multi_factorial(xi0) * total(m, xi0) for xi0 in sub_indices(xi)
+            )
+            hit = values[key] = acc // scale
+        return hit
+
+    return {(m, k): Fraction(value(m, (k,) + (0,) * (n - 1)))
+            for m in range(M + 1) for k in range(Kmax + 1)}
+
+
+def order_kernel_pair_loop(n, l, scale):
+    """``growth._order_kernel`` with W(delta, g) summed over every pair of sub-indices."""
+    weights = [0] * (2 * l + 1)
+    for delta in exponents_of_degree(n, l):
+        subs = [(sum(a), a) for a in sub_indices(delta)]
+        delta_fact = multi_factorial(delta)
+        for g in range(2 * l + 1):
+            weights[g] += delta_fact * sum(
+                _ones_binomial(alpha, g) * _ones_binomial(beta, g)
+                for deg_a, alpha in subs
+                for deg_b, beta in subs
+                if deg_a + deg_b >= g
+            )
+    return [
+        (gamma, weights[g] * scale // multi_factorial(gamma))
+        for g in range(2 * l + 1)
+        for gamma in exponents_of_degree(n, g)
+    ]
+
+
+def _ones_binomial(alpha, g):
+    """binom(alpha + g*ones, g*ones), componentwise product."""
+    out = 1
+    for a in alpha:
+        out *= comb(a + g, g)
+    return out

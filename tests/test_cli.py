@@ -452,7 +452,7 @@ INVALID_INPUTS = {
                       "--transport-order", "1"],
     "spec_den_bool": ["coeffs", "--spec", "bool_den.json", "--order", "1",
                       "--transport-order", "1"],
-    "worst_case_over_guard": ["growth", "--task", "worst-case", "--n", "3", "--order", "7"],
+    "worst_case_over_guard": ["growth", "--task", "worst-case", "--n", "3", "--order", "40"],
     "lemma_over_guard": ["growth", "--task", "lemma", "--k-max", "100000"],
     "coeffs_not_json": [
         "eval", "--preset", "chsc", "--degree", "6", "--coeffs", "broken.json",

@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergman import growth
 from bergman.coefficients import bergman_coefficients, derivative_norm_table
@@ -20,6 +22,7 @@ from bergman.growth import (
     worst_case_norm_table,
 )
 from bergman.potential import build_geometry, preset_chsc, preset_flat, preset_quartic
+from oracles import order_kernel_pair_loop, worst_case_norm_table_tuples
 
 F = Fraction
 
@@ -99,12 +102,14 @@ class TestWorstCase:
         assert all(b >= a for a, b in zip(col, col[1:]))
 
     def test_resource_guard(self):
+        M, Kmax = WORST_CASE_LIMITS[3]
         with pytest.raises(ValueError, match="resource"):
-            worst_case_norm_table(3, 7, 8)
+            worst_case_norm_table(3, M + 1, Kmax)
 
     def test_resource_guard_boundary(self):
         # the two cheapest corners run; one step past any corner is refused
-        for n, M, Kmax in [(1, 24, 28), (4, 4, 8)]:
+        for n in (2, 4):
+            M, Kmax = WORST_CASE_LIMITS[n]
             assert len(worst_case_norm_table(n, M, Kmax)) == (M + 1) * (Kmax + 1)
         for n, (M, Kmax) in WORST_CASE_LIMITS.items():
             for args in [(n, M + 1, 0), (n, 0, Kmax + 1)]:
@@ -112,6 +117,38 @@ class TestWorstCase:
                     worst_case_norm_table(*args)
         with pytest.raises(ResourceGuardError):
             worst_case_norm_table(max(WORST_CASE_LIMITS) + 1, 0, 0)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_small_tables_equal_the_tuple_recursion(self, n):
+        for M in range(4):
+            for Kmax in range(4):
+                got = worst_case_norm_table(n, M, Kmax)
+                assert list(got.items()) == list(worst_case_norm_table_tuples(n, M, Kmax).items())
+
+    def test_the_former_n1_corner_equals_the_tuple_recursion(self):
+        assert worst_case_norm_table(1, 24, 28) == worst_case_norm_table_tuples(1, 24, 28)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 5))
+    def test_drawn_tables_equal_the_tuple_recursion(self, n, M, Kmax):
+        assert worst_case_norm_table(n, M, Kmax) == worst_case_norm_table_tuples(n, M, Kmax)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("l", range(1, 6))
+    def test_order_kernel_equals_the_pair_loop(self, n, l):
+        # any multiple of (2l)! is a valid scale
+        for scale in (factorial(2 * l), 7 * factorial(2 * l + 1)):
+            assert growth._order_kernel(n, l, scale) == order_kernel_pair_loop(n, l, scale)
+
+    def test_no_table_outlives_a_call(self, monkeypatch):
+        # each call builds its M order kernels again, so the second costs what the first did
+        built = []
+        kernel = growth._order_kernel
+        monkeypatch.setattr(growth, "_order_kernel",
+                            lambda n, l, scale: built.append(l) or kernel(n, l, scale))
+        first = worst_case_norm_table(2, 3, 2)
+        assert worst_case_norm_table(2, 3, 2) == first
+        assert built == [1, 2, 3] * 2
 
     # SHA-256 of the JSON of {"m,k": str(value)} (sorted keys), recorded
     # from the direct five-fold sum before it was factored.

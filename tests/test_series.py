@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bergman import series
 from bergman.series import (
     TruncatedSeries,
     _add_products,
@@ -39,6 +40,7 @@ from oracles import (
     graded_pieces_dict,
     invert_levels,
     is_zero,
+    joined_by_pair_loop,
     lift,
     linear_combination_of_diffs,
     mul_trunc_pair_loop,
@@ -1447,6 +1449,14 @@ class TestSerialization:
             TruncatedSeries.from_record(rec)
 
 
+def _with_pair_loop_joins(solve):
+    """``solve()`` with each solve's level pieces summed through the pair loop, as before
+    ``series._joined`` summed them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_joined", joined_by_pair_loop)
+        return solve()
+
+
 def _reduced(s) -> bool:
     """The stored piece of ``s`` is what ``_piece`` returns: no zero numerator, a positive
     denominator and no common factor of the denominator and the numerators."""
@@ -1503,6 +1513,7 @@ class TestOneReductionPerResult:
         f[(0,) * nvars] = data.draw(CONSTANTS[kind])
         s = _widened(TruncatedSeries(nvars, degree, f), data.draw(st.booleans()))
         assert _reduced(s.invert())
+        assert _fields(s.invert()) == _fields(_with_pair_loop_joins(s.invert))
 
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=30, deadline=None)
@@ -1521,6 +1532,8 @@ class TestOneReductionPerResult:
             theta.append(TruncatedSeries(v + n, degree, f))
         z = fixed_point(cramer_inverse(hess), theta)
         assert all(_reduced(s) for s in z)
+        want = _with_pair_loop_joins(lambda: fixed_point(cramer_inverse(hess), theta))
+        assert [_fields(s) for s in z] == [_fields(s) for s in want]
         ids = TruncatedSeries.variables(v + n, degree)
         for u, t in enumerate(theta):
             assert t.compose(ids[:v] + z) == ids[v + u]
