@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
-from .chsc import chsc_coefficients, verdict_record
+from .chsc import chsc_coefficients, require_chsc_order, verdict_record
 from .coefficients import (
     CoefficientTable,
     amplitude_from_b,
@@ -380,6 +380,7 @@ def cmd_asymptotics(args) -> int:
     # both points before the table and the geometry, so a bad point fails fast
     x, y = _parse_point(args.x, n), _parse_point(args.y, n)
     if spec is None:
+        require_chsc_order(n, n)  # before the model, whose Hessian check is O(n^3)
         c = Fraction(args.param if args.param is not None else 1)
         # the model at the least degree, for its radius: --radius, or the preset's own
         model = make_preset("chsc", n, 2, c, args.radius)

@@ -19,9 +19,8 @@ Variable block conventions used across the package, for dimension n:
 Everything is exact rational arithmetic; the segment integral in the phase
 (:func:`bergman.series.segment_average` of ``psi_x(y, z)``) is done termwise
 with integer Beta-function weights, never by quadrature.  Scalar linear
-algebra is ``Fraction`` elimination; determinants of series are
-:func:`bergman.series.det`.  :func:`require_degree` is the one refusal of a
-truncation degree too small for a computation.  A :class:`PotentialSpec` is
+algebra is ``Fraction`` elimination.  :func:`require_degree` is the one
+refusal of a truncation degree too small for a computation.  A :class:`PotentialSpec` is
 read-only, so its digest is computed once and every report reuses it.
 
 :func:`invert_theta` inverts the Hessian by elimination and hands it with
@@ -29,18 +28,19 @@ theta to :func:`bergman.series.fixed_point`, which reads theta's terms once
 and composes nothing; no code here reads the packed form of a series, and
 the pack builds only the bare variables it reads.  :func:`build_geometry`
 builds psi, psi_x, ``psi_x(y, z)`` (moved into (x, y, z) blocks by one
-composition with bare arguments; the phase and both forms of ``Delta0`` read
-it) and the phase, which cost milliseconds; its
-:class:`GeometryPack` builds the checked inversion and both forms of
-``Delta0`` on first read, so commands that read only psi never invert the
-phase.  The pack is the only code that composes
+composition with bare arguments; the phase and ``Delta0`` read it) and the
+phase, which cost milliseconds; its :class:`GeometryPack` builds the checked
+inversion and both forms of ``Delta0`` on first read, so commands that read
+only psi never invert the phase.  The pack is the only code that composes
 through the phase; it owns the one table of powers of ``z(x, y, theta)``,
 which the round-trip check, ``Delta0`` and both coefficient routes share.
 ``Delta0`` in (x, y, theta) is ``det(dw/dtheta)`` for
 ``w = psi_y(y, z(x, y, theta))``, by the chain rule (:func:`build_delta0`,
-which takes the pack); the determinant differentiates its entries itself, so
-no Jacobian entry is a series.  Only the ``polarize`` report reads the
-(x, y, z) quotient ``geom.delta0_xyz``.
+which takes the pack, is the one caller of :func:`bergman.series.det`); the
+determinant differentiates its entries itself, so no Jacobian entry is a
+series.  The ratio at z = z(x, y, theta(x, y, z)) is the ratio at z, so its
+(x, y, z) form ``geom.delta0_xyz`` is that series composed with theta itself,
+and no series is divided.  Only the ``polarize`` report reads it.
 """
 
 from __future__ import annotations
@@ -235,6 +235,8 @@ class PotentialSpec:
 
     @classmethod
     def from_record(cls, record: dict) -> "PotentialSpec":
+        """The spec of a JSON record; ``eval_radius`` must be a JSON number (not ``true``,
+        not a string), and each term's ``num`` and ``den`` integers."""
         try:
             coeffs = {}
             for t in record["terms"]:
@@ -242,10 +244,13 @@ class PotentialSpec:
                     raise ValueError(f"term num and den must be integers, got {t!r}")
                 key = (tuple(t["alpha"]), tuple(t["beta"]))
                 coeffs[key] = coeffs.get(key, 0) + Fraction(t["num"], t["den"])
+            radius = record["eval_radius"]
+            if not (_is_int(radius) or isinstance(radius, float)):
+                raise ValueError(f"eval_radius must be a number, got {radius!r}")
             return cls(
                 n=record["n"],
                 trunc_degree=record["trunc_degree"],
-                eval_radius=float(record["eval_radius"]),
+                eval_radius=float(radius),
                 coeffs=coeffs,
             )
         except KeyError as err:
@@ -429,8 +434,9 @@ class GeometryPack:
     round-trip check starts from ``z_of_theta`` alone, and
     :attr:`psi_x_powers`.  An entry holds its power through the highest
     degree a call has read, and a later call that reads higher replaces it
-    (see Composition in :mod:`bergman.series`).  The caches and the
-    amplitudes never change a result.
+    (see Composition in :mod:`bergman.series`).  :attr:`delta0_xyz` composes
+    ``Delta0`` once more, with theta itself, and keeps no powers.  The caches
+    and the amplitudes never change a result.
     """
 
     spec: PotentialSpec
@@ -471,14 +477,12 @@ class GeometryPack:
 
     @cached_property
     def delta0_xyz(self) -> TruncatedSeries:
-        """Delta0 as the quotient det psi_yz / det theta_z in (x, y, z) blocks, degree D - 2.
+        """Delta0 = det psi_yz / det theta_z in (x, y, z) blocks, degree D - 2: Delta0 in
+        (x, y, theta) pulled back along theta, in one composition.
 
         No pipeline step reads it, only the ``polarize`` report.
         """
-        n = self.n
-        num = [[(g, unit(3 * n, 2 * n + j)) for j in range(n)] for g in self.psi_x_yz]
-        den = [[(t, unit(3 * n, 2 * n + j)) for j in range(n)] for t in self.theta]
-        return det(num) * det(den).invert()
+        return self.delta0_xytheta.compose(self._bare[0] + list(self.theta))
 
     @cached_property
     def _bare(self) -> tuple:

@@ -44,16 +44,15 @@ The form is canonical up to the base, so ``==`` compares numerators and
 keys repacked to the larger base, and ``[]`` bisects on the packed key.
 The pieces that :func:`_sum_of_products` multiplies share the form: the
 triple ``(keys, nums, den)``, None when the piece vanishes, reduced by the
-one :func:`_piece`; :func:`mul_trunc`, ``invert`` and :func:`fixed_point`
-work on them.  A piece's keys are sorted, except in the two level solves
-(the sweep of :func:`fixed_point` and ``invert``): the homogeneous pieces
-they make keep the order the accumulator met, and so do the parts of theta
-that :func:`fixed_point` reads (:func:`_solve_parts`), which also keep one
-unreduced denominator per row of the Hessian inverse.  All keys of such a
-piece carry one degree digit d, and a product of degrees k and d - k with d
-at most the output degree is never cut, so the uncut pair loops need no
-order; each solve sorts once, when :func:`_joined` concatenates its pieces,
-which share no key, into the result.
+one :func:`_piece`; :func:`mul_trunc`, :func:`fixed_point` and :func:`det`
+work on them.  A piece's keys are sorted, except in the level solve of
+:func:`fixed_point`: the homogeneous pieces its sweep makes keep the order
+the accumulator met, and so do the parts of theta it reads
+(:func:`_solve_parts`), which also keep one unreduced denominator per row of
+the Hessian inverse.  All keys of such a piece carry one degree digit d, and
+a product of degrees k and d - k with d at most the output degree is never
+cut, so the uncut pair loops need no order; the solve sorts once, when
+:func:`_joined` concatenates its pieces, which share no key, into the result.
 No other module reads the packed form: callers pass and get series.
 ``eval`` builds a float plan on first use: per term, in graded lexicographic
 order, ``complex(num / den)`` (correctly rounded, as ``complex(Fraction)``)
@@ -121,26 +120,29 @@ their sizes, the slot and the value's type, and store their one piece with
 ``TruncatedSeries._from_piece``; ``variables`` builds the slots it is given.
 Operations only drop zeros and reduce, once per result (:func:`_piece`),
 since each makes its keys from keys of valid operands by digit arithmetic
-that cannot carry.  Products, ``invert``, :func:`fixed_point` and :func:`det`
-of series build pieces: each sum of key pairs of degree at most the output
-degree is one :func:`_sum_of_products`, which sorts its dict and reduces, and
-``TruncatedSeries._from_piece`` stores that piece as it is; the level solves'
-uncut sums reduce without sorting (see Storage).  ``compose``'s
+that cannot carry.  Products, :func:`fixed_point` and :func:`det` build
+pieces: each sum of key pairs of degree at most the output degree is one
+:func:`_sum_of_products`, which sorts its dict and reduces, and
+``TruncatedSeries._from_piece`` stores that piece as it is; the level solve's
+uncut sums reduce without sorting (see Storage).  ``invert`` is its
+definition, a Horner sum of :func:`mul_trunc` products and sums.  ``compose``'s
 group sum and moves that can merge keys (a sum of series, bare ``compose``
 arguments, ``segment_average``, which moves part of each y digit to its x
 digit) fill a dict that ``TruncatedSeries._canonical`` sorts and reduces.
 The rest build their lists in key order and reduce them: ``truncate`` slices
-them, a scalar multiple keeps the keys, and a derivative and
-:func:`_graded_pieces` take one constant, no digit larger than the key's, off
-each key of a sorted run, and ``x < y`` gives ``x - c < y - c``.  An empty
-factor gives :func:`mul_trunc` the zero series at once, after the ``nvars``
-check, and each factor's piece stops at the output degree (a slice).  ``segment_average`` builds its steps from unit moves of one digit, in
-each call or once for the calls that share a caller's ``splits``.
+them, a scalar multiple keeps the keys, and a derivative takes one
+constant, no digit larger than the key's, off each key of a sorted run, and
+``x < y`` gives ``x - c < y - c``.  An empty factor gives :func:`mul_trunc`
+the zero series at once, after the ``nvars`` check, and each factor's piece
+stops at the output degree (a slice).  ``segment_average`` builds its steps
+from unit moves of one digit, in each call or once for the calls that share
+a caller's ``splits``.
 
 Three operations differentiate inside their own sums, so no derivative is
 ever a series of its own: :func:`linear_combination`, whose terms may carry
 a multi-index (``diff`` is its one-term case), :func:`det`, whose entries
-may be pairs ``(s, xi)`` (each becomes a derivative piece once), and
+may be pairs ``(s, xi)`` (each becomes a derivative piece once, at the one
+digit width of the expansion), and
 :func:`y_gradient_average`, which takes ``-D_(y_i)`` of each term inside the
 one split/weight loop of ``segment_average``.  A derivative scan starts at
 the first key of degree ``|xi|``, since no lower key survives.  A term whose
@@ -376,7 +378,8 @@ class TruncatedSeries:
 
     def _keys_at(self, shift: int) -> list:
         """The packed keys repacked at digit width ``shift`` (at least this series' own)."""
-        return _repacked(self._keys, self.nvars, self._shift, shift)
+        n, own, keys = self.nvars, self._shift, self._keys
+        return keys if own == shift else [_pack(_unpack(k, n, own), shift) for k in keys]
 
     # -- ring operations ---------------------------------------------------
 
@@ -424,25 +427,24 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be nonzero.
+        """Multiplicative inverse; the constant term c must be nonzero.
 
-        On the degree pieces [A]_e of :func:`_graded_pieces`: U_0 = 1/A_0 and
-        U_d = -(1/A_0) sum_e [A]_e U_(d-e), each level one uncut :func:`_sum_of_products`,
-        and the levels joined by :func:`_joined`, as in :func:`fixed_point`.
+        By its definition 1/f = (1/c) sum_(k <= D) g^k with g = 1 - f/c, which has no
+        constant term: Horner's rule, D products by g, each one :func:`mul_trunc`.  A
+        constant f (g = 0) is f/c^2, so the result keeps the digit width of f.
         """
-        if self.constant_term == 0:
+        c = self.constant_term
+        if c == 0:
             raise ValueError("invert: constant term is zero")
-        n, D, shift = self.nvars, self.trunc_degree, self._shift
-        width = shift * n
-        parts = _graded_pieces(self, n, shift)[()]
-        _, (c,), den = parts.pop(0)  # A_0 = c / den
-        minus = _piece([0], [-den], c)
-        scaled = {e: _sum_of_products([(minus, p)], width, None) for e, p in parts.items()}
-        levels = [_piece([0], [den], c)]
-        for d in range(1, D + 1):
-            levels.append(_sum_of_products(
-                [(p, levels[d - e]) for e, p in scaled.items() if e <= d], width, None))
-        return TruncatedSeries._from_piece(n, D, shift, _joined(levels))
+        n, D = self.nvars, self.trunc_degree
+        inv, one = Fraction(1) / c, TruncatedSeries.one(n, D)
+        g = linear_combination([(1, one), (-inv, self)])
+        if not g._keys:  # mul_trunc's zero series would take the narrowest digit width
+            return linear_combination([(inv * inv, self)])
+        out = TruncatedSeries.constant(n, D, inv)
+        for _ in range(D):
+            out = linear_combination([(inv, one), (1, mul_trunc(g, out, D))])
+        return out
 
     # -- calculus ----------------------------------------------------------
 
@@ -798,7 +800,7 @@ def _piece_below(s: TruncatedSeries, shift: int, bound: int):
 
 
 def _piece(keys: list, nums: list, den: int):
-    """The piece ``(keys, nums, den)`` of packed keys (sorted but in the level solves, see
+    """The piece ``(keys, nums, den)`` of packed keys (sorted but in the level solve, see
     Storage) and their numerators over ``den``: zeros dropped, reduced by the gcd to a
     positive ``den``; None when no term is left.  A series stores its terms in this form."""
     if 0 in nums:
@@ -813,28 +815,6 @@ def _piece(keys: list, nums: list, den: int):
     return keys, nums, den
 
 
-def _graded_pieces(f: TruncatedSeries, start: int, shift: int) -> dict:
-    """``gamma -> {e: [c_gamma]_e}`` for ``f = sum_gamma c_gamma v^gamma``, v the
-    variables from slot ``start`` on and each ``c_gamma`` free of v: the degree-e
-    parts as pieces (see :func:`_sum_of_products`), keyed at digit width ``shift``.
-    A part's keys arrive in order and lose one constant, so they stay in order."""
-    n = f.nvars
-    width, low = shift * n, (1 << shift * (n - start)) - 1
-    parts: dict = {}  # (v digits, degree digit) -> the keys and numerators that have them
-    for key, value in zip(f._keys_at(shift), f._nums):
-        keys, nums = parts.setdefault((key & low, key >> width), ([], []))
-        keys.append(key)
-        nums.append(value)
-    out: dict = {}
-    for (digits, degree), (keys, nums) in parts.items():
-        gamma = _unpack(digits, n - start, shift)
-        # clear the v digits and take their degree off the degree digit
-        size = sum(gamma)
-        drop = digits + (size << width)
-        out.setdefault(gamma, {})[degree - size] = _piece([k - drop for k in keys], nums, f._den)
-    return out
-
-
 def _sum_of_products(pairs: Sequence[tuple], width: int, out_degree: int | None):
     """The sum of ``a * b`` over pairs of pieces, truncated at ``out_degree``, as a piece.
 
@@ -847,7 +827,7 @@ def _sum_of_products(pairs: Sequence[tuple], width: int, out_degree: int | None)
     (the same object) is a square, run by :func:`_add_square`.
 
     ``out_degree`` None is the uncut sum, for homogeneous pieces whose products
-    all stay within the output degree (the level solves, see Storage): no pair
+    all stay within the output degree (the level solve, see Storage): no pair
     is cut, the pieces need no order, and the result keeps the order first met.
     """
     live = [(a, b) for a, b in pairs if a and b]
@@ -1207,30 +1187,25 @@ def _segment_average(items, n: int, D: int, shift: int, den: int, splits: dict,
     return TruncatedSeries._canonical(3 * n, D, shift, acc, den * fact[D + 1])
 
 
-def det(rows: Sequence[Sequence]):
-    """Determinant of a square matrix by cofactor expansion along the first row.
+def det(rows: Sequence[Sequence]) -> TruncatedSeries:
+    """Determinant of a square matrix of series by cofactor expansion along the first row.
 
-    Entries are exact scalars, or series of one ``nvars`` and pairs ``(s, xi)`` that
-    stand for ``D^xi s``, all of one output degree D (a series is its own degree, a
-    pair ``max(0, s.trunc_degree - |xi|)``).  No derivative is built as a series:
-    each entry becomes a piece once, keys losing ``xi`` as in
-    :func:`linear_combination`, and the signed products ``(-1)^j a_0j det(minor_0j)``
-    of each level go into one :func:`_sum_of_products` at degree D, reduced once,
-    at the widest digit width of D and of the factors of the live pairs.  A minor
-    whose first-row factor vanishes is not expanded.  A 1x1 series matrix is its
-    entry, a pair differentiated.
+    Entries are series of one ``nvars`` and pairs ``(s, xi)`` that stand for ``D^xi s``,
+    all of one output degree D (a series is its own degree, a pair
+    ``max(0, s.trunc_degree - |xi|)``); any other entry is a TypeError.  No derivative is
+    built as a series: each entry becomes a piece once, by :func:`_derived` at the widest
+    digit width of D and the entries, and the signed products ``(-1)^j a_0j det(minor_0j)``
+    of each level go into one :func:`_sum_of_products` at degree D, reduced once.  A minor
+    whose first-row factor vanishes is not expanded.  A 1x1 matrix is its entry, a pair
+    differentiated.
     """
     size = len(rows)
     if size == 0 or any(len(row) != size for row in rows):
         raise ValueError("det: matrix is not square")
     entries = [v if isinstance(v, tuple) else (v, None) for row in rows for v in row]
     if not all(isinstance(s, TruncatedSeries) for s, _ in entries):
-        if size == 1:
-            return rows[0][0]
-        minors = [det([row[:j] + row[j + 1:] for row in rows[1:]]) for j in range(size)]
-        return sum(-a * m if j % 2 else a * m for j, (a, m) in enumerate(zip(rows[0], minors)))
-    first = entries[0][0]
-    n, D = first.nvars, None
+        raise TypeError("det: entries must be series or (series, xi) pairs")
+    n, D = entries[0][0].nvars, None
     for s, xi in entries:
         degree = s.trunc_degree if xi is None else max(0, s.trunc_degree - sum(xi))
         if s.nvars != n:
@@ -1242,39 +1217,26 @@ def det(rows: Sequence[Sequence]):
                              "align with truncate()")
     if size == 1:
         return rows[0][0] if entries[0][1] is None else linear_combination([(1, *entries[0])])
-    tables: dict = {}  # digit width -> the falling factorial tables of _derived
-    pieces = []  # each entry's (piece, digit width), the piece None when it vanishes
+    shift, tables = max(_shift_for(D), *(s._shift for s, _ in entries)), {}
+    pieces = []  # each entry's piece, None when it vanishes
     for s, xi in entries:
-        if xi is not None and any(xi):
-            keys, nums = _derived(s, tuple(xi), s._shift, 1, tables.setdefault(s._shift, {}))
-        else:
-            keys, nums = s._keys, s._nums
-        pieces.append(((keys, nums, s._den) if keys else None, s._shift))
-    piece, shift = _det_of_pieces([pieces[i:i + size] for i in range(0, size * size, size)], n, D)
-    return TruncatedSeries._from_piece(n, D, shift, piece)
+        xi = tuple(xi) if xi is not None and any(xi) else None
+        keys, nums = _derived(s, xi, shift, 1, tables)
+        pieces.append((keys, nums, s._den) if keys else None)
+    rows = [pieces[i:i + size] for i in range(0, size * size, size)]
+    return TruncatedSeries._from_piece(n, D, shift, _det_of_pieces(rows, shift * n, D))
 
 
-def _det_of_pieces(rows: list, n: int, D: int) -> tuple:
-    """The cofactor determinant of a matrix of ``(piece, digit width)`` entries as one
-    ``(piece, digit width)``: each level one :func:`_sum_of_products` at degree D of its live
-    signed pairs, at the widest digit width of D and of their factors."""
-    size = len(rows)
-    if size == 1:
+def _det_of_pieces(rows: list, width: int, D: int):
+    """The cofactor determinant of a matrix of pieces (None for a vanishing entry) as one
+    piece: each level one :func:`_sum_of_products` at degree D of its live signed pairs."""
+    if len(rows) == 1:
         return rows[0][0]
-    live = []
-    for j, (a, a_shift) in enumerate(rows[0]):
+    pairs = []
+    for j, a in enumerate(rows[0]):
         if a is None:
             continue
-        m, m_shift = _det_of_pieces([row[:j] + row[j + 1:] for row in rows[1:]], n, D)
+        m = _det_of_pieces([row[:j] + row[j + 1:] for row in rows[1:]], width, D)
         if m is not None:
-            live.append((j, a, a_shift, m, m_shift))
-    shift = max([_shift_for(D)] + [w for _, _, a_w, _, m_w in live for w in (a_w, m_w)])
-    pairs = [((_repacked(a[0], n, a_shift, shift), [-v for v in a[1]] if j % 2 else a[1], a[2]),
-              (_repacked(m[0], n, m_shift, shift), m[1], m[2]))
-             for j, a, a_shift, m, m_shift in live]
-    return _sum_of_products(pairs, shift * n, D), shift
-
-
-def _repacked(keys: list, n: int, old: int, shift: int) -> list:
-    """Packed keys of digit width ``old`` repacked at width ``shift`` (at least ``old``)."""
-    return keys if old == shift else [_pack(_unpack(k, n, old), shift) for k in keys]
+            pairs.append(((a[0], [-v for v in a[1]], a[2]) if j % 2 else a, m))
+    return _sum_of_products(pairs, width, D)

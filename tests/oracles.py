@@ -11,14 +11,17 @@ was before it built its steps slot by slot: three ``factorial`` calls, a
 ``delta0_quotient`` and ``delta0_jacobian_product`` are the phase geometry's
 earlier forms: whole compositions through plain ``compose``, with no
 table shared with the pipeline; the sweeps invert the Hessian by Cramer's
-rule over ``det`` (``cramer_inverse``), where the pipeline uses Gauss-Jordan
-elimination.  ``invert_theta_pieces`` is the
-degree-by-degree inversion as it was before it kept raw pieces: every
+rule over ``det_cofactor`` (``cramer_inverse``), where the pipeline uses
+Gauss-Jordan elimination.  ``delta0_quotient`` divides two determinants of
+(x, y, z) series, where the pipeline pulls ``Delta0`` back along theta.
+``invert_theta_pieces`` is the degree-by-degree inversion as it was before
+it kept raw pieces: every
 homogeneous piece a ``TruncatedSeries``, split from R (not ``-H^{-1} R``)
 by ``graded_coefficients``, each new piece one ``sum_of_series_products``
 and ``H^{-1}`` applied per sweep, with the Cramer inverse.
 ``det_cofactor`` is ``series.det`` as it was before its cofactor products
-went into one accumulator: each product a series, summed by ``+``.
+went into one accumulator: each product a series, summed by ``+``; it takes
+exact scalars too, which ``series.det`` does not.
 ``amplitudes_recomputed`` and ``collapses_recomputed`` compute every
 amplitude ``(b_m o z) * Delta0`` and every collapse ``to_xz(D_theta . A_m)``
 anew, on a fresh geometry, where the pipeline reuses what the
@@ -26,11 +29,13 @@ recursion and the transport steps built.  ``lift`` raises a series'
 truncation degree; only the tests need it.
 
 ``diff_per_term``, ``remap_variables_unpacked``, ``to_record_unpacked``,
-``graded_pieces_dict`` and ``sum_of_products_dict`` are the series loops as
-they were before pieces and series shared one sorted ``(keys, nums, den)``
-form: the derivative calls ``math.perm`` per term, remaps and records unpack
-an exponent tuple per term, every result is rebuilt through a dict and a
-sort, and a piece is a dict of packed key -> numerator with its denominator.
+``graded_pieces_dict`` and ``sum_of_products_dict`` are series loops as they
+were before pieces and series shared one sorted ``(keys, nums, den)`` form
+(the graded split is now the oracles' own; the package solves without it):
+the derivative calls ``math.perm`` per term, remaps and records unpack an
+exponent tuple per term, every result is rebuilt through a dict and a sort,
+and a piece is a dict of packed key -> numerator with its denominator
+(``triple_of_dict_piece`` gives the package's ``(keys, nums, den)`` form).
 ``remap_variables_unpacked`` is also the tests' own variable mover, apart from
 the package's one, ``compose`` with bare arguments.
 ``close_power_chain_rescan`` is ``series.close_power_chain`` as it was
@@ -47,9 +52,10 @@ negated.
 ``_sum_of_products``: the product runs its own pair loop (``_add_square`` for
 a square) into its own accumulator, and the inverse solves integer levels
 U_d = -sum_e c^(e-1) A_e U_(d-e) over the constant numerator c, scaled and
-reduced once at the end.  ``nonpositive_minor_cofactor`` is the leading-minor
-test of ``PotentialSpec.validate`` as it was: every leading minor a cofactor
-``det``, s! products for size s.
+reduced once at the end, where ``invert`` now sums its defining geometric
+series.  ``nonpositive_minor_cofactor`` is the leading-minor test of
+``PotentialSpec.validate`` as it was: every leading minor a cofactor
+determinant (``det_cofactor``), s! products for size s.
 ``bare_variable_unpacked`` is ``TruncatedSeries._bare_variable`` as it was before it
 read the slot from the packed key: the exponent tuple unpacked and searched.
 ``spec_record_via_fraction`` is ``PotentialSpec.to_record`` as it was, with
@@ -60,7 +66,7 @@ one ``Fraction`` built per value, and ``to_xz_remap_then_compose`` is
 solve took theta and the Hessian inverse itself: it builds lin = H^-1 t and
 rest = z - H^-1 theta as 2n series with ``linear_combination`` and a full
 ``variables`` list, and ``fixed_point_lin_rest`` re-splits them with
-``_graded_pieces`` and pays one ``_sum_of_products`` per homogeneous piece.
+``graded_pieces_dict`` and pays one ``_sum_of_products`` per homogeneous piece.
 ``round_trip_powers`` is the round-trip check of ``GeometryPack.z_of_theta``
 on that inversion, with every variable built, and returns the z-powers it
 composed; ``build_delta0_jacobian_series`` is ``potential.build_delta0`` with
@@ -69,8 +75,8 @@ is ``series._derived`` scanning every key, below ``|xi|`` too; and
 ``amplitude_truncated_delta0`` is ``GeometryPack.amplitude`` multiplying by a
 truncated copy of Delta0, with no table of earlier amplitudes.
 ``joined_by_pair_loop`` is the sum of a solve's level pieces as
-``series.fixed_point`` and ``TruncatedSeries.invert`` made it before they
-joined them: one ``_sum_of_products`` of each piece with the one-term piece 1,
+``series.fixed_point`` (and ``TruncatedSeries.invert``, while it solved by
+levels) made it before they joined them: one ``_sum_of_products`` of each piece with the one-term piece 1,
 so the pair loop visits every term once.
 
 ``worst_case_norm_table_tuples`` and ``order_kernel_pair_loop`` are
@@ -92,7 +98,6 @@ from bergman.series import (
     TruncatedSeries,
     _add_products,
     _add_square,
-    _graded_pieces,
     _pack,
     _shift_for,
     _sorted_piece,
@@ -255,16 +260,16 @@ def eval_oracle(series, point):
 
 
 def cramer_inverse(rows):
-    """The inverse of a matrix of exact rationals by Cramer's rule over ``det``: entry
+    """The inverse of a matrix of exact rationals by Cramer's rule over ``det_cofactor``: entry
     (i, j) is det of the matrix with column i replaced by e_j, over its det.  A singular
     matrix is a ValueError."""
     size = len(rows)
     rows = [[Fraction(v) for v in row] for row in rows]
-    det_h = det(rows)
+    det_h = det_cofactor(rows)
     if det_h == 0:
         raise ValueError("singular matrix")
-    return [[det([[int(r == j) if c == i else v for c, v in enumerate(row)]
-                  for r, row in enumerate(rows)]) / det_h for j in range(size)]
+    return [[det_cofactor([[int(r == j) if c == i else v for c, v in enumerate(row)]
+                           for r, row in enumerate(rows)]) / det_h for j in range(size)]
             for i in range(size)]
 
 
@@ -587,6 +592,11 @@ def graded_pieces_dict(f, start, shift):
     return out
 
 
+def triple_of_dict_piece(piece):
+    """A dict piece as the ``(keys, nums, den)`` piece of ``series._piece``, None kept."""
+    return piece and (list(piece[0]), list(piece[0].values()), piece[1])
+
+
 def sum_of_products_dict(pairs, width, out_degree):
     """``series._sum_of_products`` on dict pieces, with the b side listed per call."""
     live = [(a, b) for a, b in pairs if a and b]
@@ -677,7 +687,8 @@ def nonpositive_minor_cofactor(rows, shift=0):
     """Size of the first non-positive leading minor of ``rows - shift I``, or 0, with
     every leading minor a cofactor ``det``."""
     rows = [[v - shift * (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows)]
-    return next((s for s in range(1, len(rows) + 1) if det([r[:s] for r in rows[:s]]) <= 0), 0)
+    return next((s for s in range(1, len(rows) + 1)
+                 if det_cofactor([r[:s] for r in rows[:s]]) <= 0), 0)
 
 
 # -- the phase solve, its check and Delta0 before the solve read theta itself -------
@@ -685,7 +696,7 @@ def nonpositive_minor_cofactor(rows, shift=0):
 
 def fixed_point_lin_rest(lin, rest):
     """``series.fixed_point`` as it was: the z with ``z_u = lin_u + rest_u(v, z)``, its
-    inputs split by ``_graded_pieces`` and one ``_sum_of_products`` per new piece."""
+    inputs split by ``graded_pieces_dict`` and one ``_sum_of_products`` per new piece."""
     N, D, n = lin[0].nvars, lin[0].trunc_degree, len(lin)
     shift = max(s._shift for s in (*lin, *rest))
     width = shift * N
@@ -694,10 +705,11 @@ def fixed_point_lin_rest(lin, rest):
     top = dict.fromkeys(units, D)
     terms = []
     for lin_u, rest_u in zip(lin, rest):
-        su = [(zero, e, 0, p) for e, p in _graded_pieces(lin_u, N, shift).get((), {}).items()]
-        for gamma, parts in _graded_pieces(rest_u, N - n, shift).items():
+        su = [(zero, e, 0, triple_of_dict_piece(p))
+              for e, p in graded_pieces_dict(lin_u, N, shift).get((), {}).items()]
+        for gamma, parts in graded_pieces_dict(rest_u, N - n, shift).items():
             size = sum(gamma)
-            su += [(gamma, e, size, p) for e, p in parts.items()]
+            su += [(gamma, e, size, triple_of_dict_piece(p)) for e, p in parts.items()]
             if size > 1:
                 top[gamma] = max(top.get(gamma, 0), D - min(parts))
         if any(e == 0 and size <= 1 for _, e, size, _ in su):

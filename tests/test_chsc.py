@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from bergman import chsc
 from bergman.chsc import (
+    CHSC_ORDER_LIMIT,
     ChscModel,
     chsc_coefficients,
     delta0_taylor_coeffs,
@@ -13,7 +15,7 @@ from bergman.chsc import (
     verdict_record,
 )
 from bergman.coefficients import bergman_coefficients
-from bergman.potential import build_geometry, preset_chsc
+from bergman.potential import ResourceGuardError, build_geometry, preset_chsc
 from oracles import cpn_kernel, cpn_kernel_monomial_sum, flat_kernel
 
 F = Fraction
@@ -63,6 +65,18 @@ class TestCoefficients:
         results = [chsc_coefficients(2, c, 4) for c in (1, F(1), F(2, 2))]
         assert results[0] == results[1] == results[2] == [1, 3, 2, 0, 0]
         assert all(isinstance(v, F) for v in results[0])
+
+    def test_guard_refuses_above_the_limit_before_any_constant(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(chsc, "_chsc_constants", lambda *args: built.append(args) or (1,))
+        for n, M in ((CHSC_ORDER_LIMIT + 1, 0), (1, CHSC_ORDER_LIMIT + 1)):
+            with pytest.raises(ResourceGuardError, match="resource guard"):
+                chsc_coefficients(n, 1, M)
+            with pytest.raises(ResourceGuardError):
+                ChscModel.build(n, 1, M)
+        assert built == []
+        chsc_coefficients(CHSC_ORDER_LIMIT, 1, CHSC_ORDER_LIMIT)  # the limit itself is admitted
+        assert built == [(CHSC_ORDER_LIMIT, 1, CHSC_ORDER_LIMIT)]
 
 
 class TestPolynomialIdentity:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bergman import cli, coefficients, growth, potential
+from bergman import chsc, cli, coefficients, growth, potential
 from bergman.cli import main
 from bergman.potential import check_good_contour, make_preset, polarize
 from bergman.series import TruncatedSeries
@@ -334,8 +334,9 @@ class TestDeterminism:
 # "text_n.json" gives n as a string, "text_alpha.json" gives an exponent as a
 # string, "bool_n.json" and "bool_degree.json" give n or trunc_degree as JSON true,
 # "bool_num.json" and "bool_den.json" give the one term's num or den as JSON true,
-# "infinite_radius.json" gives eval_radius as Infinity and "broken.json" is not
-# JSON at all.
+# "infinite_radius.json" gives eval_radius as Infinity, "bool_radius.json" and
+# "text_radius.json" give it as JSON true and as the string "0.3", and "broken.json"
+# is not JSON at all.
 # "table/coefficients.json" is a real coefficient table, written for the cases
 # that read it, so they fail on the argument under test, not on a missing table.
 # A case without its own --out writes to "out".
@@ -448,6 +449,8 @@ INVALID_INPUTS = {
     "spec_n_bool": ["polarize", "--spec", "bool_n.json"],
     "spec_degree_bool": ["polarize", "--spec", "bool_degree.json"],
     "spec_radius_infinite": ["polarize", "--spec", "infinite_radius.json"],
+    "spec_radius_bool": ["polarize", "--spec", "bool_radius.json"],
+    "spec_radius_string": ["polarize", "--spec", "text_radius.json"],
     "spec_num_bool": ["coeffs", "--spec", "bool_num.json", "--order", "1",
                       "--transport-order", "1"],
     "spec_den_bool": ["coeffs", "--spec", "bool_den.json", "--order", "1",
@@ -596,7 +599,9 @@ def test_invalid_input_exits_two_without_traceback(tmp_path, monkeypatch, capsys
     (tmp_path / "text_alpha.json").write_text(json.dumps({**header, "terms": [term]}))
     flat = [{"alpha": [1], "beta": [1], "num": 1, "den": 1}]
     for name, field, value in (("bool_n.json", "n", True), ("bool_degree.json", "trunc_degree", True),
-                               ("infinite_radius.json", "eval_radius", float("inf"))):
+                               ("infinite_radius.json", "eval_radius", float("inf")),
+                               ("bool_radius.json", "eval_radius", True),
+                               ("text_radius.json", "eval_radius", "0.3")):
         (tmp_path / name).write_text(json.dumps({**header, field: value, "terms": flat}))
     for name, field in (("bool_num.json", "num"), ("bool_den.json", "den")):
         (tmp_path / name).write_text(json.dumps({**header, "terms": [{**flat[0], field: True}]}))
@@ -868,7 +873,12 @@ def test_perturbed_valid_argv_keeps_the_exit_code_contract(contract_dir, case):
     (["growth", "--task", "fit", "--preset", "chsc", "--degree", "6", "--coeffs", "coefficients.json",
       "--grid", str(math.isqrt(coefficients.NORM_POINT_LIMIT // 3) + 1)],
      (coefficients, "polydisc_points")),
-], ids=["truncation", "polarize", "fit"])
+    # the closed form of n = CHSC_ORDER_LIMIT + 1 at a valid point of n components: refused
+    # before the model, whose Hessian check alone took 2.6 s at n = 400
+    (["asymptotics", "--closed-form", "--preset", "chsc", "--n", str(chsc.CHSC_ORDER_LIMIT + 1),
+      "--x", ",".join(["0.001"] * (chsc.CHSC_ORDER_LIMIT + 1)),
+      "--y", ",".join(["0.002"] * (chsc.CHSC_ORDER_LIMIT + 1))], (cli, "make_preset")),
+], ids=["truncation", "polarize", "fit", "closed_form"])
 def test_guard_refuses_before_the_lists_are_built(tmp_path, monkeypatch, capsys, contract_dir,
                                                   argv, guarded):
     calls = []

@@ -13,6 +13,8 @@ count: code that only tests call has no role in the pipeline.
 The packed form of a series (its sorted keys, numerators, denominator, digit
 width and the trusted constructors) is read by ``series.py`` alone, and its two
 pair loops by ``_sum_of_products`` and ``TruncatedSeries.compose`` alone.
+``series.det`` has one reader, ``potential.build_delta0``, and nothing in the
+package calls ``TruncatedSeries.invert``, which the benchmark harness still wraps.
 """
 
 import ast
@@ -80,8 +82,10 @@ PAIR_LOOP_READERS = {
 }
 
 
-def test_only_the_sum_of_products_and_compose_run_the_pair_loops():
-    readers = {name: set() for name in PAIR_LOOP_READERS}
+def _readers(names) -> dict:
+    """Each of ``names`` -> the ``file:scope`` of every package function that reads it as a
+    bare name or as an attribute of anything (``series._add_square``, ``s.invert``)."""
+    readers = {name: set() for name in names}
 
     def visit(node, path, scope):
         for child in ast.iter_child_nodes(node):
@@ -89,13 +93,23 @@ def test_only_the_sum_of_products_and_compose_run_the_pair_loops():
                 visit(child, path, scope + [child.name])
                 continue
             name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
-            if name in readers:  # a bare name, or an attribute such as series._add_square
+            if name in readers:
                 readers[name].add(f"{path.name}:{'.'.join(scope)}")
             visit(child, path, scope)
 
     for path in _sources():
         visit(ast.parse(path.read_text(), str(path)), path, [])
-    assert readers == PAIR_LOOP_READERS
+    return readers
+
+
+def test_only_the_sum_of_products_and_compose_run_the_pair_loops():
+    assert _readers(PAIR_LOOP_READERS) == PAIR_LOOP_READERS
+
+
+def test_one_determinant_of_series_and_no_series_inverse():
+    # Delta0 in (x, y, z) is Delta0 in (x, y, theta) pulled back along theta, so the
+    # package divides no series: det is read by build_delta0 alone, and invert by nothing
+    assert _readers({"det", "invert"}) == {"det": {"potential.py:build_delta0"}, "invert": set()}
 
 
 def _attribute_reads() -> set:

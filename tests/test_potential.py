@@ -136,6 +136,9 @@ class TestValidation:
         ("trunc_degree", True, "integers"),
         ("eval_radius", math.inf, "finite"),
         ("eval_radius", math.nan, "positive"),
+        # a radius must be a JSON number: float() would read true as 1.0 and "0.3" as 0.3
+        ("eval_radius", True, "eval_radius must be a number"),
+        ("eval_radius", "0.3", "eval_radius must be a number"),
     ])
     def test_bool_sizes_and_unbounded_radius_rejected(self, field, value, match):
         # bool is an int subclass, so JSON true would otherwise read as 1
@@ -951,6 +954,21 @@ class TestZPowerTable:
         fresh = build_geometry(spec)
         assert bergman_coefficients(geom, 4) == bergman_coefficients(fresh, 4)
         assert chain == transport_chain(fresh, 4)
+
+
+class TestDelta0Pullback:
+    """``geom.delta0_xyz``, Delta0 in (x, y, theta) composed with theta, against the quotient
+    det psi_yz / det theta_z of ``oracles.delta0_quotient``, built from (x, y, z) determinants
+    and a series inverse: no inverted phase, no composition and no (s, xi) entries."""
+
+    @pytest.mark.parametrize("draw", [hermitian_specs, off_diagonal_hermitian_specs],
+                             ids=["hermitian", "off_diagonal"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_drawn_specs(self, draw, n, data):
+        geom = build_geometry(data.draw(draw(n)))
+        assert geom.delta0_xyz == delta0_quotient(geom)[0]
 
 
 class TestDelta0:

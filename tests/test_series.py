@@ -14,7 +14,6 @@ from bergman.series import (
     TruncatedSeries,
     _add_products,
     _derived,
-    _graded_pieces,
     _shift_for,
     _sum_of_products,
     close_power_chain,
@@ -48,6 +47,7 @@ from oracles import (
     sum_of_series_products,
     sum_of_products_dict,
     to_record_unpacked,
+    triple_of_dict_piece,
     y_gradient_average_of_diffs,
 )
 
@@ -299,8 +299,13 @@ class TestDet:
             assert det(matmul(a, b)) == det(a) * det(b)
 
     def test_exact_scalars(self):
-        assert det([[F(1, 2), 1], [3, 4]]) == -1
-        assert det([[2, 0, 1], [1, 3, 0], [0, 1, F(1, 3)]]) == 3
+        # scalar matrices are the oracle's alone: det takes series and (s, xi) pairs
+        assert det_cofactor([[F(1, 2), 1], [3, 4]]) == -1
+        assert det_cofactor([[2, 0, 1], [1, 3, 0], [0, 1, F(1, 3)]]) == 3
+        one = TruncatedSeries.one(1, 2)
+        for rows in ([[F(1, 2), 1], [3, 4]], [[one, 1], [one, one]], [[F(1, 2)]]):
+            with pytest.raises(TypeError, match="series or"):
+                det(rows)
 
 
 class TestEval:
@@ -690,10 +695,12 @@ class TestPackedCore:
                 by_degree[rest] = by_degree.get(rest, 0) + value
         series = TruncatedSeries(nvars, degree, f)
         shift = series._shift + data.draw(st.integers(0, 1))  # its own digit width or wider
-        got = _graded_pieces(series, start, shift)
+        # the split of oracles.fixed_point_lin_rest, which the package no longer makes
+        got = graded_pieces_dict(series, start, shift)
         assert sorted(got) == sorted(plain)
         for gamma, parts in got.items():
             for e, part in parts.items():
+                part = triple_of_dict_piece(part)
                 want = _expected(nvars, degree, plain[gamma][e])
                 assert _items(_series_of(part, nvars, degree, shift)) == want
                 assert part[0] == sorted(part[0])
@@ -780,11 +787,6 @@ def _widened(s, wider):
     if not wider:
         return s
     return TruncatedSeries(s.nvars, 1 << s._shift, s.coeffs).truncate(s.trunc_degree)
-
-
-def _dict_of(piece):
-    """A dict piece of ``oracles`` as the (keys, nums, den) triple, None kept."""
-    return piece and (list(piece[0]), list(piece[0].values()), piece[1])
 
 
 class TestSquares:
@@ -1008,19 +1010,6 @@ class TestOldLoops:
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=30, deadline=None)
     @given(st.data())
-    def test_graded_pieces(self, kind, data):
-        nvars, degree = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 6))
-        f = TruncatedSeries(nvars, degree, data.draw(coefficient_map(nvars, degree, kind)))
-        start = data.draw(st.integers(0, nvars))
-        shift = f._shift + data.draw(st.integers(0, 1))
-        got, want = _graded_pieces(f, start, shift), graded_pieces_dict(f, start, shift)
-        assert list(got) == list(want)
-        for gamma, parts in want.items():
-            assert {e: _dict_of(p) for e, p in parts.items()} == got[gamma]
-
-    @pytest.mark.parametrize("kind", KINDS)
-    @settings(max_examples=30, deadline=None)
-    @given(st.data())
     def test_sum_of_products(self, kind, data):
         nvars, out_degree = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 6))
         maps = [data.draw(coefficient_map(nvars, out_degree, kind))
@@ -1031,7 +1020,7 @@ class TestOldLoops:
         dicts = [(dict(zip(*t[:2])), t[2]) if t else None for t in triples]
         got = _sum_of_products(list(zip(triples[::2], triples[1::2])), shift * nvars, out_degree)
         want = sum_of_products_dict(list(zip(dicts[::2], dicts[1::2])), shift * nvars, out_degree)
-        assert got == _dict_of(want)
+        assert got == triple_of_dict_piece(want)
 
     @pytest.mark.parametrize("nvars", [1, 3])
     def test_zero_series(self, nvars):
@@ -1043,7 +1032,7 @@ class TestOldLoops:
             assert moved == remap_variables_unpacked(zero, 1, [0] * nvars)
             assert zero.to_record() == to_record_unpacked(zero)
             assert _fields(-zero) == _fields(3 * zero) == _fields(zero)
-            assert _graded_pieces(zero, 0, zero._shift) == {}
+            assert graded_pieces_dict(zero, 0, zero._shift) == {}
 
 
 SCALARS = st.one_of(SMALL_INTS, st.fractions(min_value=-3, max_value=3, max_denominator=12))
@@ -1483,7 +1472,10 @@ class TestOneReductionPerResult:
         size, nvars, degree = (data.draw(st.integers(*b)) for b in ((1, 3), (1, 2), (0, 4)))
         rows = [[self._entry(data, nvars, degree, kind) for _ in range(size)] for _ in range(size)]
         got = det(rows)
-        assert _fields(got) == _fields(det_cofactor(rows))
+        # the expansion runs at one digit width, the widest of D and the entries, where the
+        # cofactor sum takes the widest of the factors of its live products
+        assert got._shift == max(_shift_for(degree), *(s._shift for row in rows for s in row))
+        assert got == det_cofactor(rows)
         assert _reduced(got)
 
     def test_det_with_denominators_and_zero_entries(self):
@@ -1493,9 +1485,10 @@ class TestOneReductionPerResult:
         rows = [[F(1, 2) + x, zero, wide], [y * F(2, 5), 1 - x * y, zero],
                 [zero, x * F(-3, 4), wide]]
         assert _fields(det(rows)) == _fields(det_cofactor(rows))
-        # every product has a zero factor: the wide entry sets no digit width
+        # every product has a zero factor; the wide entry still sets the digit width
         dead = [[zero, wide], [zero, wide]]
-        assert _fields(det(dead)) == _fields(det_cofactor(dead)) == (2, 3, _shift_for(3), [], [], 1)
+        assert det(dead) == det_cofactor(dead)
+        assert _fields(det(dead)) == (2, 3, wide._shift, [], [], 1) != _fields(zero)
 
     def test_det_refuses_entries_of_other_degrees(self):
         with pytest.raises(ValueError, match="truncation degree"):
@@ -1523,7 +1516,7 @@ class TestOneReductionPerResult:
         n, v, degree = (data.draw(st.integers(*b)) for b in ((1, 2), (1, 2), (2, 5)))
         entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
         hess = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
-        assume(det(hess) != 0)
+        assume(det_cofactor(hess) != 0)
         theta = []
         for row in hess:
             f = data.draw(coefficient_map(v + n, degree, kind, 1))
