@@ -142,7 +142,10 @@ def _assemble(n: int, k: int, pv: PointValues) -> KernelReport:
     psi_xy, dia = pv.psi_xy, pv.diastasis
     amp = 1 + 0j
     for j, b_j in enumerate(pv.b, 1):
-        amp += b_j / k**j
+        try:
+            amp += b_j / k**j
+        except OverflowError:  # k**j above the float range, as at closed-form chsc n >= 90
+            amp += b_j * float(k) ** -j
     log_prefactor = n * math.log(k / math.pi)
     log_amp = math.log(abs(amp)) if amp != 0 else float("-inf")
     log_mag = log_prefactor + k * psi_xy.real + log_amp

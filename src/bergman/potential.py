@@ -33,7 +33,9 @@ phase, which cost milliseconds; its :class:`GeometryPack` builds the checked
 inversion and both forms of ``Delta0`` on first read, so commands that read
 only psi never invert the phase.  The pack is the only code that composes
 through the phase; it owns the one table of powers of ``z(x, y, theta)``,
-which the round-trip check, ``Delta0`` and both coefficient routes share.
+which the solve seeds and ``Delta0`` and both coefficient routes share.  The
+inversion and the seeded powers are checked at one point modulo a prime
+(:func:`bergman.series.holds_on_a_line`), drawn from the spec digest.
 ``Delta0`` in (x, y, theta) is ``det(dw/dtheta)`` for
 ``w = psi_y(y, z(x, y, theta))``, by the chain rule (:func:`build_delta0`,
 which takes the pack, is the one caller of :func:`bergman.series.det`); the
@@ -364,7 +366,7 @@ def build_theta(psi_x_yz: Sequence[TruncatedSeries]) -> list:
     return [segment_average(f, n, splits) for f in psi_x_yz]
 
 
-def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
+def invert_theta(theta: Sequence[TruncatedSeries], powers: dict | None = None) -> list:
     """Solve theta(x,y,z) = t for z as a series in (x, y, t).
 
     With H the constant z-linear part of theta, z is the fixed point of
@@ -375,11 +377,13 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> list:
     H^{-1} t and -H^{-1} theta in one pass over theta's terms and solves one
     homogeneous degree at a time, as in lazy ("relaxed") power-series
     arithmetic.  No series is built for H^{-1} t or S, and no variable.
+    ``powers``, when given, receives the solve's z-powers, keyed as composing
+    theta through (x, y, z) caches them.
     """
     n3 = theta[0].nvars
     n = n3 // 3
     hinv = _hessian_inverse([[theta[i][unit(n3, 2 * n + j)] for j in range(n)] for i in range(n)])
-    return fixed_point(hinv, theta)
+    return fixed_point(hinv, theta, powers)
 
 
 def _hessian_inverse(rows) -> list:
@@ -408,7 +412,7 @@ def build_delta0(geom: "GeometryPack") -> TruncatedSeries:
     ``det(psi_yz o z) * det(dz/dtheta)``, which by the chain rule is
     ``det(dw/dtheta)`` for ``w = psi_y(y, z(x, y, theta))``, with psi_y(y, z)
     the pack's ``psi_x_yz``, composed by the pack through the z-powers the
-    round-trip check built.  The entries ``D_(theta_j) w_i`` go to
+    solve seeded.  The entries ``D_(theta_j) w_i`` go to
     :func:`bergman.series.det` as ``(w_i, xi)`` pairs, which it differentiates
     into its own pieces: no Jacobian series is built, and no dense series is
     multiplied outside the determinant.
@@ -430,9 +434,9 @@ class GeometryPack:
     (y = x, theta = ``psi_x(x,z)``).  In each, the x and y arguments are bare
     variables, which only move exponents (``to_xz`` moves both onto x), and
     the other n arguments are substituted.  Each composition keeps the powers of its n substituted
-    arguments, keyed by their exponent: :attr:`z_powers`, which the
-    round-trip check starts from ``z_of_theta`` alone, and
-    :attr:`psi_x_powers`.  An entry holds its power through the highest
+    arguments, keyed by their exponent: :attr:`z_powers`, which
+    :attr:`z_of_theta` seeds with the solve's own powers once they pass the
+    line check, and :attr:`psi_x_powers`.  An entry holds its power through the highest
     degree a call has read, and a later call that reads higher replaces it
     (see Composition in :mod:`bergman.series`).  :attr:`delta0_xyz` composes
     ``Delta0`` once more, with theta itself, and keeps no powers.  The caches
@@ -455,14 +459,26 @@ class GeometryPack:
     def z_of_theta(self) -> tuple:
         """The inverse phase z(x, y, theta): n series in (x, y, theta) blocks, degree D - 1.
 
-        Kept only once ``theta(x, y, z(x, y, theta)) = theta`` holds exactly;
-        a failed round trip raises and keeps nothing, not even its z-powers.
+        The solve hands on its powers z^gamma, which seed :attr:`z_powers` with the
+        entries composing theta through z would cache, so no power is built twice.
+        Kept only once :func:`bergman.series.holds_on_a_line` finds
+        ``theta(x, y, z) = theta`` and every seeded power at one point mod p, its
+        residues drawn from the spec digest; when a denominator is 0 mod p, the
+        exact round trip composes theta through fresh powers instead, and they
+        seed the table.  A failed check raises and keeps nothing.
         """
-        z = tuple(invert_theta(self.theta))
         powers: dict = {}
+        z = tuple(invert_theta(self.theta, powers))
         n, D = self.n, self.degree
-        thetas = TruncatedSeries.variables(3 * n, D - 1, range(2 * n, 3 * n))
-        if [t.compose(self._bare[0] + list(z), cache=powers) for t in self.theta] != thetas:
+        digest = self.spec.sha256()
+        residues = [int.from_bytes(hashlib.sha256(f"{digest}:{i}".encode()).digest()[:8], "big")
+                    for i in range(3 * n)]
+        holds = series.holds_on_a_line(self.theta, z, powers, residues)
+        if holds is None:  # a denominator is 0 mod p: the exact round trip, with fresh powers
+            powers = {}
+            thetas = TruncatedSeries.variables(3 * n, D - 1, range(2 * n, 3 * n))
+            holds = [t.compose(self._bare[0] + list(z), cache=powers) for t in self.theta] == thetas
+        if not holds:
             raise ArithmeticError("phase inversion failed the round-trip identity")
         self.z_powers.update(powers)
         return z

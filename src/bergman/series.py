@@ -97,14 +97,20 @@ only then does a group lose its zeros before it reads a power.
 :class:`bergman.potential.GeometryPack`, the only composer through the phase,
 keeps two such tables: one for ``psi_x(x, z)``, read by ``to_xz`` in one
 composition that runs both the x and the y block onto x, and one for the
-inverted phase ``z(x, y, theta)`` (``geom.z_powers``), which the round-trip
-check builds and ``Delta0`` and every later composition through ``z`` reuse.
+inverted phase ``z(x, y, theta)`` (``geom.z_powers``), which the solve seeds
+and ``Delta0`` and every later composition through ``z`` reuse.
 The phase inversion composes nothing: :func:`fixed_point` takes theta and
 the inverse of its constant z-linear part H, forms the parts of H^-1 t and
 of -H^-1 theta in one pass over theta's terms (the z-linear constant part
 cancels exactly and is dropped), and makes each new piece with the uncut
 :func:`_sum_of_products` of its live pairs (see Storage); each level reads a
-list of the power steps it extends, made once per solve.  No table
+list of the power steps it extends, made once per solve.  The powers it
+builds are the entries composing theta through z would cache, through the
+same degrees, so it hands them on as that cache.  They are checked, with z,
+by :func:`holds_on_a_line`, which builds no series and shares no code with
+the solve: each series is evaluated at a random point mod a prime, and the
+powers of z, cut at their degrees, come from univariate products of z on the
+line through that point.  No table
 outlives a call: apart from a caller's ``cache`` or ``splits`` (``build_theta``
 shares one among its n averages) and the views a series builds of itself,
 tables such as the split steps of :func:`segment_average` and the falling
@@ -124,7 +130,8 @@ that cannot carry.  Products, :func:`fixed_point` and :func:`det` build
 pieces: each sum of key pairs of degree at most the output degree is one
 :func:`_sum_of_products`, which sorts its dict and reduces, and
 ``TruncatedSeries._from_piece`` stores that piece as it is; the level solve's
-uncut sums reduce without sorting (see Storage).  ``invert`` is its
+uncut sums reduce without sorting (see Storage), and :func:`_joined` makes
+both z and each of the powers the solve hands on.  ``invert`` is its
 definition, a Horner sum of :func:`mul_trunc` products and sums.  ``compose``'s
 group sum and moves that can merge keys (a sum of series, bare ``compose``
 arguments, ``segment_average``, which moves part of each y digit to its x
@@ -154,7 +161,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from math import factorial, gcd, lcm, perm
 from typing import Iterable, Iterator, Sequence
 
@@ -871,7 +878,8 @@ def close_power_chain(top: dict) -> dict:
     return top
 
 
-def fixed_point(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries]) -> list:
+def fixed_point(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries],
+                powers: dict | None = None) -> list:
     """The series z with ``theta(v, z) = t``, one homogeneous degree at a time.
 
     The n series of ``theta`` share nvars and degree D; their last n slots are
@@ -904,6 +912,12 @@ def fixed_point(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries]) -> l
     with d <= D, so the sums are uncut (``out_degree`` None, see Storage).  The
     pieces of one z_u share no key, so :func:`_joined` sums them with no pair
     loop, reduced once and sorted once.
+
+    ``powers``, when given, receives the table that composing theta through
+    the arguments ``(v, z)`` would cache, from the solve's own pieces: each
+    ``P_gamma`` joined as z is, through the degree a composition reads it,
+    keyed by the exponents of the z_j that are not bare variables (a bare one
+    only moves exponents), each z_j itself for its unit exponent.
     """
     N, D, n = theta[0].nvars, theta[0].trunc_degree, len(theta)
     for s in theta:
@@ -953,7 +967,109 @@ def fixed_point(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries]) -> l
             p = _sum_of_products(pairs, width, None) if pairs else None
             out.append(p)
             tw.append((p[0], [v + v for v in p[1]], p[2]) if p and 2 * d < D else None)
-    return [TruncatedSeries._from_piece(N, D, shift, _joined(pieces[u][1:])) for u in units]
+    z = [TruncatedSeries._from_piece(N, D, shift, _joined(pieces[u][1:])) for u in units]
+    if powers is not None:
+        subs = [j for j, zj in enumerate(z) if zj._bare_variable() is None]
+        for gamma, last in top.items():
+            key = tuple([gamma[j] for j in subs])
+            if sum(key) == sum(gamma):  # raises no bare z_j
+                powers[key] = (z[gamma.index(1)] if sum(gamma) == 1 else
+                               TruncatedSeries._from_piece(N, last, shift, _joined(pieces[gamma])))
+    return z
+
+
+# the prime of :func:`holds_on_a_line`, the Mersenne prime 2^61 - 1
+LINE_PRIME = (1 << 61) - 1
+
+
+def holds_on_a_line(theta: Sequence[TruncatedSeries], z: Sequence[TruncatedSeries],
+                    powers: dict, residues: Sequence[int]) -> bool | None:
+    """Whether a solve of :func:`fixed_point` holds at one point r mod p =
+    :data:`LINE_PRIME`: ``theta(v, z) = t``, and each entry of ``powers``, keyed as
+    :func:`fixed_point` fills it, is its product of the z_j, each cut at its degree.
+    None when a denominator is 0 mod p, so that the point decides nothing.
+
+    Slot i of (v, t) goes to ``r_i = residues[i]``, and a term is its numerator
+    times one entry, ``prod r_i^(d_i)``, of a table per chunk of up to
+    ``8 // shift`` of its digits.  The truncations need the line through r: z_j
+    on it, ``z_j(r lambda)``, is a polynomial in lambda, one coefficient per
+    degree, raised to each exponent by univariate products along
+    :func:`power_step`, and ``[z^gamma]_(<=k)(r)`` is the sum of its first k + 1
+    coefficients.  Each ``P_gamma(r)`` is compared with its cut, and a term of
+    theta of z digits gamma and degree e in v reads the cut at D - e.  No code
+    of the solve runs here.  A false identity of degree at most D, nonzero mod
+    p, holds at a random point with probability at most D/p (Schwartz, J. ACM
+    1980; Zippel, EUROSAM 1979).
+    """
+    p = LINE_PRIME
+    if any(s._den % p == 0 for s in (*theta, *z, *powers.values())):
+        return None
+    N, D, n, shift = z[0].nvars, z[0].trunc_degree, len(z), z[0]._shift
+    size, width = max(1, 8 // shift), shift * N
+    rows = [list(accumulate([v % p] * ((1 << shift) - 1), lambda a, b: a * b % p, initial=1))
+            for v in residues]
+    tables = []  # (offset, mask, table) per chunk, least significant first
+    for off in range(0, width, size * shift):
+        table, stop = [1], N - off // shift
+        for row in rows[max(0, stop - size):stop]:
+            table = [a * b % p for a in table for b in row]
+        tables.append((off, (1 << min(size * shift, width - off)) - 1, table))
+
+    def weighed(s, digits) -> tuple:
+        """The keys of s and its numerators times ``prod r_i^(d_i)`` over their digits
+        under ``digits``, with the inverse of its denominator."""
+        keys, ws = s._keys_at(shift), s._nums
+        for off, mask, table in tables:
+            if chunk := digits >> off & mask:
+                ws = [w * table[k >> off & chunk] for w, k in zip(ws, keys)]
+        return keys, ws, pow(s._den, -1, p)
+
+    zl = []
+    for s in z:
+        keys, ws, inv = weighed(s, (1 << width) - 1)
+        starts = [bisect_left(keys, d << width) for d in range(D + 2)]
+        zl.append([sum(ws[a:b]) * inv % p for a, b in zip(starts, starts[1:])])
+    lines = {(0,) * n: [1] + [0] * D} | {unit(n, j): line for j, line in enumerate(zl)}
+
+    def line(gamma) -> list:  # z^gamma on the line, through lambda^D
+        if (hit := lines.get(gamma)) is None:
+            j, lower = power_step(gamma)
+            hit = lines[gamma] = [v % p for v in
+                                  _add_line_product([0] * (D + 1), line(lower), zl[j])]
+        return hit
+
+    subs = [j for j, zj in enumerate(z) if zj._bare_variable() is None]
+    for key, power in powers.items():
+        gamma = [0] * n
+        for j, e in zip(subs, key):
+            gamma[j] = e
+        _, ws, inv = weighed(power, (1 << width) - 1)
+        if (sum(ws) * inv - sum(line(tuple(gamma))[:power.trunc_degree + 1])) % p:
+            return False
+    low = (1 << shift * n) - 1  # the z digits of theta's keys, cleared from its weights
+    cuts: dict = {}  # z digits -> the cut each total degree reads
+    for i, t in enumerate(theta):
+        keys, ws, inv = weighed(t, (1 << width) - 1 - low)
+        for g in {k & low for k in keys} - cuts.keys():
+            gamma = _unpack(g, n, shift)
+            c, e = list(accumulate(line(gamma))), sum(gamma)  # [z^gamma]_(<=k)(r), by k
+            cuts[g] = [c[D - d + e] if d >= e else 0 for d in range(D + 1)]
+        total = sum(w * cuts[k & low][k >> width] for w, k in zip(ws, keys))
+        if total * inv % p != residues[N - n + i] % p:
+            return False
+    return True
+
+
+def _add_line_product(out: list, a: list, b: list) -> list:
+    """``out`` plus ``a * b`` cut at ``len(out) - 1``, for coefficient lists of
+    polynomials in lambda; b's zeros below its lowest term are skipped."""
+    top = len(out) - 1
+    lo = next((j for j, v in enumerate(b) if v), len(b))
+    for i, ai in enumerate(a[:top + 1 - lo]):
+        if ai:
+            for j, bj in enumerate(b[lo:top + 1 - i], i + lo):
+                out[j] += ai * bj
+    return out
 
 
 def _solve_parts(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries], shift: int) -> list:

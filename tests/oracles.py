@@ -67,9 +67,10 @@ solve took theta and the Hessian inverse itself: it builds lin = H^-1 t and
 rest = z - H^-1 theta as 2n series with ``linear_combination`` and a full
 ``variables`` list, and ``fixed_point_lin_rest`` re-splits them with
 ``graded_pieces_dict`` and pays one ``_sum_of_products`` per homogeneous piece.
-``round_trip_powers`` is the round-trip check of ``GeometryPack.z_of_theta``
-on that inversion, with every variable built, and returns the z-powers it
-composed; ``build_delta0_jacobian_series`` is ``potential.build_delta0`` with
+``round_trip_powers`` is the exact round trip that ``GeometryPack.z_of_theta``
+ran as its check before the solve seeded the table (it now runs only when a
+denominator is 0 mod p), on that inversion, with every variable built, and
+returns the z-powers it composed: the entries the seeded table must equal; ``build_delta0_jacobian_series`` is ``potential.build_delta0`` with
 the n^2 Jacobian entries built as ``diff`` series first; ``derived_full_scan``
 is ``series._derived`` scanning every key, below ``|xi|`` too; and
 ``amplitude_truncated_delta0`` is ``GeometryPack.amplitude`` multiplying by a

@@ -193,6 +193,16 @@ class TestAsymptoticsCommand:
         assert payload["verdict"] == "pass"
         assert (tmp_path / "asymptotics.csv").exists()
 
+    def test_closed_form_chsc_beyond_the_float_range_of_k_powers(self, tmp_path, capsys):
+        # at n = 90 the amplitude reads b_j / k^j with k^j above 2^1024, which once
+        # raised "int too large to convert to float" and exited 2 on valid input
+        point = ",".join(["0.001"] * 90), ",".join(["0.002"] * 90)
+        rc = main(["asymptotics", "--closed-form", "--preset", "chsc", "--n", "90",
+                   "--x", point[0], "--y", point[1], "--out", str(tmp_path)])
+        assert rc == 0, capsys.readouterr().err
+        fit = read_json(tmp_path / "asymptotics.json")["fit"]
+        assert len(fit["residuals"]) == 7 and all(map(math.isfinite, fit["residuals"]))
+
     @pytest.mark.parametrize("mode", ["log", "scaling"])
     def test_bad_point_exits_two_before_the_geometry(self, tmp_path, monkeypatch, capsys, mode):
         assert main(["coeffs", "--preset", "chsc", "--degree", "6", "--order", "1",
@@ -220,9 +230,9 @@ class TestLazyGeometry:
     def inversions(self, monkeypatch):
         solve, calls = potential.invert_theta, []
 
-        def counting(theta):
+        def counting(theta, powers=None):
             calls.append(theta)
-            return solve(theta)
+            return solve(theta, powers)
 
         monkeypatch.setattr(potential, "invert_theta", counting)
         return calls

@@ -358,13 +358,17 @@ class TestInvertTheta:
     def test_round_trip_check_can_fail(self, monkeypatch):
         solve = potential.invert_theta
 
-        def off_by_one_at_top_degree(theta):
-            z = solve(theta)
+        def off_by_one_at_top_degree(theta, powers=None):
+            z = solve(theta, powers)
             n3, D = z[0].nvars, z[0].trunc_degree
             coeffs = dict(z[0].coeffs)
             top = (0,) * (n3 - 1) + (D,)
             coeffs[top] = coeffs.get(top, 0) + 1
-            return [TruncatedSeries(n3, D, coeffs)] + z[1:]
+            wrong = TruncatedSeries(n3, D, coeffs)
+            # the table's unit entry is the wrong z_1 too, so theta(x, y, z) = t alone fails
+            for key in [key for key, p in (powers or {}).items() if p is z[0]]:
+                powers[key] = wrong
+            return [wrong] + z[1:]
 
         monkeypatch.setattr(potential, "invert_theta", off_by_one_at_top_degree)
         geom = build_geometry(preset_chsc(2, 1, 6))
@@ -403,8 +407,8 @@ class TestInvertTheta:
     def test_geometry_caches_substituted_powers_only(self, monkeypatch):
         # x and y enter every composition of the geometry as bare variables,
         # so only the z-like arguments are raised to powers.  The graded
-        # inversion composes nothing; the compositions are the round-trip
-        # check's and Delta0's, through z(x, y, t), which is never bare.
+        # inversion and its check compose nothing; the compositions are
+        # Delta0's, through z(x, y, t), which is never bare.
         compose = TruncatedSeries.compose
         seen = []
 
@@ -659,8 +663,9 @@ BENCHMARK_JOBS = {
 }
 
 
-# pair visits of the dense_orders job below, pinned so that no change drops the square path
-PAIR_VISITS = 20_897
+# pair visits of the dense_orders job below, pinned so that no change drops the square path;
+# 20,897 while the round-trip check built its own z-powers
+PAIR_VISITS = 13_438
 
 
 def _count_pair_visits(monkeypatch) -> list:
@@ -683,19 +688,35 @@ def _count_pair_visits(monkeypatch) -> list:
     return visits
 
 
-def test_pair_visits_of_the_dense_pipeline(monkeypatch):
-    # An exact work count of the first seed-1 dense_orders job: both coefficient
-    # routes to order 5, with the inversion, its round-trip check and Delta0.
-    # Squares visit each unordered pair of terms once; the ordered loop alone
-    # visited 26,168 pairs.  The solve's level pieces are joined with no pair
-    # loop; summed through it they cost 286 visits more.
+def _pipeline_visits(monkeypatch, name) -> int:
+    """Pair visits of one benchmark job: both coefficient routes, with the inversion,
+    its check and Delta0."""
     visits = _count_pair_visits(monkeypatch)
-    geom = build_geometry(dense_spec(12))
-    table = amplitude_from_b(bergman_coefficients(geom, 5), geom)
-    recon = reconstruct_coefficients(geom, transport_chain(geom, 5))
+    make, order = BENCHMARK_JOBS[name]
+    geom = build_geometry(make())
+    table = amplitude_from_b(bergman_coefficients(geom, order), geom)
+    recon = reconstruct_coefficients(geom, transport_chain(geom, order))
     monkeypatch.undo()
     assert recon == list(table.b)
-    assert visits == [PAIR_VISITS]
+    return visits[0]
+
+
+def test_pair_visits_of_the_dense_pipeline(monkeypatch):
+    # An exact work count of the first seed-1 dense_orders job, to order 5.
+    # Squares visit each unordered pair of terms once; the ordered loop alone
+    # visited 26,168 pairs.  The solve's level pieces are joined with no pair
+    # loop; summed through it they cost 286 visits more.  The z-powers come from
+    # the solve and the line check multiplies no series.
+    assert _pipeline_visits(monkeypatch, "dense_1") == PAIR_VISITS
+
+
+# pair visits of the chsc_3/5 benchmark job (n=2, order 3); 11,605 while the
+# round-trip check built its own z-powers
+CHSC_PAIR_VISITS = 7_080
+
+
+def test_pair_visits_of_the_chsc_pipeline(monkeypatch):
+    assert _pipeline_visits(monkeypatch, "chsc_3/5") == CHSC_PAIR_VISITS
 
 
 # TruncatedSeries.diff calls of the coefficient and transport pipeline: psi_x (n).
@@ -775,9 +796,11 @@ class TestPhaseLayersAgainstTheirEarlierBodies:
 
     def test_the_check_never_reads_the_solves_table(self, monkeypatch):
         # A piece the solve keeps, [z_1^2]_2, is corrupted after it is made: the powers
-        # of z read it, so z comes out wrong.  The check composes theta through powers
-        # that mul_trunc builds from that z alone, so it fails; a check that read the
-        # solve's own table would agree with the wrong z and pass.
+        # of z read it, so z comes out wrong, and the table the solve hands on holds the
+        # piece.  The check raises z's own line to each power, evaluates theta through
+        # those, never through the table, and compares the table with them, so both of
+        # its parts fail; theta composed through the solve's table would give t, since
+        # the level sums are built from it.
         spec = preset_chsc(2, F(3, 5), 8)
         solve, sums = series.fixed_point, series._sum_of_products
         state = {"solving": False, "calls": 0}
@@ -791,10 +814,10 @@ class TestPhaseLayersAgainstTheirEarlierBodies:
                     return keys, [nums[0] + den] + nums[1:], den
             return piece
 
-        def solving(hinv, theta):
+        def solving(hinv, theta, powers=None):
             state.update(solving=True, calls=0)
             try:
-                return solve(hinv, theta)
+                return solve(hinv, theta, powers)
             finally:
                 state["solving"] = False
 
@@ -806,6 +829,82 @@ class TestPhaseLayersAgainstTheirEarlierBodies:
         with pytest.raises(ArithmeticError, match="round-trip"):
             geom.z_of_theta
         assert "z_of_theta" not in vars(geom) and geom.z_powers == {}
+
+
+class TestLineCheck:
+    """The check of the inversion: theta(x, y, z) = t and every seeded z-power at one point
+    mod p, drawn from the spec digest; the exact round trip when a denominator is 0 mod p."""
+
+    def test_a_seeded_power_perturbed_after_the_solve_fails_the_check(self, monkeypatch):
+        solve = potential.invert_theta
+
+        def perturbing(theta, powers=None):
+            z = solve(theta, powers)
+            key = max(powers, key=sum)  # z is right; only this entry is not its power
+            power = powers[key]
+            top = max(power.coeffs, key=sum)
+            powers[key] = power + TruncatedSeries(power.nvars, power.trunc_degree, {top: 1})
+            return z
+
+        monkeypatch.setattr(potential, "invert_theta", perturbing)
+        geom = build_geometry(preset_chsc(2, F(3, 5), 8))
+        with pytest.raises(ArithmeticError, match="round-trip"):
+            geom.z_of_theta
+        assert "z_of_theta" not in vars(geom) and geom.z_powers == {}
+
+    @pytest.mark.parametrize("spec", [preset_flat(2, 6), PotentialSpec(2, 8, 0.3, {
+        ((1, 0), (1, 0)): F(1), ((0, 1), (0, 1)): F(1), ((0, 2), (0, 2)): F(1, 5)})],
+        ids=["flat", "split"])
+    def test_no_power_of_a_bare_z(self, spec):
+        # z_1 = t_1 exactly: the composition only moves its exponent, so the table keys
+        # the powers of the other z_j alone, and holds no unit power of z_1
+        geom = build_geometry(spec)
+        geom.z_of_theta
+        want = round_trip_powers(geom.theta)
+        assert sorted(geom.z_powers) == sorted(want)
+        assert all(len(gamma) == spec.n - 1 for gamma in geom.z_powers)
+        assert all(_fields(p) == _fields(want[gamma]) for gamma, p in geom.z_powers.items())
+
+    def test_a_denominator_zero_mod_p_runs_the_exact_round_trip(self, monkeypatch):
+        geom = build_geometry(preset_chsc(2, F(3, 5), 8))
+        powers = {}
+        z = invert_theta(geom.theta, powers)
+        monkeypatch.setattr(series, "LINE_PRIME", 5)  # 5 divides the denominators of z
+        assert series.holds_on_a_line(geom.theta, z, powers, [1] * 6) is None
+        composed, compose = [], TruncatedSeries.compose
+
+        def composing(s, args, cache=None):
+            composed.append(s)
+            return compose(s, args, cache)
+
+        monkeypatch.setattr(TruncatedSeries, "compose", composing)
+        geom.z_of_theta
+        assert composed == list(geom.theta)
+        want = round_trip_powers(geom.theta)
+        assert sorted(geom.z_powers) == sorted(want)
+        assert all(_fields(p) == _fields(want[gamma]) for gamma, p in geom.z_powers.items())
+
+    def test_the_exact_round_trip_fails_a_wrong_z(self, monkeypatch):
+        solve = potential.invert_theta
+
+        def off_by_one(theta, powers=None):
+            z = solve(theta, powers)
+            return [z[0] + TruncatedSeries.variable(z[0].nvars, z[0].trunc_degree, 0)] + z[1:]
+
+        monkeypatch.setattr(potential, "invert_theta", off_by_one)
+        monkeypatch.setattr(series, "LINE_PRIME", 5)
+        geom = build_geometry(preset_chsc(2, F(3, 5), 8))
+        with pytest.raises(ArithmeticError, match="round-trip"):
+            geom.z_of_theta
+        assert geom.z_powers == {}
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.integers(0, 2**64), min_size=6, max_size=6))
+    def test_the_true_solve_holds_at_every_point(self, residues):
+        geom = build_geometry(preset_chsc(2, F(-2, 5), 8))
+        powers = {}
+        z = invert_theta(geom.theta, powers)
+        assert series.holds_on_a_line(geom.theta, z, powers, residues) is True
 
 
 # TruncatedSeries.__init__ calls (the validating constructor) of the same pipeline:
@@ -857,7 +956,7 @@ def test_geometry_guard_refuses_huge_sizes_at_once():
 
 
 class TestZPowerTable:
-    """The geometry's one table of z-powers, started by the round-trip check."""
+    """The geometry's one table of z-powers, seeded by the solve."""
 
     @pytest.mark.parametrize("name", sorted(BENCHMARK_JOBS))
     def test_coeffs_pipeline_replaces_no_entry(self, monkeypatch, name):
@@ -879,7 +978,7 @@ class TestZPowerTable:
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_entries_are_products_of_z(self, name):
         geom = build_geometry(self.SPECS[name]())
-        geom.delta0_xytheta  # the round-trip check and Delta0 fill the table
+        geom.delta0_xytheta  # the solve seeds the table, and Delta0 reads it
         n = geom.n
         assert geom.z_powers
         for gamma, power in geom.z_powers.items():
