@@ -1034,8 +1034,12 @@ def holds_on_a_line(theta: Sequence[TruncatedSeries], z: Sequence[TruncatedSerie
     def line(gamma) -> list:  # z^gamma on the line, through lambda^D
         if (hit := lines.get(gamma)) is None:
             j, lower = power_step(gamma)
-            hit = lines[gamma] = [v % p for v in
-                                  _add_line_product([0] * (D + 1), line(lower), zl[j])]
+            hit = [0] * (D + 1)
+            for i, a in enumerate(line(lower)):
+                if a:
+                    for k, b in enumerate(zl[j][:D + 1 - i], i):
+                        hit[k] += a * b
+            hit = lines[gamma] = [v % p for v in hit]
         return hit
 
     subs = [j for j, zj in enumerate(z) if zj._bare_variable() is None]
@@ -1058,18 +1062,6 @@ def holds_on_a_line(theta: Sequence[TruncatedSeries], z: Sequence[TruncatedSerie
         if total * inv % p != residues[N - n + i] % p:
             return False
     return True
-
-
-def _add_line_product(out: list, a: list, b: list) -> list:
-    """``out`` plus ``a * b`` cut at ``len(out) - 1``, for coefficient lists of
-    polynomials in lambda; b's zeros below its lowest term are skipped."""
-    top = len(out) - 1
-    lo = next((j for j, v in enumerate(b) if v), len(b))
-    for i, ai in enumerate(a[:top + 1 - lo]):
-        if ai:
-            for j, bj in enumerate(b[lo:top + 1 - i], i + lo):
-                out[j] += ai * bj
-    return out
 
 
 def _solve_parts(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries], shift: int) -> list:
