@@ -366,8 +366,8 @@ def build_theta(psi_x_yz: Sequence[TruncatedSeries]) -> list:
     return [segment_average(f, n, splits) for f in psi_x_yz]
 
 
-def invert_theta(theta: Sequence[TruncatedSeries], powers: dict | None = None) -> list:
-    """Solve theta(x,y,z) = t for z as a series in (x, y, t).
+def invert_theta(theta: Sequence[TruncatedSeries]) -> tuple:
+    """Solve theta(x,y,z) = t for z as a series in (x, y, t); returns z and its powers.
 
     With H the constant z-linear part of theta, z is the fixed point of
     z = H^{-1} t + S(x, y, z), S = z - H^{-1} theta, which has no z-linear
@@ -377,13 +377,13 @@ def invert_theta(theta: Sequence[TruncatedSeries], powers: dict | None = None) -
     H^{-1} t and -H^{-1} theta in one pass over theta's terms and solves one
     homogeneous degree at a time, as in lazy ("relaxed") power-series
     arithmetic.  No series is built for H^{-1} t or S, and no variable.
-    ``powers``, when given, receives the solve's z-powers, keyed as composing
-    theta through (x, y, z) caches them.
+    The powers are the solve's own z^gamma, keyed as composing theta through
+    (x, y, z) caches them.
     """
     n3 = theta[0].nvars
     n = n3 // 3
     hinv = _hessian_inverse([[theta[i][unit(n3, 2 * n + j)] for j in range(n)] for i in range(n)])
-    return fixed_point(hinv, theta, powers)
+    return fixed_point(hinv, theta)
 
 
 def _hessian_inverse(rows) -> list:
@@ -467,8 +467,8 @@ class GeometryPack:
         exact round trip composes theta through fresh powers instead, and they
         seed the table.  A failed check raises and keeps nothing.
         """
-        powers: dict = {}
-        z = tuple(invert_theta(self.theta, powers))
+        z, powers = invert_theta(self.theta)
+        z = tuple(z)
         n, D = self.n, self.degree
         digest = self.spec.sha256()
         residues = [int.from_bytes(hashlib.sha256(f"{digest}:{i}".encode()).digest()[:8], "big")

@@ -80,7 +80,9 @@ product goes into one accumulator over one denominator, the denominator of
 scale), and the result is reduced once; the pair loop is the one
 :func:`_sum_of_products` runs.  The optional ``cache`` holds the
 ``P_gamma``, keyed by ``gamma`` (one entry per substituted argument), so
-calls that share an argument list share their powers; :func:`power_step`
+calls that share an argument list share their powers; :func:`_substitution`
+and :func:`_power_key` hold that keying for every table through a
+composition's arguments, the solve's included.  :func:`power_step`
 gives the chain every power table follows, ``P_gamma = P_lower * arg_j``.
 Its first step, ``P_(2 e_j) = arg_j * arg_j``, is a square: ``P_(e_j)`` is
 ``arg_j`` itself, and :func:`mul_trunc` of a series with itself passes one
@@ -106,7 +108,7 @@ cancels exactly and is dropped), and makes each new piece with the uncut
 :func:`_sum_of_products` of its live pairs (see Storage); each level reads a
 list of the power steps it extends, made once per solve.  The powers it
 builds are the entries composing theta through z would cache, through the
-same degrees, so it hands them on as that cache.  They are checked, with z,
+same degrees, so it returns them with z as that cache.  They are checked, with z,
 by :func:`holds_on_a_line`, which builds no series and shares no code with
 the solve: each series is evaluated at a random point mod a prime, and the
 powers of z, cut at their degrees, come from univariate products of z on the
@@ -525,17 +527,12 @@ class TruncatedSeries:
             cache = {}
         shift = max(_shift_for(tgt_D), *(a._shift for a in args))
         n, own_shift = self.nvars, self._shift
+        substituted, bare = _substitution(args)
+        targets = {target for _, target in bare}
         # runs of bare arguments, (last outer slot, last target slot, length); a run
         # of one digit width moves with one shift and one mask
         runs = []
-        substituted = []  # outer slots of the other arguments
-        targets = set()  # target slots of the bare arguments
-        for i, a in enumerate(args):
-            target = a._bare_variable()
-            if target is None:
-                substituted.append(i)
-                continue
-            targets.add(target)
+        for i, target in bare:
             if runs and own_shift == shift and runs[-1][:2] == (i - 1, target - 1):
                 runs[-1] = (i, target, runs[-1][2] + 1)
             else:
@@ -853,6 +850,38 @@ def _sum_of_products(pairs: Sequence[tuple], width: int, out_degree: int | None)
     return _piece(keys, [acc[k] for k in keys], den)
 
 
+def _substitution(args: Sequence[TruncatedSeries]) -> tuple:
+    """How a composition reads its arguments: the slots it substitutes, those that are
+    not bare variables, and the (slot, target slot) of each bare one, which only moves
+    exponents.  A table of powers through ``args`` keys ``prod args_i^(gamma_i)`` by
+    :func:`_power_key`, and the entry of a unit key is that argument itself."""
+    substituted, bare = [], []
+    for i, a in enumerate(args):
+        target = a._bare_variable()
+        if target is None:
+            substituted.append(i)
+        else:
+            bare.append((i, target))
+    return substituted, bare
+
+
+def _power_key(gamma: MultiIndex, substituted: Sequence[int]) -> tuple | None:
+    """The table key of the exponent ``gamma`` over all arguments: its exponents at the
+    ``substituted`` slots of :func:`_substitution`, or None when it raises a bare
+    argument, which no table holds."""
+    key = tuple([gamma[i] for i in substituted])
+    return key if sum(key) == sum(gamma) else None
+
+
+def _power_exponent(key: tuple, substituted: Sequence[int], nargs: int) -> MultiIndex:
+    """The exponent over all ``nargs`` arguments of a table key, the inverse of
+    :func:`_power_key`."""
+    gamma = [0] * nargs
+    for i, e in zip(substituted, key):
+        gamma[i] = e
+    return tuple(gamma)
+
+
 def power_step(gamma: MultiIndex) -> tuple:
     """The chain of every power table: ``P_gamma = P_lower * arg_j`` for
     ``gamma != 0``, with ``j`` the last nonzero slot and ``lower = gamma - e_j``."""
@@ -878,9 +907,9 @@ def close_power_chain(top: dict) -> dict:
     return top
 
 
-def fixed_point(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries],
-                powers: dict | None = None) -> list:
-    """The series z with ``theta(v, z) = t``, one homogeneous degree at a time.
+def fixed_point(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries]) -> tuple:
+    """The series z with ``theta(v, z) = t``, one homogeneous degree at a time, and
+    the table of its powers.
 
     The n series of ``theta`` share nvars and degree D; their last n slots are
     z and v the others, and each z_u is a series in the same slots, t in place
@@ -913,11 +942,10 @@ def fixed_point(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries],
     pieces of one z_u share no key, so :func:`_joined` sums them with no pair
     loop, reduced once and sorted once.
 
-    ``powers``, when given, receives the table that composing theta through
-    the arguments ``(v, z)`` would cache, from the solve's own pieces: each
-    ``P_gamma`` joined as z is, through the degree a composition reads it,
-    keyed by the exponents of the z_j that are not bare variables (a bare one
-    only moves exponents), each z_j itself for its unit exponent.
+    Returns ``(z, powers)``: ``powers`` is the table that composing theta
+    through the arguments ``(v, z)`` would cache, from the solve's own pieces,
+    each ``P_gamma`` joined as z is through the degree a composition reads it
+    and keyed as :func:`_power_key` keys it.
     """
     N, D, n = theta[0].nvars, theta[0].trunc_degree, len(theta)
     for s in theta:
@@ -968,14 +996,12 @@ def fixed_point(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries],
             out.append(p)
             tw.append((p[0], [v + v for v in p[1]], p[2]) if p and 2 * d < D else None)
     z = [TruncatedSeries._from_piece(N, D, shift, _joined(pieces[u][1:])) for u in units]
-    if powers is not None:
-        subs = [j for j, zj in enumerate(z) if zj._bare_variable() is None]
-        for gamma, last in top.items():
-            key = tuple([gamma[j] for j in subs])
-            if sum(key) == sum(gamma):  # raises no bare z_j
-                powers[key] = (z[gamma.index(1)] if sum(gamma) == 1 else
-                               TruncatedSeries._from_piece(N, last, shift, _joined(pieces[gamma])))
-    return z
+    substituted, powers = _substitution(z)[0], {}
+    for gamma, last in top.items():
+        if (key := _power_key(gamma, substituted)) is not None:
+            powers[key] = (z[gamma.index(1)] if sum(gamma) == 1 else
+                           TruncatedSeries._from_piece(N, last, shift, _joined(pieces[gamma])))
+    return z, powers
 
 
 # the prime of :func:`holds_on_a_line`, the Mersenne prime 2^61 - 1
@@ -985,8 +1011,8 @@ LINE_PRIME = (1 << 61) - 1
 def holds_on_a_line(theta: Sequence[TruncatedSeries], z: Sequence[TruncatedSeries],
                     powers: dict, residues: Sequence[int]) -> bool | None:
     """Whether a solve of :func:`fixed_point` holds at one point r mod p =
-    :data:`LINE_PRIME`: ``theta(v, z) = t``, and each entry of ``powers``, keyed as
-    :func:`fixed_point` fills it, is its product of the z_j, each cut at its degree.
+    :data:`LINE_PRIME`: ``theta(v, z) = t``, and each entry of ``powers``, keyed by
+    :func:`_power_key`, is its product of the z_j, each cut at its degree.
     None when a denominator is 0 mod p, so that the point decides nothing.
 
     Slot i of (v, t) goes to ``r_i = residues[i]``, and a term is its numerator
@@ -1042,13 +1068,11 @@ def holds_on_a_line(theta: Sequence[TruncatedSeries], z: Sequence[TruncatedSerie
             hit = lines[gamma] = [v % p for v in hit]
         return hit
 
-    subs = [j for j, zj in enumerate(z) if zj._bare_variable() is None]
+    substituted = _substitution(z)[0]
     for key, power in powers.items():
-        gamma = [0] * n
-        for j, e in zip(subs, key):
-            gamma[j] = e
         _, ws, inv = weighed(power, (1 << width) - 1)
-        if (sum(ws) * inv - sum(line(tuple(gamma))[:power.trunc_degree + 1])) % p:
+        gamma = _power_exponent(key, substituted, n)
+        if (sum(ws) * inv - sum(line(gamma)[:power.trunc_degree + 1])) % p:
             return False
     low = (1 << shift * n) - 1  # the z digits of theta's keys, cleared from its weights
     cuts: dict = {}  # z digits -> the cut each total degree reads

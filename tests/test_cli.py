@@ -230,9 +230,9 @@ class TestLazyGeometry:
     def inversions(self, monkeypatch):
         solve, calls = potential.invert_theta, []
 
-        def counting(theta, powers=None):
+        def counting(theta):
             calls.append(theta)
-            return solve(theta, powers)
+            return solve(theta)
 
         monkeypatch.setattr(potential, "invert_theta", counting)
         return calls

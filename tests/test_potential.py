@@ -343,7 +343,7 @@ class TestInvertTheta:
     )
     def test_round_trip_at_full_degree(self, spec):
         theta = build_geometry(spec).theta
-        z = invert_theta(theta)
+        z = invert_theta(theta)[0]
         n3, D = 3 * spec.n, spec.trunc_degree - 1
         ids = TruncatedSeries.variables(n3, D)
         assert all(zi.trunc_degree == D for zi in z)
@@ -352,23 +352,23 @@ class TestInvertTheta:
 
     def test_holomorphic_terms_reach_z(self):
         # theta = z + (x + y)/3 + ..., so z = t - (x + y)/3 + ...
-        z = invert_theta(build_geometry(holomorphic_spec(6)).theta)[0]
+        z = invert_theta(build_geometry(holomorphic_spec(6)).theta)[0][0]
         assert (z[(1, 0, 0)], z[(0, 1, 0)], z[(0, 0, 1)]) == (F(-1, 3), F(-1, 3), 1)
 
     def test_round_trip_check_can_fail(self, monkeypatch):
         solve = potential.invert_theta
 
-        def off_by_one_at_top_degree(theta, powers=None):
-            z = solve(theta, powers)
+        def off_by_one_at_top_degree(theta):
+            z, powers = solve(theta)
             n3, D = z[0].nvars, z[0].trunc_degree
             coeffs = dict(z[0].coeffs)
             top = (0,) * (n3 - 1) + (D,)
             coeffs[top] = coeffs.get(top, 0) + 1
             wrong = TruncatedSeries(n3, D, coeffs)
             # the table's unit entry is the wrong z_1 too, so theta(x, y, z) = t alone fails
-            for key in [key for key, p in (powers or {}).items() if p is z[0]]:
+            for key in [key for key, p in powers.items() if p is z[0]]:
                 powers[key] = wrong
-            return [wrong] + z[1:]
+            return [wrong] + z[1:], powers
 
         monkeypatch.setattr(potential, "invert_theta", off_by_one_at_top_degree)
         geom = build_geometry(preset_chsc(2, 1, 6))
@@ -473,7 +473,7 @@ def dense_spec(D, c21=F(-3, 4), c31=F(-1, 2)):
 
 def _assert_same_inversion(theta):
     """The raw-piece inversion builds what the series-piece inversion built, field by field."""
-    got, want = invert_theta(theta), invert_theta_pieces(theta)
+    got, want = invert_theta(theta)[0], invert_theta_pieces(theta)
     assert [(z._shift, z._keys, z._nums, z._den) for z in got] == [
         (z._shift, z._keys, z._nums, z._den) for z in want
     ]
@@ -593,7 +593,7 @@ class TestOldForms:
     def test_graded_inversion_equals_the_sweeps(self, old_form_spec):
         # invert_theta itself, not z_of_theta, so the round-trip check cannot stand in
         theta = build_geometry(old_form_spec).theta
-        assert invert_theta(theta) == invert_theta_sweeps(theta)
+        assert invert_theta(theta)[0] == invert_theta_sweeps(theta)
 
     def test_raw_inversion_equals_the_series_pieces(self, old_form_spec):
         _assert_same_inversion(build_geometry(old_form_spec).theta)
@@ -763,7 +763,7 @@ class TestPhaseLayersAgainstTheirEarlierBodies:
     @staticmethod
     def _assert_same_layers(spec):
         geom = build_geometry(spec)
-        assert [_fields(z) for z in invert_theta(geom.theta)] == [
+        assert [_fields(z) for z in invert_theta(geom.theta)[0]] == [
             _fields(z) for z in invert_theta_lin_rest(geom.theta)]
         want = round_trip_powers(geom.theta)
         geom.z_of_theta
@@ -795,6 +795,9 @@ class TestPhaseLayersAgainstTheirEarlierBodies:
         self._assert_same_layers(spec)
 
     def test_the_check_never_reads_the_solves_table(self, monkeypatch):
+        """The check evaluates theta through z's own line powers, never through the
+        solve's table, and compares the table with those powers; a corrupted solve piece
+        fails it."""
         # A piece the solve keeps, [z_1^2]_2, is corrupted after it is made: the powers
         # of z read it, so z comes out wrong, and the table the solve hands on holds the
         # piece.  The check raises z's own line to each power, evaluates theta through
@@ -814,10 +817,10 @@ class TestPhaseLayersAgainstTheirEarlierBodies:
                     return keys, [nums[0] + den] + nums[1:], den
             return piece
 
-        def solving(hinv, theta, powers=None):
+        def solving(hinv, theta):
             state.update(solving=True, calls=0)
             try:
-                return solve(hinv, theta, powers)
+                return solve(hinv, theta)
             finally:
                 state["solving"] = False
 
@@ -825,7 +828,7 @@ class TestPhaseLayersAgainstTheirEarlierBodies:
         monkeypatch.setattr(series, "fixed_point", solving)
         monkeypatch.setattr(potential, "fixed_point", solving)
         geom = build_geometry(spec)
-        assert invert_theta(geom.theta) != invert_theta_lin_rest(geom.theta)
+        assert invert_theta(geom.theta)[0] != invert_theta_lin_rest(geom.theta)
         with pytest.raises(ArithmeticError, match="round-trip"):
             geom.z_of_theta
         assert "z_of_theta" not in vars(geom) and geom.z_powers == {}
@@ -838,13 +841,13 @@ class TestLineCheck:
     def test_a_seeded_power_perturbed_after_the_solve_fails_the_check(self, monkeypatch):
         solve = potential.invert_theta
 
-        def perturbing(theta, powers=None):
-            z = solve(theta, powers)
+        def perturbing(theta):
+            z, powers = solve(theta)
             key = max(powers, key=sum)  # z is right; only this entry is not its power
             power = powers[key]
             top = max(power.coeffs, key=sum)
             powers[key] = power + TruncatedSeries(power.nvars, power.trunc_degree, {top: 1})
-            return z
+            return z, powers
 
         monkeypatch.setattr(potential, "invert_theta", perturbing)
         geom = build_geometry(preset_chsc(2, F(3, 5), 8))
@@ -867,8 +870,7 @@ class TestLineCheck:
 
     def test_a_denominator_zero_mod_p_runs_the_exact_round_trip(self, monkeypatch):
         geom = build_geometry(preset_chsc(2, F(3, 5), 8))
-        powers = {}
-        z = invert_theta(geom.theta, powers)
+        z, powers = invert_theta(geom.theta)
         monkeypatch.setattr(series, "LINE_PRIME", 5)  # 5 divides the denominators of z
         assert series.holds_on_a_line(geom.theta, z, powers, [1] * 6) is None
         composed, compose = [], TruncatedSeries.compose
@@ -887,9 +889,9 @@ class TestLineCheck:
     def test_the_exact_round_trip_fails_a_wrong_z(self, monkeypatch):
         solve = potential.invert_theta
 
-        def off_by_one(theta, powers=None):
-            z = solve(theta, powers)
-            return [z[0] + TruncatedSeries.variable(z[0].nvars, z[0].trunc_degree, 0)] + z[1:]
+        def off_by_one(theta):
+            z, powers = solve(theta)
+            return [z[0] + TruncatedSeries.variable(z[0].nvars, z[0].trunc_degree, 0)] + z[1:], powers
 
         monkeypatch.setattr(potential, "invert_theta", off_by_one)
         monkeypatch.setattr(series, "LINE_PRIME", 5)
@@ -902,8 +904,7 @@ class TestLineCheck:
     @given(st.lists(st.integers(0, 2**64), min_size=6, max_size=6))
     def test_the_true_solve_holds_at_every_point(self, residues):
         geom = build_geometry(preset_chsc(2, F(-2, 5), 8))
-        powers = {}
-        z = invert_theta(geom.theta, powers)
+        z, powers = invert_theta(geom.theta)
         assert series.holds_on_a_line(geom.theta, z, powers, residues) is True
 
 
@@ -1267,7 +1268,7 @@ class TestHessianInverse:
         # Cramer's rule took n^2 cofactor determinants: 9.4 s on a 2-CPU x86_64 VM
         theta = build_geometry(preset_flat(8, 4)).theta
         start = time.perf_counter()
-        z = invert_theta(theta)
+        z = invert_theta(theta)[0]
         assert time.perf_counter() - start < 1.0
         assert z == TruncatedSeries.variables(24, 3)[16:]
 

@@ -1330,7 +1330,8 @@ class TestStructure:
     def test_fixed_point_of_a_geometric_series(self):
         # theta = z - x z in (x, z) blocks, H = 1, inverts to z = t / (1 - x)
         x, t = TruncatedSeries.variables(2, 6)
-        (z,) = fixed_point([[1]], [t - x * t])
+        (z,), powers = fixed_point([[1]], [t - x * t])
+        assert powers == {(1,): z}  # theta is linear in z: the table holds z alone
         assert z == TruncatedSeries(2, 6, {(k, 1): 1 for k in range(6)})
         assert z == t + x * z
 
@@ -1523,10 +1524,12 @@ class TestOneReductionPerResult:
             f = {k: c for k, c in f.items() if sum(k) > 1 or not any(k[v:])}
             f.update({unit(v + n, v + j): h for j, h in enumerate(row) if h})
             theta.append(TruncatedSeries(v + n, degree, f))
-        z = fixed_point(cramer_inverse(hess), theta)
-        assert all(_reduced(s) for s in z)
-        want = _with_pair_loop_joins(lambda: fixed_point(cramer_inverse(hess), theta))
+        z, powers = fixed_point(cramer_inverse(hess), theta)
+        assert all(_reduced(s) for s in (*z, *powers.values()))
+        want, want_powers = _with_pair_loop_joins(lambda: fixed_point(cramer_inverse(hess), theta))
         assert [_fields(s) for s in z] == [_fields(s) for s in want]
+        assert sorted(powers) == sorted(want_powers)
+        assert all(_fields(p) == _fields(want_powers[gamma]) for gamma, p in powers.items())
         ids = TruncatedSeries.variables(v + n, degree)
         for u, t in enumerate(theta):
             assert t.compose(ids[:v] + z) == ids[v + u]

@@ -165,9 +165,9 @@ class TestReconstruction:
     def test_both_routes_share_one_phase_chain(self, monkeypatch):
         solve, inversions = potential.invert_theta, []
 
-        def counting(theta, powers=None):
+        def counting(theta):
             inversions.append(theta)
-            return solve(theta, powers)
+            return solve(theta)
 
         monkeypatch.setattr(potential, "invert_theta", counting)
         geom = build_geometry(preset_quartic(1, F(1, 10), 10))
