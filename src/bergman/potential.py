@@ -360,10 +360,10 @@ def polarize(spec: PotentialSpec) -> TruncatedSeries:
 def build_theta(psi_x_yz: Sequence[TruncatedSeries]) -> list:
     """The phase theta_i(x,y,z): psi_x(y, z) in (x, y, z) blocks averaged from y to x.
 
-    The n averages share one table of split steps and weights, dropped on return.
+    One :func:`bergman.series.segment_average` of the n series, which share its table of
+    split steps and weights.
     """
-    n, splits = psi_x_yz[0].nvars // 3, {}
-    return [segment_average(f, n, splits) for f in psi_x_yz]
+    return segment_average(psi_x_yz, psi_x_yz[0].nvars // 3)
 
 
 def invert_theta(theta: Sequence[TruncatedSeries]) -> tuple:

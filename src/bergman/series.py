@@ -113,11 +113,11 @@ by :func:`holds_on_a_line`, which builds no series and shares no code with
 the solve: each series is evaluated at a random point mod a prime, and the
 powers of z, cut at their degrees, come from univariate products of z on the
 line through that point.  No table
-outlives a call: apart from a caller's ``cache`` or ``splits`` (``build_theta``
-shares one among its n averages) and the views a series builds of itself,
-tables such as the split steps of :func:`segment_average` and the falling
-factorials of :func:`linear_combination` are rebuilt on every call, so a
-repeated call costs what the first one did.
+outlives a call: apart from a caller's ``cache`` and the views a series builds
+of itself, tables such as the split steps of :func:`segment_average` (shared by
+the series of one call) and the falling factorials of
+:func:`linear_combination` are rebuilt on every call, so a repeated call costs
+what the first one did.
 
 Trusted construction
 --------------------
@@ -144,8 +144,7 @@ constant, no digit larger than the key's, off each key of a sorted run, and
 ``x < y`` gives ``x - c < y - c``.  An empty factor gives :func:`mul_trunc`
 the zero series at once, after the ``nvars`` check, and each factor's piece
 stops at the output degree (a slice).  ``segment_average`` builds its steps
-from unit moves of one digit, in each call or once for the calls that share
-a caller's ``splits``.
+from unit moves of one digit, once per call for all the series it averages.
 
 Three operations differentiate inside their own sums, so no derivative is
 ever a series of its own: :func:`linear_combination`, whose terms may carry
@@ -691,26 +690,12 @@ def linear_combination(terms: Sequence[tuple]) -> TruncatedSeries:
     of the ``c.denominator * s._den``, keys at the widest digit width, reduced
     once.  A single term keeps its keys in order and needs no accumulator.
     """
-    n, out_D, parts = terms[0][1].nvars, None, []
-    for term in terms:
-        c, s, xi = term if len(term) == 3 else (*term, None)
-        if s.nvars != n:
-            raise ValueError(f"add: nvars mismatch ({n} vs {s.nvars})")
-        degree = s.trunc_degree
-        if xi is not None:
-            xi = tuple(xi)
-            if len(xi) != n or min(xi) < 0:
-                raise ValueError(f"bad derivative multi-index {xi}")
-            degree = max(0, degree - sum(xi))
-            xi = xi if any(xi) else None
-        if out_D is None:
-            out_D = degree
-        elif degree != out_D:
-            raise ValueError(f"add: truncation degree mismatch ({out_D} vs {degree}); "
-                             "align with truncate()")
-        parts.append((c, s, xi))
+    terms = [term if len(term) == 3 else (*term, None) for term in terms]
+    n, out_D, xis = _output_degree([term[1:] for term in terms], "add")
+    parts = [(c, s, xi) for (c, s, _), xi in zip(terms, xis)]
     tables: dict = {}
     if len(parts) == 1:  # keys that lose one constant, or none, stay in order
+        ((c, s, xi),) = parts
         keys, nums = _derived(s, xi, s._shift, c.numerator, tables)
         return TruncatedSeries._from_piece(n, out_D, s._shift,
                                            _piece(keys, nums, c.denominator * s._den))
@@ -726,6 +711,31 @@ def linear_combination(terms: Sequence[tuple]) -> TruncatedSeries:
         else:
             acc.update(zip(keys, nums))
     return TruncatedSeries._canonical(n, out_D, shift, acc, den)
+
+
+def _output_degree(entries: Sequence[tuple], op: str) -> tuple:
+    """The ``nvars`` and output degree ``max(0, s.trunc_degree - |xi|)`` shared by the
+    ``(s, xi)`` entries that stand for ``D^xi s`` (``xi`` None for s), and each ``xi`` as
+    a tuple or None when zero; a bad ``xi``, or a mismatch prefixed ``op``, is a ValueError.
+    """
+    n, out_D, xis = entries[0][0].nvars, None, []
+    for s, xi in entries:
+        if s.nvars != n:
+            raise ValueError(f"{op}: nvars mismatch ({n} vs {s.nvars})")
+        degree = s.trunc_degree
+        if xi is not None:
+            xi = tuple(xi)
+            if len(xi) != n or min(xi) < 0:
+                raise ValueError(f"bad derivative multi-index {xi}")
+            degree = max(0, degree - sum(xi))
+            xi = xi if any(xi) else None
+        if out_D is None:
+            out_D = degree
+        elif degree != out_D:
+            raise ValueError(f"{op}: truncation degree mismatch ({out_D} vs {degree}); "
+                             "align with truncate()")
+        xis.append(xi)
+    return n, out_D, xis
 
 
 def _derived(s: TruncatedSeries, xi, shift: int, scale: int, tables: dict) -> tuple:
@@ -1167,23 +1177,19 @@ def _solve_parts(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries], shi
     return out
 
 
-def _sorted_piece(piece):
-    """``piece`` (see :func:`_piece`) with its keys in order; None stays None."""
-    if piece is None:
-        return None
-    keys, nums, den = piece
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return [keys[i] for i in order], [nums[i] for i in order], den
-
-
 def _joined(pieces: list):
     """The sum of pieces (see :func:`_piece`, None for zero) that share no key, such as
     the levels of a solve: their terms over the lcm of their denominators, reduced once
     and sorted once, with no pair loop."""
     live = [p for p in pieces if p]
     den = lcm(*[p[2] for p in live])
-    return _sorted_piece(_piece([k for p in live for k in p[0]],
-                                [v * (den // p[2]) for p in live for v in p[1]], den))
+    piece = _piece([k for p in live for k in p[0]], [v * (den // p[2]) for p in live for v in p[1]],
+                   den)
+    if piece is None:
+        return None
+    keys, nums, den = piece
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [keys[i] for i in order], [nums[i] for i in order], den
 
 
 def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int,
@@ -1235,24 +1241,24 @@ def _add_square(acc: dict, keys: list, nums: list, width: int, out_degree: int |
             acc[k] = get(k, 0) + vs * vb
 
 
-def segment_average(f: TruncatedSeries, n: int, splits: dict | None = None) -> TruncatedSeries:
-    """``int_0^1 f(x, t*x + (1-t)*y, w) dt`` for f in (x, y, w) blocks of n variables each.
+def segment_average(fs: Sequence[TruncatedSeries], n: int) -> list:
+    """``int_0^1 f(x, t*x + (1-t)*y, w) dt`` for each f of ``fs``, series in (x, y, w)
+    blocks of n variables each.
 
     Exact and termwise: with D the degree of f, the y monomial ``y^gamma``
     contributes the integer weight ``binom(gamma, j) |j|! |gamma-j|!
     (D+1)!/(|gamma|+1)!`` at ``x^j y^(gamma-j)``, so a key gains j in its x
     digits and loses it from its y digits.  The steps and weights of each
-    ``gamma`` are built once, slot by slot from one factorial list, and each
-    step moves units from a y digit to its x digit.  All terms share the
-    denominator of f times ``(D+1)!``, reduced once.
-
-    Calls that get one ``splits`` dict share their steps (as the n calls of
-    :func:`bergman.potential.build_theta` do); it keys them by nvars, degree
-    and digit width, so any calls may share it.
+    ``gamma`` are built once per call, slot by slot from one factorial list, and
+    shared by the series of one degree and digit width (the n of
+    :func:`bergman.potential.build_theta`); each step moves units from a y digit
+    to its x digit.  All terms of one average share the denominator of f times
+    ``(D+1)!``, reduced once.
     """
-    D, shift = f.trunc_degree, f._shift
-    table = {} if splits is None else splits.setdefault((f.nvars, D, shift), {})
-    return _segment_average(zip(f._keys, f._nums), n, D, shift, f._den, table)
+    splits: dict = {}
+    return [_segment_average(zip(f._keys, f._nums), n, f.trunc_degree, f._shift, f._den,
+                             splits.setdefault((f.trunc_degree, f._shift), {}))
+            for f in fs]
 
 
 def y_gradient_average(terms: Sequence[tuple], n: int) -> list:
@@ -1276,10 +1282,10 @@ def _segment_average(items, n: int, D: int, shift: int, den: int, splits: dict,
                      slot: int | None = None):
     """The split/weight loop of :func:`segment_average` over the packed ``(key, numerator)``
     ``items`` of a series of degree D at digit width ``shift`` over ``den``.  ``splits``
-    keeps the steps and weights of each y exponent, for calls at one D, width and slot
-    kind.  With a ``slot`` i, each item is first replaced by ``-D_(y_i)`` of it: a term
-    with y_i digit ``e >= 1`` loses one from that digit and from its degree digit and
-    its numerator gains ``e``, and the weights carry the sign."""
+    keeps the steps and weights of each y exponent for the series of one call at one D,
+    width and slot kind.  With a ``slot`` i, each item is first replaced by ``-D_(y_i)`` of
+    it: a term with y_i digit ``e >= 1`` loses one from that digit and from its degree
+    digit and its numerator gains ``e``, and the weights carry the sign."""
     fact = [1]
     for i in range(1, D + 2):
         fact.append(fact[-1] * i)
@@ -1324,7 +1330,8 @@ def det(rows: Sequence[Sequence]) -> TruncatedSeries:
 
     Entries are series of one ``nvars`` and pairs ``(s, xi)`` that stand for ``D^xi s``,
     all of one output degree D (a series is its own degree, a pair
-    ``max(0, s.trunc_degree - |xi|)``); any other entry is a TypeError.  No derivative is
+    ``max(0, s.trunc_degree - |xi|)``), checked by :func:`_output_degree` as the terms of
+    :func:`linear_combination` are; any other entry is a TypeError.  No derivative is
     built as a series: each entry becomes a piece once, by :func:`_derived` at the widest
     digit width of D and the entries, and the signed products ``(-1)^j a_0j det(minor_0j)``
     of each level go into one :func:`_sum_of_products` at degree D, reduced once.  A minor
@@ -1337,22 +1344,12 @@ def det(rows: Sequence[Sequence]) -> TruncatedSeries:
     entries = [v if isinstance(v, tuple) else (v, None) for row in rows for v in row]
     if not all(isinstance(s, TruncatedSeries) for s, _ in entries):
         raise TypeError("det: entries must be series or (series, xi) pairs")
-    n, D = entries[0][0].nvars, None
-    for s, xi in entries:
-        degree = s.trunc_degree if xi is None else max(0, s.trunc_degree - sum(xi))
-        if s.nvars != n:
-            raise ValueError(f"det: nvars mismatch ({n} vs {s.nvars})")
-        if D is None:
-            D = degree
-        elif degree != D:
-            raise ValueError(f"det: truncation degree mismatch ({D} vs {degree}); "
-                             "align with truncate()")
+    n, D, xis = _output_degree(entries, "det")
     if size == 1:
         return rows[0][0] if entries[0][1] is None else linear_combination([(1, *entries[0])])
     shift, tables = max(_shift_for(D), *(s._shift for s, _ in entries)), {}
     pieces = []  # each entry's piece, None when it vanishes
-    for s, xi in entries:
-        xi = tuple(xi) if xi is not None and any(xi) else None
+    for (s, _), xi in zip(entries, xis):
         keys, nums = _derived(s, xi, shift, 1, tables)
         pieces.append((keys, nums, s._den) if keys else None)
     rows = [pieces[i:i + size] for i in range(0, size * size, size)]

@@ -20,7 +20,8 @@ from bergman.potential import (
     preset_quartic,
 )
 from bergman.series import TruncatedSeries
-from oracles import is_zero, remap_variables_unpacked
+import reference
+from oracles import is_zero
 
 F = Fraction
 
@@ -159,9 +160,9 @@ class TestAmplitudes:
         table = amplitude_from_b(quartic_table, quartic_geom)
         var_map = tuple(range(n)) + tuple(range(n)) + tuple(range(n, 2 * n))
         for m in (1, 2):
-            merged_a = remap_variables_unpacked(table.a[m], 2 * n, var_map)
+            merged_a = reference.rename(table.a[m], 2 * n, var_map)
             z_diag = [
-                remap_variables_unpacked(z.truncate(table.a[m].trunc_degree), 2 * n, var_map)
+                reference.rename(z.truncate(table.a[m].trunc_degree), 2 * n, var_map)
                 for z in quartic_geom.z_of_theta
             ]
             ids = TruncatedSeries.variables(2 * n, z_diag[0].trunc_degree)[:n]

@@ -15,6 +15,10 @@ width and the trusted constructors) is read by ``series.py`` alone, and its two
 pair loops by ``_sum_of_products`` and ``TruncatedSeries.compose`` alone.
 ``series.det`` has one reader, ``potential.build_delta0``, and nothing in the
 package calls ``TruncatedSeries.invert``, which the benchmark harness still wraps.
+
+The tests' reference algebra (``tests/reference.py``) and oracles (``tests/oracles.py``)
+import no private name of the package and read no private attribute, so they share no
+loop with the code they check.
 """
 
 import ast
@@ -137,3 +141,30 @@ def test_every_public_method_has_a_reader():
         and node.name not in reads
     ]
     assert unread == []
+
+
+# the test modules that stand apart from the package: the reference algebra and the oracles
+INDEPENDENT_TEST_MODULES = [ROOT / "tests" / "reference.py", ROOT / "tests" / "oracles.py"]
+
+
+def _private_reads(source: str) -> list:
+    """The private names a module imports from the package (``from bergman... import _x``)
+    and the ``_``-prefixed attributes it reads on anything (``s._keys``), dunders aside."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bergman":
+            found += [f"{node.lineno}:import {a.name}" for a in node.names if a.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and not node.attr.startswith("__")):
+            found.append(f"{node.lineno}:.{node.attr}")
+    return found
+
+
+def test_the_reference_and_the_oracles_read_no_private_name():
+    # a private name put back is found: the check reads what it must refuse
+    assert _private_reads("from bergman.series import TruncatedSeries, _add_products\n"
+                          "from bergman import series\nseries._derived(s._keys)\n") == [
+        "1:import _add_products", "3:._derived", "3:._keys"]
+    assert _private_reads("from bergman.series import TruncatedSeries\ns.coeffs.__len__()\n") == []
+    found = {path.name: _private_reads(path.read_text()) for path in INDEPENDENT_TEST_MODULES}
+    assert found == {path.name: [] for path in INDEPENDENT_TEST_MODULES}

@@ -34,27 +34,8 @@ from bergman.potential import (
 )
 from bergman.series import TruncatedSeries, exponents_of_degree, mul_trunc, unit
 from bergman.transport import first_amplitude, reconstruct_coefficients, transport_chain
-from oracles import (
-    amplitude_truncated_delta0,
-    amplitudes_recomputed,
-    build_delta0_jacobian_series,
-    collapses_recomputed,
-    cramer_inverse,
-    delta0_jacobian_product,
-    delta0_quotient,
-    diagonal_pullback_w_table,
-    invert_theta_lin_rest,
-    invert_theta_pieces,
-    invert_theta_sweeps,
-    nonpositive_minor_cofactor,
-    remap_variables_unpacked,
-    round_trip_powers,
-    segment_average_oracle,
-    segment_average_per_split,
-    spec_record_via_fraction,
-    to_xz_remap_then_compose,
-    write_spec,
-)
+import reference
+from oracles import amplitudes_recomputed, collapses_recomputed, cramer_inverse, write_spec
 
 F = Fraction
 
@@ -170,7 +151,10 @@ class TestValidation:
                  for i in range(n) for j in range(i, n)}
         rows = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
         shift = data.draw(st.one_of(st.just(0), entry))
-        assert _nonpositive_minor(rows, shift) == nonpositive_minor_cofactor(rows, shift)
+        shifted = [[v - shift * (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows)]
+        want = next((size for size in range(1, n + 1)
+                     if reference.det_of_scalars([r[:size] for r in shifted[:size]]) <= 0), 0)
+        assert _nonpositive_minor(rows, shift) == want
 
     def test_flat_at_n12_validates_at_once(self):
         # the cofactor minors took 14.9 s at n=10 and would take about half an hour at n=12
@@ -203,10 +187,23 @@ class TestValidation:
             ((2, 0), (0, 1)): 3, ((0, 1), (2, 0)): F(6, 2),
             ((1, 1), (0, 0)): 0, ((0, 0), (1, 1)): F(0),
         })
-        assert spec.to_record() == spec_record_via_fraction(spec)
+        assert spec.to_record() == _record_via_fraction(spec)
         for make in (lambda: preset_chsc(2, F(3, 5), 12), lambda: dense_spec(12)):
             spec = make()
-            assert spec.to_record() == spec_record_via_fraction(spec)
+            assert spec.to_record() == _record_via_fraction(spec)
+
+
+def _record_via_fraction(spec) -> dict:
+    """The record of a spec with a ``Fraction`` built from every value: its nonzero terms by
+    total degree, then by exponents."""
+    terms = []
+    for a, b in sorted(spec.coeffs, key=lambda ab: (sum(ab[0]) + sum(ab[1]), ab)):
+        v = Fraction(spec.coeffs[(a, b)])
+        if v != 0:
+            terms.append({"alpha": list(a), "beta": list(b), "num": v.numerator,
+                          "den": v.denominator})
+    return {"n": spec.n, "trunc_degree": spec.trunc_degree, "eval_radius": spec.eval_radius,
+            "terms": terms}
 
 
 class TestPolarize:
@@ -248,14 +245,14 @@ class TestTheta:
 
     def test_theta_on_diagonal_equals_psi_gradient(self, chsc11_geom):
         n = chsc11_geom.n
-        merged = remap_variables_unpacked(chsc11_geom.theta[0], 2 * n, (0, 0, 1))
+        merged = reference.rename(chsc11_geom.theta[0], 2 * n, (0, 0, 1))
         assert merged == chsc11_geom.psi_x[0]
 
     def test_theta_on_diagonal_chsc2(self):
         geom = build_geometry(preset_chsc(2, 1, 8))
         var_map = (0, 1, 0, 1, 2, 3)
         for i in range(2):
-            assert remap_variables_unpacked(geom.theta[i], 4, var_map) == geom.psi_x[i]
+            assert reference.rename(geom.theta[i], 4, var_map) == geom.psi_x[i]
 
 
 # Numerators over denominators that include the large primes, so the common
@@ -265,29 +262,25 @@ RATIONALS = st.builds(
 )
 
 
-def _layout(kind, n):
-    """(input nvars, block_start, passthrough) of the oracle, for the two pipeline callers."""
-    if kind == "build_theta":  # psi_x(x, z): average the x block, z passes through
-        return 2 * n, 0, {n + i: 2 * n + i for i in range(n)}
-    # transport: average the y block of (x, y, theta); x and theta pass through
-    return 3 * n, n, {**{i: i for i in range(n)}, **{2 * n + i: 2 * n + i for i in range(n)}}
-
-
 class TestSegmentAverage:
+    """``segment_average`` against the reference average, built from its Beta weights."""
+
     @pytest.mark.parametrize("kind", ["build_theta", "transport"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_packed_loop_equals_fraction_loop(self, kind, n, data):
-        nvars, block_start, passthrough = _layout(kind, n)
+        # build_theta averages psi_x(x, z) moved into the (y, z) blocks, the transport
+        # chain a series in all three blocks
+        nvars = 2 * n if kind == "build_theta" else 3 * n
         degree = data.draw(st.integers(0, 7))
         slots = st.lists(st.integers(0, nvars - 1), max_size=degree)
         keys = slots.map(lambda picks: tuple(picks.count(i) for i in range(nvars)))
         f = TruncatedSeries(nvars, degree, data.draw(st.dictionaries(keys, RATIONALS, max_size=8)))
-        want = segment_average_oracle(f, n, block_start, 0, n, 3 * n, passthrough)
-        if kind == "build_theta":  # as build_geometry does, move (x, z) to the (y, z) blocks first
-            f = remap_variables_unpacked(f, 3 * n, range(n, 3 * n))
-        got = potential.segment_average(f, n)
+        if kind == "build_theta":
+            f = reference.rename(f, 3 * n, range(n, 3 * n))
+        (got,) = potential.segment_average([f], n)
+        want = reference.segment_average(f, n)
         assert got == want
         assert got.to_record() == want.to_record()
 
@@ -295,19 +288,23 @@ class TestSegmentAverage:
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_slot_steps_equal_the_per_split_loop(self, n, data):
-        degree = data.draw(st.integers(0, 8))
-        slots = st.lists(st.integers(0, 3 * n - 1), max_size=degree)
-        keys = slots.map(lambda picks: tuple(picks.count(i) for i in range(3 * n)))
-        f = TruncatedSeries(3 * n, degree, data.draw(st.dictionaries(keys, RATIONALS, max_size=8)))
-        got, want = potential.segment_average(f, n), segment_average_per_split(f, n)
-        assert (got._shift, got._keys, got._nums, got._den) == (
-            want._shift, want._keys, want._nums, want._den
-        )
+        # several series of one or two degrees and digit widths in one call share its splits
+        fs = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            degree = data.draw(st.integers(0, 8))
+            slots = st.lists(st.integers(0, 3 * n - 1), max_size=degree)
+            keys = slots.map(lambda picks: tuple(picks.count(i) for i in range(3 * n)))
+            f = TruncatedSeries(3 * n, degree, data.draw(st.dictionaries(keys, RATIONALS, max_size=8)))
+            fs.append(TruncatedSeries(3 * n, 1 << f._shift, f.coeffs).truncate(degree)
+                      if data.draw(st.booleans()) else f)
+        got = potential.segment_average(fs, n)
+        assert got == [reference.segment_average(f, n) for f in fs]
+        assert [s._shift for s in got] == [f._shift for f in fs]
 
     def test_build_theta_matches_fraction_loop(self, quartic_geom):
         psi = quartic_geom.psi
-        want = segment_average_oracle(psi.diff((1, 0)), 1, 0, 0, 1, 3, {1: 2})
-        assert build_theta(quartic_geom.psi_x_yz) == [want]
+        yz = reference.rename(psi.diff((1, 0)), 3, (1, 2))
+        assert build_theta(quartic_geom.psi_x_yz) == [reference.segment_average(yz, 1)]
 
 
 def holomorphic_spec(D):
@@ -445,7 +442,7 @@ class TestInvertTheta:
     def test_chsc_mobius_on_diagonal(self, chsc11_geom):
         # theta = z/(1+xz) at y = x inverts to z = theta/(1 - x theta)
         D = 9
-        z = remap_variables_unpacked(chsc11_geom.z_of_theta[0], 2, (0, 0, 1))
+        z = reference.rename(chsc11_geom.z_of_theta[0], 2, (0, 0, 1))
         x = TruncatedSeries.variable(2, D, 0)
         th = TruncatedSeries.variable(2, D, 1)
         geometric = TruncatedSeries.one(2, D)
@@ -471,12 +468,56 @@ def dense_spec(D, c21=F(-3, 4), c31=F(-1, 2)):
     })
 
 
-def _assert_same_inversion(theta):
-    """The raw-piece inversion builds what the series-piece inversion built, field by field."""
-    got, want = invert_theta(theta)[0], invert_theta_pieces(theta)
-    assert [(z._shift, z._keys, z._nums, z._den) for z in got] == [
-        (z._shift, z._keys, z._nums, z._den) for z in want
-    ]
+_REFERENCE: dict = {}  # (spec digest, layer) -> the reference layer
+
+
+def _once(geom, layer, build):
+    """``build()``, the reference form of one layer of ``geom``, computed once per spec."""
+    key = (geom.spec.sha256(), layer)
+    if key not in _REFERENCE:
+        _REFERENCE[key] = build()
+    return _REFERENCE[key]
+
+
+def reference_z(geom) -> list:
+    """The reference fixed point z(x, y, theta) of the phase of ``geom``, the Hessian
+    inverted by Cramer's rule."""
+    n = geom.n
+    hess = [[geom.theta[i][unit(3 * n, 2 * n + j)] for j in range(n)] for i in range(n)]
+    return _once(geom, "z", lambda: reference.fixed_point(cramer_inverse(hess), geom.theta))
+
+
+def reference_substitute_z(geom, f):
+    """f(x, z) or f(x, y, z) at the reference z(x, y, theta), in (x, y, theta) blocks."""
+    xy = TruncatedSeries.variables(3 * geom.n, geom.degree - 1, range(f.nvars - geom.n))
+    return reference.compose(f, xy + reference_z(geom))
+
+
+def _reference_det_z(geom, rows):
+    """The reference determinant of the z-derivatives (theta-derivatives) of ``rows``."""
+    n = geom.n
+    return reference.det([[reference.diff(f, unit(3 * n, 2 * n + j)) for j in range(n)]
+                          for f in rows])
+
+
+def reference_delta0_xyz(geom):
+    """det psi_yz / det theta_z in (x, y, z) blocks, degree D - 2."""
+    return _once(geom, "delta0_xyz", lambda: reference.mul(
+        _reference_det_z(geom, geom.psi_x_yz),
+        reference.inverse(_reference_det_z(geom, geom.theta)), geom.degree - 2))
+
+
+def reference_delta0(geom):
+    """Delta0 in (x, y, theta): det psi_yz / det theta_z at z = z(x, y, theta)."""
+    return _once(geom, "delta0", lambda: reference_substitute_z(geom, reference_delta0_xyz(geom)))
+
+
+def _assert_same_inversion(geom):
+    """The solve's z and every entry of its table of powers, each cut at its degree, equal
+    the reference fixed point and its powers."""
+    z, powers = invert_theta(geom.theta)
+    assert z == reference_z(geom)
+    assert powers == reference.table_entries(powers, z)
 
 
 def _exponent_of_size(draw, n, size):
@@ -507,16 +548,17 @@ def hermitian_specs(draw, n):
 
 
 class TestRawInversion:
-    """``invert_theta`` on raw pieces against ``oracles.invert_theta_pieces``."""
+    """``invert_theta`` on raw pieces, z and its table, against the reference fixed point."""
 
     # the model_geometry benchmark curvatures at seeds 1 and 7919
     @pytest.mark.parametrize("c", [F(3, 5), F(-2, 5), F(3, 4)])
     def test_chsc_benchmark_curvatures(self, c):
-        _assert_same_inversion(build_geometry(preset_chsc(2, c, 12)).theta)
+        _assert_same_inversion(build_geometry(preset_chsc(2, c, 12)))
 
-    @pytest.mark.parametrize("spec", [dense_spec(12), non_radial_n2_spec(10)], ids=["dense", "n2"])
+    # a dense n = 2 phase costs the reference iteration seconds per degree above 7
+    @pytest.mark.parametrize("spec", [dense_spec(12), non_radial_n2_spec(7)], ids=["dense", "n2"])
     def test_dense_and_non_radial(self, spec):
-        _assert_same_inversion(build_geometry(spec).theta)
+        _assert_same_inversion(build_geometry(spec))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @settings(max_examples=20, deadline=None)
@@ -524,7 +566,7 @@ class TestRawInversion:
     def test_drawn_hermitian_specs(self, n, data):
         spec = data.draw(hermitian_specs(n))
         spec.validate()
-        _assert_same_inversion(build_geometry(spec).theta)
+        _assert_same_inversion(build_geometry(spec))
 
 
 def _fields(s):
@@ -537,6 +579,15 @@ TO_XZ_SPECS = pytest.mark.parametrize("make, order", [
 ], ids=["chsc_n2_D12", "dense_D12", "n2_D10"])
 
 
+def _remap_then_compose(geom, f, cache):
+    """``geom.to_xz(f)`` in two steps: y = x by the reference variable mover, then the
+    composition with ``psi_x``."""
+    n = geom.n
+    x = TruncatedSeries.variables(2 * n, geom.degree - 1, range(n))
+    f_xtheta = reference.rename(f, 2 * n, tuple(range(n)) * 2 + tuple(range(n, 2 * n)))
+    return f_xtheta.compose(x + list(geom.psi_x), cache=cache)
+
+
 class TestToXz:
     """``GeometryPack.to_xz``, one composition with both bare blocks run onto x, against
     the remap to y = x followed by the composition."""
@@ -546,7 +597,7 @@ class TestToXz:
         geom = build_geometry(make())
         cache = {}
         for f in (*geom.z_of_theta, geom.delta0_xytheta):
-            assert _fields(geom.to_xz(f)) == _fields(to_xz_remap_then_compose(geom, f, cache))
+            assert _fields(geom.to_xz(f)) == _fields(_remap_then_compose(geom, f, cache))
         # the same powers of psi_x, keyed by the exponents of the theta block alone
         assert list(geom.psi_x_powers) == list(cache)
         assert all(len(gamma) == geom.n for gamma in cache)
@@ -563,7 +614,7 @@ class TestToXz:
             return [_fields(b) for b in table.b], [_fields(b) for b in recon], powers
 
         got = run(build_geometry(make()))
-        monkeypatch.setattr(GeometryPack, "to_xz", lambda geom, f: to_xz_remap_then_compose(
+        monkeypatch.setattr(GeometryPack, "to_xz", lambda geom, f: _remap_then_compose(
             geom, f, geom.psi_x_powers))
         assert got == run(build_geometry(make()))
 
@@ -588,39 +639,46 @@ def old_form_geom(old_form_spec):
 
 
 class TestOldForms:
-    """The geometry against its earlier forms in ``oracles``, which share no table with it."""
+    """The geometry against the reference, which shares no code or table with it: the
+    inversion by sweeps of whole compositions, the phase from the Beta weights, and Delta0
+    from Leibniz determinants, a series inverse and the chain rule."""
 
     def test_graded_inversion_equals_the_sweeps(self, old_form_spec):
         # invert_theta itself, not z_of_theta, so the round-trip check cannot stand in
-        theta = build_geometry(old_form_spec).theta
-        assert invert_theta(theta)[0] == invert_theta_sweeps(theta)
+        geom = build_geometry(old_form_spec)
+        assert invert_theta(geom.theta)[0] == reference_z(geom)
 
     def test_raw_inversion_equals_the_series_pieces(self, old_form_spec):
-        _assert_same_inversion(build_geometry(old_form_spec).theta)
+        _assert_same_inversion(build_geometry(old_form_spec))
 
     def test_build_theta_equals_the_per_split_average(self, old_form_geom):
         geom, n = old_form_geom, old_form_geom.n
-        yz = [remap_variables_unpacked(f, 3 * n, range(n, 3 * n)) for f in geom.psi_x]
+        yz = [reference.rename(f, 3 * n, range(n, 3 * n)) for f in geom.psi_x]
         assert list(geom.psi_x_yz) == yz
-        want = [segment_average_per_split(f, n) for f in geom.psi_x_yz]
-        got = list(geom.theta)
-        assert got == want
-        assert [(t._keys, t._nums, t._den) for t in got] == [(t._keys, t._nums, t._den) for t in want]
+        assert list(geom.theta) == [reference.segment_average(f, n) for f in yz]
 
     def test_jacobian_delta0_equals_the_quotient(self, old_form_geom):
         geom = old_form_geom
-        assert (geom.delta0_xyz, geom.delta0_xytheta) == delta0_quotient(geom)
+        assert (geom.delta0_xyz, geom.delta0_xytheta) == (
+            reference_delta0_xyz(geom), reference_delta0(geom))
 
     def test_chain_rule_delta0_equals_the_jacobian_product(self, old_form_geom):
+        # (det psi_yz o z) * det(dz/dtheta), from the reference z
         geom = old_form_geom
         fresh = build_geometry(geom.spec)
-        assert geom.delta0_xytheta == build_delta0(fresh) == delta0_jacobian_product(geom)
+        want = reference.mul(reference_substitute_z(geom, _reference_det_z(geom, geom.psi_x_yz)),
+                             _reference_det_z(geom, reference_z(geom)), geom.degree - 2)
+        assert geom.delta0_xytheta == build_delta0(fresh) == want
 
     def test_two_step_pullback_equals_the_w_table(self, old_form_geom):
-        geom = old_form_geom
+        # f(x, x, w) for w = psi_x(x, z(x, y, theta)), one composition through fresh powers
+        # of w, against the pack's two compositions through its two tables
+        geom, n = old_form_geom, old_form_geom.n
+        x = TruncatedSeries.variables(3 * n, geom.degree - 1, range(n))
+        w = [p.compose(x + list(geom.z_of_theta)) for p in geom.psi_x]
         for f in (geom.delta0_xytheta, *geom.z_of_theta, *first_amplitude(geom)):
-            pullback = geom.substitute_z(geom.to_xz(f))
-            assert pullback == diagonal_pullback_w_table(geom, f)
+            f_xtheta = reference.rename(f, 2 * n, tuple(range(n)) * 2 + tuple(range(n, 2 * n)))
+            assert geom.substitute_z(geom.to_xz(f)) == f_xtheta.compose(x + w)
 
     def test_reused_amplitudes_equal_the_recomputed(self, old_form_geom):
         geom = old_form_geom
@@ -755,22 +813,31 @@ def off_diagonal_hermitian_specs(draw, n):
                          {key: v for key, v in coeffs.items() if v})
 
 
+def _round_trip_powers(geom) -> dict:
+    """The powers composing theta through the pack's z caches, in a fresh table; the
+    composition must give t."""
+    n, powers = geom.n, {}
+    ids = TruncatedSeries.variables(3 * n, geom.degree - 1)
+    assert [t.compose(ids[:2 * n] + list(geom.z_of_theta), cache=powers)
+            for t in geom.theta] == ids[2 * n:]
+    return powers
+
+
 class TestPhaseLayersAgainstTheirEarlierBodies:
-    """The solve that reads theta and H^-1 itself, the round-trip check's z-powers, Delta0
-    with no Jacobian series and the amplitude cut at its own degree, against the bodies
-    they had before (``oracles``), field by field."""
+    """The solve that reads theta and H^-1 itself, its table of z-powers, Delta0 with no
+    Jacobian series and the amplitude cut at its own degree, against the reference: the
+    fixed point by plain iteration, each power by repeated products, Delta0 as det psi_yz /
+    det theta_z at z and the amplitude as (b o z) * Delta0.  The seeded table is also the
+    one composing theta through z caches."""
 
     @staticmethod
     def _assert_same_layers(spec):
         geom = build_geometry(spec)
-        assert [_fields(z) for z in invert_theta(geom.theta)[0]] == [
-            _fields(z) for z in invert_theta_lin_rest(geom.theta)]
-        want = round_trip_powers(geom.theta)
-        geom.z_of_theta
-        assert sorted(geom.z_powers) == sorted(want)
-        assert all(_fields(p) == _fields(want[gamma]) for gamma, p in geom.z_powers.items())
-        assert _fields(geom.delta0_xytheta) == _fields(
-            build_delta0_jacobian_series(build_geometry(spec)))
+        _assert_same_inversion(geom)
+        assert geom.z_powers == {}
+        geom.z_of_theta  # the solve seeds the table
+        assert geom.z_powers == _round_trip_powers(geom)
+        assert build_delta0(build_geometry(spec)) == reference_delta0(geom)
         return geom
 
     @pytest.mark.parametrize("name", sorted(BENCHMARK_JOBS))
@@ -778,7 +845,9 @@ class TestPhaseLayersAgainstTheirEarlierBodies:
         make, order = BENCHMARK_JOBS[name]
         geom = self._assert_same_layers(make())
         for b in bergman_coefficients(geom, order).b[1:]:
-            assert _fields(geom.amplitude(b)) == _fields(amplitude_truncated_delta0(geom, b))
+            comp = reference_substitute_z(geom, b)
+            want = reference.mul(comp, geom.delta0_xytheta, comp.trunc_degree)
+            assert geom.amplitude(b) == want
 
     @pytest.mark.parametrize("spec", [non_radial_n2_spec(8), holomorphic_spec(10),
                                       hessian_spec(ROTATED), preset_chsc(3, F(-1, 3), 7)],
@@ -794,7 +863,7 @@ class TestPhaseLayersAgainstTheirEarlierBodies:
         spec.validate()
         self._assert_same_layers(spec)
 
-    def test_the_check_never_reads_the_solves_table(self, monkeypatch):
+    def test_a_corrupted_solve_piece_fails_both_parts_of_the_check(self, monkeypatch):
         """The check evaluates theta through z's own line powers, never through the
         solve's table, and compares the table with those powers; a corrupted solve piece
         fails it."""
@@ -828,7 +897,7 @@ class TestPhaseLayersAgainstTheirEarlierBodies:
         monkeypatch.setattr(series, "fixed_point", solving)
         monkeypatch.setattr(potential, "fixed_point", solving)
         geom = build_geometry(spec)
-        assert invert_theta(geom.theta)[0] != invert_theta_lin_rest(geom.theta)
+        assert invert_theta(geom.theta)[0] != reference_z(geom)
         with pytest.raises(ArithmeticError, match="round-trip"):
             geom.z_of_theta
         assert "z_of_theta" not in vars(geom) and geom.z_powers == {}
@@ -863,10 +932,9 @@ class TestLineCheck:
         # the powers of the other z_j alone, and holds no unit power of z_1
         geom = build_geometry(spec)
         geom.z_of_theta
-        want = round_trip_powers(geom.theta)
-        assert sorted(geom.z_powers) == sorted(want)
+        assert geom.z_powers == _round_trip_powers(geom)
         assert all(len(gamma) == spec.n - 1 for gamma in geom.z_powers)
-        assert all(_fields(p) == _fields(want[gamma]) for gamma, p in geom.z_powers.items())
+        assert geom.z_powers == reference.table_entries(geom.z_powers, reference_z(geom))
 
     def test_a_denominator_zero_mod_p_runs_the_exact_round_trip(self, monkeypatch):
         geom = build_geometry(preset_chsc(2, F(3, 5), 8))
@@ -882,9 +950,8 @@ class TestLineCheck:
         monkeypatch.setattr(TruncatedSeries, "compose", composing)
         geom.z_of_theta
         assert composed == list(geom.theta)
-        want = round_trip_powers(geom.theta)
-        assert sorted(geom.z_powers) == sorted(want)
-        assert all(_fields(p) == _fields(want[gamma]) for gamma, p in geom.z_powers.items())
+        assert list(geom.z_of_theta) == reference_z(geom)
+        assert geom.z_powers == reference.table_entries(geom.z_powers, reference_z(geom))
 
     def test_the_exact_round_trip_fails_a_wrong_z(self, monkeypatch):
         solve = potential.invert_theta
@@ -899,6 +966,27 @@ class TestLineCheck:
         with pytest.raises(ArithmeticError, match="round-trip"):
             geom.z_of_theta
         assert geom.z_powers == {}
+
+    @pytest.mark.parametrize("spec", [preset_chsc(2, F(3, 5), 8), non_radial_n2_spec(7)],
+                             ids=["chsc", "n2"])
+    def test_the_reference_solve_holds_and_a_perturbed_one_fails(self, spec):
+        # the reference z and its powers, keyed as the solve keys its table, hold at a point;
+        # one term more in z_1, or in the highest power, fails the check
+        geom = build_geometry(spec)
+        z = reference_z(geom)
+        powers = reference.table_entries(invert_theta(geom.theta)[1], z)
+        residues = [2, 3, 5, 7, 11, 13]
+
+        def plus_top_term(s):
+            return s + TruncatedSeries(s.nvars, s.trunc_degree,
+                                       {(0,) * (s.nvars - 1) + (s.trunc_degree,): 1})
+
+        assert series.holds_on_a_line(geom.theta, z, powers, residues) is True
+        wrong_z = [plus_top_term(z[0])] + z[1:]
+        assert series.holds_on_a_line(geom.theta, wrong_z, powers, residues) is False
+        key = max(powers, key=sum)
+        wrong_powers = {**powers, key: plus_top_term(powers[key])}
+        assert series.holds_on_a_line(geom.theta, z, wrong_powers, residues) is False
 
     @settings(max_examples=10, deadline=None)
     @given(st.lists(st.integers(0, 2**64), min_size=6, max_size=6))
@@ -1057,9 +1145,9 @@ class TestZPowerTable:
 
 
 class TestDelta0Pullback:
-    """``geom.delta0_xyz``, Delta0 in (x, y, theta) composed with theta, against the quotient
-    det psi_yz / det theta_z of ``oracles.delta0_quotient``, built from (x, y, z) determinants
-    and a series inverse: no inverted phase, no composition and no (s, xi) entries."""
+    """``geom.delta0_xyz``, Delta0 in (x, y, theta) composed with theta, against the reference
+    quotient det psi_yz / det theta_z, built from (x, y, z) determinants and a series
+    inverse: no inverted phase, no composition and no (s, xi) entries."""
 
     @pytest.mark.parametrize("draw", [hermitian_specs, off_diagonal_hermitian_specs],
                              ids=["hermitian", "off_diagonal"])
@@ -1068,7 +1156,7 @@ class TestDelta0Pullback:
     @given(st.data())
     def test_drawn_specs(self, draw, n, data):
         geom = build_geometry(data.draw(draw(n)))
-        assert geom.delta0_xyz == delta0_quotient(geom)[0]
+        assert geom.delta0_xyz == reference_delta0_xyz(geom)
 
 
 class TestDelta0:
@@ -1076,7 +1164,9 @@ class TestDelta0:
     def test_chain_rule_equals_the_jacobian_product_on_benchmark_jobs(self, name):
         make, _ = BENCHMARK_JOBS[name]
         geom = build_geometry(make())
-        assert geom.delta0_xytheta == delta0_jacobian_product(geom)
+        want = reference.mul(reference_substitute_z(geom, _reference_det_z(geom, geom.psi_x_yz)),
+                             _reference_det_z(geom, reference_z(geom)), geom.degree - 2)
+        assert geom.delta0_xytheta == want
 
     def test_coeffs_pipeline_leaves_the_quotient_unbuilt(self):
         geom = build_geometry(preset_quartic(1, F(1, 10), 10))
@@ -1085,7 +1175,7 @@ class TestDelta0:
         assert "delta0_xyz" not in vars(geom)
         quotient = geom.delta0_xyz
         assert vars(geom)["delta0_xyz"] is quotient and geom.delta0_xyz is quotient
-        assert quotient == delta0_quotient(geom)[0]
+        assert quotient == reference_delta0_xyz(geom)
 
     def test_flat_is_one(self):
         geom = build_geometry(preset_flat(2, 6))
@@ -1118,7 +1208,7 @@ class TestDelta0:
             geom = build_geometry(spec)
             n = geom.n
             var_map = tuple(range(n)) + tuple(range(n)) + tuple(range(n, 2 * n))
-            merged = remap_variables_unpacked(geom.delta0_xytheta, 2 * n, var_map)
+            merged = reference.rename(geom.delta0_xytheta, 2 * n, var_map)
             assert merged == TruncatedSeries.one(2 * n, geom.delta0_xytheta.trunc_degree)
 
 
@@ -1230,7 +1320,7 @@ def rational_matrices(draw, size):
 
 
 class TestHessianInverse:
-    """Gauss-Jordan elimination against Cramer's rule over ``det`` in ``oracles``."""
+    """Gauss-Jordan elimination against Cramer's rule over the reference determinant."""
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
     @settings(max_examples=25, deadline=None)

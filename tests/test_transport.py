@@ -26,7 +26,8 @@ from bergman.transport import (
     reconstruct_coefficients,
     transport_chain,
 )
-from oracles import is_zero, remap_variables_unpacked
+import reference
+from oracles import is_zero
 
 F = Fraction
 
@@ -227,7 +228,7 @@ class TestYIndependence:
         n = quartic_geom.n
         for m in (1, 2, 3):
             full = amplitude_order_xyz(quartic_geom, quartic_chain, m)
-            collapsed = remap_variables_unpacked(
+            collapsed = reference.rename(
                 full, 2 * n, tuple(range(n)) + tuple(range(n)) + tuple(range(n, 2 * n))
             )
             assert collapsed == direct.b[m].truncate(collapsed.trunc_degree)
