@@ -690,9 +690,7 @@ def linear_combination(terms: Sequence[tuple]) -> TruncatedSeries:
     of the ``c.denominator * s._den``, keys at the widest digit width, reduced
     once.  A single term keeps its keys in order and needs no accumulator.
     """
-    terms = [term if len(term) == 3 else (*term, None) for term in terms]
-    n, out_D, xis = _output_degree([term[1:] for term in terms], "add")
-    parts = [(c, s, xi) for (c, s, _), xi in zip(terms, xis)]
+    n, out_D, parts = _checked_terms(terms, "add")
     tables: dict = {}
     if len(parts) == 1:  # keys that lose one constant, or none, stay in order
         ((c, s, xi),) = parts
@@ -713,13 +711,15 @@ def linear_combination(terms: Sequence[tuple]) -> TruncatedSeries:
     return TruncatedSeries._canonical(n, out_D, shift, acc, den)
 
 
-def _output_degree(entries: Sequence[tuple], op: str) -> tuple:
+def _checked_terms(terms: Sequence[tuple], op: str) -> tuple:
     """The ``nvars`` and output degree ``max(0, s.trunc_degree - |xi|)`` shared by the
-    ``(s, xi)`` entries that stand for ``D^xi s`` (``xi`` None for s), and each ``xi`` as
-    a tuple or None when zero; a bad ``xi``, or a mismatch prefixed ``op``, is a ValueError.
+    terms ``(c, s)`` or ``(c, s, xi)`` that stand for ``c * D^xi s``, and the terms as
+    ``(c, s, xi)``, each ``xi`` a tuple or None when zero; a bad ``xi``, or a mismatch
+    prefixed ``op``, is a ValueError.
     """
-    n, out_D, xis = entries[0][0].nvars, None, []
-    for s, xi in entries:
+    n, out_D, parts = terms[0][1].nvars, None, []
+    for term in terms:
+        c, s, xi = term if len(term) == 3 else (*term, None)
         if s.nvars != n:
             raise ValueError(f"{op}: nvars mismatch ({n} vs {s.nvars})")
         degree = s.trunc_degree
@@ -734,8 +734,8 @@ def _output_degree(entries: Sequence[tuple], op: str) -> tuple:
         elif degree != out_D:
             raise ValueError(f"{op}: truncation degree mismatch ({out_D} vs {degree}); "
                              "align with truncate()")
-        xis.append(xi)
-    return n, out_D, xis
+        parts.append((c, s, xi))
+    return n, out_D, parts
 
 
 def _derived(s: TruncatedSeries, xi, shift: int, scale: int, tables: dict) -> tuple:
@@ -1330,7 +1330,7 @@ def det(rows: Sequence[Sequence]) -> TruncatedSeries:
 
     Entries are series of one ``nvars`` and pairs ``(s, xi)`` that stand for ``D^xi s``,
     all of one output degree D (a series is its own degree, a pair
-    ``max(0, s.trunc_degree - |xi|)``), checked by :func:`_output_degree` as the terms of
+    ``max(0, s.trunc_degree - |xi|)``), checked by :func:`_checked_terms` as the terms of
     :func:`linear_combination` are; any other entry is a TypeError.  No derivative is
     built as a series: each entry becomes a piece once, by :func:`_derived` at the widest
     digit width of D and the entries, and the signed products ``(-1)^j a_0j det(minor_0j)``
@@ -1344,12 +1344,12 @@ def det(rows: Sequence[Sequence]) -> TruncatedSeries:
     entries = [v if isinstance(v, tuple) else (v, None) for row in rows for v in row]
     if not all(isinstance(s, TruncatedSeries) for s, _ in entries):
         raise TypeError("det: entries must be series or (series, xi) pairs")
-    n, D, xis = _output_degree(entries, "det")
+    n, D, parts = _checked_terms([(1, *entry) for entry in entries], "det")
     if size == 1:
-        return rows[0][0] if entries[0][1] is None else linear_combination([(1, *entries[0])])
+        return rows[0][0] if entries[0][1] is None else linear_combination(parts)
     shift, tables = max(_shift_for(D), *(s._shift for s, _ in entries)), {}
     pieces = []  # each entry's piece, None when it vanishes
-    for (s, _), xi in zip(entries, xis):
+    for _, s, xi in parts:
         keys, nums = _derived(s, xi, shift, 1, tables)
         pieces.append((keys, nums, s._den) if keys else None)
     rows = [pieces[i:i + size] for i in range(0, size * size, size)]

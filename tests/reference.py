@@ -17,8 +17,10 @@ shared accumulators and no table of series kept between calls:
 * the segment average weighs each split ``x^j y^(gamma-j)`` of a y monomial
   by its Beta integral ``|j|! |gamma-j|! / (|gamma| + 1)!``.
 
-Only for speed, a sum or a product adds integer numerators over one common
-denominator of its operands and builds each ``Fraction`` once, at the end.
+Only for speed, sums and products work on integer numerators over one common
+denominator, a chain of products (a power, a composition, a determinant) builds
+each ``Fraction`` once, at its end, and a power is cut at the lowest degree that
+its uses need.
 
 Of the package it reads only the public constructor
 ``TruncatedSeries(nvars, D, coeffs)`` and ``.coeffs``, ``.nvars`` and
@@ -30,35 +32,44 @@ return ``TruncatedSeries``; the ``_``-prefixed ones work on dicts.
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add, itemgetter
 
 from bergman.series import TruncatedSeries
 
 
 def _over_one_denominator(f):
-    """The numerators of f's coefficients (ints or Fractions) over their least common
-    denominator, and it."""
+    """f (a dict of ints or Fractions) as integer numerators over their least common
+    denominator: the pair (numerators, denominator)."""
     den = lcm(*[v.denominator for v in f.values()])
     return {k: v.numerator * (den // v.denominator) for k, v in f.items()}, den
 
 
-def _add(*scaled):
-    """The sum of ``c * f`` over the ``(c, f)`` pairs, in integers over one denominator."""
-    parts = [(c, *_over_one_denominator(f)) for c, f in scaled]
-    den = lcm(*[c.denominator * d for c, _, d in parts])
+def _fractions(f):
+    """The dict of Fractions of a (numerators, denominator) pair, zeros dropped."""
+    nums, den = f
+    return {k: Fraction(v, den) for k, v in nums.items() if v}
+
+
+def _add(scaled):
+    """The sum of ``c * f`` over the pairs of a scalar c and f, a dict of coefficients or a
+    (numerators, denominator) pair, in integers over one denominator."""
+    scaled = [(Fraction(c), *(f if isinstance(f, tuple) else _over_one_denominator(f)))
+              for c, f in scaled]
+    den = lcm(*[c.denominator * d for c, _, d in scaled])
     out = {}
-    for c, f, d in parts:
+    for c, f, d in scaled:
         scale = c.numerator * (den // (c.denominator * d))
         for k, v in f.items():
             out[k] = out.get(k, 0) + scale * v
-    return {k: Fraction(v, den) for k, v in out.items() if v}
+    return _fractions((out, den))
 
 
-def _mul(a, b, D):
-    """The product of a and b, every term of degree above D dropped: each pair of terms
-    adds its product, in integers over the product of the two common denominators."""
-    (a, da), (b, db) = _over_one_denominator(a), _over_one_denominator(b)
+def _mul_over(a, b, D):
+    """The product of two (numerators, denominator) pairs, every term of degree above D
+    dropped: each pair of terms adds its product, over the product of the denominators;
+    the result is divided by the gcd of its numerators and denominator."""
+    (a, da), (b, db) = a, b
     out = {}
     b_terms = sorted(((sum(kb), kb, vb) for kb, vb in b.items()), key=itemgetter(0))
     for ka, va in a.items():
@@ -68,7 +79,9 @@ def _mul(a, b, D):
                 break
             k = tuple(map(add, ka, kb))
             out[k] = out.get(k, 0) + va * vb
-    return {k: Fraction(v, da * db) for k, v in out.items() if v}
+    out = {k: v for k, v in out.items() if v}
+    g = gcd(da * db, *out.values())
+    return {k: v // g for k, v in out.items()}, da * db // g
 
 
 def _diff(f, xi):
@@ -83,18 +96,25 @@ def _diff(f, xi):
     return out
 
 
-def _products(args, nvars, D):
-    """The function k -> prod args_i^k_i cut at D: each product one argument times a
-    product of lower degree, made once."""
-    products = {(0,) * len(args): {(0,) * nvars: 1}}
-
-    def product_of(k):
-        if k not in products:
+def _products(args, nvars, wanted):
+    """For each exponent k of ``wanted``, prod args_i^k_i cut at degree ``wanted[k]``, as
+    a (numerators, denominator) pair: each product one argument times a product of lower
+    degree, made once.  No argument has a constant term, so a product wanted through
+    degree d needs the lower one only through d - 1; each is made through the highest
+    degree any product needs it."""
+    args, need = [_over_one_denominator(a) for a in args], {}
+    lower = {}  # k -> (i, k - e_i), i its first slot with a nonzero exponent
+    for k, d in wanted.items():
+        while any(k) and (k not in need or need[k] < d):
+            need[k] = d
             i = next(i for i, e in enumerate(k) if e)
-            products[k] = _mul(product_of(k[:i] + (k[i] - 1,) + k[i + 1:]), args[i], D)
-        return products[k]
-
-    return product_of
+            lower[k] = i, k[:i] + (k[i] - 1,) + k[i + 1:]
+            k, d = lower[k][1], d - 1
+    products = {(0,) * len(args): ({(0,) * nvars: 1}, 1)}
+    for k in sorted(need, key=sum):
+        i, below = lower[k]
+        products[k] = _mul_over(products[below], args[i], need[k])
+    return products
 
 
 def _compose(f, args, nvars, D):
@@ -102,9 +122,10 @@ def _compose(f, args, nvars, D):
     over the terms c x^k of f."""
     if any(sum(k) == 0 for a in args for k in a):
         raise ValueError("reference compose: an argument has a constant term")
-    product_of = _products(args, nvars, D)
     # every argument has valuation >= 1, so a term above D adds nothing
-    return _add(*[(v, product_of(k)) for k, v in f.items() if sum(k) <= D])
+    terms = {k: v for k, v in f.items() if sum(k) <= D}
+    products = _products(args, nvars, dict.fromkeys(terms, D))
+    return _add([(v, products[k]) for k, v in terms.items()])
 
 
 @cache
@@ -112,31 +133,6 @@ def _signed_permutations(size):
     """The permutations p of range(size), each with its sign (-1)^(inversions of p)."""
     return [(p, (-1) ** sum(p[i] > p[j] for i in range(size) for j in range(i + 1, size)))
             for p in permutations(range(size))]
-
-
-def _det(rows, D):
-    """The Leibniz sum of sign(p) prod_i rows[i][p(i)] over the permutations p."""
-    terms = []
-    for p, sign in _signed_permutations(len(rows)):
-        term = rows[0][p[0]]
-        for i in range(1, len(rows)):
-            term = _mul(term, rows[i][p[i]], D)
-        terms.append((sign, term))
-    return _add(*terms)
-
-
-def _inverse(f, nvars, D):
-    """1/f for f with constant term c != 0: u = (1 - (f - c) u) / c iterated from u = 0,
-    each step right through one more degree."""
-    zero = (0,) * nvars
-    c = Fraction(f.get(zero, 0))
-    if c == 0:
-        raise ValueError("reference inverse: constant term is zero")
-    rest = {k: v for k, v in f.items() if k != zero}
-    u = {}
-    for _ in range(D + 1):
-        u = _add((1 / c, {zero: 1}), (-1 / c, _mul(rest, u, D)))
-    return u
 
 
 def _unit(nvars, i):
@@ -148,7 +144,8 @@ def _unit(nvars, i):
 
 def mul(a, b, D):
     """a * b cut at degree D, which may exceed the degrees of a and b."""
-    return TruncatedSeries(a.nvars, D, _mul(a.coeffs, b.coeffs, D))
+    return TruncatedSeries(a.nvars, D, _fractions(_mul_over(
+        _over_one_denominator(a.coeffs), _over_one_denominator(b.coeffs), D)))
 
 
 def combine(terms):
@@ -157,7 +154,7 @@ def combine(terms):
     terms = [t if len(t) == 3 else (*t, None) for t in terms]
     c, s, xi = terms[0]
     D = s.trunc_degree if xi is None else max(0, s.trunc_degree - sum(xi))
-    return TruncatedSeries(s.nvars, D, _add(*[
+    return TruncatedSeries(s.nvars, D, _add([
         (c, s.coeffs if xi is None else _diff(s.coeffs, xi)) for c, s, xi in terms]))
 
 
@@ -185,10 +182,16 @@ def rename(s, nvars, var_map):
 
 
 def det(rows):
-    """The determinant of a square matrix of series of one nvars and degree."""
-    s = rows[0][0]
-    return TruncatedSeries(s.nvars, s.trunc_degree,
-                           _det([[e.coeffs for e in row] for row in rows], s.trunc_degree))
+    """The determinant of a square matrix of series of one nvars and degree D: the Leibniz
+    sum of sign(p) prod_i rows[i][p(i)] over the permutations p, each product cut at D."""
+    nvars, D = rows[0][0].nvars, rows[0][0].trunc_degree
+    rows, terms = [[_over_one_denominator(e.coeffs) for e in row] for row in rows], []
+    for p, sign in _signed_permutations(len(rows)):
+        term = rows[0][p[0]]
+        for i in range(1, len(rows)):
+            term = _mul_over(term, rows[i][p[i]], D)
+        terms.append((sign, term))
+    return TruncatedSeries(nvars, D, _add(terms))
 
 
 def det_of_scalars(rows):
@@ -201,9 +204,16 @@ def det_of_scalars(rows):
 
 
 def inverse(s):
-    """1/s at the degree of s."""
-    return TruncatedSeries(s.nvars, s.trunc_degree,
-                           _inverse(s.coeffs, s.nvars, s.trunc_degree))
+    """1/s at the degree D of s, for s with constant term c != 0: u = (1 - (s - c) u) / c
+    iterated from u = 0, each step right through one more degree."""
+    zero, D = (0,) * s.nvars, s.trunc_degree
+    c = Fraction(s.coeffs.get(zero, 0))
+    if c == 0:
+        raise ValueError("reference inverse: constant term is zero")
+    rest, u = _over_one_denominator({k: v for k, v in s.coeffs.items() if k != zero}), {}
+    for _ in range(D + 1):
+        u = _add([(1 / c, {zero: 1}), (-1 / c, _mul_over(rest, _over_one_denominator(u), D))])
+    return TruncatedSeries(s.nvars, D, u)
 
 
 def bare_slot(s):
@@ -215,15 +225,17 @@ def bare_slot(s):
 def table_entries(table, args):
     """For each entry of a table of powers through ``args``, keyed by the exponents of the
     arguments that are not bare variables, that power cut at the entry's degree."""
-    substituted = [i for i, a in enumerate(args) if bare_slot(a) is None]
-    D = max([entry.trunc_degree for entry in table.values()], default=0)
-    product_of, out = _products([a.coeffs for a in args], args[0].nvars, D), {}
-    for key, entry in table.items():
+    substituted, gammas = [i for i, a in enumerate(args) if bare_slot(a) is None], {}
+    for key in table:
         gamma = [0] * len(args)
         for i, e in zip(substituted, key):
             gamma[i] = e
-        out[key] = TruncatedSeries(args[0].nvars, entry.trunc_degree, product_of(tuple(gamma)))
-    return out
+        gammas[key] = tuple(gamma)
+    products = _products([a.coeffs for a in args], args[0].nvars,
+                         {gammas[key]: entry.trunc_degree for key, entry in table.items()})
+    return {key: TruncatedSeries(args[0].nvars, entry.trunc_degree,
+                                 _fractions(products[gammas[key]]))
+            for key, entry in table.items()}
 
 
 def fixed_point(hinv, theta):
@@ -232,11 +244,11 @@ def fixed_point(hinv, theta):
     iterated from z = 0, step d cut at degree d, where it is right."""
     N, D, n = theta[0].nvars, theta[0].trunc_degree, len(theta)
     ids = [{_unit(N, i): 1} for i in range(N)]
-    lin = [_add(*[(h, t) for h, t in zip(row, ids[N - n:])]) for row in hinv]
+    lin = [_add([(h, t) for h, t in zip(row, ids[N - n:])]) for row in hinv]
     z = [{} for _ in range(n)]
     for d in range(1, D + 1):
         comp = [_compose(t.coeffs, ids[:N - n] + z, N, d) for t in theta]
-        z = [_add((1, lin[u]), (1, z[u]), *[(-h, c) for h, c in zip(row, comp)])
+        z = [_add([(1, lin[u]), (1, z[u]), *[(-h, c) for h, c in zip(row, comp)]])
              for u, row in enumerate(hinv)]
     return [TruncatedSeries(N, D, zu) for zu in z]
 

@@ -514,9 +514,16 @@ def reference_delta0(geom):
 
 def _assert_same_inversion(geom):
     """The solve's z and every entry of its table of powers, each cut at its degree, equal
-    the reference fixed point and its powers."""
+    the reference fixed point and its powers.  Above degree 8, where the plain iteration
+    of a dense n = 2 phase costs seconds, one reference composition checks z instead:
+    theta(x, y, z) = t at the degree of theta, which fixes z."""
     z, powers = invert_theta(geom.theta)
-    assert z == reference_z(geom)
+    if geom.degree > 8:
+        n, ids = geom.n, TruncatedSeries.variables(3 * geom.n, geom.degree - 1)
+        assert [zu.trunc_degree for zu in z] == [geom.degree - 1] * n
+        assert [reference.compose(t, ids[:2 * n] + z) for t in geom.theta] == ids[2 * n:]
+    else:
+        assert z == reference_z(geom)
     assert powers == reference.table_entries(powers, z)
 
 
@@ -555,8 +562,7 @@ class TestRawInversion:
     def test_chsc_benchmark_curvatures(self, c):
         _assert_same_inversion(build_geometry(preset_chsc(2, c, 12)))
 
-    # a dense n = 2 phase costs the reference iteration seconds per degree above 7
-    @pytest.mark.parametrize("spec", [dense_spec(12), non_radial_n2_spec(7)], ids=["dense", "n2"])
+    @pytest.mark.parametrize("spec", [dense_spec(12), non_radial_n2_spec(10)], ids=["dense", "n2"])
     def test_dense_and_non_radial(self, spec):
         _assert_same_inversion(build_geometry(spec))
 
