@@ -271,8 +271,8 @@ def truncation_minimizer(C: float, k: int) -> TruncationScan:
     and the minimum obeys the Stirling bound e^2 m e^{-2m} at
     m = floor(sqrt(k/C)).
     """
-    if C <= 0 or k < 1:
-        raise ValueError("need C > 0 and k >= 1")
+    if not (math.isfinite(C) and C > 0) or k < 1:
+        raise ValueError("need a finite C > 0 and k >= 1")
     if k > TRUNCATION_K_LIMIT:
         raise ResourceGuardError(f"resource guard: the truncation scan keeps k = {k} terms;"
                                  f" keep k <= {TRUNCATION_K_LIMIT}")
@@ -327,8 +327,8 @@ def exp_factorial_bound_check(
     ``base_N = (N+2) log(2/delta) + lgamma(N+2)``; keeps the first ten violating k per (delta, N).
     """
     deltas = tuple(float(d) for d in deltas)
-    if any(d <= 0 for d in deltas):
-        raise ValueError("delta must be positive")
+    if not all(math.isfinite(d) and d > 0 for d in deltas):
+        raise ValueError("delta must be finite and positive")
     if (checks := len(deltas) * (n_max + 1) * k_max) > LEMMA_CHECK_LIMIT:
         raise ResourceGuardError(f"resource guard: the lemma sweep makes len(deltas) * (n_max+1)"
                                  f" * k_max = {checks} checks; keep it <= {LEMMA_CHECK_LIMIT}")

@@ -41,8 +41,8 @@ from .potential import GeometryPack, RadiusError, in_eval_radius
 
 def choose_truncation_order(k: int, C: float, max_order: int | None = None) -> int:
     """The optimal truncation order floor(sqrt(k/C)), clamped to max_order."""
-    if k < 1 or C <= 0:
-        raise ValueError("need k >= 1 and C > 0")
+    if k < 1 or not (math.isfinite(C) and C > 0):
+        raise ValueError("need k >= 1 and a finite C > 0")
     n0 = math.isqrt(int(k / C))
     if max_order is not None and n0 > max_order:
         return max_order

@@ -43,16 +43,15 @@ denominators, so a product sums ``num_a * num_b`` in ints over
 The form is canonical up to the base, so ``==`` compares numerators and
 keys repacked to the larger base, and ``[]`` bisects on the packed key.
 The pieces that :func:`_sum_of_products` multiplies share the form: the
-triple ``(keys, nums, den)``, None when the piece vanishes, reduced by the
-one :func:`_piece`; :func:`mul_trunc`, :func:`fixed_point` and :func:`det`
-work on them.  A piece's keys are sorted, except in the level solve of
-:func:`fixed_point`: the homogeneous pieces its sweep makes keep the order
-the accumulator met, and so do the parts of theta it reads
-(:func:`_solve_parts`), which also keep one unreduced denominator per row of
-the Hessian inverse.  All keys of such a piece carry one degree digit d, and
-a product of degrees k and d - k with d at most the output degree is never
-cut, so the uncut pair loops need no order; the solve sorts once, when
-:func:`_joined` concatenates its pieces, which share no key, into the result.
+triple ``(keys, nums, den)``, None when the piece vanishes;
+:func:`mul_trunc`, :func:`fixed_point` and :func:`det` work on them.  One
+rule holds for all of them: every piece is sorted by key over a positive
+denominator, and every result is reduced, by the one :func:`_piece`.  An
+input may keep its denominator unreduced, such as a piece cut below a
+degree or a part of theta in a solve.  The level solve is no exception: its pieces
+are homogeneous, so each of its sums is cut at the level's own degree and
+cuts nothing, and :func:`_joined` concatenates the levels, sorted and
+reduced as they come, into the result.
 No other module reads the packed form: callers pass and get series.
 ``eval`` builds a float plan on first use: per term, in graded lexicographic
 order, ``complex(num / den)`` (correctly rounded, as ``complex(Fraction)``)
@@ -104,9 +103,9 @@ and ``Delta0`` and every later composition through ``z`` reuse.
 The phase inversion composes nothing: :func:`fixed_point` takes theta and
 the inverse of its constant z-linear part H, forms the parts of H^-1 t and
 of -H^-1 theta in one pass over theta's terms (the z-linear constant part
-cancels exactly and is dropped), and makes each new piece with the uncut
-:func:`_sum_of_products` of its live pairs (see Storage); each level reads a
-list of the power steps it extends, made once per solve.  The powers it
+cancels exactly and is dropped), and makes each new piece of degree d with
+the :func:`_sum_of_products` of its live pairs at d (see Storage); each
+level reads a list of the power steps it extends, made once per solve.  The powers it
 builds are the entries composing theta through z would cache, through the
 same degrees, so it returns them with z as that cache.  They are checked, with z,
 by :func:`holds_on_a_line`, which builds no series and shares no code with
@@ -131,13 +130,13 @@ since each makes its keys from keys of valid operands by digit arithmetic
 that cannot carry.  Products, :func:`fixed_point` and :func:`det` build
 pieces: each sum of key pairs of degree at most the output degree is one
 :func:`_sum_of_products`, which sorts its dict and reduces, and
-``TruncatedSeries._from_piece`` stores that piece as it is; the level solve's
-uncut sums reduce without sorting (see Storage), and :func:`_joined` makes
-both z and each of the powers the solve hands on.  ``invert`` is its
-definition, a Horner sum of :func:`mul_trunc` products and sums.  ``compose``'s
-group sum and moves that can merge keys (a sum of series, bare ``compose``
-arguments, ``segment_average``, which moves part of each y digit to its x
-digit) fill a dict that ``TruncatedSeries._canonical`` sorts and reduces.
+``TruncatedSeries._from_piece`` stores that piece as it is; :func:`_joined`
+concatenates a solve's level pieces into z and each of the powers it hands
+on.  ``invert`` is its definition, a Horner sum of :func:`mul_trunc`
+products and sums.  ``compose``'s group sum and moves that can merge keys
+(a sum of series, bare ``compose`` arguments, ``segment_average``, which
+moves part of each y digit to its x digit) fill a dict that
+``TruncatedSeries._canonical`` sorts and reduces.
 The rest build their lists in key order and reduce them: ``truncate`` slices
 them, a scalar multiple keeps the keys, and a derivative takes one
 constant, no digit larger than the key's, off each key of a sorted run, and
@@ -814,9 +813,9 @@ def _piece_below(s: TruncatedSeries, shift: int, bound: int):
 
 
 def _piece(keys: list, nums: list, den: int):
-    """The piece ``(keys, nums, den)`` of packed keys (sorted but in the level solve, see
-    Storage) and their numerators over ``den``: zeros dropped, reduced by the gcd to a
-    positive ``den``; None when no term is left.  A series stores its terms in this form."""
+    """The piece ``(keys, nums, den)`` of sorted packed keys and their numerators over
+    ``den``: zeros dropped, reduced by the gcd to a positive ``den``; None when no term is
+    left.  A series stores its terms in this form (see Storage)."""
     if 0 in nums:
         keys = [k for k, v in zip(keys, nums) if v]
         nums = [v for v in nums if v]
@@ -829,20 +828,16 @@ def _piece(keys: list, nums: list, den: int):
     return keys, nums, den
 
 
-def _sum_of_products(pairs: Sequence[tuple], width: int, out_degree: int | None):
+def _sum_of_products(pairs: Sequence[tuple], width: int, out_degree: int):
     """The sum of ``a * b`` over pairs of pieces, truncated at ``out_degree``, as a piece.
 
     A piece is ``(keys, nums, den)`` as a series stores it (:func:`_piece`):
     sorted packed keys (``width`` bits below the degree digit), their integer
-    numerators and one positive denominator, reduced; a vanishing piece is
-    None, and its pairs are dropped first.  The other products go into one
-    accumulator over the lcm of the pairs' denominators, reduced once; the
-    side with fewer terms carries the scale.  A pair of one piece with itself
-    (the same object) is a square, run by :func:`_add_square`.
-
-    ``out_degree`` None is the uncut sum, for homogeneous pieces whose products
-    all stay within the output degree (the level solve, see Storage): no pair
-    is cut, the pieces need no order, and the result keeps the order first met.
+    numerators and one positive denominator; a vanishing piece is None, and
+    its pairs are dropped first.  The other products go into one accumulator
+    over the lcm of the pairs' denominators; the side with fewer terms carries
+    the scale.  A pair of one piece with itself (the same object) is a square,
+    run by :func:`_add_square`.  The result is sorted and reduced once.
     """
     live = [(a, b) for a, b in pairs if a and b]
     den = lcm(*[a[2] * b[2] for a, b in live])
@@ -854,8 +849,6 @@ def _sum_of_products(pairs: Sequence[tuple], width: int, out_degree: int | None)
             _add_products(acc, zip(b[0], b[1]), a[0], a[1], width, out_degree, den // (a[2] * b[2]))
         else:
             _add_products(acc, zip(a[0], a[1]), b[0], b[1], width, out_degree, den // (a[2] * b[2]))
-    if out_degree is None:
-        return _piece(list(acc), list(acc.values()), den)
     keys = sorted(acc)
     return _piece(keys, [acc[k] for k in keys], den)
 
@@ -946,11 +939,11 @@ def fixed_point(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries]) -> t
     reads, so the work is about one power table at full degree.  Each level
     looks up only the steps that extend a power there, listed once per solve.
 
-    Every ``[P_gamma]_d`` and ``[z_u]_d`` the sweep makes is an unsorted
-    homogeneous piece of degree d, and each product pairs degrees k and d - k
-    with d <= D, so the sums are uncut (``out_degree`` None, see Storage).  The
-    pieces of one z_u share no key, so :func:`_joined` sums them with no pair
-    loop, reduced once and sorted once.
+    Every ``[P_gamma]_d`` and ``[z_u]_d`` the sweep makes is a sorted, reduced
+    homogeneous piece of degree d: each product pairs degrees k and d - k, so
+    the sum at d cuts nothing (see Storage).  The levels of one z_u ascend in
+    degree, so :func:`_joined` concatenates them with no pair loop, no sort and
+    no second reduction.
 
     Returns ``(z, powers)``: ``powers`` is the table that composing theta
     through the arguments ``(v, z)`` would cache, from the solve's own pieces,
@@ -998,11 +991,11 @@ def fixed_point(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries]) -> t
                          if (p := doubled[k]) and (q := pz[d - k])]
                 if d % 2 == 0 and (p := pz[d // 2]):
                     pairs.append((p, p))
-            out.append(_sum_of_products(pairs, width, None) if pairs else None)
+            out.append(_sum_of_products(pairs, width, d) if pairs else None)
         for out, tw, su in sums:
             pairs = [(part, p) for power, e, size, part in su
                      if d - e >= size and (p := power[d - e])]
-            p = _sum_of_products(pairs, width, None) if pairs else None
+            p = _sum_of_products(pairs, width, d) if pairs else None
             out.append(p)
             tw.append((p[0], [v + v for v in p[1]], p[2]) if p and 2 * d < D else None)
     z = [TruncatedSeries._from_piece(N, D, shift, _joined(pieces[u][1:])) for u in units]
@@ -1031,11 +1024,12 @@ def holds_on_a_line(theta: Sequence[TruncatedSeries], z: Sequence[TruncatedSerie
     on it, ``z_j(r lambda)``, is a polynomial in lambda, one coefficient per
     degree, raised to each exponent by univariate products along
     :func:`power_step`, and ``[z^gamma]_(<=k)(r)`` is the sum of its first k + 1
-    coefficients.  Each ``P_gamma(r)`` is compared with its cut, and a term of
-    theta of z digits gamma and degree e in v reads the cut at D - e.  No code
-    of the solve runs here.  A false identity of degree at most D, nonzero mod
-    p, holds at a random point with probability at most D/p (Schwartz, J. ACM
-    1980; Zippel, EUROSAM 1979).
+    coefficients.  Each ``P_gamma(r)`` is compared with its cut, except a unit
+    entry that is the object ``z_j`` itself (as the solve and ``compose`` store
+    it), whose line is made from it; a term of theta of z digits gamma and
+    degree e in v reads the cut at D - e.  No code of the solve runs here.  A
+    false identity of degree at most D, nonzero mod p, holds at a random point
+    with probability at most D/p (Schwartz, J. ACM 1980; Zippel, EUROSAM 1979).
     """
     p = LINE_PRIME
     if any(s._den % p == 0 for s in (*theta, *z, *powers.values())):
@@ -1080,8 +1074,10 @@ def holds_on_a_line(theta: Sequence[TruncatedSeries], z: Sequence[TruncatedSerie
 
     substituted = _substitution(z)[0]
     for key, power in powers.items():
-        _, ws, inv = weighed(power, (1 << width) - 1)
         gamma = _power_exponent(key, substituted, n)
+        if sum(gamma) == 1 and power is z[gamma.index(1)]:
+            continue  # z_j itself: its line is made from these same terms
+        _, ws, inv = weighed(power, (1 << width) - 1)
         if (sum(ws) * inv - sum(line(gamma)[:power.trunc_degree + 1])) % p:
             return False
     low = (1 << shift * n) - 1  # the z digits of theta's keys, cleared from its weights
@@ -1111,8 +1107,10 @@ def _solve_parts(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries], shi
     H^-1 t have the keys of the z_j, so they join the part gamma = 0, e = 1 after
     the grouping, and z_u joins the part of its own key, where it cancels H's
     constant: a part left there, or a constant term of theta, makes the solve
-    implicit, a ValueError.  A part of one group is its scaled numerators; only
-    parts of several share an accumulator.
+    implicit, a ValueError.  A part of one group is its scaled numerators, in
+    theta's key order less one constant, so sorted; only parts of several share
+    an accumulator, whose keys are sorted once per solve.  Every part is a
+    sorted piece over a positive denominator (see Storage).
     """
     n = len(theta)
     width, zw = shift * theta[0].nvars, shift * n
@@ -1165,10 +1163,10 @@ def _solve_parts(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries], shi
                 for c, (keys, nums, _) in group:
                     for k, v in zip(keys, nums):
                         acc[k] = get(k, 0) + c * v
-                keys = [k for k, v in acc.items() if v]
+                keys = sorted([k for k, v in acc.items() if v])
                 if not keys:
                     continue
-                nums = [v for v in acc.values() if v]
+                nums = [acc[k] for k in keys]
             if e == 0 and size <= 1:
                 raise ValueError("fixed_point: a constant term in theta, or hinv not the "
                                  "inverse of its z-linear part, makes the solve implicit")
@@ -1178,35 +1176,25 @@ def _solve_parts(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries], shi
 
 
 def _joined(pieces: list):
-    """The sum of pieces (see :func:`_piece`, None for zero) that share no key, such as
-    the levels of a solve: their terms over the lcm of their denominators, reduced once
-    and sorted once, with no pair loop."""
+    """The sum of pieces (see :func:`_piece`, None for zero) whose keys ascend from one
+    piece to the next, such as the levels of a solve: their terms concatenated over the
+    lcm of their denominators, with no pair loop.  The sum needs no second gcd: the
+    highest power of a prime p in the lcm is that of some piece's denominator, so p
+    divides neither that piece's scale nor, the piece being reduced, all its numerators."""
     live = [p for p in pieces if p]
-    den = lcm(*[p[2] for p in live])
-    piece = _piece([k for p in live for k in p[0]], [v * (den // p[2]) for p in live for v in p[1]],
-                   den)
-    if piece is None:
+    if not live:
         return None
-    keys, nums, den = piece
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return [keys[i] for i in order], [nums[i] for i in order], den
+    den = lcm(*[p[2] for p in live])
+    return [k for p in live for k in p[0]], [v * (den // p[2]) for p in live for v in p[1]], den
 
 
 def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int,
-                  out_degree: int | None, scale: int = 1):
+                  out_degree: int, scale: int = 1):
     """Add ``va * vb`` at ``ka + kb`` into ``acc`` for every pair of degree at most
     ``out_degree``; ``b_keys`` are sorted, the keys of ``a_terms`` may come in any order.
     The b rows of degree at most ``out_degree - deg(ka)`` are cut once per run of a-terms
-    of one degree, so once per degree for a-terms in key order, as every caller has them.
-    With ``out_degree`` None nothing is cut and neither side need be sorted."""
+    of one degree, so once per degree for a-terms in key order, as every caller has them."""
     get = acc.get
-    if out_degree is None:
-        for ka, va in a_terms:
-            va *= scale
-            for kb, vb in zip(b_keys, b_nums):
-                k = ka + kb
-                acc[k] = get(k, 0) + va * vb
-        return
     cut = None  # the degree of ka that keys and nums were cut for
     for ka, va in a_terms:
         if ka >> width != cut:
@@ -1219,20 +1207,17 @@ def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int,
             acc[k] = get(k, 0) + va * vb
 
 
-def _add_square(acc: dict, keys: list, nums: list, width: int, out_degree: int | None,
+def _add_square(acc: dict, keys: list, nums: list, width: int, out_degree: int,
                 scale: int = 1):
     """:func:`_add_products` of ``scale`` times the sorted terms with the terms themselves,
     each unordered pair once: ``scale * v * v`` at ``k + k`` and twice
-    ``scale * va * vb`` at ``ka + kb`` for each later ``kb``, of degree at most ``out_degree``
-    (None: no cut, and the terms may come in any order)."""
+    ``scale * va * vb`` at ``ka + kb`` for each later ``kb``, of degree at most ``out_degree``."""
     get = acc.get
-    stop = len(keys)
     for i, (ka, va) in enumerate(zip(keys, nums)):
-        if out_degree is not None:
-            bound = (out_degree + 1 - (ka >> width)) << width
-            if ka >= bound:  # 2 deg(ka) > out_degree, and the later keys are no lower
-                break
-            stop = bisect_left(keys, bound, i + 1)
+        bound = (out_degree + 1 - (ka >> width)) << width
+        if ka >= bound:  # 2 deg(ka) > out_degree, and the later keys are no lower
+            break
+        stop = bisect_left(keys, bound, i + 1)
         vs = va * scale
         acc[ka + ka] = get(ka + ka, 0) + vs * va
         vs += vs

@@ -688,11 +688,12 @@ def test_readme_cli_lines_exit_zero(tmp_path, monkeypatch):
 
 
 def test_the_package_loads_only_the_standard_library():
-    # -S keeps site-packages off sys.path, so a third-party import fails outright
+    # -S keeps site-packages off sys.path, so a third-party import fails outright; -B
+    # writes no bytecode into src, which -I would, as it ignores PYTHONDONTWRITEBYTECODE
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import bergman.cli; "
             "print(*sorted({name.split('.')[0] for name in sys.modules}))")
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(src)],
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(src)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split()) - {"__main__"}

@@ -28,7 +28,8 @@ print(json.dumps({"modules": names, "loaded": loaded}))
 
 def test_importing_every_module_loads_only_the_standard_library():
     out = subprocess.run(
-        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {str(SRC)!r})\n{PROBE}"],
+        # -B: -I ignores PYTHONDONTWRITEBYTECODE, and the probe must leave no bytecode in src
+        [sys.executable, "-I", "-B", "-c", f"import sys; sys.path.insert(0, {str(SRC)!r})\n{PROBE}"],
         capture_output=True, text=True, check=True,
     )
     report = json.loads(out.stdout)

@@ -187,6 +187,11 @@ class TestTruncationMinimizer:
         scan = truncation_minimizer(1.0, 256)
         assert 0 < scan.min_value < 1
 
+    @pytest.mark.parametrize("C", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_a_non_finite_constant(self, C):
+        with pytest.raises(ValueError, match="finite C > 0"):
+            truncation_minimizer(C, 100)
+
 
 class TestExpFactorialBound:
     def test_spot_values(self):
@@ -205,6 +210,12 @@ class TestExpFactorialBound:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             exp_factorial_bound_check(deltas=(0.0,))
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_a_non_finite_delta(self, delta):
+        # every comparison with NaN is false, so a NaN sweep would pass with no violation
+        with pytest.raises(ValueError, match="finite and positive"):
+            exp_factorial_bound_check(deltas=(1.0, delta), n_max=1, k_max=10)
 
     def test_resource_guard(self, monkeypatch):
         # the default sweep (4 deltas, N <= 20, k <= 10^4) sits well inside the limit

@@ -142,6 +142,11 @@ class TestTruncationOrder:
         with pytest.raises(ValueError):
             choose_truncation_order(0, 1.0)
 
+    @pytest.mark.parametrize("C", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_a_non_finite_constant(self, C):
+        with pytest.raises(ValueError, match="finite C > 0"):
+            choose_truncation_order(100, C)
+
 
 class TestEvalAgainstModels:
     def test_flat_exact_any_order(self):

@@ -805,6 +805,29 @@ def test_diff_calls_of_the_pipeline(monkeypatch, name):
     assert len(calls) == DIFF_CALLS[name]
 
 
+SOLVE_SPECS = {"chsc_3/5": BENCHMARK_JOBS["chsc_3/5"][0], "dense_1": BENCHMARK_JOBS["dense_1"][0],
+               "n2_8": lambda: non_radial_n2_spec(8)}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_SPECS))
+def test_every_piece_the_solve_sums_is_sorted(monkeypatch, name):
+    # One piece form: the parts of theta, the level pieces of z and of its powers and
+    # the doubled pieces of the squares all reach the pair loops sorted by key, over a
+    # positive denominator, as every other product's pieces do.
+    theta = build_geometry(SOLVE_SPECS[name]()).theta
+    sums, seen = series._sum_of_products, []
+
+    def spy(pairs, width, out_degree):
+        seen.extend(piece for pair in pairs for piece in pair if piece)
+        return sums(pairs, width, out_degree)
+
+    monkeypatch.setattr(series, "_sum_of_products", spy)
+    invert_theta(theta)
+    monkeypatch.undo()
+    assert len(seen) > 100
+    assert [p for p in seen if p[0] != sorted(p[0]) or p[2] <= 0] == []
+
+
 @st.composite
 def off_diagonal_hermitian_specs(draw, n):
     """A drawn ``hermitian_specs(n)`` whose Hessian gains off-diagonal entries c[e_i, e_j] =
@@ -993,6 +1016,19 @@ class TestLineCheck:
         key = max(powers, key=sum)
         wrong_powers = {**powers, key: plus_top_term(powers[key])}
         assert series.holds_on_a_line(geom.theta, z, wrong_powers, residues) is False
+
+    def test_a_perturbed_copy_of_z_1_under_its_unit_key_fails(self):
+        # the check skips a unit entry only when it is z_j itself, whose line it is made
+        # from; a copy is compared, and one term more in the copy fails the check
+        geom = build_geometry(preset_chsc(2, F(3, 5), 8))
+        z, powers = invert_theta(geom.theta)
+        residues, key, s = [2, 3, 5, 7, 11, 13], (1, 0), z[0]
+        assert powers[key] is s
+        copy = TruncatedSeries(s.nvars, s.trunc_degree, s.coeffs)
+        assert series.holds_on_a_line(geom.theta, z, {**powers, key: copy}, residues) is True
+        perturbed = s + TruncatedSeries(s.nvars, s.trunc_degree,
+                                        {(0,) * (s.nvars - 1) + (s.trunc_degree,): 1})
+        assert series.holds_on_a_line(geom.theta, z, {**powers, key: perturbed}, residues) is False
 
     @settings(max_examples=10, deadline=None)
     @given(st.lists(st.integers(0, 2**64), min_size=6, max_size=6))

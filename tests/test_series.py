@@ -768,49 +768,41 @@ class TestSquares:
 
 
 class TestUncutPieces:
-    """The uncut sum (``out_degree`` None) of homogeneous pieces in any key order, as
-    ``fixed_point`` builds them, and the O(1) argument checks of ``compose``."""
+    """The sums of one level of ``fixed_point``: sorted homogeneous pieces of degrees k
+    and d - k, their pairs in any order, summed at d with no product cut; and the O(1)
+    argument checks of ``compose``."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_uncut_sum_of_shuffled_homogeneous_pieces(self, kind, data):
-        nvars, out_degree = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 8))
+        nvars, degree = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 8))
+        d = data.draw(st.integers(0, degree))  # the level: every product has degree d
         pairs = []
         for _ in range(data.draw(st.integers(1, 4))):
-            d = data.draw(st.integers(0, out_degree))
             k = data.draw(st.integers(0, d))
-            a, b = (TruncatedSeries(nvars, out_degree, data.draw(
+            a, b = (TruncatedSeries(nvars, degree, data.draw(
                 coefficient_map(nvars, e, kind, min_degree=e))) for e in (k, d - k))
             # a square when k = d - k and the draw says so
             pairs.append((a, a) if k == d - k and data.draw(st.booleans()) else (a, b))
-        shift = max([_shift_for(out_degree)] + [s._shift for pair in pairs for s in pair])
+        pairs = data.draw(st.permutations(pairs))
+        shift = max([_shift_for(degree)] + [s._shift for pair in pairs for s in pair])
         shift += data.draw(st.integers(0, 1))  # the widest digit width or one wider
-
-        def shuffled(s):
-            if not s._keys:
-                return None
-            order = data.draw(st.permutations(range(len(s._keys))))
-            keys = s._keys_at(shift)
-            return [keys[i] for i in order], [s._nums[i] for i in order], s._den
-
-        pieces = {}  # one shuffled piece per series, so a square stays one object
-        for a, b in pairs:
-            for s in (a, b):
-                if id(s) not in pieces:
-                    pieces[id(s)] = shuffled(s)
+        # one sorted piece per series, so a square stays one object
+        pieces = {id(s): (s._keys_at(shift), s._nums, s._den) if s._keys else None
+                  for pair in pairs for s in pair}
         got = _sum_of_products([(pieces[id(a)], pieces[id(b)]) for a, b in pairs],
-                               shift * nvars, None)
-        want = reference.combine([(1, reference.mul(a, b, out_degree)) for a, b in pairs])
+                               shift * nvars, d)
+        # the reference products at the series' degree, d or above, cut nothing
+        want = reference.combine([(1, reference.mul(a, b, degree)) for a, b in pairs])
         if got is None:
             assert not want.coeffs
             return
         keys, nums, den = got
-        assert len(set(keys)) == len(keys) and 0 not in nums
+        assert keys == sorted(set(keys)) and 0 not in nums
         assert den > 0 and math.gcd(den, *nums) == 1
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        assert _series_of(got, nvars, out_degree, shift) == want
-        assert [keys[i] for i in order] == want._keys_at(shift)
+        assert {k >> shift * nvars for k in keys} == {d}
+        assert _series_of(got, nvars, degree, shift) == want
 
     @pytest.mark.parametrize("nvars", [1, 2, 3, 5])
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 7, 8, 31, 32])
