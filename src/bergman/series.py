@@ -945,10 +945,15 @@ def fixed_point(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries]) -> t
     degree, so :func:`_joined` concatenates them with no pair loop, no sort and
     no second reduction.
 
-    Returns ``(z, powers)``: ``powers`` is the table that composing theta
-    through the arguments ``(v, z)`` would cache, from the solve's own pieces,
-    each ``P_gamma`` joined as z is through the degree a composition reads it
-    and keyed as :func:`_power_key` keys it.
+    Returns ``(z, powers)``: ``powers`` holds, from the solve's own pieces, each
+    ``P_gamma`` joined as z is through the degree a composition reads it and
+    keyed as :func:`_power_key` keys it; every entry is the one that composing
+    theta through the arguments ``(v, z)`` would cache under its key.  The two
+    tables hold the same keys unless some z_j is a bare variable: a
+    composition renames a bare z_j and raises the other z alone, so for a
+    term ``z_a z_b^2`` with z_a bare it caches ``z_b^2``, which the solve's
+    chain ``z_a z_b^2 <- z_a z_b <- z_a`` never builds.  A Hermitian phase has
+    no such term, and a composition builds what the table lacks.
     """
     N, D, n = theta[0].nvars, theta[0].trunc_degree, len(theta)
     for s in theta:
@@ -1193,14 +1198,16 @@ def _add_products(acc: dict, a_terms, b_keys: list, b_nums: list, width: int,
     """Add ``va * vb`` at ``ka + kb`` into ``acc`` for every pair of degree at most
     ``out_degree``; ``b_keys`` are sorted, the keys of ``a_terms`` may come in any order.
     The b rows of degree at most ``out_degree - deg(ka)`` are cut once per run of a-terms
-    of one degree, so once per degree for a-terms in key order, as every caller has them."""
+    of one degree, so once per degree for a-terms in key order, as every caller has them;
+    a cut that keeps every row, as in each level sum of :func:`fixed_point`, copies nothing."""
     get = acc.get
     cut = None  # the degree of ka that keys and nums were cut for
     for ka, va in a_terms:
         if ka >> width != cut:
             cut = ka >> width
             stop = bisect_left(b_keys, (out_degree + 1 - cut) << width)
-            keys, nums = b_keys[:stop], b_nums[:stop]
+            keys, nums = ((b_keys, b_nums) if stop == len(b_keys)
+                          else (b_keys[:stop], b_nums[:stop]))
         va *= scale
         for kb, vb in zip(keys, nums):
             k = ka + kb

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -16,6 +18,7 @@ from bergman.growth import (
     LEMMA_CHECK_LIMIT,
     WORST_CASE_LIMITS,
     ResourceGuardError,
+    TruncationScan,
     exp_factorial_bound_check,
     fit_growth,
     truncation_minimizer,
@@ -166,6 +169,37 @@ class TestWorstCase:
         assert got == digest
 
 
+def truncation_scan_by_differences(C, k):
+    """The scan as a list of the k - 1 differences of its log terms reads it, the body
+    :func:`truncation_minimizer` had before it kept one list; ``lgamma`` is read from
+    ``growth`` so that a patch reaches both."""
+    log_C, log_k = math.log(C), math.log(k)
+    logs = [m * log_C + 2.0 * growth.lgamma(m + 1) - m * log_k for m in range(1, k + 1)]
+    arg = 1 + min(range(len(logs)), key=logs.__getitem__)
+    diffs = [b - a for a, b in zip(logs, logs[1:])]
+    rising = False
+    unimodal = True
+    for d in diffs:
+        if d >= 0:
+            rising = True
+        elif rising:
+            unimodal = False
+            break
+    target = math.sqrt(k / C)
+    m_hat = max(1, int(target))
+    bound_log = 2.0 + math.log(m_hat) - 2.0 * m_hat
+    return TruncationScan(
+        C=C, k=k, argmin=arg, min_value=math.exp(logs[arg - 1]), sqrt_target=target,
+        unimodal=unimodal, within_one_of_target=abs(arg - target) <= 1.0,
+        stirling_bound_ok=logs[arg - 1] <= bound_log + 1e-12,
+    )
+
+
+# the constants and k the benchmark's numeric_checks workload scans
+BENCHMARK_CS = (0.25, 0.3, 0.5, 1.0, 2.0, 3.0, 4.0)
+BENCHMARK_KS = (1000, 4000, 16000)
+
+
 class TestTruncationMinimizer:
     def test_unit_constant(self):
         scan = truncation_minimizer(1.0, 100)
@@ -192,6 +226,53 @@ class TestTruncationMinimizer:
         with pytest.raises(ValueError, match="finite C > 0"):
             truncation_minimizer(C, 100)
 
+    def test_rejects_a_boolean_k(self):
+        # True is an int equal to 1, but no count of terms
+        with pytest.raises(ValueError, match="integer k >= 1"):
+            truncation_minimizer(1.0, True)
+
+    def test_rejects_a_float_k(self):
+        with pytest.raises(ValueError, match="integer k >= 1"):
+            truncation_minimizer(1.0, 100.0)
+
+    @pytest.mark.parametrize("k", BENCHMARK_KS)
+    @pytest.mark.parametrize("C", BENCHMARK_CS)
+    def test_the_benchmark_scans_equal_the_difference_list(self, C, k):
+        assert truncation_minimizer(C, k) == truncation_scan_by_differences(C, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 1000, 16000])
+    def test_scans_at_the_ends_of_the_constant_range_equal_the_difference_list(self, k):
+        # C just inside [1/k, k], the range the command line admits: argmin near k and near 1
+        for C in (1.0, 2.0, 0.5, math.nextafter(1 / k, math.inf), math.nextafter(k, 0.0)):
+            assert truncation_minimizer(C, k) == truncation_scan_by_differences(C, k)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 20_000), st.floats(0.0, 1.0))
+    def test_drawn_scans_equal_the_difference_list(self, k, u):
+        C = k ** (2.0 * u - 1.0)  # log C uniform over [-log k, log k]
+        assert truncation_minimizer(C, k) == truncation_scan_by_differences(C, k)
+
+    def test_a_dip_after_the_minimum_breaks_unimodality(self, monkeypatch):
+        # log terms of C = 1, k = 100 rise by about log(m^2 / 100) after m = 10; lowering
+        # lgamma(31) by 3 makes the step into m = 30 fall by about 3.8
+        monkeypatch.setattr(growth, "lgamma", lambda x: math.lgamma(x) - 3.0 * (x == 31))
+        scan = truncation_minimizer(1.0, 100)
+        assert scan == truncation_scan_by_differences(1.0, 100)
+        assert not scan.unimodal and scan.within_one_of_target
+
+    def test_the_scan_keeps_one_list_of_k_floats(self):
+        # a list of k floats takes k (getsizeof(0.0) + 8) bytes; a second list of k
+        # floats, such as the differences, doubles the peak
+        k = 100_000
+        truncation_minimizer(1.0, 10)
+        tracemalloc.start()
+        try:
+            truncation_minimizer(1.0, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * k * (sys.getsizeof(0.0) + 8)
+
 
 class TestExpFactorialBound:
     def test_spot_values(self):
@@ -210,6 +291,19 @@ class TestExpFactorialBound:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             exp_factorial_bound_check(deltas=(0.0,))
+
+    # each of these sweeps would check nothing and pass
+    def test_rejects_an_empty_delta_list(self):
+        with pytest.raises(ValueError, match="at least one delta"):
+            exp_factorial_bound_check(deltas=(), n_max=5, k_max=100)
+
+    def test_rejects_a_negative_n_max(self):
+        with pytest.raises(ValueError, match="n_max >= 0"):
+            exp_factorial_bound_check(deltas=(1.0,), n_max=-3, k_max=5)
+
+    def test_rejects_a_k_max_below_one(self):
+        with pytest.raises(ValueError, match="k_max >= 1"):
+            exp_factorial_bound_check(deltas=(1.0,), n_max=5, k_max=0)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf], ids=["nan", "inf"])
     def test_rejects_a_non_finite_delta(self, delta):
