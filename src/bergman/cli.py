@@ -349,7 +349,7 @@ def cmd_eval(args) -> int:
         order = args.order
     else:
         order = choose_truncation_order(args.k, args.C, table.M)
-        clamped = order < int((args.k / args.C) ** 0.5)
+        clamped = order < choose_truncation_order(args.k, args.C, table.M + 1)
         if clamped:
             print(f"note: truncation order clamped to available M={order}", file=sys.stderr)
     report = eval_KN(geom, table, args.k, order, x, y)

@@ -21,7 +21,8 @@ replaces both together.  A closed-form evaluator is a PairEvaluator;
 :func:`eval_KN` (and so :func:`make_series_evaluator`) calls the one held in
 a module slot, keyed by the geometry and the table (weak references,
 compared by identity) and N.
-The order and radius checks run on every call.
+The order check runs on every call.  The radius check, like the closed
+form's domain check, runs in the first stage, so once per new pair.
 """
 
 from __future__ import annotations
@@ -32,25 +33,28 @@ import marshal
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .chsc import chsc_coefficients, chsc_psi
 from .coefficients import CoefficientTable
-from .potential import GeometryPack, RadiusError, in_eval_radius
+from .potential import GeometryPack, RadiusError, _is_int, in_eval_radius
 
 
 def choose_truncation_order(k: int, C: float, max_order: int | None = None) -> int:
-    """The optimal truncation order floor(sqrt(k/C)), clamped to max_order."""
-    if k < 1 or not (math.isfinite(C) and C > 0):
-        raise ValueError("need k >= 1 and a finite C > 0")
-    n0 = math.isqrt(int(k / C))
-    if max_order is not None and n0 > max_order:
+    """The optimal truncation order floor(sqrt(k/C)), clamped to max_order; a k/C
+    beyond the float range clamps to max_order, and is refused without one."""
+    if not _is_int(k) or k < 1 or not (math.isfinite(C) and C > 0):
+        raise ValueError("need an int k >= 1 and a finite C > 0")
+    try:
+        n0 = math.isqrt(int(k / C))
+    except OverflowError:
+        if max_order is None:
+            raise ValueError("k/C is beyond the float range and no max_order clamps it") from None
         return max_order
-    return n0
+    return n0 if max_order is None else min(n0, max_order)
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     k: int
     N: int
     x: tuple
@@ -105,7 +109,9 @@ class PairEvaluator:
     ``psi_fn(x, zbar)`` returns the polarized potential; ``b_fn(j, x, zbar)``
     returns the order-j coefficient value, both holomorphic in their slots.
     The point values of the last pair are kept with the exact bits of the
-    pair, as one tuple replaced together.
+    pair as the caller passed it, as one tuple replaced together.  A pair that
+    is not int, float and complex in lists or tuples, such as one with Fraction
+    components or an array, is keyed on its complex values.
     """
 
     def __init__(self, n: int, N: int, psi_fn: Callable, b_fn: Callable):
@@ -113,11 +119,21 @@ class PairEvaluator:
         self._held = None  # (pair bits, point values) of the last pair
 
     def __call__(self, k: int, x: Sequence[complex], y: Sequence[complex]) -> KernelReport:
-        x, y = _point(x), _point(y)
-        key = marshal.dumps((x, y))  # exact bits: == on floats would equate 0.0 and -0.0
+        # exact bits: == on floats would equate 0.0 and -0.0.  Version 2 has no
+        # back-reference flags, which depend on reference counts.
+        try:
+            key = marshal.dumps((x, y), 2)
+        except ValueError:
+            key = None
         held = self._held
         if held is None or held[0] != key:
-            held = self._held = (key, self._point_values(x, y))
+            # marshal writes a buffer, such as an array, as bare bytes: none enters a held key
+            if key is None or not ({type(x), type(y)} <= {tuple, list}
+                                   and {*map(type, x), *map(type, y)} <= {int, float, complex}):
+                x, y = _point(x), _point(y)
+                key = marshal.dumps((x, y), 2)
+            if held is None or held[0] != key:
+                held = self._held = (key, self._point_values(_point(x), _point(y)))
         return _assemble(self.n, k, held[1])
 
     def _point_values(self, x: tuple, y: tuple) -> PointValues:
@@ -161,17 +177,7 @@ def _assemble(n: int, k: int, pv: PointValues) -> KernelReport:
     # which is also the numerically stable way to evaluate it
     log_residual = log_amp / k
     return KernelReport(
-        k=k,
-        N=pv.N,
-        x=pv.x,
-        y=pv.y,
-        psi_val=psi_xy,
-        amplitude_val=amp,
-        K_val=K_val,
-        K_weighted=K_weighted,
-        log_K_weighted=log_K_weighted,
-        diastasis=dia,
-        log_residual=log_residual,
+        k, pv.N, pv.x, pv.y, psi_xy, amp, K_val, K_weighted, log_K_weighted, dia, log_residual
     )
 
 
@@ -190,18 +196,22 @@ def eval_KN(
 ) -> KernelReport:
     """Series-backed kernel report; points must sit inside the evaluation radius.
 
-    The series are evaluated only when the pair, N, the table or the
-    geometry differs from the last call.
+    The series are evaluated, and the points checked, only when the pair, N,
+    the table or the geometry differs from the last call.
     """
     if N > table.M:
         raise ValueError(f"order {N} exceeds the computed table order {table.M}")
-    if not (in_eval_radius(geom.spec, x) and in_eval_radius(geom.spec, y)):
-        raise RadiusError("evaluation point outside the configured radius")
     held = _series_slot[0]
     if held is None or held[0]() is not geom or held[1]() is not table or held[2] != N:
-        psi, b = geom.psi, table.b  # the providers hold the series, not the geometry or the table
-        evaluator = PairEvaluator(geom.n, N, lambda px, zbar: psi.eval([*px, *zbar]),
-                                  lambda j, px, zbar: b[j].eval([*px, *zbar]))
+        # the providers hold the series and the spec, not the geometry or the table
+        psi, b, spec = geom.psi, table.b, geom.spec
+
+        def psi_fn(px, zbar):
+            if not (in_eval_radius(spec, px) and in_eval_radius(spec, zbar)):
+                raise RadiusError("evaluation point outside the configured radius")
+            return psi.eval([*px, *zbar])
+
+        evaluator = PairEvaluator(geom.n, N, psi_fn, lambda j, px, zbar: b[j].eval([*px, *zbar]))
         held = _series_slot[0] = (weakref.ref(geom), weakref.ref(table), N, evaluator)
     return held[3](k, x, y)
 

@@ -156,6 +156,25 @@ class TestEvalCommand:
         got = complex(*report["K"])
         assert abs(got - oracle) <= 1e-4 * abs(oracle)
 
+    @pytest.mark.parametrize("C, clamped", [("1", False), ("1e-310", True)],
+                             ids=["in_table", "beyond_floats"])
+    def test_order_from_C_is_clamped_to_the_table(self, tmp_path, C, clamped):
+        # sqrt(k/C) is 3 at C = 1, inside M = 3; at C = 1e-310, k/C is beyond the float range
+        rc = main(
+            ["coeffs", "--preset", "chsc", "--n", "1", "--param", "1", "--degree", "10",
+             "--order", "3", "--transport-order", "3", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        rc = main(
+            ["eval", "--preset", "chsc", "--n", "1", "--param", "1", "--degree", "10",
+             "--coeffs", str(tmp_path / "coefficients.json"), "--k", "9", "--C", C,
+             "--x", "0.1", "--y", "0.05", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        record = read_json(tmp_path / "kernel_report.json")
+        assert record["truncation_order_clamped"] is clamped
+        assert record["report"]["N"] == 3
+
     def test_missing_coeffs_exits_two(self, tmp_path):
         rc = main(
             ["eval", "--preset", "flat", "--n", "1", "--degree", "6",

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import weakref
+from array import array
 from fractions import Fraction
 from math import comb
 
@@ -34,6 +35,7 @@ from bergman.potential import (
     preset_flat,
     preset_quartic,
 )
+from bergman.sampling import polydisc_points
 from bergman.series import TruncatedSeries, sub_indices, unit
 from oracles import cpn_kernel, flat_kernel
 
@@ -146,6 +148,27 @@ class TestTruncationOrder:
     def test_rejects_a_non_finite_constant(self, C):
         with pytest.raises(ValueError, match="finite C > 0"):
             choose_truncation_order(100, C)
+
+    @pytest.mark.parametrize("k", [True, False, 2.5, 100.0, F(100), "100"],
+                             ids=["true", "false", "float", "integral_float", "fraction", "text"])
+    def test_rejects_a_k_that_is_not_an_int(self, k):
+        with pytest.raises(ValueError, match="int k >= 1"):
+            choose_truncation_order(k, 1.0)
+
+    @pytest.mark.parametrize("k, C", [(10**6, 1e-310), (10**400, 1.0), (10**400, 1e300)],
+                             ids=["tiny_C", "huge_k", "huge_k_huge_C"])
+    def test_a_quotient_beyond_the_float_range(self, k, C):
+        assert choose_truncation_order(k, C, max_order=7) == 7
+        assert choose_truncation_order(k, C, max_order=0) == 0
+        with pytest.raises(ValueError, match="float range"):
+            choose_truncation_order(k, C)
+
+    @pytest.mark.parametrize("k, C, quotient",
+                             [(10, 0.1, 100.0), (10**6, 1e-300, 1e306), (1, 1e-308, 1e308)],
+                             ids=["tenth", "large", "near_the_float_limit"])
+    def test_a_finite_quotient_keeps_the_float_floor(self, k, C, quotient):
+        # 10 / 0.1 is 100.0 as a float; the exact quotient, with 0.1 just above 1/10, is below 100
+        assert choose_truncation_order(k, C) == math.isqrt(int(quotient))
 
 
 class TestEvalAgainstModels:
@@ -573,3 +596,69 @@ class TestEvaluationCounts:
         geom, table = quartic
         scaling_fit(make_series_evaluator(geom, table), 1, K_GRID, [0.1], [0.05])
         assert len(counted) == len(K_GRID) * (3 + table.M)
+
+    @pytest.fixture
+    def chsc1(self):
+        geom = build_geometry(preset_chsc(1, F(1, 2), 10))
+        return geom, bergman_coefficients(geom, 3)
+
+    # components made at run time, as the sampler makes them: a constant's reference count
+    # would hide a key that depends on one
+    @pytest.mark.parametrize("make_pair", [
+        lambda: polydisc_points(1, 0.1, 2, skip=5),
+        lambda: ([complex(0.1, 0.0)], [complex(0.05, 0.02)]),
+        lambda: ([F(1, 10)], [F(1, 20)]),  # marshal cannot write a Fraction
+        lambda: (array("d", [0.1]), array("d", [0.05])),  # nor tell an array's type
+    ], ids=["tuples", "lists", "fractions", "arrays"])
+    def test_numeric_checks_order_evaluates_once(self, chsc1, counted, make_pair):
+        # eval_KN beside the closed form over the grid, then both fits, as a benchmark kernel job
+        geom, table = chsc1
+        x, y = make_pair()
+        reports = []
+        for k in K_GRID:
+            reports.append(eval_KN(geom, table, k, table.M, x, y))
+            eval_KN_chsc_closed(1, F(1, 2), k, table.M, x, y)
+        fit = log_asymptotic_fit(make_series_evaluator(geom, table), K_GRID, (x, y))
+        log_asymptotic_fit(make_chsc_closed_evaluator(1, F(1, 2), N=table.M), K_GRID, (x, y))
+        assert len(counted) == 3 + table.M
+        fresh = [fresh_series_report(geom, table, k, table.M, x, y) for k in K_GRID]
+        assert [bits(r) for r in reports] == [bits(r) for r in fresh]
+        assert fit.residuals == tuple(r.log_residual for r in fresh)
+
+    @pytest.mark.parametrize("bad", [
+        ([0.9], [0.05]),
+        ([0.1], [-0.9j]),
+        ([math.nan], [0.05]),
+        ([0.1], [complex(0.0, math.nan)]),
+    ], ids=["x_outside", "y_outside", "x_nan", "y_nan"])
+    def test_a_refused_pair_raises_at_every_k_and_keeps_the_held_pair(self, quartic, counted, bad):
+        geom, table = quartic
+        x, y = [0.1], [0.05 + 0.02j]
+        eval_KN(geom, table, 64, table.M, x, y)
+        for k in K_GRID:
+            with pytest.raises(RadiusError, match="radius"):
+                eval_KN(geom, table, k, table.M, *bad)
+        assert len(counted) == 3 + table.M  # the refused pair reached no series
+        got = [bits(eval_KN(geom, table, k, table.M, x, y)) for k in K_GRID]
+        assert len(counted) == 3 + table.M  # the held pair served every k
+        assert got == [bits(fresh_series_report(geom, table, k, table.M, x, y)) for k in K_GRID]
+
+    def test_a_closed_form_pole_raises_at_every_k_and_keeps_the_held_pair(self):
+        run = make_chsc_closed_evaluator(1, 4, N=2)
+        x, y = [0.1], [0.05 + 0.02j]
+        run(64, x, y)
+        for k in K_GRID:
+            with pytest.raises(RadiusError, match="domain"):
+                run(k, [0.5], [-0.5])
+        for k in K_GRID:
+            assert bits(run(k, x, y)) == bits(fresh_closed_report(1, 4, k, 2, x, y))
+
+    def test_buffers_of_equal_bytes_are_two_pairs(self):
+        # marshal writes an array as its bare bytes: 0.1 as a double, then its bits as an int
+        run = make_chsc_closed_evaluator(1, 4, N=2)
+        as_float = array("d", [0.1])
+        as_int = array("q", as_float.tobytes())
+        y = [0.05 + 0.02j]
+        for x in (as_float, as_int, as_float):
+            for k in K_GRID:
+                assert bits(run(k, x, y)) == bits(fresh_closed_report(1, 4, k, 2, x, y))
