@@ -8,7 +8,8 @@ same configuration writes byte-identical files.
 
 Exit codes: 0 when every verdict in the run passed, 1 when a verdict failed,
 2 for invalid input (malformed arguments, spec files or coefficient tables,
-a table of another dimension than the spec, spec validation, missing or
+a table of another dimension than the spec, a table with too few positive
+orders for a growth fit, spec validation, missing or
 unreadable files, an ``--out`` that cannot be written, evaluation points or a
 norm radius outside the spec's radius, a closed-form pair off the model's
 domain, a truncation scan's ``--C`` outside [1/k, k], insufficient degree,
@@ -436,7 +437,10 @@ def cmd_growth(args) -> int:
         norms = derivative_norm_table(
             table, geom, args.norm_radius, args.grid, xi_max=args.xi_max
         )
-        fit = fit_growth(norms, model=args.model)
+        try:
+            fit = fit_growth(norms, model=args.model)
+        except ValueError as err:  # too few positive orders: argparse admits only known models
+            raise SpecValidationError(f"{err}; {args.coeffs} holds orders 1..{norms.M}") from None
         _write_report(
             out / "growth_fit.json",
             "growth",

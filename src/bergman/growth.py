@@ -9,8 +9,10 @@ Three independent probes of how fast the coefficients can grow:
   norm inequality with unit constant in exact big-integer arithmetic, which
   is where the factorial-squared floor comes from; its five-fold sum is
   evaluated in factored form, as an integer kernel per order (its weights W
-  summed by degree) applied to cached partial sums T of earlier orders, on
-  indices packed into ints, each with one list of its sub-indices,
+  summed by degree) applied to earlier orders, giving the inner sums T, and a
+  prefix recurrence over at most 2^n - 1 neighbours of the same order in place
+  of the sum over sub-indices, so each T is read once and kept nowhere; the
+  indices are packed into ints,
 * :func:`truncation_minimizer` and :func:`exp_factorial_bound_check` verify
   the two elementary facts behind the optimal truncation order: the scan of
   ``C^m (m!)^2 / k^m`` is unimodal with minimum near sqrt(k/C), and
@@ -26,14 +28,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, product
 from math import lgamma
 from operator import ge, mul
 from typing import Iterable
 
 from .coefficients import NormTable
 from .potential import ResourceGuardError
-from .series import exponents_of_degree, multi_factorial, sub_indices
+from .series import exponents_of_degree, multi_factorial
 
 
 @dataclass(frozen=True)
@@ -120,10 +122,11 @@ def fit_growth(norms: NormTable, model: str = "m_factorial_sq") -> GrowthFit:
 # -- worst case equality recursion -------------------------------------------
 
 
-# Largest (M, Kmax) per n for worst_case_norm_table, about a quarter second each, so the
-# two cheapest (n = 2, 4) run in the tests in about 0.5 s.  On a 2-CPU x86_64 VM, Python
-# 3.11.7, best of 5 in two sets: corners 0.15-0.33 s; M + 1 0.18-0.29 s (n=1), 0.31-0.48,
-# 0.50-0.69, 0.72-1.05 and 0.87-0.91 s (n=5); Kmax + 1 0.16-0.41 s.
+# Largest (M, Kmax) per n for worst_case_norm_table, set when each took about a quarter
+# second; all five run in the tests in about 0.4 s.  On a 2-CPU x86_64 VM, Python 3.11.7,
+# best of 5 in four sets: corners 0.13-0.20 s (n=1), 0.10-0.15, 0.05-0.09, 0.04-0.06 and
+# 0.05-0.09 s (n=5); best of 3: M + 1 0.14-0.15 s (n=1), 0.14, 0.11, 0.10 and 0.17-0.18 s
+# (n=5); Kmax + 1 0.04-0.13 s.
 WORST_CASE_LIMITS = {1: (30, 32), 2: (12, 20), 3: (7, 15), 4: (5, 14), 5: (5, 5)}
 # Largest len(deltas) * (n_max + 1) * k_max for exp_factorial_bound_check: at
 # the limit the sweep took 0.20 s (n_max = 20) to 0.90 s (n_max = 0, where the
@@ -164,21 +167,25 @@ def worst_case_norm_table(n: int, M: int, Kmax: int) -> dict:
 
         value(m, xi) = sum_{xi0 <= xi} xi! / xi0! T(m, xi0),
         T(m, eta)    = sum_{l=1..m} sum_{|gamma| <= 2l} K_l(gamma)
-                       value(m - l, gamma + eta),
+                       value(m - l, gamma + eta).
 
-    with T cached per (m, eta).  Taking the xi0 sum outermost, instead of
-    caching V_xi(p, g) = sum_{|gamma|=g} sum_{xi0 <= xi} xi! / (xi0! gamma!)
-    value(p, gamma + xi0) for each xi, lets one T serve every xi >= eta.
-    Kernels are held multiplied by (2M)!, which every gamma! divides, so the
-    sums run in integers and each value is one exact integer division.
+    The xi0 sum is a product of one prefix sum per slot, P f(xi) = f(xi) + xi_i P f(xi -
+    e_i), so by inclusion-exclusion over the slots it is the recurrence
+
+        value(m, xi) = T(m, xi) + sum_{S nonempty, xi_i >= 1 on S}
+                       (-1)^(|S|+1) prod_{i in S} xi_i value(m, xi - e_S),
+
+    with e_S the indicator of S: 2^n - 1 neighbours at most.  T(m, xi) is read only by
+    value(m, xi), once, so it needs no cache.  Kernels are held multiplied by (2M)!,
+    which every gamma! divides, so T runs in integers; scale * T(m, xi) divides by the
+    scale exactly, as T(m, xi) is value(m, xi) less an integer combination of values.
 
     Indices are ints with digits in base Kmax + 2M + 1, above every entry the
-    recursion reaches, so gamma + eta is one add; the caches are one dict per order,
-    each xi gets one list of (xi0, xi! / xi0!) for every order, and the term l = m
-    of T is read off value(0, .) = [. == 0].  Every cache lives for one call.
+    recursion reaches, so gamma + eta is one add; the one cache is a dict per order,
+    and the term l = m of T is read off value(0, .) = [. == 0].  It lives for one call.
     """
-    if n < 1 or M < 0 or Kmax < 0:
-        raise ValueError("need n >= 1, M >= 0, Kmax >= 0")
+    if any(type(a) is not int for a in (n, M, Kmax)) or n < 1 or M < 0 or Kmax < 0:  # no bool
+        raise ValueError("need integers n >= 1, M >= 0, Kmax >= 0")
     M_max, K_max = WORST_CASE_LIMITS.get(n, (-1, -1))
     if M > M_max or Kmax > K_max:
         raise ResourceGuardError(
@@ -191,30 +198,24 @@ def worst_case_norm_table(n: int, M: int, Kmax: int) -> dict:
     kernels = [None] + [[(sum(map(mul, places, g)), c) for g, c in _order_kernel(n, l, scale)]
                         for l in range(1, M + 1)]
     values: list = [{} for _ in range(M + 1)]  # per order m >= 1: xi -> value(m, xi)
-    totals: list = [{} for _ in range(M + 1)]  # per order m >= 1: eta -> scale * T(m, eta)
-    subs: dict = {}  # xi -> [(xi0, xi! / xi0!) for xi0 <= xi]
 
-    def total(m: int, eta: int) -> int:
-        hit = kernels[m][0][1] if eta == 0 else 0
+    def value(m: int, xi: int) -> int:
+        hit = kernels[m][0][1] if xi == 0 else 0  # scale * T(m, xi)
         for l in range(1, m):
             p, known = m - l, values[m - l]
             for gamma, c in kernels[l]:
-                v = known.get(gamma + eta)
-                hit += c * (value(p, gamma + eta) if v is None else v)
-        totals[m][eta] = hit
-        return hit
-
-    def value(m: int, xi: int) -> int:
-        terms = subs.get(xi)
-        if terms is None:
-            terms, rest = [(0, 1)], xi
-            for place in reversed(places):
-                rest, digit = divmod(rest, base)
-                column = [(j * place, math.perm(digit, digit - j)) for j in range(digit + 1)]
-                terms = [(a + b, c * f) for a, c in terms for b, f in column]
-            subs[xi] = terms
-        t = totals[m]
-        values[m][xi] = hit = sum(c * (t[x] if x in t else total(m, x)) for x, c in terms) // scale
+                v = known.get(gamma + xi)
+                hit += c * (value(p, gamma + xi) if v is None else v)
+        hit //= scale
+        steps = []  # (index of e_S, (-1)^(|S|+1) prod_{i in S} xi_i) for S nonempty
+        for place in places:
+            if digit := xi // place % base:
+                steps += [(place, digit)] + [(e + place, -c * digit) for e, c in steps]
+        known = values[m]
+        for e, c in steps:
+            v = known.get(xi - e)
+            hit += c * (value(m, xi - e) if v is None else v)
+        known[xi] = hit
         return hit
 
     return {(m, k): Fraction(value(m, k * places[0]) if m else int(k == 0))
@@ -231,7 +232,7 @@ def _order_kernel(n: int, l: int, scale: int) -> list:
     """
     weights = [0] * (2 * l + 1)  # sum_{|delta|=l} delta! W(delta, g)
     for delta, count in Counter(tuple(sorted(d)) for d in exponents_of_degree(n, l)).items():
-        subs = [(sum(alpha), alpha) for alpha in sub_indices(delta)]
+        subs = [(sum(alpha), alpha) for alpha in product(*(range(d + 1) for d in delta))]
         delta_fact = count * multi_factorial(delta)
         for g in range(2 * l + 1):
             by_degree = [0] * (l + 1)  # S_g(d)

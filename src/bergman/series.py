@@ -201,16 +201,6 @@ def unit(nvars: int, i: int) -> MultiIndex:
     return (0,) * i + (1,) + (0,) * (nvars - i - 1)
 
 
-def sub_indices(bound: MultiIndex) -> Iterator[MultiIndex]:
-    """All componentwise ``alpha <= bound``, in lexicographic order."""
-    if not bound:
-        yield ()
-        return
-    for head in range(bound[0] + 1):
-        for tail in sub_indices(bound[1:]):
-            yield (head,) + tail
-
-
 def _shift_for(degree: int) -> int:
     """Digit width of keys: bits of the smallest power of two above ``degree``."""
     return max(degree, 1).bit_length()

@@ -11,16 +11,18 @@ for a reason of its own:
   reference fixed point takes its Hessian inverse from it.
 * ``worst_case_norm_table_tuples`` and ``order_kernel_pair_loop`` are
   ``growth.worst_case_norm_table`` and ``growth._order_kernel`` on exponent tuples:
-  each lookup a ``zip`` of gamma and eta, each sub-index sum walked through
-  ``sub_indices`` with ``multi_factorial`` per (m, xi), and W(delta, g) as the
-  double loop over pairs (alpha, beta) of sub-indices of every delta.  The table is
-  integer combinatorics, outside the reference's series algebra.
+  each lookup a ``zip`` of gamma and eta, each sum over xi0 <= xi walked in full
+  through ``sub_indices`` with ``multi_factorial`` per (m, xi), where the package
+  takes a recurrence, and W(delta, g) as the double loop over pairs (alpha, beta) of
+  sub-indices of every delta.  The table is integer combinatorics, outside the
+  reference's series algebra.
 * ``amplitudes_recomputed`` and ``collapses_recomputed`` compute every amplitude
   ``(b_m o z) * Delta0`` and every collapse ``to_xz(D_theta . A_m)`` anew, on a fresh
   geometry, where the pipeline reuses what the recursion and the transport steps
   built: they check the reuse, through the package's own compositions.
-* ``write_spec`` writes a spec file, ``lift`` raises a series' truncation degree and
-  ``is_zero`` reads a series through ``==``: helpers that only the tests need.
+* ``write_spec`` writes a spec file, ``lift`` raises a series' truncation degree,
+  ``is_zero`` reads a series through ``==`` and ``sub_indices`` lists the exponent
+  tuples under a bound: helpers that only the tests need.
 
 Like the reference, they import no private name of the package and read no private
 attribute of a series (``tests/test_names.py`` checks both).
@@ -38,7 +40,6 @@ from bergman.series import (
     exponents_of_degree,
     linear_combination,
     multi_factorial,
-    sub_indices,
     unit,
 )
 from reference import det_of_scalars
@@ -106,6 +107,13 @@ def lift(series, new_degree):
 def is_zero(series):
     """Whether a series has no terms, read through ``==`` on the packed form."""
     return series == TruncatedSeries.zero(series.nvars, series.trunc_degree)
+
+
+def sub_indices(bound):
+    """All componentwise ``alpha <= bound``, in lexicographic order."""
+    if not bound:
+        return [()]
+    return [(head,) + tail for head in range(bound[0] + 1) for tail in sub_indices(bound[1:])]
 
 
 def cramer_inverse(rows):

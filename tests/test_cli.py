@@ -325,6 +325,20 @@ class TestGrowthCommand:
         assert main(argv) == 0
         assert read_json(tmp_path / "truncation.json")["verdict"] == "pass"
 
+    @pytest.mark.parametrize("spec", [["--preset", "quartic", "--n", "1", "--degree", "8"],
+                                      ["--preset", "chsc", "--n", "2", "--degree", "6"]],
+                             ids=["quartic_n1", "chsc_n2"])
+    def test_fit_with_fewer_than_three_positive_orders_is_refused(self, tmp_path, capsys, spec):
+        # both orders of M = 2 are positive: no vanishing verdict, and too few orders to fit
+        assert main(["coeffs", *spec, "--order", "2", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        argv = ["growth", "--task", "fit", *spec, "--coeffs", str(tmp_path / "coefficients.json"),
+                "--out", str(tmp_path / "fit")]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: need at least three positive orders")
+        assert not (tmp_path / "fit" / "growth_fit.json").exists()
+
     def test_lemma_small(self, tmp_path):
         rc = main(
             ["growth", "--task", "lemma", "--deltas", "0.5,1", "--n-max", "4",
@@ -766,7 +780,7 @@ _SPEC_OPTIONS = {
     "--degree": st.integers(-1, 8).map(str),
     "--radius": st.sampled_from(["0.3", "0", "-1", "nan", "x", "1e300"]),
 }
-_TABLES = ("coefficients.json", "garbage.json", "missing.json")
+_TABLES = ("coefficients.json", "quartic_m2.json", "garbage.json", "missing.json")
 OPTIONS = {
     "polarize": {**_SPEC_OPTIONS, "--samples": st.sampled_from(["0", "1", "5"]),
                  "--delta": st.sampled_from(["0.1", "-1", "nan"])},
@@ -796,10 +810,15 @@ OPTIONS = {
 
 @pytest.fixture(scope="module")
 def contract_dir(tmp_path_factory):
-    """A coefficient table (chsc n=1, degree 6, order 2) and a garbage table file."""
+    """A coefficient table (chsc n=1, degree 6, order 2), one whose two orders are both
+    positive, too few for a growth fit (quartic n=1, degree 8, order 2), and a garbage
+    table file."""
     root = tmp_path_factory.mktemp("contract")
     assert main(["coeffs", "--preset", "chsc", "--degree", "6", "--order", "2",
                  "--out", str(root)]) == 0
+    assert main(["coeffs", "--preset", "quartic", "--degree", "8", "--order", "2",
+                 "--out", str(root / "quartic")]) == 0
+    (root / "quartic" / "coefficients.json").rename(root / "quartic_m2.json")
     (root / "garbage.json").write_text('{"table": [')
     return root
 
@@ -889,6 +908,8 @@ def test_valid_argv_passes_the_contract_unperturbed(contract_dir):
 @given(case=perturbed_argv())
 @example(case=(["polarize", "--preset", "chsc", "--degree", "6", "--samples", "5",
                 "--param", "1e400"], None))
+@example(case=(["growth", "--task", "fit", "--preset", "chsc", "--degree", "6",
+                "--coeffs", "quartic_m2.json"], None))
 def test_perturbed_valid_argv_keeps_the_exit_code_contract(contract_dir, case):
     argv, spec_text = case
     exit_code_under_contract(argv, contract_dir, spec_text)

@@ -110,16 +110,33 @@ class TestWorstCase:
             worst_case_norm_table(3, M + 1, Kmax)
 
     def test_resource_guard_boundary(self):
-        # the two cheapest corners run; one step past any corner is refused
-        for n in (2, 4):
-            M, Kmax = WORST_CASE_LIMITS[n]
-            assert len(worst_case_norm_table(n, M, Kmax)) == (M + 1) * (Kmax + 1)
+        # one step past any corner is refused; test_every_guard_corner runs the corners
         for n, (M, Kmax) in WORST_CASE_LIMITS.items():
             for args in [(n, M + 1, 0), (n, 0, Kmax + 1)]:
                 with pytest.raises(ResourceGuardError):
                     worst_case_norm_table(*args)
         with pytest.raises(ResourceGuardError):
             worst_case_norm_table(max(WORST_CASE_LIMITS) + 1, 0, 0)
+
+    @pytest.mark.parametrize("n", sorted(WORST_CASE_LIMITS))
+    def test_every_guard_corner_meets_the_lower_bounds(self, n):
+        # the bounds the command line checks: (2m-2+k)! for m >= 1, (m!)^2 / 4^m at k = 0
+        M, Kmax = WORST_CASE_LIMITS[n]
+        table = worst_case_norm_table(n, M, Kmax)
+        assert len(table) == (M + 1) * (Kmax + 1)
+        for (m, k), v in table.items():
+            assert m == 0 or v >= factorial(2 * m - 2 + k), (m, k)
+        for m in range(1, M + 1):
+            assert table[(m, 0)] >= F(factorial(m) ** 2, 4**m), m
+
+    @pytest.mark.parametrize("args", [(True, 1, 1), (1, True, 0), (1, 1, True), (1.0, 1, 1),
+                                      (1, 2.0, 1), (1, 2, 1.0), ("1", 1, 1)],
+                             ids=["bool_n", "bool_M", "bool_Kmax", "float_n", "float_M",
+                                  "float_Kmax", "str_n"])
+    def test_rejects_an_argument_that_is_not_an_int(self, args):
+        # True is an int equal to 1 but no count, and a float would reach range()
+        with pytest.raises(ValueError, match="need integers"):
+            worst_case_norm_table(*args)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_small_tables_equal_the_tuple_recursion(self, n):

@@ -36,8 +36,8 @@ from bergman.potential import (
     preset_quartic,
 )
 from bergman.sampling import polydisc_points
-from bergman.series import TruncatedSeries, sub_indices, unit
-from oracles import cpn_kernel, flat_kernel
+from bergman.series import TruncatedSeries, unit
+from oracles import cpn_kernel, flat_kernel, sub_indices
 
 F = Fraction
 K_GRID = (64, 128, 256, 512, 1024, 2048, 4096)  # the CLI's default k grid

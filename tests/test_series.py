@@ -24,7 +24,6 @@ from bergman.series import (
     multi_factorial,
     mul_trunc,
     power_step,
-    sub_indices,
     unit,
     y_gradient_average,
 )
@@ -1293,12 +1292,6 @@ class TestStructure:
         assert list(exponents_of_degree(2, 2)) == [(2, 0), (1, 1), (0, 2)]
         with pytest.raises(ValueError, match="nvars"):
             list(exponents_of_degree(0, 2))
-
-    def test_sub_indices(self):
-        assert list(sub_indices((1, 2))) == [
-            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)
-        ]
-        assert list(sub_indices(())) == [()]
 
     def test_unit_and_multi_factorial(self):
         assert unit(3, 0) == (1, 0, 0) and unit(3, 2) == (0, 0, 1)
