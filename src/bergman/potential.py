@@ -627,9 +627,10 @@ def check_good_contour(
     worst_pair = (xs[0], ys[0])
     for x, y in zip(xs, ys):
         ybar = [v.conjugate() for v in y]
+        psi_y = psi_value(psi, y, ybar)  # psi(y, conj y), whose real part is phi(y)
         q = (
-            2.0 * (psi_value(psi, x, ybar) - psi_value(psi, y, ybar)).real
-            + phi_value(psi, y)
+            2.0 * (psi_value(psi, x, ybar) - psi_y).real
+            + psi_y.real
             - phi_value(psi, x)
             + delta * sum(abs(a - b) ** 2 for a, b in zip(x, y))
         )

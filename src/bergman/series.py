@@ -145,16 +145,17 @@ the zero series at once, after the ``nvars`` check, and each factor's piece
 stops at the output degree (a slice).  ``segment_average`` builds its steps
 from unit moves of one digit, once per call for all the series it averages.
 
-Three operations differentiate inside their own sums, so no derivative is
-ever a series of its own: :func:`linear_combination`, whose terms may carry
-a multi-index (``diff`` is its one-term case), :func:`det`, whose entries
-may be pairs ``(s, xi)`` (each becomes a derivative piece once, at the one
-digit width of the expansion), and
-:func:`y_gradient_average`, which takes ``-D_(y_i)`` of each term inside the
-one split/weight loop of ``segment_average``.  A derivative scan starts at
-the first key of degree ``|xi|``, since no lower key survives.  A term whose
-factor is zero (an exponent below the derivative order) makes no entry, and
-a surviving key loses the order from its digits with no borrow.
+One routine differentiates, :func:`_derived`, and no derivative is ever a
+series of its own: its three readers take keys and numerators from it
+inside their own sums.  They are :func:`linear_combination`, whose terms may
+carry a multi-index (``diff`` is its one-term case), :func:`det`, whose
+entries may be pairs ``(s, xi)`` (each becomes a derivative piece once, at
+the one digit width of the expansion), and :func:`y_gradient_average`, which
+hands each ``-D_(y_i)`` to the one split/weight loop of ``segment_average``.
+A derivative scan starts at the first key of degree ``|xi|``, since no lower
+key survives.  A term whose factor is zero (an exponent below the derivative
+order) makes no entry, and a surviving key loses the order from its digits
+with no borrow.
 """
 
 from __future__ import annotations
@@ -1248,46 +1249,35 @@ def y_gradient_average(terms: Sequence[tuple], n: int) -> list:
     ``g`` of ``c * s`` over the ``(c, s)`` pairs of ``terms``, series of one degree D in
     (x, y, w) blocks of n variables.
 
-    ``g`` is one :func:`linear_combination`, and no derivative is built as a series: the
-    :func:`segment_average` split/weight loop at degree ``max(0, D - 1)`` takes each
-    y_i derivative term by term, and the n components share its splits.
+    ``g`` is one :func:`linear_combination`, and no derivative is built as a series: each
+    ``-D_(y_i) g`` is read as keys and numerators by :func:`_derived`, the n components
+    sharing one falling-factorial table, and goes into the :func:`segment_average`
+    split/weight loop at degree ``max(0, D - 1)``; the components share its splits.
     """
     g = linear_combination(terms)
     if g.nvars != 3 * n:
         raise ValueError(f"y_gradient_average: expected {3 * n} variables, got {g.nvars}")
-    D, splits = max(0, g.trunc_degree - 1), {}
-    return [_segment_average(zip(g._keys, g._nums), n, D, g._shift, g._den, splits, i)
+    D, splits, tables = max(0, g.trunc_degree - 1), {}, {}
+    return [_segment_average(zip(*_derived(g, unit(3 * n, n + i), g._shift, -1, tables)), n, D,
+                             g._shift, g._den, splits)
             for i in range(n)]
 
 
-def _segment_average(items, n: int, D: int, shift: int, den: int, splits: dict,
-                     slot: int | None = None):
+def _segment_average(items, n: int, D: int, shift: int, den: int, splits: dict):
     """The split/weight loop of :func:`segment_average` over the packed ``(key, numerator)``
     ``items`` of a series of degree D at digit width ``shift`` over ``den``.  ``splits``
-    keeps the steps and weights of each y exponent for the series of one call at one D,
-    width and slot kind.  With a ``slot`` i, each item is first replaced by ``-D_(y_i)`` of
-    it: a term with y_i digit ``e >= 1`` loses one from that digit and from its degree
-    digit and its numerator gains ``e``, and the weights carry the sign."""
+    keeps the steps and weights of each y exponent for the series of one call at one D
+    and width."""
     fact = [1]
     for i in range(1, D + 2):
         fact.append(fact[-1] * i)
     # one unit moved from digit y_i to digit x_i; the degree digit keeps its sum
     moves = [(1 << shift * (3 * n - 1 - i)) - (1 << shift * (2 * n - 1 - i)) for i in range(n)]
     y_offset, y_mask = shift * n, (1 << shift * n) - 1
-    sign = 1 if slot is None else -1
-    if slot is not None:
-        offset, mask = shift * (2 * n - 1 - slot), (1 << shift) - 1  # the digit of y_i
-        drop = (1 << shift * 3 * n) + (1 << offset)
     # splits: y digits of gamma -> [(key step x^j / y^j, integer weight)]
     acc: dict = {}
     get = acc.get
     for key, value in items:
-        if slot is not None:
-            e = key >> offset & mask
-            if not (e and value):
-                continue
-            key -= drop
-            value *= e
         y_digits = (key >> y_offset) & y_mask
         split = splits.get(y_digits)
         if split is None:
@@ -1297,7 +1287,7 @@ def _segment_average(items, n: int, D: int, shift: int, den: int, splits: dict,
             for g, move in zip(gamma, moves):
                 parts = [(step + jj * move, w * fact[g] // (fact[jj] * fact[g - jj]), size + jj)
                          for step, w, size in parts for jj in range(g + 1)]
-            scale = sign * fact[D + 1] // fact[total + 1]
+            scale = fact[D + 1] // fact[total + 1]
             split = splits[y_digits] = [
                 (step, scale * w * fact[size] * fact[total - size]) for step, w, size in parts
             ]

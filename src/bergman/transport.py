@@ -21,10 +21,11 @@ The particular solution of each step is the averaged y-gradient
 side f, the segment average over the y block that also builds the phase; it
 is what makes the chain reproducible (solutions of the division problem are
 not unique).  :func:`bergman.series.y_gradient_average` makes all n
-components in one pass from the (coefficient, series) pairs of f, so neither
-the right-hand side ``amplitude - P`` nor a y-derivative is built as a
-series, and ``D_theta . A`` is one linear combination that differentiates
-its terms.
+components from the (coefficient, series) pairs of f: it sums them into one
+series and reads each ``-D_(y_i)`` of it from the series core's one
+derivative routine straight into the segment average, so no y-derivative is
+built as a series, and ``D_theta . A`` is one linear combination that
+differentiates its terms.
 
 Degree bookkeeping, refused at runtime by
 :func:`bergman.potential.require_degree`: with geometry at degree D the order

@@ -16,6 +16,8 @@ from bergman.chsc import (
 )
 from bergman.coefficients import bergman_coefficients
 from bergman.potential import ResourceGuardError, build_geometry, preset_chsc
+from bergman.series import TruncatedSeries
+import reference
 from oracles import cpn_kernel, cpn_kernel_monomial_sum, flat_kernel
 
 F = Fraction
@@ -36,6 +38,19 @@ class TestTaylorCoeffs:
     def test_leading_value_any_dimension(self):
         for n in range(1, 5):
             assert delta0_taylor_coeffs(n, 0)[0] == 1
+
+    @pytest.mark.parametrize("n,L", [(n, 12) for n in range(1, 7)] + [(30, 30)])
+    def test_closed_form_is_the_product_of_exponential_series(self, n, L):
+        # e^u ((e^u - 1)/u)^(n-1) as n - 1 products taken in the reference algebra; a cut
+        # below L keeps the low coefficients, so each shorter list is a prefix
+        exp_u = TruncatedSeries(1, L, {(j,): F(1, math.factorial(j)) for j in range(L + 1)})
+        ratio = TruncatedSeries(1, L, {(j,): F(1, math.factorial(j + 1)) for j in range(L + 1)})
+        g = exp_u
+        for _ in range(n - 1):
+            g = reference.mul(g, ratio, L)
+        want = [g.coeffs.get((j,), 0) for j in range(L + 1)]
+        for cut in range(L + 1):
+            assert delta0_taylor_coeffs(n, cut) == want[:cut + 1]
 
 
 class TestCoefficients:

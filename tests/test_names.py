@@ -15,6 +15,9 @@ width and the trusted constructors) is read by ``series.py`` alone, and its two
 pair loops by ``_sum_of_products`` and ``TruncatedSeries.compose`` alone.
 ``series.det`` has one reader, ``potential.build_delta0``, and nothing in the
 package calls ``TruncatedSeries.invert``, which the benchmark harness still wraps.
+One routine differentiates, ``series._derived``, read by ``linear_combination``,
+``det`` and ``y_gradient_average`` alone, and ``chsc.py``, the closed-form oracle,
+imports nothing from the series module.
 
 The tests' reference algebra (``tests/reference.py``) and oracles (``tests/oracles.py``)
 import no private name of the package and read no private attribute, so they share no
@@ -114,6 +117,23 @@ def test_one_determinant_of_series_and_no_series_inverse():
     # Delta0 in (x, y, z) is Delta0 in (x, y, theta) pulled back along theta, so the
     # package divides no series: det is read by build_delta0 alone, and invert by nothing
     assert _readers({"det", "invert"}) == {"det": {"potential.py:build_delta0"}, "invert": set()}
+
+
+# the one derivative routine of series.py and the only functions that read it
+DERIVATIVE_READERS = {"_derived": {"series.py:linear_combination", "series.py:det",
+                                   "series.py:y_gradient_average"}}
+
+
+def test_one_derivative_routine():
+    assert _readers(DERIVATIVE_READERS) == DERIVATIVE_READERS
+
+
+def test_chsc_closed_forms_import_nothing_from_the_series_module():
+    tree = ast.parse((PACKAGE / "chsc.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert not {name for name in imported if name and name.split(".")[-1] == "series"}
 
 
 def _attribute_reads() -> set:

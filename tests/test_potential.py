@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergman import potential, series
+from bergman.chsc import delta0_taylor_coeffs
 from bergman.coefficients import amplitude_from_b, bergman_coefficients
 from bergman.kernel import PairEvaluator
 from bergman.potential import (
@@ -1224,26 +1225,20 @@ class TestDelta0:
         assert geom.delta0_xyz == TruncatedSeries.one(6, 4)
         assert geom.delta0_xytheta == TruncatedSeries.one(6, 4)
 
-    @pytest.mark.parametrize("n,c", [(1, 1), (1, -1), (2, 1)])
-    def test_chsc_closed_form(self, n, c):
-        geom = build_geometry(preset_chsc(n, c, 8))
-        D = geom.delta0_xytheta.trunc_degree
-        # u = c theta . (x - y)
-        u = TruncatedSeries.zero(3 * n, D)
+    @pytest.mark.parametrize("n,c,D", [(1, 1, 8), (1, -1, 8), (2, 1, 8), (3, F(-1, 3), 6),
+                                       (4, F(1, 2), 6)])
+    def test_chsc_closed_form(self, n, c, D):
+        # Delta0 = g(u), g(u) = e^u ((e^u - 1)/u)^(n-1), at u = c theta . (x - y): the integer
+        # closed form of g's Taylor coefficients composed in the reference algebra, so no
+        # arithmetic is shared with the engine's Jacobian, which both coefficient routes read
+        geom = build_geometry(preset_chsc(n, c, D))
+        L = geom.delta0_xytheta.trunc_degree
+        u = {}
         for i in range(n):
-            xi = TruncatedSeries.variable(3 * n, D, i)
-            yi = TruncatedSeries.variable(3 * n, D, n + i)
-            ti = TruncatedSeries.variable(3 * n, D, 2 * n + i)
-            u = u + c * (ti * (xi - yi))
-        # g(u) = e^u ((e^u - 1)/u)^(n-1)
-        exp1 = TruncatedSeries(1, D, {(j,): F(1, math.factorial(j)) for j in range(D + 1)})
-        ratio = TruncatedSeries(1, D, {(j,): F(1, math.factorial(j + 1)) for j in range(D + 1)})
-        g = exp1
-        for _ in range(n - 1):
-            g = g * ratio
-        g0 = g - TruncatedSeries.constant(1, D, g.constant_term)
-        closed = g0.compose([u]) + 1
-        assert geom.delta0_xytheta == closed
+            u[tuple(int(j in (i, 2 * n + i)) for j in range(3 * n))] = F(c)
+            u[tuple(int(j in (n + i, 2 * n + i)) for j in range(3 * n))] = -F(c)
+        g = TruncatedSeries(1, L, {(j,): a for j, a in enumerate(delta0_taylor_coeffs(n, L))})
+        assert geom.delta0_xytheta == reference.compose(g, [TruncatedSeries(3 * n, L, u)])
 
     def test_diagonal_collapse_to_one(self):
         for spec in (preset_chsc(2, 1, 8), preset_quartic(1, F(1, 10), 8)):
