@@ -24,9 +24,10 @@ refusal of a truncation degree too small for a computation.  A :class:`Potential
 read-only, so its digest is computed once and every report reuses it.
 
 :func:`invert_theta` inverts the Hessian by elimination and hands it with
-theta to :func:`bergman.series.fixed_point`, which reads theta's terms once
-and composes nothing; no code here reads the packed form of a series, and
-the pack builds only the bare variables it reads.  :func:`build_geometry`
+theta to :func:`bergman.series.fixed_point`, which forms each row of
+z - H^{-1} theta as one linear combination and composes nothing; no code
+here reads the packed form of a series, and the pack builds only the bare
+variables it reads.  :func:`build_geometry`
 builds psi, psi_x, ``psi_x(y, z)`` (moved into (x, y, z) blocks by one
 composition with bare arguments; the phase and ``Delta0`` read it) and the
 phase, which cost milliseconds; its :class:`GeometryPack` builds the checked
@@ -373,10 +374,11 @@ def invert_theta(theta: Sequence[TruncatedSeries]) -> tuple:
     z = H^{-1} t + S(x, y, z), S = z - H^{-1} theta, which has no z-linear
     part with a constant coefficient.  This function only inverts H, by
     :func:`_hessian_inverse`, and hands H^{-1} and theta to
-    :func:`bergman.series.fixed_point`, which forms the graded parts of
-    H^{-1} t and -H^{-1} theta in one pass over theta's terms and solves one
+    :func:`bergman.series.fixed_point`, which builds each row of
+    z - H^{-1} theta as one linear combination of z_u and the theta_i, splits
+    it into graded parts, takes H^{-1} t as a part of its own, and solves one
     homogeneous degree at a time, as in lazy ("relaxed") power-series
-    arithmetic.  No series is built for H^{-1} t or S, and no variable.
+    arithmetic.
     The powers are the solve's own z^gamma, keyed as composing theta through
     (x, y, z) caches them.
     """

@@ -48,7 +48,7 @@ triple ``(keys, nums, den)``, None when the piece vanishes;
 rule holds for all of them: every piece is sorted by key over a positive
 denominator, and every result is reduced, by the one :func:`_piece`.  An
 input may keep its denominator unreduced, such as a piece cut below a
-degree or a part of theta in a solve.  The level solve is no exception: its pieces
+degree or a part of a solve.  The level solve is no exception: its pieces
 are homogeneous, so each of its sums is cut at the level's own degree and
 cuts nothing, and :func:`_joined` concatenates the levels, sorted and
 reduced as they come, into the result.
@@ -101,13 +101,15 @@ composition that runs both the x and the y block onto x, and one for the
 inverted phase ``z(x, y, theta)`` (``geom.z_powers``), which the solve seeds
 and ``Delta0`` and every later composition through ``z`` reuse.
 The phase inversion composes nothing: :func:`fixed_point` takes theta and
-the inverse of its constant z-linear part H, forms the parts of H^-1 t and
-of -H^-1 theta in one pass over theta's terms (the z-linear constant part
-cancels exactly and is dropped), and makes each new piece of degree d with
-the :func:`_sum_of_products` of its live pairs at d (see Storage); each
-level reads a list of the power steps it extends, made once per solve.  The powers it
-builds are the entries composing theta through z would cache, through the
-same degrees, so it returns them with z as that cache.  They are checked, with z,
+the inverse of its constant z-linear part H, forms each row of
+``z - H^-1 theta`` as one :func:`linear_combination` (the z-linear constant
+part cancels there and drops), splits it by z digits and degree in one pass
+over its keys, takes ``H^-1 t`` as a part of its own, and makes each new
+piece of degree d with the :func:`_sum_of_products` of its live pairs at d
+(see Storage); each level reads a list of the power steps it extends, made
+once per solve.  Each power it builds is the entry composing theta through z
+would cache under its key, cut at the degree the solve reads it, so it
+returns them with z to seed that cache.  They are checked, with z,
 by :func:`holds_on_a_line`, which builds no series and shares no code with
 the solve: each series is evaluated at a random point mod a prime, and the
 powers of z, cut at their degrees, come from univariate products of z on the
@@ -919,9 +921,11 @@ def fixed_point(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries]) -> t
       and squares the piece ``[z_j]_(d/2)`` with :func:`_add_square`;
     * ``[z_u]_d = sum_gamma sum_e [s_(u,gamma)]_e [P_gamma]_(d-e)``.
 
-    The parts ``[s_(u,gamma)]_e`` come from one pass over theta's terms
-    (:func:`_solve_parts`); H^-1 t is the part gamma = 0, e = 1, and the
-    z-linear constant part cancels exactly and is dropped.  No sweep reads
+    The parts ``[s_(u,gamma)]_e`` come from :func:`_solve_parts`: row u of
+    ``z - H^-1 theta`` is one :func:`linear_combination`, where the z-linear
+    constant part cancels and drops, split by z digits and degree in v, and
+    ``(H^-1 t)_u`` is a part of its own at gamma = 0, e = 1, so two parts may
+    share (gamma, e); each is a sorted piece over a positive denominator.  No sweep reads
     ``[z]_d`` unless theta has a constant term or ``hinv`` does not invert H,
     which is a ValueError.  A piece is the ``(keys, nums, den)`` of
     :func:`_piece` at the widest digit width of theta and D, or None; a new
@@ -937,14 +941,17 @@ def fixed_point(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries]) -> t
     no second reduction.
 
     Returns ``(z, powers)``: ``powers`` holds, from the solve's own pieces, each
-    ``P_gamma`` joined as z is through the degree a composition reads it and
-    keyed as :func:`_power_key` keys it; every entry is the one that composing
-    theta through the arguments ``(v, z)`` would cache under its key.  The two
-    tables hold the same keys unless some z_j is a bare variable: a
-    composition renames a bare z_j and raises the other z alone, so for a
-    term ``z_a z_b^2`` with z_a bare it caches ``z_b^2``, which the solve's
-    chain ``z_a z_b^2 <- z_a z_b <- z_a`` never builds.  A Hermitian phase has
-    no such term, and a composition builds what the table lacks.
+    ``P_gamma`` joined as z is through the degree the solve reads it and keyed
+    as :func:`_power_key` keys it.  Composing theta through the arguments
+    ``(v, z)`` caches every one of those keys, and each entry is the cached one
+    cut at the entry's degree.  The two tables are equal unless some z_j is a
+    bare variable: a composition renames a bare z_j and raises the other z
+    alone, so for a term ``z_a z_b^2`` with z_a bare it caches ``z_b^2``, which
+    the solve's chain ``z_a z_b^2 <- z_a z_b <- z_a`` never builds, and it
+    reads ``z_b^2`` through D less the degree of the moved z_a, above the
+    degree the solve may have built it to for another term.  A Hermitian phase
+    has no such term, and a composition seeded with the table builds what it
+    lacks and rebuilds an entry too low for it.
     """
     N, D, n = theta[0].nvars, theta[0].trunc_degree, len(theta)
     for s in theta:
@@ -1091,82 +1098,34 @@ def holds_on_a_line(theta: Sequence[TruncatedSeries], z: Sequence[TruncatedSerie
 
 
 def _solve_parts(hinv: Sequence[Sequence], theta: Sequence[TruncatedSeries], shift: int) -> list:
-    """Per u, the ``(gamma, e, |gamma|, [s_(u,gamma)]_e)`` of the solve of :func:`fixed_point`,
-    ``S_u = (H^-1 t)_u + z_u - (H^-1 theta)_u``, none of them zero.
-
-    One pass over theta's terms groups them by their z digits and degree digit,
-    and each group's keys lose those digits and their degree once, so in any
-    order they lose one constant.  Row u of ``hinv`` then scales each group of
-    theta_i over one denominator of the row, the lcm of its
-    ``h.denominator * theta_i._den``, and adds the groups of one (gamma, e).  A
-    part keeps that denominator unreduced (the level sums reduce).  The t_j of
-    H^-1 t have the keys of the z_j, so they join the part gamma = 0, e = 1 after
-    the grouping, and z_u joins the part of its own key, where it cancels H's
-    constant: a part left there, or a constant term of theta, makes the solve
-    implicit, a ValueError.  A part of one group is its scaled numerators, in
-    theta's key order less one constant, so sorted; only parts of several share
-    an accumulator, whose keys are sorted once per solve.  Every part is a
-    sorted piece over a positive denominator (see Storage).
-    """
-    n = len(theta)
-    width, zw = shift * theta[0].nvars, shift * n
+    """Per u, the ``(gamma, e, |gamma|, [s_(u,gamma)]_e)`` of the solve of :func:`fixed_point`:
+    ``(H^-1 t)_u``, then the groups of z digits and degree digit of the one
+    :func:`linear_combination` ``z_u - (H^-1 theta)_u``, each group's keys less one constant."""
+    N, D, n = theta[0].nvars, theta[0].trunc_degree, len(theta)
+    width, zw = shift * N, shift * n
     low = (1 << zw) - 1
-    shapes: dict = {}  # group -> (gamma, |gamma|, e, the digits its keys lose)
-
-    def shape(g):
-        if (found := shapes.get(g)) is None:
-            gamma = _unpack(g & low, n, shift)
-            size = sum(gamma)
-            found = shapes[g] = (gamma, size, (g >> zw) - size, (g & low) + (size << width))
-        return found
-
-    # per theta_i: group (z digits, degree digit above them) -> (keys, nums, the drop)
-    grouped = []
-    for t in theta:
-        groups: dict = {}
-        for key, value in zip(t._keys_at(shift), t._nums):
-            group = groups.get(g := key & low | key >> width << zw)
-            if group is None:
-                drop = shape(g)[3]
-                groups[g] = ([key - drop], [value], drop)
-            else:
-                group[0].append(key - group[2])
-                group[1].append(value)
-        grouped.append(groups)
-    units = [1 << shift * (n - 1 - j) for j in range(n)]  # a z_j digit, or t_j's
     out = []
     for u, row in enumerate(hinv):
-        den = lcm(*[h.denominator * t._den for h, t in zip(row, theta) if h])
-        merged: dict = {}  # group -> [(scale, (keys, nums, drop))]
-        for h, t, groups in zip(row, theta, grouped):
-            if h:
-                c = -h.numerator * (den // (h.denominator * t._den))
-                for g, part in groups.items():
-                    merged.setdefault(g, []).append((c, part))
-        merged.setdefault(1 << zw, []).extend(
-            (h.numerator * (den // h.denominator), ([(1 << width) | j], [1], 0))
-            for h, j in zip(row, units) if h)
-        merged.setdefault(units[u] | 1 << zw, []).append((den, ([0], [1], 0)))
-        su = []
-        for g, group in merged.items():
-            gamma, size, e, _ = shape(g)
-            if len(group) == 1:
-                ((c, (keys, nums, _)),) = group
-                nums = [c * v for v in nums]
-            else:
-                acc: dict = {}
-                get = acc.get
-                for c, (keys, nums, _) in group:
-                    for k, v in zip(keys, nums):
-                        acc[k] = get(k, 0) + c * v
-                keys = sorted([k for k, v in acc.items() if v])
-                if not keys:
-                    continue
-                nums = [acc[k] for k in keys]
-            if e == 0 and size <= 1:
+        s = linear_combination([(1, TruncatedSeries.variable(N, D, N - n + u))]
+                               + [(-h, t) for h, t in zip(row, theta) if h])
+        # (H^-1 t)_u: t_j has the key of z_j, so j runs down for the keys to ascend
+        ht = [(j, h) for j in range(n - 1, -1, -1) if (h := row[j])]
+        den = lcm(*[h.denominator for _, h in ht])
+        su = [((0,) * n, 1, 0, ([1 << width | 1 << shift * (n - 1 - j) for j, _ in ht],
+                                [h.numerator * (den // h.denominator) for _, h in ht], den))]
+        groups: dict = {}  # z digits, degree digit above them -> (keys, nums)
+        for key, value in zip(s._keys_at(shift), s._nums):
+            keys, nums = groups.setdefault(key & low | key >> width << zw, ([], []))
+            keys.append(key)
+            nums.append(value)
+        for g, (keys, nums) in groups.items():
+            gamma = _unpack(g & low, n, shift)
+            size = sum(gamma)
+            if (e := (g >> zw) - size) == 0 and size <= 1:
                 raise ValueError("fixed_point: a constant term in theta, or hinv not the "
                                  "inverse of its z-linear part, makes the solve implicit")
-            su.append((gamma, e, size, (keys, nums, den)))
+            drop = (g & low) + (size << width)
+            su.append((gamma, e, size, ([k - drop for k in keys], nums, s._den)))
         out.append(su)
     return out
 

@@ -16,7 +16,8 @@ pair loops by ``_sum_of_products`` and ``TruncatedSeries.compose`` alone.
 ``series.det`` has one reader, ``potential.build_delta0``, and nothing in the
 package calls ``TruncatedSeries.invert``, which the benchmark harness still wraps.
 One routine differentiates, ``series._derived``, read by ``linear_combination``,
-``det`` and ``y_gradient_average`` alone, and ``chsc.py``, the closed-form oracle,
+``det`` and ``y_gradient_average`` alone; the phase solve forms each row of its
+parts with ``linear_combination``; and ``chsc.py``, the closed-form oracle,
 imports nothing from the series module.
 
 The tests' reference algebra (``tests/reference.py``) and oracles (``tests/oracles.py``)
@@ -126,6 +127,11 @@ DERIVATIVE_READERS = {"_derived": {"series.py:linear_combination", "series.py:de
 
 def test_one_derivative_routine():
     assert _readers(DERIVATIVE_READERS) == DERIVATIVE_READERS
+
+
+def test_the_phase_solve_forms_each_row_by_one_linear_combination():
+    # z_u - (H^-1 theta)_u is one sum of series, not an accumulator of the solve's own
+    assert "series.py:_solve_parts" in _readers({"linear_combination"})["linear_combination"]
 
 
 def test_chsc_closed_forms_import_nothing_from_the_series_module():

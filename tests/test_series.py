@@ -617,21 +617,26 @@ class TestPackedCore:
     @given(st.data())
     def test_graded_coefficients(self, kind, data):
         # the parts [s_(u,gamma)]_e that fixed_point solves with: S_u = (H^-1 t)_u + z_u -
-        # (H^-1 theta)_u by z exponent gamma and v degree e, each keyed by its v exponent
+        # (H^-1 theta)_u by z exponent gamma and v degree e, each keyed by its v exponent;
+        # the parts that share (gamma, e) sum to that part of S_u
         v, hess, theta = _drawn_phase(data, kind)
         hinv, N, degree = cramer_inverse(hess), theta[0].nvars, theta[0].trunc_degree
         shift = max(t._shift for t in theta) + data.draw(st.integers(0, 1))
         ids = TruncatedSeries.variables(N, degree)
         for u, (row, parts) in enumerate(zip(hinv, series._solve_parts(hinv, theta, shift))):
-            # t_j has the slot of z_j: it joins the part gamma = 0, e = 1
+            # t_j has the slot of z_j: it adds to the part gamma = 0, e = 1
             t = reference.combine([(h, ids[v + j]) for j, h in enumerate(row)])
             s = reference.combine([(1, ids[v + u])] + [(-h, f) for h, f in zip(row, theta)])
             plain: dict = {((0,) * (N - v), 1): dict(t.coeffs)} if t.coeffs else {}
             for key, c in s.coeffs.items():
                 plain.setdefault((key[v:], sum(key[:v])), {})[key[:v] + (0,) * (N - v)] = c
-            got = {(gamma, e): _series_of(part, N, degree, shift).coeffs
-                   for gamma, e, size, part in parts if size == sum(gamma)}
-            assert len(got) == len(parts) and got == plain
+            shared: dict = {}
+            for gamma, e, size, (keys, nums, den) in parts:
+                assert size == sum(gamma) and keys == sorted(keys) and den > 0
+                shared.setdefault((gamma, e), []).append(
+                    (1, _series_of((keys, nums, den), N, degree, shift)))
+            got = {ge: dict(reference.combine(terms).coeffs) for ge, terms in shared.items()}
+            assert got == plain
 
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=30, deadline=None)
@@ -1465,12 +1470,18 @@ class TestOneReductionPerResult:
         assert all(_reduced(s) for s in (*z, *powers.values()))
         assert z == reference.fixed_point(cramer_inverse(hess), theta)
         assert powers == reference.table_entries(powers, z)
-        # every entry is what composing theta through z caches under its key; a
-        # composition also raises the other z alone when a z_j is bare
+        # every entry is what composing theta through z caches under its key, cut at the
+        # entry's degree; when a z_j is bare a composition also raises the other z alone,
+        # and may read such a power higher than the solve built it
         ids, cache = TruncatedSeries.variables(theta[0].nvars, theta[0].trunc_degree), {}
         for u, t in enumerate(theta):
             assert t.compose(ids[:v] + z, cache=cache) == ids[v + u]
-        assert powers.items() <= cache.items()
+        assert powers.keys() <= cache.keys()
+        assert all(p == cache[key].truncate(p.trunc_degree) for key, p in powers.items())
+        # a composition rebuilds a seeded entry that is too low for it
+        seeded = dict(powers)
+        for u, t in enumerate(theta):
+            assert t.compose(ids[:v] + z, cache=seeded) == ids[v + u]
         if all(reference.bare_slot(s) is None for s in z):
             assert powers == cache
         return powers, cache
@@ -1490,3 +1501,14 @@ class TestOneReductionPerResult:
                  TruncatedSeries(4, 3, {(0, 0, 1, 0): F(1)})]
         powers, cache = self._check_fixed_point(2, hess, theta)
         assert set(cache) - set(powers) == {(2,)}
+
+    def test_a_bare_z_j_can_leave_a_power_below_the_composition(self):
+        # a draw of the test above (v = 1, D = 4): z_0 solves to the bare t_1, and the
+        # solve builds z_1^2 through degree 2 for the term v^2 z_1^2, while composing
+        # theta_0 = z_1 + z_0 z_1^2 + v^2 z_1^2 moves z_0 and reads z_1^2 through degree 3
+        hess = [[F(0), F(1)], [F(1), F(0)]]
+        theta = [TruncatedSeries(3, 4, {(0, 0, 1): F(1), (0, 1, 2): F(1), (2, 0, 2): F(1)}),
+                 TruncatedSeries(3, 4, {(0, 1, 0): F(1)})]
+        powers, cache = self._check_fixed_point(1, hess, theta)
+        assert set(powers) == set(cache) == {(1,), (2,)}
+        assert (powers[(2,)].trunc_degree, cache[(2,)].trunc_degree) == (2, 3)
